@@ -319,6 +319,25 @@ impl PackedMatrix {
             row_sums,
         }
     }
+
+    /// Wraps codes a caller already wrote in container layout, with their
+    /// row sums — for producers such as the integer im2col gather that
+    /// emit packed rows directly.
+    pub(crate) fn from_packed(rows: usize, k: usize, codes: Codes, row_sums: Vec<u64>) -> Self {
+        let (len, row_len) = match &codes {
+            Codes::Nib(c) => (c.len(), Container::Nib.row_bytes(k)),
+            Codes::U8(c) => (c.len(), k),
+            Codes::U16(c) => (c.len(), k),
+        };
+        assert_eq!(len, rows * row_len, "codes must be [rows, k] packed");
+        assert_eq!(row_sums.len(), rows, "one code sum per row");
+        PackedMatrix {
+            rows,
+            k,
+            codes,
+            row_sums,
+        }
+    }
 }
 
 /// Tile edge for the code transposes: 64×64 byte tiles sit well inside
@@ -457,6 +476,26 @@ fn pack_row_nib(src: &[f32], dst: &mut [u8], enc: &Encoder, sum: &mut u64) {
 ///
 /// Panics if containers or `k` mismatch.
 pub fn qgemm(acts: &PackedMatrix, weights: &PackedMatrix, mut emit: impl FnMut(usize, usize, i64)) {
+    qgemm_rows(acts, weights, |m, accs| {
+        for (o, &acc) in accs.iter().enumerate() {
+            emit(m, o, acc);
+        }
+    });
+}
+
+/// The row form of [`qgemm`]: for every activation row `m`, fills one
+/// accumulator per weight row (`accs[o] = Σ_k A[m, k]·W[o, k]`) and calls
+/// `emit_row(m, accs)`, so a caller can requantize a whole output row with
+/// its row-invariant terms computed once.
+///
+/// # Panics
+///
+/// Panics if containers or `k` mismatch.
+pub(crate) fn qgemm_rows(
+    acts: &PackedMatrix,
+    weights: &PackedMatrix,
+    mut emit_row: impl FnMut(usize, &[i64]),
+) {
     assert_eq!(acts.k, weights.k, "operand k mismatch");
     assert_eq!(
         acts.container(),
@@ -464,6 +503,7 @@ pub fn qgemm(acts: &PackedMatrix, weights: &PackedMatrix, mut emit: impl FnMut(u
         "operand container mismatch"
     );
     let k = acts.k;
+    let mut accs = vec![0i64; weights.rows];
     match (&acts.codes, &weights.codes) {
         (Codes::U8(a), Codes::U8(w)) => {
             // The u8 path carries the serving workload, so it is blocked
@@ -472,11 +512,11 @@ pub fn qgemm(acts: &PackedMatrix, weights: &PackedMatrix, mut emit: impl FnMut(u
             // paid once per block instead of once per output. Integer
             // sums are order-independent, so the result stays bit-equal
             // to the plain per-output dot.
+            let blocks = weights.rows / 4 * 4;
             for m in 0..acts.rows {
                 let a_row = &a[m * k..(m + 1) * k];
-                let blocks = weights.rows / 4 * 4;
                 for o in (0..blocks).step_by(4) {
-                    let dots = dot4_u8(
+                    accs[o..o + 4].copy_from_slice(&dot4_u8(
                         a_row,
                         [
                             &w[o * k..(o + 1) * k],
@@ -484,31 +524,31 @@ pub fn qgemm(acts: &PackedMatrix, weights: &PackedMatrix, mut emit: impl FnMut(u
                             &w[(o + 2) * k..(o + 3) * k],
                             &w[(o + 3) * k..(o + 4) * k],
                         ],
-                    );
-                    for (j, dot) in dots.into_iter().enumerate() {
-                        emit(m, o + j, dot);
-                    }
+                    ));
                 }
-                for o in blocks..weights.rows {
-                    emit(m, o, dot_u8(a_row, &w[o * k..(o + 1) * k]));
+                for (o, acc) in accs.iter_mut().enumerate().skip(blocks) {
+                    *acc = dot_u8(a_row, &w[o * k..(o + 1) * k]);
                 }
+                emit_row(m, &accs);
             }
         }
         (Codes::U16(a), Codes::U16(w)) => {
             for m in 0..acts.rows {
                 let a_row = &a[m * k..(m + 1) * k];
-                for o in 0..weights.rows {
-                    emit(m, o, dot_u16(a_row, &w[o * k..(o + 1) * k]));
+                for (o, acc) in accs.iter_mut().enumerate() {
+                    *acc = dot_u16(a_row, &w[o * k..(o + 1) * k]);
                 }
+                emit_row(m, &accs);
             }
         }
         (Codes::Nib(a), Codes::Nib(w)) => {
             let rb = Container::Nib.row_bytes(k);
             for m in 0..acts.rows {
                 let a_row = &a[m * rb..(m + 1) * rb];
-                for o in 0..weights.rows {
-                    emit(m, o, dot_nib(a_row, &w[o * rb..(o + 1) * rb]));
+                for (o, acc) in accs.iter_mut().enumerate() {
+                    *acc = dot_nib(a_row, &w[o * rb..(o + 1) * rb]);
                 }
+                emit_row(m, &accs);
             }
         }
         _ => unreachable!("container mismatch is asserted above"),

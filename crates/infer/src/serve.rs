@@ -244,7 +244,8 @@ pub enum OverloadPolicy {
 pub struct ServeConfig {
     /// Most requests coalesced into one model invocation.
     pub max_batch: usize,
-    /// Longest the oldest queued request waits for company.
+    /// Longest the oldest queued request waits for company. Zero runs
+    /// whatever is queued as soon as a replica is free.
     pub max_wait: Duration,
     /// Fixed number of connection workers multiplexing all sockets.
     pub conn_workers: usize,
@@ -264,7 +265,12 @@ impl Default for ServeConfig {
         // Concurrent closed-loop clients re-enqueue within microseconds of
         // each other (their previous responses complete together), so a
         // short gather window coalesces full batches without taxing the
-        // lightly-loaded case a long deadline would.
+        // lightly-loaded case a long deadline would. A zero window halves
+        // a lone request's round trip (0.52 vs 1.08 ms median, one
+        // closed-loop client, 2-vCPU Xeon VM), but that round trip is then
+        // almost all integer compute, whose speed follows the load on the
+        // host: its answers per second moved by up to ±20% between
+        // identical 30 s runs, against ±5% with the window.
         Self {
             max_batch: 8,
             max_wait: Duration::from_micros(500),
@@ -856,10 +862,18 @@ fn handle_frame(
             requests.inc();
             let trace_id = shared.next_trace_id();
             let echo = traced.then_some(trace_id);
-            if body.len() != shared.input_len {
+            // a NaN or infinity would otherwise encode to an ordinary code
+            // and come back as an ordinary prediction
+            let invalid = if body.len() != shared.input_len {
+                Some("bad input length")
+            } else if body.iter().any(|v| !v.is_finite()) {
+                Some("non-finite input")
+            } else {
+                None
+            };
+            if let Some(reason) = invalid {
                 errors.inc();
-                conn.writer
-                    .send(STATUS_ERR, id, &ErrBody("bad input length"), echo);
+                conn.writer.send(STATUS_ERR, id, &ErrBody(reason), echo);
                 if let Some(log) = &shared.log {
                     log.record(RequestRecord {
                         trace_id,

@@ -8,7 +8,9 @@
 //!   request byte sequence;
 //! * **exact accounting** — ok/shed/shutdown paths each produce one
 //!   well-formed access-log record, and record counts reconcile with the
-//!   global `serve.*` counters and the log's own summary line.
+//!   global `serve.*` counters and the log's own summary line;
+//! * **input validation** — a non-finite input gets a typed error and an
+//!   `error` record, never a prediction.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -327,6 +329,50 @@ fn shed_and_ok_outcomes_reconcile_with_counters() {
     assert_eq!(summary.ok, ok.len() as u64);
     assert_eq!(summary.shed, shed.len() as u64);
     assert!(!summary.exemplars.is_empty(), "exemplars retained");
+    std::fs::remove_file(&path).ok();
+}
+
+/// A non-finite input is refused with a typed error — counted in
+/// `serve.errors` and logged with outcome `error` — instead of being
+/// encoded into an ordinary prediction, and the connection stays usable.
+#[test]
+fn non_finite_inputs_are_refused_counted_and_logged() {
+    let _guard = test_lock();
+    let path = log_path("nonfinite");
+    let model = Arc::new(EchoModel::new(Duration::ZERO));
+    let mut server = Server::bind_logged(
+        "127.0.0.1:0",
+        Arc::clone(&model) as Arc<dyn ServeModel>,
+        ServeConfig::default(),
+        Some(AccessLog::create(&path, 4).unwrap()),
+    )
+    .unwrap();
+    let errors_before = counter("serve.errors");
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        // the echo model answers from element 0, so a bad element 1
+        // would otherwise come back as an ordinary answer
+        match client.infer(&[1.0, bad, 1.0, 1.0]).unwrap() {
+            Reply::Refused(msg) => assert_eq!(msg, "non-finite input"),
+            other => panic!("{bad} input answered with {other:?}"),
+        }
+    }
+    let logits = client.infer(&[1.0; 4]).unwrap().into_result().unwrap();
+    assert_eq!(logits, vec![1.0, 2.0, 3.0]);
+    assert_eq!(counter("serve.errors") - errors_before, 3);
+    assert_eq!(
+        model.rows.load(Ordering::SeqCst),
+        1,
+        "refused inputs never reach the model"
+    );
+
+    server.shutdown();
+    let view = lifecycle::read_records(&path).unwrap();
+    assert_eq!(view.malformed, 0);
+    let errors = records_with(&view.records, lifecycle::OUTCOME_ERROR);
+    assert_eq!(errors.len(), 3);
+    assert!(errors.iter().all(|r| r.replica.is_none() && r.exec_ns == 0));
+    assert_eq!(records_with(&view.records, lifecycle::OUTCOME_OK).len(), 1);
     std::fs::remove_file(&path).ok();
 }
 

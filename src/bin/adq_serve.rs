@@ -17,6 +17,9 @@
 //! adq-serve help
 //! ```
 //!
+//! Batching, pool and admission flags left unset take their values from
+//! `ServeConfig::default()`; `adq-serve help` prints them.
+//!
 //! `serve` lowers a model to the bit-packed integer engine and serves it
 //! over the length-prefixed TCP protocol in `adq_infer::serve`: a fixed
 //! connection-worker pool multiplexes sockets, `--replicas` executor
@@ -229,13 +232,19 @@ fn compile_with_seeded_calibration(model: &Vgg, flags: &Flags) -> Result<Compile
     CompiledVgg::compile(model, &calibration, CompileOptions::default()).map_err(|e| e.to_string())
 }
 
+/// Batching, pool and admission settings: each flag left unset takes its
+/// value from `ServeConfig::default()`.
 fn serve_config(flags: &Flags) -> Result<ServeConfig, String> {
-    let max_wait_ms: f64 = get(flags, "max-wait-ms", 0.5)?;
-    if max_wait_ms < 0.0 || max_wait_ms.is_nan() {
-        return Err(format!("flag --max-wait-ms: `{max_wait_ms}` must be >= 0"));
+    let defaults = ServeConfig::default();
+    let max_wait_ms: f64 = get(flags, "max-wait-ms", defaults.max_wait.as_secs_f64() * 1e3)?;
+    if !(max_wait_ms >= 0.0 && max_wait_ms.is_finite()) {
+        return Err(format!(
+            "flag --max-wait-ms: `{max_wait_ms}` must be a finite number >= 0"
+        ));
     }
     let overload = match flags.get("overload").map(String::as_str) {
-        None | Some("reject") => OverloadPolicy::Reject,
+        None => defaults.overload,
+        Some("reject") => OverloadPolicy::Reject,
         Some("shed-oldest") => OverloadPolicy::ShedOldest,
         Some(other) => {
             return Err(format!(
@@ -244,11 +253,11 @@ fn serve_config(flags: &Flags) -> Result<ServeConfig, String> {
         }
     };
     Ok(ServeConfig {
-        max_batch: get(flags, "max-batch", 8)?,
+        max_batch: get(flags, "max-batch", defaults.max_batch)?,
         max_wait: Duration::from_secs_f64(max_wait_ms / 1000.0),
-        conn_workers: get(flags, "conn-workers", 2)?,
-        replicas: get(flags, "replicas", 1)?,
-        queue_cap: get(flags, "queue-cap", 256)?,
+        conn_workers: get(flags, "conn-workers", defaults.conn_workers)?,
+        replicas: get(flags, "replicas", defaults.replicas)?,
+        queue_cap: get(flags, "queue-cap", defaults.queue_cap)?,
         overload,
     })
 }
@@ -646,17 +655,22 @@ fn cmd_load_gen(flags: &Flags) -> Result<(), String> {
 }
 
 fn print_help() {
+    let defaults = ServeConfig::default();
+    let overload = match defaults.overload {
+        OverloadPolicy::Reject => "reject",
+        OverloadPolicy::ShedOldest => "shed-oldest",
+    };
     println!(
         "adq-serve — scaled-out integer inference server\n\
          \n\
-         usage: adq-serve <command> [flags]\n\
+         usage: adq-serve <command> [flags]   (defaults in parentheses)\n\
          \n\
          commands:\n\
          \x20 serve      lower a model to the integer engine and serve it over TCP\n\
          \x20            --addr 127.0.0.1:0  --port-file PATH\n\
-         \x20            --replicas N  --conn-workers N\n\
-         \x20            --queue-cap N  --overload reject|shed-oldest\n\
-         \x20            --max-batch N  --max-wait-ms MS\n\
+         \x20            --replicas N ({replicas})  --conn-workers N ({conn_workers})\n\
+         \x20            --queue-cap N ({queue_cap})  --overload reject|shed-oldest ({overload})\n\
+         \x20            --max-batch N ({max_batch})  --max-wait-ms MS ({max_wait_ms})\n\
          \x20            --access-log PATH  --exemplars K\n\
          \x20            --checkpoint PATH  --arch tiny|small  --channels C\n\
          \x20            --seed S  --resolution R  --classes K  --bits B\n\
@@ -668,6 +682,11 @@ fn print_help() {
          \x20 load-gen   in-process serving benchmark -> BENCH_serving.json\n\
          \x20            --concurrency 1,4  --replicas 1,2,4  --requests N\n\
          \x20            --out FILE.json\n\
-         \x20 help       this message"
+         \x20 help       this message",
+        replicas = defaults.replicas,
+        conn_workers = defaults.conn_workers,
+        queue_cap = defaults.queue_cap,
+        max_batch = defaults.max_batch,
+        max_wait_ms = defaults.max_wait.as_secs_f64() * 1e3,
     );
 }
