@@ -37,7 +37,6 @@
 //! ```
 
 mod block;
-mod grad_quant;
 mod layers;
 mod loss;
 mod model;
@@ -47,7 +46,6 @@ mod param;
 pub mod train;
 
 pub use block::{ActRangeMode, ConvBlock, ConvBlockConfig, LinearHead};
-pub use grad_quant::{CompressionReport, GradientCompressor};
 pub use layers::{BatchNorm2d, Conv2d, GlobalAvgPool, Linear, MaxPool2d, Relu};
 pub use loss::{accuracy, softmax_cross_entropy, LossOutput};
 pub use model::{LayerKind, LayerStat, QuantModel, ResNet, ResNetBlockView, Vgg, VggItem};

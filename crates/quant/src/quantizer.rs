@@ -130,37 +130,6 @@ impl Quantizer {
         self.dequantize(self.quantize(x))
     }
 
-    /// Stochastic-rounding quantization: rounds up with probability equal
-    /// to the fractional position between the neighbouring codes, using the
-    /// caller-supplied uniform sample `u ∈ [0, 1)`. Unbiased:
-    /// `E_u[dequantize(quantize_stochastic(x, u))] = clamp(x)`.
-    ///
-    /// This is the rounding mode gradient-compression schemes (QSGD-style,
-    /// the paper's refs \[11\]/\[12\]) rely on.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `u` is outside `[0, 1)`.
-    pub fn quantize_stochastic(&self, x: f32, u: f32) -> u64 {
-        debug_assert!((0.0..1.0).contains(&u), "u must be in [0, 1)");
-        if self.range.is_degenerate() {
-            return 0;
-        }
-        let x = self.range.clamp(x);
-        let scaled = (f64::from(x) - f64::from(self.range.min()))
-            * (self.bits.max_code() as f64 / self.width_f64());
-        let floor = scaled.floor();
-        let frac = scaled - floor;
-        let code = floor as u64 + u64::from(frac > f64::from(u));
-        code.min(self.bits.max_code())
-    }
-
-    /// Stochastic-rounding fake quantization; see
-    /// [`Quantizer::quantize_stochastic`].
-    pub fn fake_quantize_stochastic(&self, x: f32, u: f32) -> f32 {
-        self.dequantize(self.quantize_stochastic(x, u))
-    }
-
     /// Integer codes for a whole tensor.
     pub fn quantize_tensor(&self, t: &Tensor) -> Vec<u64> {
         let _timer = forward_timer();
@@ -410,53 +379,6 @@ mod tests {
         let mut inplace = t;
         quant.fake_quantize_tensor_inplace(&mut inplace);
         assert_eq!(pure, inplace);
-    }
-
-    #[test]
-    fn stochastic_rounding_is_unbiased() {
-        let quant = q(3, 0.0, 7.0);
-        // x = 2.3 sits between codes 2 and 3; E[value] should be 2.3
-        let x = 2.3f32;
-        let samples = 10_000;
-        let mut sum = 0.0f64;
-        for i in 0..samples {
-            let u = (i as f32 + 0.5) / samples as f32;
-            sum += f64::from(quant.fake_quantize_stochastic(x, u));
-        }
-        let mean = sum / f64::from(samples);
-        assert!((mean - 2.3).abs() < 1e-3, "mean {mean}");
-    }
-
-    #[test]
-    fn stochastic_rounding_picks_neighbouring_codes() {
-        let quant = q(4, 0.0, 15.0);
-        for i in 0..100 {
-            let u = i as f32 / 100.0;
-            let code = quant.quantize_stochastic(7.4, u);
-            assert!(code == 7 || code == 8, "code {code}");
-        }
-    }
-
-    #[test]
-    fn stochastic_on_exact_code_is_deterministic() {
-        let quant = q(4, 0.0, 15.0);
-        for i in 0..10 {
-            let u = i as f32 / 10.0;
-            assert_eq!(quant.quantize_stochastic(5.0, u), 5);
-        }
-    }
-
-    #[test]
-    fn stochastic_clamps_out_of_range() {
-        let quant = q(4, 0.0, 15.0);
-        assert_eq!(quant.quantize_stochastic(99.0, 0.5), 15);
-        assert_eq!(quant.quantize_stochastic(-99.0, 0.5), 0);
-    }
-
-    #[test]
-    fn stochastic_degenerate_range_is_zero() {
-        let quant = q(8, 5.0, 5.0);
-        assert_eq!(quant.quantize_stochastic(123.0, 0.7), 0);
     }
 
     #[test]
