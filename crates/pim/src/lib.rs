@@ -45,11 +45,9 @@ mod energy;
 mod inference;
 mod mac;
 mod tree;
-mod xnor;
 
 pub use array::{LayerMapping, NetworkEnergyReport, PimArray};
 pub use energy::PimEnergyModel;
 pub use inference::{QuantizedConv2d, QuantizedLinear};
 pub use mac::{BitSerialMac, MacStats};
 pub use tree::{AccLevel, ShiftAccumulatorTree};
-pub use xnor::XnorMac;

@@ -1,7 +1,7 @@
 //! Property-based tests: the PIM datapath must be bit-exact against
 //! integer reference arithmetic for every precision and input (DESIGN.md §7).
 
-use adq_pim::{BitSerialMac, XnorMac};
+use adq_pim::BitSerialMac;
 use adq_quant::HwPrecision;
 use proptest::prelude::*;
 
@@ -36,36 +36,6 @@ proptest! {
         let k = u64::from(precision.bits());
         prop_assert_eq!(stats.cycles, k);
         prop_assert_eq!(stats.cell_ops, len as u64 * k * k);
-    }
-
-    #[test]
-    fn xnor_dot_is_exact(bits in proptest::collection::vec(any::<(bool, bool)>(), 0..64)) {
-        let w: Vec<bool> = bits.iter().map(|&(a, _)| a).collect();
-        let a: Vec<bool> = bits.iter().map(|&(_, b)| b).collect();
-        let (dot, _) = XnorMac::dot_bits(&w, &a);
-        prop_assert_eq!(dot, XnorMac::dot_reference(&w, &a));
-        // |dot| <= n and dot ≡ n (mod 2)
-        let n = w.len() as i64;
-        prop_assert!(dot.abs() <= n);
-        prop_assert_eq!((dot - n).rem_euclid(2), 0);
-    }
-
-    #[test]
-    fn xnor_packed_matches_unpacked(bits in proptest::collection::vec(any::<(bool, bool)>(), 0..200)) {
-        let w: Vec<bool> = bits.iter().map(|&(a, _)| a).collect();
-        let a: Vec<bool> = bits.iter().map(|&(_, b)| b).collect();
-        let pack = |bits: &[bool]| -> Vec<u64> {
-            let mut words = vec![0u64; bits.len().div_ceil(64).max(1)];
-            for (i, &b) in bits.iter().enumerate() {
-                if b {
-                    words[i / 64] |= 1 << (i % 64);
-                }
-            }
-            words
-        };
-        let (packed, _) = XnorMac::dot_packed(&pack(&w), &pack(&a), w.len());
-        let (unpacked, _) = XnorMac::dot_bits(&w, &a);
-        prop_assert_eq!(packed, unpacked);
     }
 
     #[test]
