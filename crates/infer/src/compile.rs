@@ -1,12 +1,11 @@
-//! Lowering a trained [`Vgg`] into a self-contained [`CompiledVgg`]:
-//! BN-folded weights quantized at each layer's trained bit-width, packed
-//! into the bit-width's storage container, plus the frozen requantization
-//! parameters the integer kernels need between layers.
+//! Lowering a trained [`Vgg`] or [`ResNet`] into a self-contained
+//! [`CompiledVgg`] / [`CompiledResNet`]: BN-folded weights quantized at
+//! each layer's trained bit-width, packed into the bit-width's storage
+//! container, plus the frozen requantization parameters the integer
+//! kernels need between layers.
 //!
-//! This extends the float-simulated lowering in `adq-core`'s `deploy`
-//! module with a datapath that executes real integer arithmetic through
-//! [`crate::qgemm`]. The affine algebra is the same one the PIM
-//! simulation uses: for uniform affine quantizers `x = x_min + c·s`,
+//! Every layer executes real integer arithmetic through [`crate::qgemm`].
+//! For uniform affine quantizers `x = x_min + c·s`,
 //!
 //! ```text
 //! Σ fq(w)·fq(a) = s_w·s_a·Σ c_w·c_a
@@ -14,14 +13,14 @@
 //! ```
 //!
 //! so each output needs one wide integer dot product (the GEMM) plus the
-//! cheap per-row code sums [`PackedMatrix`] precomputes. One deliberate
-//! difference from the PIM path: convolution padding is quantized like
-//! any other activation (its code is `quantize(0.0)`, the zero point), so
-//! `n` is the full fan-in — the convention of real integer engines, which
-//! pad the code matrix with the zero point rather than skipping taps.
-//! The residual against exact-zero padding is below one activation
-//! quantization step per padded tap; argmax-level agreement with the
-//! float-simulated deployment is enforced by `tests/golden_equivalence.rs`.
+//! cheap per-row code sums [`PackedMatrix`] precomputes. Convolution
+//! padding is quantized like any other activation (its code is
+//! `quantize(0.0)`, the zero point), so `n` is the full fan-in — the
+//! convention of real integer engines, which pad the code matrix with the
+//! zero point rather than skipping taps. The residual against exact-zero
+//! padding is below one activation quantization step per padded tap;
+//! `tests/golden_equivalence.rs` bounds the resulting logits against the
+//! float model.
 //!
 //! Activation quantizers are **calibrated post-training**: compilation
 //! runs a calibration batch through the integer engine itself, fits each
@@ -29,8 +28,17 @@
 //! replaces the per-batch range fitting the training-time simulation uses
 //! — a server cannot re-fit ranges per request batch without making
 //! results batch-composition-dependent.
+//!
+//! A ResNet adds one operation to the VGG chain, the residual junction
+//! (Fig 2). The skip branch — the block input, or its 1×1 projection — is
+//! fake-quantized at the junction bits with a range frozen at
+//! calibration, added to the second conv's pre-activation output, passed
+//! through ReLU and encoded into the next layer's codes. A global average
+//! pool over the last junction feeds the head.
 
-use adq_nn::{MaxPool2d, QuantModel, Vgg};
+use adq_nn::{
+    ConvBlock, GlobalAvgPool, LinearHead, MaxPool2d, QuantModel, ResNet, ResNetBlockView, Vgg,
+};
 use adq_quant::{BitWidth, Encoder, HwPrecision, QuantError, Quantizer};
 use adq_telemetry::metrics;
 use adq_tensor::{Conv2dGeom, Tensor};
@@ -75,8 +83,8 @@ impl From<QuantError> for CompileError {
 /// Lowering policy knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct CompileOptions {
-    /// When `true` (the default, matching `deploy.rs`), layers without a
-    /// trained bit-width fall back to 16-bit and bump the
+    /// When `true` (the default), layers without a trained bit-width fall
+    /// back to 16-bit, the accelerator's widest mode, and bump the
     /// `infer.compile.unquantized_fallback` counter; when `false` they
     /// fail with [`CompileError::Unquantized`].
     pub allow_unquantized: bool,
@@ -110,10 +118,27 @@ fn layer_bits(
 }
 
 /// A frozen activation quantizer at a carried precision; degenerate
-/// calibration data falls back to the point range (same convention as
-/// `deploy.rs`).
+/// calibration data falls back to the point range.
 fn frozen_act_quantizer(bits: BitWidth, data: &[f32]) -> Quantizer {
     Quantizer::fit(bits, data).unwrap_or_else(|_| Quantizer::new(bits, Default::default()))
+}
+
+/// Checks that a calibration batch is `[N, channels, hw, hw]`.
+fn check_calibration(calibration: &Tensor, channels: usize, hw: usize) -> Result<(), CompileError> {
+    let d = calibration.dims();
+    if calibration.rank() == 4 && d[1] == channels && d[2] == hw && d[3] == hw {
+        return Ok(());
+    }
+    Err(CompileError::Shape(format!(
+        "calibration batch {d:?} does not match model input [N, {channels}, {hw}, {hw}]"
+    )))
+}
+
+/// The dimensions of an NCHW tensor.
+fn nchw(t: &Tensor) -> [usize; 4] {
+    assert_eq!(t.rank(), 4, "input must be NCHW");
+    let d = t.dims();
+    [d[0], d[1], d[2], d[3]]
 }
 
 /// The affine requantization of one layer's integer accumulators, with
@@ -173,6 +198,22 @@ impl Requant {
     }
 }
 
+/// Quantizes a `[rows, k]` weight matrix at `bits` and packs it in the
+/// container both it and the activations `act_q` emits fit in.
+fn pack_weights(
+    weight: &[f32],
+    rows: usize,
+    k: usize,
+    bits: BitWidth,
+    act_q: &Quantizer,
+) -> Result<(Quantizer, PackedMatrix, Container), CompileError> {
+    let weight_q = Quantizer::fit(bits, weight)?;
+    let container = Container::for_max_code(weight_q.bits().max_code())
+        .join(Container::for_max_code(act_q.bits().max_code()));
+    let weights = PackedMatrix::pack_rows(weight, rows, k, &weight_q, container);
+    Ok((weight_q, weights, container))
+}
+
 /// One lowered convolution layer: packed BN-folded weight codes plus the
 /// requantization constants of the affine expansion.
 #[derive(Debug, Clone)]
@@ -187,6 +228,9 @@ pub struct CompiledConv {
     container: Container,
     /// Whether a 2×2 max-pool follows.
     pool: bool,
+    /// Whether the output passes through ReLU; a ResNet block's second
+    /// conv and projection emit pre-activation values.
+    relu: bool,
 }
 
 /// The lowered classifier head.
@@ -199,6 +243,66 @@ pub struct CompiledLinear {
     requant: Requant,
     precision: HwPrecision,
     container: Container,
+}
+
+impl CompiledConv {
+    /// Folds `block`'s batch-norm into its convolution and packs the
+    /// result at the block's bit-width, reading its input through the
+    /// frozen `act_q`. Also returns the bit-width, which the block's
+    /// output is carried at.
+    fn lower(
+        block: &ConvBlock,
+        act_q: Quantizer,
+        pool: bool,
+        options: CompileOptions,
+    ) -> Result<(Self, BitWidth), CompileError> {
+        let bits = layer_bits(block.name(), block.bits(), options)?;
+        let (weight, bias) = block.folded_weight_bias();
+        let geom = block.geom();
+        let fan_in = geom.in_channels * geom.kernel * geom.kernel;
+        let (weight_q, weights, container) =
+            pack_weights(weight.data(), geom.out_channels, fan_in, bits, &act_q)?;
+        let layer = Self {
+            geom,
+            requant: Requant::new(&weight_q, &act_q, &weights, &bias),
+            weights,
+            act_q,
+            precision: HwPrecision::legalize(bits),
+            container,
+            pool,
+            relu: block.has_relu(),
+        };
+        Ok((layer, bits))
+    }
+}
+
+impl CompiledLinear {
+    /// Packs a classifier head at its bit-width, reading its input
+    /// features through the frozen `act_q`.
+    fn lower(
+        head: &LinearHead,
+        act_q: Quantizer,
+        options: CompileOptions,
+    ) -> Result<Self, CompileError> {
+        let bits = layer_bits(head.name(), head.bits(), options)?;
+        let linear = head.linear();
+        let (weight_q, weights, container) = pack_weights(
+            linear.weight.value.data(),
+            head.out_features(),
+            head.in_features(),
+            bits,
+            &act_q,
+        )?;
+        Ok(Self {
+            in_features: head.in_features(),
+            out_features: head.out_features(),
+            requant: Requant::new(&weight_q, &act_q, &weights, linear.bias.value.data()),
+            weights,
+            act_q,
+            precision: HwPrecision::legalize(bits),
+            container,
+        })
+    }
 }
 
 /// A trained [`Vgg`] lowered to bit-packed integer inference — weights
@@ -227,92 +331,32 @@ impl CompiledVgg {
         calibration: &Tensor,
         options: CompileOptions,
     ) -> Result<Self, CompileError> {
-        let stats = model.layer_stats();
-        let first_geom = model.conv_blocks()[0].geom();
-        let input_hw = stats[0].input_hw;
-        if calibration.rank() != 4
-            || calibration.dims()[1] != first_geom.in_channels
-            || calibration.dims()[2] != input_hw
-            || calibration.dims()[3] != input_hw
-        {
-            return Err(CompileError::Shape(format!(
-                "calibration batch {:?} does not match model input [N, {}, {input_hw}, {input_hw}]",
-                calibration.dims(),
-                first_geom.in_channels
-            )));
-        }
+        let in_channels = model.conv_blocks()[0].geom().in_channels;
+        let input_hw = model.layer_stats()[0].input_hw;
+        check_calibration(calibration, in_channels, input_hw)?;
 
         let mut convs = Vec::new();
         let mut x = calibration.clone();
         // network input is carried at the accelerator's full width
         let mut carry_bits = BitWidth::SIXTEEN;
         for (index, block) in model.conv_blocks().iter().enumerate() {
-            let bits = layer_bits(block.name(), block.bits(), options)?;
-            let (weight, bias) = block.folded_weight_bias();
-            let weight_q = Quantizer::fit(bits, weight.data())?;
             let act_q = frozen_act_quantizer(carry_bits, x.data());
-            let container = Container::for_max_code(weight_q.bits().max_code())
-                .join(Container::for_max_code(act_q.bits().max_code()));
-            let geom = block.geom();
-            let fan_in = geom.in_channels * geom.kernel * geom.kernel;
-            let weights = PackedMatrix::pack_rows(
-                weight.data(),
-                geom.out_channels,
-                fan_in,
-                &weight_q,
-                container,
-            );
-            let layer = CompiledConv {
-                geom,
-                requant: Requant::new(&weight_q, &act_q, &weights, &bias),
-                weights,
-                act_q,
-                precision: HwPrecision::legalize(bits),
-                container,
-                pool: model.pool_after(index),
-            };
+            let (layer, bits) =
+                CompiledConv::lower(block, act_q, model.pool_after(index), options)?;
             // calibrate the next layer on this layer's integer output;
             // encoding through the layer's own quantizer is exactly what
             // the serving chain feeds it
-            let codes = encode_all(x.data(), &layer.act_q);
-            let dims = [x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]];
-            x = layer.run_calibrate(&codes, dims);
+            x = layer.run_values(&encode_all(x.data(), &layer.act_q), nchw(&x));
             carry_bits = bits;
             convs.push(layer);
         }
 
-        let head = model.head();
-        let bits = layer_bits(head.name(), head.bits(), options)?;
-        let linear = head.linear();
-        let weight_q = Quantizer::fit(bits, linear.weight.value.data())?;
-        let n = x.dims()[0];
-        let features = x.len() / n.max(1);
-        let flat = x.reshaped(&[n, features]).expect("flatten preserves count");
-        let act_q = frozen_act_quantizer(carry_bits, flat.data());
-        let container = Container::for_max_code(weight_q.bits().max_code())
-            .join(Container::for_max_code(act_q.bits().max_code()));
-        let weights = PackedMatrix::pack_rows(
-            linear.weight.value.data(),
-            head.out_features(),
-            head.in_features(),
-            &weight_q,
-            container,
-        );
-        let head = CompiledLinear {
-            in_features: head.in_features(),
-            out_features: head.out_features(),
-            requant: Requant::new(&weight_q, &act_q, &weights, linear.bias.value.data()),
-            weights,
-            act_q,
-            precision: HwPrecision::legalize(bits),
-            container,
-        };
-
+        let act_q = frozen_act_quantizer(carry_bits, x.data());
         Ok(Self {
             convs,
-            head,
+            head: CompiledLinear::lower(model.head(), act_q, options)?,
             classes: model.classes(),
-            in_channels: first_geom.in_channels,
+            in_channels,
             input_hw,
         })
     }
@@ -366,9 +410,7 @@ impl CompiledVgg {
     ///
     /// Panics if `images` is not `[N, C, H, W]` matching the model.
     pub fn run(&self, images: &Tensor) -> Tensor {
-        assert_eq!(images.rank(), 4, "input must be NCHW");
-        let d = images.dims();
-        let mut dims = [d[0], d[1], d[2], d[3]];
+        let mut dims = nchw(images);
         let mut codes = encode_all(images.data(), &self.convs[0].act_q);
         for (i, conv) in self.convs.iter().enumerate() {
             let next_q = match self.convs.get(i + 1) {
@@ -379,6 +421,191 @@ impl CompiledVgg {
         }
         let [n, c, h, w] = dims;
         self.head.run_codes(&codes, n, c * h * w)
+    }
+}
+
+/// One lowered residual basic block.
+#[derive(Debug, Clone)]
+struct CompiledBlock {
+    conv1: CompiledConv,
+    conv2: CompiledConv,
+    /// 1×1 projection shortcut; it reads the block input through
+    /// `conv1`'s quantizer.
+    proj: Option<CompiledConv>,
+    /// Frozen quantizer of the skip branch at the junction bits (Fig 2).
+    skip_q: Quantizer,
+}
+
+impl CompiledBlock {
+    /// Lowers one basic block whose float input `x` is carried at
+    /// `carry_bits`, calibrating every range it freezes on `x`. Returns
+    /// the block, its junction output on `x` and the junction bits, at
+    /// which that output is carried.
+    fn lower(
+        view: ResNetBlockView<'_>,
+        x: &Tensor,
+        carry_bits: BitWidth,
+        options: CompileOptions,
+    ) -> Result<(Self, Tensor, BitWidth), CompileError> {
+        let in_q = frozen_act_quantizer(carry_bits, x.data());
+        let (conv1, conv1_bits) = CompiledConv::lower(view.conv1, in_q, false, options)?;
+        let codes = encode_all(x.data(), &in_q);
+        let dims = nchw(x);
+        let mid = conv1.run_values(&codes, dims);
+        let mid_q = frozen_act_quantizer(conv1_bits, mid.data());
+        let (conv2, _) = CompiledConv::lower(view.conv2, mid_q, false, options)?;
+        let proj = match view.proj {
+            Some(p) => Some(CompiledConv::lower(p, in_q, false, options)?.0),
+            None => None,
+        };
+        let name = view.conv1.name().trim_end_matches(".conv1");
+        let junction_bits = layer_bits(&format!("{name}.junction"), view.junction_bits, options)?;
+        let main = conv2.run_values(&encode_all(mid.data(), &mid_q), nchw(&mid));
+        let skip = skip_branch(proj.as_ref(), &in_q, &codes, dims);
+        let block = Self {
+            conv1,
+            conv2,
+            proj,
+            skip_q: frozen_act_quantizer(junction_bits, skip.data()),
+        };
+        let y = block.junction(main, &skip);
+        Ok((block, y, junction_bits))
+    }
+
+    /// The block on input codes in `conv1`'s code space: the junction
+    /// output, post-ReLU, as floats.
+    fn run_values(&self, codes: &[u16], dims: [usize; 4]) -> Tensor {
+        let (mid, mid_dims) = self
+            .conv1
+            .run_codes(codes, dims, &self.conv2.act_q.encoder());
+        let main = self.conv2.run_values(&mid, mid_dims);
+        let skip = skip_branch(self.proj.as_ref(), &self.conv1.act_q, codes, dims);
+        self.junction(main, &skip)
+    }
+
+    /// `relu(main + fq(skip))`, the skip fake-quantized at the junction
+    /// bits (Fig 2).
+    fn junction(&self, mut main: Tensor, skip: &Tensor) -> Tensor {
+        assert_eq!(main.dims(), skip.dims(), "main and skip shapes agree");
+        for (m, &s) in main.data_mut().iter_mut().zip(skip.data()) {
+            *m = (*m + self.skip_q.fake_quantize(s)).max(0.0);
+        }
+        main
+    }
+}
+
+/// The skip branch of a block on input codes read through `in_q`, before
+/// its junction quantization: the projection's pre-activation output, or
+/// the decoded block input.
+fn skip_branch(
+    proj: Option<&CompiledConv>,
+    in_q: &Quantizer,
+    codes: &[u16],
+    dims: [usize; 4],
+) -> Tensor {
+    match proj {
+        Some(proj) => proj.run_values(codes, dims),
+        None => {
+            let values = codes
+                .iter()
+                .map(|&c| in_q.dequantize(u64::from(c)))
+                .collect();
+            Tensor::from_vec(values, &dims).expect("one value per code")
+        }
+    }
+}
+
+/// A trained [`ResNet`] lowered to bit-packed integer inference: the stem
+/// and every block conv run on the same integer layers as
+/// [`CompiledVgg`], with the residual junctions of Fig 2 between them.
+/// Like [`CompiledVgg`] it is self-contained and `Send + Sync`.
+#[derive(Debug, Clone)]
+pub struct CompiledResNet {
+    stem: CompiledConv,
+    blocks: Vec<CompiledBlock>,
+    head: CompiledLinear,
+    classes: usize,
+    in_channels: usize,
+    input_hw: usize,
+}
+
+impl CompiledResNet {
+    /// Lowers `model`, calibrating activation ranges on `calibration`
+    /// (shape `[N, C, H, W]` matching the model input).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CompileError`] on unquantized layers (strict mode only),
+    /// non-finite weights, or a calibration shape mismatch.
+    pub fn compile(
+        model: &ResNet,
+        calibration: &Tensor,
+        options: CompileOptions,
+    ) -> Result<Self, CompileError> {
+        let in_channels = model.stem().geom().in_channels;
+        let input_hw = model.layer_stats()[0].input_hw;
+        check_calibration(calibration, in_channels, input_hw)?;
+
+        let act_q = frozen_act_quantizer(BitWidth::SIXTEEN, calibration.data());
+        let (stem, mut carry_bits) = CompiledConv::lower(model.stem(), act_q, false, options)?;
+        let mut x = stem.run_values(&encode_all(calibration.data(), &act_q), nchw(calibration));
+        let mut blocks = Vec::new();
+        for index in 0..model.block_count() {
+            let (block, y, bits) =
+                CompiledBlock::lower(model.block_view(index), &x, carry_bits, options)?;
+            blocks.push(block);
+            (x, carry_bits) = (y, bits);
+        }
+        let pooled = GlobalAvgPool::new().forward(&x);
+        let act_q = frozen_act_quantizer(carry_bits, pooled.data());
+        Ok(Self {
+            stem,
+            blocks,
+            head: CompiledLinear::lower(model.head(), act_q, options)?,
+            classes: model.classes(),
+            in_channels,
+            input_hw,
+        })
+    }
+
+    /// Number of output classes.
+    pub fn classes(&self) -> usize {
+        self.classes
+    }
+
+    /// Expected input shape as `(channels, height/width)`.
+    pub fn input_shape(&self) -> (usize, usize) {
+        (self.in_channels, self.input_hw)
+    }
+
+    /// Hardware precisions of the datapath layers: stem, then per block
+    /// conv1, conv2 and the projection if any, then the classifier.
+    pub fn precisions(&self) -> Vec<HwPrecision> {
+        let mut out = vec![self.stem.precision];
+        for block in &self.blocks {
+            out.push(block.conv1.precision);
+            out.push(block.conv2.precision);
+            out.extend(block.proj.as_ref().map(|p| p.precision));
+        }
+        out.push(self.head.precision);
+        out
+    }
+
+    /// Integer-only inference: logits `[N, classes]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `images` is not `[N, C, H, W]` matching the model.
+    pub fn run(&self, images: &Tensor) -> Tensor {
+        let codes = encode_all(images.data(), &self.stem.act_q);
+        let mut x = self.stem.run_values(&codes, nchw(images));
+        for block in &self.blocks {
+            x = block.run_values(&encode_all(x.data(), &block.conv1.act_q), nchw(&x));
+        }
+        let pooled = GlobalAvgPool::new().forward(&x);
+        let [n, features] = [pooled.dims()[0], pooled.dims()[1]];
+        self.head
+            .run_codes(&encode_all(pooled.data(), &self.head.act_q), n, features)
     }
 }
 
@@ -578,8 +805,8 @@ impl CompiledConv {
     }
 
     /// Shared gather + GEMM + requantization core. Requantizes one output
-    /// row at a time — a bias-added, ReLU-clamped float per output
-    /// channel — and hands it to `sink` with the NCHW index of channel 0
+    /// row at a time — a bias-added float per output channel, ReLU-clamped
+    /// when the layer has a ReLU — and hands it to `sink` with the NCHW index of channel 0
     /// and the stride between channels. When `pooled` the indices are
     /// those of the 2×2-pooled map, where the four outputs of a pool
     /// window share one index.
@@ -601,12 +828,13 @@ impl CompiledConv {
         let plane = spatial >> (2 * shift);
         let sum_ca = acts.row_sums();
         let mut values = vec![0f32; oc];
+        // fused ReLU; without one, every value passes the floor
+        let floor = if self.relu { 0.0 } else { f32::NEG_INFINITY };
         qgemm_rows(&acts, &self.weights, |mi, accs| {
             let (ni, s) = (mi / spatial, mi % spatial);
             let base = ni * oc * plane + ((s / ow) >> shift) * plane_w + ((s % ow) >> shift);
-            // fused ReLU
             for (v, x) in values.iter_mut().zip(self.requant.row(accs, sum_ca[mi])) {
-                *v = (x as f32).max(0.0);
+                *v = (x as f32).max(floor);
             }
             sink(base, plane, &values);
         });
@@ -641,10 +869,11 @@ impl CompiledConv {
         (out, out_dims)
     }
 
-    /// Calibration path: same integer datapath, but the requantized
-    /// activations are kept as floats so the *next* layer's quantizer can
-    /// be fitted on them before its encoder exists.
-    fn run_calibrate(&self, codes: &[u16], dims: [usize; 4]) -> Tensor {
+    /// Float-output path: same integer datapath, but the requantized
+    /// activations are kept as floats — for calibration, so the *next*
+    /// layer's quantizer can be fitted on them before its encoder exists,
+    /// and for a ResNet junction, which adds them to the skip branch.
+    fn run_values(&self, codes: &[u16], dims: [usize; 4]) -> Tensor {
         let out_dims = self.output_dims(dims, false);
         let mut staged = vec![0f32; out_dims.iter().product()];
         self.forward_into(codes, dims, false, |base, plane, values| {
@@ -841,16 +1070,22 @@ mod tests {
             precision: HwPrecision::legalize(bits),
             container,
             pool,
+            relu: true,
         }
     }
 
     /// Seeded NCHW codes spanning the container's code range.
     fn input_codes(dims: [usize; 4], container: Container, seed: u64) -> Vec<u16> {
-        let max: u64 = match container {
+        let max = match container {
             Container::Nib => 0xF,
             Container::U8 => 0xFF,
             Container::U16 => 0xFFFF,
         };
+        random_codes(dims, max, seed)
+    }
+
+    /// Seeded NCHW codes in `0..=max`.
+    fn random_codes(dims: [usize; 4], max: u64, seed: u64) -> Vec<u16> {
         let mut state = seed;
         (0..dims.iter().product::<usize>())
             .map(|_| {
@@ -953,5 +1188,213 @@ mod tests {
                 "{container:?}: codes must vary for the check to bite"
             );
         }
+    }
+
+    #[test]
+    fn non_finite_weights_are_a_typed_error() {
+        use adq_nn::Param;
+        let model = quantized_tiny(&[8, 8, 8, 8]);
+        let images = Tensor::zeros(&[1, 3, 8, 8]);
+        for poison in [f32::NAN, f32::INFINITY] {
+            let mut bad = model.clone();
+            bad.visit_params(&mut |slot: usize, p: &mut Param| {
+                if slot == 0 {
+                    p.value.data_mut()[0] = poison;
+                }
+            });
+            assert!(matches!(
+                CompiledVgg::compile(&bad, &images, CompileOptions::default()),
+                Err(CompileError::Quant(_))
+            ));
+        }
+    }
+
+    const BITS: [u32; 4] = [2, 4, 8, 16];
+
+    /// A conv layer at `weight_bits` reading `act_bits` codes, with its
+    /// unpacked weight codes. The activation range's zero point — the
+    /// padding code — is not 0.
+    fn conv_at_bits(
+        geom: Conv2dGeom,
+        weight_bits: u32,
+        act_bits: u32,
+        seed: u64,
+    ) -> (CompiledConv, Vec<u64>) {
+        let fan_in = geom.in_channels * geom.kernel * geom.kernel;
+        let weight = init::normal(&[geom.out_channels, fan_in], 0.0, 1.0, &mut init::rng(seed));
+        let bits = BitWidth::new(weight_bits).unwrap();
+        let act_q = Quantizer::new(
+            BitWidth::new(act_bits).unwrap(),
+            QuantRange::new(-1.0, 3.0).unwrap(),
+        );
+        let (weight_q, weights, container) =
+            pack_weights(weight.data(), geom.out_channels, fan_in, bits, &act_q).unwrap();
+        let codes = weight
+            .data()
+            .iter()
+            .map(|&w| weight_q.quantize(w))
+            .collect();
+        let bias = vec![0.25; geom.out_channels];
+        let layer = CompiledConv {
+            geom,
+            requant: Requant::new(&weight_q, &act_q, &weights, &bias),
+            weights,
+            act_q,
+            precision: HwPrecision::legalize(bits),
+            container,
+            pool: false,
+            relu: true,
+        };
+        (layer, codes)
+    }
+
+    #[test]
+    fn accumulators_and_codes_match_a_scalar_reference_at_every_bit_pair() {
+        let dims = [2, 3, 6, 5];
+        for (weight_bits, act_bits) in BITS.into_iter().flat_map(|w| BITS.map(|a| (w, a))) {
+            for (stride, padding) in [1, 2].into_iter().flat_map(|s| [0, 1].map(|p| (s, p))) {
+                let geom = Conv2dGeom::new(3, 4, 3, stride, padding);
+                let case = format!("w{weight_bits} a{act_bits} {geom:?}");
+                let (layer, weight_codes) = conv_at_bits(geom, weight_bits, act_bits, 40);
+                let codes = random_codes(dims, layer.act_q.bits().max_code(), 41);
+                let pad = layer.act_q.quantize(0.0) as u16;
+                let cols = reference_cols(&codes, dims, geom, pad);
+                let (fan_in, oc) = (3 * 3 * 3, geom.out_channels);
+                let rows = cols.len() / fan_in;
+
+                // accumulators: qgemm over the fused gather vs a scalar
+                // i64 loop over unpacked weight codes and per-tap codes
+                let mut want_accs = vec![0i64; rows * oc];
+                for (row, taps) in cols.chunks_exact(fan_in).enumerate() {
+                    for (o, filter) in weight_codes.chunks_exact(fan_in).enumerate() {
+                        want_accs[row * oc + o] = taps
+                            .iter()
+                            .zip(filter)
+                            .map(|(&a, &w)| i64::from(a) * w as i64)
+                            .sum();
+                    }
+                }
+                let acts = layer.gather_cols(&codes, dims);
+                let mut got_accs = vec![0i64; rows * oc];
+                qgemm_rows(&acts, &layer.weights, |mi, accs| {
+                    got_accs[mi * oc..(mi + 1) * oc].copy_from_slice(accs);
+                });
+                assert_eq!(got_accs, want_accs, "{case}");
+
+                // emitted codes: Encoder::encode of the same Requant value
+                let values: Vec<f32> = cols
+                    .chunks_exact(fan_in)
+                    .zip(want_accs.chunks_exact(oc))
+                    .flat_map(|(taps, accs)| {
+                        let sum = taps.iter().map(|&c| u64::from(c)).sum();
+                        let row: Vec<f32> = layer
+                            .requant
+                            .row(accs, sum)
+                            .map(|v| (v as f32).max(0.0))
+                            .collect();
+                        row
+                    })
+                    .collect();
+                let next = Quantizer::fit(BitWidth::new(8).unwrap(), &values).unwrap();
+                let enc = next.encoder();
+                let (emitted, [_, _, oh, ow]) = layer.run_codes(&codes, dims, &enc);
+                let spatial = oh * ow;
+                for (row, chans) in values.chunks_exact(oc).enumerate() {
+                    let (ni, s) = (row / spatial, row % spatial);
+                    for (o, &v) in chans.iter().enumerate() {
+                        let code = emitted[(ni * oc + o) * spatial + s];
+                        assert_eq!(u64::from(code), enc.encode(v), "{case} row {row} ch {o}");
+                    }
+                }
+                assert!(
+                    emitted.contains(&0) && emitted.iter().any(|&c| c > 0),
+                    "{case}: ReLU and requant must both show in the codes"
+                );
+            }
+        }
+    }
+
+    /// A mixed-precision `ResNet::tiny`: block 0 has an identity skip,
+    /// block 1 a projection.
+    fn compiled_tiny_resnet(seed: u64) -> (ResNet, Tensor, CompiledResNet) {
+        let mut model = ResNet::tiny(3, 8, 4, seed);
+        let bits = [16, 4, 8, 4, 8, 2, 8, 16];
+        for (i, &b) in bits.iter().enumerate() {
+            model.set_bits_of(i, Some(BitWidth::new(b).unwrap()));
+        }
+        let images = init::normal(&[3, 3, 8, 8], 0.0, 1.0, &mut init::rng(seed));
+        let compiled = CompiledResNet::compile(&model, &images, CompileOptions::default()).unwrap();
+        (model, images, compiled)
+    }
+
+    #[test]
+    fn junction_matches_a_scalar_decode_quantize_add_relu_encode() {
+        let (_, _, net) = compiled_tiny_resnet(12);
+        assert!(net.blocks[0].proj.is_none() && net.blocks[1].proj.is_some());
+        let next = [&net.blocks[1].conv1.act_q, &net.head.act_q];
+        for (block, next_q) in net.blocks.iter().zip(next) {
+            let dims = [2, block.conv1.geom.in_channels, 8, 8];
+            let in_q = &block.conv1.act_q;
+            let codes = random_codes(dims, in_q.bits().max_code(), 13);
+            let (mid, mid_dims) = block
+                .conv1
+                .run_codes(&codes, dims, &block.conv2.act_q.encoder());
+            let main = block.conv2.run_values(&mid, mid_dims);
+            let skip: Vec<f32> = match &block.proj {
+                Some(proj) => proj.run_values(&codes, dims).data().to_vec(),
+                None => codes
+                    .iter()
+                    .map(|&c| in_q.dequantize(u64::from(c)))
+                    .collect(),
+            };
+            let enc = next_q.encoder();
+            let want: Vec<u64> = main
+                .data()
+                .iter()
+                .zip(&skip)
+                .map(|(&m, &s)| enc.encode((m + block.skip_q.fake_quantize(s)).max(0.0)))
+                .collect();
+            let got = encode_all(block.run_values(&codes, dims).data(), next_q);
+            let got: Vec<u64> = got.into_iter().map(u64::from).collect();
+            assert_eq!(got, want, "proj: {}", block.proj.is_some());
+            assert!(want.iter().any(|&c| c > 0), "the junction must pass values");
+        }
+    }
+
+    #[test]
+    fn resnet_compiles_every_conv_and_runs_batch_independently() {
+        let (model, images, net) = compiled_tiny_resnet(14);
+        // stem + block0 (2 convs, identity) + block1 (2 convs + proj) + head
+        assert_eq!(net.precisions().len(), 1 + 2 + 3 + 1);
+        // block 1: conv1, conv2, then the projection at the junction bits
+        assert_eq!(
+            net.precisions()[3..6],
+            [HwPrecision::B8, HwPrecision::B2, HwPrecision::B8]
+        );
+        assert_eq!(net.classes(), model.classes());
+        assert_eq!(net.input_shape(), (3, 8));
+        let batched = net.run(&images);
+        assert_eq!(batched.dims(), &[3, 4]);
+        assert!(batched.data().iter().all(|v| v.is_finite()));
+        for i in 0..3 {
+            let one = images.index_axis0(i).reshaped(&[1, 3, 8, 8]).unwrap();
+            assert_eq!(net.run(&one).data(), &batched.data()[i * 4..(i + 1) * 4]);
+        }
+    }
+
+    #[test]
+    fn strict_mode_rejects_an_unquantized_resnet() {
+        let model = ResNet::tiny(3, 8, 4, 31); // no bits assigned
+        let strict = CompileOptions {
+            allow_unquantized: false,
+        };
+        match CompiledResNet::compile(&model, &Tensor::zeros(&[1, 3, 8, 8]), strict) {
+            Err(CompileError::Unquantized { layer }) => assert_eq!(layer, "stem"),
+            other => panic!("expected Unquantized error, got {other:?}"),
+        }
+        assert!(matches!(
+            CompiledResNet::compile(&model, &Tensor::zeros(&[1, 3, 16, 16]), strict),
+            Err(CompileError::Shape(_))
+        ));
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! `adq-infer` is the deployment endpoint of the activation-density
 //! pipeline: it takes a trained, mixed-precision model and lowers it to a
-//! self-contained [`CompiledVgg`] that runs on real integer arithmetic —
-//! nibble-packed int4, int8 and int16 operand containers, i32/i64
-//! accumulation, and per-layer affine requantization — instead of the
-//! float-simulated quantization used during training and analysis.
+//! self-contained [`CompiledVgg`] or [`CompiledResNet`] that runs on real
+//! integer arithmetic — nibble-packed int4, int8 and int16 operand
+//! containers, i32/i64 accumulation, and per-layer affine requantization —
+//! instead of the float-simulated quantization used during training and
+//! analysis.
 //!
 //! The crate splits into three layers:
 //!
@@ -27,7 +28,7 @@ pub mod compile;
 pub mod qgemm;
 pub mod serve;
 
-pub use compile::{CompileError, CompileOptions, CompiledVgg};
+pub use compile::{CompileError, CompileOptions, CompiledResNet, CompiledVgg};
 pub use qgemm::{Container, PackedMatrix};
 pub use serve::{
     load_generate, load_generate_traced, stats_from_latencies, Client, LoadStats, OverloadPolicy,

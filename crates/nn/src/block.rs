@@ -132,6 +132,11 @@ impl ConvBlock {
         self.bn.is_some()
     }
 
+    /// Whether the block ends in a ReLU (see [`ConvBlockConfig::relu`]).
+    pub fn has_relu(&self) -> bool {
+        self.relu.is_some()
+    }
+
     /// Read access to the optional batch-norm layer.
     pub fn bn(&self) -> Option<&BatchNorm2d> {
         self.bn.as_ref()

@@ -42,12 +42,10 @@
 
 mod array;
 mod energy;
-mod inference;
 mod mac;
 mod tree;
 
 pub use array::{LayerMapping, NetworkEnergyReport, PimArray};
 pub use energy::PimEnergyModel;
-pub use inference::{QuantizedConv2d, QuantizedLinear};
 pub use mac::{BitSerialMac, MacStats};
 pub use tree::{AccLevel, ShiftAccumulatorTree};

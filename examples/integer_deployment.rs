@@ -1,13 +1,17 @@
-//! Deployment: lower an AD-quantized model onto the PIM accelerator's
-//! integer datapath (BN folding + weight quantization + integer MACs) and
-//! verify it agrees with the floating-point training-time simulation.
+//! Deployment: compile an AD-quantized model to the integer engine
+//! (BN folding + weight packing + integer GEMMs with frozen activation
+//! ranges), verify it agrees with the floating-point training-time
+//! simulation, and cost it on the PIM accelerator.
 //!
 //! Run with: `cargo run --release --example integer_deployment`
 
-use adq::core::deploy::DeployedVgg;
+use adq::core::builders::{network_spec_from_stats, pim_mappings_from_spec};
 use adq::core::{AdQuantizer, AdqConfig};
 use adq::datasets::SyntheticSpec;
+use adq::infer::{CompileOptions, CompiledVgg};
 use adq::nn::{accuracy, QuantModel, Vgg};
+use adq::pim::{NetworkEnergyReport, PimEnergyModel};
+use adq::quant::BitWidth;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (train, test) = SyntheticSpec::cifar10_like()
@@ -39,9 +43,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let float_logits = model.forward(&test.images, false);
     let float_acc = accuracy(&float_logits, &test.labels);
 
-    // integer deployment
-    let deployed = DeployedVgg::from_trained(&model)?;
-    let (int_logits, stats) = deployed.run(&test.images);
+    // integer engine, activation ranges calibrated on the training images
+    let compiled = CompiledVgg::compile(&model, &train.images, CompileOptions::default())?;
+    let int_logits = compiled.run(&test.images);
     let int_acc = accuracy(&int_logits, &test.labels);
     let agreement = (0..test.len())
         .filter(|&i| int_logits.index_axis0(i).argmax() == float_logits.index_axis0(i).argmax())
@@ -49,22 +53,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         / test.len() as f64;
 
     println!("\nfloat (fake-quant) accuracy : {:.1}%", 100.0 * float_acc);
-    println!("integer (deployed) accuracy : {:.1}%", 100.0 * int_acc);
+    println!("integer (compiled) accuracy : {:.1}%", 100.0 * int_acc);
     println!("classification agreement    : {:.1}%", 100.0 * agreement);
-    println!(
-        "\naccelerator cost of the test-set pass ({} images):",
-        test.len()
+
+    // Table-I MAC count at the trained precisions × Table-IV energy/MAC
+    let spec = network_spec_from_stats("deployed", &model.layer_stats(), BitWidth::SIXTEEN);
+    let report = NetworkEnergyReport::new(
+        "deployed",
+        pim_mappings_from_spec(&spec),
+        &PimEnergyModel::paper_table4(),
     );
-    println!("  MACs          : {}", stats.macs);
-    println!("  1-bit cell ops: {}", stats.mac_stats.cell_ops);
-    println!("  shift-adds    : {}", stats.mac_stats.shift_adds);
-    println!(
-        "  energy        : {:.4} uJ (Table IV model)",
-        stats.energy_uj
-    );
+    println!("\naccelerator cost of one image:");
+    println!("  MACs    : {}", spec.mac_count());
+    println!("  energy  : {:.6} µJ (Table IV model)", report.total_uj());
     println!(
         "  per-layer precisions: {:?}",
-        deployed
+        compiled
             .precisions()
             .iter()
             .map(|p| p.bits())

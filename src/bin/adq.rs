@@ -19,10 +19,10 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 
 use adq::core::builders::{network_spec_from_stats, pim_mappings_from_spec};
-use adq::core::deploy::DeployedVgg;
 use adq::core::{paper, AdQuantizer, AdqConfig};
 use adq::datasets::SyntheticSpec;
 use adq::energy::{EnergyModel, NetworkSpec};
+use adq::infer::{CompileOptions, CompiledVgg};
 use adq::nn::train::{export_params, import_params};
 use adq::nn::{accuracy, QuantModel, ResNet, Vgg};
 use adq::pim::{NetworkEnergyReport, PimEnergyModel};
@@ -390,8 +390,9 @@ fn cmd_deploy(flags: &Flags) -> Result<(), String> {
     };
     AdQuantizer::new(config).run(&mut model, &train, &test);
     let float_logits = model.forward(&test.images, false);
-    let deployed = DeployedVgg::from_trained(&model).map_err(|e| e.to_string())?;
-    let (int_logits, stats) = deployed.run(&test.images);
+    let compiled = CompiledVgg::compile(&model, &train.images, CompileOptions::default())
+        .map_err(|e| e.to_string())?;
+    let int_logits = compiled.run(&test.images);
     let agreement = (0..test.len())
         .filter(|&i| int_logits.index_axis0(i).argmax() == float_logits.index_axis0(i).argmax())
         .count() as f64
@@ -402,20 +403,23 @@ fn cmd_deploy(flags: &Flags) -> Result<(), String> {
         100.0 * accuracy(&int_logits, &test.labels),
         100.0 * agreement
     );
+    // one image's Table-I MAC count at the trained precisions, costed
+    // per MAC by Table IV and by the analytical 45nm model
+    let spec = network_spec_from_stats("deployed", &model.layer_stats(), BitWidth::SIXTEEN);
+    let pim = PimEnergyModel::paper_table4();
+    let report = NetworkEnergyReport::new("deployed", pim_mappings_from_spec(&spec), &pim);
     println!(
-        "accelerator: {} MACs, {:.4} uJ, precisions {:?}",
-        stats.macs,
-        stats.energy_uj,
-        deployed
+        "accelerator, one image: {} MACs, {:.6} µJ (Table IV), precisions {:?}",
+        spec.mac_count(),
+        report.total_uj(),
+        compiled
             .precisions()
             .iter()
             .map(|p| p.bits())
             .collect::<Vec<_>>()
     );
-    // surface the analytical estimate for the same model too
-    let spec = network_spec_from_stats("deployed", &model.layer_stats(), BitWidth::SIXTEEN);
     println!(
-        "analytical estimate for one image: {:.6} uJ",
+        "analytical estimate for one image: {:.6} µJ",
         spec.energy_uj(&EnergyModel::paper_45nm())
     );
     Ok(())

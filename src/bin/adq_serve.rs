@@ -50,7 +50,7 @@
 //! was shed" into an error for CI).
 //!
 //! `load-gen` runs the serving benchmark fully in-process: it measures
-//! the *unbatched float* `deploy.rs` path on the same model as the
+//! the *unbatched float* model's forward pass on the same weights as the
 //! baseline, then drives the batched integer server at each requested
 //! concurrency level and replica count, and writes `bench_check`
 //! records to `--out`. All latency statistics (`median_ns` == `p50_ns`,
@@ -70,7 +70,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use adq::core::checkpoint::{restore_model, CheckpointManager, RunCheckpoint};
-use adq::core::deploy::DeployedVgg;
 use adq::infer::serve::{
     load_generate, load_generate_traced, stats_from_latencies, Client, LoadStats, OverloadPolicy,
     Reply, ServeConfig, Server, TracedLoad,
@@ -146,7 +145,7 @@ fn get<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> Result<T,
 /// Builds the served model: either the seeded demo VGG, or — with
 /// `--checkpoint PATH` — a trained artifact restored through the PR-2
 /// checkpoint pipeline. Returns the float model too so `load-gen` can
-/// measure the `deploy.rs` baseline on identical weights.
+/// measure the float baseline on identical weights.
 fn build_model(flags: &Flags) -> Result<(Vgg, CompiledVgg), String> {
     match flags.get("checkpoint") {
         Some(path) => checkpoint_model(flags, path),
@@ -444,10 +443,10 @@ fn cmd_shutdown(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Measures the unbatched float-simulated `deploy.rs` path: one
-/// [`DeployedVgg::run`] call per request on a single-image tensor.
+/// Measures the unbatched float model: one `Vgg::forward` call per
+/// request on a single-image tensor.
 fn float_unbatched_baseline(model: &Vgg, requests: usize, seed: u64) -> Result<LoadStats, String> {
-    let deployed = DeployedVgg::from_trained(model).map_err(|e| e.to_string())?;
+    let mut model = model.clone();
     let stats = model.layer_stats();
     let hw = stats[0].input_hw;
     let channels = stats[0].geom.as_ref().map_or(3, |g| g.in_channels);
@@ -457,7 +456,7 @@ fn float_unbatched_baseline(model: &Vgg, requests: usize, seed: u64) -> Result<L
     for _ in 0..requests {
         let image = init::normal(&[1, channels, hw, hw], 0.0, 1.0, &mut rng);
         let sent = Instant::now();
-        let (logits, _) = deployed.run(&image);
+        let logits = model.forward(&image, false);
         assert!(!logits.is_empty());
         latencies.push(u64::try_from(sent.elapsed().as_nanos()).unwrap_or(u64::MAX));
     }
@@ -534,7 +533,7 @@ fn cmd_load_gen(flags: &Flags) -> Result<(), String> {
 
     // the slow scalar baseline gets a smaller (but still exact) sample
     let baseline_requests = (requests / 4).max(8);
-    println!("measuring float unbatched deploy.rs baseline ({baseline_requests} requests)...");
+    println!("measuring float unbatched baseline ({baseline_requests} requests)...");
     let baseline = float_unbatched_baseline(&model, baseline_requests, seed)?;
     println!(
         "  float_unbatched: {:.1} req/s, p50 {:.2} ms, p99 {:.2} ms",

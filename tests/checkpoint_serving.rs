@@ -1,12 +1,12 @@
 //! Serving a *trained* artifact: checkpoint → restore → integer engine →
-//! wire protocol, golden-tested against the float `deploy.rs` lowering.
+//! wire protocol, golden-tested against the float model.
 //!
 //! PR-2's `CheckpointManager` persists a training run; `restore_model`
 //! rebuilds the trained network (structural edits, bit-widths, params,
 //! norm stats) onto a fresh instance; `CompiledVgg` lowers it to packed
 //! integer kernels; and `serve::Server` answers requests over TCP. This
 //! test drives that entire pipeline and asserts the served logits pick
-//! the same class as `DeployedVgg` on every evaluation sample — the same
+//! the same class as the float model on every evaluation sample — the same
 //! golden bar `tests/golden_equivalence.rs` sets for the in-process
 //! engine. A second test runs the `adq-serve` binary itself with
 //! `--checkpoint`, proving the CLI restore path lowers bit-identically
@@ -17,13 +17,12 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use adq::core::checkpoint::{restore_model, CheckpointManager};
-use adq::core::deploy::DeployedVgg;
 use adq::core::{AdQuantizer, AdqConfig};
 use adq::datasets::SyntheticSpec;
 use adq::infer::serve::{Client, ServeConfig, ServeModel, Server};
 use adq::infer::{CompileOptions, CompiledVgg};
 use adq::nn::train::Dataset;
-use adq::nn::Vgg;
+use adq::nn::{QuantModel, Vgg};
 use adq::telemetry::NullSink;
 use adq::tensor::{init, Tensor};
 
@@ -77,8 +76,8 @@ fn checkpointed_task(name: &str) -> (Vgg, Dataset, Dataset, PathBuf) {
 }
 
 /// checkpoint → `restore_model` → compile → serve: the logits coming
-/// back over the wire must pick the same class as the float `deploy.rs`
-/// lowering of the originally trained model, for every eval sample.
+/// back over the wire must pick the same class as the float forward pass
+/// of the originally trained model, for every eval sample.
 #[test]
 fn served_checkpoint_matches_deploy_golden_argmax() {
     let (trained, train, test, dir) = checkpointed_task("golden");
@@ -96,9 +95,7 @@ fn served_checkpoint_matches_deploy_golden_argmax() {
         CompiledVgg::compile(&restored, &train.images, CompileOptions::default())
             .expect("restored model lowers"),
     );
-    let deployed = DeployedVgg::from_trained(&trained).expect("trained weights are finite");
-    let (float_logits, _) = deployed.run(&test.images);
-    let want = argmax_rows(&float_logits);
+    let want = argmax_rows(&trained.clone().forward(&test.images, false));
 
     let mut server = Server::bind(
         "127.0.0.1:0",
@@ -137,7 +134,7 @@ fn served_checkpoint_matches_deploy_golden_argmax() {
     assert_eq!(
         agree,
         test.len(),
-        "served checkpoint disagreed with deploy.rs on {} of {} eval samples \
+        "served checkpoint disagreed with the float model on {} of {} eval samples \
          (float {want:?} vs served {got:?})",
         test.len() - agree,
         test.len()
@@ -207,9 +204,7 @@ fn serve_binary_checkpoint_flag_serves_the_trained_artifact() {
         let input_len = reference.input_len();
         let classes = reference.classes();
         let direct = reference.run(&test.images);
-        let deployed = DeployedVgg::from_trained(&trained).expect("trained weights are finite");
-        let (float_logits, _) = deployed.run(&test.images);
-        let want = argmax_rows(&float_logits);
+        let want = argmax_rows(&trained.clone().forward(&test.images, false));
         for (i, &want_class) in want.iter().enumerate().take(test.len()) {
             let row = &test.images.data()[i * input_len..(i + 1) * input_len];
             let logits = client
@@ -230,7 +225,7 @@ fn serve_binary_checkpoint_flag_serves_the_trained_artifact() {
                 .expect("non-empty logits");
             assert_eq!(
                 got, want_class,
-                "served argmax disagreed with deploy.rs on eval sample {i}"
+                "served argmax disagreed with the float model on eval sample {i}"
             );
         }
         client.shutdown_server()?;

@@ -3,7 +3,8 @@
 
 use adq::core::{AdQuantizer, AdqConfig};
 use adq::datasets::{SyntheticSpec, TextureSpec};
-use adq::nn::Vgg;
+use adq::infer::{CompileOptions, CompiledVgg};
+use adq::nn::{QuantModel, Vgg};
 
 fn config() -> AdqConfig {
     AdqConfig {
@@ -69,8 +70,13 @@ fn texture_dataset_feeds_deployment_pipeline() {
         .generate();
     let mut model = Vgg::tiny(1, 8, 8, 7);
     AdQuantizer::new(config()).run(&mut model, &train, &test);
-    let deployed = adq::core::deploy::DeployedVgg::from_trained(&model).expect("finite weights");
-    let (logits, stats) = deployed.run(&test.images);
+    let compiled = CompiledVgg::compile(&model, &train.images, CompileOptions::default())
+        .expect("finite weights");
+    let logits = compiled.run(&test.images);
     assert_eq!(logits.dims(), &[test.len(), 8]);
-    assert!(stats.energy_uj > 0.0);
+    let float_logits = model.forward(&test.images, false);
+    let agree = (0..test.len())
+        .filter(|&i| logits.index_axis0(i).argmax() == float_logits.index_axis0(i).argmax())
+        .count();
+    assert_eq!(agree, test.len(), "integer engine vs float model argmax");
 }

@@ -6,6 +6,8 @@
 //! variants. They are `#[ignore]`d by default; run with
 //! `cargo test --release -- --ignored full_size`.
 
+use adq::core::builders::network_spec_from_stats;
+use adq::infer::{CompileOptions, CompiledVgg};
 use adq::nn::{softmax_cross_entropy, QuantModel, ResNet, Vgg};
 use adq::quant::BitWidth;
 use adq::tensor::Tensor;
@@ -53,18 +55,27 @@ fn full_size_resnet18_forward_backward() {
 #[test]
 #[ignore = "full-size geometry; run with --release -- --ignored"]
 fn full_size_vgg19_integer_deployment() {
-    let model = Vgg::vgg19(3, 32, 10, 3);
-    let deployed =
-        adq::core::deploy::DeployedVgg::from_trained(&model).expect("finite fresh weights");
-    let (logits, stats) = deployed.run(&Tensor::ones(&[1, 3, 32, 32]));
-    assert_eq!(logits.dims(), &[1, 10]);
-    // one image through VGG19 is ~398M MACs analytically (padding taps
-    // included); the deployed datapath executes valid taps only, which for
-    // this geometry works out to ~309M (the 2x2 deep layers lose 5/9 of
-    // their windows to padding)
+    let mut model = Vgg::vgg19(3, 32, 10, 3);
+    let images =
+        adq::tensor::init::normal(&[2, 3, 32, 32], 0.0, 1.0, &mut adq::tensor::init::rng(4));
+    let compiled = CompiledVgg::compile(&model, &images, CompileOptions::default())
+        .expect("finite fresh weights");
+    let logits = compiled.run(&images);
+    assert_eq!(logits.dims(), &[2, 10]);
+    let float_logits = model.forward(&images, false);
+    for i in 0..2 {
+        assert_eq!(
+            logits.index_axis0(i).argmax(),
+            float_logits.index_axis0(i).argmax(),
+            "image {i}"
+        );
+    }
+    // one image through VGG19 is ~398M MACs by the Table-I count, which
+    // includes padding taps as the integer engine does
+    let spec = network_spec_from_stats("vgg19", &model.layer_stats(), BitWidth::SIXTEEN);
     assert!(
-        (300_000_000..=398_200_000).contains(&stats.macs),
+        (397_000_000..=398_200_000).contains(&spec.mac_count()),
         "{} MACs",
-        stats.macs
+        spec.mac_count()
     );
 }
