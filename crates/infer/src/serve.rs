@@ -33,7 +33,8 @@
 //! Every frame is `u32` little-endian payload length, then the payload.
 //! Request payload: `[kind: u8][id: u64 LE][n: u32 LE][n × f32 LE]`
 //! with kinds `1` = infer (`n` = flattened input length), `2` = ping,
-//! `3` = shutdown. Response payload: `[status: u8][id: u64 LE]
+//! `3` = shutdown (honoured from loopback peers only; anyone else gets
+//! status `1`). Response payload: `[status: u8][id: u64 LE]
 //! [n: u32 LE][body]`; status `0` carries `n × f32 LE` logits, status `1`
 //! carries a UTF-8 error message, status `2` is a shed/overload refusal
 //! (UTF-8 reason), and status `3` is a **goodbye** frame the server sends
@@ -56,7 +57,8 @@
 //! `serve.latency_ns` (enqueue → response written) and
 //! `serve.batch_run_ns` histograms plus a per-replica
 //! `serve.replica{i}.batch_run_ns`; `serve.requests` / `serve.errors` /
-//! `serve.shed_total` / `serve.queue_rejected` counters — all through the
+//! `serve.shed_total` / `serve.queue_rejected` / `serve.replica_panics`
+//! counters — all through the
 //! global [`adq_telemetry::metrics`] registry, so a `MetricsEndpoint` in
 //! the same process exposes them to Prometheus and `adq-watch --scrape`.
 //!
@@ -77,7 +79,8 @@
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -553,6 +556,7 @@ impl Server {
         m.counter("serve.errors");
         m.counter("serve.shed_total");
         m.counter("serve.queue_rejected");
+        m.counter("serve.replica_panics");
         m.counter("serve.access_log.records");
         m.counter("serve.access_log.dropped");
         m.counter("serve.access_log.write_errors");
@@ -831,6 +835,12 @@ fn conn_worker_loop(shared: Arc<Shared>, injector: Arc<Mutex<VecDeque<Conn>>>) {
     }
 }
 
+/// Whether a peer at `ip` may stop the server: loopback only, over IPv4,
+/// IPv6 or IPv4-mapped IPv6.
+fn may_stop(ip: IpAddr) -> bool {
+    ip.to_canonical().is_loopback()
+}
+
 /// Handles one decoded request frame on a worker thread.
 fn handle_frame(
     frame: &[u8],
@@ -853,6 +863,16 @@ fn handle_frame(
     match kind {
         KIND_PING => conn.writer.send(STATUS_OK, id, &OkBody(&[]), None),
         KIND_SHUTDOWN => {
+            if !conn
+                .stream
+                .peer_addr()
+                .is_ok_and(|peer| may_stop(peer.ip()))
+            {
+                errors.inc();
+                let body = ErrBody("shutdown is only accepted from loopback");
+                conn.writer.send(STATUS_ERR, id, &body, None);
+                return;
+            }
             conn.writer.send(STATUS_OK, id, &OkBody(&[]), None);
             shared.request_shutdown();
             // wake the accept loop so it can observe the flag
@@ -981,6 +1001,8 @@ fn executor_loop(
     let stage_batch_wait = metrics::global().histogram("serve.stage.batch_wait_ns");
     let stage_exec = metrics::global().histogram("serve.stage.exec_ns");
     let stage_write = metrics::global().histogram("serve.stage.write_ns");
+    let errors = metrics::global().counter("serve.errors");
+    let replica_panics = metrics::global().counter("serve.replica_panics");
 
     loop {
         let (batch, claim, depth_after): (Vec<Pending>, Instant, u64) = {
@@ -1040,7 +1062,13 @@ fn executor_loop(
         for (i, pending) in batch.iter().enumerate() {
             images.data_mut()[i * input_len..(i + 1) * input_len].copy_from_slice(&pending.input);
         }
-        let logits = model.run(&images);
+        // A panicking model must not take the replica down with it: the
+        // batch's requests would never be answered and shutdown, which
+        // waits for them, would never finish.
+        let logits = panic::catch_unwind(AssertUnwindSafe(|| model.run(&images))).ok();
+        if logits.is_none() {
+            replica_panics.inc();
+        }
         let classes = model.classes();
         let run_ns = ns(started.elapsed());
         batch_run.record(run_ns);
@@ -1051,20 +1079,29 @@ fn executor_loop(
         let exec_ns = ns(done.saturating_duration_since(started));
         let taken = batch.len();
         for (i, pending) in batch.into_iter().enumerate() {
-            let row = &logits.data()[i * classes..(i + 1) * classes];
             // a request that arrived mid-gather was never waiting on the
             // queue: clamp its dequeue stamp into [enqueued, started]
             let dequeue = claim.clamp(pending.enqueued, started);
             let queue_wait_ns = ns(dequeue.saturating_duration_since(pending.enqueued));
             let batch_wait_ns = ns(started.saturating_duration_since(dequeue));
             let write_from = Instant::now();
+            let trace = pending.traced.then_some(pending.trace_id);
             // a disconnected client just drops its response
-            pending.writer.send(
-                STATUS_OK,
-                pending.id,
-                &OkBody(row),
-                pending.traced.then_some(pending.trace_id),
-            );
+            let outcome = match &logits {
+                Some(logits) => {
+                    let row = &logits.data()[i * classes..(i + 1) * classes];
+                    pending
+                        .writer
+                        .send(STATUS_OK, pending.id, &OkBody(row), trace);
+                    OUTCOME_OK
+                }
+                None => {
+                    errors.inc();
+                    let body = ErrBody("replica panicked");
+                    pending.writer.send(STATUS_ERR, pending.id, &body, trace);
+                    OUTCOME_ERROR
+                }
+            };
             let written = Instant::now();
             let write_ns = ns(written.saturating_duration_since(write_from));
             stage_queue_wait.record(queue_wait_ns);
@@ -1078,7 +1115,7 @@ fn executor_loop(
                     conn_id: pending.conn_id,
                     replica: Some(replica as u64),
                     batch_size: Some(taken as u64),
-                    outcome: OUTCOME_OK.to_string(),
+                    outcome: outcome.to_string(),
                     admit_ns: ns(pending.enqueued.saturating_duration_since(pending.received)),
                     queue_wait_ns,
                     batch_wait_ns,
@@ -1584,6 +1621,30 @@ mod tests {
         Arc::new(CompiledVgg::compile(&model, &calibration, CompileOptions::default()).unwrap())
     }
 
+    /// Serializes the tests that start a server: each one resets the
+    /// process-global `serve.*` gauges, so one test's assertions on them
+    /// must not run while another server starts.
+    static SERVER_TESTS: Mutex<()> = Mutex::new(());
+
+    fn server_test_lock() -> std::sync::MutexGuard<'static, ()> {
+        SERVER_TESTS
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    #[test]
+    fn only_loopback_peers_may_stop_the_server() {
+        for (ip, allowed) in [
+            ("127.0.0.1", true),
+            ("::1", true),
+            ("::ffff:127.0.0.1", true),
+            ("10.0.0.5", false),
+            ("2001:db8::1", false),
+        ] {
+            assert_eq!(may_stop(ip.parse().unwrap()), allowed, "{ip}");
+        }
+    }
+
     #[test]
     fn parse_rejects_malformed_payloads() {
         assert!(parse_request(&[]).is_none());
@@ -1641,6 +1702,7 @@ mod tests {
 
     #[test]
     fn serve_roundtrip_batches_and_shuts_down() {
+        let _serial = server_test_lock();
         let model = compiled_tiny();
         let input_len = model.input_len();
         let classes = ServeModel::classes(model.as_ref());
@@ -1696,6 +1758,7 @@ mod tests {
 
     #[test]
     fn replicated_server_answers_correctly_under_concurrency() {
+        let _serial = server_test_lock();
         let model = compiled_tiny();
         let input_len = model.input_len();
         let classes = ServeModel::classes(model.as_ref());
@@ -1746,6 +1809,7 @@ mod tests {
 
     #[test]
     fn local_shutdown_joins_threads() {
+        let _serial = server_test_lock();
         let model = compiled_tiny();
         let mut server = Server::bind(
             "127.0.0.1:0",

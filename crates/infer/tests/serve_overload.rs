@@ -12,14 +12,17 @@
 //! * [`OverloadPolicy::ShedOldest`] sheds the *queued oldest* request,
 //!   not the newcomer;
 //! * a concurrent shutdown at c ≥ 4 drains admitted work and ends every
-//!   connection with a goodbye frame, never an unexplained EOF.
+//!   connection with a goodbye frame, never an unexplained EOF;
+//! * a model that panics costs its batch a typed error, not the replica:
+//!   later requests are answered and shutdown still completes.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{mpsc, Arc, Barrier, Mutex};
 use std::time::Duration;
 
 use adq_infer::load_generate;
 use adq_infer::serve::{Client, LoadStats, OverloadPolicy, Reply, ServeConfig, ServeModel, Server};
+use adq_telemetry::lifecycle::{self, AccessLog};
 use adq_telemetry::metrics;
 use adq_tensor::Tensor;
 
@@ -70,6 +73,38 @@ impl ServeModel for SlowModel {
             }
         }
         out
+    }
+}
+
+/// A model that panics on any batch holding an image whose first value
+/// is [`PanicModel::POISON`], and otherwise echoes that value like
+/// [`SlowModel`].
+struct PanicModel;
+
+impl PanicModel {
+    const POISON: f32 = 13.0;
+}
+
+impl ServeModel for PanicModel {
+    fn input_shape(&self) -> (usize, usize) {
+        (1, 2)
+    }
+
+    fn classes(&self) -> usize {
+        3
+    }
+
+    fn run(&self, images: &Tensor) -> Tensor {
+        let n = images.dims()[0];
+        let tags: Vec<f32> = (0..n)
+            .map(|i| images.data()[i * self.input_len()])
+            .collect();
+        assert!(!tags.contains(&Self::POISON), "poisoned batch");
+        let logits = tags
+            .iter()
+            .flat_map(|&tag| (0..3).map(move |j| tag + j as f32))
+            .collect();
+        Tensor::from_vec(logits, &[n, 3]).unwrap()
     }
 }
 
@@ -344,4 +379,52 @@ fn load_generate_counts_sheds_separately_from_errors() {
         "every request resolved to exactly one outcome"
     );
     server.shutdown();
+}
+
+/// A panic inside the model answers its batch with typed errors, logged
+/// with outcome `error`, and leaves the replica serving. Shutdown is
+/// joined with a timeout: a replica that died with its batch would leave
+/// that batch's requests unanswered and shutdown waiting on them forever.
+#[test]
+fn a_panicking_replica_answers_errors_and_still_shuts_down() {
+    let path = std::env::temp_dir().join(format!("adq_panic_{}.jsonl", std::process::id()));
+    let mut server = Server::bind_logged(
+        "127.0.0.1:0",
+        Arc::new(PanicModel) as Arc<dyn ServeModel>,
+        ServeConfig {
+            max_batch: 1,
+            replicas: 1,
+            ..ServeConfig::default()
+        },
+        Some(AccessLog::create(&path, 4).unwrap()),
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let panics_before = counter("serve.replica_panics");
+
+    let (done, finished) = mpsc::channel();
+    std::thread::spawn(move || {
+        let mut client = Client::connect(addr).unwrap();
+        let poisoned = client.infer(&[PanicModel::POISON; 4]).unwrap();
+        let healthy = client.infer(&[1.0; 4]).unwrap();
+        client.shutdown_server().unwrap();
+        server.wait();
+        done.send((poisoned, healthy)).unwrap();
+    });
+    let (poisoned, healthy) = finished
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the server answered both requests and shut down");
+
+    assert_eq!(poisoned, Reply::Refused("replica panicked".to_string()));
+    assert_eq!(
+        healthy,
+        Reply::Logits(vec![1.0, 2.0, 3.0]),
+        "the replica survived its panic"
+    );
+    assert!(counter("serve.replica_panics") > panics_before);
+    let view = lifecycle::read_records(&path).unwrap();
+    let outcomes: Vec<_> = view.records.iter().map(|r| r.outcome.as_str()).collect();
+    assert_eq!(outcomes, [lifecycle::OUTCOME_ERROR, lifecycle::OUTCOME_OK]);
+    assert_eq!(view.records[0].replica, Some(0));
+    let _ = std::fs::remove_file(&path);
 }
