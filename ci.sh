@@ -120,6 +120,25 @@ grep -q "heap peak" "$trace_dir/report.md" || {
 }
 TRACE_SMOKE_DIR="$trace_dir"
 
+# Deploy smoke: the CLI trains a small VGG, compiles it to the integer
+# engine and costs it on the PIM model; it must print the float/integer
+# argmax agreement and the per-image Table-IV energy.
+echo "==> tier-1: adq deploy smoke"
+deploy_out="$(./target/release/adq deploy)" || {
+    echo "ci: adq deploy failed" >&2
+    exit 1
+}
+echo "$deploy_out" | grep -q "agreement" || {
+    echo "ci: adq deploy printed no agreement line" >&2
+    echo "$deploy_out" >&2
+    exit 1
+}
+echo "$deploy_out" | grep -q "µJ" || {
+    echo "ci: adq deploy printed no energy line" >&2
+    echo "$deploy_out" >&2
+    exit 1
+}
+
 # Serving smoke: boot adq-serve with 2 replicas, a deliberately tiny
 # admission queue and the request-lifecycle access log on (port-file
 # handshake, same idiom as the metrics endpoint), probe it with real
