@@ -524,9 +524,6 @@ pub struct CompiledResNet {
     stem: CompiledConv,
     blocks: Vec<CompiledBlock>,
     head: CompiledLinear,
-    classes: usize,
-    in_channels: usize,
-    input_hw: usize,
 }
 
 impl CompiledResNet {
@@ -543,8 +540,7 @@ impl CompiledResNet {
         options: CompileOptions,
     ) -> Result<Self, CompileError> {
         let in_channels = model.stem().geom().in_channels;
-        let input_hw = model.layer_stats()[0].input_hw;
-        check_calibration(calibration, in_channels, input_hw)?;
+        check_calibration(calibration, in_channels, model.layer_stats()[0].input_hw)?;
 
         let act_q = frozen_act_quantizer(BitWidth::SIXTEEN, calibration.data());
         let (stem, mut carry_bits) = CompiledConv::lower(model.stem(), act_q, false, options)?;
@@ -562,20 +558,7 @@ impl CompiledResNet {
             stem,
             blocks,
             head: CompiledLinear::lower(model.head(), act_q, options)?,
-            classes: model.classes(),
-            in_channels,
-            input_hw,
         })
-    }
-
-    /// Number of output classes.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
-    /// Expected input shape as `(channels, height/width)`.
-    pub fn input_shape(&self) -> (usize, usize) {
-        (self.in_channels, self.input_hw)
     }
 
     /// Hardware precisions of the datapath layers: stem, then per block
@@ -1316,7 +1299,7 @@ mod tests {
 
     /// A mixed-precision `ResNet::tiny`: block 0 has an identity skip,
     /// block 1 a projection.
-    fn compiled_tiny_resnet(seed: u64) -> (ResNet, Tensor, CompiledResNet) {
+    fn compiled_tiny_resnet(seed: u64) -> (Tensor, CompiledResNet) {
         let mut model = ResNet::tiny(3, 8, 4, seed);
         let bits = [16, 4, 8, 4, 8, 2, 8, 16];
         for (i, &b) in bits.iter().enumerate() {
@@ -1324,12 +1307,12 @@ mod tests {
         }
         let images = init::normal(&[3, 3, 8, 8], 0.0, 1.0, &mut init::rng(seed));
         let compiled = CompiledResNet::compile(&model, &images, CompileOptions::default()).unwrap();
-        (model, images, compiled)
+        (images, compiled)
     }
 
     #[test]
     fn junction_matches_a_scalar_decode_quantize_add_relu_encode() {
-        let (_, _, net) = compiled_tiny_resnet(12);
+        let (_, net) = compiled_tiny_resnet(12);
         assert!(net.blocks[0].proj.is_none() && net.blocks[1].proj.is_some());
         let next = [&net.blocks[1].conv1.act_q, &net.head.act_q];
         for (block, next_q) in net.blocks.iter().zip(next) {
@@ -1363,7 +1346,7 @@ mod tests {
 
     #[test]
     fn resnet_compiles_every_conv_and_runs_batch_independently() {
-        let (model, images, net) = compiled_tiny_resnet(14);
+        let (images, net) = compiled_tiny_resnet(14);
         // stem + block0 (2 convs, identity) + block1 (2 convs + proj) + head
         assert_eq!(net.precisions().len(), 1 + 2 + 3 + 1);
         // block 1: conv1, conv2, then the projection at the junction bits
@@ -1371,8 +1354,6 @@ mod tests {
             net.precisions()[3..6],
             [HwPrecision::B8, HwPrecision::B2, HwPrecision::B8]
         );
-        assert_eq!(net.classes(), model.classes());
-        assert_eq!(net.input_shape(), (3, 8));
         let batched = net.run(&images);
         assert_eq!(batched.dims(), &[3, 4]);
         assert!(batched.data().iter().all(|v| v.is_finite()));

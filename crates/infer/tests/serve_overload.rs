@@ -17,7 +17,7 @@
 //!   later requests are answered and shutdown still completes.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Barrier, Mutex};
+use std::sync::{mpsc, Arc, Barrier, Mutex, MutexGuard};
 use std::time::Duration;
 
 use adq_infer::load_generate;
@@ -108,6 +108,14 @@ impl ServeModel for PanicModel {
     }
 }
 
+/// Serializes the tests: they assert deltas of process-global counters
+/// (`serve.shed_total`, `serve.queue_rejected`, ...) that a concurrently
+/// running test would move too.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 fn counter(name: &str) -> u64 {
     metrics::global().counter(name).get()
 }
@@ -117,6 +125,7 @@ fn counter(name: &str) -> u64 {
 /// while the queue stays within its bound and the shed counters advance.
 #[test]
 fn reject_policy_bounds_queue_and_sheds_with_typed_frames() {
+    let _serial = serial();
     let model = Arc::new(SlowModel::new(Duration::from_millis(30)));
     let mut server = Server::bind(
         "127.0.0.1:0",
@@ -211,6 +220,7 @@ fn reject_policy_bounds_queue_and_sheds_with_typed_frames() {
 /// one.
 #[test]
 fn shed_oldest_policy_evicts_the_oldest_queued_request() {
+    let _serial = serial();
     let model = Arc::new(SlowModel::new(Duration::from_millis(120)));
     let mut server = Server::bind(
         "127.0.0.1:0",
@@ -282,6 +292,7 @@ fn shed_oldest_policy_evicts_the_oldest_queued_request() {
 /// client-visible close is always explained.
 #[test]
 fn concurrent_shutdown_drains_and_says_goodbye() {
+    let _serial = serial();
     let model = Arc::new(SlowModel::new(Duration::from_millis(10)));
     let mut server = Server::bind(
         "127.0.0.1:0",
@@ -353,6 +364,7 @@ fn concurrent_shutdown_drains_and_says_goodbye() {
 /// outcome (no errors).
 #[test]
 fn load_generate_counts_sheds_separately_from_errors() {
+    let _serial = serial();
     let model = Arc::new(SlowModel::new(Duration::from_millis(20)));
     let mut server = Server::bind(
         "127.0.0.1:0",
@@ -387,6 +399,7 @@ fn load_generate_counts_sheds_separately_from_errors() {
 /// that batch's requests unanswered and shutdown waiting on them forever.
 #[test]
 fn a_panicking_replica_answers_errors_and_still_shuts_down() {
+    let _serial = serial();
     let path = std::env::temp_dir().join(format!("adq_panic_{}.jsonl", std::process::id()));
     let mut server = Server::bind_logged(
         "127.0.0.1:0",
@@ -403,7 +416,7 @@ fn a_panicking_replica_answers_errors_and_still_shuts_down() {
     let panics_before = counter("serve.replica_panics");
 
     let (done, finished) = mpsc::channel();
-    std::thread::spawn(move || {
+    let session = std::thread::spawn(move || {
         let mut client = Client::connect(addr).unwrap();
         let poisoned = client.infer(&[PanicModel::POISON; 4]).unwrap();
         let healthy = client.infer(&[1.0; 4]).unwrap();
@@ -414,6 +427,7 @@ fn a_panicking_replica_answers_errors_and_still_shuts_down() {
     let (poisoned, healthy) = finished
         .recv_timeout(Duration::from_secs(30))
         .expect("the server answered both requests and shut down");
+    session.join().unwrap();
 
     assert_eq!(poisoned, Reply::Refused("replica panicked".to_string()));
     assert_eq!(
