@@ -416,7 +416,7 @@ fn a_panicking_replica_answers_errors_and_still_shuts_down() {
     let panics_before = counter("serve.replica_panics");
 
     let (done, finished) = mpsc::channel();
-    let session = std::thread::spawn(move || {
+    let client_thread = std::thread::spawn(move || {
         let mut client = Client::connect(addr).unwrap();
         let poisoned = client.infer(&[PanicModel::POISON; 4]).unwrap();
         let healthy = client.infer(&[1.0; 4]).unwrap();
@@ -427,7 +427,7 @@ fn a_panicking_replica_answers_errors_and_still_shuts_down() {
     let (poisoned, healthy) = finished
         .recv_timeout(Duration::from_secs(30))
         .expect("the server answered both requests and shut down");
-    session.join().unwrap();
+    client_thread.join().unwrap();
 
     assert_eq!(poisoned, Reply::Refused("replica panicked".to_string()));
     assert_eq!(
