@@ -52,9 +52,9 @@ fn run_once(seed: u64, tracked: bool) -> AdqOutcome {
 fn the_counting_allocator_shim_is_installed_here() {
     let _guard = GLOBALS.lock().unwrap_or_else(PoisonError::into_inner);
     alloc::set_tracking(true);
-    // Any heap allocation under tracking latches `allocator_active`.
-    let probe = vec![0u8; 4096];
-    drop(probe);
+    // Any heap allocation under tracking latches `allocator_active`;
+    // black_box keeps the optimizer from eliding this one.
+    drop(std::hint::black_box(vec![0u8; 4096]));
     alloc::set_tracking(false);
     assert!(
         alloc::allocator_active(),

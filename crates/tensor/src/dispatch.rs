@@ -17,7 +17,7 @@
 //! gate: elementwise transforms cost ~1 flop per element, so the floor is
 //! expressed in elements. `ADQ_PAR_FLOPS`, read once at startup, overrides
 //! both the GEMM fallback threshold and the elementwise floor for
-//! experiments on machines with different spawn/flop cost ratios.
+//! experiments on machines with different dispatch/flop cost ratios.
 
 use std::sync::OnceLock;
 

@@ -52,7 +52,7 @@ pub const NC: usize = 128;
 pub const KC: usize = 256;
 
 /// Minimum `m·n·k` before the tile grid is dispatched across threads —
-/// below this the scoped-thread spawns cost more than they recover.
+/// below this the hand-off to the worker pool costs more than it recovers.
 const PAR_TILE_MIN_FLOPS: usize = 1 << 21;
 
 /// Whether `A` (logically `[m, k]`) is stored transposed (`[k, m]`).

@@ -256,7 +256,8 @@ fn publish_live_arenas(count: usize) {
 }
 
 /// A thread's slot in the process-wide pool: tracks the live-arena gauge
-/// across worker threads being spawned and torn down.
+/// as threads first touch scratch and exit. Rayon's pool workers persist,
+/// so their arenas (and buffers) are reused across parallel calls.
 struct ThreadArena {
     scratch: Scratch,
 }
