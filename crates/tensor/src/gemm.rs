@@ -51,8 +51,9 @@ pub const NC: usize = 128;
 /// stay cache resident while the micro-kernel streams them.
 pub const KC: usize = 256;
 
-/// Minimum `m·n·k` before the tile grid is dispatched across threads —
-/// below this the hand-off to the worker pool costs more than it recovers.
+/// Minimum `m·n·k` before the tile grid is dispatched across threads.
+/// Tuned when every parallel call spawned its own threads; kept unchanged
+/// under the persistent pool so band layouts and results stay identical.
 const PAR_TILE_MIN_FLOPS: usize = 1 << 21;
 
 /// Whether `A` (logically `[m, k]`) is stored transposed (`[k, m]`).
