@@ -54,12 +54,14 @@ echo "==> tier-1: cargo test -q (RAYON_NUM_THREADS=2)"
 RAYON_NUM_THREADS=2 cargo test -q
 
 # The root test run covers neither the worker pool's own tests nor the
-# crate-level determinism and span-concurrency contracts; run them with
-# a real second worker (a few seconds once built).
+# crate-level determinism, span-concurrency and implicit-conv equality
+# contracts; run them with a real second worker (a few seconds once
+# built).
 echo "==> tier-1: pool + parallel-determinism tests (RAYON_NUM_THREADS=2)"
 RAYON_NUM_THREADS=2 cargo test -q -p rayon
 RAYON_NUM_THREADS=2 cargo test -q -p adq-core --test parallel_determinism
 RAYON_NUM_THREADS=2 cargo test -q -p adq-nn --test span_concurrency
+RAYON_NUM_THREADS=2 cargo test -q -p adq-nn --test conv_equality
 
 # Trace smoke: one Algorithm-1 bench run with tracing, resource counters
 # and the live metrics endpoint on must yield a valid Chrome trace, a

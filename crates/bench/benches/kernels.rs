@@ -1,5 +1,6 @@
 //! Kernel-level benchmarks for the conv/quant hot path: blocked GEMM vs
-//! the pre-blocking naive kernels, im2col lowering, and fused
+//! the pre-blocking naive kernels, im2col lowering, the implicit-GEMM
+//! convolution products vs explicit im2col + matmul, and fused
 //! fake-quantization.
 //!
 //! `ci.sh --bench` runs these in quick mode and snapshots the medians to
@@ -11,8 +12,9 @@
 
 use adq_quant::{BitWidth, QuantRange, Quantizer};
 use adq_tensor::{
-    im2col, im2col_scratch, init, matmul, matmul_a_bt, matmul_a_bt_naive, matmul_at_b,
-    matmul_at_b_naive, matmul_naive, matmul_scratch, Conv2dGeom, Scratch, Tensor,
+    conv_gemm_scratch, im2col, im2col_scratch, init, matmul, matmul_a_bt, matmul_a_bt_naive,
+    matmul_a_bt_scratch, matmul_at_b, matmul_at_b_naive, matmul_naive, matmul_scratch, pad_input,
+    Conv2dGeom, ConvGemm, Scratch, Tensor,
 };
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 
@@ -139,6 +141,60 @@ fn bench_im2col(c: &mut Criterion) {
     group.finish();
 }
 
+/// The two im2col-shaped products of a training conv layer (3×3, stride
+/// 1, padding 1, batch 24) at the Table-II VGG's dominant shapes: the
+/// implicit GEMM (pad once, gather `B` strips in the kernel) against the
+/// explicit im2col + matmul it replaced, both scratch-warm.
+fn bench_conv_lowering(c: &mut Criterion) {
+    let mut group = c.benchmark_group("conv_lowering");
+    for (channels, hw) in [(16usize, 16usize), (32, 8)] {
+        let mut rng = init::rng(16);
+        let geom = Conv2dGeom::new(channels, channels, 3, 1, 1);
+        let x = init::normal(&[24, channels, hw, hw], 0.0, 1.0, &mut rng);
+        let w = init::normal(&[channels, channels * 9], 0.0, 1.0, &mut rng);
+        let dy = init::normal(&[channels, 24 * hw * hw], 0.0, 1.0, &mut rng);
+        let shape = format!("c{channels}_hw{hw}");
+        let mut scratch = Scratch::new();
+        group.bench_function(format!("fwd_{shape}_im2col_matmul"), |bch| {
+            bch.iter(|| {
+                let cols = im2col_scratch(black_box(&x), &geom, &mut scratch).unwrap();
+                let out = matmul_scratch(black_box(&w), &cols, &mut scratch).unwrap();
+                scratch.give(black_box(out).into_vec());
+                scratch.give(cols.into_vec());
+            })
+        });
+        group.bench_function(format!("fwd_{shape}_implicit"), |bch| {
+            bch.iter(|| {
+                let padded = pad_input(black_box(&x), &geom, &mut scratch).unwrap();
+                let out =
+                    conv_gemm_scratch(black_box(&w), &padded, ConvGemm::Forward, &mut scratch)
+                        .unwrap();
+                scratch.give(black_box(out).into_vec());
+                padded.recycle(&mut scratch);
+            })
+        });
+        group.bench_function(format!("wgrad_{shape}_im2col_matmul"), |bch| {
+            bch.iter(|| {
+                let cols = im2col_scratch(black_box(&x), &geom, &mut scratch).unwrap();
+                let out = matmul_a_bt_scratch(black_box(&dy), &cols, &mut scratch).unwrap();
+                scratch.give(black_box(out).into_vec());
+                scratch.give(cols.into_vec());
+            })
+        });
+        group.bench_function(format!("wgrad_{shape}_implicit"), |bch| {
+            bch.iter(|| {
+                let padded = pad_input(black_box(&x), &geom, &mut scratch).unwrap();
+                let out =
+                    conv_gemm_scratch(black_box(&dy), &padded, ConvGemm::WeightGrad, &mut scratch)
+                        .unwrap();
+                scratch.give(black_box(out).into_vec());
+                padded.recycle(&mut scratch);
+            })
+        });
+    }
+    group.finish();
+}
+
 /// Fake quantization of an activation-sized tensor: the fused slice loop
 /// vs calling the scalar path per element.
 fn bench_fake_quantize(c: &mut Criterion) {
@@ -175,6 +231,7 @@ criterion_group!(
     bench_gemm_nn,
     bench_gemm_transposed,
     bench_im2col,
+    bench_conv_lowering,
     bench_fake_quantize
 );
 criterion_main!(kernels);

@@ -1,18 +1,22 @@
 use adq_tensor::{
-    col2im, im2col_scratch, init, matmul_a_bt_scratch, matmul_at_b_scratch, matmul_scratch,
-    Conv2dGeom, Scratch, Tensor,
+    col2im, conv_gemm_scratch, init, matmul_at_b_scratch, pad_input, Conv2dGeom, ConvGemm,
+    PaddedInput, Scratch, Tensor,
 };
 use rand::Rng;
 
 use crate::param::Param;
 
-/// A 2-D convolution with square kernel, implemented as im2col + matmul.
+/// A 2-D convolution with square kernel, implemented as an implicit GEMM.
 ///
 /// Weights are stored as `[O, I·p·p]` (already flattened for the matmul);
-/// use [`Conv2d::geom`] for the logical `[O, I, p, p]` view.
+/// use [`Conv2d::geom`] for the logical `[O, I, p, p]` view. The forward
+/// product `W·cols` and the weight gradient `dY·colsᵀ` gather the im2col
+/// column matrix strip by strip from a zero-padded copy of the input
+/// ([`adq_tensor::conv_gemm_scratch`]), which is all the layer caches for
+/// backward; the input gradient is `Wᵀ·dY` scattered back by `col2im`.
 ///
-/// The layer owns a [`Scratch`] arena: the im2col column matrix, GEMM pack
-/// panels and intermediate gradient matrices are recycled through it across
+/// The layer owns a [`Scratch`] arena: the padded input, GEMM pack panels
+/// and intermediate gradient matrices are recycled through it across
 /// batches instead of re-allocated per call (watch the
 /// `tensor.scratch.reuse_hits` counter). Cloning the layer clones weights
 /// but starts the clone's arena cold.
@@ -41,8 +45,7 @@ pub struct Conv2d {
 
 #[derive(Debug, Clone)]
 struct Cache {
-    cols: Tensor,
-    input_dims: Vec<usize>,
+    input: PaddedInput,
     /// Weights actually used in the forward pass (post fake-quantization)
     /// so the backward pass differentiates what was computed.
     used_weight: Tensor,
@@ -95,11 +98,11 @@ impl Conv2d {
         // an unconsumed cache (forward without backward) feeds its buffers
         // back to the arena before they are re-taken below
         if let Some(stale) = self.cache.take() {
-            self.scratch.give(stale.cols.into_vec());
+            stale.input.recycle(&mut self.scratch);
         }
-        let cols = im2col_scratch(input, &self.geom, &mut self.scratch)
-            .expect("input shape checked by caller");
-        let out_mat = matmul_scratch(&weight, &cols, &mut self.scratch)
+        let padded =
+            pad_input(input, &self.geom, &mut self.scratch).expect("input shape checked by caller");
+        let out_mat = conv_gemm_scratch(&weight, &padded, ConvGemm::Forward, &mut self.scratch)
             .expect("weight/cols shapes agree by construction");
         let out = rows_to_nchw(
             &out_mat,
@@ -111,8 +114,7 @@ impl Conv2d {
         );
         self.scratch.give(out_mat.into_vec());
         self.cache = Some(Cache {
-            cols,
-            input_dims: input.dims().to_vec(),
+            input: padded,
             used_weight: weight,
         });
         out
@@ -187,10 +189,10 @@ impl Conv2d {
         let (n, o) = (grad_output.dims()[0], grad_output.dims()[1]);
         let (oh, ow) = (grad_output.dims()[2], grad_output.dims()[3]);
         assert_eq!(o, self.geom.out_channels, "grad channel mismatch");
-        let dy = nchw_to_rows(grad_output, n, o, oh, ow);
+        let dy = nchw_to_rows(grad_output, n, o, oh, ow, &mut self.scratch);
         // dW = dY · colsᵀ
-        let dw =
-            matmul_a_bt_scratch(&dy, &cache.cols, &mut self.scratch).expect("dy/cols shapes agree");
+        let dw = conv_gemm_scratch(&dy, &cache.input, ConvGemm::WeightGrad, &mut self.scratch)
+            .expect("dy/cols shapes agree");
         self.weight
             .grad
             .add_scaled(&dw, 1.0)
@@ -205,10 +207,11 @@ impl Conv2d {
         // dCols = Wᵀ · dY, with W the weights actually used forward
         let dcols = matmul_at_b_scratch(&cache.used_weight, &dy, &mut self.scratch)
             .expect("weight/dy shapes agree");
-        let dx = col2im(&dcols, &cache.input_dims, &self.geom).expect("cache dims are consistent");
+        let dx = col2im(&dcols, cache.input.input_dims(), &self.geom)
+            .expect("cache dims are consistent");
         self.scratch.give(dy.into_vec());
         self.scratch.give(dcols.into_vec());
-        self.scratch.give(cache.cols.into_vec());
+        cache.input.recycle(&mut self.scratch);
         dx
     }
 }
@@ -233,12 +236,22 @@ fn rows_to_nchw(mat: &Tensor, n: usize, o: usize, oh: usize, ow: usize, bias: &[
     out
 }
 
-/// Inverse of [`rows_to_nchw`] (without bias): NCHW → `[O, N·OH·OW]`.
-fn nchw_to_rows(t: &Tensor, n: usize, o: usize, oh: usize, ow: usize) -> Tensor {
-    let mut out = Tensor::zeros(&[o, n * oh * ow]);
+/// Inverse of [`rows_to_nchw`] (without bias): NCHW → `[O, N·OH·OW]`,
+/// in a buffer from `scratch` (every element is overwritten). Backward
+/// gives this buffer back to the arena, so taking it from there too keeps
+/// the pool at a fixed size across batches instead of growing by one
+/// buffer per call.
+fn nchw_to_rows(
+    t: &Tensor,
+    n: usize,
+    o: usize,
+    oh: usize,
+    ow: usize,
+    scratch: &mut Scratch,
+) -> Tensor {
     let spatial = oh * ow;
+    let mut dst = scratch.take(o * n * spatial);
     let src = t.data();
-    let dst = out.data_mut();
     for oi in 0..o {
         let row = &mut dst[oi * n * spatial..(oi + 1) * n * spatial];
         for ni in 0..n {
@@ -247,7 +260,7 @@ fn nchw_to_rows(t: &Tensor, n: usize, o: usize, oh: usize, ow: usize) -> Tensor 
             row[dst_base..dst_base + spatial].copy_from_slice(&src[src_base..src_base + spatial]);
         }
     }
-    out
+    Tensor::from_vec(dst, &[o, n * spatial]).expect("sized to fit")
 }
 
 #[cfg(test)]
@@ -468,6 +481,26 @@ mod tests {
         let dx2 = conv.backward(&dy);
         assert_eq!(y1, y2);
         assert_eq!(dx1, dx2);
+    }
+
+    #[test]
+    fn the_arena_stops_growing_once_warm() {
+        // every buffer a forward/backward round gives back it also took,
+        // so the pool (and best-fit's scan over it) stays the same size
+        let mut r = rng(13);
+        let mut conv = Conv2d::new(Conv2dGeom::new(3, 8, 3, 1, 1), &mut r);
+        let x = init::uniform(&[4, 3, 8, 8], -1.0, 1.0, &mut r);
+        let dy = Tensor::ones(&[4, 8, 8, 8]);
+        let mut pooled = Vec::new();
+        for _ in 0..6 {
+            conv.forward(&x);
+            conv.backward(&dy);
+            pooled.push(conv.scratch.pooled());
+        }
+        assert!(
+            pooled[2..].iter().all(|&p| p == pooled[2]),
+            "pool sizes {pooled:?}"
+        );
     }
 
     #[test]

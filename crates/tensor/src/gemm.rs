@@ -7,16 +7,24 @@
 //! * `A` is packed into `MR`-row strips and `B` into `NR`-column strips,
 //!   both laid out k-major so the inner kernel reads unit-stride,
 //! * a register-tiled micro-kernel computes an `MR × NR` block of `C` with
-//!   `MR·NR` scalar accumulators the compiler keeps in vector registers,
+//!   `MR·NR` scalar accumulators the compiler keeps in vector registers;
+//!   where AVX-512F is detected at runtime an explicit 8×16 tile (two `MR`
+//!   strips against one `NR` strip) runs instead,
 //! * macro-tiles of `MC × NC` outputs are dispatched over a 2-D tile grid
 //!   (rows *and* columns), so a `[4, 4096]·[4096, 4096]` product
 //!   parallelises even though it has only one row strip.
+//!
+//! `B` is either a materialised matrix, packed before the kernel runs, or
+//! an implicit [`Gather`] — a convolution's column matrix read from a
+//! padded input — whose strips are gathered as the kernel consumes them
+//! and never packed or stored whole.
 //!
 //! # Numerical contract
 //!
 //! For every output element the micro-kernel adds `a[i][l]·b[l][j]` terms in
 //! strictly ascending `l` order, loading the partial sum back from `C`
-//! between `KC` blocks. This is exactly the association of the serial
+//! between `KC` blocks; the AVX-512 tile rounds each product and each sum
+//! separately, exactly as the portable kernel does. This is exactly the association of the serial
 //! fallback loops in [`crate::matmul`], so blocked and serial results are
 //! **bit-identical** whenever no `±0.0` product lands on a `-0.0` partial
 //! sum (the serial `ikj` loops skip zero `a` entries; adding the skipped
@@ -24,6 +32,11 @@
 //! non-zero value). Dispatch depends only on shapes, never on data or
 //! thread count, so whole-run determinism — and with it PR 2's bit-identical
 //! checkpoint resume — is preserved.
+
+use std::cell::RefCell;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 use crate::plan::Blocking;
 use crate::scratch::Scratch;
@@ -35,8 +48,10 @@ use rayon::prelude::*;
 /// Micro-kernel rows: each inner-kernel invocation produces `MR` rows of C.
 ///
 /// `MR·NR = 64` accumulators fill four 16-lane AVX-512 registers (or eight
-/// 8-lane AVX2 registers); larger tiles spill the accumulator to the stack
-/// and collapse the kernel to scalar speed — measured, not theoretical.
+/// 8-lane AVX2 registers); larger tiles spill the portable kernel's
+/// accumulator to the stack and collapse it to scalar speed — measured,
+/// not theoretical. The explicit AVX-512 tile pairs two strips (eight
+/// accumulator registers).
 pub const MR: usize = 4;
 /// Micro-kernel columns: each invocation produces `NR` columns of C. One
 /// `NR`-wide row is exactly one cache line of f32s.
@@ -84,6 +99,172 @@ struct CPtr(*mut f32);
 unsafe impl Send for CPtr {}
 unsafe impl Sync for CPtr {}
 
+/// Where the packed kernel reads its `B` operand (logically `[k, n]`) from.
+#[derive(Clone, Copy)]
+pub(crate) enum BSource<'a> {
+    /// A materialised matrix, packed into k-major strips before the kernel
+    /// runs.
+    Matrix(&'a [f32], BStore),
+    /// An implicit matrix, gathered strip by strip as the kernel needs it.
+    Gather(Gather<'a>),
+}
+
+/// An implicit `[k, n]` matrix `B[l][j] = src[row_off[l] + col_off[j]]`.
+///
+/// This is how a convolution's column matrix is read without being
+/// written: with `src` the zero-padded input, a tap's offset plus a
+/// pixel's offset addresses one element of `im2col`'s output
+/// ([`crate::conv`] builds both offset tables). The kernel gathers each
+/// `kc × NR` strip into a per-thread, L1-sized buffer right before the
+/// row strips consume it, so the matrix is never materialised or re-packed.
+#[derive(Clone, Copy)]
+pub(crate) struct Gather<'a> {
+    src: &'a [f32],
+    row_off: &'a [i32],
+    col_off: &'a [i32],
+}
+
+impl<'a> Gather<'a> {
+    /// A gather over `src`, `row_off.len()` rows by `col_off.len()`
+    /// columns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is longer than `i32::MAX` elements, an offset is
+    /// negative, or some `row_off[l] + col_off[j]` lies outside `src` —
+    /// the unchecked gathers below rely on all three.
+    pub(crate) fn new(src: &'a [f32], row_off: &'a [i32], col_off: &'a [i32]) -> Self {
+        assert!(
+            i32::try_from(src.len()).is_ok(),
+            "gather source of {} elements exceeds i32 offsets",
+            src.len()
+        );
+        let max = |off: &[i32]| -> usize {
+            off.iter()
+                .map(|&o| usize::try_from(o).expect("gather offsets are non-negative"))
+                .max()
+                .unwrap_or(0)
+        };
+        if !row_off.is_empty() && !col_off.is_empty() {
+            assert!(
+                max(row_off) + max(col_off) < src.len(),
+                "gather offsets reach past the source"
+            );
+        }
+        Self {
+            src,
+            row_off,
+            col_off,
+        }
+    }
+
+    /// Writes rows `k0..k0 + kc` of columns `j0..j0 + cols` into `out` in
+    /// the packed layout (`kc` rows of `NR` floats, columns past `cols`
+    /// zeroed), via the widest available path.
+    fn strip(&self, k0: usize, kc: usize, j0: usize, cols: usize, out: &mut [f32]) {
+        #[cfg(target_arch = "x86_64")]
+        if avx512_available() {
+            // SAFETY: AVX-512F was detected at runtime; `Gather::new`
+            // checked every offset sum against `src`.
+            unsafe { gather_strip_avx512(self, k0, kc, j0, cols, out) };
+            return;
+        }
+        gather_strip_scalar(self, k0, kc, j0, cols, out);
+    }
+}
+
+/// The portable strip gather, the reference [`gather_strip_avx512`] must
+/// match.
+fn gather_strip_scalar(g: &Gather, k0: usize, kc: usize, j0: usize, cols: usize, out: &mut [f32]) {
+    let col_off = &g.col_off[j0..j0 + cols];
+    for (dst, &base) in out.chunks_exact_mut(NR).zip(&g.row_off[k0..k0 + kc]) {
+        let row = &g.src[base as usize..];
+        for (slot, &c) in dst.iter_mut().zip(col_off) {
+            *slot = row[c as usize];
+        }
+        dst[cols..].fill(0.0);
+    }
+}
+
+/// AVX-512 strip gather: one 16-lane `vgatherdps` per row, the column
+/// offsets loaded once and shifted by each row's offset. A tail strip
+/// masks its missing columns, which read nothing and come out zero. When
+/// the strip's 16 column offsets are consecutive (a forward strip of 16
+/// pixels in one output row at stride 1), each row is a plain unaligned
+/// load instead.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F, and `g` must come from [`Gather::new`]
+/// (so every offset sum lies inside `g.src`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn gather_strip_avx512(
+    g: &Gather,
+    k0: usize,
+    kc: usize,
+    j0: usize,
+    cols: usize,
+    out: &mut [f32],
+) {
+    use std::arch::x86_64::{
+        _mm512_add_epi32, _mm512_cmpeq_epi32_mask, _mm512_loadu_ps, _mm512_mask_i32gather_ps,
+        _mm512_maskz_loadu_epi32, _mm512_set1_epi32, _mm512_setr_epi32, _mm512_setzero_ps,
+        _mm512_storeu_ps,
+    };
+    let rows = &g.row_off[k0..k0 + kc];
+    assert!(j0 + cols <= g.col_off.len() && (1..=NR).contains(&cols));
+    assert!(out.len() >= kc * NR);
+    let mask = lane_mask(cols);
+    let col_idx = _mm512_maskz_loadu_epi32(mask, g.col_off.as_ptr().add(j0));
+    let first = _mm512_set1_epi32(g.col_off[j0]);
+    let lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    let run = _mm512_add_epi32(first, lanes);
+    if mask == u16::MAX && _mm512_cmpeq_epi32_mask(col_idx, run) == u16::MAX {
+        let start = g.src.as_ptr().add(g.col_off[j0] as usize);
+        for (kk, &base) in rows.iter().enumerate() {
+            let v = _mm512_loadu_ps(start.add(base as usize));
+            _mm512_storeu_ps(out.as_mut_ptr().add(kk * NR), v);
+        }
+        return;
+    }
+    for (kk, &base) in rows.iter().enumerate() {
+        let idx = _mm512_add_epi32(col_idx, _mm512_set1_epi32(base));
+        let v = _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), mask, idx, g.src.as_ptr());
+        _mm512_storeu_ps(out.as_mut_ptr().add(kk * NR), v);
+    }
+}
+
+/// Lane mask selecting the first `cols` of `NR` columns.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn lane_mask(cols: usize) -> u16 {
+    if cols >= NR {
+        u16::MAX
+    } else {
+        (1u16 << cols) - 1
+    }
+}
+
+/// Runtime AVX-512F detection, resolved once per process (false off
+/// x86-64).
+fn avx512_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        static AVX512: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+        *AVX512.get_or_init(|| is_x86_feature_detected!("avx512f"))
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+thread_local! {
+    /// Per-thread buffer the gathered `B` strips land in: at most
+    /// `TUNED_KC_MAX · NR` floats (64 KiB), reused by every strip the
+    /// thread gathers, so it stays in L1/L2 and is never reallocated.
+    static GATHER_STRIP: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
 /// Blocked GEMM over raw row-major buffers, returning the output drawn
 /// from `scratch`.
 ///
@@ -99,6 +280,12 @@ unsafe impl Sync for CPtr {}
 /// the PR-3 `blocked_scratch` conv regression. Panels first means both
 /// panels exact-hit their own buffers from the previous call and the one
 /// unavoidable fresh allocation per call is the `m·n` output.
+///
+/// A [`BSource::Gather`] operand is never packed. A gathered strip serves
+/// every row strip of `C`, so each task owns whole columns of `C` (all `m`
+/// rows): every element of `B` is gathered once per k-block, however many
+/// `MC` row tiles `m` spans. The time spent gathering is recorded in the
+/// `tensor.im2col` histogram, one sample per call.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_alloc(
     m: usize,
@@ -106,8 +293,7 @@ pub(crate) fn gemm_alloc(
     k: usize,
     a: &[f32],
     a_store: AStore,
-    b: &[f32],
-    b_store: BStore,
+    b: BSource,
     blocking: Blocking,
     scratch: &mut Scratch,
 ) -> Vec<f32> {
@@ -122,18 +308,24 @@ pub(crate) fn gemm_alloc(
     let m_strips = m.div_ceil(MR);
     let n_strips = n.div_ceil(NR);
     let mut packed_a = scratch.take(k * m_strips * MR);
-    let mut packed_b = scratch.take(k * n_strips * NR);
+    let mut packed_b = match b {
+        BSource::Matrix(..) => scratch.take(k * n_strips * NR),
+        BSource::Gather(_) => Vec::new(),
+    };
     let mut c = scratch.take(m * n);
     pack_a(a, m, k, kc, a_store, &mut packed_a);
-    pack_b(b, k, n, kc, b_store, &mut packed_b);
-
-    let row_tiles = m.div_ceil(blocking.mc);
+    let (row_tiles, tile_b) = match b {
+        BSource::Matrix(src, store) => {
+            pack_b(src, k, n, kc, store, &mut packed_b);
+            (m.div_ceil(blocking.mc), TileB::Packed(&packed_b))
+        }
+        BSource::Gather(g) => (1, TileB::Gather(g)),
+    };
     let col_tiles = n.div_ceil(blocking.nc);
     let tiles = row_tiles * col_tiles;
     let cp = CPtr(c.as_mut_ptr());
     let flops = m.saturating_mul(n).saturating_mul(k);
     let pa = &packed_a;
-    let pb = &packed_b;
     // Tile spans are verbose-only (level 2): at level 1 the per-tile guard
     // cost would show up inside the very kernel being measured. The parent
     // id is captured before the parallel loop so worker-thread tile spans
@@ -144,8 +336,11 @@ pub(crate) fn gemm_alloc(
     } else {
         0
     };
-    let tile_span = |tile: usize, ti: usize, tj: usize| -> SpanGuard {
-        if trace_tiles {
+    let wide = avx512_available();
+    let gather_ns = AtomicU64::new(0);
+    let run_tile = |tile: usize| {
+        let (ti, tj) = (tile / col_tiles, tile % col_tiles);
+        let _span = if trace_tiles {
             span::child_span_with(
                 tile_parent,
                 "tensor.gemm.tile",
@@ -153,81 +348,138 @@ pub(crate) fn gemm_alloc(
             )
         } else {
             SpanGuard::disabled()
-        }
+        };
+        let cols = tj * blocking.nc..n.min((tj + 1) * blocking.nc);
+        let ns = match tile_b {
+            TileB::Packed(_) => {
+                let rows = ti * blocking.mc..m.min((ti + 1) * blocking.mc);
+                macro_tile(rows, cols, m, n, k, kc, pa, tile_b, &mut [], cp, wide)
+            }
+            TileB::Gather(_) => GATHER_STRIP.with(|cell| {
+                let mut buf = cell.borrow_mut();
+                let need = kc.min(k) * NR;
+                if buf.len() < need {
+                    buf.resize(need, 0.0);
+                }
+                macro_tile(0..m, cols, m, n, k, kc, pa, tile_b, &mut buf, cp, wide)
+            }),
+        };
+        gather_ns.fetch_add(ns, Ordering::Relaxed);
     };
     if tiles >= 2 && flops >= PAR_TILE_MIN_FLOPS {
-        (0..tiles).into_par_iter().for_each(|tile| {
-            let (ti, tj) = (tile / col_tiles, tile % col_tiles);
-            let _span = tile_span(tile, ti, tj);
-            macro_tile(
-                ti * blocking.mc,
-                tj * blocking.nc,
-                m,
-                n,
-                k,
-                blocking,
-                pa,
-                pb,
-                cp,
-            );
-        });
+        (0..tiles).into_par_iter().for_each(run_tile);
     } else {
-        for tile in 0..tiles {
-            let (ti, tj) = (tile / col_tiles, tile % col_tiles);
-            let _span = tile_span(tile, ti, tj);
-            macro_tile(
-                ti * blocking.mc,
-                tj * blocking.nc,
-                m,
-                n,
-                k,
-                blocking,
-                pa,
-                pb,
-                cp,
-            );
-        }
+        (0..tiles).for_each(run_tile);
+    }
+    if matches!(tile_b, TileB::Gather(_)) {
+        crate::im2col::lowering_histogram().record(gather_ns.into_inner());
+        crate::im2col::count_lowering_resources(k, n);
     }
     scratch.give(packed_a);
     scratch.give(packed_b);
     c
 }
 
-/// Computes the `[i0.., j0..]` macro-tile of `C` from the packed panels.
+/// The `B` operand as one tile task sees it.
+#[derive(Clone, Copy)]
+enum TileB<'a> {
+    /// The packed panel of all of `B` (`[k-block][col-strip][kk][NR]`).
+    Packed(&'a [f32]),
+    /// Strips gathered on demand.
+    Gather(Gather<'a>),
+}
+
+/// Computes rows `rows` × columns `cols` of `C` (bounds on `MR`/`NR` strip
+/// boundaries): for each k-block, each `NR` column strip of `B` meets
+/// every `MR` row strip of `rows`. A gathered strip lands in `strip_buf`
+/// (at least `min(kc, k)·NR` floats); returns the nanoseconds spent
+/// gathering. `wide` selects the AVX-512 register tile, which the caller
+/// must have detected; otherwise the portable 4×16 kernel runs.
 #[allow(clippy::too_many_arguments)]
 fn macro_tile(
-    i0: usize,
-    j0: usize,
+    rows: Range<usize>,
+    cols: Range<usize>,
     m: usize,
     n: usize,
     k: usize,
-    blocking: Blocking,
+    kc: usize,
     packed_a: &[f32],
-    packed_b: &[f32],
+    b: TileB,
+    strip_buf: &mut [f32],
     cp: CPtr,
-) {
-    let mc = blocking.mc.min(m - i0);
-    let nc = blocking.nc.min(n - j0);
+    wide: bool,
+) -> u64 {
+    let mut gather_ns = 0u64;
     let m_strips = m.div_ceil(MR);
-    let n_strips = n.div_ceil(NR);
-    // mc/nc are multiples of MR/NR, so tile bounds land on strip bounds.
-    let s_lo = i0 / MR;
-    let s_hi = (i0 + mc).div_ceil(MR);
-    let t_lo = j0 / NR;
-    let t_hi = (j0 + nc).div_ceil(NR);
-    let k_blocks = k.div_ceil(blocking.kc);
-    for kb in 0..k_blocks {
-        let k0 = kb * blocking.kc;
-        let kc_len = blocking.kc.min(k - k0);
+    // tile bounds land on strip bounds (mc/nc are multiples of MR/NR)
+    let (s_lo, s_hi) = (rows.start / MR, rows.end.div_ceil(MR));
+    let (t_lo, t_hi) = (cols.start / NR, cols.end.div_ceil(NR));
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = wide;
+    for kb in 0..k.div_ceil(kc) {
+        let k0 = kb * kc;
+        let kc_len = kc.min(k - k0);
         let a_base = k0 * m_strips * MR;
-        let b_base = k0 * n_strips * NR;
+        let a_strip = |s: usize| &packed_a[a_base + s * kc_len * MR..][..kc_len * MR];
         let first_block = kb == 0;
         for t in t_lo..t_hi {
-            let b_strip = &packed_b[b_base + t * kc_len * NR..][..kc_len * NR];
-            let cols = NR.min(n - t * NR);
+            let width = NR.min(n - t * NR);
+            let b_k: &[f32] = match b {
+                TileB::Packed(packed_b) => {
+                    &packed_b[k0 * n.div_ceil(NR) * NR + t * kc_len * NR..][..kc_len * NR]
+                }
+                TileB::Gather(g) => {
+                    let strip = &mut strip_buf[..kc_len * NR];
+                    let started = Instant::now();
+                    g.strip(k0, kc_len, t * NR, width, strip);
+                    gather_ns += u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                    strip
+                }
+            };
+            #[cfg(target_arch = "x86_64")]
+            if wide {
+                // Two row strips per 8×16 register tile; an odd last strip
+                // runs as a 4×16 tile. Masks cover every edge.
+                let mut s = s_lo;
+                while s < s_hi {
+                    let i0 = s * MR;
+                    let height = (m - i0).min(2 * MR);
+                    // SAFETY: AVX-512F was detected at runtime; the strips
+                    // are exactly `kc_len` rows long; rows `i0..i0+height`
+                    // × columns `t·NR..t·NR+width` lie in this task's part
+                    // of `C`.
+                    unsafe {
+                        if s + 1 < s_hi {
+                            tile_avx512::<2>(
+                                kc_len,
+                                [a_strip(s), a_strip(s + 1)],
+                                b_k,
+                                cp,
+                                n,
+                                (i0, t * NR),
+                                (height, width),
+                                first_block,
+                            );
+                            s += 2;
+                        } else {
+                            tile_avx512::<1>(
+                                kc_len,
+                                [a_strip(s)],
+                                b_k,
+                                cp,
+                                n,
+                                (i0, t * NR),
+                                (height.min(MR), width),
+                                first_block,
+                            );
+                            s += 1;
+                        }
+                    }
+                }
+                continue;
+            }
             for s in s_lo..s_hi {
-                let a_strip = &packed_a[a_base + s * kc_len * MR..][..kc_len * MR];
-                let rows = MR.min(m - s * MR);
+                let height = MR.min(m - s * MR);
                 // The full-tile and edge-tile paths are kept as two separate
                 // inlined kernel instantiations on purpose: feeding the
                 // accumulator through the runtime-masked edge loads/stores
@@ -235,33 +487,35 @@ fn macro_tile(
                 // from vector registers to scalar memory read-modify-write
                 // (~10× slower, measured). The constant-bound full path is
                 // what the hot loop runs; edges pay the slow masked copies.
-                if rows == MR && cols == NR {
+                if height == MR && width == NR {
                     let init = if first_block {
                         [[0.0f32; NR]; MR]
                     } else {
                         load_full(cp, n, s * MR, t * NR)
                     };
-                    let acc = micro_kernel(kc_len, a_strip, b_strip, init);
+                    let acc = micro_kernel(kc_len, a_strip(s), b_k, init);
                     store_full(cp, n, s * MR, t * NR, &acc);
                 } else {
                     let init = if first_block {
                         [[0.0f32; NR]; MR]
                     } else {
-                        load_edge(cp, n, s * MR, t * NR, rows, cols)
+                        load_edge(cp, n, s * MR, t * NR, height, width)
                     };
-                    let acc = micro_kernel(kc_len, a_strip, b_strip, init);
-                    store_edge(cp, n, s * MR, t * NR, rows, cols, &acc);
+                    let acc = micro_kernel(kc_len, a_strip(s), b_k, init);
+                    store_edge(cp, n, s * MR, t * NR, height, width, &acc);
                 }
             }
         }
     }
+    gather_ns
 }
 
-/// The register-tiled inner kernel: `init + a_strip · b_strip` over `kc`
-/// steps, both operands k-major and unit-stride. Accumulation per element
-/// is in ascending-k order (see the module-level numerical contract). Takes
-/// and returns the accumulator by value so its address never escapes —
-/// LLVM keeps all `MR·NR` lanes in vector registers across the loop.
+/// The portable register-tiled inner kernel: `init + a_strip · b_strip`
+/// over `kc` steps, both operands k-major and unit-stride. Accumulation per
+/// element is in ascending-k order (see the module-level numerical
+/// contract). Takes and returns the accumulator by value so its address
+/// never escapes — LLVM keeps all `MR·NR` lanes in vector registers across
+/// the loop.
 #[inline(always)]
 fn micro_kernel(
     kc: usize,
@@ -282,6 +536,73 @@ fn micro_kernel(
         }
     }
     acc
+}
+
+/// The AVX-512 register tile: `S` row strips (`S·MR` rows) against one
+/// `NR`-column strip, one 16-lane accumulator per row. Each step is a
+/// broadcast, a `vmulps` and a separate `vaddps` — never an FMA — so every
+/// output element sees exactly [`micro_kernel`]'s rounding sequence and
+/// the results are bit-identical. `C` is read (after the first k-block)
+/// and written through masked loads and stores: only rows `..height` and
+/// columns `..width` of the tile at `at` are touched, so edge tiles need
+/// no separate path (the packed `A` and `B` strips are zero past their
+/// edges).
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F. Each `a[s]` must hold `kc·MR` floats and
+/// `b` `kc·NR`; `height ≤ S·MR` and `1 ≤ width ≤ NR`; rows
+/// `at.0..at.0+height` × columns `at.1..at.1+width` of the `ldc`-wide `C`
+/// behind `cp` must be in bounds and written by no other task.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+#[allow(clippy::too_many_arguments)]
+unsafe fn tile_avx512<const S: usize>(
+    kc: usize,
+    a: [&[f32]; S],
+    b: &[f32],
+    cp: CPtr,
+    ldc: usize,
+    at: (usize, usize),
+    (height, width): (usize, usize),
+    first_block: bool,
+) {
+    use std::arch::x86_64::{
+        __m512, _mm512_add_ps, _mm512_loadu_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps,
+        _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+    };
+    debug_assert!(a.iter().all(|strip| strip.len() >= kc * MR) && b.len() >= kc * NR);
+    debug_assert!(height <= S * MR && (1..=NR).contains(&width));
+    let mask = lane_mask(width);
+    let c_row = |i: usize| cp.0.add((at.0 + i) * ldc + at.1);
+    let mut acc: [[__m512; MR]; S] = [[_mm512_setzero_ps(); MR]; S];
+    if !first_block {
+        for (s, acc_s) in acc.iter_mut().enumerate() {
+            for (r, slot) in acc_s.iter_mut().enumerate() {
+                if s * MR + r < height {
+                    *slot = _mm512_maskz_loadu_ps(mask, c_row(s * MR + r));
+                }
+            }
+        }
+    }
+    let a_ptr = a.map(<[f32]>::as_ptr);
+    for kk in 0..kc {
+        let bv = _mm512_loadu_ps(b.as_ptr().add(kk * NR));
+        for (acc_s, &a_s) in acc.iter_mut().zip(&a_ptr) {
+            for (r, slot) in acc_s.iter_mut().enumerate() {
+                let av = _mm512_set1_ps(*a_s.add(kk * MR + r));
+                *slot = _mm512_add_ps(*slot, _mm512_mul_ps(av, bv));
+            }
+        }
+    }
+    for (s, acc_s) in acc.iter().enumerate() {
+        for (r, &value) in acc_s.iter().enumerate() {
+            if s * MR + r < height {
+                _mm512_mask_storeu_ps(c_row(s * MR + r), mask, value);
+            }
+        }
+    }
 }
 
 /// Loads a full `MR × NR` block of partial sums from `C` (constant bounds —
@@ -466,8 +787,7 @@ pub fn gemm_nn(a: &Tensor, b: &Tensor, scratch: &mut Scratch) -> Result<Tensor, 
         k,
         a.data(),
         AStore::Normal,
-        b.data(),
-        BStore::Normal,
+        BSource::Matrix(b.data(), BStore::Normal),
         Blocking::default_tiles(),
         scratch,
     );
@@ -493,8 +813,7 @@ pub fn gemm_tn(a: &Tensor, b: &Tensor, scratch: &mut Scratch) -> Result<Tensor, 
         k,
         a.data(),
         AStore::Transposed,
-        b.data(),
-        BStore::Normal,
+        BSource::Matrix(b.data(), BStore::Normal),
         Blocking::default_tiles(),
         scratch,
     );
@@ -520,8 +839,7 @@ pub fn gemm_nt(a: &Tensor, b: &Tensor, scratch: &mut Scratch) -> Result<Tensor, 
         k,
         a.data(),
         AStore::Normal,
-        b.data(),
-        BStore::Transposed,
+        BSource::Matrix(b.data(), BStore::Transposed),
         Blocking::default_tiles(),
         scratch,
     );
@@ -674,5 +992,258 @@ mod tests {
         )
         .is_err());
         assert!(gemm_nn(&Tensor::zeros(&[6]), &Tensor::zeros(&[6, 2]), &mut scratch).is_err());
+    }
+
+    /// LCG floats salted with the values rounding is most fragile on:
+    /// signed zeros, subnormals and magnitudes whose products overflow.
+    fn awkward(len: usize, seed: u64) -> Vec<f32> {
+        let data = random_tensor(&[len], seed).into_vec();
+        data.into_iter()
+            .enumerate()
+            .map(|(i, v)| match i % 13 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f32::MIN_POSITIVE / 3.0,
+                3 => v * 1e30,
+                _ => v,
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `C` after the portable kernel (plus edge copies) ran strip by strip
+    /// over rows `i0..i0+height` × columns `..width` of a `ldc`-wide
+    /// buffer — the reference for the AVX-512 tile.
+    #[allow(clippy::too_many_arguments)]
+    fn portable_tile(
+        kc: usize,
+        a: &[&[f32]],
+        b: &[f32],
+        c: &mut [f32],
+        ldc: usize,
+        i0: usize,
+        height: usize,
+        width: usize,
+        first_block: bool,
+    ) {
+        let cp = CPtr(c.as_mut_ptr());
+        for (s, a_s) in a.iter().enumerate() {
+            let rows = MR.min(height.saturating_sub(s * MR));
+            if rows == 0 {
+                continue;
+            }
+            let init = if first_block {
+                [[0.0f32; NR]; MR]
+            } else {
+                load_edge(cp, ldc, i0 + s * MR, 0, rows, width)
+            };
+            let acc = micro_kernel(kc, a_s, b, init);
+            store_edge(cp, ldc, i0 + s * MR, 0, rows, width, &acc);
+        }
+    }
+
+    #[test]
+    fn avx512_tile_matches_the_portable_kernel_bitwise() {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if !avx512_available() {
+                eprintln!("skipped: no AVX-512F on this CPU");
+                return;
+            }
+            let ldc = NR + 3;
+            for (case, kc) in [1usize, 2, 7, 64, 300].into_iter().enumerate() {
+                let a0 = awkward(kc * MR, 10 + case as u64);
+                let a1 = awkward(kc * MR, 20 + case as u64);
+                let b = awkward(kc * NR, 30 + case as u64);
+                for first_block in [true, false] {
+                    for width in [NR, 11, 1] {
+                        for height in [2 * MR, 2 * MR - 1, MR + 1, MR, 3, 1] {
+                            let c0 = awkward(2 * MR * ldc, 40 + kc as u64);
+                            let strips: Vec<&[f32]> = if height > MR {
+                                vec![&a0, &a1]
+                            } else {
+                                vec![&a0]
+                            };
+                            let mut want = c0.clone();
+                            portable_tile(
+                                kc,
+                                &strips,
+                                &b,
+                                &mut want,
+                                ldc,
+                                0,
+                                height,
+                                width,
+                                first_block,
+                            );
+                            let mut got = c0.clone();
+                            let cp = CPtr(got.as_mut_ptr());
+                            // SAFETY: AVX-512F detected above; the strips
+                            // hold kc rows and the tile fits in `got`.
+                            unsafe {
+                                if height > MR {
+                                    tile_avx512::<2>(
+                                        kc,
+                                        [&a0, &a1],
+                                        &b,
+                                        cp,
+                                        ldc,
+                                        (0, 0),
+                                        (height, width),
+                                        first_block,
+                                    );
+                                } else {
+                                    tile_avx512::<1>(
+                                        kc,
+                                        [&a0],
+                                        &b,
+                                        cp,
+                                        ldc,
+                                        (0, 0),
+                                        (height, width),
+                                        first_block,
+                                    );
+                                }
+                            }
+                            assert_eq!(
+                                bits(&got),
+                                bits(&want),
+                                "kc {kc} height {height} width {width} first {first_block}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn avx512_gather_matches_the_scalar_gather_bitwise() {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if !avx512_available() {
+                eprintln!("skipped: no AVX-512F on this CPU");
+                return;
+            }
+            let src = awkward(4000, 7);
+            // rows: scattered offsets; columns: a consecutive run (the
+            // plain-load path), a scattered set, and a ragged tail
+            let row_off: Vec<i32> = (0..40).map(|l| l * 37 % 1500).collect();
+            let mut col_off: Vec<i32> = (0..16).map(|j| 900 + j).collect();
+            col_off.extend((0..21).map(|j| j * 131 % 2400));
+            let g = Gather::new(&src, &row_off, &col_off);
+            for (k0, kc) in [(0, 40), (3, 17), (39, 1)] {
+                for (j0, cols) in [(0, 16), (1, 16), (16, 16), (32, 5), (36, 1)] {
+                    let mut want = vec![f32::NAN; kc * NR];
+                    gather_strip_scalar(&g, k0, kc, j0, cols, &mut want);
+                    let mut got = vec![f32::NAN; kc * NR];
+                    // SAFETY: AVX-512F detected above; `g` is from `new`.
+                    unsafe { gather_strip_avx512(&g, k0, kc, j0, cols, &mut got) };
+                    assert_eq!(bits(&got), bits(&want), "k0 {k0} kc {kc} j0 {j0}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "reach past the source")]
+    fn gather_offsets_past_the_source_are_rejected() {
+        let src = [0.0f32; 10];
+        Gather::new(&src, &[0, 5], &[0, 5]);
+    }
+
+    /// `C = A·B` through [`macro_tile`] over one whole-matrix task, with
+    /// `B` gathered (`b_gather`) or packed from its explicit form.
+    fn whole_tile(a: &Tensor, b: &Tensor, b_gather: Option<Gather>, wide: bool) -> Vec<f32> {
+        let (m, k, n) = (a.dims()[0], a.dims()[1], b.dims()[1]);
+        let kc = KC;
+        let mut packed_a = vec![0.0; k * m.div_ceil(MR) * MR];
+        pack_a(a.data(), m, k, kc, AStore::Normal, &mut packed_a);
+        let mut packed_b = vec![0.0; k * n.div_ceil(NR) * NR];
+        pack_b(b.data(), k, n, kc, BStore::Normal, &mut packed_b);
+        let tile_b = match b_gather {
+            Some(g) => TileB::Gather(g),
+            None => TileB::Packed(&packed_b),
+        };
+        let mut strip = vec![0.0; kc.min(k) * NR];
+        let mut c = vec![f32::NAN; m * n];
+        let cp = CPtr(c.as_mut_ptr());
+        macro_tile(
+            0..m,
+            0..n,
+            m,
+            n,
+            k,
+            kc,
+            &packed_a,
+            tile_b,
+            &mut strip,
+            cp,
+            wide,
+        );
+        c
+    }
+
+    #[test]
+    fn every_tile_and_operand_source_gives_the_same_bits() {
+        // odd row strips, a ragged column strip, two k-blocks
+        let (m, k, n) = (23, 300, 37);
+        let a = Tensor::from_vec(awkward(m * k, 51), &[m, k]).unwrap();
+        let b = Tensor::from_vec(awkward(k * n, 52), &[k, n]).unwrap();
+        // B[l][j] = src[row_off[l] + col_off[j]] with src = B row-major
+        let row_off: Vec<i32> = (0..k).map(|l| (l * n) as i32).collect();
+        let col_off: Vec<i32> = (0..n).map(|j| j as i32).collect();
+        let g = Gather::new(b.data(), &row_off, &col_off);
+        let want = bits(reference(&a, &b, false, false).data());
+        assert_eq!(bits(&whole_tile(&a, &b, None, false)), want, "portable");
+        assert_eq!(
+            bits(&whole_tile(&a, &b, Some(g), false)),
+            want,
+            "portable gather"
+        );
+        if avx512_available() {
+            assert_eq!(bits(&whole_tile(&a, &b, None, true)), want, "avx512");
+            assert_eq!(
+                bits(&whole_tile(&a, &b, Some(g), true)),
+                want,
+                "avx512 gather"
+            );
+        }
+    }
+
+    #[test]
+    fn gathered_gemm_matches_the_packed_gemm_through_the_tile_grid() {
+        // wide enough for several parallel column tiles, m over one MC tile
+        let (m, k, n) = (70, 40, 600);
+        let a = random_tensor(&[m, k], 61);
+        let b = random_tensor(&[k, n], 62);
+        let row_off: Vec<i32> = (0..k).map(|l| (l * n) as i32).collect();
+        let col_off: Vec<i32> = (0..n).map(|j| j as i32).collect();
+        let mut scratch = Scratch::new();
+        let blocking = Blocking::default_tiles();
+        let gathered = gemm_alloc(
+            m,
+            n,
+            k,
+            a.data(),
+            AStore::Normal,
+            BSource::Gather(Gather::new(b.data(), &row_off, &col_off)),
+            blocking,
+            &mut scratch,
+        );
+        let packed = gemm_alloc(
+            m,
+            n,
+            k,
+            a.data(),
+            AStore::Normal,
+            BSource::Matrix(b.data(), BStore::Normal),
+            blocking,
+            &mut scratch,
+        );
+        assert_eq!(bits(&gathered), bits(&packed));
     }
 }

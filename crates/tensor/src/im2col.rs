@@ -9,13 +9,17 @@ use crate::scratch::Scratch;
 use crate::shape::ShapeError;
 use crate::tensor::Tensor;
 
-/// Wall-time of the im2col/col2im lowering pair, recorded into the
-/// process-wide `tensor.im2col` histogram.
-fn im2col_timer() -> ScopedTimer {
+/// The process-wide `tensor.im2col` histogram: wall-time of every
+/// lowering step — im2col/col2im, and the implicit GEMM's input padding
+/// and strip gathers.
+pub(crate) fn lowering_histogram() -> &'static Arc<Histogram> {
     static HIST: OnceLock<Arc<Histogram>> = OnceLock::new();
-    ScopedTimer::new(
-        HIST.get_or_init(|| adq_telemetry::metrics::global().histogram("tensor.im2col")),
-    )
+    HIST.get_or_init(|| adq_telemetry::metrics::global().histogram("tensor.im2col"))
+}
+
+/// Times one lowering call into [`lowering_histogram`].
+pub(crate) fn im2col_timer() -> ScopedTimer {
+    ScopedTimer::new(lowering_histogram())
 }
 
 /// Verbose-only (level 2) tracing span for one lowering call — the per-batch
@@ -34,7 +38,7 @@ fn im2col_span(name: &'static str, rows: usize, cols: usize) -> SpanGuard {
 /// elements of traffic. Lowering performs no arithmetic, so it moves
 /// bytes without flops: exactly the memory-bound corner of the roofline.
 #[inline]
-fn count_lowering_resources(rows: usize, cols: usize) {
+pub(crate) fn count_lowering_resources(rows: usize, cols: usize) {
     if !alloc::tracking() {
         return;
     }

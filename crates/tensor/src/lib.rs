@@ -8,11 +8,17 @@
 //! * [`Tensor`] — an owned, row-major, arbitrary-rank `f32` tensor with
 //!   shape-checked constructors and NCHW convenience accessors,
 //! * [`matmul`] — a matrix multiply that routes large products through a
-//!   cache-blocked, panel-packed GEMM kernel (the training hot loop),
-//! * [`Scratch`] — a workspace arena recycling hot-path buffers (im2col
-//!   columns, GEMM panels, outputs) across batches,
-//! * [`im2col`]/[`col2im`] — lowering of 2-D convolutions to matrix
-//!   multiplies and the matching gradient scatter,
+//!   cache-blocked, panel-packed GEMM kernel (an 8×16 AVX-512 register
+//!   tile where the CPU has it),
+//! * [`pad_input`]/[`conv_gemm_scratch`] — a convolution's forward product
+//!   and weight gradient as implicit GEMMs that gather the column matrix
+//!   from a zero-padded input instead of materialising it (the training
+//!   hot loop),
+//! * [`Scratch`] — a workspace arena recycling hot-path buffers (padded
+//!   inputs, GEMM panels, outputs) across batches,
+//! * [`im2col`]/[`col2im`] — explicit lowering of 2-D convolutions to
+//!   matrix multiplies (the reference the implicit products are tested
+//!   against) and the input-gradient scatter,
 //! * [`init`] — deterministic, seedable weight initialisers.
 //!
 //! # Example
@@ -29,6 +35,7 @@
 //! # }
 //! ```
 
+mod conv;
 mod gemm;
 mod im2col;
 mod matmul;
@@ -42,6 +49,7 @@ pub mod dispatch;
 pub mod init;
 pub mod plan;
 
+pub use conv::{conv_gemm_scratch, pad_input, ConvGemm, PaddedInput};
 pub use gemm::{gemm_nn, gemm_nt, gemm_tn, KC, MC, MR, NC, NR};
 pub use im2col::{col2im, im2col, im2col_scratch, Conv2dGeom};
 pub use matmul::{

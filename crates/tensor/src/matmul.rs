@@ -36,7 +36,8 @@ use adq_telemetry::span::{self, SpanGuard};
 use adq_telemetry::{Counter, Histogram, ScopedTimer};
 use rayon::prelude::*;
 
-use crate::gemm::{self, AStore, BStore};
+use crate::conv::{ConvGemm, PaddedInput};
+use crate::gemm::{self, AStore, BSource, BStore};
 use crate::plan::{self, KernelPlan, Variant};
 use crate::scratch::Scratch;
 use crate::shape::ShapeError;
@@ -102,16 +103,25 @@ fn count_plan(chosen: &KernelPlan) {
 }
 
 /// One dispatched product: the transpose variant, the output shape, and
-/// the raw operands in their declared storage orders.
-struct GemmOp<'a> {
-    variant: Variant,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &'a [f32],
-    a_store: AStore,
-    b: &'a [f32],
-    b_store: BStore,
+/// the operands in their declared storage orders.
+pub(crate) struct GemmOp<'a> {
+    pub(crate) variant: Variant,
+    pub(crate) m: usize,
+    pub(crate) n: usize,
+    pub(crate) k: usize,
+    pub(crate) a: &'a [f32],
+    pub(crate) a_store: AStore,
+    pub(crate) b: BOperand<'a>,
+}
+
+/// The `B` operand of a dispatched product.
+#[derive(Clone, Copy)]
+pub(crate) enum BOperand<'a> {
+    /// A materialised matrix in the given storage order.
+    Matrix(&'a [f32], BStore),
+    /// A convolution's column matrix (`cols` for [`ConvGemm::Forward`],
+    /// `colsᵀ` for [`ConvGemm::WeightGrad`]), implicit in a padded input.
+    Cols(&'a PaddedInput, ConvGemm),
 }
 
 /// Tracing span for one matmul call, carrying the chosen plan as the
@@ -136,14 +146,32 @@ fn matmul_span(op: &GemmOp, chosen: &KernelPlan) -> SpanGuard {
     }
 }
 
-/// Runs one plan on raw operands, drawing every buffer from `scratch`.
+/// Runs one plan on the operands, drawing every buffer from `scratch`.
 /// The returned buffer is the `m·n` output, row-major.
+///
+/// A convolution's column matrix is gathered straight from the padded
+/// input by the packed kernel; the naive plan lowers it with [`im2col`]
+/// (once per padded input) and streams the explicit matrix, as it always
+/// has.
+///
+/// [`im2col`]: crate::im2col
 fn execute_plan(chosen: &KernelPlan, op: &GemmOp, scratch: &mut Scratch) -> Vec<f32> {
-    let GemmOp { m, n, k, a, b, .. } = *op;
+    let GemmOp { m, n, k, a, .. } = *op;
     if let Some(blocking) = chosen.blocking() {
-        return gemm::gemm_alloc(m, n, k, a, op.a_store, b, op.b_store, blocking, scratch);
+        let b = match op.b {
+            BOperand::Matrix(b, b_store) => BSource::Matrix(b, b_store),
+            BOperand::Cols(input, which) => BSource::Gather(input.gather(which)),
+        };
+        return gemm::gemm_alloc(m, n, k, a, op.a_store, b, blocking, scratch);
     }
-    match (op.a_store, op.b_store) {
+    let (b, b_store) = match op.b {
+        BOperand::Matrix(b, b_store) => (b, b_store),
+        BOperand::Cols(input, ConvGemm::Forward) => (input.cols(scratch).data(), BStore::Normal),
+        BOperand::Cols(input, ConvGemm::WeightGrad) => {
+            (input.cols(scratch).data(), BStore::Transposed)
+        }
+    };
+    match (op.a_store, b_store) {
         (AStore::Normal, BStore::Normal) => {
             let mut out = scratch.take_zeroed(m * n);
             nn_fallback(m, n, k, a, b, &mut out);
@@ -184,9 +212,9 @@ fn select_plan(op: &GemmOp, scratch: &mut Scratch) -> KernelPlan {
     })
 }
 
-/// The shared driver behind all three dispatched variants: time, count,
-/// plan, trace, execute.
-fn dispatch_matmul(op: &GemmOp, scratch: &mut Scratch) -> Vec<f32> {
+/// The shared driver behind all three dispatched variants and the
+/// implicit convolution products: time, count, plan, trace, execute.
+pub(crate) fn dispatch_matmul(op: &GemmOp, scratch: &mut Scratch) -> Vec<f32> {
     let _timer = matmul_timer();
     count_gemm_resources(op.m, op.n, op.k);
     let chosen = select_plan(op, scratch);
@@ -245,8 +273,7 @@ pub fn matmul_scratch(a: &Tensor, b: &Tensor, scratch: &mut Scratch) -> Result<T
             k,
             a: a.data(),
             a_store: AStore::Normal,
-            b: b.data(),
-            b_store: BStore::Normal,
+            b: BOperand::Matrix(b.data(), BStore::Normal),
         },
         scratch,
     );
@@ -289,8 +316,7 @@ pub fn matmul_at_b_scratch(
             k,
             a: a.data(),
             a_store: AStore::Transposed,
-            b: b.data(),
-            b_store: BStore::Normal,
+            b: BOperand::Matrix(b.data(), BStore::Normal),
         },
         scratch,
     );
@@ -333,8 +359,7 @@ pub fn matmul_a_bt_scratch(
             k,
             a: a.data(),
             a_store: AStore::Normal,
-            b: b.data(),
-            b_store: BStore::Transposed,
+            b: BOperand::Matrix(b.data(), BStore::Transposed),
         },
         scratch,
     );
@@ -681,8 +706,7 @@ mod tests {
                     k,
                     a: a.data(),
                     a_store: AStore::Normal,
-                    b: b.data(),
-                    b_store: BStore::Normal,
+                    b: BOperand::Matrix(b.data(), BStore::Normal),
                 },
                 &mut scratch,
             );

@@ -1,7 +1,8 @@
 //! A reusable workspace arena for hot-path buffers.
 //!
 //! The conv/quant training loop allocates the same large buffers on every
-//! batch — im2col column matrices, GEMM pack panels, matmul outputs. A
+//! batch — padded conv inputs, GEMM pack panels, matmul outputs, and the
+//! im2col column matrices of the naive plan and `col2im`'s input. A
 //! [`Scratch`] lets a layer keep those allocations alive across batches:
 //! [`Scratch::take`] hands out a buffer (recycled when one is pooled,
 //! freshly allocated otherwise) and [`Scratch::give`] returns it to the
@@ -98,8 +99,8 @@ impl Clone for Scratch {
 
 impl Scratch {
     /// Default cap on pooled bytes per arena: 256 MiB, comfortably above
-    /// the largest single im2col/pack buffer the full-size VGG-19 smoke
-    /// shapes need, so eviction only fires on genuinely accumulating
+    /// the largest single pack or lowering buffer the full-size VGG-19
+    /// smoke shapes need, so eviction only fires on genuinely accumulating
     /// pools.
     pub const DEFAULT_RETAINED_LIMIT: usize = 256 << 20;
 
