@@ -2,7 +2,7 @@
 //!
 //! The conv/quant training loop allocates the same large buffers on every
 //! batch — padded conv inputs, GEMM pack panels, matmul outputs, and the
-//! im2col column matrices of the naive plan and `col2im`'s input. A
+//! column matrices of naive-plan convs and of the input gradient. A
 //! [`Scratch`] lets a layer keep those allocations alive across batches:
 //! [`Scratch::take`] hands out a buffer (recycled when one is pooled,
 //! freshly allocated otherwise) and [`Scratch::give`] returns it to the
