@@ -142,12 +142,14 @@ fn bench_im2col(c: &mut Criterion) {
 }
 
 /// The two im2col-shaped products of a training conv layer (3×3, stride
-/// 1, padding 1, batch 24) at the Table-II VGG's dominant shapes: the
-/// implicit GEMM (pad once, gather `B` strips in the kernel) against the
-/// explicit im2col + matmul it replaced, both scratch-warm.
+/// 1, padding 1, batch 24) at the Table-II VGG's dominant shapes, plus
+/// full-size VGG-19's 512→512 layer at 4×4, whose `O = 512` spans eight
+/// `MC` row tiles: the implicit GEMM (pad once, gather `B` strips in the
+/// kernel) against the explicit im2col + matmul it replaced, both
+/// scratch-warm.
 fn bench_conv_lowering(c: &mut Criterion) {
     let mut group = c.benchmark_group("conv_lowering");
-    for (channels, hw) in [(16usize, 16usize), (32, 8)] {
+    for (channels, hw) in [(16usize, 16usize), (32, 8), (512, 4)] {
         let mut rng = init::rng(16);
         let geom = Conv2dGeom::new(channels, channels, 3, 1, 1);
         let x = init::normal(&[24, channels, hw, hw], 0.0, 1.0, &mut rng);

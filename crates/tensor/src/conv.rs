@@ -25,9 +25,9 @@ use std::sync::OnceLock;
 use adq_telemetry::alloc;
 use adq_telemetry::span::{self, SpanGuard};
 
-use crate::gemm::{AStore, Gather};
+use crate::gemm::{AStore, BOperand, Gather};
 use crate::im2col::{im2col_scratch, im2col_timer, Conv2dGeom};
-use crate::matmul::{dispatch_matmul, BOperand, GemmOp};
+use crate::matmul::{dispatch_matmul, GemmOp};
 use crate::plan::Variant;
 use crate::scratch::Scratch;
 use crate::shape::ShapeError;
@@ -82,16 +82,20 @@ impl PaddedInput {
     }
 
     /// The explicit `[C·p², N·OH·OW]` column matrix, for the naive plan,
-    /// lowered on first use: `im2col` of the padded input without further
-    /// padding, which equals `im2col` of the input with it.
+    /// lowered on first use and kept.
     pub(crate) fn cols(&self, scratch: &mut Scratch) -> &Tensor {
-        self.cols.get_or_init(|| {
-            let geom = Conv2dGeom {
-                padding: 0,
-                ..self.geom
-            };
-            im2col_scratch(&self.padded, &geom, scratch).expect("padded dims match the geometry")
-        })
+        self.cols.get_or_init(|| self.lower(scratch))
+    }
+
+    /// A freshly lowered column matrix: `im2col` of the padded input
+    /// without further padding, which equals `im2col` of the input with
+    /// it.
+    pub(crate) fn lower(&self, scratch: &mut Scratch) -> Tensor {
+        let geom = Conv2dGeom {
+            padding: 0,
+            ..self.geom
+        };
+        im2col_scratch(&self.padded, &geom, scratch).expect("padded dims match the geometry")
     }
 }
 
@@ -287,6 +291,33 @@ mod tests {
         assert_eq!(fwd, matmul_scratch(&w, &cols, &mut scratch).unwrap());
         let dw = conv_gemm_scratch(&dy, &padded, ConvGemm::WeightGrad, &mut scratch).unwrap();
         assert_eq!(dw, matmul_a_bt(&dy, &cols).unwrap());
+    }
+
+    #[test]
+    fn a_fresh_lowering_is_not_kept() {
+        // the autotune pass times the naive candidate with a fresh
+        // lowering, so a later naive run still pays for its own
+        use crate::matmul::{execute_plan, Lowering};
+        use crate::plan::KernelPlan;
+        let geom = Conv2dGeom::new(3, 4, 3, 1, 1);
+        let x = lcg_tensor(&[2, 3, 5, 7], 5);
+        let w = lcg_tensor(&[4, 27], 6);
+        let mut scratch = Scratch::new();
+        let padded = pad_input(&x, &geom, &mut scratch).unwrap();
+        let op = GemmOp {
+            variant: Variant::NN,
+            m: 4,
+            n: 70,
+            k: 27,
+            a: w.data(),
+            a_store: AStore::Normal,
+            b: BOperand::Cols(&padded, ConvGemm::Forward),
+        };
+        let fresh = execute_plan(&KernelPlan::Naive, &op, Lowering::Fresh, &mut scratch);
+        assert!(padded.cols.get().is_none());
+        let cached = execute_plan(&KernelPlan::Naive, &op, Lowering::Cached, &mut scratch);
+        assert!(padded.cols.get().is_some());
+        assert_eq!(fresh, cached);
     }
 
     #[test]

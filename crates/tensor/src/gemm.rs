@@ -38,6 +38,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use crate::conv::{ConvGemm, PaddedInput};
 use crate::plan::Blocking;
 use crate::scratch::Scratch;
 use crate::shape::ShapeError;
@@ -99,14 +100,16 @@ struct CPtr(*mut f32);
 unsafe impl Send for CPtr {}
 unsafe impl Sync for CPtr {}
 
-/// Where the packed kernel reads its `B` operand (logically `[k, n]`) from.
+/// The `B` operand (logically `[k, n]`) of a product.
 #[derive(Clone, Copy)]
-pub(crate) enum BSource<'a> {
-    /// A materialised matrix, packed into k-major strips before the kernel
-    /// runs.
+pub(crate) enum BOperand<'a> {
+    /// A materialised matrix in the given storage order, packed into
+    /// k-major strips before the kernel runs.
     Matrix(&'a [f32], BStore),
-    /// An implicit matrix, gathered strip by strip as the kernel needs it.
-    Gather(Gather<'a>),
+    /// A convolution's column matrix (`cols` for [`ConvGemm::Forward`],
+    /// `colsᵀ` for [`ConvGemm::WeightGrad`]), implicit in a padded input
+    /// and gathered strip by strip as the kernel needs it.
+    Cols(&'a PaddedInput, ConvGemm),
 }
 
 /// An implicit `[k, n]` matrix `B[l][j] = src[row_off[l] + col_off[j]]`.
@@ -281,11 +284,10 @@ thread_local! {
 /// panels exact-hit their own buffers from the previous call and the one
 /// unavoidable fresh allocation per call is the `m·n` output.
 ///
-/// A [`BSource::Gather`] operand is never packed. A gathered strip serves
-/// every row strip of `C`, so each task owns whole columns of `C` (all `m`
-/// rows): every element of `B` is gathered once per k-block, however many
-/// `MC` row tiles `m` spans. The time spent gathering is recorded in the
-/// `tensor.im2col` histogram, one sample per call.
+/// A [`BOperand::Cols`] operand is never packed: each task gathers the
+/// strips of its own column tile, once per k-block, and runs the same
+/// `MC × NC` tile grid as a packed operand. The time spent gathering is
+/// recorded in the `tensor.im2col` histogram, one sample per call.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_alloc(
     m: usize,
@@ -293,7 +295,7 @@ pub(crate) fn gemm_alloc(
     k: usize,
     a: &[f32],
     a_store: AStore,
-    b: BSource,
+    b: BOperand,
     blocking: Blocking,
     scratch: &mut Scratch,
 ) -> Vec<f32> {
@@ -309,20 +311,20 @@ pub(crate) fn gemm_alloc(
     let n_strips = n.div_ceil(NR);
     let mut packed_a = scratch.take(k * m_strips * MR);
     let mut packed_b = match b {
-        BSource::Matrix(..) => scratch.take(k * n_strips * NR),
-        BSource::Gather(_) => Vec::new(),
+        BOperand::Matrix(..) => scratch.take(k * n_strips * NR),
+        BOperand::Cols(..) => Vec::new(),
     };
     let mut c = scratch.take(m * n);
     pack_a(a, m, k, kc, a_store, &mut packed_a);
-    let (row_tiles, tile_b) = match b {
-        BSource::Matrix(src, store) => {
+    let tile_b = match b {
+        BOperand::Matrix(src, store) => {
             pack_b(src, k, n, kc, store, &mut packed_b);
-            (m.div_ceil(blocking.mc), TileB::Packed(&packed_b))
+            TileB::Packed(&packed_b)
         }
-        BSource::Gather(g) => (1, TileB::Gather(g)),
+        BOperand::Cols(input, which) => TileB::Gather(input.gather(which)),
     };
     let col_tiles = n.div_ceil(blocking.nc);
-    let tiles = row_tiles * col_tiles;
+    let tiles = m.div_ceil(blocking.mc) * col_tiles;
     let cp = CPtr(c.as_mut_ptr());
     let flops = m.saturating_mul(n).saturating_mul(k);
     let pa = &packed_a;
@@ -349,19 +351,17 @@ pub(crate) fn gemm_alloc(
         } else {
             SpanGuard::disabled()
         };
+        let rows = ti * blocking.mc..m.min((ti + 1) * blocking.mc);
         let cols = tj * blocking.nc..n.min((tj + 1) * blocking.nc);
         let ns = match tile_b {
-            TileB::Packed(_) => {
-                let rows = ti * blocking.mc..m.min((ti + 1) * blocking.mc);
-                macro_tile(rows, cols, m, n, k, kc, pa, tile_b, &mut [], cp, wide)
-            }
+            TileB::Packed(_) => macro_tile(rows, cols, m, n, k, kc, pa, tile_b, &mut [], cp, wide),
             TileB::Gather(_) => GATHER_STRIP.with(|cell| {
                 let mut buf = cell.borrow_mut();
                 let need = kc.min(k) * NR;
                 if buf.len() < need {
                     buf.resize(need, 0.0);
                 }
-                macro_tile(0..m, cols, m, n, k, kc, pa, tile_b, &mut buf, cp, wide)
+                macro_tile(rows, cols, m, n, k, kc, pa, tile_b, &mut buf, cp, wide)
             }),
         };
         gather_ns.fetch_add(ns, Ordering::Relaxed);
@@ -787,7 +787,7 @@ pub fn gemm_nn(a: &Tensor, b: &Tensor, scratch: &mut Scratch) -> Result<Tensor, 
         k,
         a.data(),
         AStore::Normal,
-        BSource::Matrix(b.data(), BStore::Normal),
+        BOperand::Matrix(b.data(), BStore::Normal),
         Blocking::default_tiles(),
         scratch,
     );
@@ -813,7 +813,7 @@ pub fn gemm_tn(a: &Tensor, b: &Tensor, scratch: &mut Scratch) -> Result<Tensor, 
         k,
         a.data(),
         AStore::Transposed,
-        BSource::Matrix(b.data(), BStore::Normal),
+        BOperand::Matrix(b.data(), BStore::Normal),
         Blocking::default_tiles(),
         scratch,
     );
@@ -839,7 +839,7 @@ pub fn gemm_nt(a: &Tensor, b: &Tensor, scratch: &mut Scratch) -> Result<Tensor, 
         k,
         a.data(),
         AStore::Normal,
-        BSource::Matrix(b.data(), BStore::Transposed),
+        BOperand::Matrix(b.data(), BStore::Transposed),
         Blocking::default_tiles(),
         scratch,
     );
@@ -1216,34 +1216,28 @@ mod tests {
 
     #[test]
     fn gathered_gemm_matches_the_packed_gemm_through_the_tile_grid() {
-        // wide enough for several parallel column tiles, m over one MC tile
-        let (m, k, n) = (70, 40, 600);
-        let a = random_tensor(&[m, k], 61);
-        let b = random_tensor(&[k, n], 62);
-        let row_off: Vec<i32> = (0..k).map(|l| (l * n) as i32).collect();
-        let col_off: Vec<i32> = (0..n).map(|j| j as i32).collect();
+        // m = 70 spans two MC row tiles; 286 pixels span three NC column
+        // tiles; the weight gradient's 286-long k spans two k-blocks
+        let geom = crate::Conv2dGeom::new(5, 70, 3, 1, 1);
+        let x = random_tensor(&[2, 5, 13, 11], 61);
+        let cols = crate::im2col(&x, &geom).unwrap();
+        let (k, n) = (cols.dims()[0], cols.dims()[1]);
+        let m = 70;
         let mut scratch = Scratch::new();
+        let padded = crate::pad_input(&x, &geom, &mut scratch).unwrap();
         let blocking = Blocking::default_tiles();
-        let gathered = gemm_alloc(
-            m,
-            n,
-            k,
-            a.data(),
-            AStore::Normal,
-            BSource::Gather(Gather::new(b.data(), &row_off, &col_off)),
-            blocking,
-            &mut scratch,
-        );
-        let packed = gemm_alloc(
-            m,
-            n,
-            k,
-            a.data(),
-            AStore::Normal,
-            BSource::Matrix(b.data(), BStore::Normal),
-            blocking,
-            &mut scratch,
-        );
-        assert_eq!(bits(&gathered), bits(&packed));
+        let w = random_tensor(&[m, k], 62);
+        let dy = random_tensor(&[m, n], 63);
+        for (a, which, b_store, n, k) in [
+            (&w, ConvGemm::Forward, BStore::Normal, n, k),
+            (&dy, ConvGemm::WeightGrad, BStore::Transposed, k, n),
+        ] {
+            let (a, store) = (a.data(), AStore::Normal);
+            let implicit = BOperand::Cols(&padded, which);
+            let explicit = BOperand::Matrix(cols.data(), b_store);
+            let gathered = gemm_alloc(m, n, k, a, store, implicit, blocking, &mut scratch);
+            let packed = gemm_alloc(m, n, k, a, store, explicit, blocking, &mut scratch);
+            assert_eq!(bits(&gathered), bits(&packed), "{which:?}");
+        }
     }
 }

@@ -36,8 +36,8 @@ use adq_telemetry::span::{self, SpanGuard};
 use adq_telemetry::{Counter, Histogram, ScopedTimer};
 use rayon::prelude::*;
 
-use crate::conv::{ConvGemm, PaddedInput};
-use crate::gemm::{self, AStore, BSource, BStore};
+use crate::conv::ConvGemm;
+use crate::gemm::{self, AStore, BOperand, BStore};
 use crate::plan::{self, KernelPlan, Variant};
 use crate::scratch::Scratch;
 use crate::shape::ShapeError;
@@ -114,16 +114,6 @@ pub(crate) struct GemmOp<'a> {
     pub(crate) b: BOperand<'a>,
 }
 
-/// The `B` operand of a dispatched product.
-#[derive(Clone, Copy)]
-pub(crate) enum BOperand<'a> {
-    /// A materialised matrix in the given storage order.
-    Matrix(&'a [f32], BStore),
-    /// A convolution's column matrix (`cols` for [`ConvGemm::Forward`],
-    /// `colsᵀ` for [`ConvGemm::WeightGrad`]), implicit in a padded input.
-    Cols(&'a PaddedInput, ConvGemm),
-}
-
 /// Tracing span for one matmul call, carrying the chosen plan as the
 /// `tensor.dispatch.plan` attribute. Products big enough for a blocked
 /// plan are worth a span at level 1; everything else (the per-batch
@@ -146,31 +136,55 @@ fn matmul_span(op: &GemmOp, chosen: &KernelPlan) -> SpanGuard {
     }
 }
 
+/// How the naive plan gets a convolution's explicit column matrix.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Lowering {
+    /// Lowered once per padded input and kept there, so a layer whose
+    /// forward product and weight gradient both run naive lowers once.
+    Cached,
+    /// Lowered afresh and handed back after the product: an autotune run
+    /// then pays the lowering that every later batch pays.
+    Fresh,
+}
+
 /// Runs one plan on the operands, drawing every buffer from `scratch`.
 /// The returned buffer is the `m·n` output, row-major.
 ///
 /// A convolution's column matrix is gathered straight from the padded
 /// input by the packed kernel; the naive plan lowers it with [`im2col`]
-/// (once per padded input) and streams the explicit matrix, as it always
-/// has.
+/// and streams the explicit matrix, as it always has.
 ///
 /// [`im2col`]: crate::im2col
-fn execute_plan(chosen: &KernelPlan, op: &GemmOp, scratch: &mut Scratch) -> Vec<f32> {
-    let GemmOp { m, n, k, a, .. } = *op;
+pub(crate) fn execute_plan(
+    chosen: &KernelPlan,
+    op: &GemmOp,
+    lowering: Lowering,
+    scratch: &mut Scratch,
+) -> Vec<f32> {
     if let Some(blocking) = chosen.blocking() {
-        let b = match op.b {
-            BOperand::Matrix(b, b_store) => BSource::Matrix(b, b_store),
-            BOperand::Cols(input, which) => BSource::Gather(input.gather(which)),
-        };
-        return gemm::gemm_alloc(m, n, k, a, op.a_store, b, blocking, scratch);
+        let GemmOp { m, n, k, a, .. } = *op;
+        return gemm::gemm_alloc(m, n, k, a, op.a_store, op.b, blocking, scratch);
     }
-    let (b, b_store) = match op.b {
-        BOperand::Matrix(b, b_store) => (b, b_store),
-        BOperand::Cols(input, ConvGemm::Forward) => (input.cols(scratch).data(), BStore::Normal),
-        BOperand::Cols(input, ConvGemm::WeightGrad) => {
-            (input.cols(scratch).data(), BStore::Transposed)
-        }
+    let (input, which) = match op.b {
+        BOperand::Matrix(b, b_store) => return naive_plan(op, b, b_store, scratch),
+        BOperand::Cols(input, which) => (input, which),
     };
+    let b_store = match which {
+        ConvGemm::Forward => BStore::Normal,
+        ConvGemm::WeightGrad => BStore::Transposed,
+    };
+    if lowering == Lowering::Cached {
+        return naive_plan(op, input.cols(scratch).data(), b_store, scratch);
+    }
+    let cols = input.lower(scratch);
+    let out = naive_plan(op, cols.data(), b_store, scratch);
+    scratch.give(cols.into_vec());
+    out
+}
+
+/// The streaming fallback loops on an explicit `B`.
+fn naive_plan(op: &GemmOp, b: &[f32], b_store: BStore, scratch: &mut Scratch) -> Vec<f32> {
+    let GemmOp { m, n, k, a, .. } = *op;
     match (op.a_store, b_store) {
         (AStore::Normal, BStore::Normal) => {
             let mut out = scratch.take_zeroed(m * n);
@@ -196,16 +210,19 @@ fn execute_plan(chosen: &KernelPlan, op: &GemmOp, scratch: &mut Scratch) -> Vec<
 /// Picks the plan for a shape: the static heuristic, or — when
 /// `ADQ_AUTOTUNE=1` — the cached autotune winner, timing each candidate
 /// on the live operands (one warm-up run, one timed run) at first sight
-/// of the shape.
+/// of the shape. A convolution product's naive candidate lowers its
+/// column matrix afresh in both runs, and its winner is cached apart from
+/// an explicit matmul of the same shape.
 fn select_plan(op: &GemmOp, scratch: &mut Scratch) -> KernelPlan {
     if !plan::autotune_enabled() || op.m == 0 || op.n == 0 || op.k == 0 {
         return plan::static_plan(op.variant, op.m, op.n, op.k);
     }
-    plan::autotuned(op.variant, op.m, op.n, op.k, |candidate| {
-        let out = execute_plan(candidate, op, scratch);
+    let implicit = matches!(op.b, BOperand::Cols(..));
+    plan::autotuned(op.variant, op.m, op.n, op.k, implicit, |candidate| {
+        let out = execute_plan(candidate, op, Lowering::Fresh, scratch);
         scratch.give(out);
         let start = Instant::now();
-        let out = execute_plan(candidate, op, scratch);
+        let out = execute_plan(candidate, op, Lowering::Fresh, scratch);
         let elapsed = start.elapsed();
         scratch.give(out);
         elapsed
@@ -220,7 +237,7 @@ pub(crate) fn dispatch_matmul(op: &GemmOp, scratch: &mut Scratch) -> Vec<f32> {
     let chosen = select_plan(op, scratch);
     let _span = matmul_span(op, &chosen);
     count_plan(&chosen);
-    execute_plan(&chosen, op, scratch)
+    execute_plan(&chosen, op, Lowering::Cached, scratch)
 }
 
 /// Dense matrix product `C = A · B` for rank-2 tensors.
@@ -708,6 +725,7 @@ mod tests {
                     a_store: AStore::Normal,
                     b: BOperand::Matrix(b.data(), BStore::Normal),
                 },
+                Lowering::Cached,
                 &mut scratch,
             );
             let expected = matmul_naive(&a, &b).unwrap();

@@ -254,8 +254,9 @@ pub fn autotune_enabled() -> bool {
     *ENABLED.get_or_init(|| adq_telemetry::env::bool_var("ADQ_AUTOTUNE", false))
 }
 
-/// Autotune-table key: the transpose variant plus the exact shape.
-type PlanKey = (Variant, usize, usize, usize);
+/// Autotune-table key: the transpose variant, the exact shape, and
+/// whether `B` is a convolution's implicit column matrix.
+type PlanKey = (Variant, usize, usize, usize, bool);
 
 /// Process-level table of autotuned plans, keyed by exact shape and
 /// transpose variant.
@@ -277,14 +278,19 @@ pub fn autotune_cache_len() -> usize {
 /// The first insert wins: once a shape is in the table its plan never
 /// changes for the lifetime of the process, so dispatch is deterministic
 /// per process even though the timings are not.
+///
+/// `implicit` marks a convolution product whose `B` is gathered from a
+/// padded input: its naive candidate also pays the `im2col` lowering, so
+/// its winner is kept apart from an explicit matmul of the same shape.
 pub fn autotuned(
     variant: Variant,
     m: usize,
     n: usize,
     k: usize,
+    implicit: bool,
     mut bench: impl FnMut(&KernelPlan) -> Duration,
 ) -> KernelPlan {
-    let key = (variant, m, n, k);
+    let key = (variant, m, n, k, implicit);
     if let Some(plan) = cache().lock().expect("autotune cache poisoned").get(&key) {
         autotune_hits().inc();
         return *plan;
@@ -438,7 +444,7 @@ mod tests {
             KernelPlan::Blocked(_) => Duration::from_micros(200),
             KernelPlan::BlockedTuned(_) => Duration::from_micros(100),
         };
-        let first = autotuned(Variant::TN, m, n, k, |p| {
+        let first = autotuned(Variant::TN, m, n, k, false, |p| {
             benches += 1;
             timing(p)
         });
@@ -446,18 +452,25 @@ mod tests {
         assert!(benches >= 2, "first call must bench every candidate");
         // second call: cache hit, the bencher must not run, the plan is
         // identical even if a re-bench would now prefer another kernel
-        let second = autotuned(Variant::TN, m, n, k, |_| {
+        let second = autotuned(Variant::TN, m, n, k, false, |_| {
             panic!("cached shape must not re-bench")
         });
         assert_eq!(first, second);
         // same dims under a different variant is a different key
         let mut tn_benches = 0usize;
-        let other = autotuned(Variant::NT, m, n, k, |p| {
+        let other = autotuned(Variant::NT, m, n, k, false, |p| {
             tn_benches += 1;
             timing(p)
         });
         assert!(tn_benches >= 2);
         assert_eq!(other, first, "same fake timings pick the same winner");
+        // and so is the same product with an implicit convolution operand
+        let mut implicit_benches = 0usize;
+        autotuned(Variant::TN, m, n, k, true, |p| {
+            implicit_benches += 1;
+            timing(p)
+        });
+        assert!(implicit_benches >= 2);
     }
 
     #[test]
