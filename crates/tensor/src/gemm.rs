@@ -323,8 +323,8 @@ pub(crate) fn gemm_alloc(
         }
         BOperand::Cols(input, which) => TileB::Gather(input.gather(which)),
     };
-    let col_tiles = n.div_ceil(blocking.nc);
-    let tiles = m.div_ceil(blocking.mc) * col_tiles;
+    let (row_tiles, col_tiles) = (m.div_ceil(blocking.mc), n.div_ceil(blocking.nc));
+    let tiles = row_tiles * col_tiles;
     let cp = CPtr(c.as_mut_ptr());
     let flops = m.saturating_mul(n).saturating_mul(k);
     let pa = &packed_a;
@@ -373,7 +373,8 @@ pub(crate) fn gemm_alloc(
     }
     if matches!(tile_b, TileB::Gather(_)) {
         crate::im2col::lowering_histogram().record(gather_ns.into_inner());
-        crate::im2col::count_lowering_resources(k, n);
+        // every row tile gathers all of `B`
+        crate::im2col::count_lowering_resources(k, n * row_tiles);
     }
     scratch.give(packed_a);
     scratch.give(packed_b);
