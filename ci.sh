@@ -47,6 +47,12 @@ cargo build --release --workspace
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+# The root run tests only the root package; the integer engine's
+# exactness contracts (kernel-vs-reference tiles, the every-bit-pair
+# differential test, the logit digests, the proptests) live in adq-infer.
+echo "==> tier-1: integer engine exactness (cargo test -q -p adq-infer)"
+cargo test -q -p adq-infer
+
 # The data-parallel trainer promises bit-identical results at any worker
 # count; one extra pass under a small pool exercises the parallel schedule
 # everywhere the suite asserts serial numbers.

@@ -1,7 +1,7 @@
 //! Kernel-level benchmarks for the conv/quant hot path: blocked GEMM vs
 //! the pre-blocking naive kernels, im2col lowering, the implicit-GEMM
-//! convolution products vs explicit im2col + matmul, and fused
-//! fake-quantization.
+//! convolution products vs explicit im2col + matmul, fused
+//! fake-quantization, and the serving engine's integer GEMM per layer.
 //!
 //! `ci.sh --bench` runs these in quick mode and snapshots the medians to
 //! `BENCH_kernels.json` at the repo root (via the harness's
@@ -10,6 +10,8 @@
 //! `vgg19_conv` groups carry the PR acceptance comparison: `blocked` must
 //! hold a ≥2× median advantage over `naive`.
 
+use adq_infer::qgemm::{qgemm, Container, PackedMatrix};
+use adq_nn::{QuantModel, Vgg};
 use adq_quant::{BitWidth, QuantRange, Quantizer};
 use adq_tensor::{
     conv_gemm_scratch, im2col, im2col_scratch, init, matmul, matmul_a_bt, matmul_a_bt_naive,
@@ -228,12 +230,77 @@ fn bench_fake_quantize(c: &mut Criterion) {
     group.finish();
 }
 
+/// The integer GEMM of each `Vgg::small(3, 16, 10)` layer at batch 1, in
+/// the containers the two single-client serving workloads compile to:
+/// uniform int8 (`c1`; the first conv reads 16-bit input) and the Table
+/// II(a) schedule `[16, 4, 3, 2, 3, 3, 16]` (`mixed`). Weights are packed
+/// once, as compile does; activations are random codes at the width the
+/// previous layer emits.
+fn bench_qgemm(c: &mut Criterion) {
+    let model = Vgg::small(3, 16, 10, 11);
+    let stats = model.layer_stats();
+    // (k, activation rows, outputs) per layer, convs then the head
+    let mut shapes: Vec<(usize, usize, usize)> = model
+        .conv_blocks()
+        .iter()
+        .zip(&stats)
+        .map(|(block, stat)| {
+            let geom = block.geom();
+            let side = geom.output_size(stat.input_hw);
+            let k = geom.in_channels * geom.kernel * geom.kernel;
+            (k, side * side, geom.out_channels)
+        })
+        .collect();
+    let head = model.head();
+    shapes.push((head.in_features(), 1, head.out_features()));
+    let mut group = c.benchmark_group("qgemm");
+    for (schedule, bits) in [("c1", [8u32; 7]), ("mixed", [16, 4, 3, 2, 3, 3, 16])] {
+        let mut rng = init::rng(17);
+        let mut act_bits = 16;
+        for (layer, (&(k, m, o), &w_bits)) in shapes.iter().zip(&bits).enumerate() {
+            let act_max = BitWidth::new(act_bits).unwrap().max_code();
+            let weight_q = Quantizer::new(
+                BitWidth::new(w_bits).unwrap(),
+                QuantRange::new(-1.0, 1.0).unwrap(),
+            );
+            let container = Container::for_max_code(weight_q.bits().max_code())
+                .join(Container::for_max_code(act_max));
+            let values = init::normal(&[o, k], 0.0, 0.5, &mut rng);
+            let weights = PackedMatrix::pack_rows(values.data(), o, k, &weight_q, container);
+            let uniform = init::uniform(&[m, k], 0.0, 1.0, &mut rng);
+            let codes: Vec<u16> = uniform
+                .data()
+                .iter()
+                .map(|&u| (f64::from(u) * (act_max + 1) as f64) as u16)
+                .collect();
+            let acts = PackedMatrix::from_codes(&codes, m, k, container);
+            let name = if layer + 1 == bits.len() {
+                "head".to_string()
+            } else {
+                format!("conv{}", layer + 1)
+            };
+            group.bench_function(format!("{schedule}_{name}"), |bch| {
+                bch.iter(|| {
+                    let mut sum = 0i64;
+                    qgemm(black_box(&acts), &weights, |_, _, acc| {
+                        sum = sum.wrapping_add(acc)
+                    });
+                    black_box(sum)
+                })
+            });
+            act_bits = w_bits;
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     kernels,
     bench_gemm_nn,
     bench_gemm_transposed,
     bench_im2col,
     bench_conv_lowering,
-    bench_fake_quantize
+    bench_fake_quantize,
+    bench_qgemm
 );
 criterion_main!(kernels);

@@ -43,7 +43,7 @@ use adq_quant::{BitWidth, Encoder, HwPrecision, QuantError, Quantizer};
 use adq_telemetry::metrics;
 use adq_tensor::{Conv2dGeom, Tensor};
 
-use crate::qgemm::{qgemm_rows, Codes, Container, PackedMatrix};
+use crate::qgemm::{qgemm_rows, Container, PackedMatrix};
 
 /// Why a model could not be lowered.
 #[derive(Debug, Clone, PartialEq)]
@@ -599,26 +599,6 @@ fn encode_all(values: &[f32], quantizer: &Quantizer) -> Vec<u16> {
     values.iter().map(|&v| enc.encode(v) as u16).collect()
 }
 
-/// A container lane the integer im2col gather writes codes into.
-trait Lane: Copy + Into<u64> {
-    fn from_code(code: u16) -> Self;
-}
-
-impl Lane for u8 {
-    #[inline]
-    fn from_code(code: u16) -> Self {
-        debug_assert!(code <= 0xFF, "code {code} overflows a byte lane");
-        code as u8
-    }
-}
-
-impl Lane for u16 {
-    #[inline]
-    fn from_code(code: u16) -> Self {
-        code
-    }
-}
-
 impl CompiledConv {
     /// Output shape `[N, O, H', W']` for an input of shape `dims`, with
     /// the spatial sides halved when `pooled`.
@@ -642,8 +622,10 @@ impl CompiledConv {
     }
 
     /// Gathers the transposed `[M, fan_in]` code matrix straight from the
-    /// NCHW input codes into the layer's container — integer im2col —
-    /// with each row's code sum.
+    /// NCHW input codes into the GEMM's activation planes — integer
+    /// im2col — with each row's code sum. Each byte plane is written in
+    /// its own pass, one row of output pixels at a time; rows are padded
+    /// to whole groups of 4 taps with zero bytes.
     fn gather_cols(&self, codes: &[u16], dims: [usize; 4]) -> PackedMatrix {
         let [n, c, h, w] = dims;
         assert_eq!(
@@ -652,58 +634,30 @@ impl CompiledConv {
             self.geom
         );
         assert_eq!(codes.len(), n * c * h * w, "codes must be {dims:?}");
+        debug_assert!(
+            codes
+                .iter()
+                .all(|&code| u64::from(code) <= self.container.max_code()),
+            "codes overflow {:?}",
+            self.container
+        );
         let ow = self.geom.output_size(w);
         let fan_in = c * self.geom.kernel * self.geom.kernel;
+        let k4 = fan_in.next_multiple_of(4);
         let m = n * self.geom.output_size(h) * ow;
+        let mut bytes = vec![0u8; self.container.planes() * m * k4];
         let mut row_sums = vec![0u64; m];
-        let packed = match self.container {
-            Container::U8 => Codes::U8(self.gather_lanes(codes, dims, &mut row_sums)),
-            Container::U16 => Codes::U16(self.gather_lanes(codes, dims, &mut row_sums)),
-            Container::Nib => {
-                // byte rows, packed low nibble first one row of output
-                // pixels at a time; an odd fan-in leaves each row's last
-                // high nibble zero
-                let rb = Container::Nib.row_bytes(fan_in);
-                let mut out = vec![0u8; m * rb];
-                let mut strip = self.strip(w);
-                let mut bytes = vec![0u8; ow * fan_in];
-                let blocks = out
-                    .chunks_exact_mut(ow * rb)
-                    .zip(row_sums.chunks_exact_mut(ow));
-                for ((packed, sums), (image, oy)) in blocks.zip(self.pixel_rows(codes, dims)) {
-                    self.gather_pixel_row(image, dims, oy, &mut strip, &mut bytes, sums);
-                    for (dst, row) in packed.chunks_exact_mut(rb).zip(bytes.chunks_exact(fan_in)) {
-                        for (byte, pair) in dst.iter_mut().zip(row.chunks(2)) {
-                            debug_assert!(pair.iter().all(|&code| code <= 0xF), "overflows Nib");
-                            *byte = pair[0] | pair.get(1).map_or(0, |&hi| hi << 4);
-                        }
-                    }
-                }
-                Codes::Nib(out)
+        for (p, plane) in bytes.chunks_exact_mut((m * k4).max(1)).enumerate() {
+            let shift = 8 * p as u32;
+            let mut strip = self.strip(w, shift);
+            let blocks = plane
+                .chunks_exact_mut(ow * k4)
+                .zip(row_sums.chunks_exact_mut(ow));
+            for ((rows, sums), (image, oy)) in blocks.zip(self.pixel_rows(codes, dims)) {
+                self.gather_pixel_row(image, dims, oy, shift, &mut strip, rows, sums);
             }
-        };
-        PackedMatrix::from_packed(m, fan_in, packed, row_sums)
-    }
-
-    /// The im2col matrix in `T` lanes, written one row of output pixels
-    /// at a time.
-    fn gather_lanes<T: Lane>(
-        &self,
-        codes: &[u16],
-        dims: [usize; 4],
-        row_sums: &mut [u64],
-    ) -> Vec<T> {
-        let ow = self.geom.output_size(dims[3]);
-        let fan_in = dims[1] * self.geom.kernel * self.geom.kernel;
-        let mut out = vec![T::from_code(0); row_sums.len() * fan_in];
-        let mut strip = self.strip(dims[3]);
-        let blocks = out
-            .chunks_exact_mut(ow * fan_in)
-            .zip(row_sums.chunks_exact_mut(ow));
-        for ((rows, sums), (image, oy)) in blocks.zip(self.pixel_rows(codes, dims)) {
-            self.gather_pixel_row(image, dims, oy, &mut strip, rows, sums);
         }
-        out
+        PackedMatrix::from_row_planes(m, fan_in, self.container, bytes, row_sums)
     }
 
     /// Every output row of every image, as `(image codes, row index)`.
@@ -718,31 +672,34 @@ impl CompiledConv {
             .flat_map(move |image| (0..oh).map(move |oy| (image, oy)))
     }
 
-    /// Room for the `c·p` input rows one row of output pixels reads, each
-    /// `padding` lanes wider on both sides; those border lanes hold the
-    /// padding code for good.
-    fn strip<T: Lane>(&self, w: usize) -> Vec<T> {
+    /// Room for the `c·p` input rows one row of output pixels reads, as
+    /// the byte `shift` selects, each `padding` lanes wider on both sides;
+    /// those border lanes hold that byte of the padding code for good.
+    fn strip(&self, w: usize, shift: u32) -> Vec<u8> {
         let Conv2dGeom {
             in_channels,
             kernel,
             padding,
             ..
         } = self.geom;
-        vec![T::from_code(self.pad_code()); in_channels * kernel * (w + 2 * padding)]
+        vec![(self.pad_code() >> shift) as u8; in_channels * kernel * (w + 2 * padding)]
     }
 
-    /// Writes the im2col rows of output row `oy` of one image — `ow` rows
-    /// of `c·p·p` lanes, taps in `(channel, kh, kw)` order — into `rows`
-    /// and their code sums into `sums`. The input rows they read are
+    /// Writes byte plane `shift / 8` of the im2col rows of output row `oy`
+    /// of one image — `ow` rows of `c·p·p` taps in `(channel, kh, kw)`
+    /// order, each `k4` bytes apart — into `rows`, and adds the plane's
+    /// share of their code sums to `sums`. The input rows they read are
     /// first copied into `strip` (see [`CompiledConv::strip`]), so every
     /// run of `p` taps is one in-bounds copy.
-    fn gather_pixel_row<T: Lane>(
+    #[allow(clippy::too_many_arguments)]
+    fn gather_pixel_row(
         &self,
         image: &[u16],
         [_, c, h, w]: [usize; 4],
         oy: usize,
-        strip: &mut [T],
-        rows: &mut [T],
+        shift: u32,
+        strip: &mut [u8],
+        rows: &mut [u8],
         sums: &mut [u64],
     ) {
         let Conv2dGeom {
@@ -752,7 +709,7 @@ impl CompiledConv {
             ..
         } = self.geom;
         let width = w + 2 * padding;
-        let pad = T::from_code(self.pad_code());
+        let pad = (self.pad_code() >> shift) as u8;
         for (j, line) in strip.chunks_exact_mut(width).enumerate() {
             let (ci, kh) = (j / p, j % p);
             // underflow wraps far past `h`, folding both padding sides
@@ -762,20 +719,23 @@ impl CompiledConv {
             if ih < h {
                 let src = &image[(ci * h + ih) * w..][..w];
                 for (lane, &code) in line.iter_mut().zip(src) {
-                    *lane = T::from_code(code);
+                    *lane = (code >> shift) as u8;
                 }
             } else {
                 line.fill(pad);
             }
         }
-        for (ox, (row, sum)) in rows.chunks_exact_mut(c * p * p).zip(sums).enumerate() {
+        let fan_in = c * p * p;
+        let k4 = fan_in.next_multiple_of(4);
+        for (ox, (row, sum)) in rows.chunks_exact_mut(k4).zip(sums).enumerate() {
+            let row = &mut row[..fan_in];
             let x = ox * stride;
             let runs = row.chunks_exact_mut(p).zip(strip.chunks_exact(width));
             if p == 3 {
                 // a fixed-size copy the compiler unrolls; a slice copy per
                 // 3-tap run costs more than the taps themselves
                 for (taps, line) in runs {
-                    let taps: &mut [T; 3] = taps.try_into().expect("3 taps");
+                    let taps: &mut [u8; 3] = taps.try_into().expect("3 taps");
                     *taps = line[x..x + 3].try_into().expect("3 taps");
                 }
             } else {
@@ -783,7 +743,7 @@ impl CompiledConv {
                     taps.copy_from_slice(&line[x..x + p]);
                 }
             }
-            *sum = row.iter().map(|&lane| lane.into()).sum();
+            *sum += row.iter().map(|&byte| u64::from(byte)).sum::<u64>() << shift;
         }
     }
 
@@ -1112,8 +1072,8 @@ mod tests {
     #[test]
     fn fused_gather_matches_a_per_tap_reference() {
         for container in CONTAINERS {
-            // three input channels make every fan-in odd, which leaves
-            // each nibble row's last high nibble empty; two make it even
+            // two and three input channels leave 2 and 3 taps of each
+            // row in its last group of 4, ahead of the zero padding
             for channels in [2, 3] {
                 for kernel in [1, 3, 5] {
                     for (stride, padding) in

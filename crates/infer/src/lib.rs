@@ -3,16 +3,18 @@
 //! `adq-infer` is the deployment endpoint of the activation-density
 //! pipeline: it takes a trained, mixed-precision model and lowers it to a
 //! self-contained [`CompiledVgg`] or [`CompiledResNet`] that runs on real
-//! integer arithmetic — nibble-packed int4, int8 and int16 operand
-//! containers, i32/i64 accumulation, and per-layer affine requantization —
+//! integer arithmetic — int4, int8 and int16 precisions on byte-plane
+//! operands, i32/i64 accumulation, and per-layer affine requantization —
 //! instead of the float-simulated quantization used during training and
 //! analysis.
 //!
 //! The crate splits into three layers:
 //!
-//! - [`qgemm`] — packed integer GEMM kernels. Operands are quantization
-//!   *codes* in the smallest container that fits ([`qgemm::Container`]),
-//!   with runtime-dispatched AVX2 bodies and bit-exact scalar references.
+//! - [`qgemm`] — the integer GEMM. Operands are quantization *codes*,
+//!   legalized to the smallest container that fits ([`qgemm::Container`])
+//!   and stored as one or two byte planes; one register tile serves all
+//!   three containers, on AVX-512 VNNI when the CPU has it and a portable
+//!   body otherwise, both bit-exact against scalar references.
 //! - [`compile`] — lowering. Batch-norm folding, weight quantization at
 //!   each layer's trained bit-width, frozen post-training activation
 //!   calibration, and the requantization chain that turns integer

@@ -1,10 +1,10 @@
-//! Bit-packed integer GEMM kernels — the datapath the quantized engine
+//! Integer GEMM over byte planes — the datapath the quantized engine
 //! actually executes, as opposed to the `adq-pim` crate's cycle-accounting
 //! simulation.
 //!
-//! All three kernels compute the same quantity: for an activation matrix
-//! of integer codes `A = [M, K]` and a weight matrix of integer codes
-//! `W = [O, K]` (both row-major), the integer products
+//! For an activation matrix of integer codes `A = [M, K]` and a weight
+//! matrix of integer codes `W = [O, K]` (both row-major), the GEMM
+//! computes the integer products
 //!
 //! ```text
 //! acc[m, o] = Σ_k A[m, k] · W[o, k]
@@ -13,42 +13,72 @@
 //! which is the only term of the affine-quantized dot product that needs
 //! wide arithmetic (see [`crate::compile`] for the requantization chain
 //! that turns `acc` back into real values). Codes are unsigned
-//! (`0 ..= 2^k − 1`, the convention of [`adq_quant::Quantizer`]), so the
-//! kernels are unsigned-integer GEMMs:
+//! (`0 ..= 2^k − 1`, the convention of [`adq_quant::Quantizer`]).
 //!
-//! * **int8** ([`Container::U8`]) — one code per byte, `i32` partial
-//!   accumulation in bounded chunks widened into `i64` totals,
-//! * **int16** ([`Container::U16`]) — one code per `u16`, `u64`/`i64`
-//!   accumulation,
-//! * **int4** ([`Container::Nib`]) — two codes per byte (low nibble =
-//!   even `k`), `i32` accumulation; 2-bit layers ride this path too
-//!   (their codes fit a nibble).
+//! A [`Container`] is the precision a layer is legalized to (int4, int8
+//! or int16) and what [`PackedMatrix::packed_bytes`] reports. In memory
+//! every code of up to 16 bits is `lo + 256·hi`, stored as **byte
+//! planes** — one plane of bytes when the codes fit a byte, two (`lo`,
+//! then `hi`) otherwise — so one kernel serves all three containers:
 //!
-//! Every kernel has a scalar reference body and a runtime-AVX2 body
-//! (`_mm256_maddubs_epi16` / `_mm256_madd_epi16` / `_mm256_mul_epu32`
-//! inner loops). Integer arithmetic is exact, and the accumulation
-//! bounds below rule out overflow in both bodies, so vector and scalar
-//! results are **bit-identical** — enforced element-for-element by the
-//! proptests in `tests/qgemm_exactness.rs` at every tail length.
+//! * **activations** ([`PackedMatrix::from_codes`], and the integer
+//!   im2col gather in [`crate::compile`]) are row-major, one plane for
+//!   [`Container::Nib`] and [`Container::U8`], two for
+//!   [`Container::U16`]; each row is zero-padded to `k4 = ⌈k/4⌉·4` bytes
+//!   and keeps its code sum `Σ_k A[m, k]`;
+//! * **weights** ([`PackedMatrix::pack_rows`]) are stored once, before
+//!   the first request, as 1 or 2 planes (from the weights' own max code)
+//!   of `byte − 128` as `i8`, in blocks of 16 outputs × 4 `k` — the
+//!   order `_mm512_dpbusd_epi32` reads. Padded `k` and output lanes hold
+//!   0.
+//!
+//! The kernel is a register tile of 8 activation rows (one at a time at
+//! the matrix edge) × 16 outputs. For each pair of activation plane `p`
+//! and weight plane `q` it accumulates `D_pq = Σ_k a_p·(w_q − 128)` in
+//! `i32` lanes (64 u8×i8 products per `dpbusd`), and the pairs combine in
+//! `i64` as
+//!
+//! ```text
+//! acc = Σ_pq 256^(p+q)·(D_pq + 128·S_p) = Σ_pq 256^(p+q)·D_pq + 128·Σ_q 256^q·Σ_k A[m, k]
+//! ```
+//!
+//! where `S_p = Σ_k a_p`, so the bias correction needs only the row's code
+//! sum. The AVX-512 VNNI body runs when the CPU has `avx512f` and
+//! `avx512vnni`; a portable body over the same layout runs otherwise and
+//! is the reference the unit tests below hold the VNNI body to. Integer
+//! sums are exact and `I32_CHUNK` rules out `i32` overflow, so both
+//! bodies emit bit-identical accumulators — checked against the scalar
+//! `dot_*_reference` oracles by the unit tests here and the proptests in
+//! `crates/infer/tests/proptests.rs`.
 
-use adq_quant::{Encoder, Quantizer};
+use std::borrow::Cow;
 
-/// Per-chunk cap on `i32` partial accumulation in the u8 kernels.
+use adq_quant::Quantizer;
+
+/// Per-chunk cap on the `k` a tile accumulates in `i32` before widening
+/// into the `i64` totals.
 ///
-/// A u8·u8 product is at most `255² = 65 025`; a chunk of 16 384 such
-/// products tops out at `1.07e9 < i32::MAX`, and the AVX2 body's worst
-/// lane (one eighth of the chunk's pair-sums) stays far below that.
+/// A plane product `a_p·(w_q − 128)` has magnitude at most
+/// `255·128 = 32 640`, and one `i32` lane sums one product per `k`, so a
+/// lane is exact for `k4 ≤ 65 792` (`65 792·32 640 < 2³¹`). Chunks of
+/// 16 384 stay four times inside that.
 const I32_CHUNK: usize = 16_384;
 
-/// Storage container a layer's codes are packed into, chosen from the
+/// Activation rows per register tile.
+const MR: usize = 8;
+
+/// Outputs per register tile: one 512-bit register of `i32` lanes.
+const NR: usize = 16;
+
+/// Storage container a layer's codes are legalized to, chosen from the
 /// widest code either operand can produce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Container {
-    /// Two 4-bit codes per byte (low nibble first). 2-bit codes ride here.
+    /// 4-bit codes. 2-bit codes ride here.
     Nib,
-    /// One code per byte.
+    /// 8-bit codes.
     U8,
-    /// One code per `u16`.
+    /// 16-bit codes.
     U16,
 }
 
@@ -74,7 +104,7 @@ impl Container {
         }
     }
 
-    /// Bytes one row of `k` codes occupies in this container.
+    /// Bytes one row of `k` codes occupies at this container's precision.
     pub fn row_bytes(self, k: usize) -> usize {
         match self {
             Container::Nib => k.div_ceil(2),
@@ -82,27 +112,55 @@ impl Container {
             Container::U16 => 2 * k,
         }
     }
+
+    /// The largest code the container holds.
+    pub(crate) fn max_code(self) -> u64 {
+        match self {
+            Container::Nib => 0xF,
+            Container::U8 => 0xFF,
+            Container::U16 => 0xFFFF,
+        }
+    }
+
+    /// Byte planes an activation row in this container is stored as.
+    pub(crate) fn planes(self) -> usize {
+        planes_for(self.max_code())
+    }
 }
 
-/// Code storage for one packed operand.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Codes {
-    /// Nibble-packed rows, `row_bytes = ceil(k / 2)` each.
-    Nib(Vec<u8>),
-    /// Byte rows, `k` each.
-    U8(Vec<u8>),
-    /// `u16` rows, `k` each.
-    U16(Vec<u16>),
+/// Byte planes codes up to `max_code` need.
+fn planes_for(max_code: u64) -> usize {
+    if max_code <= 0xFF {
+        1
+    } else {
+        2
+    }
 }
 
-/// A row-major matrix of integer codes plus its per-row code sums — one
-/// operand of the integer GEMM. Weights are packed once at compile time;
-/// activations are packed per batch.
+/// How a [`PackedMatrix`]'s byte planes are laid out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Layout {
+    /// The activation operand: row-major, rows zero-padded to `k4` bytes.
+    Rows,
+    /// The weight operand: blocks of [`NR`] rows, each `k4/4` steps of
+    /// `NR × 4` bytes (row-minor), every byte stored as `byte − 128`.
+    Tiles,
+}
+
+/// A matrix of integer codes in byte planes plus its per-row code sums —
+/// one operand of the integer GEMM. Weights are packed once at compile
+/// time ([`PackedMatrix::pack_rows`]); activations per batch
+/// ([`PackedMatrix::from_codes`] and the conv gather).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedMatrix {
     rows: usize,
     k: usize,
-    codes: Codes,
+    container: Container,
+    layout: Layout,
+    /// 1 or 2; plane `p` holds byte `p` of every code.
+    planes: usize,
+    /// The planes, one after another.
+    bytes: Vec<u8>,
     /// `Σ_k codes[row, k]` per row — the cheap side sums the affine
     /// requantization correction needs.
     row_sums: Vec<u64>,
@@ -114,18 +172,14 @@ impl PackedMatrix {
         self.rows
     }
 
-    /// Logical row length (codes per row, before packing).
+    /// Logical row length (codes per row, before padding).
     pub fn k(&self) -> usize {
         self.k
     }
 
-    /// The container codes are stored in.
+    /// The container the codes are legalized to.
     pub fn container(&self) -> Container {
-        match self.codes {
-            Codes::Nib(_) => Container::Nib,
-            Codes::U8(_) => Container::U8,
-            Codes::U16(_) => Container::U16,
-        }
+        self.container
     }
 
     /// Per-row code sums (`Σ c` per row).
@@ -133,13 +187,25 @@ impl PackedMatrix {
         &self.row_sums
     }
 
-    /// Approximate packed size in bytes (codes only).
+    /// Size in bytes of the codes at the container's precision.
     pub fn packed_bytes(&self) -> usize {
-        self.container().row_bytes(self.k) * self.rows
+        self.container.row_bytes(self.k) * self.rows
     }
 
-    /// Packs a row-major `[rows, k]` matrix of real values into integer
-    /// codes under `quantizer`, into `container` storage.
+    /// Row length padded to whole `dpbusd` groups of 4 codes.
+    fn k4(&self) -> usize {
+        self.k.next_multiple_of(4)
+    }
+
+    /// Byte plane `p`.
+    fn plane(&self, p: usize) -> &[u8] {
+        let len = self.bytes.len() / self.planes;
+        &self.bytes[p * len..(p + 1) * len]
+    }
+
+    /// Quantizes a row-major `[rows, k]` weight matrix under `quantizer`
+    /// and packs it as the GEMM's weight operand: as many byte planes as
+    /// the quantizer's codes need, tiled for the kernel once, here.
     ///
     /// # Panics
     ///
@@ -153,116 +219,22 @@ impl PackedMatrix {
         container: Container,
     ) -> PackedMatrix {
         assert_eq!(values.len(), rows * k, "values must be [rows, k]");
-        assert_container_fits(quantizer, container);
+        let max_code = quantizer.bits().max_code();
+        assert!(
+            max_code <= container.max_code(),
+            "{}-bit codes (max {max_code}) overflow {container:?}",
+            quantizer.bits().get()
+        );
         let enc = quantizer.encoder();
-        let mut row_sums = vec![0u64; rows];
-        let codes = match container {
-            Container::U8 => {
-                let mut out = vec![0u8; rows * k];
-                for ((src, dst), sum) in values
-                    .chunks_exact(k.max(1))
-                    .zip(out.chunks_exact_mut(k.max(1)))
-                    .zip(&mut row_sums)
-                {
-                    pack_row_u8(src, dst, &enc, sum);
-                }
-                Codes::U8(out)
-            }
-            Container::U16 => {
-                let mut out = vec![0u16; rows * k];
-                for ((src, dst), sum) in values
-                    .chunks_exact(k.max(1))
-                    .zip(out.chunks_exact_mut(k.max(1)))
-                    .zip(&mut row_sums)
-                {
-                    pack_row_u16(src, dst, &enc, sum);
-                }
-                Codes::U16(out)
-            }
-            Container::Nib => {
-                let rb = Container::Nib.row_bytes(k);
-                let mut out = vec![0u8; rows * rb];
-                for ((src, dst), sum) in values
-                    .chunks_exact(k.max(1))
-                    .zip(out.chunks_exact_mut(rb.max(1)))
-                    .zip(&mut row_sums)
-                {
-                    pack_row_nib(src, dst, &enc, sum);
-                }
-                Codes::Nib(out)
-            }
-        };
-        PackedMatrix {
-            rows,
-            k,
-            codes,
-            row_sums,
-        }
-    }
-
-    /// Packs a `[k, m]` column-matrix of real values (the layout
-    /// [`adq_tensor::im2col`] produces: one column per output pixel) into
-    /// the transposed `[m, k]` code matrix the GEMM wants.
-    ///
-    /// The transpose runs in cache-friendly tiles; the quantization
-    /// arithmetic is element-for-element the same as
-    /// [`Quantizer::quantize`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != k * m` or the quantizer's codes
-    /// overflow the container.
-    pub fn pack_cols(
-        values: &[f32],
-        k: usize,
-        m: usize,
-        quantizer: &Quantizer,
-        container: Container,
-    ) -> PackedMatrix {
-        assert_eq!(values.len(), k * m, "values must be [k, m]");
-        assert_container_fits(quantizer, container);
-        let enc = quantizer.encoder();
-        let mut row_sums = vec![0u64; m];
-        // Two passes: encode in the source's contiguous `[k, m]` order
-        // (one sequential sweep over the floats — this is the hot
-        // per-batch cost of the whole engine), then transpose the small
-        // integer codes in cache-friendly tiles. Transposing codes
-        // instead of floats keeps the strided traffic at one or two
-        // bytes per element.
-        let codes = match container {
-            Container::U16 => {
-                let staged = encode_cols_u16(values, m, &enc, &mut row_sums);
-                let mut out = vec![0u16; m * k];
-                transpose_u16(&staged, k, m, &mut out);
-                Codes::U16(out)
-            }
-            Container::U8 => {
-                let staged = encode_cols_u8(values, m, &enc, &mut row_sums);
-                let mut out = vec![0u8; m * k];
-                transpose_u8(&staged, k, m, &mut out);
-                Codes::U8(out)
-            }
-            Container::Nib => {
-                let staged = encode_cols_u8(values, m, &enc, &mut row_sums);
-                let rb = Container::Nib.row_bytes(k);
-                let mut out = vec![0u8; m * rb];
-                transpose_nib(&staged, k, m, rb, &mut out);
-                Codes::Nib(out)
-            }
-        };
-        PackedMatrix {
-            rows: m,
-            k,
-            codes,
-            row_sums,
-        }
+        let code = |r: usize, kk: usize| enc.encode(values[r * k + kk]) as u16;
+        let row_sums = sum_rows(rows, k, code);
+        Self::tiled(rows, k, container, planes_for(max_code), row_sums, code)
     }
 
     /// Packs already-quantized codes (row-major `[rows, k]`, one code per
-    /// `u16`) into container storage — the integer twin of
-    /// [`PackedMatrix::pack_rows`] for the fused requantization chain,
-    /// where layers exchange codes and no float quantization happens
-    /// between them.
+    /// `u16`) as the GEMM's activation operand — the layout the conv
+    /// gather writes, for layers (the classifier head) that exchange
+    /// codes without a gather.
     ///
     /// # Panics
     ///
@@ -270,211 +242,129 @@ impl PackedMatrix {
     /// the container.
     pub fn from_codes(codes: &[u16], rows: usize, k: usize, container: Container) -> PackedMatrix {
         assert_eq!(codes.len(), rows * k, "codes must be [rows, k]");
-        let mut row_sums = vec![0u64; rows];
-        let packed = match container {
-            Container::U8 => {
-                let mut out = vec![0u8; rows * k];
-                for ((src, dst), sum) in codes
-                    .chunks_exact(k.max(1))
-                    .zip(out.chunks_exact_mut(k.max(1)))
-                    .zip(&mut row_sums)
-                {
-                    for (&c, d) in src.iter().zip(dst) {
-                        debug_assert!(c <= 0xFF, "code {c} overflows U8");
-                        *sum += u64::from(c);
-                        *d = c as u8;
-                    }
+        debug_assert!(
+            codes.iter().all(|&c| u64::from(c) <= container.max_code()),
+            "codes overflow {container:?}"
+        );
+        let (planes, k4) = (container.planes(), k.next_multiple_of(4));
+        let mut bytes = vec![0u8; planes * rows * k4];
+        for (p, plane) in bytes.chunks_exact_mut((rows * k4).max(1)).enumerate() {
+            for (dst, src) in plane.chunks_exact_mut(k4).zip(codes.chunks_exact(k)) {
+                for (d, &c) in dst.iter_mut().zip(src) {
+                    *d = (c >> (8 * p)) as u8;
                 }
-                Codes::U8(out)
             }
-            Container::U16 => {
-                for (src, sum) in codes.chunks_exact(k.max(1)).zip(&mut row_sums) {
-                    for &c in src {
-                        *sum += u64::from(c);
-                    }
-                }
-                Codes::U16(codes.to_vec())
-            }
-            Container::Nib => {
-                let rb = Container::Nib.row_bytes(k);
-                let mut out = vec![0u8; rows * rb];
-                for ((src, dst), sum) in codes
-                    .chunks_exact(k.max(1))
-                    .zip(out.chunks_exact_mut(rb.max(1)))
-                    .zip(&mut row_sums)
-                {
-                    for (i, &c) in src.iter().enumerate() {
-                        debug_assert!(c <= 0xF, "code {c} overflows Nib");
-                        *sum += u64::from(c);
-                        dst[i / 2] |= (c as u8) << ((i & 1) * 4);
-                    }
-                }
-                Codes::Nib(out)
-            }
-        };
-        PackedMatrix {
-            rows,
-            k,
-            codes: packed,
-            row_sums,
         }
+        let row_sums = sum_rows(rows, k, |r, kk| codes[r * k + kk]);
+        Self::from_row_planes(rows, k, container, bytes, row_sums)
     }
 
-    /// Wraps codes a caller already wrote in container layout, with their
-    /// row sums — for producers such as the integer im2col gather that
-    /// emit packed rows directly.
-    pub(crate) fn from_packed(rows: usize, k: usize, codes: Codes, row_sums: Vec<u64>) -> Self {
-        let (len, row_len) = match &codes {
-            Codes::Nib(c) => (c.len(), Container::Nib.row_bytes(k)),
-            Codes::U8(c) => (c.len(), k),
-            Codes::U16(c) => (c.len(), k),
-        };
-        assert_eq!(len, rows * row_len, "codes must be [rows, k] packed");
+    /// Wraps activation planes a caller already wrote in the row layout —
+    /// `container.planes()` planes of `rows × k4` bytes, padding zero —
+    /// with their row sums; the conv gather emits these directly.
+    pub(crate) fn from_row_planes(
+        rows: usize,
+        k: usize,
+        container: Container,
+        bytes: Vec<u8>,
+        row_sums: Vec<u64>,
+    ) -> Self {
+        let planes = container.planes();
+        assert_eq!(
+            bytes.len(),
+            planes * rows * k.next_multiple_of(4),
+            "planes must be [rows, k4]"
+        );
         assert_eq!(row_sums.len(), rows, "one code sum per row");
         PackedMatrix {
             rows,
             k,
-            codes,
+            container,
+            layout: Layout::Rows,
+            planes,
+            bytes,
             row_sums,
         }
     }
-}
 
-/// Tile edge for the code transposes: 64×64 byte tiles sit well inside
-/// L1 alongside the staging rows they read.
-const TRANSPOSE_TILE: usize = 64;
-
-/// Encodes a `[k, m]` float matrix in source order into u8 codes,
-/// accumulating the per-column code sums.
-fn encode_cols_u8(values: &[f32], m: usize, enc: &Encoder, row_sums: &mut [u64]) -> Vec<u8> {
-    let mut staged = vec![0u8; values.len()];
-    for (src, dst) in values
-        .chunks_exact(m.max(1))
-        .zip(staged.chunks_exact_mut(m.max(1)))
-    {
-        for ((&x, d), sum) in src.iter().zip(dst).zip(row_sums.iter_mut()) {
-            let code = enc.encode(x);
-            *sum += code;
-            *d = code as u8;
-        }
-    }
-    staged
-}
-
-/// u16 twin of [`encode_cols_u8`].
-fn encode_cols_u16(values: &[f32], m: usize, enc: &Encoder, row_sums: &mut [u64]) -> Vec<u16> {
-    let mut staged = vec![0u16; values.len()];
-    for (src, dst) in values
-        .chunks_exact(m.max(1))
-        .zip(staged.chunks_exact_mut(m.max(1)))
-    {
-        for ((&x, d), sum) in src.iter().zip(dst).zip(row_sums.iter_mut()) {
-            let code = enc.encode(x);
-            *sum += code;
-            *d = code as u16;
-        }
-    }
-    staged
-}
-
-/// Tiled `[k, m]` → `[m, k]` byte transpose.
-fn transpose_u8(staged: &[u8], k: usize, m: usize, out: &mut [u8]) {
-    for k0 in (0..k).step_by(TRANSPOSE_TILE) {
-        let k1 = (k0 + TRANSPOSE_TILE).min(k);
-        for m0 in (0..m).step_by(TRANSPOSE_TILE) {
-            let m1 = (m0 + TRANSPOSE_TILE).min(m);
-            for mm in m0..m1 {
-                let dst = &mut out[mm * k..mm * k + k];
-                for kk in k0..k1 {
-                    dst[kk] = staged[kk * m + mm];
+    /// The weight-operand tiling of `code(row, k)` in `planes` planes.
+    fn tiled(
+        rows: usize,
+        k: usize,
+        container: Container,
+        planes: usize,
+        row_sums: Vec<u64>,
+        code: impl Fn(usize, usize) -> u16,
+    ) -> PackedMatrix {
+        let k4 = k.next_multiple_of(4);
+        let plane_len = rows.div_ceil(NR) * NR * k4;
+        let mut bytes = vec![0u8; planes * plane_len];
+        for r in 0..rows {
+            for kk in 0..k {
+                let c = code(r, kk);
+                let at = r / NR * NR * k4 + kk / 4 * 4 * NR + r % NR * 4 + kk % 4;
+                for p in 0..planes {
+                    // `byte ^ 0x80` read as `i8` is `byte − 128`
+                    bytes[p * plane_len + at] = (c >> (8 * p)) as u8 ^ 0x80;
                 }
             }
         }
-    }
-}
-
-/// u16 twin of [`transpose_u8`].
-fn transpose_u16(staged: &[u16], k: usize, m: usize, out: &mut [u16]) {
-    for k0 in (0..k).step_by(TRANSPOSE_TILE) {
-        let k1 = (k0 + TRANSPOSE_TILE).min(k);
-        for m0 in (0..m).step_by(TRANSPOSE_TILE) {
-            let m1 = (m0 + TRANSPOSE_TILE).min(m);
-            for mm in m0..m1 {
-                let dst = &mut out[mm * k..mm * k + k];
-                for kk in k0..k1 {
-                    dst[kk] = staged[kk * m + mm];
-                }
-            }
+        PackedMatrix {
+            rows,
+            k,
+            container,
+            layout: Layout::Tiles,
+            planes,
+            bytes,
+            row_sums,
         }
     }
-}
 
-/// Tiled transpose straight into nibble-packed rows (low nibble = even
-/// `k`, trailing pad nibble left zero).
-fn transpose_nib(staged: &[u8], k: usize, m: usize, rb: usize, out: &mut [u8]) {
-    for k0 in (0..k).step_by(TRANSPOSE_TILE) {
-        let k1 = (k0 + TRANSPOSE_TILE).min(k);
-        for m0 in (0..m).step_by(TRANSPOSE_TILE) {
-            let m1 = (m0 + TRANSPOSE_TILE).min(m);
-            for mm in m0..m1 {
-                let dst = &mut out[mm * rb..(mm + 1) * rb];
-                for kk in k0..k1 {
-                    dst[kk / 2] |= staged[kk * m + mm] << ((kk & 1) * 4);
-                }
-            }
+    /// This matrix as a weight operand: itself if [`PackedMatrix::pack_rows`]
+    /// tiled it, a tiled copy if it holds activation rows.
+    fn as_weights(&self) -> Cow<'_, PackedMatrix> {
+        if self.layout == Layout::Tiles {
+            return Cow::Borrowed(self);
         }
+        let k4 = self.k4();
+        let code = |r: usize, kk: usize| {
+            (0..self.planes)
+                .map(|p| u16::from(self.plane(p)[r * k4 + kk]) << (8 * p))
+                .sum()
+        };
+        Cow::Owned(Self::tiled(
+            self.rows,
+            self.k,
+            self.container,
+            self.planes,
+            self.row_sums.clone(),
+            code,
+        ))
     }
 }
 
-fn assert_container_fits(quantizer: &Quantizer, container: Container) {
-    let max_code = quantizer.bits().max_code();
-    let cap = match container {
-        Container::Nib => 0xF,
-        Container::U8 => 0xFF,
-        Container::U16 => 0xFFFF,
-    };
-    assert!(
-        max_code <= cap,
-        "{}-bit codes (max {max_code}) overflow {container:?}",
-        quantizer.bits().get()
-    );
-}
-
-fn pack_row_u8(src: &[f32], dst: &mut [u8], enc: &Encoder, sum: &mut u64) {
-    for (d, &x) in dst.iter_mut().zip(src) {
-        let code = enc.encode(x);
-        *sum += code;
-        *d = code as u8;
-    }
-}
-
-fn pack_row_u16(src: &[f32], dst: &mut [u16], enc: &Encoder, sum: &mut u64) {
-    for (d, &x) in dst.iter_mut().zip(src) {
-        let code = enc.encode(x);
-        *sum += code;
-        *d = code as u16;
-    }
-}
-
-fn pack_row_nib(src: &[f32], dst: &mut [u8], enc: &Encoder, sum: &mut u64) {
-    for (i, &x) in src.iter().enumerate() {
-        let code = enc.encode(x);
-        *sum += code;
-        dst[i / 2] |= (code as u8) << ((i & 1) * 4);
-    }
+/// The code sum of each of `rows` rows of `k` codes.
+fn sum_rows(rows: usize, k: usize, code: impl Fn(usize, usize) -> u16) -> Vec<u64> {
+    (0..rows)
+        .map(|r| (0..k).map(|kk| u64::from(code(r, kk))).sum())
+        .collect()
 }
 
 /// Runs the integer GEMM: for every activation row `m` and weight row
 /// `o`, computes `acc = Σ_k A[m, k]·W[o, k]` and calls
 /// `emit(m, o, acc)`.
 ///
-/// Both operands must share a container and a `k`; the caller (see
+/// `acts` is an activation operand ([`PackedMatrix::from_codes`]).
+/// `weights` is best packed by [`PackedMatrix::pack_rows`], which tiles
+/// it once; a matrix from [`PackedMatrix::from_codes`] is tiled on every
+/// call. Both operands must share a container and a `k`; the caller (see
 /// [`crate::compile`]) chooses the container as the join of the two
 /// quantizers' widths.
 ///
 /// # Panics
 ///
-/// Panics if containers or `k` mismatch.
+/// Panics if containers or `k` mismatch, or `acts` was packed by
+/// [`PackedMatrix::pack_rows`].
 pub fn qgemm(acts: &PackedMatrix, weights: &PackedMatrix, mut emit: impl FnMut(usize, usize, i64)) {
     qgemm_rows(acts, weights, |m, accs| {
         for (o, &acc) in accs.iter().enumerate() {
@@ -490,87 +380,224 @@ pub fn qgemm(acts: &PackedMatrix, weights: &PackedMatrix, mut emit: impl FnMut(u
 ///
 /// # Panics
 ///
-/// Panics if containers or `k` mismatch.
+/// As [`qgemm`].
 pub(crate) fn qgemm_rows(
+    acts: &PackedMatrix,
+    weights: &PackedMatrix,
+    emit_row: impl FnMut(usize, &[i64]),
+) {
+    qgemm_rows_with(Body::detect(), acts, weights, emit_row);
+}
+
+/// [`qgemm_rows`] on a chosen kernel body.
+fn qgemm_rows_with(
+    body: Body,
     acts: &PackedMatrix,
     weights: &PackedMatrix,
     mut emit_row: impl FnMut(usize, &[i64]),
 ) {
     assert_eq!(acts.k, weights.k, "operand k mismatch");
     assert_eq!(
-        acts.container(),
-        weights.container(),
+        acts.container, weights.container,
         "operand container mismatch"
     );
-    let k = acts.k;
-    let mut accs = vec![0i64; weights.rows];
-    match (&acts.codes, &weights.codes) {
-        (Codes::U8(a), Codes::U8(w)) => {
-            // The u8 path carries the serving workload, so it is blocked
-            // over 4 weight rows: one activation load feeds 4 multiply
-            // accumulators, and the per-dot horizontal reduction cost is
-            // paid once per block instead of once per output. Integer
-            // sums are order-independent, so the result stays bit-equal
-            // to the plain per-output dot.
-            let blocks = weights.rows / 4 * 4;
-            for m in 0..acts.rows {
-                let a_row = &a[m * k..(m + 1) * k];
-                for o in (0..blocks).step_by(4) {
-                    accs[o..o + 4].copy_from_slice(&dot4_u8(
-                        a_row,
-                        [
-                            &w[o * k..(o + 1) * k],
-                            &w[(o + 1) * k..(o + 2) * k],
-                            &w[(o + 2) * k..(o + 3) * k],
-                            &w[(o + 3) * k..(o + 4) * k],
-                        ],
-                    ));
-                }
-                for (o, acc) in accs.iter_mut().enumerate().skip(blocks) {
-                    *acc = dot_u8(a_row, &w[o * k..(o + 1) * k]);
-                }
-                emit_row(m, &accs);
+    assert_eq!(
+        acts.layout,
+        Layout::Rows,
+        "activations must be packed by from_codes, not pack_rows"
+    );
+    let weights = weights.as_weights();
+    let (m, o) = (acts.rows, weights.rows);
+    let ld = o.div_ceil(NR) * NR;
+    // Σ_q 256^q over the weight planes, the scale of the `128·Σ_k A`
+    // correction
+    let plane_scale: i64 = if weights.planes == 2 { 257 } else { 1 };
+    let mut accs = vec![0i64; MR * ld];
+    for m0 in (0..m).step_by(MR) {
+        let height = MR.min(m - m0);
+        accs.fill(0);
+        if height == MR {
+            accumulate::<MR>(body, acts, &weights, m0, &mut accs, ld);
+        } else {
+            // edge rows run one at a time rather than as padded tiles
+            for (i, row) in accs.chunks_exact_mut(ld).take(height).enumerate() {
+                accumulate::<1>(body, acts, &weights, m0 + i, row, ld);
             }
         }
-        (Codes::U16(a), Codes::U16(w)) => {
-            for m in 0..acts.rows {
-                let a_row = &a[m * k..(m + 1) * k];
-                for (o, acc) in accs.iter_mut().enumerate() {
-                    *acc = dot_u16(a_row, &w[o * k..(o + 1) * k]);
-                }
-                emit_row(m, &accs);
+        for (i, row) in accs.chunks_exact_mut(ld).take(height).enumerate() {
+            let row = &mut row[..o];
+            let correction = 128 * plane_scale * acts.row_sums[m0 + i] as i64;
+            for acc in row.iter_mut() {
+                *acc += correction;
             }
+            emit_row(m0 + i, row);
         }
-        (Codes::Nib(a), Codes::Nib(w)) => {
-            let rb = Container::Nib.row_bytes(k);
-            for m in 0..acts.rows {
-                let a_row = &a[m * rb..(m + 1) * rb];
-                for (o, acc) in accs.iter_mut().enumerate() {
-                    *acc = dot_nib(a_row, &w[o * rb..(o + 1) * rb]);
-                }
-                emit_row(m, &accs);
-            }
-        }
-        _ => unreachable!("container mismatch is asserted above"),
     }
 }
 
-/// Runtime AVX2 detection, resolved once per process.
-#[cfg(target_arch = "x86_64")]
-fn avx2_available() -> bool {
-    static AVX2: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *AVX2.get_or_init(|| is_x86_feature_detected!("avx2"))
+/// Adds `Σ_pq 256^(p+q)·D_pq` for activation rows `m0..m0 + R` against
+/// every weight row into `out`, one `ld`-wide row per activation row:
+/// every plane pair, block of [`NR`] outputs and [`I32_CHUNK`] of `k`.
+fn accumulate<const R: usize>(
+    body: Body,
+    acts: &PackedMatrix,
+    weights: &PackedMatrix,
+    m0: usize,
+    out: &mut [i64],
+    ld: usize,
+) {
+    let k4 = acts.k4();
+    for p in 0..acts.planes {
+        let plane = acts.plane(p);
+        let rows: [&[u8]; R] = std::array::from_fn(|i| &plane[(m0 + i) * k4..][..k4]);
+        for q in 0..weights.planes {
+            let shift = 8 * (p + q) as u32;
+            let blocks = weights.plane(q).chunks_exact(NR * k4.max(1));
+            for (b, w_block) in blocks.enumerate() {
+                for k0 in (0..k4).step_by(I32_CHUNK) {
+                    let k1 = (k0 + I32_CHUNK).min(k4);
+                    body.tile(
+                        rows.map(|row| &row[k0..k1]),
+                        &w_block[k0 * NR..k1 * NR],
+                        shift,
+                        &mut out[b * NR..],
+                        ld,
+                    );
+                }
+            }
+        }
+    }
 }
 
-/// u8·u8 dot product via the widest available path.
-pub fn dot_u8(a: &[u8], w: &[u8]) -> i64 {
-    debug_assert_eq!(a.len(), w.len());
+/// A register-tile body. Both compute, for `R` rows of `4·s` activation
+/// bytes and one block of `s` steps of `NR × 4` weight bytes, the `i32`
+/// tile `D[i][j] = Σ a[i]·(w[j] − 128)` and add `D << shift` into the
+/// `i64` rows `out[i·ld..i·ld + NR]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Body {
+    Portable,
+    /// Only constructed once `avx512f` and `avx512vnni` were detected.
     #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: the AVX2 feature was detected at runtime.
-        return unsafe { dot_u8_avx2(a, w) };
+    Vnni,
+}
+
+impl Body {
+    /// The fastest body this CPU runs, resolved once per process.
+    fn detect() -> Body {
+        #[cfg(target_arch = "x86_64")]
+        if vnni_available() {
+            return Body::Vnni;
+        }
+        Body::Portable
     }
-    dot_u8_reference(a, w)
+
+    #[inline]
+    fn tile<const R: usize>(
+        self,
+        rows: [&[u8]; R],
+        w: &[u8],
+        shift: u32,
+        out: &mut [i64],
+        ld: usize,
+    ) {
+        let steps = w.len() / (4 * NR);
+        assert!(
+            w.len() == 4 * NR * steps
+                && rows.iter().all(|row| row.len() == 4 * steps)
+                && out.len() >= (R - 1) * ld + NR,
+            "tile operands out of shape"
+        );
+        match self {
+            Body::Portable => tile_portable(rows, w, shift, out, ld),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Vnni` exists only where the features were detected,
+            // and the shapes were checked above.
+            Body::Vnni => unsafe { tile_vnni(rows, w, shift, out, ld) },
+        }
+    }
+}
+
+/// Runtime AVX-512F + VNNI detection, resolved once per process.
+#[cfg(target_arch = "x86_64")]
+fn vnni_available() -> bool {
+    static VNNI: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *VNNI.get_or_init(|| {
+        is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vnni")
+    })
+}
+
+/// The portable tile: the layout and sums of [`tile_vnni`] in scalar
+/// code.
+fn tile_portable<const R: usize>(
+    rows: [&[u8]; R],
+    w: &[u8],
+    shift: u32,
+    out: &mut [i64],
+    ld: usize,
+) {
+    for (i, row) in rows.iter().enumerate() {
+        let mut lanes = [0i32; NR];
+        for (a4, step) in row.chunks_exact(4).zip(w.chunks_exact(4 * NR)) {
+            for (lane, w4) in lanes.iter_mut().zip(step.chunks_exact(4)) {
+                for (&a, &b) in a4.iter().zip(w4) {
+                    *lane += i32::from(a) * i32::from(b as i8);
+                }
+            }
+        }
+        for (acc, &lane) in out[i * ld..i * ld + NR].iter_mut().zip(&lanes) {
+            *acc += i64::from(lane) << shift;
+        }
+    }
+}
+
+/// The AVX-512 VNNI tile: per step of 4 `k`, one 64-byte weight load
+/// feeds `R` `vpdpbusd`s, each against one activation row's 4 bytes
+/// broadcast to all 16 lanes. The `i32` lanes widen into the `i64`
+/// accumulators once, at the end.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F and AVX-512 VNNI. Each row must hold
+/// `4·s` bytes and `w` `4·NR·s`, and `out` at least `(R − 1)·ld + NR`
+/// accumulators.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vnni")]
+unsafe fn tile_vnni<const R: usize>(
+    rows: [&[u8]; R],
+    w: &[u8],
+    shift: u32,
+    out: &mut [i64],
+    ld: usize,
+) {
+    use std::arch::x86_64::{
+        _mm512_add_epi64, _mm512_castsi512_si256, _mm512_cvtepi32_epi64, _mm512_dpbusd_epi32,
+        _mm512_extracti64x4_epi64, _mm512_loadu_si512, _mm512_set1_epi32, _mm512_setzero_si512,
+        _mm512_sll_epi64, _mm512_storeu_si512, _mm_cvtsi32_si128,
+    };
+    let steps = w.len() / (4 * NR);
+    let a = rows.map(<[u8]>::as_ptr);
+    let mut acc = [_mm512_setzero_si512(); R];
+    for s in 0..steps {
+        let wv = _mm512_loadu_si512(w.as_ptr().add(s * 4 * NR).cast());
+        for (slot, &row) in acc.iter_mut().zip(&a) {
+            let av = _mm512_set1_epi32(row.add(4 * s).cast::<i32>().read_unaligned());
+            *slot = _mm512_dpbusd_epi32(*slot, av, wv);
+        }
+    }
+    let count = _mm_cvtsi32_si128(shift as i32);
+    for (i, &lanes) in acc.iter().enumerate() {
+        let dst = out.as_mut_ptr().add(i * ld);
+        let halves = [
+            _mm512_castsi512_si256(lanes),
+            _mm512_extracti64x4_epi64::<1>(lanes),
+        ];
+        for (h, half) in halves.into_iter().enumerate() {
+            let wide = _mm512_sll_epi64(_mm512_cvtepi32_epi64(half), count);
+            let at = dst.add(8 * h);
+            let sum = _mm512_add_epi64(_mm512_loadu_si512(at.cast()), wide);
+            _mm512_storeu_si512(at.cast(), sum);
+        }
+    }
 }
 
 /// Scalar u8 reference: `i32` partials over bounded chunks, `i64` total.
@@ -586,109 +613,6 @@ pub fn dot_u8_reference(a: &[u8], w: &[u8]) -> i64 {
     total
 }
 
-/// AVX2 u8 dot: 16 codes per step, widened to `i16` lanes and pair-summed
-/// into `i32` lanes with `_mm256_madd_epi16` (no saturation: products are
-/// at most `255²` and pair sums at most `2·255²`, far inside `i16`-pair ×
-/// `i32` headroom given [`I32_CHUNK`]).
-///
-/// # Safety
-///
-/// The caller must ensure the CPU supports AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dot_u8_avx2(a: &[u8], w: &[u8]) -> i64 {
-    use std::arch::x86_64::{
-        __m128i, __m256i, _mm256_add_epi32, _mm256_cvtepu8_epi16, _mm256_madd_epi16,
-        _mm256_setzero_si256, _mm256_storeu_si256, _mm_loadu_si128,
-    };
-    let mut total = 0i64;
-    for (ac, wc) in a.chunks(I32_CHUNK).zip(w.chunks(I32_CHUNK)) {
-        let mut acc = _mm256_setzero_si256();
-        let mut ai = ac.chunks_exact(16);
-        let mut wi = wc.chunks_exact(16);
-        for (aq, wq) in (&mut ai).zip(&mut wi) {
-            let av = _mm256_cvtepu8_epi16(_mm_loadu_si128(aq.as_ptr() as *const __m128i));
-            let wv = _mm256_cvtepu8_epi16(_mm_loadu_si128(wq.as_ptr() as *const __m128i));
-            acc = _mm256_add_epi32(acc, _mm256_madd_epi16(av, wv));
-        }
-        let mut lanes = [0i32; 8];
-        _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
-        total += lanes.iter().map(|&v| i64::from(v)).sum::<i64>();
-        total += dot_u8_reference(ai.remainder(), wi.remainder());
-    }
-    total
-}
-
-/// Four u8·u8 dot products sharing one activation row — the blocked
-/// inner kernel of the u8 GEMM. Bit-equal to four [`dot_u8`] calls.
-pub fn dot4_u8(a: &[u8], w: [&[u8]; 4]) -> [i64; 4] {
-    for row in &w {
-        debug_assert_eq!(a.len(), row.len());
-    }
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: the AVX2 feature was detected at runtime.
-        return unsafe { dot4_u8_avx2(a, w) };
-    }
-    w.map(|row| dot_u8_reference(a, row))
-}
-
-/// AVX2 blocked u8 kernel: per 16 activation codes, one widening load is
-/// multiply-accumulated against 4 weight rows into 4 independent `i32`
-/// lane accumulators (same per-chunk overflow bound as [`dot_u8_avx2`]),
-/// reduced once per [`I32_CHUNK`].
-///
-/// # Safety
-///
-/// The caller must ensure the CPU supports AVX2. All four weight rows
-/// must be at least as long as `a`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dot4_u8_avx2(a: &[u8], w: [&[u8]; 4]) -> [i64; 4] {
-    use std::arch::x86_64::{
-        __m128i, __m256i, _mm256_add_epi32, _mm256_cvtepu8_epi16, _mm256_madd_epi16,
-        _mm256_setzero_si256, _mm256_storeu_si256, _mm_loadu_si128,
-    };
-    let mut totals = [0i64; 4];
-    let mut start = 0;
-    while start < a.len() {
-        let end = (start + I32_CHUNK).min(a.len());
-        let ac = &a[start..end];
-        let mut acc = [_mm256_setzero_si256(); 4];
-        let mut ai = ac.chunks_exact(16);
-        let mut offset = 0;
-        for aq in &mut ai {
-            let av = _mm256_cvtepu8_epi16(_mm_loadu_si128(aq.as_ptr() as *const __m128i));
-            for j in 0..4 {
-                let wq = w[j].as_ptr().add(start + offset) as *const __m128i;
-                let wv = _mm256_cvtepu8_epi16(_mm_loadu_si128(wq));
-                acc[j] = _mm256_add_epi32(acc[j], _mm256_madd_epi16(av, wv));
-            }
-            offset += 16;
-        }
-        let tail = ai.remainder();
-        for j in 0..4 {
-            let mut lanes = [0i32; 8];
-            _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc[j]);
-            totals[j] += lanes.iter().map(|&v| i64::from(v)).sum::<i64>();
-            totals[j] += dot_u8_reference(tail, &w[j][start + offset..end]);
-        }
-        start = end;
-    }
-    totals
-}
-
-/// u16·u16 dot product via the widest available path.
-pub fn dot_u16(a: &[u16], w: &[u16]) -> i64 {
-    debug_assert_eq!(a.len(), w.len());
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: the AVX2 feature was detected at runtime.
-        return unsafe { dot_u16_avx2(a, w) };
-    }
-    dot_u16_reference(a, w)
-}
-
 /// Scalar u16 reference: products up to `2³²` accumulate exactly in `u64`.
 pub fn dot_u16_reference(a: &[u16], w: &[u16]) -> i64 {
     let mut acc = 0u64;
@@ -698,50 +622,10 @@ pub fn dot_u16_reference(a: &[u16], w: &[u16]) -> i64 {
     acc as i64
 }
 
-/// AVX2 u16 dot: 8 codes per step, widened to 32-bit lanes, multiplied
-/// with `_mm256_mul_epu32` on even/odd lanes into 64-bit accumulators.
-///
-/// # Safety
-///
-/// The caller must ensure the CPU supports AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dot_u16_avx2(a: &[u16], w: &[u16]) -> i64 {
-    use std::arch::x86_64::{
-        __m128i, __m256i, _mm256_add_epi64, _mm256_cvtepu16_epi32, _mm256_mul_epu32,
-        _mm256_setzero_si256, _mm256_srli_epi64, _mm256_storeu_si256, _mm_loadu_si128,
-    };
-    let mut acc = _mm256_setzero_si256();
-    let mut ai = a.chunks_exact(8);
-    let mut wi = w.chunks_exact(8);
-    for (aq, wq) in (&mut ai).zip(&mut wi) {
-        let av = _mm256_cvtepu16_epi32(_mm_loadu_si128(aq.as_ptr() as *const __m128i));
-        let wv = _mm256_cvtepu16_epi32(_mm_loadu_si128(wq.as_ptr() as *const __m128i));
-        let even = _mm256_mul_epu32(av, wv);
-        let odd = _mm256_mul_epu32(_mm256_srli_epi64::<32>(av), _mm256_srli_epi64::<32>(wv));
-        acc = _mm256_add_epi64(acc, _mm256_add_epi64(even, odd));
-    }
-    let mut lanes = [0u64; 4];
-    _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
-    lanes.iter().sum::<u64>() as i64 + dot_u16_reference(ai.remainder(), wi.remainder())
-}
-
-/// Nibble-packed dot product via the widest available path. Both rows
-/// must be packed with low nibble = even `k`; a trailing half-byte pad
-/// is zero in both operands and contributes nothing.
-pub fn dot_nib(a: &[u8], w: &[u8]) -> i64 {
-    debug_assert_eq!(a.len(), w.len());
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: the AVX2 feature was detected at runtime.
-        return unsafe { dot_nib_avx2(a, w) };
-    }
-    dot_nib_reference(a, w)
-}
-
-/// Scalar nibble reference: products are at most `15² = 225`, so an
-/// `i32` accumulator is exact for any realistic row (overflow would
-/// need > 4.7M taps; layer fan-ins are thousands).
+/// Scalar reference over nibble-packed rows (low nibble = even `k`; a
+/// trailing half-byte pad is zero in both operands). Products are at most
+/// `15² = 225`, so an `i32` accumulator is exact for any realistic row
+/// (overflow would need > 4.7M taps; layer fan-ins are thousands).
 pub fn dot_nib_reference(a: &[u8], w: &[u8]) -> i64 {
     debug_assert!(
         a.len() < (1 << 22),
@@ -754,148 +638,207 @@ pub fn dot_nib_reference(a: &[u8], w: &[u8]) -> i64 {
     i64::from(acc)
 }
 
-/// AVX2 nibble dot: 64 codes (32 packed bytes) per step. Nibbles are
-/// masked apart and multiplied with `_mm256_maddubs_epi16` (u8 × "i8"
-/// — nibble values are 0..=15, so the signed operand never goes
-/// negative and pair sums top out at `2·225 = 450`, far from i16
-/// saturation), then pair-summed into `i32` lanes.
-///
-/// # Safety
-///
-/// The caller must ensure the CPU supports AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dot_nib_avx2(a: &[u8], w: &[u8]) -> i64 {
-    use std::arch::x86_64::{
-        __m256i, _mm256_add_epi32, _mm256_and_si256, _mm256_loadu_si256, _mm256_madd_epi16,
-        _mm256_maddubs_epi16, _mm256_set1_epi16, _mm256_set1_epi8, _mm256_setzero_si256,
-        _mm256_srli_epi16, _mm256_storeu_si256,
-    };
-    let lo_mask = _mm256_set1_epi8(0x0F);
-    let ones = _mm256_set1_epi16(1);
-    let mut acc = _mm256_setzero_si256();
-    let mut ai = a.chunks_exact(32);
-    let mut wi = w.chunks_exact(32);
-    for (aq, wq) in (&mut ai).zip(&mut wi) {
-        let av = _mm256_loadu_si256(aq.as_ptr() as *const __m256i);
-        let wv = _mm256_loadu_si256(wq.as_ptr() as *const __m256i);
-        let alo = _mm256_and_si256(av, lo_mask);
-        let wlo = _mm256_and_si256(wv, lo_mask);
-        let ahi = _mm256_and_si256(_mm256_srli_epi16::<4>(av), lo_mask);
-        let whi = _mm256_and_si256(_mm256_srli_epi16::<4>(wv), lo_mask);
-        let plo = _mm256_maddubs_epi16(alo, wlo);
-        let phi = _mm256_maddubs_epi16(ahi, whi);
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(plo, ones));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(phi, ones));
-    }
-    let mut lanes = [0i32; 8];
-    _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
-    lanes.iter().map(|&v| i64::from(v)).sum::<i64>()
-        + dot_nib_reference(ai.remainder(), wi.remainder())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use adq_quant::{BitWidth, QuantRange};
 
-    fn lcg_codes(len: usize, max: u64, seed: u64) -> Vec<u64> {
+    fn lcg_codes(len: usize, max: u64, seed: u64) -> Vec<u16> {
         let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
         (0..len)
             .map(|_| {
                 state = state
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
-                (state >> 33) % (max + 1)
+                ((state >> 33) % (max + 1)) as u16
             })
             .collect()
     }
 
-    fn reference_dot(a: &[u64], w: &[u64]) -> i64 {
-        a.iter().zip(w).map(|(&x, &y)| (x * y) as i64).sum()
+    /// `[m, o]` accumulators in plain `i64` over unpacked codes.
+    fn wide_gemm(a: &[u16], w: &[u16], m: usize, o: usize, k: usize) -> Vec<i64> {
+        let dot = |mi: usize, oi: usize| {
+            (0..k)
+                .map(|kk| i64::from(a[mi * k + kk]) * i64::from(w[oi * k + kk]))
+                .sum()
+        };
+        (0..m * o).map(|i| dot(i / o, i % o)).collect()
     }
 
-    #[test]
-    fn u8_paths_match_wide_reference_at_every_tail() {
-        for len in (0..40).chain([255, 1024, 16_385]) {
-            let a = lcg_codes(len, 255, 7);
-            let w = lcg_codes(len, 255, 13);
-            let a8: Vec<u8> = a.iter().map(|&c| c as u8).collect();
-            let w8: Vec<u8> = w.iter().map(|&c| c as u8).collect();
-            let want = reference_dot(&a, &w);
-            assert_eq!(dot_u8_reference(&a8, &w8), want, "len {len}");
-            assert_eq!(dot_u8(&a8, &w8), want, "len {len}");
-        }
-    }
-
-    #[test]
-    fn blocked_u8_kernel_matches_four_plain_dots() {
-        for len in (0..40).chain([255, 1024, I32_CHUNK + 17]) {
-            let a: Vec<u8> = lcg_codes(len, 255, 23).iter().map(|&c| c as u8).collect();
-            let rows: Vec<Vec<u8>> = (0..4)
-                .map(|r| {
-                    lcg_codes(len, 255, 29 + r)
-                        .iter()
-                        .map(|&c| c as u8)
-                        .collect()
-                })
-                .collect();
-            let got = dot4_u8(&a, [&rows[0], &rows[1], &rows[2], &rows[3]]);
-            for j in 0..4 {
-                assert_eq!(got[j], dot_u8_reference(&a, &rows[j]), "len {len} row {j}");
-            }
-        }
-        // all-max rows across the chunk straddle
-        let len = I32_CHUNK + 5;
-        let maxed = vec![255u8; len];
-        let got = dot4_u8(&maxed, [&maxed, &maxed, &maxed, &maxed]);
-        assert_eq!(got, [len as i64 * 255 * 255; 4]);
-    }
-
-    #[test]
-    fn u16_paths_match_wide_reference_at_every_tail() {
-        for len in (0..24).chain([63, 500]) {
-            let a = lcg_codes(len, 65_535, 3);
-            let w = lcg_codes(len, 65_535, 5);
-            let a16: Vec<u16> = a.iter().map(|&c| c as u16).collect();
-            let w16: Vec<u16> = w.iter().map(|&c| c as u16).collect();
-            let want = reference_dot(&a, &w);
-            assert_eq!(dot_u16_reference(&a16, &w16), want, "len {len}");
-            assert_eq!(dot_u16(&a16, &w16), want, "len {len}");
-        }
-    }
-
-    fn pack_nibbles(codes: &[u64]) -> Vec<u8> {
-        let mut out = vec![0u8; codes.len().div_ceil(2)];
-        for (i, &c) in codes.iter().enumerate() {
-            out[i / 2] |= (c as u8) << ((i & 1) * 4);
+    /// Every body this CPU can run.
+    fn bodies() -> Vec<Body> {
+        let mut out = vec![Body::Portable];
+        #[cfg(target_arch = "x86_64")]
+        if vnni_available() {
+            out.push(Body::Vnni);
+        } else {
+            eprintln!("VNNI body skipped: no avx512f + avx512vnni on this CPU");
         }
         out
     }
 
+    fn run(body: Body, acts: &PackedMatrix, weights: &PackedMatrix) -> Vec<i64> {
+        let o = weights.rows();
+        let mut got = vec![i64::MIN; acts.rows() * o];
+        qgemm_rows_with(body, acts, weights, |mi, accs| {
+            got[mi * o..(mi + 1) * o].copy_from_slice(accs);
+        });
+        got
+    }
+
+    /// Weights tiled from raw codes at `planes` planes, as `pack_rows`
+    /// tiles a quantizer's codes.
+    fn weights(
+        codes: &[u16],
+        o: usize,
+        k: usize,
+        container: Container,
+        planes: usize,
+    ) -> PackedMatrix {
+        let sums = sum_rows(o, k, |r, kk| codes[r * k + kk]);
+        PackedMatrix::tiled(o, k, container, planes, sums, |r, kk| codes[r * k + kk])
+    }
+
     #[test]
-    fn nib_paths_match_wide_reference_at_every_tail() {
-        for len in (0..80).chain([129, 1000]) {
-            let a = lcg_codes(len, 15, 11);
-            let w = lcg_codes(len, 15, 17);
-            let want = reference_dot(&a, &w);
-            let ap = pack_nibbles(&a);
-            let wp = pack_nibbles(&w);
-            assert_eq!(dot_nib_reference(&ap, &wp), want, "len {len}");
-            assert_eq!(dot_nib(&ap, &wp), want, "len {len}");
+    fn both_bodies_match_the_wide_reference_at_every_plane_pair_and_edge() {
+        // (container, activation max, weight max, weight planes), as
+        // (activation planes, weight planes): (1,1) Nib and U8; (1,2) byte
+        // codes tiled in two planes; (2,1) 16-bit activations against
+        // byte-sized weights, the mixed model's conv2; (2,2) both 16-bit
+        let cases = [
+            (Container::Nib, 15, 15, 1),
+            (Container::U8, 255, 255, 1),
+            (Container::U8, 255, 255, 2),
+            (Container::U16, 65_535, 255, 1),
+            (Container::U16, 65_535, 65_535, 2),
+        ];
+        for body in bodies() {
+            for (container, a_max, w_max, planes) in cases {
+                for k in [1usize, 2, 3, 4, 5, 6, 7, 8, 27, 130] {
+                    for o in [1usize, 10, 16, 17, 64] {
+                        for m in [1usize, 7, 9, 21] {
+                            let a = lcg_codes(m * k, a_max, (k * 31 + m) as u64);
+                            let w = lcg_codes(o * k, w_max, (k * 17 + o) as u64);
+                            let acts = PackedMatrix::from_codes(&a, m, k, container);
+                            let wts = weights(&w, o, k, container, planes);
+                            assert_eq!(
+                                run(body, &acts, &wts),
+                                wide_gemm(&a, &w, m, o, k),
+                                "{body:?} {container:?} planes {planes} m={m} o={o} k={k}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 
     #[test]
-    fn max_code_rows_do_not_overflow() {
-        // all-255 rows at a length straddling the chunk boundary
-        let len = I32_CHUNK + 17;
-        let a8 = vec![255u8; len];
-        assert_eq!(dot_u8(&a8, &a8), len as i64 * 255 * 255);
-        let a16 = vec![65_535u16; 100];
-        assert_eq!(dot_u16(&a16, &a16), 100i64 * 65_535 * 65_535);
-        let nib = vec![0xFFu8; 64];
-        assert_eq!(dot_nib(&nib, &nib), 128 * 225);
+    fn extreme_codes_past_the_chunk_do_not_overflow() {
+        // every sign of the biased weight byte, at full magnitude, over
+        // a k that is not a multiple of 4 and straddles one chunk
+        let (m, o, k) = (9, 17, I32_CHUNK + 5);
+        for body in bodies() {
+            for (container, max) in [(Container::U8, 255u16), (Container::U16, 65_535)] {
+                let planes = container.planes();
+                for (a_code, w_code) in [(max, max), (max, 0), (0, max), (0, 0)] {
+                    let a = vec![a_code; m * k];
+                    let w = vec![w_code; o * k];
+                    let acts = PackedMatrix::from_codes(&a, m, k, container);
+                    let wts = weights(&w, o, k, container, planes);
+                    let want = k as i64 * i64::from(a_code) * i64::from(w_code);
+                    assert_eq!(
+                        run(body, &acts, &wts),
+                        vec![want; m * o],
+                        "{body:?} {container:?} a={a_code} w={w_code}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn vnni_tile_matches_the_portable_tile() {
+        if !vnni_available() {
+            eprintln!("skipped: no avx512f + avx512vnni on this CPU");
+            return;
+        }
+        let ld = 3 * NR;
+        for steps in [0usize, 1, 2, 7, 64] {
+            let a: Vec<Vec<u8>> = (0..MR)
+                .map(|i| {
+                    lcg_codes(4 * steps, 255, 5 + i as u64)
+                        .into_iter()
+                        .map(|c| c as u8)
+                        .collect()
+                })
+                .collect();
+            let w: Vec<u8> = lcg_codes(4 * NR * steps, 255, 3)
+                .into_iter()
+                .map(|c| c as u8)
+                .collect();
+            let rows: [&[u8]; MR] = std::array::from_fn(|i| a[i].as_slice());
+            for shift in [0, 8, 16] {
+                let start: Vec<i64> = lcg_codes(MR * ld, 1 << 15, 9)
+                    .into_iter()
+                    .map(|c| i64::from(c) - (1 << 14))
+                    .collect();
+                let mut want = start.clone();
+                let mut got = start.clone();
+                Body::Portable.tile(rows, &w, shift, &mut want, ld);
+                Body::Vnni.tile(rows, &w, shift, &mut got, ld);
+                assert_eq!(got, want, "steps {steps} shift {shift}");
+                // the one-row tile the matrix edge runs
+                let (mut want, mut got) = (start.clone(), start);
+                Body::Portable.tile([rows[3]], &w, shift, &mut want, ld);
+                Body::Vnni.tile([rows[3]], &w, shift, &mut got, ld);
+                assert_eq!(got, want, "one row, steps {steps} shift {shift}");
+            }
+        }
+    }
+
+    #[test]
+    fn rows_and_tiles_agree_with_the_container_oracles() {
+        // the dot_*_reference oracles over the container storage formats
+        // agree with the plane GEMM on one row against one filter
+        for k in [0usize, 1, 31, 64, 129] {
+            let (a, w) = (lcg_codes(k, 255, 1), lcg_codes(k, 255, 2));
+            let bytes = |c: &[u16]| c.iter().map(|&x| x as u8).collect::<Vec<u8>>();
+            let got = run(
+                Body::detect(),
+                &PackedMatrix::from_codes(&a, 1, k, Container::U8),
+                &PackedMatrix::from_codes(&w, 1, k, Container::U8),
+            );
+            assert_eq!(got, [dot_u8_reference(&bytes(&a), &bytes(&w))], "u8 k={k}");
+
+            let (a, w) = (lcg_codes(k, 65_535, 3), lcg_codes(k, 65_535, 4));
+            let got = run(
+                Body::detect(),
+                &PackedMatrix::from_codes(&a, 1, k, Container::U16),
+                &PackedMatrix::from_codes(&w, 1, k, Container::U16),
+            );
+            assert_eq!(got, [dot_u16_reference(&a, &w)], "u16 k={k}");
+
+            let (a, w) = (lcg_codes(k, 15, 5), lcg_codes(k, 15, 6));
+            let nibbles = |c: &[u16]| {
+                let mut out = vec![0u8; c.len().div_ceil(2)];
+                for (i, &x) in c.iter().enumerate() {
+                    out[i / 2] |= (x as u8) << ((i & 1) * 4);
+                }
+                out
+            };
+            let got = run(
+                Body::detect(),
+                &PackedMatrix::from_codes(&a, 1, k, Container::Nib),
+                &PackedMatrix::from_codes(&w, 1, k, Container::Nib),
+            );
+            assert_eq!(
+                got,
+                [dot_nib_reference(&nibbles(&a), &nibbles(&w))],
+                "nib k={k}"
+            );
+        }
     }
 
     fn q(bits: u32, lo: f32, hi: f32) -> Quantizer {
@@ -906,10 +849,11 @@ mod tests {
     }
 
     #[test]
-    fn from_codes_matches_pack_rows_in_every_container() {
+    fn pack_rows_tiles_what_from_codes_tiles_per_call() {
         for (bits, container) in [
             (4u32, Container::Nib),
             (8, Container::U8),
+            (4, Container::U16),
             (16, Container::U16),
         ] {
             let quant = q(bits, -1.0, 1.0);
@@ -918,11 +862,15 @@ mod tests {
             let codes: Vec<u16> = values.iter().map(|&v| quant.quantize(v) as u16).collect();
             let via_codes = PackedMatrix::from_codes(&codes, 5, 12, container);
             assert_eq!(via_codes.row_sums(), via_floats.row_sums(), "{container:?}");
-            let mut lhs = Vec::new();
-            let mut rhs = Vec::new();
-            qgemm(&via_floats, &via_floats, |m, o, acc| lhs.push((m, o, acc)));
-            qgemm(&via_codes, &via_codes, |m, o, acc| rhs.push((m, o, acc)));
+            assert_eq!(
+                via_floats.planes,
+                planes_for(quant.bits().max_code()),
+                "{container:?}: weight planes follow the weights' own codes"
+            );
+            let lhs = run(Body::detect(), &via_codes, &via_floats);
+            let rhs = run(Body::detect(), &via_codes, &via_codes);
             assert_eq!(lhs, rhs, "{container:?}");
+            assert_eq!(lhs, wide_gemm(&codes, &codes, 5, 5, 12), "{container:?}");
         }
     }
 
@@ -931,74 +879,31 @@ mod tests {
         let quant = q(8, -1.0, 1.0);
         let values: Vec<f32> = (0..24).map(|i| (i as f32) / 10.0 - 1.2).collect();
         let packed = PackedMatrix::pack_rows(&values, 4, 6, &quant, Container::U8);
-        let Codes::U8(codes) = &packed.codes else {
-            panic!("expected U8")
-        };
-        for (i, &v) in values.iter().enumerate() {
-            assert_eq!(u64::from(codes[i]), quant.quantize(v), "element {i}");
-        }
+        let codes: Vec<u16> = values.iter().map(|&v| quant.quantize(v) as u16).collect();
+        assert_eq!(packed, weights(&codes, 4, 6, Container::U8, 1));
         for row in 0..4 {
-            let want: u64 = values[row * 6..(row + 1) * 6]
+            let want: u64 = codes[row * 6..(row + 1) * 6]
                 .iter()
-                .map(|&v| quant.quantize(v))
+                .map(|&c| u64::from(c))
                 .sum();
             assert_eq!(packed.row_sums()[row], want, "row {row}");
         }
     }
 
     #[test]
-    fn pack_cols_is_the_transpose_of_pack_rows() {
-        let quant = q(4, -2.0, 2.0);
-        let (k, m) = (7, 5);
-        let col_major: Vec<f32> = (0..k * m).map(|i| (i as f32 * 0.37).sin()).collect();
-        // row-major transpose of the same values
-        let mut row_major = vec![0f32; k * m];
-        for kk in 0..k {
-            for mm in 0..m {
-                row_major[mm * k + kk] = col_major[kk * m + mm];
-            }
-        }
-        for container in [Container::Nib, Container::U8, Container::U16] {
-            let a = PackedMatrix::pack_cols(&col_major, k, m, &quant, container);
-            let b = PackedMatrix::pack_rows(&row_major, m, k, &quant, container);
-            assert_eq!(a, b, "{container:?}");
-        }
-    }
-
-    #[test]
-    fn qgemm_matches_wide_reference_across_containers() {
-        let (m, o, k) = (5, 4, 33);
-        let aq = q(4, -1.0, 1.0);
-        let wq = q(8, -0.5, 0.5);
-        let acts_f: Vec<f32> = (0..m * k).map(|i| (i as f32 * 0.11).cos()).collect();
-        let wts_f: Vec<f32> = (0..o * k).map(|i| (i as f32 * 0.07).sin() * 0.5).collect();
-        // wide reference from raw codes
-        let a_codes: Vec<u64> = acts_f.iter().map(|&v| aq.quantize(v)).collect();
-        let w_codes: Vec<u64> = wts_f.iter().map(|&v| wq.quantize(v)).collect();
-        let container = Container::for_max_code(aq.bits().max_code())
-            .join(Container::for_max_code(wq.bits().max_code()));
-        let acts = PackedMatrix::pack_rows(&acts_f, m, k, &aq, container);
-        let wts = PackedMatrix::pack_rows(&wts_f, o, k, &wq, container);
-        let mut got = vec![0i64; m * o];
-        qgemm(&acts, &wts, |mi, oi, acc| got[mi * o + oi] = acc);
-        for mi in 0..m {
-            for oi in 0..o {
-                let want = reference_dot(
-                    &a_codes[mi * k..(mi + 1) * k],
-                    &w_codes[oi * k..(oi + 1) * k],
-                );
-                assert_eq!(got[mi * o + oi], want, "m={mi} o={oi}");
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "container mismatch")]
     fn qgemm_rejects_container_mismatch() {
-        let quant = q(4, 0.0, 1.0);
-        let a = PackedMatrix::pack_rows(&[0.5; 4], 1, 4, &quant, Container::U8);
-        let w = PackedMatrix::pack_rows(&[0.5; 4], 1, 4, &quant, Container::Nib);
+        let a = PackedMatrix::from_codes(&[1; 4], 1, 4, Container::U8);
+        let w = PackedMatrix::from_codes(&[1; 4], 1, 4, Container::Nib);
         qgemm(&a, &w, |_, _, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "activations must be packed by from_codes")]
+    fn qgemm_rejects_tiled_activations() {
+        let quant = q(8, 0.0, 1.0);
+        let w = PackedMatrix::pack_rows(&[0.5; 4], 1, 4, &quant, Container::U8);
+        qgemm(&w, &w, |_, _, _| {});
     }
 
     #[test]
