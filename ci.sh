@@ -53,6 +53,11 @@ cargo test -q
 echo "==> tier-1: integer engine exactness (cargo test -q -p adq-infer)"
 cargo test -q -p adq-infer
 
+# Nor does it run the kernel-plan, dispatch and span/trace contracts,
+# which live in adq-tensor and adq-telemetry.
+echo "==> tier-1: kernel plan + telemetry tests (cargo test -q -p adq-tensor -p adq-telemetry)"
+cargo test -q -p adq-tensor -p adq-telemetry
+
 # The data-parallel trainer promises bit-identical results at any worker
 # count; one extra pass under a small pool exercises the parallel schedule
 # everywhere the suite asserts serial numbers.

@@ -815,7 +815,12 @@ fn conn_worker_loop(shared: Arc<Shared>, injector: Arc<Mutex<VecDeque<Conn>>>) {
                 let frame = match conn.reader.next_frame() {
                     Ok(Some(frame)) => frame,
                     Ok(None) => break,
-                    Err(_) => {
+                    Err(e) => {
+                        // an oversized length prefix: the stream has lost
+                        // its framing, so say why and close it
+                        errors.inc();
+                        conn.writer
+                            .send(STATUS_ERR, 0, &ErrBody(&e.to_string()), None);
                         conn.alive = false;
                         break;
                     }
@@ -1805,6 +1810,39 @@ mod tests {
 
         server.shutdown();
         assert!(server.shutting_down());
+    }
+
+    #[test]
+    fn an_oversized_frame_gets_a_typed_error_then_eof() {
+        let _serial = server_test_lock();
+        let mut server = Server::bind(
+            "127.0.0.1:0",
+            compiled_tiny() as Arc<dyn ServeModel>,
+            ServeConfig::default(),
+        )
+        .unwrap();
+        let addr = server.local_addr();
+        let errors = metrics::global().counter("serve.errors");
+        let errors_before = errors.get();
+
+        let mut raw = TcpStream::connect(addr).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        raw.write_all(&u32::to_le_bytes(MAX_FRAME as u32 + 1))
+            .unwrap();
+        let reply = read_frame(&mut raw).unwrap().expect("one response frame");
+        assert_eq!(reply[0], STATUS_ERR);
+        assert_eq!(u64::from_le_bytes(reply[1..9].try_into().unwrap()), 0);
+        let message = String::from_utf8_lossy(&reply[13..]);
+        assert!(
+            message.contains(&MAX_FRAME.to_string()),
+            "the error must name the cap: {message}"
+        );
+        assert!(read_frame(&mut raw).unwrap().is_none(), "then EOF");
+        assert_eq!(errors.get() - errors_before, 1);
+
+        // the server itself is unharmed
+        Client::connect(addr).unwrap().ping().unwrap();
+        server.shutdown();
     }
 
     #[test]

@@ -38,10 +38,6 @@
 //!   the JSONL [`AccessLog`] with its off-hot-path writer thread, and
 //!   [`TailExemplars`] retaining the K slowest requests for tail
 //!   attribution (`adq-report --serving`).
-//! * [`env`] — hardened parsing for the `ADQ_*` tuning knobs: invalid
-//!   values produce a typed warning (logged once, counted in
-//!   `telemetry.env.invalid`) and fall back to the documented default
-//!   instead of being silently ignored.
 //!
 //! Telemetry is observation-only by contract: attaching any sink —
 //! enabling tracing at any level, resource tracking, or the live
@@ -49,7 +45,6 @@
 
 pub mod alloc;
 pub mod endpoint;
-pub mod env;
 pub mod event;
 pub mod health;
 pub mod lifecycle;

@@ -18,7 +18,7 @@
 //! in progress — plus one relaxed atomic load for the level check.
 //!
 //! Tracing is off unless the `ADQ_TRACE` environment variable (read
-//! once, like `ADQ_PAR_FLOPS`) or [`set_level`] enables it:
+//! once, at the first level check) or [`set_level`] enables it:
 //!
 //! * `0` — disabled; every instrumentation site costs one relaxed load.
 //! * `1` — controller phases, epochs, batches/microbatches, and GEMMs

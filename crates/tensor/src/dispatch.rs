@@ -15,45 +15,23 @@
 //!
 //! Thresholds follow the same flop discipline as the GEMM `par_dispatch`
 //! gate: elementwise transforms cost ~1 flop per element, so the floor is
-//! expressed in elements. `ADQ_PAR_FLOPS`, read once at startup, overrides
-//! both the GEMM fallback threshold and the elementwise floor for
-//! experiments on machines with different dispatch/flop cost ratios.
-
-use std::sync::OnceLock;
+//! expressed in elements. Both thresholds are constants: re-tuning one
+//! means editing it here against a before/after measurement.
 
 use rayon::prelude::*;
 
-/// Default minimum estimated flops (m·n·k) before the GEMM fallback
-/// kernels fan rows out to workers.
-pub const GEMM_PAR_FLOPS_DEFAULT: usize = 32_768;
+/// Minimum estimated flops (m·n·k) before the GEMM fallback kernels fan
+/// rows out to workers.
+pub const GEMM_PAR_FLOPS: usize = 32_768;
 
-/// Default minimum slice length before an elementwise kernel fans chunks
-/// out to workers (1 flop per element under the flop discipline).
-pub const ELEMENTWISE_PAR_MIN_DEFAULT: usize = 1 << 16;
+/// Minimum slice length before an elementwise kernel fans chunks out to
+/// workers (1 flop per element under the flop discipline).
+pub const ELEMENTWISE_PAR_MIN: usize = 1 << 16;
 
 /// Fixed chunk length for parallel elementwise kernels. Chunk boundaries
 /// are a pure function of the slice length, so the split — and therefore
 /// every per-element result — is identical at any worker count.
 pub const ELEMENTWISE_CHUNK: usize = 1 << 13;
-
-/// The `ADQ_PAR_FLOPS` override, parsed once at first use through the
-/// hardened [`adq_telemetry::env`] reader: `None` when the variable is
-/// unset or unusable — an unusable value logs a typed warning and is
-/// counted in `telemetry.env.invalid` instead of being silently ignored.
-pub fn par_flops_override() -> Option<usize> {
-    static OVERRIDE: OnceLock<Option<usize>> = OnceLock::new();
-    *OVERRIDE.get_or_init(|| adq_telemetry::env::usize_var("ADQ_PAR_FLOPS"))
-}
-
-/// Minimum estimated flops before GEMM fallback kernels parallelise.
-pub fn gemm_par_flop_threshold() -> usize {
-    par_flops_override().unwrap_or(GEMM_PAR_FLOPS_DEFAULT)
-}
-
-/// Minimum slice length before elementwise kernels parallelise.
-pub fn elementwise_par_min() -> usize {
-    par_flops_override().unwrap_or(ELEMENTWISE_PAR_MIN_DEFAULT)
-}
 
 /// The worker count parallel kernels currently fan out to.
 pub fn current_num_threads() -> usize {
@@ -62,7 +40,7 @@ pub fn current_num_threads() -> usize {
 
 /// Whether an elementwise pass over `len` elements should parallelise.
 fn elementwise_dispatch(len: usize) -> bool {
-    len >= elementwise_par_min() && current_num_threads() >= 2
+    len >= ELEMENTWISE_PAR_MIN && current_num_threads() >= 2
 }
 
 /// Applies `f` to `data` in fixed-size chunks, in parallel above the
@@ -157,16 +135,6 @@ pub fn count_nonzero_slice(data: &[f32]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn defaults_match_the_historical_constants() {
-        // no ADQ_PAR_FLOPS in the test environment: thresholds must be the
-        // pre-override constants so existing dispatch-boundary tests hold
-        if par_flops_override().is_none() {
-            assert_eq!(gemm_par_flop_threshold(), 32_768);
-            assert_eq!(elementwise_par_min(), 1 << 16);
-        }
-    }
 
     #[test]
     fn chunked_apply_matches_serial_bitwise() {

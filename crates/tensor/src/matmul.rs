@@ -1,15 +1,12 @@
 //! Matrix-multiply entry points with shape-adaptive kernel dispatch.
 //!
 //! Each of the three variants (`A·B`, `Aᵀ·B`, `A·Bᵀ`) asks
-//! [`crate::plan`] for a [`KernelPlan`] keyed on `(m, n, k, variant)` and
+//! [`crate::plan`] for the [`KernelPlan`] of its `(m, n, k)` and
 //! executes it: the streaming fallback loops below for shapes where
 //! packing cannot pay for itself, or the cache-blocked packed kernel in
 //! [`crate::gemm`] with either the default or a shape-tuned blocking.
 //! The chosen plan is surfaced through the `tensor.dispatch.plan` span
-//! attribute and the `tensor.dispatch.plan.*` counters, and with
-//! `ADQ_AUTOTUNE=1` the static heuristic is replaced by a one-shot
-//! bench of every candidate on the first call per shape (see
-//! [`crate::plan`] for the caching rules).
+//! attribute and the `tensor.dispatch.plan.*` counters.
 //!
 //! Plan choice never changes results: every kernel accumulates each
 //! output element in the same strictly ascending-k order (the numerical
@@ -29,7 +26,6 @@
 //! for the dispatch-boundary proptests.
 
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 use adq_telemetry::alloc;
 use adq_telemetry::span::{self, SpanGuard};
@@ -38,7 +34,7 @@ use rayon::prelude::*;
 
 use crate::conv::ConvGemm;
 use crate::gemm::{self, AStore, BOperand, BStore};
-use crate::plan::{self, KernelPlan, Variant};
+use crate::plan::{self, KernelPlan};
 use crate::scratch::Scratch;
 use crate::shape::ShapeError;
 use crate::tensor::Tensor;
@@ -49,7 +45,7 @@ use crate::tensor::Tensor;
 const PAR_ROW_THRESHOLD: usize = 8;
 
 // The flop floor before the fallback loops split across threads lives in
-// crate::dispatch (GEMM_PAR_FLOPS_DEFAULT, overridable via ADQ_PAR_FLOPS):
+// crate::dispatch (GEMM_PAR_FLOPS):
 // handing a call to rayon's persistent worker pool costs 1–3 µs (measured
 // over 20,000 two-band calls on a 2-vCPU x86-64 VM), and a tall but skinny
 // product (say 64×4·4, a training-batch logits matmul) has plenty of rows
@@ -60,7 +56,7 @@ const PAR_ROW_THRESHOLD: usize = 8;
 #[inline]
 fn par_dispatch(m: usize, n: usize, k: usize) -> bool {
     m >= PAR_ROW_THRESHOLD
-        && m.saturating_mul(n).saturating_mul(k) >= crate::dispatch::gemm_par_flop_threshold()
+        && m.saturating_mul(n).saturating_mul(k) >= crate::dispatch::GEMM_PAR_FLOPS
 }
 
 /// Wall-time of every matmul variant, recorded into the process-wide
@@ -102,10 +98,9 @@ fn count_plan(chosen: &KernelPlan) {
         .inc();
 }
 
-/// One dispatched product: the transpose variant, the output shape, and
-/// the operands in their declared storage orders.
+/// One dispatched product: the output shape and the operands in their
+/// declared storage orders.
 pub(crate) struct GemmOp<'a> {
-    pub(crate) variant: Variant,
     pub(crate) m: usize,
     pub(crate) n: usize,
     pub(crate) k: usize,
@@ -114,17 +109,35 @@ pub(crate) struct GemmOp<'a> {
     pub(crate) b: BOperand<'a>,
 }
 
-/// Tracing span for one matmul call, carrying the chosen plan as the
-/// `tensor.dispatch.plan` attribute. Products big enough for a blocked
-/// plan are worth a span at level 1; everything else (the per-batch
-/// small products) only at level 2, so level-1 traces stay below noise.
+impl GemmOp<'_> {
+    /// How `B` is read: a convolution's weight gradient reads `cols`
+    /// transposed.
+    fn b_store(&self) -> BStore {
+        match self.b {
+            BOperand::Matrix(_, store) => store,
+            BOperand::Cols(_, ConvGemm::Forward) => BStore::Normal,
+            BOperand::Cols(_, ConvGemm::WeightGrad) => BStore::Transposed,
+        }
+    }
+}
+
+/// Tracing span for one matmul call, carrying the transpose variant the
+/// storage orders make and the chosen plan as the `tensor.dispatch.plan`
+/// attribute. Products big enough for a blocked plan are worth a span at
+/// level 1; everything else (the per-batch small products) only at level
+/// 2, so level-1 traces stay below noise.
 fn matmul_span(op: &GemmOp, chosen: &KernelPlan) -> SpanGuard {
     let flops = op.m.saturating_mul(op.n).saturating_mul(op.k);
     if span::verbose() || (span::enabled() && flops >= plan::MIN_BLOCKED_FLOPS) {
+        let variant = match (op.a_store, op.b_store()) {
+            (AStore::Transposed, _) => "tn",
+            (_, BStore::Transposed) => "nt",
+            _ => "nn",
+        };
         span::span_with(
             "tensor.matmul",
             vec![
-                ("variant", op.variant.label().into()),
+                ("variant", variant.into()),
                 ("m", op.m.into()),
                 ("n", op.n.into()),
                 ("k", op.k.into()),
@@ -136,17 +149,6 @@ fn matmul_span(op: &GemmOp, chosen: &KernelPlan) -> SpanGuard {
     }
 }
 
-/// How the naive plan gets a convolution's explicit column matrix.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Lowering {
-    /// Lowered once per padded input and kept there, so a layer whose
-    /// forward product and weight gradient both run naive lowers once.
-    Cached,
-    /// Lowered afresh and handed back after the product: an autotune run
-    /// then pays the lowering that every later batch pays.
-    Fresh,
-}
-
 /// Runs one plan on the operands, drawing every buffer from `scratch`.
 /// The returned buffer is the `m·n` output, row-major.
 ///
@@ -155,37 +157,22 @@ pub(crate) enum Lowering {
 /// and streams the explicit matrix, as it always has.
 ///
 /// [`im2col`]: crate::im2col
-pub(crate) fn execute_plan(
-    chosen: &KernelPlan,
-    op: &GemmOp,
-    lowering: Lowering,
-    scratch: &mut Scratch,
-) -> Vec<f32> {
+pub(crate) fn execute_plan(chosen: &KernelPlan, op: &GemmOp, scratch: &mut Scratch) -> Vec<f32> {
     if let Some(blocking) = chosen.blocking() {
         let GemmOp { m, n, k, a, .. } = *op;
         return gemm::gemm_alloc(m, n, k, a, op.a_store, op.b, blocking, scratch);
     }
-    let (input, which) = match op.b {
-        BOperand::Matrix(b, b_store) => return naive_plan(op, b, b_store, scratch),
-        BOperand::Cols(input, which) => (input, which),
+    let b = match op.b {
+        BOperand::Matrix(b, _) => b,
+        BOperand::Cols(input, _) => input.cols(scratch).data(),
     };
-    let b_store = match which {
-        ConvGemm::Forward => BStore::Normal,
-        ConvGemm::WeightGrad => BStore::Transposed,
-    };
-    if lowering == Lowering::Cached {
-        return naive_plan(op, input.cols(scratch).data(), b_store, scratch);
-    }
-    let cols = input.lower(scratch);
-    let out = naive_plan(op, cols.data(), b_store, scratch);
-    scratch.give(cols.into_vec());
-    out
+    naive_plan(op, b, scratch)
 }
 
 /// The streaming fallback loops on an explicit `B`.
-fn naive_plan(op: &GemmOp, b: &[f32], b_store: BStore, scratch: &mut Scratch) -> Vec<f32> {
+fn naive_plan(op: &GemmOp, b: &[f32], scratch: &mut Scratch) -> Vec<f32> {
     let GemmOp { m, n, k, a, .. } = *op;
-    match (op.a_store, b_store) {
+    match (op.a_store, op.b_store()) {
         (AStore::Normal, BStore::Normal) => {
             let mut out = scratch.take_zeroed(m * n);
             nn_fallback(m, n, k, a, b, &mut out);
@@ -207,37 +194,15 @@ fn naive_plan(op: &GemmOp, b: &[f32], b_store: BStore, scratch: &mut Scratch) ->
     }
 }
 
-/// Picks the plan for a shape: the static heuristic, or — when
-/// `ADQ_AUTOTUNE=1` — the cached autotune winner, timing each candidate
-/// on the live operands (one warm-up run, one timed run) at first sight
-/// of the shape. A convolution product's naive candidate lowers its
-/// column matrix afresh in both runs, and its winner is cached apart from
-/// an explicit matmul of the same shape.
-fn select_plan(op: &GemmOp, scratch: &mut Scratch) -> KernelPlan {
-    if !plan::autotune_enabled() || op.m == 0 || op.n == 0 || op.k == 0 {
-        return plan::static_plan(op.variant, op.m, op.n, op.k);
-    }
-    let implicit = matches!(op.b, BOperand::Cols(..));
-    plan::autotuned(op.variant, op.m, op.n, op.k, implicit, |candidate| {
-        let out = execute_plan(candidate, op, Lowering::Fresh, scratch);
-        scratch.give(out);
-        let start = Instant::now();
-        let out = execute_plan(candidate, op, Lowering::Fresh, scratch);
-        let elapsed = start.elapsed();
-        scratch.give(out);
-        elapsed
-    })
-}
-
 /// The shared driver behind all three dispatched variants and the
 /// implicit convolution products: time, count, plan, trace, execute.
 pub(crate) fn dispatch_matmul(op: &GemmOp, scratch: &mut Scratch) -> Vec<f32> {
     let _timer = matmul_timer();
     count_gemm_resources(op.m, op.n, op.k);
-    let chosen = select_plan(op, scratch);
+    let chosen = plan::static_plan(op.m, op.n, op.k);
     let _span = matmul_span(op, &chosen);
     count_plan(&chosen);
-    execute_plan(&chosen, op, Lowering::Cached, scratch)
+    execute_plan(&chosen, op, scratch)
 }
 
 /// Dense matrix product `C = A · B` for rank-2 tensors.
@@ -284,7 +249,6 @@ pub fn matmul_scratch(a: &Tensor, b: &Tensor, scratch: &mut Scratch) -> Result<T
     }
     let out = dispatch_matmul(
         &GemmOp {
-            variant: Variant::NN,
             m,
             n,
             k,
@@ -327,7 +291,6 @@ pub fn matmul_at_b_scratch(
     }
     let out = dispatch_matmul(
         &GemmOp {
-            variant: Variant::TN,
             m,
             n,
             k,
@@ -370,7 +333,6 @@ pub fn matmul_a_bt_scratch(
     }
     let out = dispatch_matmul(
         &GemmOp {
-            variant: Variant::NT,
             m,
             n,
             k,
@@ -660,7 +622,7 @@ mod tests {
         ];
         for (m, k, n, label) in cases {
             assert_eq!(
-                static_plan(Variant::NN, m, n, k).label(),
+                static_plan(m, n, k).label(),
                 label,
                 "plan for ({m},{k},{n})"
             );
@@ -691,10 +653,9 @@ mod tests {
     fn wide_short_products_take_the_naive_plan() {
         // the PR-3 regression: one row strip cannot amortise packing B,
         // so the plan layer now keeps these on the streaming loops
-        assert_eq!(static_plan(Variant::NN, 4, 4096, 4096).label(), "naive");
-        assert_eq!(static_plan(Variant::NT, 4, 4096, 4096).label(), "naive");
+        assert_eq!(static_plan(4, 4096, 4096).label(), "naive");
         // the square-ish bench winners stay blocked
-        assert_eq!(static_plan(Variant::NN, 512, 512, 512).label(), "blocked");
+        assert_eq!(static_plan(512, 512, 512).label(), "blocked");
     }
 
     #[test]
@@ -703,7 +664,7 @@ mod tests {
         // kernel on a shape the heuristic routes to naive must still
         // produce the same numbers
         let (m, k, n) = (4usize, 300usize, 256usize);
-        assert_eq!(static_plan(Variant::NN, m, n, k).label(), "naive");
+        assert_eq!(static_plan(m, n, k).label(), "naive");
         let a = random_tensor(&[m, k], 301);
         let b = random_tensor(&[k, n], 302);
         let mut scratch = Scratch::new();
@@ -717,7 +678,6 @@ mod tests {
             let out = execute_plan(
                 &chosen,
                 &GemmOp {
-                    variant: Variant::NN,
                     m,
                     n,
                     k,
@@ -725,7 +685,6 @@ mod tests {
                     a_store: AStore::Normal,
                     b: BOperand::Matrix(b.data(), BStore::Normal),
                 },
-                Lowering::Cached,
                 &mut scratch,
             );
             let expected = matmul_naive(&a, &b).unwrap();
@@ -744,15 +703,9 @@ mod tests {
         // cascaded into a fresh allocation of the largest panel. With
         // panels taken first, a warm call's only fresh allocation is the
         // m·n output that escapes to the caller as a Tensor.
-        if plan::autotune_enabled() {
-            // the autotune bench runs extra candidates through the arena,
-            // so the exact alloc accounting below only holds for the
-            // static plan this test is about
-            return;
-        }
         let (m, k, n) = (64usize, 512usize, 64usize); // conv-like: panels > output
         assert!(
-            static_plan(Variant::NN, m, n, k).blocking().is_some(),
+            static_plan(m, n, k).blocking().is_some(),
             "the test shape must route to a packed-kernel plan"
         );
         let a = random_tensor(&[m, k], 401);

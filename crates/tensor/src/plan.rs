@@ -31,16 +31,8 @@
 //! checkpoint resume, thread-count invariance) is preserved no matter
 //! which plan wins.
 //!
-//! Setting `ADQ_AUTOTUNE=1` additionally enables a one-shot autotune
-//! pass: the first time a shape is seen, every candidate plan is timed
-//! on the live operands and the winner is cached in a process-level
-//! table (`tensor.dispatch.autotune.benched` / `.cache_hits` count the
-//! activity). The cache makes the choice deterministic for the rest of
-//! the process even though the timings themselves are noisy.
-
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
-use std::time::Duration;
+//! The plan is a pure function of `(m, n, k)`: the transpose variant
+//! does not enter it, and there is no runtime override.
 
 use crate::gemm::{KC, MC, MR, NC, NR};
 
@@ -79,34 +71,10 @@ pub const TUNED_MAX_M: usize = MC;
 /// reload passes.
 pub const TUNED_KC_MAX: usize = 4 * KC;
 
-/// Which of the three matmul entry points a plan is selected for. The
-/// transpose variant changes packing cost (strided vs streaming reads),
-/// so it is part of the plan key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Variant {
-    /// `C = A · B`.
-    NN,
-    /// `C = Aᵀ · B`.
-    TN,
-    /// `C = A · Bᵀ`.
-    NT,
-}
-
-impl Variant {
-    /// Short label used in span attributes and autotune logs.
-    pub fn label(self) -> &'static str {
-        match self {
-            Variant::NN => "nn",
-            Variant::TN => "tn",
-            Variant::NT => "nt",
-        }
-    }
-}
-
 /// Cache-blocking parameters for the packed GEMM kernel. The register
 /// micro-tile (`MR × NR`) is fixed — it is sized to the machine's vector
 /// registers, not the shape — but the macro tiling is per-plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Blocking {
     /// Macro-tile rows (multiple of [`MR`]).
     pub mc: usize,
@@ -137,14 +105,8 @@ impl Blocking {
     }
 }
 
-impl Default for Blocking {
-    fn default() -> Self {
-        Self::default_tiles()
-    }
-}
-
 /// The kernel a product of a given shape is routed to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelPlan {
     /// The streaming fallback loops (ascending-k, row-major).
     Naive,
@@ -183,7 +145,7 @@ impl KernelPlan {
 /// reload per k-block — balance `k` into the fewest blocks whose packed
 /// strips still stream from L2 (`kc ≤ TUNED_KC_MAX`), with near-equal
 /// block lengths so the tail block is not degenerate.
-fn tuned_blocking(m: usize, _n: usize, k: usize) -> Option<Blocking> {
+fn tuned_blocking(m: usize, k: usize) -> Option<Blocking> {
     if m <= TUNED_MAX_M && k > KC {
         let blocks = k.div_ceil(TUNED_KC_MAX);
         Some(Blocking {
@@ -201,7 +163,7 @@ fn tuned_blocking(m: usize, _n: usize, k: usize) -> Option<Blocking> {
 /// This replaces the single `BLOCKED_MIN_FLOPS` cutoff that routed
 /// *every* sufficiently large product — including the pathological
 /// wide-short ones — to one fixed tiling.
-pub fn static_plan(_variant: Variant, m: usize, n: usize, k: usize) -> KernelPlan {
+pub fn static_plan(m: usize, n: usize, k: usize) -> KernelPlan {
     let flops = m.saturating_mul(n).saturating_mul(k);
     // Thinner than one register tile: the packed kernel would zero-pad
     // most of every strip it touches.
@@ -221,108 +183,10 @@ pub fn static_plan(_variant: Variant, m: usize, n: usize, k: usize) -> KernelPla
     if m.div_ceil(MR) < MIN_ROW_STRIPS || n.div_ceil(NR) < MIN_COL_STRIPS {
         return KernelPlan::Naive;
     }
-    match tuned_blocking(m, n, k) {
+    match tuned_blocking(m, k) {
         Some(b) => KernelPlan::BlockedTuned(b),
         None => KernelPlan::Blocked(Blocking::default_tiles()),
     }
-}
-
-/// Candidate plans the autotune pass races for a shape: the static
-/// choice always competes, plus every distinct alternative.
-pub fn candidates(variant: Variant, m: usize, n: usize, k: usize) -> Vec<KernelPlan> {
-    let mut plans = vec![KernelPlan::Naive];
-    // Blocked candidates only make sense where the packed kernel can
-    // form at least one register tile.
-    if m >= MR && n >= NR && k > 0 {
-        plans.push(KernelPlan::Blocked(Blocking::default_tiles()));
-        if let Some(b) = tuned_blocking(m, n, k) {
-            plans.push(KernelPlan::BlockedTuned(b));
-        }
-    }
-    let static_choice = static_plan(variant, m, n, k);
-    if !plans.contains(&static_choice) {
-        plans.push(static_choice);
-    }
-    plans
-}
-
-/// Whether the one-shot autotune pass is enabled (`ADQ_AUTOTUNE`,
-/// parsed once through the hardened [`adq_telemetry::env`] reader:
-/// invalid values warn and fall back to off).
-pub fn autotune_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| adq_telemetry::env::bool_var("ADQ_AUTOTUNE", false))
-}
-
-/// Autotune-table key: the transpose variant, the exact shape, and
-/// whether `B` is a convolution's implicit column matrix.
-type PlanKey = (Variant, usize, usize, usize, bool);
-
-/// Process-level table of autotuned plans, keyed by exact shape and
-/// transpose variant.
-fn cache() -> &'static Mutex<HashMap<PlanKey, KernelPlan>> {
-    static CACHE: OnceLock<Mutex<HashMap<PlanKey, KernelPlan>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Number of shapes currently in the autotune table (for tests and the
-/// `adq-report` run analyzer).
-pub fn autotune_cache_len() -> usize {
-    cache().lock().expect("autotune cache poisoned").len()
-}
-
-/// The autotuned plan for a shape: cached winner if present, otherwise
-/// every candidate is timed via `bench` (warm-up + timed run each, on
-/// the caller's live operands) and the fastest is cached and returned.
-///
-/// The first insert wins: once a shape is in the table its plan never
-/// changes for the lifetime of the process, so dispatch is deterministic
-/// per process even though the timings are not.
-///
-/// `implicit` marks a convolution product whose `B` is gathered from a
-/// padded input: its naive candidate also pays the `im2col` lowering, so
-/// its winner is kept apart from an explicit matmul of the same shape.
-pub fn autotuned(
-    variant: Variant,
-    m: usize,
-    n: usize,
-    k: usize,
-    implicit: bool,
-    mut bench: impl FnMut(&KernelPlan) -> Duration,
-) -> KernelPlan {
-    let key = (variant, m, n, k, implicit);
-    if let Some(plan) = cache().lock().expect("autotune cache poisoned").get(&key) {
-        autotune_hits().inc();
-        return *plan;
-    }
-    let mut best: Option<(Duration, KernelPlan)> = None;
-    for plan in candidates(variant, m, n, k) {
-        let elapsed = bench(&plan);
-        autotune_benched().inc();
-        if best.is_none_or(|(t, _)| elapsed < t) {
-            best = Some((elapsed, plan));
-        }
-    }
-    let winner = best.expect("candidates is never empty").1;
-    *cache()
-        .lock()
-        .expect("autotune cache poisoned")
-        .entry(key)
-        .or_insert(winner)
-}
-
-fn autotune_hits() -> &'static std::sync::Arc<adq_telemetry::Counter> {
-    static HITS: OnceLock<std::sync::Arc<adq_telemetry::Counter>> = OnceLock::new();
-    HITS.get_or_init(|| {
-        adq_telemetry::metrics::global().counter("tensor.dispatch.autotune.cache_hits")
-    })
-}
-
-fn autotune_benched() -> &'static std::sync::Arc<adq_telemetry::Counter> {
-    static BENCHED: OnceLock<std::sync::Arc<adq_telemetry::Counter>> = OnceLock::new();
-    BENCHED.get_or_init(|| {
-        adq_telemetry::metrics::global().counter("tensor.dispatch.autotune.benched")
-    })
 }
 
 #[cfg(test)]
@@ -332,69 +196,56 @@ mod tests {
     #[test]
     fn bench_shapes_get_the_right_static_plans() {
         // the PR-3 wins stay blocked
+        assert!(matches!(static_plan(512, 512, 512), KernelPlan::Blocked(_)));
         assert!(matches!(
-            static_plan(Variant::NN, 512, 512, 512),
+            static_plan(512, 1024, 4608),
             KernelPlan::Blocked(_)
         ));
         assert!(matches!(
-            static_plan(Variant::NN, 512, 1024, 4608),
-            KernelPlan::Blocked(_)
-        ));
-        assert!(matches!(
-            static_plan(Variant::NT, 128, 1152, 1024),
+            static_plan(128, 1152, 1024),
             KernelPlan::Blocked(_)
         ));
         // the regressions route to naive
-        assert_eq!(static_plan(Variant::NN, 4, 4096, 4096), KernelPlan::Naive);
-        assert_eq!(static_plan(Variant::NT, 4, 4096, 4096), KernelPlan::Naive);
+        assert_eq!(static_plan(4, 4096, 4096), KernelPlan::Naive);
     }
 
     #[test]
     fn thin_small_and_short_k_products_stay_naive() {
-        assert_eq!(static_plan(Variant::NN, 3, 4096, 4096), KernelPlan::Naive); // m < MR
-        assert_eq!(static_plan(Variant::NN, 4096, 15, 4096), KernelPlan::Naive); // n < NR
-        assert_eq!(static_plan(Variant::NN, 8, 8, 8), KernelPlan::Naive); // tiny flops
-        assert_eq!(static_plan(Variant::TN, 4096, 4096, 4), KernelPlan::Naive); // tiny k
-        assert_eq!(static_plan(Variant::NN, 12, 4096, 4096), KernelPlan::Naive); // 3 row strips
-        assert_eq!(static_plan(Variant::NN, 4096, 16, 256), KernelPlan::Naive); // 1 col strip
+        assert_eq!(static_plan(3, 4096, 4096), KernelPlan::Naive); // m < MR
+        assert_eq!(static_plan(4096, 15, 4096), KernelPlan::Naive); // n < NR
+        assert_eq!(static_plan(8, 8, 8), KernelPlan::Naive); // tiny flops
+        assert_eq!(static_plan(4096, 4096, 4), KernelPlan::Naive); // tiny k
+        assert_eq!(static_plan(12, 4096, 4096), KernelPlan::Naive); // 3 row strips
+        assert_eq!(static_plan(4096, 16, 256), KernelPlan::Naive); // 1 col strip
     }
 
     #[test]
     fn reuse_gate_boundaries_are_exact() {
         // 13 rows is the first m with ceil(m/MR) == MIN_ROW_STRIPS
-        assert_eq!(static_plan(Variant::NN, 12, 2048, 2048), KernelPlan::Naive);
+        assert_eq!(static_plan(12, 2048, 2048), KernelPlan::Naive);
         assert!(matches!(
-            static_plan(Variant::NN, 13, 2048, 2048),
+            static_plan(13, 2048, 2048),
             KernelPlan::BlockedTuned(_)
         ));
         // 17 columns is the first n with ceil(n/NR) == MIN_COL_STRIPS
-        assert_eq!(static_plan(Variant::NN, 512, 16, 512), KernelPlan::Naive);
-        assert!(matches!(
-            static_plan(Variant::NN, 512, 17, 512),
-            KernelPlan::Blocked(_)
-        ));
+        assert_eq!(static_plan(512, 16, 512), KernelPlan::Naive);
+        assert!(matches!(static_plan(512, 17, 512), KernelPlan::Blocked(_)));
         // k straddling MIN_K
-        assert_eq!(
-            static_plan(Variant::NN, 512, 512, MIN_K - 1),
-            KernelPlan::Naive
-        );
+        assert_eq!(static_plan(512, 512, MIN_K - 1), KernelPlan::Naive);
         assert!(matches!(
-            static_plan(Variant::NN, 512, 512, MIN_K),
+            static_plan(512, 512, MIN_K),
             KernelPlan::Blocked(_)
         ));
         // flops straddling MIN_BLOCKED_FLOPS (64·64·64 == 2^18)
-        assert_eq!(static_plan(Variant::NN, 64, 64, 63), KernelPlan::Naive);
-        assert!(matches!(
-            static_plan(Variant::NN, 64, 64, 64),
-            KernelPlan::Blocked(_)
-        ));
+        assert_eq!(static_plan(64, 64, 63), KernelPlan::Naive);
+        assert!(matches!(static_plan(64, 64, 64), KernelPlan::Blocked(_)));
     }
 
     #[test]
     fn degenerate_shapes_never_overflow() {
         // saturating work estimate: must not panic and must stay blocked
         assert!(matches!(
-            static_plan(Variant::NN, usize::MAX, usize::MAX, usize::MAX),
+            static_plan(usize::MAX, usize::MAX, usize::MAX),
             KernelPlan::Blocked(_)
         ));
     }
@@ -402,7 +253,7 @@ mod tests {
     #[test]
     fn tuned_blocking_balances_k() {
         // m small, k large: tuned plan with near-equal k-blocks
-        let plan = static_plan(Variant::NN, 32, 2048, 4096);
+        let plan = static_plan(32, 2048, 4096);
         let KernelPlan::BlockedTuned(b) = plan else {
             panic!("expected tuned plan, got {plan:?}");
         };
@@ -413,64 +264,9 @@ mod tests {
         assert!(blocks * b.kc >= 4096 && (blocks - 1) * b.kc < 4096);
         // m above the tuned band keeps the default tiles
         assert_eq!(
-            static_plan(Variant::NN, TUNED_MAX_M + 1, 2048, 4096),
+            static_plan(TUNED_MAX_M + 1, 2048, 4096),
             KernelPlan::Blocked(Blocking::default_tiles())
         );
-    }
-
-    #[test]
-    fn candidates_cover_all_three_kernels_and_include_the_static_choice() {
-        let c = candidates(Variant::NN, 32, 2048, 4096);
-        assert!(c.contains(&KernelPlan::Naive));
-        assert!(c.contains(&KernelPlan::Blocked(Blocking::default_tiles())));
-        assert!(c.iter().any(|p| matches!(p, KernelPlan::BlockedTuned(_))));
-        let static_choice = static_plan(Variant::NN, 32, 2048, 4096);
-        assert!(c.contains(&static_choice));
-        // thinner than a register tile: only naive competes
-        assert_eq!(
-            candidates(Variant::NN, 2, 4096, 4096),
-            vec![KernelPlan::Naive]
-        );
-    }
-
-    #[test]
-    fn autotune_cache_is_deterministic_per_process() {
-        // unique shape so parallel tests cannot collide on the key
-        let (m, n, k) = (19, 4099, 257);
-        let mut benches = 0usize;
-        // fake bencher: tuned < blocked < naive
-        let timing = |plan: &KernelPlan| match plan {
-            KernelPlan::Naive => Duration::from_micros(300),
-            KernelPlan::Blocked(_) => Duration::from_micros(200),
-            KernelPlan::BlockedTuned(_) => Duration::from_micros(100),
-        };
-        let first = autotuned(Variant::TN, m, n, k, false, |p| {
-            benches += 1;
-            timing(p)
-        });
-        assert!(matches!(first, KernelPlan::BlockedTuned(_)));
-        assert!(benches >= 2, "first call must bench every candidate");
-        // second call: cache hit, the bencher must not run, the plan is
-        // identical even if a re-bench would now prefer another kernel
-        let second = autotuned(Variant::TN, m, n, k, false, |_| {
-            panic!("cached shape must not re-bench")
-        });
-        assert_eq!(first, second);
-        // same dims under a different variant is a different key
-        let mut tn_benches = 0usize;
-        let other = autotuned(Variant::NT, m, n, k, false, |p| {
-            tn_benches += 1;
-            timing(p)
-        });
-        assert!(tn_benches >= 2);
-        assert_eq!(other, first, "same fake timings pick the same winner");
-        // and so is the same product with an implicit convolution operand
-        let mut implicit_benches = 0usize;
-        autotuned(Variant::TN, m, n, k, true, |p| {
-            implicit_benches += 1;
-            timing(p)
-        });
-        assert!(implicit_benches >= 2);
     }
 
     #[test]

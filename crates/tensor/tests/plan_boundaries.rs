@@ -11,7 +11,7 @@
 //! `n < NR`, the flop floor, the tuned-blocking band) and compare all
 //! three transpose variants bit-for-bit.
 
-use adq_tensor::plan::{static_plan, KernelPlan, Variant, MIN_K, TUNED_MAX_M};
+use adq_tensor::plan::{static_plan, KernelPlan, MIN_K, TUNED_MAX_M};
 use adq_tensor::{
     matmul, matmul_a_bt, matmul_a_bt_naive, matmul_at_b, matmul_at_b_naive, matmul_naive, Tensor,
     KC, MR, NR,
@@ -91,16 +91,14 @@ proptest! {
     fn static_plans_respect_the_micro_tile_floor(
         (m, k, n) in boundary_shape(),
     ) {
-        for variant in [Variant::NN, Variant::TN, Variant::NT] {
-            let chosen = static_plan(variant, m, n, k);
-            if let Some(blocking) = chosen.blocking() {
-                prop_assert!(blocking.is_valid());
-                prop_assert!(m >= MR && n >= NR, "blocked plan for ({m},{n},{k})");
-                prop_assert!(k >= MIN_K);
-            }
-            if m < MR || n < NR {
-                prop_assert_eq!(chosen, KernelPlan::Naive);
-            }
+        let chosen = static_plan(m, n, k);
+        if let Some(blocking) = chosen.blocking() {
+            prop_assert!(blocking.is_valid());
+            prop_assert!(m >= MR && n >= NR, "blocked plan for ({m},{n},{k})");
+            prop_assert!(k >= MIN_K);
+        }
+        if m < MR || n < NR {
+            prop_assert_eq!(chosen, KernelPlan::Naive);
         }
     }
 }
