@@ -539,7 +539,7 @@ pub fn measure_densities_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Vgg;
+    use crate::model::{ResNet, Vgg};
     use adq_tensor::init;
 
     fn toy_dataset(n: usize, seed: u64) -> Dataset {
@@ -639,21 +639,21 @@ mod tests {
     fn norm_stats_roundtrip_restores_eval_behaviour() {
         // with BN, params alone are not enough — stats must round-trip too
         let ds = toy_dataset(16, 20);
-        let mut trained = Vgg::tiny(1, 4, 2, 21);
-        let mut adam = Adam::new(3e-3);
-        let mut rng = init::rng(22);
-        for _ in 0..3 {
-            train_epoch(&mut trained, &ds, &mut adam, 8, &mut rng);
+        for (mut trained, mut fresh) in tiny_models(21).into_iter().zip(tiny_models(77)) {
+            let mut adam = Adam::new(3e-3);
+            let mut rng = init::rng(22);
+            for _ in 0..3 {
+                train_epoch(trained.as_mut(), &ds, &mut adam, 8, &mut rng);
+            }
+            let params = export_params(trained.as_mut());
+            let stats = trained.norm_stats();
+            assert!(!stats.is_empty());
+            import_params(fresh.as_mut(), &params).expect("same architecture");
+            fresh.set_norm_stats(&stats).expect("same architecture");
+            let a = trained.forward(&ds.images, false);
+            let b = fresh.forward(&ds.images, false);
+            assert_eq!(a, b, "{}", trained.name());
         }
-        let params = export_params(&mut trained);
-        let stats = trained.norm_stats();
-        assert!(!stats.is_empty());
-        let mut fresh = Vgg::tiny(1, 4, 2, 77);
-        import_params(&mut fresh, &params).expect("same architecture");
-        fresh.set_norm_stats(&stats).expect("same architecture");
-        let a = trained.forward(&ds.images, false);
-        let b = fresh.forward(&ds.images, false);
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -742,69 +742,90 @@ mod tests {
         assert_ne!(tree.to_bits(), sequential.to_bits(), "values too tame");
     }
 
-    /// Two identical (model, optimizer, rng, stats-log) training setups.
-    fn twin_setup(seed: u64) -> (Vgg, Adam, rand_chacha::ChaCha8Rng) {
-        let net = Vgg::tiny(1, 4, 2, seed);
-        let adam = Adam::new(5e-3);
-        let rng = init::rng(seed + 100);
-        (net, adam, rng)
+    /// One model of each family. ResNet's junction meters and projection
+    /// batch-norms go through the replica walks that VGG's plain chain of
+    /// conv blocks never reaches.
+    fn tiny_models(seed: u64) -> [Box<dyn QuantModel>; 2] {
+        [
+            Box::new(Vgg::tiny(1, 4, 2, seed)),
+            Box::new(ResNet::tiny(1, 4, 2, seed)),
+        ]
     }
 
-    /// Parameters plus batch-norm running stats: everything training mutates.
-    type ModelState = (Vec<Tensor>, Vec<(Vec<f32>, Vec<f32>)>);
+    /// A (model, optimizer, rng) training setup for each model family.
+    fn setups(seed: u64) -> Vec<(Box<dyn QuantModel>, Adam, rand_chacha::ChaCha8Rng)> {
+        tiny_models(seed)
+            .into_iter()
+            .map(|net| (net, Adam::new(5e-3), init::rng(seed + 100)))
+            .collect()
+    }
 
-    fn full_state(model: &mut Vgg) -> ModelState {
-        (export_params(model), model.norm_stats())
+    /// Everything training mutates: parameters, batch-norm running stats,
+    /// the raw density counts and each layer's Activation Density.
+    type ModelState = (Vec<Tensor>, Vec<(Vec<f32>, Vec<f32>)>, Vec<u64>, Vec<f64>);
+
+    fn full_state(model: &mut dyn QuantModel) -> ModelState {
+        (
+            export_params(model),
+            model.norm_stats(),
+            model.export_density_counts(),
+            (0..model.layer_count())
+                .map(|i| model.density_of(i))
+                .collect(),
+        )
     }
 
     #[test]
     fn single_microbatch_parallel_epoch_equals_serial_bitwise() {
         let ds = toy_dataset(20, 50);
-        let (mut serial, mut adam_s, mut rng_s) = twin_setup(51);
-        let (mut par, mut adam_p, mut rng_p) = twin_setup(51);
-        for _ in 0..2 {
-            let a = train_epoch(&mut serial, &ds, &mut adam_s, 8, &mut rng_s);
-            let b = train_epoch_parallel(&mut par, &ds, &mut adam_p, 8, 8, &mut rng_p);
-            assert_eq!(a, b);
+        for (serial, par) in setups(51).into_iter().zip(setups(51)) {
+            let (mut serial, mut adam_s, mut rng_s) = serial;
+            let (mut par, mut adam_p, mut rng_p) = par;
+            for _ in 0..2 {
+                let a = train_epoch(serial.as_mut(), &ds, &mut adam_s, 8, &mut rng_s);
+                let b = train_epoch_parallel(par.as_mut(), &ds, &mut adam_p, 8, 8, &mut rng_p);
+                assert_eq!(a, b);
+            }
+            assert_eq!(full_state(serial.as_mut()), full_state(par.as_mut()));
+            assert_eq!(adam_s.export_state(), adam_p.export_state());
         }
-        assert_eq!(full_state(&mut serial), full_state(&mut par));
-        assert_eq!(serial.export_density_counts(), par.export_density_counts());
-        assert_eq!(adam_s.export_state(), adam_p.export_state());
     }
 
     #[test]
     fn parallel_epoch_is_bit_identical_across_thread_counts() {
         let ds = toy_dataset(22, 60);
-        let mut outcomes = Vec::new();
-        for threads in [1usize, 4] {
-            rayon::set_thread_override(Some(threads));
-            let (mut net, mut adam, mut rng) = twin_setup(61);
-            let mut batch_log = Vec::new();
-            let stats = train_epoch_parallel_observed(
-                &mut net,
-                &ds,
-                &mut adam,
-                8,
-                3, // 3 microbatches per full batch, uneven tail
-                &mut rng,
-                &mut |b| batch_log.push(b),
-            );
-            outcomes.push((
-                stats,
-                full_state(&mut net),
-                net.export_density_counts(),
-                adam.export_state(),
-                batch_log,
-            ));
+        for family in 0..2 {
+            let mut outcomes = Vec::new();
+            for threads in [1usize, 4] {
+                rayon::set_thread_override(Some(threads));
+                let (mut net, mut adam, mut rng) = setups(61).swap_remove(family);
+                let mut batch_log = Vec::new();
+                let stats = train_epoch_parallel_observed(
+                    net.as_mut(),
+                    &ds,
+                    &mut adam,
+                    8,
+                    3, // 3 microbatches per full batch, uneven tail
+                    &mut rng,
+                    &mut |b| batch_log.push(b),
+                );
+                outcomes.push((
+                    stats,
+                    full_state(net.as_mut()),
+                    adam.export_state(),
+                    batch_log,
+                ));
+            }
+            rayon::set_thread_override(None);
+            assert_eq!(outcomes[0], outcomes[1]);
         }
-        rayon::set_thread_override(None);
-        assert_eq!(outcomes[0], outcomes[1]);
     }
 
     #[test]
     fn parallel_epoch_density_counts_cover_every_sample() {
         let ds = toy_dataset(10, 70);
-        let (mut net, mut adam, mut rng) = twin_setup(71);
+        let (mut net, mut adam, mut rng) =
+            (Vgg::tiny(1, 4, 2, 71), Adam::new(5e-3), init::rng(171));
         net.reset_densities();
         train_epoch_parallel(&mut net, &ds, &mut adam, 4, 2, &mut rng);
         // conv1 output is 8 channels * 16 pixels per sample
