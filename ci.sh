@@ -58,6 +58,11 @@ cargo test -q -p adq-infer
 echo "==> tier-1: kernel plan + telemetry tests (cargo test -q -p adq-tensor -p adq-telemetry)"
 cargo test -q -p adq-tensor -p adq-telemetry
 
+# Nor does it run the trainer, model, block, batch-norm, controller and
+# checkpoint tests, which live in adq-nn and adq-core.
+echo "==> tier-1: model + controller tests (cargo test -q -p adq-nn -p adq-core)"
+cargo test -q -p adq-nn -p adq-core
+
 # The data-parallel trainer promises bit-identical results at any worker
 # count; one extra pass under a small pool exercises the parallel schedule
 # everywhere the suite asserts serial numbers.
