@@ -417,30 +417,9 @@ impl LinearHead {
         self.meter.reset();
     }
 
-    /// Appends the head meter's `(nonzero, total)` counts to `out` — same
-    /// wire format as [`ConvBlock::export_density_counts`].
-    pub fn export_density_counts(&self, out: &mut Vec<u64>) {
-        out.push(self.meter.nonzero_count());
-        out.push(self.meter.total_count());
-    }
-
-    /// Adds counts exported by [`LinearHead::export_density_counts`] into
-    /// the head meter, returning how many values were consumed.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `counts` holds fewer than two values.
-    pub fn absorb_density_counts(&mut self, counts: &[u64]) -> Result<usize, String> {
-        if counts.len() < 2 {
-            return Err(format!(
-                "density counts for head '{}' need 2 values, got {}",
-                self.name,
-                counts.len()
-            ));
-        }
-        self.meter
-            .merge(&DensityMeter::from_counts(counts[0], counts[1]));
-        Ok(2)
+    /// The head's density meter.
+    pub fn meter_mut(&mut self) -> &mut DensityMeter {
+        &mut self.meter
     }
 
     /// Forward pass.

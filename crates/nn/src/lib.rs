@@ -48,6 +48,8 @@ pub mod train;
 pub use block::{ActRangeMode, ConvBlock, ConvBlockConfig, LinearHead};
 pub use layers::{BatchNorm2d, Conv2d, GlobalAvgPool, Linear, MaxPool2d, Relu};
 pub use loss::{accuracy, softmax_cross_entropy, LossOutput};
-pub use model::{LayerKind, LayerStat, QuantModel, ResNet, ResNetBlockView, Vgg, VggItem};
+pub use model::{
+    LayerKind, LayerMut, LayerStat, QuantModel, ResNet, ResNetBlockView, Vgg, VggItem,
+};
 pub use optim::{Adam, AdamState, Optimizer, Sgd};
 pub use param::Param;

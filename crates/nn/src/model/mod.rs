@@ -4,10 +4,13 @@
 mod resnet;
 mod vgg;
 
+use adq_ad::DensityMeter;
 use adq_quant::BitWidth;
 use adq_tensor::{Conv2dGeom, Tensor};
 use serde::{Deserialize, Serialize};
 
+use crate::block::{ConvBlock, LinearHead};
+use crate::layers::BatchNorm2d;
 use crate::param::Param;
 
 pub use resnet::{ResNet, ResNetBlockView};
@@ -48,6 +51,20 @@ pub struct LayerStat {
     pub in_features: usize,
 }
 
+/// One layer of a model, as [`QuantModel::visit_layers`] hands it out.
+///
+/// These are the parts that own per-layer state: parameters, batch-norm
+/// statistics and Activation Density meters.
+#[derive(Debug)]
+pub enum LayerMut<'a> {
+    /// A convolution block (a ResNet projection shortcut is one too).
+    Conv(&'a mut ConvBlock),
+    /// A residual junction's meter on the post-add ReLU.
+    Junction(&'a mut DensityMeter),
+    /// The classifier.
+    Head(&'a mut LinearHead),
+}
+
 /// The model interface the in-training quantization controller drives.
 ///
 /// Layers are addressed by a stable index in `0..layer_count()`; the order
@@ -65,8 +82,36 @@ pub trait QuantModel {
     /// gradients.
     fn backward(&mut self, grad_logits: &Tensor);
 
+    /// Visits every layer in a fixed order. Checkpoints store parameters
+    /// and batch-norm statistics in this order, and replicas ship density
+    /// counts in it, so it is part of the persisted format.
+    fn visit_layers(&mut self, visitor: &mut dyn FnMut(LayerMut<'_>));
+
     /// Visits every trainable parameter with a stable slot index.
-    fn visit_params(&mut self, visitor: &mut dyn FnMut(usize, &mut Param));
+    fn visit_params(&mut self, visitor: &mut dyn FnMut(usize, &mut Param)) {
+        let mut slot = 0;
+        let mut visit = |p: &mut Param| {
+            visitor(slot, p);
+            slot += 1;
+        };
+        self.visit_layers(&mut |layer| match layer {
+            LayerMut::Conv(block) => {
+                let conv = block.conv_mut();
+                visit(&mut conv.weight);
+                visit(&mut conv.bias);
+                if let Some(bn) = block.bn_mut() {
+                    visit(&mut bn.gamma);
+                    visit(&mut bn.beta);
+                }
+            }
+            LayerMut::Junction(_) => {}
+            LayerMut::Head(head) => {
+                let linear = head.linear_mut();
+                visit(&mut linear.weight);
+                visit(&mut linear.bias);
+            }
+        });
+    }
 
     /// Zeroes all gradients.
     fn zero_grad(&mut self) {
@@ -101,7 +146,13 @@ pub trait QuantModel {
     fn density_of(&self, index: usize) -> f64;
 
     /// Clears all density statistics (start of a measurement epoch).
-    fn reset_densities(&mut self);
+    fn reset_densities(&mut self) {
+        self.visit_layers(&mut |layer| match layer {
+            LayerMut::Conv(block) => block.reset_density(),
+            LayerMut::Junction(meter) => meter.reset(),
+            LayerMut::Head(head) => head.reset_density(),
+        });
+    }
 
     /// Output channel count of layer `index`.
     ///
@@ -137,8 +188,8 @@ pub trait QuantModel {
     /// Snapshots all normalisation running statistics, in a stable order
     /// (`(mean, var)` per batch-norm layer). Models without normalisation
     /// return an empty vector.
-    fn norm_stats(&self) -> Vec<(Vec<f32>, Vec<f32>)> {
-        Vec::new()
+    fn norm_stats(&mut self) -> Vec<(Vec<f32>, Vec<f32>)> {
+        collect_batch_norms(self, |bn| bn.running_stats())
     }
 
     /// Restores statistics captured by [`QuantModel::norm_stats`].
@@ -147,11 +198,7 @@ pub trait QuantModel {
     ///
     /// Returns a message if the layer count or channel counts disagree.
     fn set_norm_stats(&mut self, stats: &[(Vec<f32>, Vec<f32>)]) -> Result<(), String> {
-        if stats.is_empty() {
-            Ok(())
-        } else {
-            Err("model has no normalisation buffers".to_string())
-        }
+        zip_batch_norms(self, stats, "statistics", BatchNorm2d::set_running_stats)
     }
 
     /// Total number of trainable scalars.
@@ -173,13 +220,18 @@ pub trait QuantModel {
         None
     }
 
-    /// Flat dump of every Activation Density counter in a stable
-    /// model-defined order — the wire format replicas use to ship tallies
-    /// back to the master. Counts are integers, so absorbing replica dumps
-    /// in any order reproduces the serial tallies exactly. Models without
-    /// meters return an empty vector.
-    fn export_density_counts(&self) -> Vec<u64> {
-        Vec::new()
+    /// Flat dump of every Activation Density counter in
+    /// [`QuantModel::visit_layers`] order — the wire format replicas use to
+    /// ship tallies back to the master. Counts are integers, so absorbing
+    /// replica dumps in any order reproduces the serial tallies exactly.
+    fn export_density_counts(&mut self) -> Vec<u64> {
+        let mut out = Vec::new();
+        self.visit_layers(&mut |layer| match layer {
+            LayerMut::Conv(block) => block.export_density_counts(&mut out),
+            LayerMut::Junction(meter) => export_meter(meter, &mut out),
+            LayerMut::Head(head) => export_meter(head.meter_mut(), &mut out),
+        });
+        out
     }
 
     /// Adds counts exported by [`QuantModel::export_density_counts`] into
@@ -189,18 +241,30 @@ pub trait QuantModel {
     ///
     /// Returns a message if the layout does not match this model.
     fn absorb_density_counts(&mut self, counts: &[u64]) -> Result<(), String> {
-        if counts.is_empty() {
+        let mut offset = 0;
+        try_visit_layers(self, |layer| {
+            let rest = &counts[offset..];
+            offset += match layer {
+                LayerMut::Conv(block) => block.absorb_density_counts(rest)?,
+                LayerMut::Junction(meter) => absorb_meter(meter, rest)?,
+                LayerMut::Head(head) => absorb_meter(head.meter_mut(), rest)?,
+            };
             Ok(())
-        } else {
-            Err("model has no density counters".to_string())
+        })?;
+        if offset != counts.len() {
+            return Err(format!(
+                "density counts length mismatch: used {offset} of {}",
+                counts.len()
+            ));
         }
+        Ok(())
     }
 
     /// Takes the per-channel `(mean, var)` each batch-norm layer computed
     /// on its most recent training batch, in [`QuantModel::norm_stats`]
     /// order. Models without normalisation return an empty vector.
     fn take_batch_norm_updates(&mut self) -> Vec<(Vec<f32>, Vec<f32>)> {
-        Vec::new()
+        collect_batch_norms(self, BatchNorm2d::take_batch_stats)
     }
 
     /// Replays one EMA running-stat update per batch-norm layer from stats
@@ -212,10 +276,92 @@ pub trait QuantModel {
     ///
     /// Returns a message if the layer or channel counts disagree.
     fn apply_batch_norm_updates(&mut self, updates: &[(Vec<f32>, Vec<f32>)]) -> Result<(), String> {
-        if updates.is_empty() {
-            Ok(())
-        } else {
-            Err("model has no normalisation buffers".to_string())
+        zip_batch_norms(self, updates, "updates", BatchNorm2d::apply_batch_stats)
+    }
+}
+
+/// [`QuantModel::visit_layers`] with a visitor that can fail: the walk
+/// skips every layer after the first error and returns it.
+fn try_visit_layers<M: QuantModel + ?Sized>(
+    model: &mut M,
+    mut visitor: impl FnMut(LayerMut<'_>) -> Result<(), String>,
+) -> Result<(), String> {
+    let mut result = Ok(());
+    model.visit_layers(&mut |layer| {
+        if result.is_ok() {
+            result = visitor(layer);
         }
+    });
+    result
+}
+
+/// One `f(bn)` per batch-norm layer, in visiting order.
+fn collect_batch_norms<M: QuantModel + ?Sized>(
+    model: &mut M,
+    mut f: impl FnMut(&mut BatchNorm2d) -> (Vec<f32>, Vec<f32>),
+) -> Vec<(Vec<f32>, Vec<f32>)> {
+    let mut out = Vec::new();
+    model.visit_layers(&mut |layer| {
+        if let LayerMut::Conv(block) = layer {
+            out.extend(block.bn_mut().map(&mut f));
+        }
+    });
+    out
+}
+
+/// Pairs `stats` with the model's batch-norm layers in visiting order and
+/// calls `apply(bn, mean, var)` on each, after checking that the entry
+/// count and each channel count match.
+fn zip_batch_norms<M: QuantModel + ?Sized>(
+    model: &mut M,
+    stats: &[(Vec<f32>, Vec<f32>)],
+    what: &str,
+    apply: fn(&mut BatchNorm2d, &[f32], &[f32]),
+) -> Result<(), String> {
+    let mut iter = stats.iter();
+    try_visit_layers(model, |layer| {
+        let LayerMut::Conv(block) = layer else {
+            return Ok(());
+        };
+        let Some(bn) = block.bn_mut() else {
+            return Ok(());
+        };
+        let (mean, var) = iter
+            .next()
+            .ok_or_else(|| format!("missing batch-norm {what}"))?;
+        if mean.len() != bn.channels() {
+            return Err(format!(
+                "channel mismatch: {} vs {}",
+                mean.len(),
+                bn.channels()
+            ));
+        }
+        apply(bn, mean, var);
+        Ok(())
+    })?;
+    if iter.next().is_some() {
+        return Err(format!("too many batch-norm {what}"));
+    }
+    Ok(())
+}
+
+/// Appends one meter's `(nonzero, total)` counts to `out`.
+fn export_meter(meter: &DensityMeter, out: &mut Vec<u64>) {
+    out.push(meter.nonzero_count());
+    out.push(meter.total_count());
+}
+
+/// Merges counts appended by [`export_meter`], returning how many values
+/// it consumed.
+fn absorb_meter(meter: &mut DensityMeter, counts: &[u64]) -> Result<usize, String> {
+    match counts {
+        [nonzero, total, ..] => {
+            meter.merge(&DensityMeter::from_counts(*nonzero, *total));
+            Ok(2)
+        }
+        _ => Err(format!(
+            "density counts for a meter need 2 values, got {}",
+            counts.len()
+        )),
     }
 }

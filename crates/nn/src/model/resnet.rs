@@ -5,8 +5,7 @@ use rand::Rng;
 
 use crate::block::{ConvBlock, ConvBlockConfig, LinearHead};
 use crate::layers::{GlobalAvgPool, Relu};
-use crate::model::{LayerKind, LayerStat, QuantModel};
-use crate::param::Param;
+use crate::model::{LayerKind, LayerMut, LayerStat, QuantModel};
 
 /// One residual basic block: two 3×3 conv blocks plus a skip path, joined
 /// by an add and a ReLU.
@@ -344,31 +343,17 @@ impl QuantModel for ResNet {
         self.stem.backward(&g);
     }
 
-    fn visit_params(&mut self, visitor: &mut dyn FnMut(usize, &mut Param)) {
-        let mut slot = 0;
-        let visit_block =
-            |cb: &mut ConvBlock, slot: &mut usize, v: &mut dyn FnMut(usize, &mut Param)| {
-                let conv = cb.conv_mut();
-                v(*slot, &mut conv.weight);
-                v(*slot + 1, &mut conv.bias);
-                *slot += 2;
-                if let Some(bn) = cb.bn_mut() {
-                    v(*slot, &mut bn.gamma);
-                    v(*slot + 1, &mut bn.beta);
-                    *slot += 2;
-                }
-            };
-        visit_block(&mut self.stem, &mut slot, visitor);
+    fn visit_layers(&mut self, visitor: &mut dyn FnMut(LayerMut<'_>)) {
+        visitor(LayerMut::Conv(&mut self.stem));
         for block in &mut self.blocks {
-            visit_block(&mut block.conv1, &mut slot, visitor);
-            visit_block(&mut block.conv2, &mut slot, visitor);
-            if let Some(p) = block.proj.as_mut() {
-                visit_block(p, &mut slot, visitor);
+            visitor(LayerMut::Conv(&mut block.conv1));
+            visitor(LayerMut::Conv(&mut block.conv2));
+            if let Some(proj) = block.proj.as_mut() {
+                visitor(LayerMut::Conv(proj));
             }
+            visitor(LayerMut::Junction(&mut block.junction_meter));
         }
-        let linear = self.head.linear_mut();
-        visitor(slot, &mut linear.weight);
-        visitor(slot + 1, &mut linear.bias);
+        visitor(LayerMut::Head(&mut self.head));
     }
 
     fn layer_count(&self) -> usize {
@@ -467,19 +452,6 @@ impl QuantModel for ResNet {
         }
     }
 
-    fn reset_densities(&mut self) {
-        self.stem.reset_density();
-        for block in &mut self.blocks {
-            block.conv1.reset_density();
-            block.conv2.reset_density();
-            if let Some(p) = block.proj.as_mut() {
-                p.reset_density();
-            }
-            block.junction_meter.reset();
-        }
-        self.head.reset_density();
-    }
-
     fn out_channels_of(&self, index: usize) -> usize {
         match self.locate(index) {
             Unit::Stem => self.stem.geom().out_channels,
@@ -489,144 +461,8 @@ impl QuantModel for ResNet {
         }
     }
 
-    fn norm_stats(&self) -> Vec<(Vec<f32>, Vec<f32>)> {
-        let mut out = Vec::new();
-        let mut push = |b: Option<&crate::layers::BatchNorm2d>| {
-            if let Some(bn) = b {
-                out.push(bn.running_stats());
-            }
-        };
-        push(self.stem.bn());
-        for block in &self.blocks {
-            push(block.conv1.bn());
-            push(block.conv2.bn());
-            push(block.proj.as_ref().and_then(|p| p.bn()));
-        }
-        out
-    }
-
-    fn set_norm_stats(&mut self, stats: &[(Vec<f32>, Vec<f32>)]) -> Result<(), String> {
-        let mut iter = stats.iter();
-        let mut restore = |b: Option<&mut crate::layers::BatchNorm2d>| -> Result<(), String> {
-            if let Some(bn) = b {
-                let (mean, var) = iter
-                    .next()
-                    .ok_or_else(|| "missing batch-norm statistics".to_string())?;
-                if mean.len() != bn.channels() {
-                    return Err(format!(
-                        "channel mismatch: {} vs {}",
-                        mean.len(),
-                        bn.channels()
-                    ));
-                }
-                bn.set_running_stats(mean, var);
-            }
-            Ok(())
-        };
-        restore(self.stem.bn_mut())?;
-        for block in &mut self.blocks {
-            restore(block.conv1.bn_mut())?;
-            restore(block.conv2.bn_mut())?;
-            restore(block.proj.as_mut().and_then(|p| p.bn_mut()))?;
-        }
-        if iter.next().is_some() {
-            return Err("too many batch-norm statistics".to_string());
-        }
-        Ok(())
-    }
-
     fn fork(&self) -> Option<Box<dyn QuantModel + Send>> {
         Some(Box::new(self.clone()))
-    }
-
-    fn export_density_counts(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.stem.export_density_counts(&mut out);
-        for block in &self.blocks {
-            block.conv1.export_density_counts(&mut out);
-            block.conv2.export_density_counts(&mut out);
-            if let Some(p) = block.proj.as_ref() {
-                p.export_density_counts(&mut out);
-            }
-            out.push(block.junction_meter.nonzero_count());
-            out.push(block.junction_meter.total_count());
-        }
-        self.head.export_density_counts(&mut out);
-        out
-    }
-
-    fn absorb_density_counts(&mut self, counts: &[u64]) -> Result<(), String> {
-        let mut offset = 0;
-        offset += self.stem.absorb_density_counts(&counts[offset..])?;
-        for block in &mut self.blocks {
-            offset += block.conv1.absorb_density_counts(&counts[offset..])?;
-            offset += block.conv2.absorb_density_counts(&counts[offset..])?;
-            if let Some(p) = block.proj.as_mut() {
-                offset += p.absorb_density_counts(&counts[offset..])?;
-            }
-            if counts.len() < offset + 2 {
-                return Err("density counts missing junction meter".to_string());
-            }
-            block.junction_meter.merge(&DensityMeter::from_counts(
-                counts[offset],
-                counts[offset + 1],
-            ));
-            offset += 2;
-        }
-        offset += self.head.absorb_density_counts(&counts[offset..])?;
-        if offset != counts.len() {
-            return Err(format!(
-                "density counts length mismatch: used {offset} of {}",
-                counts.len()
-            ));
-        }
-        Ok(())
-    }
-
-    fn take_batch_norm_updates(&mut self) -> Vec<(Vec<f32>, Vec<f32>)> {
-        let mut out = Vec::new();
-        let mut take = |b: Option<&mut crate::layers::BatchNorm2d>| {
-            if let Some(bn) = b {
-                out.push(bn.take_batch_stats());
-            }
-        };
-        take(self.stem.bn_mut());
-        for block in &mut self.blocks {
-            take(block.conv1.bn_mut());
-            take(block.conv2.bn_mut());
-            take(block.proj.as_mut().and_then(|p| p.bn_mut()));
-        }
-        out
-    }
-
-    fn apply_batch_norm_updates(&mut self, updates: &[(Vec<f32>, Vec<f32>)]) -> Result<(), String> {
-        let mut iter = updates.iter();
-        let mut apply = |b: Option<&mut crate::layers::BatchNorm2d>| -> Result<(), String> {
-            if let Some(bn) = b {
-                let (mean, var) = iter
-                    .next()
-                    .ok_or_else(|| "missing batch-norm update".to_string())?;
-                if mean.len() != bn.channels() {
-                    return Err(format!(
-                        "channel mismatch: {} vs {}",
-                        mean.len(),
-                        bn.channels()
-                    ));
-                }
-                bn.apply_batch_stats(mean, var);
-            }
-            Ok(())
-        };
-        apply(self.stem.bn_mut())?;
-        for block in &mut self.blocks {
-            apply(block.conv1.bn_mut())?;
-            apply(block.conv2.bn_mut())?;
-            apply(block.proj.as_mut().and_then(|p| p.bn_mut()))?;
-        }
-        if iter.next().is_some() {
-            return Err("too many batch-norm updates".to_string());
-        }
-        Ok(())
     }
 
     fn prune_layer_to(&mut self, index: usize, keep: usize) -> bool {

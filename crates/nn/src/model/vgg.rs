@@ -3,8 +3,7 @@ use adq_tensor::{Conv2dGeom, Tensor};
 
 use crate::block::{ConvBlock, ConvBlockConfig, LinearHead};
 use crate::layers::MaxPool2d;
-use crate::model::{LayerKind, LayerStat, QuantModel};
-use crate::param::Param;
+use crate::model::{LayerKind, LayerMut, LayerStat, QuantModel};
 
 /// An element of a VGG configuration string: a conv layer or a max-pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -218,10 +217,6 @@ impl Vgg {
     }
 }
 
-fn adq_nn_bn_stats(bn: &crate::layers::BatchNorm2d) -> (Vec<f32>, Vec<f32>) {
-    bn.running_stats()
-}
-
 impl QuantModel for Vgg {
     fn name(&self) -> &str {
         "vgg"
@@ -256,22 +251,11 @@ impl QuantModel for Vgg {
         }
     }
 
-    fn visit_params(&mut self, visitor: &mut dyn FnMut(usize, &mut Param)) {
-        let mut slot = 0;
+    fn visit_layers(&mut self, visitor: &mut dyn FnMut(LayerMut<'_>)) {
         for block in &mut self.blocks {
-            let conv = block.conv_mut();
-            visitor(slot, &mut conv.weight);
-            visitor(slot + 1, &mut conv.bias);
-            slot += 2;
-            if let Some(bn) = block.bn_mut() {
-                visitor(slot, &mut bn.gamma);
-                visitor(slot + 1, &mut bn.beta);
-                slot += 2;
-            }
+            visitor(LayerMut::Conv(block));
         }
-        let linear = self.head.linear_mut();
-        visitor(slot, &mut linear.weight);
-        visitor(slot + 1, &mut linear.bias);
+        visitor(LayerMut::Head(&mut self.head));
     }
 
     fn layer_count(&self) -> usize {
@@ -331,49 +315,12 @@ impl QuantModel for Vgg {
         }
     }
 
-    fn reset_densities(&mut self) {
-        for b in &mut self.blocks {
-            b.reset_density();
-        }
-        self.head.reset_density();
-    }
-
     fn out_channels_of(&self, index: usize) -> usize {
         if index == self.head_index() {
             self.head.out_features()
         } else {
             self.blocks[index].geom().out_channels
         }
-    }
-
-    fn norm_stats(&self) -> Vec<(Vec<f32>, Vec<f32>)> {
-        self.blocks
-            .iter()
-            .filter_map(|b| b.bn().map(adq_nn_bn_stats))
-            .collect()
-    }
-
-    fn set_norm_stats(&mut self, stats: &[(Vec<f32>, Vec<f32>)]) -> Result<(), String> {
-        let mut iter = stats.iter();
-        for block in &mut self.blocks {
-            if let Some(bn) = block.bn_mut() {
-                let (mean, var) = iter
-                    .next()
-                    .ok_or_else(|| "missing batch-norm statistics".to_string())?;
-                if mean.len() != bn.channels() {
-                    return Err(format!(
-                        "channel mismatch: {} vs {}",
-                        mean.len(),
-                        bn.channels()
-                    ));
-                }
-                bn.set_running_stats(mean, var);
-            }
-        }
-        if iter.next().is_some() {
-            return Err("too many batch-norm statistics".to_string());
-        }
-        Ok(())
     }
 
     fn remove_layer(&mut self, index: usize) -> bool {
@@ -404,60 +351,6 @@ impl QuantModel for Vgg {
 
     fn fork(&self) -> Option<Box<dyn QuantModel + Send>> {
         Some(Box::new(self.clone()))
-    }
-
-    fn export_density_counts(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        for block in &self.blocks {
-            block.export_density_counts(&mut out);
-        }
-        self.head.export_density_counts(&mut out);
-        out
-    }
-
-    fn absorb_density_counts(&mut self, counts: &[u64]) -> Result<(), String> {
-        let mut offset = 0;
-        for block in &mut self.blocks {
-            offset += block.absorb_density_counts(&counts[offset..])?;
-        }
-        offset += self.head.absorb_density_counts(&counts[offset..])?;
-        if offset != counts.len() {
-            return Err(format!(
-                "density counts length mismatch: used {offset} of {}",
-                counts.len()
-            ));
-        }
-        Ok(())
-    }
-
-    fn take_batch_norm_updates(&mut self) -> Vec<(Vec<f32>, Vec<f32>)> {
-        self.blocks
-            .iter_mut()
-            .filter_map(|b| b.bn_mut().map(|bn| bn.take_batch_stats()))
-            .collect()
-    }
-
-    fn apply_batch_norm_updates(&mut self, updates: &[(Vec<f32>, Vec<f32>)]) -> Result<(), String> {
-        let mut iter = updates.iter();
-        for block in &mut self.blocks {
-            if let Some(bn) = block.bn_mut() {
-                let (mean, var) = iter
-                    .next()
-                    .ok_or_else(|| "missing batch-norm update".to_string())?;
-                if mean.len() != bn.channels() {
-                    return Err(format!(
-                        "channel mismatch: {} vs {}",
-                        mean.len(),
-                        bn.channels()
-                    ));
-                }
-                bn.apply_batch_stats(mean, var);
-            }
-        }
-        if iter.next().is_some() {
-            return Err("too many batch-norm updates".to_string());
-        }
-        Ok(())
     }
 
     fn prune_layer_to(&mut self, index: usize, keep: usize) -> bool {
