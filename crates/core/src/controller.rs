@@ -9,6 +9,7 @@ use adq_nn::{Adam, Optimizer, QuantModel};
 use adq_quant::BitWidth;
 use adq_telemetry::span::{self, SpanGuard};
 use adq_telemetry::{NullSink, TelemetryEvent, TelemetrySink};
+use adq_tensor::init::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::builders::network_spec_from_stats;
@@ -439,16 +440,7 @@ impl AdQuantizer {
         });
 
         let metrics = adq_telemetry::metrics::global();
-        let train_batches = metrics.counter("core.train_batches");
         let eval_batches = metrics.counter("core.eval_batches");
-        // Live-run gauges: last-write-wins progress values the metrics
-        // endpoint serves mid-run (Prometheus scrapers, `adq-watch`).
-        // Observation-only — nothing reads them back into the run.
-        let run_iteration = metrics.gauge("run.iteration");
-        let run_epoch = metrics.gauge("run.epoch");
-        let run_loss = metrics.gauge("run.loss");
-        let run_accuracy = metrics.gauge("run.accuracy");
-        let run_total_ad = metrics.gauge("run.total_ad");
 
         for iteration in start_iteration..=cfg.max_iterations {
             // The iteration body runs inside a labeled block yielding the
@@ -458,83 +450,16 @@ impl AdQuantizer {
                 let _iteration_span = phase_span("adq.iteration", iteration);
                 // layer removal can shrink the model between iterations
                 let count = model.layer_count();
-                let mut histories: Vec<DensityHistory> =
-                    (0..count).map(|_| DensityHistory::new()).collect();
-                let mut accuracy_history = Vec::new();
-                let mut epochs_trained = 0;
-                let mut last_train_acc = 0.0;
-                let mut train_span = phase_span("adq.phase.train", iteration);
-                for epoch in 1..=cfg.max_epochs_per_iteration {
-                    let mut epoch_span = phase_span("adq.epoch", iteration);
-                    epoch_span.attr("epoch", epoch);
-                    model.reset_densities();
-                    let stats = match self.microbatch {
-                        Some(microbatch) => train_epoch_parallel_observed(
-                            model,
-                            train,
-                            &mut optimizer,
-                            cfg.batch_size,
-                            microbatch,
-                            &mut rng,
-                            &mut |_| train_batches.inc(),
-                        ),
-                        None => train_epoch_observed(
-                            model,
-                            train,
-                            &mut optimizer,
-                            cfg.batch_size,
-                            &mut rng,
-                            &mut |_| train_batches.inc(),
-                        ),
-                    };
-                    epochs_trained = epoch;
-                    last_train_acc = stats.accuracy;
-                    accuracy_history.push(stats.accuracy);
-                    let mut ad_span = phase_span("adq.phase.ad_measure", iteration);
-                    ad_span.attr("epoch", epoch);
-                    for (idx, history) in histories.iter_mut().enumerate() {
-                        history.record(model.density_of(idx).clamp(0.0, 1.0));
-                    }
-                    sink.record(&TelemetryEvent::EpochCompleted {
-                        iteration,
-                        epoch,
-                        loss: stats.loss,
-                        accuracy: stats.accuracy,
-                    });
-                    run_iteration.set(iteration as f64);
-                    run_epoch.set(epoch as f64);
-                    run_loss.set(stats.loss);
-                    run_accuracy.set(stats.accuracy);
-                    let epoch_densities: Vec<f64> = histories
-                        .iter()
-                        .map(|h| h.latest().unwrap_or(0.0))
-                        .collect();
-                    run_total_ad.set(mean(&epoch_densities));
-                    sink.record(&TelemetryEvent::DensityMeasured {
-                        iteration,
-                        epoch,
-                        total_ad: mean(&epoch_densities),
-                        densities: epoch_densities,
-                    });
-                    let saturated = histories.iter().all(|h| h.is_saturated(&cfg.saturation));
-                    if epoch >= cfg.min_epochs_per_iteration && saturated {
-                        sink.record(&TelemetryEvent::SaturationDetected {
-                            iteration,
-                            epoch,
-                            window: cfg.saturation.window(),
-                            tolerance: cfg.saturation.tolerance(),
-                        });
-                        break;
-                    }
-                }
-                train_span.attr("epochs", epochs_trained);
-                drop(train_span);
-
-                let densities: Vec<f64> = histories
-                    .iter()
-                    .map(|h| h.latest().unwrap_or(0.0))
-                    .collect();
-                let total_ad = mean(&densities);
+                let phase = self.train_phase(
+                    model,
+                    train,
+                    &mut optimizer,
+                    &mut rng,
+                    sink,
+                    iteration,
+                    cfg.max_epochs_per_iteration,
+                    true,
+                );
                 let test_stats = {
                     let _evaluate_span = phase_span("adq.phase.evaluate", iteration);
                     evaluate_observed(model, test, cfg.batch_size, &mut |_| eval_batches.inc())
@@ -556,29 +481,15 @@ impl AdQuantizer {
                     total_pj: own_energy,
                     efficiency_vs_baseline: mac_reduction,
                 });
-                let ad_history: Vec<Vec<f64>> = (0..epochs_trained)
-                    .map(|e| histories.iter().map(|h| h.samples()[e]).collect())
-                    .collect();
-                iterations.push(IterationRecord {
-                    iteration,
-                    bits: (0..count).map(|i| model.bits_of(i)).collect(),
-                    channels: (0..count).map(|i| model.out_channels_of(i)).collect(),
-                    epochs_trained,
-                    densities: densities.clone(),
-                    total_ad,
-                    test_accuracy: test_stats.accuracy,
-                    train_accuracy: last_train_acc,
-                    ad_history,
-                    accuracy_history,
-                    mac_reduction,
-                });
-                let record = iterations.last().expect("just pushed");
+                let record = phase.record(iteration, model, test_stats.accuracy, mac_reduction);
+                let (densities, total_ad) = (record.densities.clone(), record.total_ad);
                 sink.record(&TelemetryEvent::IterationCompleted {
                     iteration,
-                    epochs_trained,
+                    epochs_trained: record.epochs_trained,
                     test_accuracy: record.test_accuracy,
-                    record: serde_json::to_value(record),
+                    record: serde_json::to_value(&record),
                 });
+                iterations.push(record);
 
                 if iteration == cfg.max_iterations {
                     break 'iteration true;
@@ -747,8 +658,7 @@ impl AdQuantizer {
         sink: &dyn TelemetrySink,
     ) -> IterationRecord {
         let cfg = &self.config;
-        let count = model.layer_count();
-        for idx in 0..count {
+        for idx in 0..model.layer_count() {
             model.set_bits_of(idx, Some(cfg.initial_bits));
         }
         sink.record(&TelemetryEvent::RunStarted {
@@ -760,96 +670,25 @@ impl AdQuantizer {
             threads: adq_tensor::dispatch::current_num_threads(),
             microbatch: self.microbatch,
         });
-        let metrics = adq_telemetry::metrics::global();
-        let train_batches = metrics.counter("core.train_batches");
-        let run_epoch = metrics.gauge("run.epoch");
-        let run_loss = metrics.gauge("run.loss");
-        let run_accuracy = metrics.gauge("run.accuracy");
-        let run_total_ad = metrics.gauge("run.total_ad");
         let mut optimizer = Adam::new(cfg.lr);
         let mut rng = adq_tensor::init::rng(cfg.seed);
-        let mut histories: Vec<DensityHistory> =
-            (0..count).map(|_| DensityHistory::new()).collect();
-        let mut accuracy_history = Vec::new();
-        let mut last_train_acc = 0.0;
         let mut baseline_span = phase_span("adq.iteration", 1);
         baseline_span.attr("baseline", 1u64);
-        let mut train_span = phase_span("adq.phase.train", 1);
-        for epoch in 1..=epochs {
-            let mut epoch_span = phase_span("adq.epoch", 1);
-            epoch_span.attr("epoch", epoch);
-            model.reset_densities();
-            let stats = match self.microbatch {
-                Some(microbatch) => train_epoch_parallel_observed(
-                    model,
-                    train,
-                    &mut optimizer,
-                    cfg.batch_size,
-                    microbatch,
-                    &mut rng,
-                    &mut |_| train_batches.inc(),
-                ),
-                None => train_epoch_observed(
-                    model,
-                    train,
-                    &mut optimizer,
-                    cfg.batch_size,
-                    &mut rng,
-                    &mut |_| train_batches.inc(),
-                ),
-            };
-            last_train_acc = stats.accuracy;
-            accuracy_history.push(stats.accuracy);
-            for (idx, history) in histories.iter_mut().enumerate() {
-                history.record(model.density_of(idx).clamp(0.0, 1.0));
-            }
-            sink.record(&TelemetryEvent::EpochCompleted {
-                iteration: 1,
-                epoch,
-                loss: stats.loss,
-                accuracy: stats.accuracy,
-            });
-            run_epoch.set(epoch as f64);
-            run_loss.set(stats.loss);
-            run_accuracy.set(stats.accuracy);
-            let epoch_densities: Vec<f64> = histories
-                .iter()
-                .map(|h| h.latest().unwrap_or(0.0))
-                .collect();
-            run_total_ad.set(mean(&epoch_densities));
-            sink.record(&TelemetryEvent::DensityMeasured {
-                iteration: 1,
-                epoch,
-                total_ad: mean(&epoch_densities),
-                densities: epoch_densities,
-            });
-        }
-        train_span.attr("epochs", epochs);
-        drop(train_span);
-        let densities: Vec<f64> = histories
-            .iter()
-            .map(|h| h.latest().unwrap_or(0.0))
-            .collect();
+        let phase = self.train_phase(
+            model,
+            train,
+            &mut optimizer,
+            &mut rng,
+            sink,
+            1,
+            epochs,
+            false,
+        );
         let test_stats = {
             let _evaluate_span = phase_span("adq.phase.evaluate", 1);
             evaluate_observed(model, test, cfg.batch_size, &mut |_| {})
         };
-        let ad_history: Vec<Vec<f64>> = (0..epochs)
-            .map(|e| histories.iter().map(|h| h.samples()[e]).collect())
-            .collect();
-        let record = IterationRecord {
-            iteration: 1,
-            bits: (0..count).map(|i| model.bits_of(i)).collect(),
-            channels: (0..count).map(|i| model.out_channels_of(i)).collect(),
-            epochs_trained: epochs,
-            total_ad: mean(&densities),
-            densities,
-            test_accuracy: test_stats.accuracy,
-            train_accuracy: last_train_acc,
-            ad_history,
-            accuracy_history,
-            mac_reduction: 1.0,
-        };
+        let record = phase.record(1, model, test_stats.accuracy, 1.0);
         sink.record(&TelemetryEvent::IterationCompleted {
             iteration: 1,
             epochs_trained: epochs,
@@ -868,6 +707,150 @@ impl AdQuantizer {
         span::drain_into(sink);
         sink.flush();
         record
+    }
+}
+
+impl AdQuantizer {
+    /// Algorithm 1's epoch loop: trains `model` for up to `max_epochs`
+    /// epochs and measures every layer's AD after each. With
+    /// `saturation_exit`, it stops once every layer's AD has saturated and
+    /// [`AdqConfig::min_epochs_per_iteration`] epochs have run.
+    #[allow(clippy::too_many_arguments)]
+    fn train_phase(
+        &self,
+        model: &mut dyn QuantModel,
+        train: &Dataset,
+        optimizer: &mut Adam,
+        rng: &mut ChaCha8Rng,
+        sink: &dyn TelemetrySink,
+        iteration: usize,
+        max_epochs: usize,
+        saturation_exit: bool,
+    ) -> TrainedPhase {
+        let cfg = &self.config;
+        let metrics = adq_telemetry::metrics::global();
+        let train_batches = metrics.counter("core.train_batches");
+        // Live-run gauges: last-write-wins progress values the metrics
+        // endpoint serves mid-run (Prometheus scrapers, `adq-watch`).
+        // Observation-only — nothing reads them back into the run.
+        let run_iteration = metrics.gauge("run.iteration");
+        let run_epoch = metrics.gauge("run.epoch");
+        let run_loss = metrics.gauge("run.loss");
+        let run_accuracy = metrics.gauge("run.accuracy");
+        let run_total_ad = metrics.gauge("run.total_ad");
+        let mut phase = TrainedPhase {
+            histories: (0..model.layer_count())
+                .map(|_| DensityHistory::new())
+                .collect(),
+            accuracy_history: Vec::new(),
+        };
+        let mut train_span = phase_span("adq.phase.train", iteration);
+        for epoch in 1..=max_epochs {
+            let mut epoch_span = phase_span("adq.epoch", iteration);
+            epoch_span.attr("epoch", epoch);
+            model.reset_densities();
+            let stats = match self.microbatch {
+                Some(microbatch) => train_epoch_parallel_observed(
+                    model,
+                    train,
+                    optimizer,
+                    cfg.batch_size,
+                    microbatch,
+                    rng,
+                    &mut |_| train_batches.inc(),
+                ),
+                None => {
+                    train_epoch_observed(model, train, optimizer, cfg.batch_size, rng, &mut |_| {
+                        train_batches.inc()
+                    })
+                }
+            };
+            phase.accuracy_history.push(stats.accuracy);
+            let mut ad_span = phase_span("adq.phase.ad_measure", iteration);
+            ad_span.attr("epoch", epoch);
+            for (idx, history) in phase.histories.iter_mut().enumerate() {
+                history.record(model.density_of(idx).clamp(0.0, 1.0));
+            }
+            sink.record(&TelemetryEvent::EpochCompleted {
+                iteration,
+                epoch,
+                loss: stats.loss,
+                accuracy: stats.accuracy,
+            });
+            run_iteration.set(iteration as f64);
+            run_epoch.set(epoch as f64);
+            run_loss.set(stats.loss);
+            run_accuracy.set(stats.accuracy);
+            let epoch_densities = phase.densities();
+            run_total_ad.set(mean(&epoch_densities));
+            sink.record(&TelemetryEvent::DensityMeasured {
+                iteration,
+                epoch,
+                total_ad: mean(&epoch_densities),
+                densities: epoch_densities,
+            });
+            let saturated = phase
+                .histories
+                .iter()
+                .all(|h| h.is_saturated(&cfg.saturation));
+            if saturation_exit && epoch >= cfg.min_epochs_per_iteration && saturated {
+                sink.record(&TelemetryEvent::SaturationDetected {
+                    iteration,
+                    epoch,
+                    window: cfg.saturation.window(),
+                    tolerance: cfg.saturation.tolerance(),
+                });
+                break;
+            }
+        }
+        train_span.attr("epochs", phase.accuracy_history.len());
+        phase
+    }
+}
+
+/// What one training phase measured: every layer's AD and the training
+/// accuracy, per epoch.
+struct TrainedPhase {
+    histories: Vec<DensityHistory>,
+    accuracy_history: Vec<f64>,
+}
+
+impl TrainedPhase {
+    /// Each layer's AD over the latest epoch.
+    fn densities(&self) -> Vec<f64> {
+        self.histories
+            .iter()
+            .map(|h| h.latest().unwrap_or(0.0))
+            .collect()
+    }
+
+    /// The phase's row of Tables II/III, with `model`'s current bit-widths
+    /// and channel counts.
+    fn record(
+        self,
+        iteration: usize,
+        model: &dyn QuantModel,
+        test_accuracy: f64,
+        mac_reduction: f64,
+    ) -> IterationRecord {
+        let count = model.layer_count();
+        let epochs_trained = self.accuracy_history.len();
+        let densities = self.densities();
+        IterationRecord {
+            iteration,
+            bits: (0..count).map(|i| model.bits_of(i)).collect(),
+            channels: (0..count).map(|i| model.out_channels_of(i)).collect(),
+            epochs_trained,
+            total_ad: mean(&densities),
+            densities,
+            test_accuracy,
+            train_accuracy: self.accuracy_history.last().copied().unwrap_or(0.0),
+            ad_history: (0..epochs_trained)
+                .map(|e| self.histories.iter().map(|h| h.samples()[e]).collect())
+                .collect(),
+            accuracy_history: self.accuracy_history,
+            mac_reduction,
+        }
     }
 }
 

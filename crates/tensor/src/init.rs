@@ -6,7 +6,7 @@
 
 use rand::Rng;
 use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+pub use rand_chacha::ChaCha8Rng;
 
 use crate::tensor::Tensor;
 
