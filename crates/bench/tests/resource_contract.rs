@@ -13,7 +13,7 @@
 //!    because the shim is live here — allocator deltas) that
 //!    `adq-report` renders next to wall time.
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 // Pull in `adq_bench` even though no item is needed: linking the lib is
 // what installs its `#[global_allocator]` shim in this test binary.
@@ -41,9 +41,8 @@ fn run_once(seed: u64, tracked: bool) -> AdqOutcome {
     let (train, test) = tiny_task();
     let mut model = Vgg::tiny(3, 8, 4, seed);
     alloc::set_tracking(tracked);
-    let outcome = AdQuantizer::new(AdqConfig::fast())
-        .with_telemetry(Arc::new(NullSink))
-        .run(&mut model, &train, &test);
+    let outcome =
+        AdQuantizer::new(AdqConfig::fast()).run_with_sink(&mut model, &train, &test, &NullSink);
     alloc::set_tracking(false);
     outcome
 }
@@ -86,12 +85,10 @@ fn phase_spans_carry_resource_attribution_when_tracked() {
 
     let (train, test) = tiny_task();
     let mut model = Vgg::tiny(3, 8, 4, 31);
-    let sink = Arc::new(MemorySink::new());
+    let sink = MemorySink::new();
     span::set_level(1);
     alloc::set_tracking(true);
-    AdQuantizer::new(AdqConfig::fast())
-        .with_telemetry(sink.clone())
-        .run(&mut model, &train, &test);
+    AdQuantizer::new(AdqConfig::fast()).run_with_sink(&mut model, &train, &test, &sink);
     alloc::set_tracking(false);
     span::set_level(0);
     span::drain();
@@ -148,11 +145,9 @@ fn untracked_spans_stay_attribution_free() {
 
     let (train, test) = tiny_task();
     let mut model = Vgg::tiny(3, 8, 4, 31);
-    let sink = Arc::new(MemorySink::new());
+    let sink = MemorySink::new();
     span::set_level(1);
-    AdQuantizer::new(AdqConfig::fast())
-        .with_telemetry(sink.clone())
-        .run(&mut model, &train, &test);
+    AdQuantizer::new(AdqConfig::fast()).run_with_sink(&mut model, &train, &test, &sink);
     span::set_level(0);
     span::drain();
     let spans = trace::spans_from_events(&sink.take());

@@ -1,5 +1,3 @@
-use std::sync::Arc;
-
 use adq_ad::{DensityHistory, SaturationDetector};
 use adq_energy::EnergyModel;
 use adq_nn::train::{
@@ -271,15 +269,6 @@ impl AdQuantizer {
     /// The configuration.
     pub fn config(&self) -> &AdqConfig {
         &self.config
-    }
-
-    /// Attaches a telemetry sink, yielding a runner whose `run`/
-    /// `run_baseline` emit the full event stream to it.
-    pub fn with_telemetry(self, sink: Arc<dyn TelemetrySink>) -> InstrumentedAdQuantizer {
-        InstrumentedAdQuantizer {
-            quantizer: self,
-            sink,
-        }
     }
 
     /// Runs Algorithm 1 to completion on `model`.
@@ -851,89 +840,6 @@ impl TrainedPhase {
             accuracy_history: self.accuracy_history,
             mac_reduction,
         }
-    }
-}
-
-/// An [`AdQuantizer`] bound to a telemetry sink — the builder-style way to
-/// attach observation without changing `run`'s signature.
-///
-/// # Example
-///
-/// ```no_run
-/// use std::sync::Arc;
-/// use adq_core::{AdqConfig, AdQuantizer};
-/// use adq_datasets::SyntheticSpec;
-/// use adq_nn::Vgg;
-/// use adq_telemetry::MemorySink;
-///
-/// let sink = Arc::new(MemorySink::new());
-/// let (train, test) = SyntheticSpec::cifar10_like().generate();
-/// let mut model = Vgg::small(3, 16, 10, 1);
-/// let outcome = AdQuantizer::new(AdqConfig::fast())
-///     .with_telemetry(sink.clone())
-///     .run(&mut model, &train, &test);
-/// assert!(!sink.events().is_empty());
-/// ```
-pub struct InstrumentedAdQuantizer {
-    quantizer: AdQuantizer,
-    sink: Arc<dyn TelemetrySink>,
-}
-
-impl InstrumentedAdQuantizer {
-    /// The underlying configuration.
-    pub fn config(&self) -> &AdqConfig {
-        self.quantizer.config()
-    }
-
-    /// [`AdQuantizer::run`], emitting to the attached sink.
-    pub fn run(&self, model: &mut dyn QuantModel, train: &Dataset, test: &Dataset) -> AdqOutcome {
-        self.quantizer
-            .run_with_sink(model, train, test, self.sink.as_ref())
-    }
-
-    /// [`AdQuantizer::run_baseline`], emitting to the attached sink.
-    pub fn run_baseline(
-        &self,
-        model: &mut dyn QuantModel,
-        train: &Dataset,
-        test: &Dataset,
-        epochs: usize,
-    ) -> IterationRecord {
-        self.quantizer
-            .run_baseline_with_sink(model, train, test, epochs, self.sink.as_ref())
-    }
-
-    /// [`AdQuantizer::run_checkpointed`], emitting to the attached sink.
-    ///
-    /// # Errors
-    ///
-    /// See [`AdQuantizer::run_checkpointed`].
-    pub fn run_checkpointed(
-        &self,
-        model: &mut dyn QuantModel,
-        train: &Dataset,
-        test: &Dataset,
-        manager: &CheckpointManager,
-    ) -> Result<AdqOutcome, CheckpointError> {
-        self.quantizer
-            .run_checkpointed(model, train, test, self.sink.as_ref(), manager)
-    }
-
-    /// [`AdQuantizer::resume_from`], emitting to the attached sink.
-    ///
-    /// # Errors
-    ///
-    /// See [`AdQuantizer::resume_from`].
-    pub fn resume_from(
-        &self,
-        model: &mut dyn QuantModel,
-        train: &Dataset,
-        test: &Dataset,
-        checkpoint: RunCheckpoint,
-        manager: Option<&CheckpointManager>,
-    ) -> Result<AdqOutcome, CheckpointError> {
-        self.quantizer
-            .resume_from(model, train, test, self.sink.as_ref(), checkpoint, manager)
     }
 }
 

@@ -58,6 +58,5 @@ pub use checkpoint::{
 };
 pub use complexity::{training_complexity, IterationCost};
 pub use controller::{
-    AdQuantizer, AdqConfig, AdqOutcome, DeadLayerPolicy, InstrumentedAdQuantizer, IterationRecord,
-    PruneConfig,
+    AdQuantizer, AdqConfig, AdqOutcome, DeadLayerPolicy, IterationRecord, PruneConfig,
 };

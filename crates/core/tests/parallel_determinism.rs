@@ -5,7 +5,7 @@
 
 use std::fs;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use adq_core::checkpoint::{CheckpointError, CheckpointManager};
 use adq_core::{AdQuantizer, AdqConfig, AdqOutcome};
@@ -135,11 +135,10 @@ fn parallel_run_reports_its_worker_pool() {
 
     let (train, test) = tiny_task();
     let mut model = Vgg::tiny(3, 8, 4, 13);
-    let sink = Arc::new(MemorySink::new());
+    let sink = MemorySink::new();
     AdQuantizer::new(AdqConfig::fast())
         .with_parallelism(MICROBATCH)
-        .with_telemetry(sink.clone())
-        .run(&mut model, &train, &test);
+        .run_with_sink(&mut model, &train, &test, &sink);
 
     let pools: Vec<_> = sink
         .events()

@@ -2,8 +2,6 @@
 //! Algorithm-1 controller: ordering, per-iteration coverage, the
 //! observation-only contract, and JSONL persistence.
 
-use std::sync::Arc;
-
 use adq_core::{AdQuantizer, AdqConfig, AdqOutcome};
 use adq_datasets::SyntheticSpec;
 use adq_nn::train::Dataset;
@@ -21,10 +19,9 @@ fn tiny_task() -> (Dataset, Dataset) {
 fn run_with_memory_sink(seed: u64) -> (AdqOutcome, Vec<TelemetryEvent>) {
     let (train, test) = tiny_task();
     let mut model = Vgg::tiny(3, 8, 4, seed);
-    let sink = Arc::new(MemorySink::new());
-    let outcome = AdQuantizer::new(AdqConfig::fast())
-        .with_telemetry(sink.clone())
-        .run(&mut model, &train, &test);
+    let sink = MemorySink::new();
+    let outcome =
+        AdQuantizer::new(AdqConfig::fast()).run_with_sink(&mut model, &train, &test, &sink);
     (outcome, sink.take())
 }
 
@@ -103,12 +100,9 @@ fn null_sink_and_memory_sink_outcomes_are_byte_identical() {
     let quiet = AdQuantizer::new(config).run(&mut quiet_model, &train, &test);
 
     let mut observed_model = Vgg::tiny(3, 8, 4, 3);
-    let sink = Arc::new(MemorySink::new());
-    let observed = AdQuantizer::new(config).with_telemetry(sink.clone()).run(
-        &mut observed_model,
-        &train,
-        &test,
-    );
+    let sink = MemorySink::new();
+    let observed =
+        AdQuantizer::new(config).run_with_sink(&mut observed_model, &train, &test, &sink);
 
     assert!(!sink.events().is_empty(), "sink saw no events");
     assert_eq!(

@@ -4,7 +4,7 @@
 //! tracing enabled.
 
 use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 use adq_core::{AdQuantizer, AdqConfig, AdqOutcome};
 use adq_datasets::SyntheticSpec;
@@ -12,7 +12,7 @@ use adq_nn::train::Dataset;
 use adq_nn::Vgg;
 use adq_telemetry::span;
 use adq_telemetry::trace::{self, TraceSpan};
-use adq_telemetry::{MemorySink, NullSink, TelemetryEvent};
+use adq_telemetry::{MemorySink, TelemetryEvent};
 
 /// The tracer level is process-global; tests in this file must not
 /// interleave.
@@ -31,11 +31,10 @@ fn tiny_task() -> (Dataset, Dataset) {
 fn traced_run(seed: u64, level: u8) -> (AdqOutcome, Vec<TraceSpan>) {
     let (train, test) = tiny_task();
     let mut model = Vgg::tiny(3, 8, 4, seed);
-    let sink = Arc::new(MemorySink::new());
+    let sink = MemorySink::new();
     span::set_level(level);
-    let outcome = AdQuantizer::new(AdqConfig::fast())
-        .with_telemetry(sink.clone())
-        .run(&mut model, &train, &test);
+    let outcome =
+        AdQuantizer::new(AdqConfig::fast()).run_with_sink(&mut model, &train, &test, &sink);
     span::set_level(0);
     span::drain();
     (outcome, trace::spans_from_events(&sink.take()))
@@ -189,17 +188,6 @@ fn tracing_is_observation_only() {
         serde_json::to_string(&memory_traced).expect("serialise"),
         "tracing into a MemorySink changed the outcome"
     );
-
-    // And with tracing fully off, attaching no sink vs. the NullSink is
-    // trivially identical too.
-    let mut model = Vgg::tiny(3, 8, 4, 33);
-    let null_plain = AdQuantizer::new(AdqConfig::fast())
-        .with_telemetry(Arc::new(NullSink))
-        .run(&mut model, &train, &test);
-    assert_eq!(
-        reference,
-        serde_json::to_string(&null_plain).expect("serialise")
-    );
 }
 
 #[test]
@@ -210,10 +198,8 @@ fn span_events_only_appear_when_tracing_is_enabled() {
 
     let (train, test) = tiny_task();
     let mut model = Vgg::tiny(3, 8, 4, 34);
-    let sink = Arc::new(MemorySink::new());
-    AdQuantizer::new(AdqConfig::fast())
-        .with_telemetry(sink.clone())
-        .run(&mut model, &train, &test);
+    let sink = MemorySink::new();
+    AdQuantizer::new(AdqConfig::fast()).run_with_sink(&mut model, &train, &test, &sink);
     let events = sink.take();
     assert!(
         !events
