@@ -122,6 +122,10 @@ struct SavedModel {
     classes: usize,
     seed: u64,
     bits: Vec<Option<BitWidth>>,
+    /// Output channels of each layer, so a pruned model can be rebuilt.
+    /// Files written before pruning was saved hold none.
+    #[serde(default)]
+    channels: Vec<usize>,
     params: Vec<adq::tensor::Tensor>,
     #[serde(default)]
     norm_stats: Vec<(Vec<f32>, Vec<f32>)>,
@@ -151,6 +155,25 @@ fn cmd_eval(flags: &Flags) -> Result<(), String> {
         )),
         other => return Err(format!("unknown saved model kind `{other}`")),
     };
+    if !saved.channels.is_empty() && saved.channels.len() != model.layer_count() {
+        return Err(format!(
+            "saved model lists {} layer widths, a {} model has {} layers",
+            saved.channels.len(),
+            saved.model,
+            model.layer_count()
+        ));
+    }
+    // replay the pruning so the parameter shapes match the saved ones
+    for (idx, &width) in saved.channels.iter().enumerate() {
+        let current = model.out_channels_of(idx);
+        let rebuilt =
+            width == current || ((1..current).contains(&width) && model.prune_layer_to(idx, width));
+        if !rebuilt {
+            return Err(format!(
+                "cannot rebuild layer {idx} with {width} of its {current} channels"
+            ));
+        }
+    }
     import_params(model.as_mut(), &saved.params)?;
     model.set_norm_stats(&saved.norm_stats)?;
     for (idx, bits) in saved.bits.iter().enumerate() {
@@ -235,6 +258,9 @@ fn cmd_quantize(flags: &Flags) -> Result<(), String> {
             classes,
             seed,
             bits: (0..model.layer_count()).map(|i| model.bits_of(i)).collect(),
+            channels: (0..model.layer_count())
+                .map(|i| model.out_channels_of(i))
+                .collect(),
             params: export_params(model.as_mut()),
             norm_stats: model.norm_stats(),
         };

@@ -102,3 +102,48 @@ fn config_roundtrips() {
     let back: AdqConfig = serde_json::from_str(&json).expect("deserialise");
     assert_eq!(cfg, back);
 }
+
+#[test]
+fn pruned_model_saved_by_the_cli_loads_again() {
+    let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("target/cli-save-tests")
+        .join(std::process::id().to_string());
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let path = dir.join("pruned.json");
+    let path = path.to_str().expect("utf-8 path");
+    let adq = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_adq"))
+            .args(args)
+            .output()
+            .expect("run adq");
+        assert!(
+            out.status.success(),
+            "adq {args:?} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let task = ["--resolution", "8", "--classes", "4"];
+    adq(&[
+        &[
+            "quantize", "--prune", "--iters", "2", "--epochs", "2", "--save", path,
+        ],
+        &task[..],
+    ]
+    .concat());
+    #[derive(serde::Deserialize)]
+    struct Widths {
+        channels: Vec<usize>,
+    }
+    let saved: Widths =
+        serde_json::from_str(&std::fs::read_to_string(path).expect("saved file")).expect("json");
+    // Vgg::small before pruning: 16, 16, 32, 32, 64, 64 channels, 4 classes
+    assert_ne!(
+        saved.channels,
+        [16, 16, 32, 32, 64, 64, 4],
+        "nothing was pruned"
+    );
+    let eval = adq(&[&["eval", "--load", path], &task[..]].concat());
+    assert!(eval.contains("test acc"), "{eval}");
+    std::fs::remove_dir_all(&dir).ok();
+}
