@@ -697,9 +697,7 @@ impl AdQuantizer {
         sink.flush();
         record
     }
-}
 
-impl AdQuantizer {
     /// Algorithm 1's epoch loop: trains `model` for up to `max_epochs`
     /// epochs and measures every layer's AD after each. With
     /// `saturation_exit`, it stops once every layer's AD has saturated and
@@ -778,11 +776,13 @@ impl AdQuantizer {
                 total_ad: mean(&epoch_densities),
                 densities: epoch_densities,
             });
-            let saturated = phase
-                .histories
-                .iter()
-                .all(|h| h.is_saturated(&cfg.saturation));
-            if saturation_exit && epoch >= cfg.min_epochs_per_iteration && saturated {
+            if saturation_exit
+                && epoch >= cfg.min_epochs_per_iteration
+                && phase
+                    .histories
+                    .iter()
+                    .all(|h| h.is_saturated(&cfg.saturation))
+            {
                 sink.record(&TelemetryEvent::SaturationDetected {
                     iteration,
                     epoch,
