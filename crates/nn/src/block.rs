@@ -412,11 +412,6 @@ impl LinearHead {
         self.meter.density()
     }
 
-    /// Clears the density statistics.
-    pub fn reset_density(&mut self) {
-        self.meter.reset();
-    }
-
     /// The head's density meter.
     pub fn meter_mut(&mut self) -> &mut DensityMeter {
         &mut self.meter

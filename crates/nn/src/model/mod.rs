@@ -150,7 +150,7 @@ pub trait QuantModel {
         self.visit_layers(&mut |layer| match layer {
             LayerMut::Conv(block) => block.reset_density(),
             LayerMut::Junction(meter) => meter.reset(),
-            LayerMut::Head(head) => head.reset_density(),
+            LayerMut::Head(head) => head.meter_mut().reset(),
         });
     }
 
