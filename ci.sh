@@ -52,6 +52,11 @@ cargo test -q
 # differential test, the logit digests, the proptests) live in adq-infer.
 echo "==> tier-1: integer engine exactness (cargo test -q -p adq-infer)"
 cargo test -q -p adq-infer
+# The serving tests (a stalled peer must not starve its connection
+# worker, shutdown drains and says goodbye) must hold on a one-thread
+# pool too.
+echo "==> tier-1: adq-infer again with one worker (RAYON_NUM_THREADS=1)"
+RAYON_NUM_THREADS=1 cargo test -q -p adq-infer
 
 # Nor does it run the kernel-plan, dispatch and span/trace contracts,
 # which live in adq-tensor and adq-telemetry.

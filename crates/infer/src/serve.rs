@@ -50,6 +50,11 @@
 //! pre-tracing protocol, and old servers answer flagged kinds with a
 //! typed `unknown request kind` error rather than misparsing them.
 //!
+//! Server and [`Client`] share one codec (the "wire codec" section
+//! below): `encode_frame` builds every frame as one buffer, `FrameReader`
+//! is the only decoder and checks the 16 MiB frame cap, and
+//! `parse_request`/`parse_response` map malformed payloads to `WireError`.
+//!
 //! ## Observability
 //!
 //! `serve.queue_depth` / `serve.inflight` / `serve.replicas` /
@@ -78,6 +83,7 @@
 //! (`tests/access_log.rs` enforces it).
 
 use std::collections::VecDeque;
+use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{self, AssertUnwindSafe};
@@ -87,8 +93,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use adq_telemetry::lifecycle::{
-    AccessLog, AccessLogHandle, RequestRecord, OUTCOME_ERROR, OUTCOME_GOODBYE_REFUSED, OUTCOME_OK,
-    OUTCOME_SHED,
+    exact_quantile_ns, AccessLog, AccessLogHandle, RequestRecord, OUTCOME_ERROR,
+    OUTCOME_GOODBYE_REFUSED, OUTCOME_OK, OUTCOME_SHED,
 };
 use adq_telemetry::metrics;
 use adq_telemetry::span;
@@ -311,21 +317,11 @@ impl ConnWriter {
     /// up to [`WRITE_STALL_LIMIT`]; a connection that stays unwritable is
     /// marked dead and silently dropped from then on. `trace` appends the
     /// trace-id trailer for clients that set [`FLAG_TRACED`].
-    fn send(&self, status: u8, id: u64, body: &dyn ResponseBody, trace: Option<u64>) {
+    fn send(&self, status: u8, id: u64, body: Body<'_>, trace: Option<u64>) {
         if self.dead.load(Ordering::Relaxed) {
             return;
         }
-        let mut payload = Vec::with_capacity(13);
-        payload.push(status);
-        payload.extend_from_slice(&id.to_le_bytes());
-        body.encode(&mut payload);
-        if let Some(trace_id) = trace {
-            payload.extend_from_slice(&trace_id.to_le_bytes());
-        }
-        let mut frame = Vec::with_capacity(4 + payload.len());
-        frame.extend_from_slice(&u32::to_le_bytes(payload.len() as u32));
-        frame.extend_from_slice(&payload);
-
+        let frame = encode_frame(status, id, body, trace);
         let mut stream = self.stream.lock().expect("conn writer lock");
         let mut written = 0usize;
         let started = Instant::now();
@@ -351,6 +347,11 @@ impl ConnWriter {
             }
         }
         let _ = stream.flush();
+    }
+
+    /// Sends the shutdown goodbye, the last frame a connection gets.
+    fn goodbye(&self) {
+        self.send(STATUS_GOODBYE, 0, Body::Text("server shutting down"), None);
     }
 }
 
@@ -383,16 +384,29 @@ struct Queue {
     closed: bool,
 }
 
-/// Outcome of offering a request to the bounded queue.
-enum Admission {
-    /// Enqueued; wake an executor.
-    Admitted,
-    /// Enqueued after shedding the oldest queued request (returned).
-    AdmittedShedding(Pending),
-    /// Queue full under [`OverloadPolicy::Reject`]; the request bounces.
-    Rejected(Pending),
-    /// Queue closed (shutdown); the request bounces as an error.
-    Closed(Pending),
+/// Why an inference request is answered without running.
+enum Refusal {
+    /// Wrong length or a non-finite value; never offered to the queue.
+    Invalid(&'static str),
+    /// Evicted from a full queue by a newer request (`ShedOldest`).
+    Superseded,
+    /// Bounced off a full queue ([`OverloadPolicy::Reject`]).
+    QueueFull,
+    /// Offered after the queue closed for shutdown.
+    Closed,
+}
+
+/// The access-log fields a request's path decides: where it ran, its
+/// stage times, the queue depth seen. Stages a refusal skipped stay zero.
+#[derive(Default)]
+struct Stages {
+    replica: Option<u64>,
+    batch_size: Option<u64>,
+    queue_wait_ns: u64,
+    batch_wait_ns: u64,
+    exec_ns: u64,
+    write_ns: u64,
+    queue_depth: u64,
 }
 
 struct Shared {
@@ -414,6 +428,10 @@ struct Shared {
     log: Option<AccessLogHandle>,
     /// Server start, the zero point for record `ts_ns` ordering stamps.
     started: Instant,
+    requests: Arc<metrics::Counter>,
+    errors: Arc<metrics::Counter>,
+    shed_total: Arc<metrics::Counter>,
+    queue_rejected: Arc<metrics::Counter>,
 }
 
 impl Shared {
@@ -421,32 +439,70 @@ impl Shared {
         self.trace_counter.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    fn ts_ns(&self) -> u64 {
-        ns(self.started.elapsed())
+    fn queue_cap(&self) -> u64 {
+        self.config.queue_cap.max(1) as u64
     }
 
-    /// Logs a non-`ok` outcome: stages that never happened stay zero.
-    /// Call after the refusal response is written so `total_ns` spans
-    /// frame-read → response-written like the `ok` records.
-    fn log_refusal(&self, outcome: &str, pending: &Pending, queue_wait_ns: u64, depth: u64) {
+    /// Logs `pending`'s access-log record, when a log is attached.
+    /// `written` is the response-written stamp, so `total_ns` spans
+    /// frame-read → response-written for every outcome.
+    fn log(&self, pending: &Pending, outcome: &str, written: Instant, stages: Stages) {
         let Some(log) = &self.log else { return };
         log.record(RequestRecord {
             trace_id: pending.trace_id,
             conn_id: pending.conn_id,
-            replica: None,
-            batch_size: None,
+            replica: stages.replica,
+            batch_size: stages.batch_size,
             outcome: outcome.to_string(),
             admit_ns: ns(pending.enqueued.saturating_duration_since(pending.received)),
-            queue_wait_ns,
-            batch_wait_ns: 0,
-            exec_ns: 0,
-            write_ns: 0,
-            total_ns: ns(pending.received.elapsed()),
-            queue_depth: depth,
-            queue_cap: self.config.queue_cap.max(1) as u64,
-            ts_ns: self.ts_ns(),
+            queue_wait_ns: stages.queue_wait_ns,
+            batch_wait_ns: stages.batch_wait_ns,
+            exec_ns: stages.exec_ns,
+            write_ns: stages.write_ns,
+            total_ns: ns(written.saturating_duration_since(pending.received)),
+            queue_depth: stages.queue_depth,
+            queue_cap: self.queue_cap(),
+            ts_ns: ns(self.started.elapsed()),
         });
     }
+
+    /// The one exit for an inference request that will not run: counts
+    /// it, answers it with a typed refusal, logs its record and releases
+    /// its inflight slot.
+    fn refuse(&self, pending: Pending, refusal: Refusal) {
+        let cap = self.queue_cap();
+        let (status, reason, outcome, queue_wait_ns, queue_depth) = match refusal {
+            Refusal::Invalid(reason) => (STATUS_ERR, reason, OUTCOME_ERROR, 0, 0),
+            Refusal::Closed => (STATUS_ERR, "shutting down", OUTCOME_GOODBYE_REFUSED, 0, 0),
+            Refusal::QueueFull => (STATUS_SHED, "queue full, try later", OUTCOME_SHED, 0, cap),
+            Refusal::Superseded => {
+                // the victim's queue wait ran until its eviction
+                let waited = ns(pending.enqueued.elapsed());
+                let reason = "shed under load (superseded by newer work)";
+                (STATUS_SHED, reason, OUTCOME_SHED, waited, cap)
+            }
+        };
+        if status == STATUS_SHED {
+            self.shed_total.inc();
+        } else {
+            self.errors.inc();
+        }
+        if matches!(refusal, Refusal::QueueFull) {
+            self.queue_rejected.inc();
+        }
+        let trace = pending.traced.then_some(pending.trace_id);
+        pending
+            .writer
+            .send(status, pending.id, Body::Text(reason), trace);
+        let stages = Stages {
+            queue_wait_ns,
+            queue_depth,
+            ..Stages::default()
+        };
+        self.log(&pending, outcome, Instant::now(), stages);
+        pending.writer.inflight.fetch_sub(1, Ordering::SeqCst);
+    }
+
     fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         let mut q = self.queue.lock().expect("serve queue lock");
@@ -455,17 +511,21 @@ impl Shared {
         self.wake.notify_all();
     }
 
-    /// Bounded-queue admission control (see [`OverloadPolicy`]).
-    fn offer(&self, pending: Pending) -> Admission {
+    /// Bounded-queue admission control (see [`OverloadPolicy`]): admits
+    /// `pending` unless the queue is closed or full under
+    /// [`OverloadPolicy::Reject`], and returns the request that must be
+    /// refused instead, if any — `pending` itself, or the oldest queued
+    /// request it displaced.
+    fn offer(&self, pending: Pending) -> Option<(Pending, Refusal)> {
         let cap = self.config.queue_cap.max(1);
         let mut q = self.queue.lock().expect("serve queue lock");
         if q.closed {
-            return Admission::Closed(pending);
+            return Some((pending, Refusal::Closed));
         }
         let mut shed = None;
         if q.items.len() >= cap {
             match self.config.overload {
-                OverloadPolicy::Reject => return Admission::Rejected(pending),
+                OverloadPolicy::Reject => return Some((pending, Refusal::QueueFull)),
                 OverloadPolicy::ShedOldest => {
                     // front = oldest enqueue time = nearest deadline
                     shed = q.items.pop_front();
@@ -478,10 +538,7 @@ impl Shared {
             .set(q.items.len() as f64);
         drop(q);
         self.wake.notify_all();
-        match shed {
-            Some(victim) => Admission::AdmittedShedding(victim),
-            None => Admission::Admitted,
-        }
+        shed.map(|victim| (victim, Refusal::Superseded))
     }
 }
 
@@ -536,6 +593,9 @@ impl Server {
         let local = listener.local_addr()?;
         let conn_workers = config.conn_workers.max(1);
         let replicas = config.replicas.max(1);
+        // register the serving metrics eagerly so a scrape sees the full
+        // dashboard (zeros included) before the first overload
+        let m = metrics::global();
         let shared = Arc::new(Shared {
             queue: Mutex::new(Queue::default()),
             wake: Condvar::new(),
@@ -547,15 +607,11 @@ impl Server {
             trace_counter: AtomicU64::new(0),
             log: access_log.as_ref().map(AccessLog::handle),
             started: Instant::now(),
+            requests: m.counter("serve.requests"),
+            errors: m.counter("serve.errors"),
+            shed_total: m.counter("serve.shed_total"),
+            queue_rejected: m.counter("serve.queue_rejected"),
         });
-
-        // register the serving metrics eagerly so a scrape sees the full
-        // dashboard (zeros included) before the first overload
-        let m = metrics::global();
-        m.counter("serve.requests");
-        m.counter("serve.errors");
-        m.counter("serve.shed_total");
-        m.counter("serve.queue_rejected");
         m.counter("serve.replica_panics");
         m.counter("serve.access_log.records");
         m.counter("serve.access_log.dropped");
@@ -682,38 +738,6 @@ fn accept_loop(listener: TcpListener, injector: Arc<Mutex<VecDeque<Conn>>>, shar
 
 // ---- connection workers -------------------------------------------------
 
-/// Incremental length-prefixed frame decoder over a non-blocking socket.
-#[derive(Default)]
-struct FrameReader {
-    buf: Vec<u8>,
-}
-
-impl FrameReader {
-    fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Pops the next complete frame, `Err` on an oversized length prefix.
-    fn next_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
-        if self.buf.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(self.buf[..4].try_into().expect("4 bytes")) as usize;
-        if len > MAX_FRAME {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("frame of {len} bytes exceeds the {MAX_FRAME} byte cap"),
-            ));
-        }
-        if self.buf.len() < 4 + len {
-            return Ok(None);
-        }
-        let frame = self.buf[4..4 + len].to_vec();
-        self.buf.drain(..4 + len);
-        Ok(Some(frame))
-    }
-}
-
 /// One multiplexed connection, owned by exactly one worker.
 struct Conn {
     stream: TcpStream,
@@ -741,11 +765,6 @@ impl Conn {
 /// inline, and routes inference frames through admission control.
 fn conn_worker_loop(shared: Arc<Shared>, injector: Arc<Mutex<VecDeque<Conn>>>) {
     let mut conns: Vec<Conn> = Vec::new();
-    let requests = metrics::global().counter("serve.requests");
-    let errors = metrics::global().counter("serve.errors");
-    let shed_total = metrics::global().counter("serve.shed_total");
-    let queue_rejected = metrics::global().counter("serve.queue_rejected");
-
     loop {
         // adopt newly accepted connections (work-stealing: whichever
         // worker gets there first takes the front one)
@@ -759,24 +778,21 @@ fn conn_worker_loop(shared: Arc<Shared>, injector: Arc<Mutex<VecDeque<Conn>>>) {
             // worker's connections have no response outstanding — then
             // each gets a typed goodbye instead of a bare EOF.
             if shared.executors_live.load(Ordering::SeqCst) == 0 {
-                let mut remaining = Vec::new();
-                for conn in conns.drain(..) {
-                    if conn.writer.inflight.load(Ordering::SeqCst) == 0 {
-                        conn.writer
-                            .send(STATUS_GOODBYE, 0, &ErrBody("server shutting down"), None);
-                        // drop closes the socket after the goodbye frame
-                    } else {
-                        remaining.push(conn);
+                // an idle conn gets its goodbye; dropping it closes the
+                // socket after the goodbye frame
+                conns.retain(|conn| {
+                    let busy = conn.writer.inflight.load(Ordering::SeqCst) > 0;
+                    if !busy {
+                        conn.writer.goodbye();
                     }
-                }
-                conns = remaining;
+                    busy
+                });
                 if conns.is_empty() {
                     // one worker may still hold injected conns nobody
                     // adopted; they get goodbyes from whoever adopts them
                     let mut inj = injector.lock().expect("conn injector lock");
                     while let Some(conn) = inj.pop_front() {
-                        conn.writer
-                            .send(STATUS_GOODBYE, 0, &ErrBody("server shutting down"), None);
+                        conn.writer.goodbye();
                     }
                     return;
                 }
@@ -818,22 +834,14 @@ fn conn_worker_loop(shared: Arc<Shared>, injector: Arc<Mutex<VecDeque<Conn>>>) {
                     Err(e) => {
                         // an oversized length prefix: the stream has lost
                         // its framing, so say why and close it
-                        errors.inc();
+                        shared.errors.inc();
                         conn.writer
-                            .send(STATUS_ERR, 0, &ErrBody(&e.to_string()), None);
+                            .send(STATUS_ERR, 0, Body::Text(&e.to_string()), None);
                         conn.alive = false;
                         break;
                     }
                 };
-                handle_frame(
-                    &frame,
-                    conn,
-                    &shared,
-                    &requests,
-                    &errors,
-                    &shed_total,
-                    &queue_rejected,
-                );
+                handle_frame(&frame, conn, &shared);
             }
         }
         conns.retain(|c| c.alive && !c.writer.dead.load(Ordering::Relaxed));
@@ -847,135 +855,70 @@ fn may_stop(ip: IpAddr) -> bool {
 }
 
 /// Handles one decoded request frame on a worker thread.
-fn handle_frame(
-    frame: &[u8],
-    conn: &mut Conn,
-    shared: &Arc<Shared>,
-    requests: &metrics::Counter,
-    errors: &metrics::Counter,
-    shed_total: &metrics::Counter,
-    queue_rejected: &metrics::Counter,
-) {
+fn handle_frame(frame: &[u8], conn: &mut Conn, shared: &Shared) {
     // frame-read stamp: the request is fully off the socket
     let received = Instant::now();
-    let Some((kind, traced, id, body)) = parse_request(frame) else {
+    let Ok((kind, traced, id, input)) = parse_request(frame) else {
         // unparseable bytes carry no id and get no lifecycle record
-        errors.inc();
+        shared.errors.inc();
         conn.writer
-            .send(STATUS_ERR, 0, &ErrBody("malformed frame"), None);
+            .send(STATUS_ERR, 0, Body::Text("malformed frame"), None);
         return;
     };
     match kind {
-        KIND_PING => conn.writer.send(STATUS_OK, id, &OkBody(&[]), None),
+        KIND_PING => conn.writer.send(STATUS_OK, id, Body::Floats(&[]), None),
         KIND_SHUTDOWN => {
             if !conn
                 .stream
                 .peer_addr()
                 .is_ok_and(|peer| may_stop(peer.ip()))
             {
-                errors.inc();
-                let body = ErrBody("shutdown is only accepted from loopback");
-                conn.writer.send(STATUS_ERR, id, &body, None);
+                shared.errors.inc();
+                let body = Body::Text("shutdown is only accepted from loopback");
+                conn.writer.send(STATUS_ERR, id, body, None);
                 return;
             }
-            conn.writer.send(STATUS_OK, id, &OkBody(&[]), None);
+            conn.writer.send(STATUS_OK, id, Body::Floats(&[]), None);
             shared.request_shutdown();
             // wake the accept loop so it can observe the flag
             let _ = TcpStream::connect(shared.addr);
         }
         KIND_INFER => {
-            requests.inc();
-            let trace_id = shared.next_trace_id();
-            let echo = traced.then_some(trace_id);
+            shared.requests.inc();
             // a NaN or infinity would otherwise encode to an ordinary code
             // and come back as an ordinary prediction
-            let invalid = if body.len() != shared.input_len {
+            let invalid = if input.len() != shared.input_len {
                 Some("bad input length")
-            } else if body.iter().any(|v| !v.is_finite()) {
+            } else if input.iter().any(|v| !v.is_finite()) {
                 Some("non-finite input")
             } else {
                 None
             };
-            if let Some(reason) = invalid {
-                errors.inc();
-                conn.writer.send(STATUS_ERR, id, &ErrBody(reason), echo);
-                if let Some(log) = &shared.log {
-                    log.record(RequestRecord {
-                        trace_id,
-                        conn_id: conn.conn_id,
-                        replica: None,
-                        batch_size: None,
-                        outcome: OUTCOME_ERROR.to_string(),
-                        admit_ns: 0,
-                        queue_wait_ns: 0,
-                        batch_wait_ns: 0,
-                        exec_ns: 0,
-                        write_ns: 0,
-                        total_ns: ns(received.elapsed()),
-                        queue_depth: 0,
-                        queue_cap: shared.config.queue_cap.max(1) as u64,
-                        ts_ns: shared.ts_ns(),
-                    });
-                }
-                return;
-            }
-            let pending = Pending {
-                input: body,
+            let mut pending = Pending {
+                input,
                 received,
-                enqueued: Instant::now(),
+                // an invalid request never reaches admission: no admit stage
+                enqueued: received,
                 id,
-                trace_id,
+                trace_id: shared.next_trace_id(),
                 traced,
                 conn_id: conn.conn_id,
                 writer: conn.writer.clone(),
             };
             pending.writer.inflight.fetch_add(1, Ordering::SeqCst);
-            let cap = shared.config.queue_cap.max(1) as u64;
-            match shared.offer(pending) {
-                Admission::Admitted => {}
-                Admission::AdmittedShedding(victim) => {
-                    shed_total.inc();
-                    let waited = ns(victim.enqueued.elapsed());
-                    victim.writer.send(
-                        STATUS_SHED,
-                        victim.id,
-                        &ErrBody("shed under load (superseded by newer work)"),
-                        victim.traced.then_some(victim.trace_id),
-                    );
-                    // evicted from a full queue: the victim's queue wait
-                    // ran from its admission to its eviction
-                    shared.log_refusal(OUTCOME_SHED, &victim, waited, cap);
-                    victim.writer.inflight.fetch_sub(1, Ordering::SeqCst);
-                }
-                Admission::Rejected(bounced) => {
-                    shed_total.inc();
-                    queue_rejected.inc();
-                    bounced.writer.send(
-                        STATUS_SHED,
-                        bounced.id,
-                        &ErrBody("queue full, try later"),
-                        bounced.traced.then_some(bounced.trace_id),
-                    );
-                    shared.log_refusal(OUTCOME_SHED, &bounced, 0, cap);
-                    bounced.writer.inflight.fetch_sub(1, Ordering::SeqCst);
-                }
-                Admission::Closed(bounced) => {
-                    errors.inc();
-                    bounced.writer.send(
-                        STATUS_ERR,
-                        bounced.id,
-                        &ErrBody("shutting down"),
-                        bounced.traced.then_some(bounced.trace_id),
-                    );
-                    shared.log_refusal(OUTCOME_GOODBYE_REFUSED, &bounced, 0, 0);
-                    bounced.writer.inflight.fetch_sub(1, Ordering::SeqCst);
-                }
+            if let Some(reason) = invalid {
+                shared.refuse(pending, Refusal::Invalid(reason));
+                return;
+            }
+            pending.enqueued = Instant::now();
+            if let Some((refused, why)) = shared.offer(pending) {
+                shared.refuse(refused, why);
             }
         }
         _ => {
-            errors.inc();
+            shared.errors.inc();
             conn.writer
-                .send(STATUS_ERR, id, &ErrBody("unknown request kind"), None);
+                .send(STATUS_ERR, id, Body::Text("unknown request kind"), None);
         }
     }
 }
@@ -994,7 +937,6 @@ fn executor_loop(
 ) {
     let config = shared.config;
     let max_batch = config.max_batch.max(1);
-    let queue_cap = config.queue_cap.max(1) as u64;
     let queue_depth = metrics::global().gauge("serve.queue_depth");
     let inflight = metrics::global().gauge("serve.inflight");
     let batch_sizes =
@@ -1006,7 +948,6 @@ fn executor_loop(
     let stage_batch_wait = metrics::global().histogram("serve.stage.batch_wait_ns");
     let stage_exec = metrics::global().histogram("serve.stage.exec_ns");
     let stage_write = metrics::global().histogram("serve.stage.write_ns");
-    let errors = metrics::global().counter("serve.errors");
     let replica_panics = metrics::global().counter("serve.replica_panics");
 
     loop {
@@ -1090,23 +1031,19 @@ fn executor_loop(
             let queue_wait_ns = ns(dequeue.saturating_duration_since(pending.enqueued));
             let batch_wait_ns = ns(started.saturating_duration_since(dequeue));
             let write_from = Instant::now();
-            let trace = pending.traced.then_some(pending.trace_id);
-            // a disconnected client just drops its response
-            let outcome = match &logits {
+            let (status, body, outcome) = match &logits {
                 Some(logits) => {
                     let row = &logits.data()[i * classes..(i + 1) * classes];
-                    pending
-                        .writer
-                        .send(STATUS_OK, pending.id, &OkBody(row), trace);
-                    OUTCOME_OK
+                    (STATUS_OK, Body::Floats(row), OUTCOME_OK)
                 }
                 None => {
-                    errors.inc();
-                    let body = ErrBody("replica panicked");
-                    pending.writer.send(STATUS_ERR, pending.id, &body, trace);
-                    OUTCOME_ERROR
+                    shared.errors.inc();
+                    (STATUS_ERR, Body::Text("replica panicked"), OUTCOME_ERROR)
                 }
             };
+            // a disconnected client just drops its response
+            let trace = pending.traced.then_some(pending.trace_id);
+            pending.writer.send(status, pending.id, body, trace);
             let written = Instant::now();
             let write_ns = ns(written.saturating_duration_since(write_from));
             stage_queue_wait.record(queue_wait_ns);
@@ -1114,24 +1051,16 @@ fn executor_loop(
             stage_exec.record(exec_ns);
             stage_write.record(write_ns);
             latency.record(ns(written.saturating_duration_since(pending.enqueued)));
-            if let Some(log) = &shared.log {
-                log.record(RequestRecord {
-                    trace_id: pending.trace_id,
-                    conn_id: pending.conn_id,
-                    replica: Some(replica as u64),
-                    batch_size: Some(taken as u64),
-                    outcome: outcome.to_string(),
-                    admit_ns: ns(pending.enqueued.saturating_duration_since(pending.received)),
-                    queue_wait_ns,
-                    batch_wait_ns,
-                    exec_ns,
-                    write_ns,
-                    total_ns: ns(written.saturating_duration_since(pending.received)),
-                    queue_depth: depth_after,
-                    queue_cap,
-                    ts_ns: shared.ts_ns(),
-                });
-            }
+            let stages = Stages {
+                replica: Some(replica as u64),
+                batch_size: Some(taken as u64),
+                queue_wait_ns,
+                batch_wait_ns,
+                exec_ns,
+                write_ns,
+                queue_depth: depth_after,
+            };
+            shared.log(&pending, outcome, written, stages);
             pending.writer.inflight.fetch_sub(1, Ordering::SeqCst);
         }
         inflight.set(exec_inflight.fetch_sub(taken, Ordering::SeqCst) as f64 - taken as f64);
@@ -1141,78 +1070,183 @@ fn executor_loop(
     shared.wake.notify_all();
 }
 
-// ---- wire helpers -------------------------------------------------------
+// ---- wire codec ---------------------------------------------------------
 
-/// Reads one length-prefixed frame from a blocking stream; `None` on
-/// clean EOF at a frame boundary. (Client-side helper — the server reads
-/// through [`FrameReader`].)
-fn read_frame(stream: &mut TcpStream) -> io::Result<Option<Vec<u8>>> {
-    let mut len_buf = [0u8; 4];
-    match stream.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds the {MAX_FRAME} byte cap"),
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload)?;
-    Ok(Some(payload))
+/// Payload header: kind or status byte, `u64` id, `u32` count.
+const HEADER_LEN: usize = 13;
+
+/// A malformed frame or payload.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum WireError {
+    /// A length prefix over [`MAX_FRAME`]: the stream lost its framing.
+    Oversized(usize),
+    /// A payload shorter than its header.
+    Short(usize),
+    /// A float body whose byte length is not four times its count.
+    CountMismatch { count: usize, bytes: usize },
 }
 
-fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> io::Result<()> {
-    stream.write_all(&u32::to_le_bytes(payload.len() as u32))?;
-    stream.write_all(payload)?;
-    stream.flush()
-}
-
-/// Parses a request payload into `(kind, traced, id, floats)`; `traced`
-/// is the [`FLAG_TRACED`] bit of the kind byte.
-fn parse_request(payload: &[u8]) -> Option<(u8, bool, u64, Vec<f32>)> {
-    if payload.len() < 13 {
-        return None;
-    }
-    let kind = payload[0] & KIND_MASK;
-    let traced = payload[0] & FLAG_TRACED != 0;
-    let id = u64::from_le_bytes(payload[1..9].try_into().ok()?);
-    let n = u32::from_le_bytes(payload[9..13].try_into().ok()?) as usize;
-    let body = &payload[13..];
-    if body.len() != n * 4 {
-        return None;
-    }
-    let floats = body
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().expect("chunk of 4")))
-        .collect();
-    Some((kind, traced, id, floats))
-}
-
-struct OkBody<'a>(&'a [f32]);
-struct ErrBody<'a>(&'a str);
-
-trait ResponseBody {
-    fn encode(&self, out: &mut Vec<u8>);
-}
-
-impl ResponseBody for OkBody<'_> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&u32::to_le_bytes(self.0.len() as u32));
-        for v in self.0 {
-            out.extend_from_slice(&v.to_le_bytes());
+impl fmt::Display for WireError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            WireError::Oversized(len) => {
+                write!(f, "frame of {len} bytes exceeds the {MAX_FRAME} byte cap")
+            }
+            WireError::Short(len) => write!(f, "payload of {len} bytes has no whole header"),
+            WireError::CountMismatch { count, bytes } => {
+                write!(f, "{count} floats announced but {bytes} body bytes sent")
+            }
         }
     }
 }
 
-impl ResponseBody for ErrBody<'_> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&u32::to_le_bytes(0));
-        out.extend_from_slice(self.0.as_bytes());
+impl From<WireError> for io::Error {
+    fn from(err: WireError) -> Self {
+        io::Error::new(io::ErrorKind::InvalidData, err.to_string())
     }
+}
+
+/// What follows a payload's `u32` count: that many `f32`s (a request's
+/// pixels, an OK response's logits), or a UTF-8 message under a zero
+/// count (every other status).
+enum Body<'a> {
+    Floats(&'a [f32]),
+    Text(&'a str),
+}
+
+/// Builds one whole frame, `[len: u32][head: u8][id: u64][count: u32]
+/// [body]` (all LE) plus the 8-byte trace-id trailer when `trace` is set;
+/// `head` is a kind byte or a status. One buffer is one `write`, so a
+/// closed peer's reset cannot land between a prefix and its payload.
+fn encode_frame(head: u8, id: u64, body: Body<'_>, trace: Option<u64>) -> Vec<u8> {
+    let (count, body_len) = match body {
+        Body::Floats(values) => (values.len(), 4 * values.len()),
+        Body::Text(message) => (0, message.len()),
+    };
+    let payload_len = HEADER_LEN + body_len + if trace.is_some() { 8 } else { 0 };
+    let mut frame = Vec::with_capacity(4 + payload_len);
+    frame.extend_from_slice(&(payload_len as u32).to_le_bytes());
+    frame.push(head);
+    frame.extend_from_slice(&id.to_le_bytes());
+    frame.extend_from_slice(&(count as u32).to_le_bytes());
+    match body {
+        Body::Floats(values) => {
+            for v in values {
+                frame.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        Body::Text(message) => frame.extend_from_slice(message.as_bytes()),
+    }
+    if let Some(trace_id) = trace {
+        frame.extend_from_slice(&trace_id.to_le_bytes());
+    }
+    frame
+}
+
+/// The only length-prefixed frame decoder: the server feeds it from
+/// non-blocking sockets, the [`Client`] from a blocking one.
+#[derive(Default)]
+struct FrameReader {
+    buf: Vec<u8>,
+}
+
+impl FrameReader {
+    fn push(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Pops the next complete frame's payload, if one is buffered.
+    fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
+        if self.buf.len() < 4 {
+            return Ok(None);
+        }
+        let len = u32::from_le_bytes(self.buf[..4].try_into().expect("4 bytes")) as usize;
+        if len > MAX_FRAME {
+            return Err(WireError::Oversized(len));
+        }
+        if self.buf.len() < 4 + len {
+            return Ok(None);
+        }
+        let frame = self.buf[4..4 + len].to_vec();
+        self.buf.drain(..4 + len);
+        Ok(Some(frame))
+    }
+
+    /// Blocks on `source` until a whole frame is buffered; `None` on EOF
+    /// at a frame boundary.
+    fn read_from(&mut self, source: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+        let mut scratch = [0u8; 16 * 1024];
+        loop {
+            if let Some(frame) = self.next_frame()? {
+                return Ok(Some(frame));
+            }
+            match source.read(&mut scratch) {
+                Ok(0) if self.buf.is_empty() => return Ok(None),
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "connection closed mid-frame",
+                    ))
+                }
+                Ok(n) => self.push(&scratch[..n]),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+/// Splits a payload into `(head, id, count, body)`.
+fn split_payload(payload: &[u8]) -> Result<(u8, u64, usize, &[u8]), WireError> {
+    if payload.len() < HEADER_LEN {
+        return Err(WireError::Short(payload.len()));
+    }
+    let id = u64::from_le_bytes(payload[1..9].try_into().expect("8 bytes"));
+    let count = u32::from_le_bytes(payload[9..13].try_into().expect("4 bytes")) as usize;
+    Ok((payload[0], id, count, &payload[HEADER_LEN..]))
+}
+
+/// Reads a body of `count` LE `f32`s.
+fn decode_floats(count: usize, body: &[u8]) -> Result<Vec<f32>, WireError> {
+    let bytes = body.len();
+    if count.checked_mul(4) != Some(bytes) {
+        return Err(WireError::CountMismatch { count, bytes });
+    }
+    Ok(body
+        .chunks_exact(4)
+        .map(|c| f32::from_le_bytes(c.try_into().expect("chunk of 4")))
+        .collect())
+}
+
+/// Parses a request payload into `(kind, traced, id, floats)`; `traced`
+/// is the [`FLAG_TRACED`] bit of the kind byte.
+fn parse_request(payload: &[u8]) -> Result<(u8, bool, u64, Vec<f32>), WireError> {
+    let (head, id, count, body) = split_payload(payload)?;
+    let floats = decode_floats(count, body)?;
+    Ok((head & KIND_MASK, head & FLAG_TRACED != 0, id, floats))
+}
+
+/// A decoded response: `(status, id, reply, trace id)`.
+type Response = (u8, u64, Reply, Option<u64>);
+
+/// Parses a response payload. Only a response to a request that set
+/// [`FLAG_TRACED`] carries the trace-id trailer, so `traced` says whether
+/// to strip one. Statuses other than OK and shed read as refusals.
+fn parse_response(payload: &[u8], traced: bool) -> Result<Response, WireError> {
+    let (status, id, count, mut body) = split_payload(payload)?;
+    let mut trace_id = None;
+    if traced && body.len() >= 8 {
+        let (rest, trailer) = body.split_at(body.len() - 8);
+        trace_id = Some(u64::from_le_bytes(trailer.try_into().expect("8 bytes")));
+        body = rest;
+    }
+    let text = || String::from_utf8_lossy(body).into_owned();
+    let reply = match status {
+        STATUS_OK => Reply::Logits(decode_floats(count, body)?),
+        STATUS_SHED => Reply::Shed(text()),
+        _ => Reply::Refused(text()),
+    };
+    Ok((status, id, reply, trace_id))
 }
 
 // ---- client -------------------------------------------------------------
@@ -1243,6 +1277,7 @@ impl Reply {
 /// A blocking client for the serving protocol.
 pub struct Client {
     stream: TcpStream,
+    reader: FrameReader,
     next_id: u64,
 }
 
@@ -1255,18 +1290,24 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        Ok(Client { stream, next_id: 0 })
+        Ok(Client {
+            stream,
+            reader: FrameReader::default(),
+            next_id: 0,
+        })
     }
 
-    fn request(&mut self, kind: u8, input: &[f32]) -> io::Result<Reply> {
-        Ok(self.request_traced(kind, input, false)?.0)
+    /// Reads and parses the next response; `None` on a clean EOF.
+    fn recv(&mut self, traced: bool) -> io::Result<Option<Response>> {
+        let payload = self.reader.read_from(&mut self.stream)?;
+        Ok(payload.map(|p| parse_response(&p, traced)).transpose()?)
     }
 
     /// One request/response round trip. With `traced` the request sets
     /// [`FLAG_TRACED`] and the response's 8-byte trace-id trailer is
     /// stripped and returned; without it the wire bytes are identical to
     /// the pre-tracing protocol.
-    fn request_traced(
+    fn request(
         &mut self,
         kind: u8,
         input: &[f32],
@@ -1274,64 +1315,39 @@ impl Client {
     ) -> io::Result<(Reply, Option<u64>)> {
         self.next_id += 1;
         let id = self.next_id;
-        let mut payload = Vec::with_capacity(13 + input.len() * 4);
-        payload.push(if traced { kind | FLAG_TRACED } else { kind });
-        payload.extend_from_slice(&id.to_le_bytes());
-        payload.extend_from_slice(&u32::to_le_bytes(input.len() as u32));
-        for v in input {
-            payload.extend_from_slice(&v.to_le_bytes());
-        }
-        write_frame(&mut self.stream, &payload)?;
-        let response = read_frame(&mut self.stream)?.ok_or_else(|| {
-            io::Error::new(io::ErrorKind::UnexpectedEof, "server closed mid-request")
-        })?;
-        if response.len() < 13 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "short response frame",
-            ));
-        }
-        let status = response[0];
-        if status == STATUS_GOODBYE {
+        let head = if traced { kind | FLAG_TRACED } else { kind };
+        let written = self
+            .stream
+            .write_all(&encode_frame(head, id, Body::Floats(input), None));
+        // Read even when the write failed: a server that said goodbye and
+        // closed resets the write, and its goodbye, already in the
+        // receive buffer, is what explains the close.
+        let response = self.recv(traced);
+        if matches!(response, Ok(Some((STATUS_GOODBYE, ..)))) {
             return Err(io::Error::new(
                 io::ErrorKind::ConnectionAborted,
                 "server sent goodbye (shutting down)",
             ));
         }
-        let got_id = u64::from_le_bytes(response[1..9].try_into().expect("8 bytes"));
+        written?;
+        let (_, got_id, reply, trace_id) = response?.ok_or_else(|| {
+            io::Error::new(io::ErrorKind::UnexpectedEof, "server closed mid-request")
+        })?;
         if got_id != id {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("response id {got_id} does not match request id {id}"),
             ));
         }
-        // the trailer is only ever present when this request asked for it
-        let (body, trace_id) = if traced && response.len() >= 13 + 8 {
-            let split = response.len() - 8;
-            let trace = u64::from_le_bytes(response[split..].try_into().expect("8 bytes"));
-            (&response[13..split], Some(trace))
-        } else {
-            (&response[13..], None)
-        };
-        let reply = match status {
-            STATUS_OK => {
-                let n = u32::from_le_bytes(response[9..13].try_into().expect("4 bytes")) as usize;
-                if body.len() != n * 4 {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "response length mismatch",
-                    ));
-                }
-                Reply::Logits(
-                    body.chunks_exact(4)
-                        .map(|c| f32::from_le_bytes(c.try_into().expect("chunk of 4")))
-                        .collect(),
-                )
-            }
-            STATUS_SHED => Reply::Shed(String::from_utf8_lossy(body).into_owned()),
-            _ => Reply::Refused(String::from_utf8_lossy(body).into_owned()),
-        };
         Ok((reply, trace_id))
+    }
+
+    /// A control request (ping, shutdown) answered by an empty OK.
+    fn control(&mut self, kind: u8) -> io::Result<()> {
+        match self.request(kind, &[], false)?.0 {
+            Reply::Logits(_) => Ok(()),
+            Reply::Refused(msg) | Reply::Shed(msg) => Err(io::Error::other(msg)),
+        }
     }
 
     /// Runs inference on one flattened image.
@@ -1341,7 +1357,7 @@ impl Client {
     /// Returns socket-level I/O errors; a shutdown-time goodbye frame
     /// surfaces as [`io::ErrorKind::ConnectionAborted`].
     pub fn infer(&mut self, input: &[f32]) -> io::Result<Reply> {
-        self.request(KIND_INFER, input)
+        Ok(self.request(KIND_INFER, input, false)?.0)
     }
 
     /// Runs inference with tracing: the request sets [`FLAG_TRACED`] and
@@ -1353,7 +1369,7 @@ impl Client {
     /// Returns socket-level I/O errors; a shutdown-time goodbye frame
     /// surfaces as [`io::ErrorKind::ConnectionAborted`].
     pub fn infer_traced(&mut self, input: &[f32]) -> io::Result<(Reply, Option<u64>)> {
-        self.request_traced(KIND_INFER, input, true)
+        self.request(KIND_INFER, input, true)
     }
 
     /// Liveness check.
@@ -1362,10 +1378,7 @@ impl Client {
     ///
     /// Returns socket-level I/O errors or a server-side refusal.
     pub fn ping(&mut self) -> io::Result<()> {
-        match self.request(KIND_PING, &[])? {
-            Reply::Logits(_) => Ok(()),
-            Reply::Refused(msg) | Reply::Shed(msg) => Err(io::Error::other(msg)),
-        }
+        self.control(KIND_PING)
     }
 
     /// Asks the server to drain and stop.
@@ -1374,10 +1387,7 @@ impl Client {
     ///
     /// Returns socket-level I/O errors.
     pub fn shutdown_server(&mut self) -> io::Result<()> {
-        match self.request(KIND_SHUTDOWN, &[])? {
-            Reply::Logits(_) => Ok(()),
-            Reply::Refused(msg) | Reply::Shed(msg) => Err(io::Error::other(msg)),
-        }
+        self.control(KIND_SHUTDOWN)
     }
 
     /// Reads one more frame and confirms it is the server's typed
@@ -1389,11 +1399,11 @@ impl Client {
     /// Returns socket-level I/O errors, or `InvalidData` if the next
     /// frame (when present) is not a goodbye.
     pub fn expect_goodbye(&mut self) -> io::Result<()> {
-        match read_frame(&mut self.stream)? {
-            Some(frame) if frame.first() == Some(&STATUS_GOODBYE) => Ok(()),
-            Some(frame) => Err(io::Error::new(
+        match self.recv(false)? {
+            Some((STATUS_GOODBYE, ..)) => Ok(()),
+            Some((status, ..)) => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("expected goodbye frame, got status {:?}", frame.first()),
+                format!("expected goodbye frame, got status {status}"),
             )),
             None => Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
@@ -1469,28 +1479,17 @@ pub fn stats_from_latencies(
     shed: u64,
     elapsed: Duration,
 ) -> LoadStats {
-    latencies.sort_unstable();
-    let quantile = |q: f64| -> u64 {
-        if latencies.is_empty() {
-            return 0;
-        }
-        let rank = ((q * latencies.len() as f64).ceil() as usize).clamp(1, latencies.len());
-        latencies[rank - 1]
-    };
-    let mean = if latencies.is_empty() {
-        0
-    } else {
-        (latencies.iter().map(|&v| u128::from(v)).sum::<u128>() / latencies.len() as u128) as u64
-    };
+    let sum: u128 = latencies.iter().map(|&v| u128::from(v)).sum();
+    let mean = (sum / latencies.len().max(1) as u128) as u64;
     LoadStats {
         concurrency,
         requests: latencies.len() as u64,
         errors,
         shed,
         elapsed,
-        p50_ns: quantile(0.50),
-        p90_ns: quantile(0.90),
-        p99_ns: quantile(0.99),
+        p50_ns: exact_quantile_ns(&mut latencies, 0.50),
+        p90_ns: exact_quantile_ns(&mut latencies, 0.90),
+        p99_ns: exact_quantile_ns(&mut latencies, 0.99),
         mean_ns: mean,
     }
 }
@@ -1567,11 +1566,7 @@ fn run_load(
                         *slot = ((state >> 40) as f32 / (1u64 << 24) as f32) * 2.0 - 1.0;
                     }
                     let sent = Instant::now();
-                    let (reply, trace_id) = if traced {
-                        client.infer_traced(&input)?
-                    } else {
-                        (client.infer(&input)?, None)
-                    };
+                    let (reply, trace_id) = client.request(KIND_INFER, &input, traced)?;
                     match reply {
                         Reply::Logits(_) => {
                             latencies
@@ -1615,6 +1610,7 @@ mod tests {
     use adq_nn::{QuantModel, Vgg};
     use adq_quant::BitWidth;
     use adq_tensor::init;
+    use proptest::prelude::*;
 
     fn compiled_tiny() -> Arc<CompiledVgg> {
         let mut model = Vgg::tiny(3, 8, 4, 99);
@@ -1652,14 +1648,14 @@ mod tests {
 
     #[test]
     fn parse_rejects_malformed_payloads() {
-        assert!(parse_request(&[]).is_none());
-        assert!(parse_request(&[1; 5]).is_none());
+        assert!(parse_request(&[]).is_err());
+        assert!(parse_request(&[1; 5]).is_err());
         // n claims 2 floats but body has 1
         let mut p = vec![KIND_INFER];
         p.extend_from_slice(&1u64.to_le_bytes());
         p.extend_from_slice(&2u32.to_le_bytes());
         p.extend_from_slice(&1.0f32.to_le_bytes());
-        assert!(parse_request(&p).is_none());
+        assert!(parse_request(&p).is_err());
     }
 
     #[test]
@@ -1687,6 +1683,192 @@ mod tests {
         let mut oversized = FrameReader::default();
         oversized.push(&u32::to_le_bytes(u32::MAX));
         assert!(oversized.next_frame().is_err());
+    }
+
+    /// Pops frames until the buffer holds no whole one; the error, if
+    /// decoding stopped on one.
+    fn drain(reader: &mut FrameReader) -> (Vec<Vec<u8>>, Option<WireError>) {
+        let mut frames = Vec::new();
+        loop {
+            match reader.next_frame() {
+                Ok(Some(frame)) => frames.push(frame),
+                Ok(None) => return (frames, None),
+                Err(e) => return (frames, Some(e)),
+            }
+        }
+    }
+
+    /// The error a float payload must get, worked out from its bytes.
+    fn float_payload_error(payload: &[u8]) -> Option<WireError> {
+        if payload.len() < HEADER_LEN {
+            return Some(WireError::Short(payload.len()));
+        }
+        let count = u32::from_le_bytes(payload[9..13].try_into().unwrap()) as usize;
+        let bytes = payload.len() - HEADER_LEN;
+        (bytes != 4 * count).then_some(WireError::CountMismatch { count, bytes })
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn ascii(bytes: Vec<u8>) -> String {
+        String::from_utf8(bytes).expect("ASCII")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_bytes_decode_to_frames_or_typed_errors(
+            small_prefix in any::<bool>(),
+            small in 0u32..48,
+            large in any::<u32>(),
+            tail in proptest::collection::vec(any::<u8>(), 0..96),
+            traced in any::<bool>(),
+        ) {
+            let prefix = if small_prefix { small } else { large };
+            let len = prefix as usize;
+            let mut reader = FrameReader::default();
+            reader.push(&prefix.to_le_bytes());
+            reader.push(&tail);
+            let (frames, err) = drain(&mut reader);
+            if len > MAX_FRAME {
+                prop_assert!(frames.is_empty());
+                prop_assert_eq!(err, Some(WireError::Oversized(len)));
+            } else if tail.len() >= len {
+                prop_assert_eq!(&frames[0], &tail[..len]);
+                // whatever follows is framed the same way
+                let oversized = |e: &_| matches!(e, &WireError::Oversized(l) if l > MAX_FRAME);
+                prop_assert!(err.iter().all(oversized), "{:?}", err);
+            } else {
+                prop_assert!(frames.is_empty() && err.is_none());
+            }
+
+            // the same bytes as a payload: parsed, or refused with the
+            // error their shape calls for
+            prop_assert_eq!(parse_request(&tail).err(), float_payload_error(&tail));
+            let response = parse_response(&tail, traced);
+            let want = match tail.first() {
+                Some(&STATUS_OK) => {
+                    let strip = if traced && tail.len() >= HEADER_LEN + 8 { 8 } else { 0 };
+                    float_payload_error(&tail[..tail.len() - strip])
+                }
+                _ if tail.len() < HEADER_LEN => Some(WireError::Short(tail.len())),
+                _ => None,
+            };
+            prop_assert_eq!(response.err(), want);
+        }
+
+        #[test]
+        fn every_split_point_of_a_valid_stream_decodes_the_same(
+            kind in any::<u8>(),
+            ids in (any::<u64>(), any::<u64>()),
+            input in proptest::collection::vec(any::<u32>(), 0..16),
+            status in 0u8..4,
+            message in proptest::collection::vec(0u8..128, 0..24),
+            trace in (any::<bool>(), any::<u64>()),
+        ) {
+            let input: Vec<f32> = input.into_iter().map(f32::from_bits).collect();
+            let message = ascii(message);
+            let trace = trace.0.then_some(trace.1);
+            let request = encode_frame(kind, ids.0, Body::Floats(&input), None);
+            let response = encode_frame(status, ids.1, Body::Text(&message), trace);
+            let wire = [request.clone(), response.clone()].concat();
+            let want = vec![request[4..].to_vec(), response[4..].to_vec()];
+            for split in 0..=wire.len() {
+                let mut reader = FrameReader::default();
+                reader.push(&wire[..split]);
+                let (mut frames, err) = drain(&mut reader);
+                prop_assert!(err.is_none());
+                reader.push(&wire[split..]);
+                let (rest, err) = drain(&mut reader);
+                prop_assert!(err.is_none());
+                frames.extend(rest);
+                prop_assert_eq!(&frames, &want, "split at {}", split);
+                prop_assert!(reader.buf.is_empty());
+            }
+        }
+
+        #[test]
+        fn requests_round_trip_with_the_trace_bit_on_every_kind(
+            id in any::<u64>(),
+            input in proptest::collection::vec(any::<u32>(), 0..16),
+        ) {
+            let input: Vec<f32> = input.into_iter().map(f32::from_bits).collect();
+            for head in 0..=u8::MAX {
+                let mut reader = FrameReader::default();
+                reader.push(&encode_frame(head, id, Body::Floats(&input), None));
+                let payload = reader.next_frame().unwrap().expect("one whole frame");
+                let (kind, traced, got_id, got) = parse_request(&payload).unwrap();
+                prop_assert_eq!(kind, head & KIND_MASK);
+                prop_assert_eq!(traced, head & FLAG_TRACED != 0);
+                prop_assert_eq!(got_id, id);
+                prop_assert_eq!(bits(&got), bits(&input));
+            }
+        }
+
+        #[test]
+        fn responses_round_trip_with_and_without_the_trailer(
+            id in any::<u64>(),
+            logits in proptest::collection::vec(any::<u32>(), 0..16),
+            message in proptest::collection::vec(0u8..128, 0..24),
+            trace in (any::<bool>(), any::<u64>()),
+        ) {
+            let logits: Vec<f32> = logits.into_iter().map(f32::from_bits).collect();
+            let message = ascii(message);
+            let trace = trace.0.then_some(trace.1);
+            for status in 0..=u8::MAX {
+                let body = if status == STATUS_OK {
+                    Body::Floats(&logits)
+                } else {
+                    Body::Text(&message)
+                };
+                let mut reader = FrameReader::default();
+                reader.push(&encode_frame(status, id, body, trace));
+                let payload = reader.next_frame().unwrap().expect("one whole frame");
+                let response = parse_response(&payload, trace.is_some()).unwrap();
+                let (got_status, got_id, reply, trace_id) = response;
+                prop_assert_eq!((got_status, got_id, trace_id), (status, id, trace));
+                match reply {
+                    Reply::Logits(got) => {
+                        prop_assert_eq!(status, STATUS_OK);
+                        prop_assert_eq!(bits(&got), bits(&logits));
+                    }
+                    Reply::Shed(got) => {
+                        prop_assert_eq!(status, STATUS_SHED);
+                        prop_assert_eq!(&got, &message);
+                    }
+                    Reply::Refused(got) => prop_assert_eq!(&got, &message),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_length_prefix_at_the_cap_is_read_and_one_over_it_is_refused() {
+        let mut at_cap = FrameReader::default();
+        at_cap.push(&(MAX_FRAME as u32).to_le_bytes());
+        assert_eq!(at_cap.next_frame(), Ok(None), "waits for the payload");
+        at_cap.push(&vec![7u8; MAX_FRAME]);
+        let frame = at_cap
+            .next_frame()
+            .unwrap()
+            .expect("a frame of MAX_FRAME bytes");
+        assert_eq!(frame.len(), MAX_FRAME);
+
+        let mut over = FrameReader::default();
+        over.push(&(MAX_FRAME as u32 + 1).to_le_bytes());
+        let err = over.next_frame().unwrap_err();
+        assert_eq!(err, WireError::Oversized(MAX_FRAME + 1));
+        // the server sends this text back before it closes the stream
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "frame of {} bytes exceeds the {MAX_FRAME} byte cap",
+                MAX_FRAME + 1
+            )
+        );
     }
 
     #[test]
@@ -1829,7 +2011,11 @@ mod tests {
         raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         raw.write_all(&u32::to_le_bytes(MAX_FRAME as u32 + 1))
             .unwrap();
-        let reply = read_frame(&mut raw).unwrap().expect("one response frame");
+        let mut reader = FrameReader::default();
+        let reply = reader
+            .read_from(&mut raw)
+            .unwrap()
+            .expect("one response frame");
         assert_eq!(reply[0], STATUS_ERR);
         assert_eq!(u64::from_le_bytes(reply[1..9].try_into().unwrap()), 0);
         let message = String::from_utf8_lossy(&reply[13..]);
@@ -1837,11 +2023,83 @@ mod tests {
             message.contains(&MAX_FRAME.to_string()),
             "the error must name the cap: {message}"
         );
-        assert!(read_frame(&mut raw).unwrap().is_none(), "then EOF");
+        assert!(reader.read_from(&mut raw).unwrap().is_none(), "then EOF");
         assert_eq!(errors.get() - errors_before, 1);
 
         // the server itself is unharmed
         Client::connect(addr).unwrap().ping().unwrap();
+        server.shutdown();
+    }
+
+    /// A server that said goodbye and closed before the request went out:
+    /// the client reports the goodbye, not the reset its write drew.
+    #[test]
+    fn a_goodbye_already_received_aborts_the_next_request() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let goodbye = encode_frame(STATUS_GOODBYE, 0, Body::Text("bye"), None);
+            stream.write_all(&goodbye).unwrap();
+            // dropping the stream closes it
+        });
+        let mut client = Client::connect(addr).unwrap();
+        server.join().unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        let err = client.infer(&[1.0; 4]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::ConnectionAborted, "{err}");
+    }
+
+    /// A connection stalled mid-frame must not hold up the others on its
+    /// worker, and its frame is answered once the rest arrives.
+    #[test]
+    fn a_stalled_peer_does_not_starve_its_worker() {
+        let _serial = server_test_lock();
+        let model = compiled_tiny();
+        let input_len = model.input_len();
+        let classes = ServeModel::classes(model.as_ref());
+        let mut server = Server::bind(
+            "127.0.0.1:0",
+            model as Arc<dyn ServeModel>,
+            ServeConfig {
+                conn_workers: 1,
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        let addr = server.local_addr();
+
+        let mut stalled = TcpStream::connect(addr).unwrap();
+        stalled
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let frame = encode_frame(KIND_INFER, 7, Body::Floats(&vec![0.5; input_len]), None);
+        let half = 4 + (frame.len() - 4) / 2;
+        // the half frame is sent before the second connection exists, and
+        // the one worker adopts connections in accept order, so it has
+        // polled the stalled one by the time it reads the ping
+        stalled.write_all(&frame[..half]).unwrap();
+
+        let mut other = Client::connect(addr).unwrap();
+        // a starved worker shows as a read timeout, not a hung test
+        other
+            .stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let asked = Instant::now();
+        other.ping().unwrap();
+        let waited = asked.elapsed();
+        assert!(waited < Duration::from_secs(1), "ping waited {waited:?}");
+
+        stalled.write_all(&frame[half..]).unwrap();
+        let payload = FrameReader::default()
+            .read_from(&mut stalled)
+            .unwrap()
+            .expect("an answer to the completed frame");
+        let response = parse_response(&payload, false).unwrap();
+        let (status, id, reply, _) = response;
+        assert_eq!((status, id), (STATUS_OK, 7));
+        assert!(matches!(reply, Reply::Logits(l) if l.len() == classes));
         server.shutdown();
     }
 
