@@ -380,6 +380,42 @@ pub fn sparkline(series: &[f64]) -> String {
         .collect()
 }
 
+/// Prints a health alert to stderr.
+fn report(alert: &RunHealth) {
+    eprintln!("!! [{}] {}", alert.kind(), alert.describe());
+}
+
+/// The one log tailer: applies every complete line of `path` past
+/// `*offset` to `state` and advances `*offset` past it. A partial trailing
+/// line (no newline yet: the writer is mid-append) waits for the next
+/// call. A file shorter than `*offset` was truncated or rewritten
+/// underneath us: `state` and `*offset` start over. Returns whether any
+/// line was applied.
+fn tail_lines<S: Default>(
+    path: impl AsRef<Path>,
+    offset: &mut u64,
+    state: &mut S,
+    mut apply: impl FnMut(&mut S, &str),
+) -> std::io::Result<bool> {
+    let mut file = File::open(path)?;
+    if file.metadata()?.len() < *offset {
+        *state = S::default();
+        *offset = 0;
+    }
+    file.seek(SeekFrom::Start(*offset))?;
+    let mut reader = BufReader::new(file);
+    let start = *offset;
+    let mut line = String::new();
+    loop {
+        line.clear();
+        if reader.read_line(&mut line)? == 0 || !line.ends_with('\n') {
+            return Ok(*offset > start);
+        }
+        *offset += line.len() as u64;
+        apply(state, &line);
+    }
+}
+
 /// Reads every line currently in `path` into `state` (the `--once`
 /// mode, and the catch-up pass of follow mode). Returns the byte offset
 /// reached, for the tail loop to resume from.
@@ -388,22 +424,11 @@ pub fn apply_file(
     path: impl AsRef<Path>,
     now_secs: f64,
 ) -> std::io::Result<u64> {
-    let mut reader = BufReader::new(File::open(path)?);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return reader.stream_position();
-        }
-        // Hold back a partial trailing line (no newline yet): the
-        // writer is mid-append, the complete line arrives next poll.
-        if !line.ends_with('\n') {
-            return Ok(reader.stream_position()? - line.len() as u64);
-        }
-        for alert in state.apply_line(&line, now_secs) {
-            eprintln!("!! [{}] {}", alert.kind(), alert.describe());
-        }
-    }
+    let mut offset = 0;
+    tail_lines(path, &mut offset, state, |state, line| {
+        state.apply_line(line, now_secs).iter().for_each(report)
+    })?;
+    Ok(offset)
 }
 
 /// Follow mode: render the dashboard, then poll `path` for appended
@@ -417,33 +442,12 @@ pub fn follow(path: &str, poll_ms: u64) -> std::io::Result<()> {
     print!("\x1b[2J\x1b[H{}", state.render());
     while state.completed.is_none() {
         std::thread::sleep(std::time::Duration::from_millis(poll_ms));
-        let mut file = File::open(path)?;
-        let len = file.metadata()?.len();
-        if len < offset {
-            // Truncated / rewritten underneath us: start over.
-            state = WatchState::new();
-            offset = 0;
-        }
-        let mut grew = false;
-        if len > offset {
-            file.seek(SeekFrom::Start(offset))?;
-            let mut reader = BufReader::new(file);
-            let mut line = String::new();
-            loop {
-                line.clear();
-                if reader.read_line(&mut line)? == 0 || !line.ends_with('\n') {
-                    break;
-                }
-                offset += line.len() as u64;
-                grew = true;
-                for alert in state.apply_line(&line, now()) {
-                    eprintln!("!! [{}] {}", alert.kind(), alert.describe());
-                }
-            }
-        }
+        let grew = tail_lines(path, &mut offset, &mut state, |state, line| {
+            state.apply_line(line, now()).iter().for_each(report)
+        })?;
         let stalled = state.check_stall(now());
         if let Some(alert) = &stalled {
-            eprintln!("!! [{}] {}", alert.kind(), alert.describe());
+            report(alert);
         }
         if grew || stalled.is_some() {
             print!("\x1b[2J\x1b[H{}", state.render());
@@ -755,20 +759,11 @@ pub fn apply_access_log_file(
     state: &mut ServeLogState,
     path: impl AsRef<Path>,
 ) -> std::io::Result<u64> {
-    let mut reader = BufReader::new(File::open(path)?);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return reader.stream_position();
-        }
-        if !line.ends_with('\n') {
-            return Ok(reader.stream_position()? - line.len() as u64);
-        }
-        if let Some(alert) = state.apply_line(&line) {
-            eprintln!("!! [{}] {}", alert.kind(), alert.describe());
-        }
-    }
+    let mut offset = 0;
+    tail_lines(path, &mut offset, state, |state, line| {
+        state.apply_line(line).iter().for_each(report)
+    })?;
+    Ok(offset)
 }
 
 /// Tails a serving access log live, printing the stage-breakdown line on
@@ -780,30 +775,9 @@ pub fn follow_access_log(path: &str, poll_ms: u64) -> std::io::Result<ServeLogSt
     println!("{}", state.render_line());
     while state.summary.is_none() {
         std::thread::sleep(std::time::Duration::from_millis(poll_ms));
-        let mut file = File::open(path)?;
-        let len = file.metadata()?.len();
-        if len < offset {
-            // truncated / rewritten underneath us: start over
-            state = ServeLogState::new();
-            offset = 0;
-        }
-        let mut grew = false;
-        if len > offset {
-            file.seek(SeekFrom::Start(offset))?;
-            let mut reader = BufReader::new(file);
-            let mut line = String::new();
-            loop {
-                line.clear();
-                if reader.read_line(&mut line)? == 0 || !line.ends_with('\n') {
-                    break;
-                }
-                offset += line.len() as u64;
-                grew = true;
-                if let Some(alert) = state.apply_line(&line) {
-                    eprintln!("!! [{}] {}", alert.kind(), alert.describe());
-                }
-            }
-        }
+        let grew = tail_lines(path, &mut offset, &mut state, |state, line| {
+            state.apply_line(line).iter().for_each(report)
+        })?;
         if grew {
             println!("{}", state.render_line());
         }
