@@ -7,8 +7,6 @@
 //! schedule tables mirroring the paper's Table II, and the Table I energy
 //! model breakdown. Two auxiliary modes serve CI:
 //!
-//! * `--diff old.jsonl new.jsonl` flags per-phase wall-time and run-metric
-//!   regressions between two runs (exit 1 when any regress).
 //! * `--validate-trace trace.json` checks an exported Chrome trace's shape
 //!   (exit 2 when malformed).
 //! * `--serving access.jsonl` renders per-stage latency attribution from a
@@ -19,7 +17,6 @@
 //! ```text
 //! adq-report <run.jsonl> [--metrics <metrics.json>] [--out <report.md>]
 //!            [--json <report.json>] [--reconcile-trace <trace.json>]
-//! adq-report --diff <old.jsonl> <new.jsonl> [--max-regress <frac>]
 //! adq-report --validate-trace <trace.json>
 //! adq-report --serving <access.jsonl> [--decompose-within <frac>]
 //! ```
@@ -37,8 +34,7 @@ fn usage() -> ExitCode {
         "usage: adq-report <run.jsonl> [--metrics <metrics.json>] [--out <report.md>] \
          [--json <report.json>] [--memory-json <mem.json>] \
          [--reconcile-trace <trace.json>]\n       \
-         adq-report --diff <old.jsonl> <new.jsonl> \
-         [--max-regress <frac>]\n       adq-report --validate-trace <trace.json>\n       \
+         adq-report --validate-trace <trace.json>\n       \
          adq-report --serving <access.jsonl> [--decompose-within <frac>]"
     );
     ExitCode::from(2)
@@ -53,15 +49,6 @@ fn main() -> ExitCode {
         "--validate-trace" => match args.get(1) {
             Some(path) => validate_trace(path),
             None => usage(),
-        },
-        "--diff" => match (args.get(1), args.get(2)) {
-            (Some(old), Some(new)) => {
-                let max_regress = flag_value(&args, "--max-regress")
-                    .and_then(|raw| raw.parse::<f64>().ok())
-                    .unwrap_or(0.25);
-                diff(old, new, max_regress)
-            }
-            _ => usage(),
         },
         "--serving" => match args.get(1) {
             Some(path) => {
@@ -115,135 +102,6 @@ fn validate_trace(path: &str) -> ExitCode {
             eprintln!("adq-report: {path} is not a valid Chrome trace: {err}");
             ExitCode::from(2)
         }
-    }
-}
-
-// -------------------------------------------------------------------- diff
-
-/// Sum of span durations per span name, in ns.
-fn phase_totals(spans: &[TraceSpan]) -> BTreeMap<String, u64> {
-    let mut totals = BTreeMap::new();
-    for span in spans {
-        *totals.entry(span.name.clone()).or_insert(0) += span.duration_ns();
-    }
-    totals
-}
-
-/// Scalar run metrics comparable across runs. Accuracy regresses downward,
-/// everything else upward. Streams holding several runs (e.g. a bench
-/// binary driving baseline + quantized runs) get `#k` suffixes so the
-/// k-th run of one stream pairs with the k-th run of the other.
-fn run_metrics(events: &[TelemetryEvent]) -> Vec<(String, f64, bool)> {
-    let mut out = Vec::new();
-    let mut run = 0usize;
-    for event in events {
-        if let TelemetryEvent::RunCompleted {
-            iterations,
-            training_complexity,
-            final_accuracy,
-        } = event
-        {
-            run += 1;
-            let suffix = if run > 1 {
-                format!("#{run}")
-            } else {
-                String::new()
-            };
-            out.push((format!("run.iterations{suffix}"), *iterations as f64, false));
-            out.push((
-                format!("run.training_complexity{suffix}"),
-                *training_complexity,
-                false,
-            ));
-            out.push((format!("run.final_accuracy{suffix}"), *final_accuracy, true));
-        }
-    }
-    out
-}
-
-fn diff(old_path: &str, new_path: &str, max_regress: f64) -> ExitCode {
-    let (old_events, new_events) = match (load_events(old_path), load_events(new_path)) {
-        (Ok(old), Ok(new)) => (old, new),
-        (Err(code), _) | (_, Err(code)) => return code,
-    };
-    let old_phases = phase_totals(&trace::spans_from_events(&old_events));
-    let new_phases = phase_totals(&trace::spans_from_events(&new_events));
-    let mut regressions = Vec::new();
-
-    println!("== per-phase wall time: {old_path} -> {new_path} ==");
-    println!(
-        "{:<28} {:>12} {:>12} {:>9}",
-        "phase", "old ms", "new ms", "delta"
-    );
-    for (name, new_ns) in &new_phases {
-        let old_ns = old_phases.get(name).copied().unwrap_or(0);
-        let (old_ms, new_ms) = (old_ns as f64 / 1e6, *new_ns as f64 / 1e6);
-        let delta = if old_ns > 0 {
-            (new_ms - old_ms) / old_ms
-        } else {
-            0.0
-        };
-        let flag = if old_ns > 0 && delta > max_regress {
-            regressions.push(format!(
-                "phase {name}: {old_ms:.3} ms -> {new_ms:.3} ms (+{:.0}% > +{:.0}%)",
-                delta * 100.0,
-                max_regress * 100.0
-            ));
-            "  REGRESSED"
-        } else {
-            ""
-        };
-        println!(
-            "{name:<28} {old_ms:>12.3} {new_ms:>12.3} {delta:>+8.1}%{flag}",
-            delta = delta * 100.0
-        );
-    }
-    for name in old_phases.keys() {
-        if !new_phases.contains_key(name) {
-            println!(
-                "{name:<28} {:>12.3} {:>12} (absent from new run)",
-                old_phases[name] as f64 / 1e6,
-                "-"
-            );
-        }
-    }
-
-    let old_metrics: BTreeMap<String, (f64, bool)> = run_metrics(&old_events)
-        .into_iter()
-        .map(|(name, value, down)| (name, (value, down)))
-        .collect();
-    println!("\n== run metrics ==");
-    for (name, new_value, regress_down) in run_metrics(&new_events) {
-        let Some(&(old_value, _)) = old_metrics.get(&name) else {
-            continue;
-        };
-        let regressed = if regress_down {
-            new_value < old_value * (1.0 - max_regress)
-        } else {
-            old_value.abs() > f64::EPSILON && new_value > old_value * (1.0 + max_regress)
-        };
-        let flag = if regressed {
-            regressions.push(format!("metric {name}: {old_value:.4} -> {new_value:.4}"));
-            "  REGRESSED"
-        } else {
-            ""
-        };
-        println!("{name:<28} {old_value:>12.4} {new_value:>12.4}{flag}");
-    }
-
-    if regressions.is_empty() {
-        println!("\nno regressions beyond {:.0}%", max_regress * 100.0);
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "\n{} regression(s) beyond {:.0}%:",
-            regressions.len(),
-            max_regress * 100.0
-        );
-        for regression in &regressions {
-            eprintln!("  {regression}");
-        }
-        ExitCode::FAILURE
     }
 }
 
