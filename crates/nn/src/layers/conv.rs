@@ -1,6 +1,6 @@
 use adq_tensor::{
-    col2im, conv_gemm_scratch, init, matmul_at_b_scratch, pad_input, Conv2dGeom, ConvGemm,
-    PaddedInput, Scratch, Tensor,
+    conv_gemm_scratch, conv_input_grad_scratch, init, pad_input, Conv2dGeom, ConvGemm, PaddedInput,
+    Scratch, Tensor,
 };
 use rand::Rng;
 
@@ -13,7 +13,10 @@ use crate::param::Param;
 /// product `W·cols` and the weight gradient `dY·colsᵀ` gather the im2col
 /// column matrix strip by strip from a zero-padded copy of the input
 /// ([`adq_tensor::conv_gemm_scratch`]), which is all the layer caches for
-/// backward; the input gradient is `Wᵀ·dY` scattered back by `col2im`.
+/// backward. The input gradient `col2im(Wᵀ·dY)` scatters each tile of
+/// `Wᵀ·dY` onto the input planes as it is computed
+/// ([`adq_tensor::conv_input_grad_scratch`]), so the column matrix is
+/// never stored; a first layer skips it ([`Conv2d::backward_params`]).
 ///
 /// The layer owns a [`Scratch`] arena: the padded input, GEMM pack panels
 /// and intermediate gradient matrices are recycled through it across
@@ -182,6 +185,22 @@ impl Conv2d {
     /// Panics if called before `forward` or with a gradient whose shape does
     /// not match the last forward output.
     pub fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+        self.backward_with(grad_output, true)
+            .expect("input gradient requested")
+    }
+
+    /// Backward pass for a layer whose input needs no gradient (a
+    /// network's first convolution): accumulates weight/bias gradients
+    /// exactly as [`Conv2d::backward`] does and skips `Wᵀ·dY`.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`Conv2d::backward`].
+    pub fn backward_params(&mut self, grad_output: &Tensor) {
+        self.backward_with(grad_output, false);
+    }
+
+    fn backward_with(&mut self, grad_output: &Tensor, input_grad: bool) -> Option<Tensor> {
         let cache = self
             .cache
             .take()
@@ -204,13 +223,13 @@ impl Conv2d {
             let row = &dy.data()[oi * cols_per_row..(oi + 1) * cols_per_row];
             self.bias.grad.data_mut()[oi] += row.iter().sum::<f32>();
         }
-        // dCols = Wᵀ · dY, with W the weights actually used forward
-        let dcols = matmul_at_b_scratch(&cache.used_weight, &dy, &mut self.scratch)
-            .expect("weight/dy shapes agree");
-        let dx = col2im(&dcols, cache.input.input_dims(), &self.geom)
-            .expect("cache dims are consistent");
+        // dX = col2im(Wᵀ · dY), with W the weights actually used forward
+        let dx = input_grad.then(|| {
+            let dims = cache.input.input_dims();
+            conv_input_grad_scratch(&cache.used_weight, &dy, dims, &self.geom, &mut self.scratch)
+                .expect("cache dims are consistent")
+        });
         self.scratch.give(dy.into_vec());
-        self.scratch.give(dcols.into_vec());
         cache.input.recycle(&mut self.scratch);
         dx
     }

@@ -70,7 +70,7 @@ pub const KC: usize = 256;
 /// Minimum `m·n·k` before the tile grid is dispatched across threads.
 /// Tuned when every parallel call spawned its own threads; kept unchanged
 /// under the persistent pool so band layouts and results stay identical.
-const PAR_TILE_MIN_FLOPS: usize = 1 << 21;
+pub(crate) const PAR_TILE_MIN_FLOPS: usize = 1 << 21;
 
 /// Whether `A` (logically `[m, k]`) is stored transposed (`[k, m]`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -241,7 +241,7 @@ unsafe fn gather_strip_avx512(
 /// Lane mask selecting the first `cols` of `NR` columns.
 #[cfg(target_arch = "x86_64")]
 #[inline]
-fn lane_mask(cols: usize) -> u16 {
+pub(crate) fn lane_mask(cols: usize) -> u16 {
     if cols >= NR {
         u16::MAX
     } else {
@@ -251,7 +251,7 @@ fn lane_mask(cols: usize) -> u16 {
 
 /// Runtime AVX-512F detection, resolved once per process (false off
 /// x86-64).
-fn avx512_available() -> bool {
+pub(crate) fn avx512_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         static AVX512: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
@@ -315,10 +315,10 @@ pub(crate) fn gemm_alloc(
         BOperand::Cols(..) => Vec::new(),
     };
     let mut c = scratch.take(m * n);
-    pack_a(a, m, k, kc, a_store, &mut packed_a);
+    pack_a(a, m, k, kc, a_store, a_ld(m, k, a_store), &mut packed_a);
     let tile_b = match b {
         BOperand::Matrix(src, store) => {
-            pack_b(src, k, n, kc, store, &mut packed_b);
+            pack_b(src, k, n, kc, store, b_ld(k, n, store), &mut packed_b);
             TileB::Packed(&packed_b)
         }
         BOperand::Cols(input, which) => TileB::Gather(input.gather(which)),
@@ -379,6 +379,43 @@ pub(crate) fn gemm_alloc(
     scratch.give(packed_a);
     scratch.give(packed_b);
     c
+}
+
+/// `C = A · B` for one block, serially, through the same tiles as
+/// [`gemm_alloc`], so every element is bit-identical to the whole
+/// product's. `packed_a` holds `A` (`m × k`) from [`pack_a`] in one
+/// k-block (`kc = k`); `B` (`k × n`) is read from `b` with rows `ldb`
+/// floats apart and packed into `packed_b` (at least `k·⌈n/NR⌉·NR`
+/// floats). `c` receives the `m × n` result, rows `n` floats apart.
+pub(crate) fn gemm_block(
+    (m, n, k): (usize, usize, usize),
+    packed_a: &[f32],
+    (b, ldb): (&[f32], usize),
+    packed_b: &mut [f32],
+    c: &mut [f32],
+) {
+    assert!(c.len() >= m * n, "output block too short");
+    if k == 0 {
+        c[..m * n].fill(0.0);
+        return;
+    }
+    pack_b(b, k, n, k, BStore::Normal, ldb, packed_b);
+    // one k-block: the tiles write every element and never read `C`
+    let b = TileB::Packed(packed_b);
+    let cp = CPtr(c.as_mut_ptr());
+    macro_tile(
+        0..m,
+        0..n,
+        m,
+        n,
+        k,
+        k,
+        packed_a,
+        b,
+        &mut [],
+        cp,
+        avx512_available(),
+    );
 }
 
 /// The `B` operand as one tile task sees it.
@@ -676,9 +713,35 @@ fn store_edge(
     }
 }
 
+/// The row stride of a dense `A` (logical `[m, k]`) stored as `store`.
+fn a_ld(m: usize, k: usize, store: AStore) -> usize {
+    match store {
+        AStore::Normal => k,
+        AStore::Transposed => m,
+    }
+}
+
+/// The row stride of a dense `B` (logical `[k, n]`) stored as `store`.
+fn b_ld(k: usize, n: usize, store: BStore) -> usize {
+    match store {
+        BStore::Normal => n,
+        BStore::Transposed => k,
+    }
+}
+
 /// Packs `A` (logical `[m, k]`) into `[k-block][row-strip][kk][MR]` order,
 /// zero-padding the tail strip so the micro-kernel never branches on edges.
-fn pack_a(src: &[f32], m: usize, k: usize, kc: usize, store: AStore, out: &mut [f32]) {
+/// `src` rows are `ld` floats apart, so `A` may be a block of a wider
+/// matrix.
+pub(crate) fn pack_a(
+    src: &[f32],
+    m: usize,
+    k: usize,
+    kc: usize,
+    store: AStore,
+    ld: usize,
+    out: &mut [f32],
+) {
     let m_strips = m.div_ceil(MR);
     for kb in 0..k.div_ceil(kc) {
         let k0 = kb * kc;
@@ -695,7 +758,11 @@ fn pack_a(src: &[f32], m: usize, k: usize, kc: usize, store: AStore, out: &mut [
                     for (kk, dst_k) in dst.chunks_exact_mut(MR).enumerate() {
                         let l = k0 + kk;
                         for (r, slot) in dst_k.iter_mut().enumerate() {
-                            *slot = if r < rows { src[(i0 + r) * k + l] } else { 0.0 };
+                            *slot = if r < rows {
+                                src[(i0 + r) * ld + l]
+                            } else {
+                                0.0
+                            };
                         }
                     }
                 }
@@ -705,7 +772,7 @@ fn pack_a(src: &[f32], m: usize, k: usize, kc: usize, store: AStore, out: &mut [
                 // so iterate kk outermost — each source row is read exactly
                 // once instead of once per strip.
                 for kk in 0..kc_len {
-                    let row = &src[(k0 + kk) * m..][..m];
+                    let row = &src[(k0 + kk) * ld..][..m];
                     for s in 0..m_strips {
                         let i0 = s * MR;
                         let rows = MR.min(m - i0);
@@ -721,8 +788,8 @@ fn pack_a(src: &[f32], m: usize, k: usize, kc: usize, store: AStore, out: &mut [
 }
 
 /// Packs `B` (logical `[k, n]`) into `[k-block][col-strip][kk][NR]` order,
-/// zero-padding the tail strip.
-fn pack_b(src: &[f32], k: usize, n: usize, kc: usize, store: BStore, out: &mut [f32]) {
+/// zero-padding the tail strip. `src` rows are `ld` floats apart.
+fn pack_b(src: &[f32], k: usize, n: usize, kc: usize, store: BStore, ld: usize, out: &mut [f32]) {
     let n_strips = n.div_ceil(NR);
     for kb in 0..k.div_ceil(kc) {
         let k0 = kb * kc;
@@ -736,7 +803,7 @@ fn pack_b(src: &[f32], k: usize, n: usize, kc: usize, store: BStore, out: &mut [
                 // of redundant traffic). The strided destination writes are
                 // exactly one NR-float cache line each.
                 for kk in 0..kc_len {
-                    let row = &src[(k0 + kk) * n..][..n];
+                    let row = &src[(k0 + kk) * ld..][..n];
                     for t in 0..n_strips {
                         let j0 = t * NR;
                         let cols = NR.min(n - j0);
@@ -756,7 +823,11 @@ fn pack_b(src: &[f32], k: usize, n: usize, kc: usize, store: BStore, out: &mut [
                     for (kk, dst_k) in dst.chunks_exact_mut(NR).enumerate() {
                         let l = k0 + kk;
                         for (j, slot) in dst_k.iter_mut().enumerate() {
-                            *slot = if j < cols { src[(j0 + j) * k + l] } else { 0.0 };
+                            *slot = if j < cols {
+                                src[(j0 + j) * ld + l]
+                            } else {
+                                0.0
+                            };
                         }
                     }
                 }
@@ -1162,9 +1233,9 @@ mod tests {
         let (m, k, n) = (a.dims()[0], a.dims()[1], b.dims()[1]);
         let kc = KC;
         let mut packed_a = vec![0.0; k * m.div_ceil(MR) * MR];
-        pack_a(a.data(), m, k, kc, AStore::Normal, &mut packed_a);
+        pack_a(a.data(), m, k, kc, AStore::Normal, k, &mut packed_a);
         let mut packed_b = vec![0.0; k * n.div_ceil(NR) * NR];
-        pack_b(b.data(), k, n, kc, BStore::Normal, &mut packed_b);
+        pack_b(b.data(), k, n, kc, BStore::Normal, n, &mut packed_b);
         let tile_b = match b_gather {
             Some(g) => TileB::Gather(g),
             None => TileB::Packed(&packed_b),

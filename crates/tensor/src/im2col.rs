@@ -236,6 +236,12 @@ pub fn im2col_scratch(
 /// input-gradient tensor — the adjoint of [`im2col`]. Uses the same
 /// in-bounds-run iteration, skipping padding taps wholesale.
 ///
+/// Every input element sums its contributions onto `0.0` in ascending
+/// `(kh, kw)` order, one `(image, channel)` plane at a time
+/// (`scatter_plane`); the fused input gradient
+/// ([`crate::conv_input_grad_scratch`]) adds the same values in the same
+/// order per plane, which is what makes the two bit-identical.
+///
 /// # Errors
 ///
 /// Returns [`ShapeError`] if `cols` does not have the shape [`im2col`] would
@@ -252,47 +258,143 @@ pub fn col2im(
     }
     let _timer = im2col_timer();
     let (n, c, h, w) = (input_dims[0], input_dims[1], input_dims[2], input_dims[3]);
-    let oh = geom.output_size(h);
-    let ow = geom.output_size(w);
-    let p = geom.kernel;
-    let stride = geom.stride;
-    let padding = geom.padding;
-    let rows = c * p * p;
-    let ncols = n * oh * ow;
+    let spatial = geom.output_size(h) * geom.output_size(w);
+    let taps = geom.kernel * geom.kernel;
+    let rows = c * taps;
+    let ncols = n * spatial;
     if cols.dims() != [rows, ncols] {
         return Err(ShapeError::mismatch("col2im", cols.dims(), &[rows, ncols]));
     }
     let _span = im2col_span("tensor.col2im", rows, ncols);
     count_lowering_resources(rows, ncols);
     let mut out = Tensor::zeros(input_dims);
-    let out_data = out.data_mut();
-    let col_data = cols.data();
-    for ci in 0..c {
-        for kh in 0..p {
-            let (oh_lo, oh_hi) = in_bounds_run(h, oh, kh, stride, padding);
-            for kw in 0..p {
-                let (ow_lo, ow_hi) = in_bounds_run(w, ow, kw, stride, padding);
-                if oh_lo >= oh_hi || ow_lo >= ow_hi {
-                    continue;
-                }
-                let row = (ci * p + kh) * p + kw;
-                let col_row = &col_data[row * ncols..(row + 1) * ncols];
-                let iw0 = ow_lo * stride + kw - padding;
-                for ni in 0..n {
-                    let out_base = (ni * c + ci) * h * w;
-                    for ohi in oh_lo..oh_hi {
-                        let ih = ohi * stride + kh - padding;
-                        let out_row = out_base + ih * w;
-                        let col_base = (ni * oh + ohi) * ow;
-                        for (step, owi) in (ow_lo..ow_hi).enumerate() {
-                            out_data[out_row + iw0 + step * stride] += col_row[col_base + owi];
-                        }
-                    }
+    for (plane, dst) in out.data_mut().chunks_exact_mut(h * w).enumerate() {
+        let (ni, ci) = (plane / c, plane % c);
+        let src = &cols.data()[ci * taps * ncols + ni * spatial..];
+        scatter_plane(src, ncols, dst, [h, w], geom);
+    }
+    Ok(out)
+}
+
+/// Adds one `(image, channel)` plane's column gradient onto `dst`, the
+/// `h × w` input-gradient plane: tap `t = kh·p + kw` reads the `OH·OW`
+/// values at `cols[t·ld..]` and adds each onto the input element it came
+/// from, taps in ascending order, so every element of `dst` receives its
+/// contributions in ascending `(kh, kw)` order.
+pub(crate) fn scatter_plane(
+    cols: &[f32],
+    ld: usize,
+    dst: &mut [f32],
+    [h, w]: [usize; 2],
+    geom: &Conv2dGeom,
+) {
+    let (oh, ow) = (geom.output_size(h), geom.output_size(w));
+    let (p, stride, padding) = (geom.kernel, geom.stride, geom.padding);
+    for kh in 0..p {
+        let (oh_lo, oh_hi) = in_bounds_run(h, oh, kh, stride, padding);
+        for kw in 0..p {
+            let (ow_lo, ow_hi) = in_bounds_run(w, ow, kw, stride, padding);
+            if oh_lo >= oh_hi || ow_lo >= ow_hi {
+                continue;
+            }
+            let tap = &cols[(kh * p + kw) * ld..];
+            let iw0 = ow_lo * stride + kw - padding;
+            for ohi in oh_lo..oh_hi {
+                let ih = ohi * stride + kh - padding;
+                let src = &tap[ohi * ow + ow_lo..ohi * ow + ow_hi];
+                let out_row = &mut dst[ih * w + iw0..];
+                if stride == 1 {
+                    out_row.iter_mut().zip(src).for_each(|(o, &v)| *o += v);
+                } else {
+                    let out = out_row.iter_mut().step_by(stride);
+                    out.zip(src).for_each(|(o, &v)| *o += v);
                 }
             }
         }
     }
-    Ok(out)
+}
+
+/// Widest kernel [`scatter_plane_avx512`] keeps a lane-mask table for.
+const MAX_WIDE_KERNEL: usize = 16;
+
+/// [`scatter_plane`] onto a zeroed `dst` through the widest available
+/// path: at stride 1 on AVX-512, [`scatter_plane_avx512`]; otherwise
+/// `scatter_plane` itself. Both add the same values in the same order,
+/// so they agree bit for bit.
+pub(crate) fn scatter_plane_wide(
+    cols: &[f32],
+    ld: usize,
+    dst: &mut [f32],
+    hw: [usize; 2],
+    geom: &Conv2dGeom,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if geom.stride == 1 && geom.kernel <= MAX_WIDE_KERNEL && crate::gemm::avx512_available() {
+        // SAFETY: AVX-512F was detected at runtime; the stride is 1 and
+        // the kernel fits the mask table.
+        unsafe { scatter_plane_avx512(cols, ld, dst, hw, geom) };
+        return;
+    }
+    scatter_plane(cols, ld, dst, hw, geom);
+}
+
+/// [`scatter_plane`] onto a zeroed `dst` at stride 1, gathered instead
+/// of scattered: each 16-wide chunk of an input row starts at `+0.0`,
+/// adds the shifted tap rows of every `(kh, kw)` whose output row is in
+/// range, ascending, and is stored once. The lane masks depend only on
+/// the chunk and `kw`, so they are tabulated once per chunk column.
+/// Lanes whose output column falls outside the plane load `+0.0`; a sum
+/// that starts at `+0.0` is never `-0.0`, and adding `+0.0` to it
+/// changes nothing, so the masked lanes leave exactly `scatter_plane`'s
+/// result.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F and `geom.stride` must be 1.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn scatter_plane_avx512(
+    cols: &[f32],
+    ld: usize,
+    dst: &mut [f32],
+    [h, w]: [usize; 2],
+    geom: &Conv2dGeom,
+) {
+    use crate::gemm::lane_mask;
+    use std::arch::x86_64::{
+        _mm512_add_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_setzero_ps,
+    };
+    let (oh, ow) = (geom.output_size(h), geom.output_size(w));
+    let (p, pad) = (geom.kernel, geom.padding);
+    assert!(geom.stride == 1 && p <= MAX_WIDE_KERNEL && dst.len() >= h * w);
+    assert!(cols.len() >= (p * p - 1) * ld + oh * ow);
+    let mut masks = [0u16; MAX_WIDE_KERNEL];
+    for c0 in (0..w).step_by(16) {
+        // lane `l` is input column `c0 + l`; under tap column `kw` it
+        // reads output column `c0 + l + pad − kw`, in range for lanes
+        // `kw − pad − c0 ..` up to `ow + kw − pad − c0`
+        for (kw, mask) in masks.iter_mut().enumerate().take(p) {
+            let first = kw.saturating_sub(pad + c0).min(16);
+            let end = (ow + kw).saturating_sub(pad + c0).min(w - c0).min(16);
+            *mask = lane_mask(end) & !lane_mask(first);
+        }
+        let store = lane_mask(w - c0);
+        for ih in 0..h {
+            let mut acc = _mm512_setzero_ps();
+            // taps whose output row `ih + pad − kh` lies in `0..oh`
+            for kh in (ih + pad + 1).saturating_sub(oh)..p.min(ih + pad + 1) {
+                let row = ih + pad - kh;
+                for (kw, &mask) in masks.iter().enumerate().take(p) {
+                    // only the masked lanes are read, all inside output
+                    // row `row` of tap row `kh·p + kw`
+                    let at = (kh * p + kw) * ld + row * ow + c0 + pad;
+                    let src = cols.as_ptr().wrapping_add(at).wrapping_sub(kw);
+                    acc = _mm512_add_ps(acc, _mm512_maskz_loadu_ps(mask, src));
+                }
+            }
+            _mm512_mask_storeu_ps(dst.as_mut_ptr().add(ih * w + c0), store, acc);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -441,6 +543,61 @@ mod tests {
         let back = col2im(&y, &dims, &g).unwrap();
         let rhs: f32 = x.mul(&back).unwrap().sum();
         assert!((lhs - rhs).abs() < 1e-2, "{lhs} vs {rhs}");
+    }
+
+    /// NaN, infinities, signed zeros and subnormals among ordinary values.
+    fn awkward(len: usize, seed: u32) -> Vec<f32> {
+        let mut state = seed.wrapping_mul(2_654_435_761).wrapping_add(1);
+        (0..len)
+            .map(|i| {
+                state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                match i % 13 {
+                    0 => -0.0,
+                    1 => 0.0,
+                    2 => f32::from_bits(0x7fc0_0000 | (state >> 12)),
+                    3 if i % 3 == 0 => f32::NEG_INFINITY,
+                    4 => f32::MIN_POSITIVE / 4.0,
+                    _ => (state >> 8) as f32 / (1 << 24) as f32 - 0.5,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_wide_scatter_matches_the_scalar_scatter_bitwise() {
+        // kernels 1–5, paddings up to wider than the kernel reach, planes
+        // of one to three 16-lane chunks with ragged ends
+        for (p, pad) in [
+            (1, 0),
+            (1, 1),
+            (2, 1),
+            (3, 0),
+            (3, 1),
+            (3, 2),
+            (5, 2),
+            (5, 3),
+        ] {
+            for (h, w) in [(1, 1), (3, 5), (8, 8), (16, 16), (7, 17), (5, 33), (20, 3)] {
+                if h + 2 * pad < p || w + 2 * pad < p {
+                    continue;
+                }
+                let geom = Conv2dGeom::new(1, 1, p, 1, pad);
+                // taps rows wider than one plane's outputs, as in a block
+                let ld = geom.output_size(h) * geom.output_size(w) + 3;
+                let cols = awkward(p * p * ld, (h * 64 + w) as u32);
+                let mut want = vec![0.0; h * w];
+                scatter_plane(&cols, ld, &mut want, [h, w], &geom);
+                let mut got = vec![0.0; h * w];
+                scatter_plane_wide(&cols, ld, &mut got, [h, w], &geom);
+                // arithmetic leaves a NaN's payload unspecified: compare
+                // every NaN as one value, everything else bit for bit
+                let bits = |v: &[f32]| {
+                    let canonical = |x: &f32| if x.is_nan() { u32::MAX } else { x.to_bits() };
+                    v.iter().map(canonical).collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&got), bits(&want), "p {p} pad {pad} {h}x{w}");
+            }
+        }
     }
 
     #[test]

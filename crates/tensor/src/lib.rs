@@ -13,12 +13,13 @@
 //! * [`pad_input`]/[`conv_gemm_scratch`] — a convolution's forward product
 //!   and weight gradient as implicit GEMMs that gather the column matrix
 //!   from a zero-padded input instead of materialising it (the training
-//!   hot loop),
+//!   hot loop), and [`conv_input_grad_scratch`], its input gradient with
+//!   the `col2im` scatter fused into the product,
 //! * [`Scratch`] — a workspace arena recycling hot-path buffers (padded
 //!   inputs, GEMM panels, outputs) across batches,
 //! * [`im2col`]/[`col2im`] — explicit lowering of 2-D convolutions to
-//!   matrix multiplies (the reference the implicit products are tested
-//!   against) and the input-gradient scatter,
+//!   matrix multiplies and its adjoint scatter (the references the
+//!   implicit products and the fused input gradient are tested against),
 //! * [`init`] — deterministic, seedable weight initialisers.
 //!
 //! # Example
@@ -49,7 +50,7 @@ pub mod dispatch;
 pub mod init;
 pub mod plan;
 
-pub use conv::{conv_gemm_scratch, pad_input, ConvGemm, PaddedInput};
+pub use conv::{conv_gemm_scratch, conv_input_grad_scratch, pad_input, ConvGemm, PaddedInput};
 pub use gemm::{gemm_nn, gemm_nt, gemm_tn, KC, MC, MR, NC, NR};
 pub use im2col::{col2im, im2col, im2col_scratch, Conv2dGeom};
 pub use matmul::{

@@ -61,7 +61,7 @@ fn par_dispatch(m: usize, n: usize, k: usize) -> bool {
 
 /// Wall-time of every matmul variant, recorded into the process-wide
 /// `tensor.matmul` histogram. The `Arc` is resolved once per process.
-fn matmul_timer() -> ScopedTimer {
+pub(crate) fn matmul_timer() -> ScopedTimer {
     static HIST: OnceLock<Arc<Histogram>> = OnceLock::new();
     ScopedTimer::new(
         HIST.get_or_init(|| adq_telemetry::metrics::global().histogram("tensor.matmul")),
