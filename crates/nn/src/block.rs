@@ -285,14 +285,27 @@ impl ConvBlock {
 
     /// Backward pass (activation quantization is straight-through).
     pub fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mut g = grad_output.clone();
-        if let Some(relu) = self.relu.as_mut() {
-            g = relu.backward(&g);
+        let g = self.backward_to_conv(grad_output);
+        self.conv.backward(g.as_ref().unwrap_or(grad_output))
+    }
+
+    /// Backward pass for a network's first block, whose input needs no
+    /// gradient: accumulates every parameter gradient exactly as
+    /// [`ConvBlock::backward`] does, without computing the input gradient.
+    pub fn backward_params(&mut self, grad_output: &Tensor) {
+        let g = self.backward_to_conv(grad_output);
+        self.conv.backward_params(g.as_ref().unwrap_or(grad_output));
+    }
+
+    /// The ReLU and batch-norm backward passes: the gradient at the
+    /// convolution's output, or `None` when the block has neither layer
+    /// and `grad_output` already is it.
+    fn backward_to_conv(&mut self, grad_output: &Tensor) -> Option<Tensor> {
+        let g = self.relu.as_mut().map(|relu| relu.backward(grad_output));
+        match self.bn.as_mut() {
+            Some(bn) => Some(bn.backward(g.as_ref().unwrap_or(grad_output))),
+            None => g,
         }
-        if let Some(bn) = self.bn.as_mut() {
-            g = bn.backward(&g);
-        }
-        self.conv.backward(&g)
     }
 
     fn observe(&mut self, y: &Tensor) {

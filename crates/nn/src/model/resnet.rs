@@ -340,7 +340,8 @@ impl QuantModel for ResNet {
         for block in self.blocks.iter_mut().rev() {
             g = block.backward(&g);
         }
-        self.stem.backward(&g);
+        // the input image needs no gradient
+        self.stem.backward_params(&g);
     }
 
     fn visit_layers(&mut self, visitor: &mut dyn FnMut(LayerMut<'_>)) {
@@ -551,6 +552,36 @@ mod tests {
             grads_nonzero * 2 > params_total,
             "{grads_nonzero}/{params_total}"
         );
+    }
+
+    /// Every parameter gradient's bits, in slot order.
+    fn grad_bits(net: &mut ResNet) -> Vec<u32> {
+        let mut bits = Vec::new();
+        net.visit_params(&mut |_, p| bits.extend(p.grad.data().iter().map(|g| g.to_bits())));
+        bits
+    }
+
+    #[test]
+    fn skipping_the_stem_input_gradient_keeps_every_parameter_gradient() {
+        let mut net = ResNet::small(3, 16, 10, 31);
+        net.set_bits_of(1, Some(BitWidth::new(4).unwrap()));
+        let x = init::normal(&[4, 3, 16, 16], 0.0, 1.0, &mut init::rng(32));
+        let grad = init::normal(&[4, 10], 0.0, 1.0, &mut init::rng(33));
+        let mut chained = net.clone();
+        net.forward(&x, true);
+        net.backward(&grad);
+
+        // the same pass as a chain of block backwards ending in the stem's
+        // ConvBlock::backward, which still computes the input gradient
+        chained.forward(&x, true);
+        let g = chained.head.backward(&grad);
+        let mut g = chained.gap.backward(&g);
+        for block in chained.blocks.iter_mut().rev() {
+            g = block.backward(&g);
+        }
+        let dx = chained.stem.backward(&g);
+        assert_eq!(dx.dims(), x.dims());
+        assert_eq!(grad_bits(&mut net), grad_bits(&mut chained));
     }
 
     #[test]

@@ -243,11 +243,22 @@ impl QuantModel for Vgg {
         let c = self.blocks.last().expect("non-empty").geom().out_channels;
         let hw = self.head_hw;
         g = g.reshaped(&[n, c, hw, hw]).expect("feature count matches");
-        for (block, pool) in self.blocks.iter_mut().zip(self.pools.iter_mut()).rev() {
+        for (i, (block, pool)) in self
+            .blocks
+            .iter_mut()
+            .zip(&mut self.pools)
+            .enumerate()
+            .rev()
+        {
             if let Some(p) = pool {
                 g = p.backward(&g);
             }
-            g = block.backward(&g);
+            // the input image needs no gradient
+            if i == 0 {
+                block.backward_params(&g);
+            } else {
+                g = block.backward(&g);
+            }
         }
     }
 
@@ -453,6 +464,40 @@ mod tests {
             nonzero += p.grad.data().iter().filter(|&&g| g != 0.0).count();
         });
         assert!(nonzero > 0);
+    }
+
+    /// Every parameter gradient's bits, in slot order.
+    fn grad_bits(net: &mut Vgg) -> Vec<u32> {
+        let mut bits = Vec::new();
+        net.visit_params(&mut |_, p| bits.extend(p.grad.data().iter().map(|g| g.to_bits())));
+        bits
+    }
+
+    #[test]
+    fn skipping_the_input_gradient_keeps_every_parameter_gradient() {
+        let mut net = Vgg::small(3, 16, 10, 21);
+        net.set_bits_of(1, Some(BitWidth::new(4).unwrap()));
+        let x = init::normal(&[4, 3, 16, 16], 0.0, 1.0, &mut init::rng(22));
+        let grad = init::normal(&[4, 10], 0.0, 1.0, &mut init::rng(23));
+        let mut chained = net.clone();
+        net.forward(&x, true);
+        net.backward(&grad);
+
+        // the same pass as a chain of ConvBlock::backward, which still
+        // computes block 0's input gradient
+        chained.forward(&x, true);
+        let g = chained.head.backward(&grad);
+        let c = chained.blocks.last().unwrap().geom().out_channels;
+        let hw = chained.head_hw;
+        let mut g = g.reshaped(&[4, c, hw, hw]).unwrap();
+        for (block, pool) in chained.blocks.iter_mut().zip(&mut chained.pools).rev() {
+            if let Some(p) = pool {
+                g = p.backward(&g);
+            }
+            g = block.backward(&g);
+        }
+        assert_eq!(g.dims(), x.dims());
+        assert_eq!(grad_bits(&mut net), grad_bits(&mut chained));
     }
 
     #[test]
