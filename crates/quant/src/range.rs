@@ -2,6 +2,11 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::QuantError;
 
+/// Independent running bounds [`QuantRange::from_data`] keeps: one
+/// 512-bit vector of `f32`, so the scan vectorizes without a serial
+/// dependency between elements.
+const SCAN_LANES: usize = 16;
+
 /// A closed quantization range `[min, max]` over which codes are spread.
 ///
 /// Degenerate ranges (`min == max`) are permitted — every input then maps to
@@ -42,24 +47,56 @@ impl QuantRange {
 
     /// Range covering the values of `data`.
     ///
+    /// One branch-free pass keeps 16 running minima and
+    /// maxima plus the largest magnitude bit pattern seen, which is at
+    /// least `0x7f80_0000` exactly when some value is NaN or ±inf. The
+    /// result equals folding `f32::min`/`f32::max` over `data` from ±inf,
+    /// which keeps the running bound on a tie: a zero bound takes the
+    /// sign of the first zero in `data`.
+    ///
     /// # Errors
     ///
     /// Returns [`QuantError::EmptyObserver`] for empty input and
-    /// [`QuantError::InvalidRange`] if the data contains non-finite values.
+    /// [`QuantError::InvalidRange`] if the data contains non-finite values;
+    /// both bounds of the error are the first non-finite value.
     pub fn from_data(data: &[f32]) -> Result<Self, QuantError> {
         if data.is_empty() {
             return Err(QuantError::EmptyObserver);
         }
-        let mut lo = f32::INFINITY;
-        let mut hi = f32::NEG_INFINITY;
-        for &x in data {
-            if !x.is_finite() {
-                // f32::min/max would silently skip NaN; reject it instead
-                return Err(QuantError::InvalidRange { min: x, max: x });
+        let mut lo = [f32::INFINITY; SCAN_LANES];
+        let mut hi = [f32::NEG_INFINITY; SCAN_LANES];
+        let mut magnitude = [0u32; SCAN_LANES];
+        let mut scan = |lane: usize, x: f32| {
+            lo[lane] = if x < lo[lane] { x } else { lo[lane] };
+            hi[lane] = if x > hi[lane] { x } else { hi[lane] };
+            magnitude[lane] = magnitude[lane].max(x.abs().to_bits());
+        };
+        let chunks = data.chunks_exact(SCAN_LANES);
+        let tail = chunks.remainder();
+        for chunk in chunks {
+            for (lane, &x) in chunk.iter().enumerate() {
+                scan(lane, x);
             }
-            lo = lo.min(x);
-            hi = hi.max(x);
         }
+        for (lane, &x) in tail.iter().enumerate() {
+            scan(lane, x);
+        }
+        if magnitude.into_iter().max() >= Some(f32::INFINITY.to_bits()) {
+            // f32::min/max would silently skip NaN; reject it instead
+            let x = *data.iter().find(|x| !x.is_finite()).expect("flagged");
+            return Err(QuantError::InvalidRange { min: x, max: x });
+        }
+        let lo = lo
+            .into_iter()
+            .fold(f32::INFINITY, |a, b| if b < a { b } else { a });
+        let hi = hi
+            .into_iter()
+            .fold(f32::NEG_INFINITY, |a, b| if b > a { b } else { a });
+        // the lanes compare ±0 equal; the serial fold keeps its bound on
+        // a tie, so a zero bound is the first zero in data
+        let first_zero = || *data.iter().find(|&&x| x == 0.0).expect("a zero bound");
+        let lo = if lo == 0.0 { first_zero() } else { lo };
+        let hi = if hi == 0.0 { first_zero() } else { hi };
         Self::new(lo, hi)
     }
 

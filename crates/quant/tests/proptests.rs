@@ -1,6 +1,6 @@
 //! Property-based tests for quantization invariants (DESIGN.md §7).
 
-use adq_quant::{BitWidth, HwPrecision, QuantRange, Quantizer};
+use adq_quant::{BitWidth, HwPrecision, QuantError, QuantRange, Quantizer};
 use proptest::prelude::*;
 
 fn quantizer_strategy() -> impl Strategy<Value = Quantizer> {
@@ -151,5 +151,89 @@ proptest! {
         if let Some(s) = smaller {
             prop_assert!(s.bits() < bits);
         }
+    }
+}
+
+/// `QuantRange::from_data` as a per-element scalar fold: the reference
+/// the vector scan must reproduce bit for bit.
+fn scalar_range(data: &[f32]) -> Result<QuantRange, QuantError> {
+    if data.is_empty() {
+        return Err(QuantError::EmptyObserver);
+    }
+    let mut lo = f32::INFINITY;
+    let mut hi = f32::NEG_INFINITY;
+    for &x in data {
+        if !x.is_finite() {
+            return Err(QuantError::InvalidRange { min: x, max: x });
+        }
+        lo = lo.min(x);
+        hi = hi.max(x);
+    }
+    QuantRange::new(lo, hi)
+}
+
+/// A result as bits, so NaN payloads and signed zeros compare exactly.
+fn range_bits(r: Result<QuantRange, QuantError>) -> Result<(u32, u32), (String, u32, u32)> {
+    match r {
+        Ok(r) => Ok((r.min().to_bits(), r.max().to_bits())),
+        Err(QuantError::InvalidRange { min, max }) => {
+            Err(("invalid".into(), min.to_bits(), max.to_bits()))
+        }
+        Err(e) => Err((e.to_string(), 0, 0)),
+    }
+}
+
+/// A finite value that stresses a min/max scan, picked by `kind`:
+/// signed zeros (often), subnormals of either sign, ordinary values and
+/// arbitrary finite bit patterns.
+fn scan_value(kind: u8, bits: u32, x: f32) -> f32 {
+    let sign = bits & 0x8000_0000;
+    match kind {
+        0..=2 => 0.0,
+        3..=5 => -0.0,
+        6 | 7 => f32::from_bits(sign | (bits % 0x007f_ffff + 1)),
+        8 => Some(f32::from_bits(bits))
+            .filter(|v| v.is_finite())
+            .unwrap_or(x),
+        _ => x,
+    }
+}
+
+/// ±inf, or a NaN of either sign with any payload.
+fn non_finite(kind: u8, bits: u32) -> f32 {
+    match kind % 3 {
+        0 => f32::INFINITY,
+        1 => f32::NEG_INFINITY,
+        _ => f32::from_bits(bits & 0x8000_0000 | 0x7f80_0000 | (bits % 0x007f_ffff + 1)),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Lengths up to 80 leave every remainder of the 16-lane scan.
+    #[test]
+    fn from_data_matches_the_scalar_fold_bitwise(
+        values in proptest::collection::vec((0u8..12, any::<u32>(), -8.0f32..8.0), 0..80),
+        sign in 0u8..3,
+        bad in proptest::collection::vec((any::<usize>(), any::<u8>(), any::<u32>()), 0..3),
+        with_bad in any::<bool>(),
+    ) {
+        // one-signed data makes a zero the bound the ±0 tie decides
+        let mut data: Vec<f32> = values
+            .into_iter()
+            .map(|(kind, bits, x)| match scan_value(kind, bits, x) {
+                v if sign == 1 && v < 0.0 => -v,
+                v if sign == 2 && v > 0.0 => -v,
+                v => v,
+            })
+            .collect();
+        for (at, kind, bits) in bad.into_iter().filter(|_| with_bad) {
+            data.insert(at % (data.len() + 1), non_finite(kind, bits));
+        }
+        prop_assert_eq!(
+            range_bits(QuantRange::from_data(&data)),
+            range_bits(scalar_range(&data))
+        );
     }
 }
