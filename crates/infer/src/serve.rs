@@ -42,13 +42,18 @@
 //! never sees an unexplained EOF mid-request.
 //!
 //! The high bit of the kind byte ([`FLAG_TRACED`]) is a version-tolerant
-//! tracing opt-in: a client setting it on an infer request receives the
-//! server-assigned **trace id** as an 8-byte LE trailer appended after
-//! the response body (any status), which lets it join its client-side
-//! latency against the server's access-log record for the same request.
-//! Clients that never set the bit get byte-identical responses to the
-//! pre-tracing protocol, and old servers answer flagged kinds with a
-//! typed `unknown request kind` error rather than misparsing them.
+//! tracing opt-in: every reply to a request that sets it carries an
+//! 8-byte LE **trace id** trailer after the body, whatever the kind and
+//! status. An infer reply's trailer is the server-assigned trace id,
+//! which lets the client join its latency against the server's
+//! access-log record for the same request; replies that get no record
+//! (ping, shutdown, unknown kinds, malformed frames) carry trace id 0,
+//! which no request is assigned. Clients that never set the bit get
+//! byte-identical responses to the pre-tracing protocol. A pre-tracing
+//! server answers a flagged kind with a typed `unknown request kind`
+//! error and no trailer, so a tracing client takes the message's last 8
+//! bytes for one: it sees a refusal cut short by 8 bytes, with a
+//! meaningless trace id.
 //!
 //! Server and [`Client`] share one codec (the "wire codec" section
 //! below): `encode_frame` builds every frame as one buffer, `FrameReader`
@@ -110,14 +115,18 @@ const KIND_PING: u8 = 2;
 const KIND_SHUTDOWN: u8 = 3;
 
 /// High bit of the kind byte: the client opts into tracing, and the
-/// response carries the server-assigned trace id as an 8-byte LE
-/// trailer after the body. Old servers reject flagged kinds with a
-/// typed error; old clients never set the bit and see the unchanged
-/// protocol.
+/// response carries a trace id as an 8-byte LE trailer after the body
+/// (the server-assigned id, or [`UNLOGGED_TRACE_ID`]). Old servers
+/// reject flagged kinds with a typed error; old clients never set the
+/// bit and see the unchanged protocol.
 const FLAG_TRACED: u8 = 0x80;
 
 /// Mask selecting the request kind under [`FLAG_TRACED`].
 const KIND_MASK: u8 = 0x7F;
+
+/// The trace-id trailer of a reply to a flagged request that gets no
+/// access-log record. Assigned ids start at 1.
+const UNLOGGED_TRACE_ID: u64 = 0;
 
 /// Response status: success, payload carries logits.
 const STATUS_OK: u8 = 0;
@@ -859,14 +868,19 @@ fn handle_frame(frame: &[u8], conn: &mut Conn, shared: &Shared) {
     // frame-read stamp: the request is fully off the socket
     let received = Instant::now();
     let Ok((kind, traced, id, input)) = parse_request(frame) else {
-        // unparseable bytes carry no id and get no lifecycle record
+        // unparseable bytes carry no id and get no lifecycle record; a
+        // readable kind byte still says whether to append the trailer
         shared.errors.inc();
+        let traced = frame.first().is_some_and(|head| head & FLAG_TRACED != 0);
+        let trace = traced.then_some(UNLOGGED_TRACE_ID);
         conn.writer
-            .send(STATUS_ERR, 0, Body::Text("malformed frame"), None);
+            .send(STATUS_ERR, 0, Body::Text("malformed frame"), trace);
         return;
     };
+    // what a reply without an access-log record appends
+    let unlogged = traced.then_some(UNLOGGED_TRACE_ID);
     match kind {
-        KIND_PING => conn.writer.send(STATUS_OK, id, Body::Floats(&[]), None),
+        KIND_PING => conn.writer.send(STATUS_OK, id, Body::Floats(&[]), unlogged),
         KIND_SHUTDOWN => {
             if !conn
                 .stream
@@ -875,10 +889,10 @@ fn handle_frame(frame: &[u8], conn: &mut Conn, shared: &Shared) {
             {
                 shared.errors.inc();
                 let body = Body::Text("shutdown is only accepted from loopback");
-                conn.writer.send(STATUS_ERR, id, body, None);
+                conn.writer.send(STATUS_ERR, id, body, unlogged);
                 return;
             }
-            conn.writer.send(STATUS_OK, id, Body::Floats(&[]), None);
+            conn.writer.send(STATUS_OK, id, Body::Floats(&[]), unlogged);
             shared.request_shutdown();
             // wake the accept loop so it can observe the flag
             let _ = TcpStream::connect(shared.addr);
@@ -917,8 +931,8 @@ fn handle_frame(frame: &[u8], conn: &mut Conn, shared: &Shared) {
         }
         _ => {
             shared.errors.inc();
-            conn.writer
-                .send(STATUS_ERR, id, Body::Text("unknown request kind"), None);
+            let body = Body::Text("unknown request kind");
+            conn.writer.send(STATUS_ERR, id, body, unlogged);
         }
     }
 }
@@ -2029,6 +2043,80 @@ mod tests {
         // the server itself is unharmed
         Client::connect(addr).unwrap().ping().unwrap();
         server.shutdown();
+    }
+
+    /// Every reply to a flagged request carries the trace-id trailer:
+    /// ping, unknown kind, malformed frame, a refused infer and shutdown,
+    /// sent as raw frames. The same ping unflagged gets none.
+    #[test]
+    fn every_reply_to_a_flagged_request_carries_the_trailer() {
+        let _serial = server_test_lock();
+        let mut server = Server::bind(
+            "127.0.0.1:0",
+            compiled_tiny() as Arc<dyn ServeModel>,
+            ServeConfig::default(),
+        )
+        .unwrap();
+        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut reader = FrameReader::default();
+        let mut ask = |frame: &[u8]| {
+            raw.write_all(frame).unwrap();
+            reader.read_from(&mut raw).unwrap().expect("a reply")
+        };
+        let flagged = |kind: u8, id: u64, input: &[f32]| {
+            encode_frame(kind | FLAG_TRACED, id, Body::Floats(input), None)
+        };
+        let traced = |payload: Vec<u8>| parse_response(&payload, true).unwrap();
+
+        let unlogged = Some(UNLOGGED_TRACE_ID);
+        let (status, id, reply, trace) = traced(ask(&flagged(KIND_PING, 1, &[])));
+        assert_eq!((status, id, trace), (STATUS_OK, 1, unlogged));
+        assert_eq!(reply, Reply::Logits(Vec::new()));
+        let (status, id, reply, trace) = traced(ask(&flagged(0x55, 2, &[])));
+        assert_eq!((status, id, trace), (STATUS_ERR, 2, unlogged));
+        assert_eq!(reply, Reply::Refused("unknown request kind".into()));
+        // a kind byte with nothing after it
+        let (status, _, reply, trace) = traced(ask(&[1, 0, 0, 0, KIND_INFER | FLAG_TRACED]));
+        assert_eq!((status, trace), (STATUS_ERR, unlogged));
+        assert_eq!(reply, Reply::Refused("malformed frame".into()));
+        // an infer request has an access-log record, so a real id
+        let (status, id, reply, trace) = traced(ask(&flagged(KIND_INFER, 3, &[1.0])));
+        let refused = Reply::Refused("bad input length".into());
+        assert_eq!((status, id, reply), (STATUS_ERR, 3, refused));
+        assert!(trace.is_some_and(|t| t != UNLOGGED_TRACE_ID), "{trace:?}");
+        // untraced wire bytes are unchanged: no trailer at all
+        let plain = ask(&encode_frame(KIND_PING, 4, Body::Floats(&[]), None));
+        assert_eq!(plain.len(), HEADER_LEN);
+        let (status, id, reply, trace) = traced(ask(&flagged(KIND_SHUTDOWN, 5, &[])));
+        assert_eq!((status, id, trace), (STATUS_OK, 5, unlogged));
+        assert_eq!(reply, Reply::Logits(Vec::new()));
+        server.wait();
+    }
+
+    /// The documented limit: a pre-tracing server answers a flagged kind
+    /// with an untrailed `unknown request kind`, and a tracing client
+    /// takes the message's last 8 bytes for the trailer.
+    #[test]
+    fn a_pre_tracing_refusal_loses_its_last_8_bytes_to_a_tracing_client() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let request = FrameReader::default()
+                .read_from(&mut stream)
+                .unwrap()
+                .expect("one request");
+            let id = u64::from_le_bytes(request[1..9].try_into().unwrap());
+            let refusal = encode_frame(STATUS_ERR, id, Body::Text("unknown request kind"), None);
+            stream.write_all(&refusal).unwrap();
+        });
+        let mut client = Client::connect(addr).unwrap();
+        let (reply, trace) = client.infer_traced(&[1.0; 4]).unwrap();
+        server.join().unwrap();
+        assert_eq!(reply, Reply::Refused("unknown requ".into()));
+        let tail: [u8; 8] = b"est kind".to_owned();
+        assert_eq!(trace, Some(u64::from_le_bytes(tail)));
     }
 
     /// A server that said goodbye and closed before the request went out:
