@@ -83,6 +83,11 @@ RAYON_NUM_THREADS=2 cargo test -q -p rayon
 RAYON_NUM_THREADS=2 cargo test -q -p adq-core --test parallel_determinism
 RAYON_NUM_THREADS=2 cargo test -q -p adq-nn --test span_concurrency
 RAYON_NUM_THREADS=2 cargo test -q -p adq-nn --test conv_equality
+# The fused input gradient splits its work by (image, channel) plane and
+# runs it inline on a one-thread pool; the bits must not change.
+echo "==> tier-1: conv equality + parallel determinism on one worker (RAYON_NUM_THREADS=1)"
+RAYON_NUM_THREADS=1 cargo test -q -p adq-nn --test conv_equality
+RAYON_NUM_THREADS=1 cargo test -q -p adq-core --test parallel_determinism
 
 # Trace smoke: one Algorithm-1 bench run with tracing, resource counters
 # and the live metrics endpoint on must yield a valid Chrome trace, a
