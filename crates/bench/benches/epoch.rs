@@ -1,6 +1,6 @@
-//! Epoch-level benchmark for the data-parallel trainer: one full training
-//! epoch (shuffle, microbatched forward/backward, fixed-tree gradient
-//! reduction, optimizer step) at 1/2/4/8 worker threads.
+//! Epoch-level benchmark for the trainer Algorithm 1 runs: one full
+//! training epoch (shuffle, forward/backward, optimizer step) at 1/2/4/8
+//! worker threads, which the kernels split their larger products over.
 //!
 //! Thread counts are pinned with `rayon::set_thread_override`, so the
 //! measured scaling reflects the machine the bench runs on: on a single
@@ -8,14 +8,13 @@
 //! figures document that floor rather than a fan-out speedup.
 
 use adq_datasets::SyntheticSpec;
-use adq_nn::train::{train_epoch_parallel, Dataset};
+use adq_nn::train::{train_epoch, Dataset};
 use adq_nn::{Adam, QuantModel, ResNet, Vgg};
 use adq_tensor::init;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const BATCH: usize = 16;
-const MICROBATCH: usize = 4;
 
 fn bench_task() -> Dataset {
     let (train, _) = SyntheticSpec::cifar10_like()
@@ -37,12 +36,11 @@ fn bench_epoch_for(c: &mut Criterion, name: &str, build: &dyn Fn() -> Box<dyn Qu
         let mut rng = init::rng(7);
         group.bench_function(format!("t{threads}"), |b| {
             b.iter(|| {
-                black_box(train_epoch_parallel(
+                black_box(train_epoch(
                     model.as_mut(),
                     &data,
                     &mut optimizer,
                     BATCH,
-                    MICROBATCH,
                     &mut rng,
                 ))
             })

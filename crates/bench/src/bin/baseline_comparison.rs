@@ -42,7 +42,6 @@ fn efficiency(model: &Vgg) -> f64 {
 fn main() {
     let telemetry = adq_bench::telemetry_from_args();
     let checkpoint = adq_bench::checkpoint_from_args();
-    let microbatch = adq_bench::microbatch_from_args();
     let (train, test) = SyntheticSpec::cifar10_like()
         .with_resolution(16)
         .with_samples(24, 10)
@@ -55,14 +54,11 @@ fn main() {
 
     // 1. full-precision reference (16-bit, full schedule)
     let mut fp = build();
-    let fp_record = adq_bench::with_microbatch(
-        AdQuantizer::new(AdqConfig {
-            batch_size: 24,
-            lr: 1.5e-3,
-            ..AdqConfig::paper_default()
-        }),
-        microbatch,
-    )
+    let fp_record = AdQuantizer::new(AdqConfig {
+        batch_size: 24,
+        lr: 1.5e-3,
+        ..AdqConfig::paper_default()
+    })
     .run_baseline_with_sink(
         &mut fp,
         &train,
@@ -91,7 +87,7 @@ fn main() {
         ..AdqConfig::paper_default()
     };
     let outcome = checkpoint.run(
-        &adq_bench::with_microbatch(AdQuantizer::new(adq_config), microbatch),
+        &AdQuantizer::new(adq_config),
         &mut adq,
         &train,
         &test,

@@ -249,9 +249,8 @@ fn dynamic_reproduction(
     json_rows: &mut Vec<serde_json::Value>,
     sink: &dyn TelemetrySink,
     checkpoint: &adq_bench::CheckpointOption,
-    microbatch: Option<usize>,
 ) {
-    let controller = adq_bench::with_microbatch(AdQuantizer::new(dynamic_config()), microbatch);
+    let controller = AdQuantizer::new(dynamic_config());
 
     // VGG on synthetic CIFAR-10 (no batch-norm: raw ReLU density dynamics;
     // high noise so accuracy comparisons are informative)
@@ -350,15 +349,9 @@ fn dynamic_reproduction(
 fn main() {
     let telemetry = adq_bench::telemetry_from_args();
     let checkpoint = adq_bench::checkpoint_from_args();
-    let microbatch = adq_bench::microbatch_from_args();
     let mut json_rows = Vec::new();
     static_reproduction(&mut json_rows);
-    dynamic_reproduction(
-        &mut json_rows,
-        telemetry.sink.as_ref(),
-        &checkpoint,
-        microbatch,
-    );
+    dynamic_reproduction(&mut json_rows, telemetry.sink.as_ref(), &checkpoint);
     adq_bench::write_json("table2_quantization", &json_rows);
     adq_bench::export_trace_artifacts(&telemetry);
     adq_bench::write_run_artifacts(

@@ -112,38 +112,6 @@ pub fn telemetry_from_args() -> TelemetryOption {
     }
 }
 
-/// Parses the shared `--microbatch <n>` option: intra-batch data-parallel
-/// training with the given microbatch size. Results are bit-identical at
-/// any worker count (see README "Data-parallel training"), so the flag
-/// changes the numerical experiment only through the microbatch size
-/// itself, never through scheduling.
-///
-/// Without the flag (or with an unusable value — reported, not fatal)
-/// training stays serial.
-pub fn microbatch_from_args() -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    let flag = args.iter().position(|a| a == "--microbatch")?;
-    match args.get(flag + 1).and_then(|raw| raw.parse::<usize>().ok()) {
-        Some(n) if n > 0 => {
-            println!("(data-parallel training: microbatch {n})");
-            Some(n)
-        }
-        _ => {
-            eprintln!("warning: --microbatch requires a positive integer; training serially");
-            None
-        }
-    }
-}
-
-/// Applies a parsed `--microbatch` value to a controller.
-#[must_use]
-pub fn with_microbatch(controller: AdQuantizer, microbatch: Option<usize>) -> AdQuantizer {
-    match microbatch {
-        Some(n) => controller.with_parallelism(n),
-        None => controller,
-    }
-}
-
 /// The shared `--checkpoint-dir <dir>` / `--resume` options of the
 /// regenerator binaries that run Algorithm 1 end-to-end.
 pub struct CheckpointOption {

@@ -160,11 +160,11 @@ pub struct RunCheckpoint {
     /// The eqn-4 baseline energy (pJ) computed at run start, so resumed
     /// iterations report the same `mac_reduction` as the original run.
     pub baseline_energy_pj: f64,
-    /// Microbatch size of the originating run's data-parallel trainer
-    /// (`None` = serial training). Resume refuses to continue under a
-    /// different setting: although outcomes are thread-count invariant,
-    /// they are not microbatch invariant. Defaults to `None` when absent,
-    /// so pre-parallelism checkpoints stay loadable.
+    /// Microbatch size of a run trained by the former microbatch trainer.
+    /// Runs are trained serially and always write `None`; resume refuses a
+    /// checkpoint carrying `Some(n)`, since continuing it serially would
+    /// not reproduce the interrupted run. Defaults to `None` when absent,
+    /// so checkpoints that predate the field stay loadable.
     #[serde(default)]
     pub microbatch: Option<usize>,
 }

@@ -1,8 +1,6 @@
 use adq_ad::{DensityHistory, SaturationDetector};
 use adq_energy::EnergyModel;
-use adq_nn::train::{
-    evaluate_observed, export_params, train_epoch_observed, train_epoch_parallel_observed, Dataset,
-};
+use adq_nn::train::{evaluate_observed, export_params, train_epoch_observed, Dataset};
 use adq_nn::{Adam, Optimizer, QuantModel};
 use adq_quant::BitWidth;
 use adq_telemetry::span::{self, SpanGuard};
@@ -228,42 +226,12 @@ impl AdqOutcome {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AdQuantizer {
     config: AdqConfig,
-    /// Microbatch size for intra-batch data-parallel training (`None` =
-    /// serial). Kept out of [`AdqConfig`] so checkpoints taken under
-    /// serial training stay loadable, and because it changes *how* an
-    /// outcome is computed, not *what* Algorithm 1 does.
-    #[serde(default)]
-    microbatch: Option<usize>,
 }
 
 impl AdQuantizer {
     /// Creates a controller.
     pub fn new(config: AdqConfig) -> Self {
-        Self {
-            config,
-            microbatch: None,
-        }
-    }
-
-    /// Enables intra-batch data parallelism: every training batch is split
-    /// into `microbatch`-sized slices that run forward/backward on model
-    /// replicas across rayon workers, with a deterministic fixed-tree
-    /// gradient reduction. The [`AdqOutcome`] is bit-identical at any
-    /// worker count, but differs from serial training unless
-    /// `microbatch >= batch_size`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `microbatch` is zero.
-    pub fn with_parallelism(mut self, microbatch: usize) -> Self {
-        assert!(microbatch > 0, "microbatch size must be positive");
-        self.microbatch = Some(microbatch);
-        self
-    }
-
-    /// The configured microbatch size (`None` = serial training).
-    pub fn microbatch(&self) -> Option<usize> {
-        self.microbatch
+        Self { config }
     }
 
     /// The configuration.
@@ -376,11 +344,10 @@ impl AdQuantizer {
                     cfg.seed, ckpt.config.seed, cfg.max_iterations, ckpt.config.max_iterations,
                 )));
             }
-            if ckpt.microbatch != self.microbatch {
+            if let Some(microbatch) = ckpt.microbatch {
                 return Err(CheckpointError::ConfigMismatch(format!(
-                    "resuming with microbatch {:?}, checkpoint was taken under {:?} \
-                     (outcomes are thread-count invariant but not microbatch invariant)",
-                    self.microbatch, ckpt.microbatch,
+                    "checkpoint was taken under microbatch {microbatch}; training is \
+                     serial now and would not continue it bit-identically"
                 )));
             }
             crate::checkpoint::restore_model(model, &ckpt)?;
@@ -425,7 +392,6 @@ impl AdQuantizer {
 
         sink.record(&TelemetryEvent::WorkerPoolConfigured {
             threads: adq_tensor::dispatch::current_num_threads(),
-            microbatch: self.microbatch,
         });
 
         let metrics = adq_telemetry::metrics::global();
@@ -583,7 +549,7 @@ impl AdQuantizer {
                             index,
                         },
                         baseline_energy_pj: baseline_energy,
-                        microbatch: self.microbatch,
+                        microbatch: None,
                     };
                     let (path, bytes) = manager.save(&checkpoint)?;
                     sink.record(&TelemetryEvent::CheckpointSaved {
@@ -657,7 +623,6 @@ impl AdQuantizer {
         });
         sink.record(&TelemetryEvent::WorkerPoolConfigured {
             threads: adq_tensor::dispatch::current_num_threads(),
-            microbatch: self.microbatch,
         });
         let mut optimizer = Adam::new(cfg.lr);
         let mut rng = adq_tensor::init::rng(cfg.seed);
@@ -736,22 +701,10 @@ impl AdQuantizer {
             let mut epoch_span = phase_span("adq.epoch", iteration);
             epoch_span.attr("epoch", epoch);
             model.reset_densities();
-            let stats = match self.microbatch {
-                Some(microbatch) => train_epoch_parallel_observed(
-                    model,
-                    train,
-                    optimizer,
-                    cfg.batch_size,
-                    microbatch,
-                    rng,
-                    &mut |_| train_batches.inc(),
-                ),
-                None => {
-                    train_epoch_observed(model, train, optimizer, cfg.batch_size, rng, &mut |_| {
-                        train_batches.inc()
-                    })
-                }
-            };
+            let stats =
+                train_epoch_observed(model, train, optimizer, cfg.batch_size, rng, &mut |_| {
+                    train_batches.inc()
+                });
             phase.accuracy_history.push(stats.accuracy);
             let mut ad_span = phase_span("adq.phase.ad_measure", iteration);
             ad_span.attr("epoch", epoch);

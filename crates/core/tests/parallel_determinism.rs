@@ -1,7 +1,8 @@
-//! End-to-end determinism contract of data-parallel training: a full
-//! Algorithm-1 run produces bit-identical outcomes — and bit-identical
-//! checkpoint files — whatever the worker-thread count, and resume
-//! refuses to silently change the microbatch setting.
+//! End-to-end determinism contract of training with kernels that split
+//! their products over the worker pool: a full Algorithm-1 run produces
+//! bit-identical outcomes — and bit-identical checkpoint files — whatever
+//! the worker-thread count, and resume refuses a checkpoint written by
+//! the former microbatch trainer.
 
 use std::fs;
 use std::path::PathBuf;
@@ -18,13 +19,21 @@ use adq_telemetry::{MemorySink, NullSink, TelemetryEvent};
 /// must not interleave.
 static THREAD_OVERRIDE: Mutex<()> = Mutex::new(());
 
-const MICROBATCH: usize = 3;
-
 fn tiny_task() -> (Dataset, Dataset) {
     SyntheticSpec::cifar10_like()
         .with_classes(4)
         .with_resolution(8)
         .with_samples(8, 4)
+        .generate()
+}
+
+/// 16×16 images in one batch of 32: the tiny VGG's second and third
+/// convolutions run products above the GEMM's parallel tile threshold.
+fn fan_out_task() -> (Dataset, Dataset) {
+    SyntheticSpec::cifar10_like()
+        .with_classes(4)
+        .with_resolution(16)
+        .with_samples(32, 8)
         .generate()
 }
 
@@ -35,20 +44,22 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// One checkpointed parallel run under a fixed worker count; returns the
-/// outcome plus the raw bytes of every checkpoint file written.
-fn run_parallel(threads: usize, tag: &str) -> (AdqOutcome, Vec<(String, Vec<u8>)>) {
-    let (train, test) = tiny_task();
-    let mut model = Vgg::tiny(3, 8, 4, 11);
+/// One checkpointed run under a fixed worker count; returns the outcome
+/// plus the raw bytes of every checkpoint file written.
+fn run_with_threads(threads: usize, tag: &str) -> (AdqOutcome, Vec<(String, Vec<u8>)>) {
+    let (train, test) = fan_out_task();
+    let mut model = Vgg::tiny(3, 16, 4, 11);
     let dir = scratch_dir(tag);
     let manager = CheckpointManager::new(&dir).expect("manager");
+    let grids = adq_telemetry::metrics::global().counter("tensor.gemm.par_grids");
+    let before = grids.get();
 
     rayon::set_thread_override(Some(threads));
     let outcome = AdQuantizer::new(AdqConfig::fast())
-        .with_parallelism(MICROBATCH)
         .run_checkpointed(&mut model, &train, &test, &NullSink, &manager)
         .expect("checkpointed run");
     rayon::set_thread_override(None);
+    assert!(grids.get() > before, "no tile grid fanned out");
 
     let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(&dir)
         .expect("read checkpoint dir")
@@ -71,8 +82,8 @@ fn run_parallel(threads: usize, tag: &str) -> (AdqOutcome, Vec<(String, Vec<u8>)
 fn outcome_and_checkpoints_are_bit_identical_across_thread_counts() {
     let _guard = THREAD_OVERRIDE.lock().expect("override guard");
 
-    let (serial, serial_files) = run_parallel(1, "t1");
-    let (wide, wide_files) = run_parallel(4, "t4");
+    let (serial, serial_files) = run_with_threads(1, "t1");
+    let (wide, wide_files) = run_with_threads(4, "t4");
 
     assert_eq!(
         serde_json::to_string(&serial).expect("serialise"),
@@ -99,7 +110,7 @@ fn outcome_and_checkpoints_are_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn resume_refuses_a_different_microbatch_setting() {
+fn resume_refuses_a_checkpoint_taken_under_a_microbatch() {
     let _guard = THREAD_OVERRIDE.lock().expect("override guard");
 
     let (train, test) = tiny_task();
@@ -108,20 +119,24 @@ fn resume_refuses_a_different_microbatch_setting() {
 
     let mut model = Vgg::tiny(3, 8, 4, 12);
     AdQuantizer::new(AdqConfig::fast())
-        .with_parallelism(MICROBATCH)
         .run_checkpointed(&mut model, &train, &test, &NullSink, &manager)
         .expect("checkpointed run");
-    let checkpoint = manager
+    let mut checkpoint = manager
         .load_latest()
         .expect("scan")
         .expect("run saved at least one checkpoint");
+    assert_eq!(
+        checkpoint.microbatch, None,
+        "serial runs write no microbatch"
+    );
 
-    // same config, but serial training: the outcome would differ, so
-    // resume must refuse rather than splice the histories together
+    // a run of the former microbatch trainer: continuing it serially
+    // would splice two different trajectories, so resume must refuse
+    checkpoint.microbatch = Some(3);
     let mut fresh = Vgg::tiny(3, 8, 4, 12);
     let err = AdQuantizer::new(AdqConfig::fast())
         .resume_from(&mut fresh, &train, &test, &NullSink, checkpoint, None)
-        .expect_err("microbatch mismatch must be rejected");
+        .expect_err("a microbatch checkpoint must be rejected");
     assert!(
         matches!(err, CheckpointError::ConfigMismatch(ref msg) if msg.contains("microbatch")),
         "unexpected error: {err:?}"
@@ -130,28 +145,22 @@ fn resume_refuses_a_different_microbatch_setting() {
 }
 
 #[test]
-fn parallel_run_reports_its_worker_pool() {
+fn run_reports_its_worker_pool() {
     let _guard = THREAD_OVERRIDE.lock().expect("override guard");
 
     let (train, test) = tiny_task();
     let mut model = Vgg::tiny(3, 8, 4, 13);
     let sink = MemorySink::new();
-    AdQuantizer::new(AdqConfig::fast())
-        .with_parallelism(MICROBATCH)
-        .run_with_sink(&mut model, &train, &test, &sink);
+    AdQuantizer::new(AdqConfig::fast()).run_with_sink(&mut model, &train, &test, &sink);
 
-    let pools: Vec<_> = sink
+    let pools: Vec<usize> = sink
         .events()
         .into_iter()
         .filter_map(|e| match e {
-            TelemetryEvent::WorkerPoolConfigured {
-                threads,
-                microbatch,
-            } => Some((threads, microbatch)),
+            TelemetryEvent::WorkerPoolConfigured { threads } => Some(threads),
             _ => None,
         })
         .collect();
     assert_eq!(pools.len(), 1, "expected exactly one pool event");
-    assert_eq!(pools[0].1, Some(MICROBATCH));
-    assert!(pools[0].0 >= 1);
+    assert!(pools[0] >= 1);
 }

@@ -201,46 +201,6 @@ impl ConvBlock {
         self.channel_total.iter_mut().for_each(|v| *v = 0);
     }
 
-    /// Appends this block's raw density counts to `out` — block meter
-    /// `(nonzero, total)`, then per-channel nonzero, then per-channel
-    /// totals. This is the wire format microbatch replicas use to ship
-    /// counts back to the master model; being integer counts, absorbing
-    /// them in any order reproduces the serial tallies exactly.
-    pub fn export_density_counts(&self, out: &mut Vec<u64>) {
-        out.push(self.meter.nonzero_count());
-        out.push(self.meter.total_count());
-        out.extend_from_slice(&self.channel_nonzero);
-        out.extend_from_slice(&self.channel_total);
-    }
-
-    /// Adds counts exported by [`ConvBlock::export_density_counts`] into
-    /// this block's meters, returning how many values were consumed.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `counts` has fewer values than this block's
-    /// layout requires.
-    pub fn absorb_density_counts(&mut self, counts: &[u64]) -> Result<usize, String> {
-        let c = self.channel_nonzero.len();
-        let need = 2 + 2 * c;
-        if counts.len() < need {
-            return Err(format!(
-                "density counts for block '{}' need {need} values, got {}",
-                self.name,
-                counts.len()
-            ));
-        }
-        self.meter
-            .merge(&DensityMeter::from_counts(counts[0], counts[1]));
-        for (dst, &src) in self.channel_nonzero.iter_mut().zip(&counts[2..2 + c]) {
-            *dst += src;
-        }
-        for (dst, &src) in self.channel_total.iter_mut().zip(&counts[2 + c..need]) {
-            *dst += src;
-        }
-        Ok(need)
-    }
-
     /// Forward pass. In training mode, density statistics accumulate and
     /// batch-norm uses batch statistics.
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
@@ -616,37 +576,6 @@ mod tests {
         // eval before any training batch: falls back to per-batch fit
         let y = b.forward(&x, false);
         assert!(y.data().iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn density_counts_roundtrip_reproduces_serial_tallies() {
-        // two replicas observing disjoint batches, absorbed into a fresh
-        // master, must equal one block observing both batches serially
-        let mut serial = block(false, true, 30);
-        let mut rep_a = serial.clone();
-        let mut rep_b = serial.clone();
-        let mut master = serial.clone();
-        let mut r = rng(31);
-        let xa = init::normal(&[2, 2, 4, 4], 0.0, 1.0, &mut r);
-        let xb = init::normal(&[2, 2, 4, 4], 0.5, 1.0, &mut r);
-        serial.forward(&xa, true);
-        serial.forward(&xb, true);
-        rep_a.forward(&xa, true);
-        rep_b.forward(&xb, true);
-        let mut counts = Vec::new();
-        rep_b.export_density_counts(&mut counts); // absorb out of order
-        rep_a.export_density_counts(&mut counts);
-        let used_b = master.absorb_density_counts(&counts).unwrap();
-        let used_a = master.absorb_density_counts(&counts[used_b..]).unwrap();
-        assert_eq!(used_a + used_b, counts.len());
-        assert_eq!(master.meter(), serial.meter());
-        assert_eq!(master.channel_densities(), serial.channel_densities());
-    }
-
-    #[test]
-    fn absorb_density_counts_rejects_short_slice() {
-        let mut b = block(false, true, 32);
-        assert!(b.absorb_density_counts(&[1, 2]).is_err());
     }
 
     #[test]

@@ -30,11 +30,6 @@ pub struct BatchNorm2d {
     running_mean: Vec<f32>,
     running_var: Vec<f32>,
     cache: Option<Cache>,
-    /// Per-channel `(mean, var)` of the most recent training-mode batch —
-    /// what the EMA update consumed. Microbatch replicas ship these to the
-    /// master model so it can replay the running-stat updates in
-    /// deterministic order ([`BatchNorm2d::apply_batch_stats`]).
-    last_batch_stats: Option<(Vec<f32>, Vec<f32>)>,
 }
 
 #[derive(Debug, Clone)]
@@ -55,7 +50,6 @@ impl BatchNorm2d {
             running_mean: vec![0.0; channels],
             running_var: vec![1.0; channels],
             cache: None,
-            last_batch_stats: None,
         }
     }
 
@@ -85,8 +79,6 @@ impl BatchNorm2d {
         let mut out = Tensor::zeros(input.dims());
         let mut x_hat = Tensor::zeros(input.dims());
         let mut inv_stds = vec![0.0f32; c];
-        let mut batch_means = vec![0.0f32; c];
-        let mut batch_vars = vec![0.0f32; c];
         for ci in 0..c {
             let (mean, var) = if train {
                 let mut sum = 0.0f32;
@@ -100,8 +92,6 @@ impl BatchNorm2d {
                 }
                 let mean = sum / per_channel;
                 let var = (sq / per_channel - mean * mean).max(0.0);
-                batch_means[ci] = mean;
-                batch_vars[ci] = var;
                 self.running_mean[ci] += self.momentum * (mean - self.running_mean[ci]);
                 self.running_var[ci] += self.momentum * (var - self.running_var[ci]);
                 (mean, var)
@@ -126,7 +116,6 @@ impl BatchNorm2d {
                 x_hat,
                 inv_std: inv_stds,
             });
-            self.last_batch_stats = Some((batch_means, batch_vars));
         }
         out
     }
@@ -180,32 +169,6 @@ impl BatchNorm2d {
         (self.running_mean.clone(), self.running_var.clone())
     }
 
-    /// Takes the per-channel `(mean, var)` of the last training-mode batch,
-    /// leaving `None` behind. Returns zeroed stats if no training-mode
-    /// forward has run since the last take.
-    pub fn take_batch_stats(&mut self) -> (Vec<f32>, Vec<f32>) {
-        self.last_batch_stats
-            .take()
-            .unwrap_or_else(|| (vec![0.0; self.channels], vec![0.0; self.channels]))
-    }
-
-    /// Replays one EMA running-stat update from externally computed batch
-    /// statistics — the exact expression the training forward applies, so a
-    /// master model absorbing replica stats in batch order ends up
-    /// bit-identical to having run the forwards itself.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths do not match the channel count.
-    pub fn apply_batch_stats(&mut self, mean: &[f32], var: &[f32]) {
-        assert_eq!(mean.len(), self.channels, "mean length mismatch");
-        assert_eq!(var.len(), self.channels, "variance length mismatch");
-        for ci in 0..self.channels {
-            self.running_mean[ci] += self.momentum * (mean[ci] - self.running_mean[ci]);
-            self.running_var[ci] += self.momentum * (var[ci] - self.running_var[ci]);
-        }
-    }
-
     /// Restores running statistics captured by
     /// [`BatchNorm2d::running_stats`].
     ///
@@ -252,7 +215,6 @@ impl BatchNorm2d {
         self.running_var = pick(&self.running_var);
         self.channels = keep.len();
         self.cache = None;
-        self.last_batch_stats = None;
     }
 }
 
@@ -392,34 +354,6 @@ mod tests {
     #[should_panic]
     fn backward_without_forward_panics() {
         BatchNorm2d::new(1).backward(&Tensor::zeros(&[1, 1, 1, 1]));
-    }
-
-    #[test]
-    fn replayed_batch_stats_match_direct_training_bitwise() {
-        // a master that only replays replica batch stats must end with the
-        // same running stats, bit for bit, as one that ran the forwards
-        let mut direct = BatchNorm2d::new(2);
-        let mut master = BatchNorm2d::new(2);
-        let mut replica = BatchNorm2d::new(2);
-        let mut r = rng(6);
-        for _ in 0..4 {
-            let x = init::normal(&[3, 2, 2, 2], 1.0, 2.0, &mut r);
-            direct.forward(&x, true);
-            replica.forward(&x, true);
-            let (mean, var) = replica.take_batch_stats();
-            master.apply_batch_stats(&mean, &var);
-        }
-        assert_eq!(direct.running_stats(), master.running_stats());
-    }
-
-    #[test]
-    fn take_batch_stats_consumes_and_defaults_to_zero() {
-        let mut bn = BatchNorm2d::new(1);
-        bn.forward(&Tensor::full(&[1, 1, 2, 2], 3.0), true);
-        let (mean, _) = bn.take_batch_stats();
-        assert_eq!(mean, vec![3.0]);
-        let (mean2, var2) = bn.take_batch_stats();
-        assert_eq!((mean2, var2), (vec![0.0], vec![0.0]));
     }
 
     #[test]

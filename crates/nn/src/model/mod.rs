@@ -10,7 +10,6 @@ use adq_tensor::{Conv2dGeom, Tensor};
 use serde::{Deserialize, Serialize};
 
 use crate::block::{ConvBlock, LinearHead};
-use crate::layers::BatchNorm2d;
 use crate::param::Param;
 
 pub use resnet::{ResNet, ResNetBlockView};
@@ -83,8 +82,8 @@ pub trait QuantModel {
     fn backward(&mut self, grad_logits: &Tensor);
 
     /// Visits every layer in a fixed order. Checkpoints store parameters
-    /// and batch-norm statistics in this order, and replicas ship density
-    /// counts in it, so it is part of the persisted format.
+    /// and batch-norm statistics in this order, so it is part of the
+    /// persisted format.
     fn visit_layers(&mut self, visitor: &mut dyn FnMut(LayerMut<'_>));
 
     /// Visits every trainable parameter with a stable slot index.
@@ -189,7 +188,13 @@ pub trait QuantModel {
     /// (`(mean, var)` per batch-norm layer). Models without normalisation
     /// return an empty vector.
     fn norm_stats(&mut self) -> Vec<(Vec<f32>, Vec<f32>)> {
-        collect_batch_norms(self, |bn| bn.running_stats())
+        let mut out = Vec::new();
+        self.visit_layers(&mut |layer| {
+            if let LayerMut::Conv(block) = layer {
+                out.extend(block.bn_mut().map(|bn| bn.running_stats()));
+            }
+        });
+        out
     }
 
     /// Restores statistics captured by [`QuantModel::norm_stats`].
@@ -198,7 +203,36 @@ pub trait QuantModel {
     ///
     /// Returns a message if the layer count or channel counts disagree.
     fn set_norm_stats(&mut self, stats: &[(Vec<f32>, Vec<f32>)]) -> Result<(), String> {
-        zip_batch_norms(self, stats, "statistics", BatchNorm2d::set_running_stats)
+        let mut iter = stats.iter();
+        let mut result = Ok(());
+        self.visit_layers(&mut |layer| {
+            let LayerMut::Conv(block) = layer else {
+                return;
+            };
+            let Some(bn) = block.bn_mut() else {
+                return;
+            };
+            if result.is_err() {
+                return;
+            }
+            result = match iter.next() {
+                None => Err("missing batch-norm statistics".to_string()),
+                Some((mean, _)) if mean.len() != bn.channels() => Err(format!(
+                    "channel mismatch: {} vs {}",
+                    mean.len(),
+                    bn.channels()
+                )),
+                Some((mean, var)) => {
+                    bn.set_running_stats(mean, var);
+                    Ok(())
+                }
+            };
+        });
+        result?;
+        if iter.next().is_some() {
+            return Err("too many batch-norm statistics".to_string());
+        }
+        Ok(())
     }
 
     /// Total number of trainable scalars.
@@ -206,162 +240,5 @@ pub trait QuantModel {
         let mut count = 0;
         self.visit_params(&mut |_, p| count += p.len());
         count
-    }
-
-    /// Clones this model into an independent replica for microbatch data
-    /// parallelism, or `None` when the model cannot be replicated — the
-    /// parallel trainer then falls back to the serial path.
-    ///
-    /// Replicas carry their own density meters and batch-norm buffers;
-    /// the trainer ships those back to the master through
-    /// [`QuantModel::export_density_counts`] and
-    /// [`QuantModel::take_batch_norm_updates`].
-    fn fork(&self) -> Option<Box<dyn QuantModel + Send>> {
-        None
-    }
-
-    /// Flat dump of every Activation Density counter in
-    /// [`QuantModel::visit_layers`] order — the wire format replicas use to
-    /// ship tallies back to the master. Counts are integers, so absorbing
-    /// replica dumps in any order reproduces the serial tallies exactly.
-    fn export_density_counts(&mut self) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.visit_layers(&mut |layer| match layer {
-            LayerMut::Conv(block) => block.export_density_counts(&mut out),
-            LayerMut::Junction(meter) => export_meter(meter, &mut out),
-            LayerMut::Head(head) => export_meter(head.meter_mut(), &mut out),
-        });
-        out
-    }
-
-    /// Adds counts exported by [`QuantModel::export_density_counts`] into
-    /// this model's meters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if the layout does not match this model.
-    fn absorb_density_counts(&mut self, counts: &[u64]) -> Result<(), String> {
-        let mut offset = 0;
-        try_visit_layers(self, |layer| {
-            let rest = &counts[offset..];
-            offset += match layer {
-                LayerMut::Conv(block) => block.absorb_density_counts(rest)?,
-                LayerMut::Junction(meter) => absorb_meter(meter, rest)?,
-                LayerMut::Head(head) => absorb_meter(head.meter_mut(), rest)?,
-            };
-            Ok(())
-        })?;
-        if offset != counts.len() {
-            return Err(format!(
-                "density counts length mismatch: used {offset} of {}",
-                counts.len()
-            ));
-        }
-        Ok(())
-    }
-
-    /// Takes the per-channel `(mean, var)` each batch-norm layer computed
-    /// on its most recent training batch, in [`QuantModel::norm_stats`]
-    /// order. Models without normalisation return an empty vector.
-    fn take_batch_norm_updates(&mut self) -> Vec<(Vec<f32>, Vec<f32>)> {
-        collect_batch_norms(self, BatchNorm2d::take_batch_stats)
-    }
-
-    /// Replays one EMA running-stat update per batch-norm layer from stats
-    /// taken on a replica ([`QuantModel::take_batch_norm_updates`]). The
-    /// master applies replica updates in microbatch index order, ending
-    /// bit-identical to having run the training forwards itself.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if the layer or channel counts disagree.
-    fn apply_batch_norm_updates(&mut self, updates: &[(Vec<f32>, Vec<f32>)]) -> Result<(), String> {
-        zip_batch_norms(self, updates, "updates", BatchNorm2d::apply_batch_stats)
-    }
-}
-
-/// [`QuantModel::visit_layers`] with a visitor that can fail: the walk
-/// skips every layer after the first error and returns it.
-fn try_visit_layers<M: QuantModel + ?Sized>(
-    model: &mut M,
-    mut visitor: impl FnMut(LayerMut<'_>) -> Result<(), String>,
-) -> Result<(), String> {
-    let mut result = Ok(());
-    model.visit_layers(&mut |layer| {
-        if result.is_ok() {
-            result = visitor(layer);
-        }
-    });
-    result
-}
-
-/// One `f(bn)` per batch-norm layer, in visiting order.
-fn collect_batch_norms<M: QuantModel + ?Sized>(
-    model: &mut M,
-    mut f: impl FnMut(&mut BatchNorm2d) -> (Vec<f32>, Vec<f32>),
-) -> Vec<(Vec<f32>, Vec<f32>)> {
-    let mut out = Vec::new();
-    model.visit_layers(&mut |layer| {
-        if let LayerMut::Conv(block) = layer {
-            out.extend(block.bn_mut().map(&mut f));
-        }
-    });
-    out
-}
-
-/// Pairs `stats` with the model's batch-norm layers in visiting order and
-/// calls `apply(bn, mean, var)` on each, after checking that the entry
-/// count and each channel count match.
-fn zip_batch_norms<M: QuantModel + ?Sized>(
-    model: &mut M,
-    stats: &[(Vec<f32>, Vec<f32>)],
-    what: &str,
-    apply: fn(&mut BatchNorm2d, &[f32], &[f32]),
-) -> Result<(), String> {
-    let mut iter = stats.iter();
-    try_visit_layers(model, |layer| {
-        let LayerMut::Conv(block) = layer else {
-            return Ok(());
-        };
-        let Some(bn) = block.bn_mut() else {
-            return Ok(());
-        };
-        let (mean, var) = iter
-            .next()
-            .ok_or_else(|| format!("missing batch-norm {what}"))?;
-        if mean.len() != bn.channels() {
-            return Err(format!(
-                "channel mismatch: {} vs {}",
-                mean.len(),
-                bn.channels()
-            ));
-        }
-        apply(bn, mean, var);
-        Ok(())
-    })?;
-    if iter.next().is_some() {
-        return Err(format!("too many batch-norm {what}"));
-    }
-    Ok(())
-}
-
-/// Appends one meter's `(nonzero, total)` counts to `out`.
-fn export_meter(meter: &DensityMeter, out: &mut Vec<u64>) {
-    out.push(meter.nonzero_count());
-    out.push(meter.total_count());
-}
-
-/// Merges counts appended by [`export_meter`], returning how many values
-/// it consumed.
-fn absorb_meter(meter: &mut DensityMeter, counts: &[u64]) -> Result<usize, String> {
-    match counts {
-        [nonzero, total, ..] => {
-            meter.merge(&DensityMeter::from_counts(*nonzero, *total));
-            Ok(2)
-        }
-        _ => Err(format!(
-            "density counts for a meter need 2 values, got {}",
-            counts.len()
-        )),
     }
 }

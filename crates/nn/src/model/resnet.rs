@@ -462,10 +462,6 @@ impl QuantModel for ResNet {
         }
     }
 
-    fn fork(&self) -> Option<Box<dyn QuantModel + Send>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn prune_layer_to(&mut self, index: usize, keep: usize) -> bool {
         // Only the internal channel of a basic block can be pruned without
         // breaking the residual additions; see DESIGN.md §2.

@@ -360,10 +360,6 @@ impl QuantModel for Vgg {
         true
     }
 
-    fn fork(&self) -> Option<Box<dyn QuantModel + Send>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn prune_layer_to(&mut self, index: usize, keep: usize) -> bool {
         if index >= self.head_index() {
             // pruning the classifier's classes is not meaningful

@@ -1,36 +1,20 @@
-//! Training-loop helpers: mini-batching, one-epoch train/eval passes, and
-//! a deterministic data-parallel epoch that splits batches into fixed-size
-//! microbatches across rayon workers.
+//! Training-loop helpers: mini-batching and one-epoch train/eval passes.
+//!
+//! Training is serial over batches; the parallelism lives inside the
+//! kernels, which split every large product over the worker pool with
+//! bit-identical results, so an epoch's outcome does not depend on the
+//! worker count.
 
 use std::sync::{Arc, OnceLock};
 
 use adq_telemetry::span::{self, SpanGuard};
-use adq_telemetry::{Histogram, ScopedTimer};
 use adq_tensor::Tensor;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use rayon::prelude::*;
 
 use crate::loss::{accuracy, softmax_cross_entropy};
 use crate::model::QuantModel;
 use crate::optim::{Adam, Optimizer};
-
-/// Wall-time of one microbatch forward/backward, recorded per worker run
-/// into the process-wide `nn.train.microbatch` histogram.
-fn microbatch_timer() -> ScopedTimer {
-    static HIST: OnceLock<Arc<Histogram>> = OnceLock::new();
-    ScopedTimer::new(
-        HIST.get_or_init(|| adq_telemetry::metrics::global().histogram("nn.train.microbatch")),
-    )
-}
-
-/// Wall-time of the fixed-tree gradient reduction (`nn.train.reduce`).
-fn reduce_timer() -> ScopedTimer {
-    static HIST: OnceLock<Arc<Histogram>> = OnceLock::new();
-    ScopedTimer::new(
-        HIST.get_or_init(|| adq_telemetry::metrics::global().histogram("nn.train.reduce")),
-    )
-}
 
 /// Opens an `nn.batch` span for one training batch (no-op when tracing
 /// is off; the attribute vector is only built when recorded).
@@ -176,238 +160,6 @@ pub fn train_epoch_observed(
             samples: labels.len(),
             loss: f64::from(out.loss),
             accuracy: batch_acc,
-        });
-    }
-    pass_stats(total_loss, correct, data.len())
-}
-
-/// One microbatch worker's model replica plus everything it ships back to
-/// the master after a forward/backward: gradients, density counts,
-/// batch-norm statistics, and loss/accuracy tallies.
-struct ReplicaSlot {
-    model: Box<dyn QuantModel + Send>,
-    grads: Vec<Tensor>,
-    density: Vec<u64>,
-    bn_updates: Vec<(Vec<f32>, Vec<f32>)>,
-    loss: f64,
-    accuracy: f64,
-    samples: usize,
-}
-
-impl ReplicaSlot {
-    fn new(model: Box<dyn QuantModel + Send>) -> Self {
-        Self {
-            model,
-            grads: Vec::new(),
-            density: Vec::new(),
-            bn_updates: Vec::new(),
-            loss: 0.0,
-            accuracy: 0.0,
-            samples: 0,
-        }
-    }
-}
-
-/// Forward/backward of one microbatch on a replica. The replica's
-/// trainable parameters are refreshed from `params` first; its density
-/// meters are reset so the exported counts are this microbatch's exact
-/// delta. The loss gradient is rescaled from the microbatch mean to the
-/// microbatch's share of the batch mean (`n_m / batch_n`), so summing the
-/// per-replica gradients yields a full-batch-mean gradient.
-fn run_microbatch(
-    slot: &mut ReplicaSlot,
-    indices: &[usize],
-    params: &[Tensor],
-    data: &Dataset,
-    batch_n: usize,
-) {
-    let model = slot.model.as_mut();
-    import_params(model, params).expect("replica shares the master architecture");
-    model.zero_grad();
-    model.reset_densities();
-    let (images, labels) = data.batch(indices);
-    let logits = model.forward(&images, true);
-    let out = softmax_cross_entropy(&logits, &labels);
-    slot.loss = f64::from(out.loss);
-    slot.accuracy = accuracy(&logits, &labels);
-    slot.samples = labels.len();
-    let scale = labels.len() as f32 / batch_n as f32;
-    let grad = if scale == 1.0 {
-        out.grad
-    } else {
-        out.grad.scaled(scale)
-    };
-    model.backward(&grad);
-    slot.grads.clear();
-    model.visit_params(&mut |_, p| slot.grads.push(p.grad.clone()));
-    slot.bn_updates = model.take_batch_norm_updates();
-    slot.density = model.export_density_counts();
-}
-
-/// Sums per-microbatch gradient sets into `grads[0]` with a fixed binary
-/// tree whose pairing depends only on the microbatch index — never on the
-/// thread count or completion order — so the reduced gradient is
-/// bit-identical however the forward/backward work was scheduled.
-fn tree_reduce_into_first(grads: &mut [Vec<Tensor>]) {
-    let m = grads.len();
-    let mut stride = 1;
-    while stride < m {
-        let mut i = 0;
-        while i + stride < m {
-            let (left, right) = grads.split_at_mut(i + stride);
-            for (a, b) in left[i].iter_mut().zip(&right[0]) {
-                a.add_scaled(b, 1.0).expect("gradient shapes agree");
-            }
-            i += 2 * stride;
-        }
-        stride *= 2;
-    }
-}
-
-/// Trains one epoch with Adam using intra-batch data parallelism: each
-/// batch is split into fixed-size microbatches that run forward/backward
-/// on independent model replicas across rayon workers.
-///
-/// The outcome is **bit-identical at any worker count** (including 1):
-/// microbatch boundaries are a pure function of the batch layout, each
-/// replica's computation depends only on its microbatch index, gradients
-/// combine through a fixed binary tree ([`tree_reduce_into_first`]), and
-/// the master replays density counts and batch-norm updates in microbatch
-/// index order. With a single microbatch per batch
-/// (`microbatch >= batch_size`) the result is additionally bit-identical
-/// to the serial [`train_epoch`].
-///
-/// Falls back to the serial path when the model does not support
-/// [`QuantModel::fork`]. Models using [`crate::ActRangeMode::Ema`] keep
-/// per-replica observer state (keyed to the microbatch index, so still
-/// deterministic) rather than the master's.
-///
-/// # Panics
-///
-/// Panics if `batch_size` or `microbatch` is zero.
-pub fn train_epoch_parallel(
-    model: &mut dyn QuantModel,
-    data: &Dataset,
-    optimizer: &mut Adam,
-    batch_size: usize,
-    microbatch: usize,
-    rng: &mut impl Rng,
-) -> EpochStats {
-    train_epoch_parallel_observed(
-        model,
-        data,
-        optimizer,
-        batch_size,
-        microbatch,
-        rng,
-        &mut |_| {},
-    )
-}
-
-/// [`train_epoch_parallel`] with a per-batch observation hook (one
-/// [`BatchStats`] per batch, combining its microbatches sample-weighted).
-pub fn train_epoch_parallel_observed(
-    model: &mut dyn QuantModel,
-    data: &Dataset,
-    optimizer: &mut Adam,
-    batch_size: usize,
-    microbatch: usize,
-    rng: &mut impl Rng,
-    observe: &mut dyn FnMut(BatchStats),
-) -> EpochStats {
-    assert!(batch_size > 0, "batch size must be positive");
-    assert!(microbatch > 0, "microbatch size must be positive");
-    let replica_count = batch_size.div_ceil(microbatch);
-    let mut replicas: Vec<ReplicaSlot> = Vec::with_capacity(replica_count);
-    for _ in 0..replica_count {
-        match model.fork() {
-            Some(m) => replicas.push(ReplicaSlot::new(m)),
-            // graceful serial fallback (no RNG has been consumed yet)
-            None => return train_epoch_observed(model, data, optimizer, batch_size, rng, observe),
-        }
-    }
-    let mut order: Vec<usize> = (0..data.len()).collect();
-    order.shuffle(rng);
-    let mut total_loss = 0.0f64;
-    let mut correct = 0.0f64;
-    for (batch, chunk) in order.chunks(batch_size).enumerate() {
-        let batch_n = chunk.len();
-        let active = batch_n.div_ceil(microbatch);
-        let _batch_span = batch_span(batch, batch_n);
-        // Workers have no ambient current span, so the fan-out hands the
-        // batch span's id down explicitly (0 when tracing is off).
-        let batch_span_id = _batch_span.id();
-        let params = export_params(model);
-        {
-            // microbatch i always runs on replica i: any replica-resident
-            // state (e.g. EMA range observers) evolves identically at any
-            // worker count
-            let params = &params;
-            let jobs: Vec<(usize, (&mut ReplicaSlot, &[usize]))> = replicas
-                .iter_mut()
-                .zip(chunk.chunks(microbatch))
-                .enumerate()
-                .collect();
-            jobs.into_par_iter().for_each(|(index, (slot, indices))| {
-                let _span = if span::enabled() {
-                    span::child_span_with(
-                        batch_span_id,
-                        "nn.microbatch",
-                        vec![("index", index.into()), ("samples", indices.len().into())],
-                    )
-                } else {
-                    SpanGuard::disabled()
-                };
-                let _timer = microbatch_timer();
-                run_microbatch(slot, indices, params, data, batch_n);
-            });
-        }
-        let reduced = {
-            // Nested under the still-open batch span on this thread.
-            let _span = span::span("nn.reduce");
-            let _timer = reduce_timer();
-            let mut trees: Vec<Vec<Tensor>> = replicas[..active]
-                .iter_mut()
-                .map(|s| std::mem::take(&mut s.grads))
-                .collect();
-            tree_reduce_into_first(&mut trees);
-            trees.swap_remove(0)
-        };
-        model.zero_grad();
-        let mut next = reduced.into_iter();
-        model.visit_params(&mut |_, p| {
-            p.grad = next.next().expect("one gradient per parameter");
-        });
-        optimizer.begin_step();
-        model.visit_params(&mut |slot, p| optimizer.step_param(slot, p));
-        // replay side effects in microbatch index order
-        let mut batch_loss = 0.0f64;
-        let mut batch_correct = 0.0f64;
-        for part in replicas[..active].iter_mut() {
-            model
-                .absorb_density_counts(&part.density)
-                .expect("replica layout matches master");
-            let updates = std::mem::take(&mut part.bn_updates);
-            model
-                .apply_batch_norm_updates(&updates)
-                .expect("replica layout matches master");
-            batch_loss += part.loss * part.samples as f64;
-            batch_correct += part.accuracy * part.samples as f64;
-        }
-        total_loss += batch_loss;
-        correct += batch_correct;
-        // a lone microbatch reports its stats untouched, keeping the
-        // single-microbatch path bit-identical to the serial one
-        let (loss, acc) = if active == 1 {
-            (replicas[0].loss, replicas[0].accuracy)
-        } else {
-            (batch_loss / batch_n as f64, batch_correct / batch_n as f64)
-        };
-        observe(BatchStats {
-            batch,
-            samples: batch_n,
-            loss,
-            accuracy: acc,
         });
     }
     pass_stats(total_loss, correct, data.len())
@@ -639,7 +391,8 @@ mod tests {
     fn norm_stats_roundtrip_restores_eval_behaviour() {
         // with BN, params alone are not enough — stats must round-trip too
         let ds = toy_dataset(16, 20);
-        for (mut trained, mut fresh) in tiny_models(21).into_iter().zip(tiny_models(77)) {
+        for (mut trained, mut fresh) in tiny_models(1, 4, 21).into_iter().zip(tiny_models(1, 4, 77))
+        {
             let mut adam = Adam::new(3e-3);
             let mut rng = init::rng(22);
             for _ in 0..3 {
@@ -726,88 +479,68 @@ mod tests {
         assert_eq!(measured, 10);
     }
 
-    #[test]
-    fn fixed_tree_reduction_pairs_by_index() {
-        // values chosen so the fixed tree ((g0+g1)+(g2+g3))+g4 differs
-        // from a sequential left fold: the pairing is observable
-        let vals = [1e8f32, 1.0, -1e8, 1.0, 1.0];
-        let mut grads: Vec<Vec<Tensor>> = vals
-            .iter()
-            .map(|&v| vec![Tensor::from_slice(&[v])])
-            .collect();
-        tree_reduce_into_first(&mut grads);
-        let tree = ((1e8f32 + 1.0) + (-1e8 + 1.0)) + 1.0;
-        let sequential = vals.iter().copied().fold(0.0f32, |a, b| a + b);
-        assert_eq!(grads[0][0].data()[0].to_bits(), tree.to_bits());
-        assert_ne!(tree.to_bits(), sequential.to_bits(), "values too tame");
-    }
-
-    /// One model of each family. ResNet's junction meters and projection
-    /// batch-norms go through the replica walks that VGG's plain chain of
-    /// conv blocks never reaches.
-    fn tiny_models(seed: u64) -> [Box<dyn QuantModel>; 2] {
+    /// One model of each family. ResNet adds junction meters and
+    /// projection batch-norms to VGG's plain chain of conv blocks.
+    fn tiny_models(in_channels: usize, hw: usize, seed: u64) -> [Box<dyn QuantModel>; 2] {
         [
-            Box::new(Vgg::tiny(1, 4, 2, seed)),
-            Box::new(ResNet::tiny(1, 4, 2, seed)),
+            Box::new(Vgg::tiny(in_channels, hw, 2, seed)),
+            Box::new(ResNet::tiny(in_channels, hw, 2, seed)),
         ]
     }
 
-    /// A (model, optimizer, rng) training setup for each model family.
-    fn setups(seed: u64) -> Vec<(Box<dyn QuantModel>, Adam, rand_chacha::ChaCha8Rng)> {
-        tiny_models(seed)
-            .into_iter()
-            .map(|net| (net, Adam::new(5e-3), init::rng(seed + 100)))
-            .collect()
-    }
-
     /// Everything training mutates: parameters, batch-norm running stats,
-    /// the raw density counts and each layer's Activation Density.
-    type ModelState = (Vec<Tensor>, Vec<(Vec<f32>, Vec<f32>)>, Vec<u64>, Vec<f64>);
+    /// each layer's Activation Density and each conv block's per-channel
+    /// densities.
+    type ModelState = (
+        Vec<Tensor>,
+        Vec<(Vec<f32>, Vec<f32>)>,
+        Vec<f64>,
+        Vec<Vec<f64>>,
+    );
 
     fn full_state(model: &mut dyn QuantModel) -> ModelState {
+        let mut channels = Vec::new();
+        model.visit_layers(&mut |layer| {
+            if let crate::model::LayerMut::Conv(block) = layer {
+                channels.push(block.channel_densities());
+            }
+        });
         (
             export_params(model),
             model.norm_stats(),
-            model.export_density_counts(),
             (0..model.layer_count())
                 .map(|i| model.density_of(i))
                 .collect(),
+            channels,
         )
     }
 
     #[test]
-    fn single_microbatch_parallel_epoch_equals_serial_bitwise() {
-        let ds = toy_dataset(20, 50);
-        for (serial, par) in setups(51).into_iter().zip(setups(51)) {
-            let (mut serial, mut adam_s, mut rng_s) = serial;
-            let (mut par, mut adam_p, mut rng_p) = par;
-            for _ in 0..2 {
-                let a = train_epoch(serial.as_mut(), &ds, &mut adam_s, 8, &mut rng_s);
-                let b = train_epoch_parallel(par.as_mut(), &ds, &mut adam_p, 8, 8, &mut rng_p);
-                assert_eq!(a, b);
-            }
-            assert_eq!(full_state(serial.as_mut()), full_state(par.as_mut()));
-            assert_eq!(adam_s.export_state(), adam_p.export_state());
-        }
-    }
-
-    #[test]
-    fn parallel_epoch_is_bit_identical_across_thread_counts() {
-        let ds = toy_dataset(22, 60);
+    fn epoch_is_bit_identical_across_thread_counts() {
+        // 3×16×16 images in batches of 32 (tail 8): VGG's second conv and
+        // ResNet's first block run products above the GEMM's parallel
+        // tile threshold, so the kernels fan out at 4 workers
+        let mut rng = init::rng(60);
+        let images = init::uniform(&[40, 3, 16, 16], -1.0, 1.0, &mut rng);
+        let ds = Dataset::new(images, (0..40).map(|i| i % 2).collect());
+        let grids = adq_telemetry::metrics::global().counter("tensor.gemm.par_grids");
         for family in 0..2 {
             let mut outcomes = Vec::new();
             for threads in [1usize, 4] {
+                let before = grids.get();
                 rayon::set_thread_override(Some(threads));
-                let (mut net, mut adam, mut rng) = setups(61).swap_remove(family);
+                let mut net = tiny_models(3, 16, 61).into_iter().nth(family).unwrap();
+                let (mut adam, mut rng) = (Adam::new(5e-3), init::rng(161));
                 let mut batch_log = Vec::new();
-                let stats = train_epoch_parallel_observed(
-                    net.as_mut(),
-                    &ds,
-                    &mut adam,
-                    8,
-                    3, // 3 microbatches per full batch, uneven tail
-                    &mut rng,
-                    &mut |b| batch_log.push(b),
+                let stats =
+                    train_epoch_observed(net.as_mut(), &ds, &mut adam, 32, &mut rng, &mut |b| {
+                        batch_log.push(b)
+                    });
+                rayon::set_thread_override(None);
+                assert!(
+                    grids.get() > before,
+                    "{}: no tile grid fanned out",
+                    net.name()
                 );
                 outcomes.push((
                     stats,
@@ -816,24 +549,8 @@ mod tests {
                     batch_log,
                 ));
             }
-            rayon::set_thread_override(None);
             assert_eq!(outcomes[0], outcomes[1]);
         }
-    }
-
-    #[test]
-    fn parallel_epoch_density_counts_cover_every_sample() {
-        let ds = toy_dataset(10, 70);
-        let (mut net, mut adam, mut rng) =
-            (Vgg::tiny(1, 4, 2, 71), Adam::new(5e-3), init::rng(171));
-        net.reset_densities();
-        train_epoch_parallel(&mut net, &ds, &mut adam, 4, 2, &mut rng);
-        // conv1 output is 8 channels * 16 pixels per sample
-        let stats = net.layer_stats();
-        assert_eq!(stats[0].out_channels, 8);
-        let counts = net.export_density_counts();
-        // first block meter total = samples * channels * spatial
-        assert_eq!(counts[1], 10 * 8 * 16);
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! Concurrency contract of the tracing layer under the data-parallel
-//! trainer: microbatch spans recorded on rayon workers nest under the
-//! correct `nn.batch` parent, drain into structurally identical traces at
-//! any worker count, and never interleave into corrupt JSONL lines.
+//! Concurrency contract of the tracing layer under the trainer: GEMM tile
+//! spans recorded on rayon workers (level 2) nest under the product that
+//! fanned them out, drain into structurally identical traces at any
+//! worker count, and never interleave into corrupt JSONL lines.
 
 use std::fs;
 use std::sync::Mutex;
 
-use adq_nn::train::{train_epoch_parallel, Dataset};
+use adq_nn::train::{train_epoch, Dataset};
 use adq_nn::{Adam, Vgg};
 use adq_telemetry::span::{self, AttrValue, SpanRecord};
 use adq_telemetry::{JsonlSink, TelemetryEvent, TelemetrySink};
@@ -18,41 +18,48 @@ use rand_chacha::ChaCha8Rng;
 /// file must not interleave with each other.
 static TRACER: Mutex<()> = Mutex::new(());
 
-const SAMPLES: usize = 12;
-const BATCH: usize = 6;
-const MICROBATCH: usize = 2;
+const SAMPLES: usize = 64;
+const BATCH: usize = 32;
+/// The GEMM's floor (`m·n·k`) for handing a tile grid to the pool.
+const PAR_TILE_MIN_FLOPS: u64 = 1 << 21;
 
+/// 3×16×16 images: at batch 32 the tiny VGG's second and third
+/// convolutions run products above the parallel tile threshold.
 fn tiny_dataset() -> Dataset {
-    let n = SAMPLES * 3 * 8 * 8;
+    let n = SAMPLES * 3 * 16 * 16;
     let images = Tensor::from_vec(
         (0..n).map(|v| (v as f32 * 0.37).sin()).collect(),
-        &[SAMPLES, 3, 8, 8],
+        &[SAMPLES, 3, 16, 16],
     )
     .expect("images");
     Dataset::new(images, (0..SAMPLES).map(|i| i % 4).collect())
 }
 
-/// One traced parallel epoch under `threads` workers; returns the drained
-/// span records (sorted by start time, ids process-unique).
+/// One epoch traced at level 2 (tile spans on) under `threads` workers;
+/// returns the drained span records (sorted by start time, ids
+/// process-unique).
 fn traced_epoch(threads: usize) -> Vec<SpanRecord> {
     let data = tiny_dataset();
-    let mut model = Vgg::tiny(3, 8, 4, 17);
+    let mut model = Vgg::tiny(3, 16, 4, 17);
     let mut optimizer = Adam::new(1e-3);
     let mut rng = ChaCha8Rng::seed_from_u64(7);
+    let grids = adq_telemetry::metrics::global().counter("tensor.gemm.par_grids");
+    let before = grids.get();
 
     rayon::set_thread_override(Some(threads));
-    span::set_level(1);
-    train_epoch_parallel(
-        &mut model,
-        &data,
-        &mut optimizer,
-        BATCH,
-        MICROBATCH,
-        &mut rng,
-    );
+    span::set_level(2);
+    train_epoch(&mut model, &data, &mut optimizer, BATCH, &mut rng);
     span::set_level(0);
     rayon::set_thread_override(None);
+    assert!(grids.get() > before, "no tile grid fanned out");
     span::drain()
+}
+
+fn attr_u64(record: &SpanRecord, key: &str) -> u64 {
+    match record.attrs.iter().find(|(k, _)| *k == key) {
+        Some((_, AttrValue::U64(v))) => *v,
+        other => panic!("span {} lacks u64 attribute {key}: {other:?}", record.name),
+    }
 }
 
 fn attr_line(attrs: &[(&'static str, AttrValue)]) -> String {
@@ -80,7 +87,7 @@ fn normalize(records: &[SpanRecord]) -> String {
 }
 
 #[test]
-fn worker_spans_nest_under_their_batch_at_any_thread_count() {
+fn tile_spans_nest_under_their_product_at_any_thread_count() {
     let _guard = TRACER
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -91,35 +98,36 @@ fn worker_spans_nest_under_their_batch_at_any_thread_count() {
     let wide = traced_epoch(4);
 
     for records in [&serial, &wide] {
-        let batches: Vec<&SpanRecord> = records.iter().filter(|r| r.name == "nn.batch").collect();
-        let microbatches: Vec<&SpanRecord> = records
+        let batches = records.iter().filter(|r| r.name == "nn.batch").count();
+        assert_eq!(batches, SAMPLES / BATCH, "one span per batch");
+        let tiles: Vec<&SpanRecord> = records
             .iter()
-            .filter(|r| r.name == "nn.microbatch")
+            .filter(|r| r.name == "tensor.gemm.tile")
             .collect();
-        assert_eq!(batches.len(), SAMPLES / BATCH, "one span per batch");
-        assert_eq!(
-            microbatches.len(),
-            (SAMPLES / BATCH) * BATCH.div_ceil(MICROBATCH),
-            "one span per microbatch"
-        );
-        for micro in &microbatches {
-            let parent = batches.iter().find(|b| b.id == micro.parent);
-            let parent = parent.unwrap_or_else(|| {
-                panic!(
-                    "microbatch span {} has non-batch parent {}",
-                    micro.id, micro.parent
-                )
-            });
-            // The microbatch must run inside its parent's time window.
-            assert!(
-                micro.start_ns >= parent.start_ns && micro.end_ns <= parent.end_ns,
-                "microbatch span outside its batch window"
-            );
+        let mut fanned_out = 0;
+        for product in records.iter().filter(|r| r.name == "tensor.matmul") {
+            let children: Vec<&&SpanRecord> =
+                tiles.iter().filter(|t| t.parent == product.id).collect();
+            for tile in &children {
+                // a tile runs inside its product's time window
+                assert!(
+                    tile.start_ns >= product.start_ns && tile.end_ns <= product.end_ns,
+                    "tile span outside its product's window"
+                );
+            }
+            let flops = attr_u64(product, "m") * attr_u64(product, "n") * attr_u64(product, "k");
+            if children.len() >= 2 && flops >= PAR_TILE_MIN_FLOPS {
+                fanned_out += 1;
+            }
         }
-        for reduce in records.iter().filter(|r| r.name == "nn.reduce") {
+        assert!(fanned_out > 0, "no product split its tile grid");
+        for tile in &tiles {
             assert!(
-                batches.iter().any(|b| b.id == reduce.parent),
-                "reduce span must nest under a batch span"
+                records
+                    .iter()
+                    .any(|r| r.id == tile.parent && r.name == "tensor.matmul"),
+                "tile span {} has a parent that is not a product",
+                tile.id
             );
         }
     }

@@ -119,13 +119,12 @@ pub enum TelemetryEvent {
         /// Serialized size in bytes (header + payload).
         bytes: u64,
     },
-    /// The run's data-parallel worker pool was configured.
+    /// The worker pool the run's kernels split their products over was
+    /// configured. Streams from runs that also logged a `microbatch` key
+    /// still parse: unknown keys are ignored.
     WorkerPoolConfigured {
         /// Effective worker thread count at startup.
         threads: usize,
-        /// Microbatch size for intra-batch data parallelism (`None` =
-        /// serial training).
-        microbatch: Option<usize>,
     },
     /// A run continued from a checkpoint instead of starting fresh.
     RunResumed {
@@ -232,10 +231,7 @@ mod tests {
                 path: "ckpt/iter-0002.ckpt".into(),
                 bytes: 4096,
             },
-            TelemetryEvent::WorkerPoolConfigured {
-                threads: 4,
-                microbatch: Some(8),
-            },
+            TelemetryEvent::WorkerPoolConfigured { threads: 4 },
             TelemetryEvent::RunResumed {
                 run: "adq.run".into(),
                 next_iteration: 3,
@@ -278,5 +274,12 @@ mod tests {
         let line = serde_json::to_string(&event).expect("serialise");
         assert_eq!(line, r#"{"LayerRemoved":{"iteration":1,"layer":2}}"#);
         assert_eq!(event.kind(), "LayerRemoved");
+    }
+
+    #[test]
+    fn a_pool_event_with_the_old_microbatch_key_still_parses() {
+        let line = r#"{"WorkerPoolConfigured":{"threads":2,"microbatch":4}}"#;
+        let event: TelemetryEvent = serde_json::from_str(line).expect("deserialise");
+        assert_eq!(event, TelemetryEvent::WorkerPoolConfigured { threads: 2 });
     }
 }

@@ -175,13 +175,9 @@ impl TelemetrySink for ConsoleSink {
             } => {
                 println!("[telemetry] iter {iteration}: checkpoint saved to {path} ({bytes} B)");
             }
-            TelemetryEvent::WorkerPoolConfigured {
-                threads,
-                microbatch,
-            } => match microbatch {
-                Some(m) => println!("[telemetry] worker pool: {threads} threads, microbatch {m}"),
-                None => println!("[telemetry] worker pool: {threads} threads, serial training"),
-            },
+            TelemetryEvent::WorkerPoolConfigured { threads } => {
+                println!("[telemetry] worker pool: {threads} threads");
+            }
             TelemetryEvent::RunResumed {
                 run,
                 next_iteration,

@@ -36,6 +36,7 @@
 use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use crate::conv::{ConvGemm, PaddedInput};
@@ -44,6 +45,7 @@ use crate::scratch::Scratch;
 use crate::shape::ShapeError;
 use crate::tensor::Tensor;
 use adq_telemetry::span::{self, SpanGuard};
+use adq_telemetry::Counter;
 use rayon::prelude::*;
 
 /// Micro-kernel rows: each inner-kernel invocation produces `MR` rows of C.
@@ -71,6 +73,16 @@ pub const KC: usize = 256;
 /// Tuned when every parallel call spawned its own threads; kept unchanged
 /// under the persistent pool so band layouts and results stay identical.
 pub(crate) const PAR_TILE_MIN_FLOPS: usize = 1 << 21;
+
+/// Counts one product whose tile grid is handed to the worker pool, in
+/// the process-wide `tensor.gemm.par_grids` counter (a one-worker pool
+/// runs the grid inline, but the count is the same at any worker count).
+fn count_par_grid() {
+    static GRIDS: OnceLock<Arc<Counter>> = OnceLock::new();
+    GRIDS
+        .get_or_init(|| adq_telemetry::metrics::global().counter("tensor.gemm.par_grids"))
+        .inc();
+}
 
 /// Whether `A` (logically `[m, k]`) is stored transposed (`[k, m]`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -367,6 +379,7 @@ pub(crate) fn gemm_alloc(
         gather_ns.fetch_add(ns, Ordering::Relaxed);
     };
     if tiles >= 2 && flops >= PAR_TILE_MIN_FLOPS {
+        count_par_grid();
         (0..tiles).into_par_iter().for_each(run_tile);
     } else {
         (0..tiles).for_each(run_tile);
