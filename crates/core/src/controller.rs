@@ -1,7 +1,7 @@
 use adq_ad::{DensityHistory, SaturationDetector};
 use adq_energy::EnergyModel;
 use adq_nn::train::{evaluate_observed, export_params, train_epoch_observed, Dataset};
-use adq_nn::{Adam, Optimizer, QuantModel};
+use adq_nn::{Adam, QuantModel};
 use adq_quant::BitWidth;
 use adq_telemetry::span::{self, SpanGuard};
 use adq_telemetry::{NullSink, TelemetryEvent, TelemetrySink};

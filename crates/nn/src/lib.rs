@@ -14,7 +14,7 @@
 //!   controller in `adq-core` drives (bit-width get/set, densities, pruning),
 //! * [`Vgg`] and [`ResNet`] model builders (scaled-down variants train on a
 //!   laptop; full-size geometry is used statically by the energy models),
-//! * [`Sgd`]/[`Adam`] optimizers, [`softmax_cross_entropy`] loss and
+//! * the [`Adam`] optimizer, [`softmax_cross_entropy`] loss and
 //!   accuracy/data helpers in [`train`].
 //!
 //! Straight-through estimation: quantizers are applied in the forward pass
@@ -51,5 +51,5 @@ pub use loss::{accuracy, softmax_cross_entropy, LossOutput};
 pub use model::{
     LayerKind, LayerMut, LayerStat, QuantModel, ResNet, ResNetBlockView, Vgg, VggItem,
 };
-pub use optim::{Adam, AdamState, Optimizer, Sgd};
+pub use optim::{Adam, AdamState};
 pub use param::Param;

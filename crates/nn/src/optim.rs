@@ -3,126 +3,27 @@ use serde::{Deserialize, Serialize};
 
 use crate::param::Param;
 
-/// A gradient-descent optimizer driven through [`Param`] visitors.
+/// Adam (Kingma & Ba) — the optimizer the paper trains with
+/// ("The model is trained using Adam optimizer under standard settings").
 ///
-/// Parameters are visited in a stable order each step; optimizers key their
-/// per-parameter state on that order. After structural changes (pruning),
-/// call [`Optimizer::reset_state`].
-pub trait Optimizer {
-    /// Applies one update step to a parameter at stable index `slot`.
-    fn step_param(&mut self, slot: usize, param: &mut Param);
-
-    /// Discards per-parameter state (momentum, moments).
-    fn reset_state(&mut self);
-}
-
-/// Stochastic gradient descent with optional momentum and weight decay.
+/// Parameters are visited in a stable order each step and per-parameter
+/// moments are keyed on that order ([`Adam::step_param`]'s `slot`). After
+/// structural changes (pruning), call [`Adam::reset_state`].
 ///
 /// # Example
 ///
 /// ```
-/// use adq_nn::{Optimizer, Param, Sgd};
+/// use adq_nn::{Adam, Param};
 /// use adq_tensor::Tensor;
 ///
-/// let mut sgd = Sgd::new(0.1).with_momentum(0.9);
+/// let mut adam = Adam::new(0.1);
 /// let mut p = Param::new("w", Tensor::ones(&[1]));
 /// p.grad.data_mut()[0] = 1.0;
-/// sgd.step_param(0, &mut p);
+/// adam.begin_step();
+/// adam.step_param(0, &mut p);
+/// // the first bias-corrected step moves a weight by about `lr`
 /// assert!((p.value.data()[0] - 0.9).abs() < 1e-6);
 /// ```
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    weight_decay: f32,
-    velocity: Vec<Option<Tensor>>,
-}
-
-impl Sgd {
-    /// Creates plain SGD with learning rate `lr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not positive and finite.
-    pub fn new(lr: f32) -> Self {
-        assert!(lr > 0.0 && lr.is_finite(), "learning rate must be positive");
-        Self {
-            lr,
-            momentum: 0.0,
-            weight_decay: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Enables classical momentum.
-    pub fn with_momentum(mut self, momentum: f32) -> Self {
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-        self.momentum = momentum;
-        self
-    }
-
-    /// Enables L2 weight decay.
-    pub fn with_weight_decay(mut self, weight_decay: f32) -> Self {
-        assert!(weight_decay >= 0.0, "weight decay must be non-negative");
-        self.weight_decay = weight_decay;
-        self
-    }
-
-    /// Current learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Updates the learning rate (schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        assert!(lr > 0.0 && lr.is_finite(), "learning rate must be positive");
-        self.lr = lr;
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step_param(&mut self, slot: usize, param: &mut Param) {
-        if self.velocity.len() <= slot {
-            self.velocity.resize(slot + 1, None);
-        }
-        let wd = self.weight_decay;
-        if self.momentum == 0.0 {
-            if wd > 0.0 {
-                let decay: Vec<f32> = param.value.data().iter().map(|&v| v * wd).collect();
-                for (g, d) in param.grad.data_mut().iter_mut().zip(decay) {
-                    *g += d;
-                }
-            }
-            param.apply_grad(-self.lr);
-            return;
-        }
-        let (momentum, lr) = (self.momentum, self.lr);
-        let v = self.velocity[slot].get_or_insert_with(|| Tensor::zeros(param.value.dims()));
-        if v.dims() != param.value.dims() {
-            *v = Tensor::zeros(param.value.dims());
-        }
-        let grads: Vec<f32> = param
-            .grad
-            .data()
-            .iter()
-            .zip(param.value.data())
-            .map(|(&g, &w)| g + wd * w)
-            .collect();
-        for (vel, g) in v.data_mut().iter_mut().zip(&grads) {
-            *vel = momentum * *vel + g;
-        }
-        for (w, &s) in param.value.data_mut().iter_mut().zip(v.data()) {
-            *w -= lr * s;
-        }
-    }
-
-    fn reset_state(&mut self) {
-        self.velocity.clear();
-    }
-}
-
-/// Adam (Kingma & Ba) — the optimizer the paper trains with
-/// ("The model is trained using Adam optimizer under standard settings").
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f32,
@@ -186,24 +87,9 @@ impl Adam {
         self.t = state.t;
         self.moments = state.moments;
     }
-}
 
-/// Serializable snapshot of an [`Adam`] optimizer — part of the run
-/// checkpoint alongside model parameters (β/ε are compile-time constants of
-/// [`Adam::new`] and are not stored).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AdamState {
-    /// Learning rate at snapshot time.
-    pub lr: f32,
-    /// Shared timestep (bias-correction exponent).
-    pub t: u64,
-    /// First/second moment pair per parameter slot; `None` for slots never
-    /// stepped.
-    pub moments: Vec<Option<(Tensor, Tensor)>>,
-}
-
-impl Optimizer for Adam {
-    fn step_param(&mut self, slot: usize, param: &mut Param) {
+    /// Applies one update step to the parameter at stable index `slot`.
+    pub fn step_param(&mut self, slot: usize, param: &mut Param) {
         if self.t == 0 {
             // tolerate callers that skip begin_step
             self.t = 1;
@@ -248,10 +134,25 @@ impl Optimizer for Adam {
         );
     }
 
-    fn reset_state(&mut self) {
+    /// Discards the per-parameter moments and the timestep.
+    pub fn reset_state(&mut self) {
         self.moments.clear();
         self.t = 0;
     }
+}
+
+/// Serializable snapshot of an [`Adam`] optimizer — part of the run
+/// checkpoint alongside model parameters (β/ε are compile-time constants of
+/// [`Adam::new`] and are not stored).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct AdamState {
+    /// Learning rate at snapshot time.
+    pub lr: f32,
+    /// Shared timestep (bias-correction exponent).
+    pub t: u64,
+    /// First/second moment pair per parameter slot; `None` for slots never
+    /// stepped.
+    pub moments: Vec<Option<(Tensor, Tensor)>>,
 }
 
 #[cfg(test)]
@@ -260,32 +161,6 @@ mod tests {
 
     fn quadratic_param(x0: f32) -> Param {
         Param::new("x", Tensor::from_slice(&[x0]))
-    }
-
-    /// Minimise f(x) = x² with the given optimizer.
-    fn minimise(opt: &mut dyn Optimizer, steps: usize, is_adam: Option<&mut Adam>) -> f32 {
-        let _ = is_adam;
-        let mut p = quadratic_param(5.0);
-        for _ in 0..steps {
-            p.zero_grad();
-            p.grad.data_mut()[0] = 2.0 * p.value.data()[0];
-            opt.step_param(0, &mut p);
-        }
-        p.value.data()[0]
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut sgd = Sgd::new(0.1);
-        let x = minimise(&mut sgd, 100, None);
-        assert!(x.abs() < 1e-3, "x = {x}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let mut sgd = Sgd::new(0.05).with_momentum(0.9);
-        let x = minimise(&mut sgd, 200, None);
-        assert!(x.abs() < 1e-2, "x = {x}");
     }
 
     #[test]
@@ -299,26 +174,6 @@ mod tests {
             adam.step_param(0, &mut p);
         }
         assert!(p.value.data()[0].abs() < 1e-2, "x = {}", p.value.data()[0]);
-    }
-
-    #[test]
-    fn weight_decay_shrinks_weights_without_gradient() {
-        let mut sgd = Sgd::new(0.1).with_weight_decay(0.5);
-        let mut p = quadratic_param(1.0);
-        p.zero_grad();
-        sgd.step_param(0, &mut p);
-        // w -= lr * wd * w => 1 - 0.05
-        assert!((p.value.data()[0] - 0.95).abs() < 1e-6);
-    }
-
-    #[test]
-    fn reset_state_clears_momentum() {
-        let mut sgd = Sgd::new(0.1).with_momentum(0.9);
-        let mut p = quadratic_param(1.0);
-        p.grad.data_mut()[0] = 1.0;
-        sgd.step_param(0, &mut p);
-        sgd.reset_state();
-        assert!(sgd.velocity.is_empty());
     }
 
     #[test]
@@ -339,7 +194,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn zero_lr_panics() {
-        Sgd::new(0.0);
+        Adam::new(0.0);
     }
 
     #[test]

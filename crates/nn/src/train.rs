@@ -14,7 +14,7 @@ use rand::Rng;
 
 use crate::loss::{accuracy, softmax_cross_entropy};
 use crate::model::QuantModel;
-use crate::optim::{Adam, Optimizer};
+use crate::optim::Adam;
 
 /// Opens an `nn.batch` span for one training batch (no-op when tracing
 /// is off; the attribute vector is only built when recorded).
