@@ -8,8 +8,7 @@
 //!   re-assignment, pruning, layer removal, iteration and run completion,
 //!   energy estimates), serializable as externally tagged JSON.
 //! * [`TelemetrySink`] — where events go: [`JsonlSink`] (buffered file,
-//!   one JSON object per line), [`ConsoleSink`] (human one-liners),
-//!   [`MemorySink`] (tests), [`MultiSink`] (fan-out), and the default
+//!   one JSON object per line), [`MemorySink`] (tests), and the default
 //!   no-op [`NullSink`].
 //! * [`MetricsRegistry`] — thread-safe counters, gauges, and fixed-bucket
 //!   histograms; [`ScopedTimer`] records wall-time into a histogram on
@@ -59,7 +58,7 @@ pub use event::TelemetryEvent;
 pub use health::{HealthMonitor, RunHealth};
 pub use lifecycle::{AccessLog, AccessLogHandle, LogSummary, RequestRecord, TailExemplars};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, ScopedTimer};
-pub use sink::{ConsoleSink, JsonlSink, MemorySink, MultiSink, NullSink, TelemetrySink};
+pub use sink::{JsonlSink, MemorySink, NullSink, TelemetrySink};
 pub use span::{AttrValue, SpanGuard, SpanRecord};
 pub use trace::TraceSpan;
 

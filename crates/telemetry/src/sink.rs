@@ -83,146 +83,6 @@ impl TelemetrySink for MemorySink {
     }
 }
 
-/// Prints one human-readable line per event to stdout.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ConsoleSink;
-
-impl TelemetrySink for ConsoleSink {
-    fn record(&self, event: &TelemetryEvent) {
-        match event {
-            TelemetryEvent::RunStarted { run, seed, .. } => {
-                println!("[telemetry] run started: {run} (seed {seed})");
-            }
-            TelemetryEvent::EpochCompleted {
-                iteration,
-                epoch,
-                loss,
-                accuracy,
-            } => {
-                println!(
-                    "[telemetry] iter {iteration} epoch {epoch}: \
-                     loss {loss:.4}, acc {:.1}%",
-                    accuracy * 100.0
-                );
-            }
-            TelemetryEvent::DensityMeasured {
-                iteration,
-                epoch,
-                total_ad,
-                densities,
-            } => {
-                println!(
-                    "[telemetry] iter {iteration} epoch {epoch}: \
-                     total AD {total_ad:.4} over {} layers",
-                    densities.len()
-                );
-            }
-            TelemetryEvent::SaturationDetected {
-                iteration, epoch, ..
-            } => {
-                println!("[telemetry] iter {iteration}: AD saturated at epoch {epoch}");
-            }
-            TelemetryEvent::BitWidthAssigned {
-                iteration,
-                layer,
-                old_bits,
-                new_bits,
-            } => {
-                println!(
-                    "[telemetry] iter {iteration}: layer {layer} bits {old_bits} -> {new_bits}"
-                );
-            }
-            TelemetryEvent::LayerPruned {
-                iteration,
-                layer,
-                old_channels,
-                new_channels,
-            } => {
-                println!(
-                    "[telemetry] iter {iteration}: layer {layer} pruned \
-                     {old_channels} -> {new_channels} channels"
-                );
-            }
-            TelemetryEvent::LayerRemoved { iteration, layer } => {
-                println!("[telemetry] iter {iteration}: layer {layer} removed (dead)");
-            }
-            TelemetryEvent::IterationCompleted {
-                iteration,
-                epochs_trained,
-                test_accuracy,
-                ..
-            } => {
-                println!(
-                    "[telemetry] iter {iteration} done: {epochs_trained} epochs, \
-                     test acc {:.1}%",
-                    test_accuracy * 100.0
-                );
-            }
-            TelemetryEvent::EnergyEstimated {
-                label,
-                total_pj,
-                efficiency_vs_baseline,
-            } => {
-                println!(
-                    "[telemetry] energy {label}: {total_pj:.1} pJ \
-                     ({efficiency_vs_baseline:.2}x vs baseline)"
-                );
-            }
-            TelemetryEvent::CheckpointSaved {
-                iteration,
-                path,
-                bytes,
-            } => {
-                println!("[telemetry] iter {iteration}: checkpoint saved to {path} ({bytes} B)");
-            }
-            TelemetryEvent::WorkerPoolConfigured { threads } => {
-                println!("[telemetry] worker pool: {threads} threads");
-            }
-            TelemetryEvent::RunResumed {
-                run,
-                next_iteration,
-                completed_iterations,
-            } => {
-                println!(
-                    "[telemetry] run resumed: {run} at iter {next_iteration} \
-                     ({completed_iterations} already complete)"
-                );
-            }
-            TelemetryEvent::RunCompleted {
-                iterations,
-                training_complexity,
-                final_accuracy,
-            } => {
-                println!(
-                    "[telemetry] run done: {iterations} iterations, \
-                     complexity {training_complexity:.3}, final acc {:.1}%",
-                    final_accuracy * 100.0
-                );
-            }
-            TelemetryEvent::SpanClosed {
-                name,
-                start_ns,
-                end_ns,
-                thread,
-                ..
-            } => {
-                println!(
-                    "[telemetry] span {name}: {:.3} ms on thread {thread}",
-                    end_ns.saturating_sub(*start_ns) as f64 / 1e6
-                );
-            }
-            TelemetryEvent::TraceExported {
-                path,
-                spans,
-                dropped,
-                format,
-            } => {
-                println!("[telemetry] trace exported: {path} ({format}, {spans} spans, {dropped} dropped)");
-            }
-        }
-    }
-}
-
 /// Appends one JSON object per line to a file (buffered).
 ///
 /// Writes go through a [`BufWriter`] so hot instrumented runs (span
@@ -338,50 +198,6 @@ impl Drop for JsonlSink {
     }
 }
 
-/// Fans every event out to several sinks in order.
-#[derive(Default)]
-pub struct MultiSink {
-    sinks: Vec<Box<dyn TelemetrySink>>,
-}
-
-impl MultiSink {
-    /// An empty fan-out.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a sink to the fan-out (builder style).
-    #[must_use]
-    pub fn with(mut self, sink: impl TelemetrySink + 'static) -> Self {
-        self.sinks.push(Box::new(sink));
-        self
-    }
-
-    /// Number of attached sinks.
-    pub fn len(&self) -> usize {
-        self.sinks.len()
-    }
-
-    /// Whether the fan-out has no sinks.
-    pub fn is_empty(&self) -> bool {
-        self.sinks.is_empty()
-    }
-}
-
-impl TelemetrySink for MultiSink {
-    fn record(&self, event: &TelemetryEvent) {
-        for sink in &self.sinks {
-            sink.record(event);
-        }
-    }
-
-    fn flush(&self) {
-        for sink in &self.sinks {
-            sink.flush();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -494,16 +310,5 @@ mod tests {
         assert_eq!(text.lines().count(), JsonlSink::FLUSH_EVERY_EVENTS + 2);
         drop(sink);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn multi_sink_fans_out() {
-        let a = std::sync::Arc::new(MemorySink::new());
-        let b = std::sync::Arc::new(MemorySink::new());
-        let multi = MultiSink::new().with(a.clone()).with(b.clone());
-        multi.record(&sample_event());
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
-        assert_eq!(multi.len(), 2);
     }
 }
