@@ -136,8 +136,13 @@ impl RangeObserver for MovingAverageObserver {
         if !self.seen {
             return Err(QuantError::EmptyObserver);
         }
-        // EMA can momentarily invert on adversarial streams; normalise.
-        QuantRange::new(self.min.min(self.max), self.max.max(self.min))
+        // EMA can momentarily invert on adversarial streams; normalise,
+        // keeping both bounds on a ±0 tie
+        if self.max < self.min {
+            QuantRange::new(self.max, self.min)
+        } else {
+            QuantRange::new(self.min, self.max)
+        }
     }
 
     fn reset(&mut self) {
@@ -161,8 +166,9 @@ fn finite_batch_range(data: &[f32]) -> Option<QuantRange> {
     let mut kept = 0usize;
     for &x in data {
         if x.is_finite() {
-            min = min.min(x);
-            max = max.max(x);
+            // keep the running bound on a ±0 tie, as `from_data` does
+            min = if x < min { x } else { min };
+            max = if x > max { x } else { max };
             kept += 1;
         }
     }

@@ -126,10 +126,23 @@ impl QuantRange {
     }
 
     /// Smallest range containing both `self` and `other`.
+    ///
+    /// A `±0` tie keeps `self`'s bound, as [`QuantRange::from_data`]
+    /// keeps the first zero, so the union of two batches' ranges has the
+    /// bits of their concatenation's range. (`f32::min`/`max` leave the
+    /// tie to code generation.)
     pub fn union(&self, other: &QuantRange) -> QuantRange {
         QuantRange {
-            min: self.min.min(other.min),
-            max: self.max.max(other.max),
+            min: if other.min < self.min {
+                other.min
+            } else {
+                self.min
+            },
+            max: if other.max > self.max {
+                other.max
+            } else {
+                self.max
+            },
         }
     }
 }

@@ -1,6 +1,9 @@
 //! Property-based tests for quantization invariants (DESIGN.md §7).
 
-use adq_quant::{BitWidth, HwPrecision, QuantError, QuantRange, Quantizer};
+use adq_quant::{
+    BitWidth, HwPrecision, MinMaxObserver, MovingAverageObserver, QuantError, QuantRange,
+    Quantizer, RangeObserver,
+};
 use proptest::prelude::*;
 
 fn quantizer_strategy() -> impl Strategy<Value = Quantizer> {
@@ -166,8 +169,9 @@ fn scalar_range(data: &[f32]) -> Result<QuantRange, QuantError> {
         if !x.is_finite() {
             return Err(QuantError::InvalidRange { min: x, max: x });
         }
-        lo = lo.min(x);
-        hi = hi.max(x);
+        // the running bound stays on a ±0 tie
+        lo = if x < lo { x } else { lo };
+        hi = if x > hi { x } else { hi };
     }
     QuantRange::new(lo, hi)
 }
@@ -234,6 +238,53 @@ proptest! {
         prop_assert_eq!(
             range_bits(QuantRange::from_data(&data)),
             range_bits(scalar_range(&data))
+        );
+    }
+
+    /// Batches of signed zeros mixed with values, one-signed at times so
+    /// a zero is the bound: merging per-batch ranges (`union`, and the
+    /// min/max observer built on it) must give the bits of the range of
+    /// the concatenation, and an EMA observer's first batch the bits of
+    /// that batch's range.
+    #[test]
+    fn merged_ranges_keep_the_first_zero_bitwise(
+        batches in proptest::collection::vec(
+            proptest::collection::vec((0u8..12, any::<u32>(), -8.0f32..8.0), 0..24),
+            1..5,
+        ),
+        sign in 0u8..3,
+    ) {
+        let batches: Vec<Vec<f32>> = batches
+            .into_iter()
+            .map(|values| {
+                values
+                    .into_iter()
+                    .map(|(kind, bits, x)| match scan_value(kind, bits, x) {
+                        v if sign == 1 && v < 0.0 => -v,
+                        v if sign == 2 && v > 0.0 => -v,
+                        v => v,
+                    })
+                    .collect()
+            })
+            .collect();
+        let whole = range_bits(QuantRange::from_data(&batches.concat()));
+        let unioned = batches
+            .iter()
+            .filter_map(|b| QuantRange::from_data(b).ok())
+            .reduce(|acc, r| acc.union(&r))
+            .ok_or(QuantError::EmptyObserver);
+        prop_assert_eq!(range_bits(unioned), whole.clone());
+        let mut minmax = MinMaxObserver::new();
+        for batch in &batches {
+            minmax.observe(batch);
+        }
+        prop_assert_eq!(range_bits(minmax.range()), whole);
+
+        let mut ema = MovingAverageObserver::default();
+        ema.observe(&batches[0]);
+        prop_assert_eq!(
+            range_bits(ema.range()),
+            range_bits(QuantRange::from_data(&batches[0]))
         );
     }
 }
