@@ -68,8 +68,13 @@ cargo test -q -p adq-tensor -p adq-telemetry
 echo "==> tier-1: model + controller tests (cargo test -q -p adq-nn -p adq-core)"
 cargo test -q -p adq-nn -p adq-core
 
-# The data-parallel trainer promises bit-identical results at any worker
-# count; one extra pass under a small pool exercises the parallel schedule
+# Nor the quantizer (the range and tie-rule proptests), AD, energy, PIM,
+# dataset and bench-crate suites.
+echo "==> tier-1: quant, AD, energy, PIM, dataset and bench tests"
+cargo test -q -p adq-quant -p adq-ad -p adq-energy -p adq-pim -p adq-datasets -p adq-bench
+
+# The kernels promise bit-identical results at any worker count; one
+# extra pass under a small pool exercises the parallel schedule
 # everywhere the suite asserts serial numbers.
 echo "==> tier-1: cargo test -q (RAYON_NUM_THREADS=2)"
 RAYON_NUM_THREADS=2 cargo test -q
