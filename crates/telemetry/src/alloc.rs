@@ -20,7 +20,7 @@
 //! when it opens and attaches the deltas as span attributes when it
 //! closes. Parent spans therefore include same-thread child work
 //! automatically, and cross-thread work is carried by the worker's own
-//! spans (`nn.microbatch`).
+//! spans (`tensor.gemm.tile`).
 //!
 //! Everything is gated on [`tracking`] (set from the `ADQ_RESOURCES`
 //! environment variable by [`init_from_env`], or directly via

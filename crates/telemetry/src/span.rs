@@ -21,7 +21,7 @@
 //! once, at the first level check) or [`set_level`] enables it:
 //!
 //! * `0` — disabled; every instrumentation site costs one relaxed load.
-//! * `1` — controller phases, epochs, batches/microbatches, and GEMMs
+//! * `1` — controller phases, epochs, batches, and GEMMs
 //!   large enough to clear the blocked-kernel threshold.
 //! * `2` — verbose: additionally GEMM macro-tiles, `im2col`, and
 //!   fake-quantize passes. Expect large trace files.
@@ -223,7 +223,7 @@ pub struct SpanRecord {
     /// Dense id of the recording thread (see [`thread_id`]).
     pub thread: u64,
     /// Static span name, dot-separated by subsystem (`adq.iteration`,
-    /// `nn.microbatch`, `tensor.matmul`, ...).
+    /// `nn.batch`, `tensor.matmul`, ...).
     pub name: &'static str,
     /// Monotonic start, nanoseconds since the process tracing epoch.
     pub start_ns: u64,

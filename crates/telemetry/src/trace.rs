@@ -27,7 +27,7 @@ pub struct TraceSpan {
     pub parent: u64,
     /// Dense id of the recording thread.
     pub thread: u64,
-    /// Span name (`adq.iteration`, `nn.microbatch`, ...).
+    /// Span name (`adq.iteration`, `tensor.gemm.tile`, ...).
     pub name: String,
     /// Monotonic start, ns since the recording process's tracing epoch.
     pub start_ns: u64,
@@ -304,10 +304,10 @@ mod tests {
             id: 5,
             parent: 2,
             thread: 3,
-            name: "nn.microbatch".to_string(),
+            name: "tensor.gemm.tile".to_string(),
             start_ns: 10,
             end_ns: 60,
-            args: serde_json::json!({"index": 1}),
+            args: serde_json::json!({"tile": 1}),
         };
         let event = TelemetryEvent::SpanClosed {
             id: original.id,
@@ -327,7 +327,7 @@ mod tests {
             None
         );
         assert_eq!(spans_from_events(&[event]).len(), 1);
-        assert_eq!(original.arg_u64("index"), Some(1));
+        assert_eq!(original.arg_u64("tile"), Some(1));
         assert_eq!(original.duration_ns(), 50);
     }
 

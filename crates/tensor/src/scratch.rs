@@ -16,7 +16,7 @@
 //! buffer it ever saw.
 //!
 //! For call sites without a natural owner for an arena (the plain
-//! [`crate::matmul`] entry points, microbatch workers), a process-wide
+//! [`crate::matmul`] entry points, pool workers), a process-wide
 //! **thread-keyed pool** hands each OS thread its own arena via
 //! [`with_thread_scratch`] — no locking on the hot path, and buffers never
 //! migrate between threads.
