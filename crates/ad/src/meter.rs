@@ -61,20 +61,6 @@ impl DensityMeter {
         self.total += activations.len() as u64;
     }
 
-    /// Merges another meter's counts into this one (order-invariant).
-    pub fn merge(&mut self, other: &DensityMeter) {
-        self.nonzero += other.nonzero;
-        self.total += other.total;
-    }
-
-    /// A meter carrying raw counts — the inverse of reading
-    /// [`DensityMeter::nonzero_count`] / [`DensityMeter::total_count`],
-    /// used to ship counts between model replicas for an exact
-    /// [`DensityMeter::merge`].
-    pub fn from_counts(nonzero: u64, total: u64) -> Self {
-        Self { nonzero, total }
-    }
-
     /// Activation Density: non-zero / total, or 0 if nothing observed.
     pub fn density(&self) -> f64 {
         if self.total == 0 {
@@ -154,38 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_sequential_observation() {
-        let a_data = Tensor::from_slice(&[0.0, 1.0, 2.0]);
-        let b_data = Tensor::from_slice(&[0.0, 0.0, 5.0]);
-
-        let mut seq = DensityMeter::new();
-        seq.observe(&a_data);
-        seq.observe(&b_data);
-
-        let mut a = DensityMeter::new();
-        a.observe(&a_data);
-        let mut b = DensityMeter::new();
-        b.observe(&b_data);
-        a.merge(&b);
-
-        assert_eq!(a, seq);
-    }
-
-    #[test]
-    fn merge_is_commutative() {
-        let mut a = DensityMeter::new();
-        a.observe_slice(&[1.0, 0.0]);
-        let mut b = DensityMeter::new();
-        b.observe_slice(&[1.0, 1.0, 0.0]);
-
-        let mut ab = a;
-        ab.merge(&b);
-        let mut ba = b;
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-    }
-
-    #[test]
     fn reset_clears() {
         let mut m = DensityMeter::new();
         m.observe_slice(&[1.0]);
@@ -208,14 +162,6 @@ mod tests {
             let d = m.density();
             assert!((0.0..=1.0).contains(&d));
         }
-    }
-
-    #[test]
-    fn from_counts_roundtrips_accessors() {
-        let m = DensityMeter::from_counts(7, 20);
-        assert_eq!(m.nonzero_count(), 7);
-        assert_eq!(m.total_count(), 20);
-        assert_eq!(m.density(), 0.35);
     }
 
     #[test]

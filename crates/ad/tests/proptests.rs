@@ -22,26 +22,6 @@ proptest! {
     }
 
     #[test]
-    fn merge_order_invariant(
-        a in proptest::collection::vec(-2.0f32..2.0, 0..64),
-        b in proptest::collection::vec(-2.0f32..2.0, 0..64),
-        c in proptest::collection::vec(-2.0f32..2.0, 0..64),
-    ) {
-        let meter_of = |data: &[f32]| {
-            let mut m = DensityMeter::new();
-            m.observe_slice(data);
-            m
-        };
-        let mut abc = meter_of(&a);
-        abc.merge(&meter_of(&b));
-        abc.merge(&meter_of(&c));
-        let mut cba = meter_of(&c);
-        cba.merge(&meter_of(&b));
-        cba.merge(&meter_of(&a));
-        prop_assert_eq!(abc, cba);
-    }
-
-    #[test]
     fn split_observation_equals_whole(values in proptest::collection::vec(-2.0f32..2.0, 2..128), split in 1usize..127) {
         let split = split.min(values.len() - 1);
         let mut whole = DensityMeter::new();
