@@ -99,11 +99,6 @@ impl Tensor {
         Ok(())
     }
 
-    /// Multiplies every element by `alpha`, returning a new tensor.
-    pub fn scaled(&self, alpha: f32) -> Tensor {
-        self.map(|x| x * alpha)
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data().iter().sum()
