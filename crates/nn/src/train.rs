@@ -291,7 +291,7 @@ pub fn measure_densities_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{ResNet, Vgg};
+    use crate::model::{LayerMut, ResNet, Vgg};
     use adq_tensor::init;
 
     fn toy_dataset(n: usize, seed: u64) -> Dataset {
@@ -501,7 +501,7 @@ mod tests {
     fn full_state(model: &mut dyn QuantModel) -> ModelState {
         let mut channels = Vec::new();
         model.visit_layers(&mut |layer| {
-            if let crate::model::LayerMut::Conv(block) = layer {
+            if let LayerMut::Conv(block) = layer {
                 channels.push(block.channel_densities());
             }
         });
