@@ -120,8 +120,8 @@ pub enum TelemetryEvent {
         bytes: u64,
     },
     /// The worker pool the run's kernels split their products over was
-    /// configured. Streams from runs that also logged a `microbatch` key
-    /// still parse: unknown keys are ignored.
+    /// configured. Lines carrying keys this version does not know (older
+    /// runs logged more) still parse: unknown keys are ignored.
     WorkerPoolConfigured {
         /// Effective worker thread count at startup.
         threads: usize,
@@ -277,8 +277,8 @@ mod tests {
     }
 
     #[test]
-    fn a_pool_event_with_the_old_microbatch_key_still_parses() {
-        let line = r#"{"WorkerPoolConfigured":{"threads":2,"microbatch":4}}"#;
+    fn a_pool_event_with_an_unknown_key_still_parses() {
+        let line = r#"{"WorkerPoolConfigured":{"threads":2,"retired":4}}"#;
         let event: TelemetryEvent = serde_json::from_str(line).expect("deserialise");
         assert_eq!(event, TelemetryEvent::WorkerPoolConfigured { threads: 2 });
     }
