@@ -6,7 +6,7 @@
 
 use std::fs;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use adq_core::checkpoint::{CheckpointError, CheckpointManager};
 use adq_core::{AdQuantizer, AdqConfig, AdqOutcome};
@@ -18,6 +18,18 @@ use adq_telemetry::{MemorySink, NullSink, TelemetryEvent};
 /// `rayon::set_thread_override` is process-global, so tests that flip it
 /// must not interleave.
 static THREAD_OVERRIDE: Mutex<()> = Mutex::new(());
+
+/// Takes [`THREAD_OVERRIDE`]. A test that failed while holding it
+/// poisons the mutex and may have left the override set; taking the
+/// guard anyway and clearing the override keeps each test's result its
+/// own.
+fn override_guard() -> MutexGuard<'static, ()> {
+    let guard = THREAD_OVERRIDE
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    rayon::set_thread_override(None);
+    guard
+}
 
 fn tiny_task() -> (Dataset, Dataset) {
     SyntheticSpec::cifar10_like()
@@ -80,7 +92,7 @@ fn run_with_threads(threads: usize, tag: &str) -> (AdqOutcome, Vec<(String, Vec<
 
 #[test]
 fn outcome_and_checkpoints_are_bit_identical_across_thread_counts() {
-    let _guard = THREAD_OVERRIDE.lock().expect("override guard");
+    let _guard = override_guard();
 
     let (serial, serial_files) = run_with_threads(1, "t1");
     let (wide, wide_files) = run_with_threads(4, "t4");
@@ -111,7 +123,7 @@ fn outcome_and_checkpoints_are_bit_identical_across_thread_counts() {
 
 #[test]
 fn resume_refuses_a_checkpoint_taken_under_a_microbatch() {
-    let _guard = THREAD_OVERRIDE.lock().expect("override guard");
+    let _guard = override_guard();
 
     let (train, test) = tiny_task();
     let dir = scratch_dir("mismatch");
@@ -146,7 +158,7 @@ fn resume_refuses_a_checkpoint_taken_under_a_microbatch() {
 
 #[test]
 fn run_reports_its_worker_pool() {
-    let _guard = THREAD_OVERRIDE.lock().expect("override guard");
+    let _guard = override_guard();
 
     let (train, test) = tiny_task();
     let mut model = Vgg::tiny(3, 8, 4, 13);

@@ -186,16 +186,106 @@ impl Requant {
     }
 
     /// The requantized values of one activation row, one per output
-    /// channel, from the row's accumulators and code sum.
-    #[inline]
+    /// channel, from the row's accumulators and code sum: the scalar
+    /// expression [`Requant::row_into`] is held to.
+    #[cfg(test)]
     fn row<'a>(&'a self, accs: &'a [i64], act_sum: u64) -> impl Iterator<Item = f64> + 'a {
         let row_term = self.act_sum_scale * act_sum as f64;
-        accs.iter().zip(&self.weight_terms).zip(&self.bias).map(
-            move |((&acc, &weight_term), &bias)| {
-                self.scale * acc as f64 + row_term + weight_term + self.offset + bias
-            },
-        )
+        (0..accs.len()).map(move |o| self.value(accs[o], row_term, o))
     }
+
+    /// Output channel `o`'s value for accumulator `acc` in a row whose
+    /// code-sum term is `row_term`.
+    #[inline]
+    fn value(&self, acc: i64, row_term: f64, o: usize) -> f64 {
+        self.scale * acc as f64 + row_term + self.weight_terms[o] + self.offset + self.bias[o]
+    }
+
+    /// Requantizes one activation row into `out`, one `f32` per output
+    /// channel: each value rounded to `f32` and raised to `floor` —
+    /// `x > floor ? x : floor`, so a NaN or `-0.0` value gives the floor
+    /// (`0.0` is a fused ReLU; `-inf` passes every finite value).
+    ///
+    /// Where the CPU has AVX-512F and DQ, 8 channels run per step in
+    /// `f64` lanes that take the scalar expression's operations in the
+    /// same order (convert, multiply, then four separate adds — no FMA —
+    /// then one rounding to `f32` and a `max`), so every value has the
+    /// bits of the portable body, [`Requant::row_into_portable`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `accs` and `out` hold one entry per output channel.
+    fn row_into(&self, accs: &[i64], act_sum: u64, floor: f32, out: &mut [f32]) {
+        assert!(
+            accs.len() == self.bias.len() && out.len() == accs.len(),
+            "one accumulator and one output per channel"
+        );
+        #[cfg(target_arch = "x86_64")]
+        if avx512dq_available() {
+            // SAFETY: the features were detected at runtime, and the
+            // slice lengths were checked above.
+            unsafe { self.row_into_avx512(accs, act_sum, floor, out) };
+            return;
+        }
+        self.row_into_portable(accs, act_sum, floor, out);
+    }
+
+    /// The scalar body of [`Requant::row_into`].
+    fn row_into_portable(&self, accs: &[i64], act_sum: u64, floor: f32, out: &mut [f32]) {
+        let row_term = self.act_sum_scale * act_sum as f64;
+        self.floored_from(0, accs, row_term, floor, out);
+    }
+
+    /// Channels `from..` of [`Requant::row_into_portable`].
+    fn floored_from(&self, from: usize, accs: &[i64], row_term: f64, floor: f32, out: &mut [f32]) {
+        for (o, v) in out.iter_mut().enumerate().skip(from) {
+            let x = self.value(accs[o], row_term, o) as f32;
+            *v = if x > floor { x } else { floor };
+        }
+    }
+
+    /// The AVX-512 body of [`Requant::row_into`]: 8 channels per step,
+    /// scalar tail.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F and AVX-512DQ, and `accs` and `out`
+    /// must hold one entry per output channel.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    unsafe fn row_into_avx512(&self, accs: &[i64], act_sum: u64, floor: f32, out: &mut [f32]) {
+        use std::arch::x86_64::{
+            _mm256_max_ps, _mm256_set1_ps, _mm256_storeu_ps, _mm512_add_pd, _mm512_cvtepi64_pd,
+            _mm512_cvtpd_ps, _mm512_loadu_pd, _mm512_loadu_si512, _mm512_mul_pd, _mm512_set1_pd,
+        };
+        let row_term = self.act_sum_scale * act_sum as f64;
+        let scale = _mm512_set1_pd(self.scale);
+        let row = _mm512_set1_pd(row_term);
+        let offset = _mm512_set1_pd(self.offset);
+        let low = _mm256_set1_ps(floor);
+        let whole = out.len() / 8 * 8;
+        for o in (0..whole).step_by(8) {
+            let acc = _mm512_cvtepi64_pd(_mm512_loadu_si512(accs.as_ptr().add(o).cast()));
+            let x = _mm512_mul_pd(scale, acc);
+            let x = _mm512_add_pd(x, row);
+            let x = _mm512_add_pd(x, _mm512_loadu_pd(self.weight_terms.as_ptr().add(o)));
+            let x = _mm512_add_pd(x, offset);
+            let x = _mm512_add_pd(x, _mm512_loadu_pd(self.bias.as_ptr().add(o)));
+            // vmaxps returns its second operand unless the first is
+            // greater: `x > floor ? x : floor`
+            let v = _mm256_max_ps(_mm512_cvtpd_ps(x), low);
+            _mm256_storeu_ps(out.as_mut_ptr().add(o), v);
+        }
+        self.floored_from(whole, accs, row_term, floor, out);
+    }
+}
+
+/// Runtime AVX-512F + DQ detection, resolved once per process.
+#[cfg(target_arch = "x86_64")]
+fn avx512dq_available() -> bool {
+    static AVX512DQ: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *AVX512DQ
+        .get_or_init(|| is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq"))
 }
 
 /// Quantizes a `[rows, k]` weight matrix at `bits` and packs it in the
@@ -595,8 +685,9 @@ impl CompiledResNet {
 /// Encodes a float slice into a `u16` code buffer — the entry into the
 /// fused code chain (network input, or calibration activations).
 fn encode_all(values: &[f32], quantizer: &Quantizer) -> Vec<u16> {
-    let enc = quantizer.encoder();
-    values.iter().map(|&v| enc.encode(v) as u16).collect()
+    let mut codes = vec![0u16; values.len()];
+    quantizer.encoder().encode_into(values, &mut codes);
+    codes
 }
 
 impl CompiledConv {
@@ -776,9 +867,7 @@ impl CompiledConv {
         qgemm_rows(&acts, &self.weights, |mi, accs| {
             let (ni, s) = (mi / spatial, mi % spatial);
             let base = ni * oc * plane + ((s / ow) >> shift) * plane_w + ((s % ow) >> shift);
-            for (v, x) in values.iter_mut().zip(self.requant.row(accs, sum_ca[mi])) {
-                *v = (x as f32).max(floor);
-            }
+            self.requant.row_into(accs, sum_ca[mi], floor, &mut values);
             sink(base, plane, &values);
         });
     }
@@ -802,9 +891,7 @@ impl CompiledConv {
         // once. A row is encoded before it is scattered, which keeps the
         // encode loop free of strided stores.
         self.forward_into(codes, dims, self.pool, |base, plane, values| {
-            for (code, &v) in row.iter_mut().zip(values) {
-                *code = enc.encode(v) as u16;
-            }
+            enc.encode_into(values, &mut row);
             for (cell, &code) in out[base..].iter_mut().step_by(plane).zip(&row) {
                 *cell = (*cell).max(code);
             }
@@ -845,9 +932,8 @@ impl CompiledLinear {
         let dst = out.data_mut();
         qgemm_rows(&acts, &self.weights, |ni, accs| {
             let logits = &mut dst[ni * o..(ni + 1) * o];
-            for (logit, v) in logits.iter_mut().zip(self.requant.row(accs, sum_ca[ni])) {
-                *logit = v as f32;
-            }
+            self.requant
+                .row_into(accs, sum_ca[ni], f32::NEG_INFINITY, logits);
         });
         out
     }
@@ -1255,6 +1341,94 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A seeded stream of `u64`s.
+    fn lcg(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state
+        }
+    }
+
+    /// `Requant::row` → `as f32` → raised to `floor`, the scalar
+    /// reference of both row bodies. The floor is taken as `x > floor ?
+    /// x : floor` rather than through `f32::max`, which leaves the ±0 tie
+    /// to code generation.
+    fn reference_row(requant: &Requant, accs: &[i64], act_sum: u64, floor: f32) -> Vec<u32> {
+        requant
+            .row(accs, act_sum)
+            .map(|v| {
+                let x = v as f32;
+                if x > floor { x } else { floor }.to_bits()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn row_bodies_match_the_scalar_requant_bit_for_bit() {
+        let mut next = lcg(77);
+        let mut uniform =
+            move |lo: f64, hi: f64| lo + (hi - lo) * (next() >> 11) as f64 / (1u64 << 53) as f64;
+        let mut accs_rng = lcg(78);
+        // the largest accumulator a U16 layer of fan-in `k` can produce,
+        // with `k` past 2^21 so the i64 → f64 conversion rounds
+        let bound = (1i64 << 22) * 65535 * 65535;
+        // (scale, act-sum scale, offset, term spread): ordinary layers, a
+        // scale so small that values underflow to ±0 in f32, and one so
+        // large they overflow to ±inf
+        let shapes = [
+            (3.1e-5, -0.0123, 0.75, 2.0),
+            (1.7e-9, 4.2e-4, -3.5, 0.5),
+            (1e-50, 0.0, 0.0, 1e-47),
+            (1e300, 1e290, -1e300, 1e300),
+        ];
+        let (mut negative_zeros, mut infinities) = (0, 0);
+        for (scale, act_sum_scale, offset, spread) in shapes {
+            for len in 1..=70 {
+                let requant = Requant {
+                    scale,
+                    act_sum_scale,
+                    weight_terms: (0..len).map(|_| uniform(-spread, spread)).collect(),
+                    offset,
+                    bias: (0..len).map(|_| uniform(-spread, spread)).collect(),
+                };
+                let accs: Vec<i64> = (0..len)
+                    .map(|o| match accs_rng() >> 61 {
+                        0 => bound,
+                        1 => -bound,
+                        2 => (1 << 53) + 1 + o as i64,
+                        3 => 0,
+                        _ => (accs_rng() as i64 >> 1) % (bound + 1),
+                    })
+                    .collect();
+                for act_sum in [0, 1, 12_345, u64::from(u32::MAX)] {
+                    for floor in [0.0, f32::NEG_INFINITY] {
+                        let want = reference_row(&requant, &accs, act_sum, floor);
+                        negative_zeros += want.iter().filter(|&&b| b == (-0f32).to_bits()).count();
+                        infinities += want
+                            .iter()
+                            .filter(|&&b| f32::from_bits(b).is_infinite())
+                            .count();
+                        let mut fast = vec![f32::NAN; len];
+                        let mut slow = vec![f32::NAN; len];
+                        requant.row_into(&accs, act_sum, floor, &mut fast);
+                        requant.row_into_portable(&accs, act_sum, floor, &mut slow);
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        let case = format!("len {len} scale {scale} sum {act_sum} floor {floor}");
+                        assert_eq!(bits(&slow), want, "portable body, {case}");
+                        assert_eq!(bits(&fast), want, "dispatched body, {case}");
+                    }
+                }
+            }
+        }
+        assert!(
+            negative_zeros > 0 && infinities > 0,
+            "the cases must reach -0.0 and ±inf: {negative_zeros} {infinities}"
+        );
     }
 
     /// A mixed-precision `ResNet::tiny`: block 0 has an identity skip,

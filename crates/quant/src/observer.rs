@@ -161,24 +161,13 @@ impl RangeObserver for MovingAverageObserver {
 /// `quant.observer.nonfinite_dropped` counter so divergence is visible in
 /// metrics snapshots.
 fn finite_batch_range(data: &[f32]) -> Option<QuantRange> {
-    let mut min = f32::INFINITY;
-    let mut max = f32::NEG_INFINITY;
-    let mut kept = 0usize;
-    for &x in data {
-        if x.is_finite() {
-            // keep the running bound on a ±0 tie, as `from_data` does
-            min = if x < min { x } else { min };
-            max = if x > max { x } else { max };
-            kept += 1;
-        }
-    }
-    let dropped = data.len() - kept;
+    let (range, dropped) = QuantRange::of_finite(data);
     if dropped > 0 {
         adq_telemetry::metrics::global()
             .counter("quant.observer.nonfinite_dropped")
             .add(dropped as u64);
     }
-    (kept > 0).then(|| QuantRange::new(min, max).expect("finite min <= max by construction"))
+    range
 }
 
 #[cfg(test)]

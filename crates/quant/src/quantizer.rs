@@ -7,6 +7,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::bitwidth::BitWidth;
 use crate::range::QuantRange;
+use crate::simd::{CodeParams, FakeQuantParams};
 
 /// Wall-time of whole-tensor quantization passes (the fake-quantization
 /// applied on every forward), recorded into the process-wide
@@ -92,23 +93,28 @@ impl Quantizer {
         (scaled.round() as u64).min(self.bits.max_code())
     }
 
+    /// The clamp → scale → round → saturate constants of this quantizer;
+    /// a degenerate range has none.
+    fn code_params(&self) -> Option<CodeParams> {
+        (!self.range.is_degenerate()).then(|| CodeParams {
+            lo: self.range.min(),
+            hi: self.range.max(),
+            min64: f64::from(self.range.min()),
+            inv_step: self.bits.max_code() as f64 / self.width_f64(),
+            max_code: self.bits.max_code(),
+        })
+    }
+
     /// A precomputed bulk encoder for tight packing loops.
     ///
-    /// [`Quantizer::quantize`] divides by the range width on every call;
-    /// the encoder hoists that division out of the per-element loop while
-    /// producing bit-identical codes. Deployment packers quantize every
-    /// im2col element of every batch through this path.
+    /// It hoists the division by the range width out of the per-element
+    /// loop, and [`Encoder::encode_into`] encodes whole slices in vector
+    /// lanes; both produce the codes of [`Quantizer::quantize`].
+    /// Deployment packers quantize every im2col element of every batch
+    /// through this path.
     pub fn encoder(&self) -> Encoder {
         Encoder {
-            degenerate: self.range.is_degenerate(),
-            range: self.range,
-            min: f64::from(self.range.min()),
-            scale: if self.range.is_degenerate() {
-                0.0
-            } else {
-                self.bits.max_code() as f64 / self.width_f64()
-            },
-            max_code: self.bits.max_code(),
+            params: self.code_params(),
         }
     }
 
@@ -174,17 +180,13 @@ impl Quantizer {
             adq_telemetry::alloc::add_flops(5 * elements);
             adq_telemetry::alloc::add_bytes_moved(8 * elements);
         }
-        if self.range.is_degenerate() {
+        let Some(code) = self.code_params() else {
             data.fill(self.range.min());
             return;
-        }
-        let params = crate::simd::FakeQuantParams {
-            lo: self.range.min(),
-            hi: self.range.max(),
-            min64: f64::from(self.range.min()),
-            inv_step: self.bits.max_code() as f64 / self.width_f64(),
+        };
+        let params = FakeQuantParams {
+            code,
             step: self.step_f64(),
-            max_code: self.bits.max_code(),
         };
         adq_tensor::dispatch::for_each_chunk(data, |chunk| {
             crate::simd::fake_quantize_chunk(chunk, &params);
@@ -215,28 +217,41 @@ impl Quantizer {
 
 /// Bulk fast path for [`Quantizer::quantize`]: the clamp bounds and the
 /// `max_code / width` scale factor are computed once at construction, so
-/// per-element encoding is two f64 multiplies-adds and a round. Produced
+/// per-element encoding is a subtract, a multiply and a round. Produced
 /// by [`Quantizer::encoder`]; guaranteed bit-identical to `quantize`.
 #[derive(Debug, Clone, Copy)]
 pub struct Encoder {
-    degenerate: bool,
-    range: QuantRange,
-    min: f64,
-    scale: f64,
-    max_code: u64,
+    /// `None` for a degenerate range, which maps everything to code 0.
+    params: Option<CodeParams>,
 }
 
 impl Encoder {
     /// Maps a real value to its integer code, exactly like
     /// [`Quantizer::quantize`].
+    ///
+    /// Inputs are clamped into the range first (NaN takes code 0); a
+    /// degenerate range maps everything to code 0.
     #[inline]
     pub fn encode(&self, x: f32) -> u64 {
-        if self.degenerate {
-            return 0;
+        self.params.map_or(0, |p| p.code(x))
+    }
+
+    /// Encodes a slice: `out[i] = encode(values[i]) as u16`.
+    ///
+    /// Where the CPU has AVX2 and the codes fit 16 bits, the values run
+    /// in vector lanes that take the scalar path's operations in the
+    /// same order (see `crate::simd`), so the codes are the same bits
+    /// as [`Encoder::encode`]'s, ties, NaN and signed zeros included.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values` and `out` differ in length.
+    pub fn encode_into(&self, values: &[f32], out: &mut [u16]) {
+        assert_eq!(values.len(), out.len(), "one code per value");
+        match &self.params {
+            Some(p) => crate::simd::encode_chunk(values, out, p),
+            None => out.fill(0),
         }
-        let x = self.range.clamp(x);
-        let scaled = (f64::from(x) - self.min) * self.scale;
-        (scaled.round() as u64).min(self.max_code)
     }
 }
 
@@ -279,6 +294,29 @@ mod tests {
             for x in [f32::NEG_INFINITY, f32::INFINITY, 0.0, -0.0] {
                 assert_eq!(enc.encode(x), quant.quantize(x), "{quant:?} at {x}");
             }
+        }
+    }
+
+    #[test]
+    fn encode_into_matches_encode_including_a_degenerate_range() {
+        let cases = [
+            q(4, -0.7, 1.3),
+            q(8, 0.0, 6.0),
+            q(16, -123.456, 78.9),
+            // codes past 16 bits take the portable body and keep the
+            // low 16 bits, as `encode(v) as u16` does
+            q(20, -1.0, 1.0),
+            q(8, 5.0, 5.0),
+            Quantizer::new(BitWidth::new(4).unwrap(), QuantRange::default()),
+        ];
+        let mut values: Vec<f32> = (-400..=400).map(|i| i as f32 * 0.0371).collect();
+        values.extend([f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, 5.0]);
+        for quant in cases {
+            let enc = quant.encoder();
+            let mut codes = vec![7u16; values.len()];
+            enc.encode_into(&values, &mut codes);
+            let want: Vec<u16> = values.iter().map(|&v| enc.encode(v) as u16).collect();
+            assert_eq!(codes, want, "{quant:?}");
         }
     }
 

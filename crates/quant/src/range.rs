@@ -2,7 +2,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::QuantError;
 
-/// Independent running bounds [`QuantRange::from_data`] keeps: one
+/// Independent running bounds [`QuantRange::of_finite`] keeps: one
 /// 512-bit vector of `f32`, so the scan vectorizes without a serial
 /// dependency between elements.
 const SCAN_LANES: usize = 16;
@@ -47,12 +47,10 @@ impl QuantRange {
 
     /// Range covering the values of `data`.
     ///
-    /// One branch-free pass keeps 16 running minima and
-    /// maxima plus the largest magnitude bit pattern seen, which is at
-    /// least `0x7f80_0000` exactly when some value is NaN or ±inf. The
-    /// result equals folding `f32::min`/`f32::max` over `data` from ±inf,
-    /// which keeps the running bound on a tie: a zero bound takes the
-    /// sign of the first zero in `data`.
+    /// One pass of [`QuantRange::of_finite`]; the result equals folding
+    /// `f32::min`/`f32::max` over `data` from ±inf, which keeps the
+    /// running bound on a tie: a zero bound takes the sign of the first
+    /// zero in `data`.
     ///
     /// # Errors
     ///
@@ -60,16 +58,39 @@ impl QuantRange {
     /// [`QuantError::InvalidRange`] if the data contains non-finite values;
     /// both bounds of the error are the first non-finite value.
     pub fn from_data(data: &[f32]) -> Result<Self, QuantError> {
-        if data.is_empty() {
-            return Err(QuantError::EmptyObserver);
+        match Self::of_finite(data) {
+            (Some(range), 0) => Ok(range),
+            (None, 0) => Err(QuantError::EmptyObserver),
+            // f32::min/max would silently skip NaN; reject it instead
+            _ => {
+                let x = *data.iter().find(|x| !x.is_finite()).expect("counted");
+                Err(QuantError::InvalidRange { min: x, max: x })
+            }
         }
+    }
+
+    /// The range of the finite values of `data` (`None` when there are
+    /// none) and the number of NaN and ±inf values it skipped.
+    ///
+    /// One branch-free pass keeps 16 running minima and maxima, into
+    /// which a non-finite value enters as `+inf` and `-inf`, and 16
+    /// counts of non-finite values. The bounds equal folding over the
+    /// finite values in order, keeping the running bound on a tie: a
+    /// zero bound is the first zero in `data`.
+    pub(crate) fn of_finite(data: &[f32]) -> (Option<Self>, usize) {
         let mut lo = [f32::INFINITY; SCAN_LANES];
         let mut hi = [f32::NEG_INFINITY; SCAN_LANES];
-        let mut magnitude = [0u32; SCAN_LANES];
+        let mut skipped = [0usize; SCAN_LANES];
         let mut scan = |lane: usize, x: f32| {
-            lo[lane] = if x < lo[lane] { x } else { lo[lane] };
-            hi[lane] = if x > hi[lane] { x } else { hi[lane] };
-            magnitude[lane] = magnitude[lane].max(x.abs().to_bits());
+            let finite = x.abs().to_bits() < f32::INFINITY.to_bits();
+            let (low, high) = if finite {
+                (x, x)
+            } else {
+                (f32::INFINITY, f32::NEG_INFINITY)
+            };
+            lo[lane] = if low < lo[lane] { low } else { lo[lane] };
+            hi[lane] = if high > hi[lane] { high } else { hi[lane] };
+            skipped[lane] += usize::from(!finite);
         };
         let chunks = data.chunks_exact(SCAN_LANES);
         let tail = chunks.remainder();
@@ -81,10 +102,9 @@ impl QuantRange {
         for (lane, &x) in tail.iter().enumerate() {
             scan(lane, x);
         }
-        if magnitude.into_iter().max() >= Some(f32::INFINITY.to_bits()) {
-            // f32::min/max would silently skip NaN; reject it instead
-            let x = *data.iter().find(|x| !x.is_finite()).expect("flagged");
-            return Err(QuantError::InvalidRange { min: x, max: x });
+        let skipped = skipped.into_iter().sum();
+        if skipped == data.len() {
+            return (None, skipped);
         }
         let lo = lo
             .into_iter()
@@ -97,7 +117,8 @@ impl QuantRange {
         let first_zero = || *data.iter().find(|&&x| x == 0.0).expect("a zero bound");
         let lo = if lo == 0.0 { first_zero() } else { lo };
         let hi = if hi == 0.0 { first_zero() } else { hi };
-        Self::new(lo, hi)
+        let range = Self::new(lo, hi).expect("finite min <= max by construction");
+        (Some(range), skipped)
     }
 
     /// Lower bound.

@@ -176,6 +176,26 @@ fn scalar_range(data: &[f32]) -> Result<QuantRange, QuantError> {
     QuantRange::new(lo, hi)
 }
 
+/// The observers' range scan as the per-element serial loop it
+/// replaced: skip NaN and ±inf, fold the rest from ±inf keeping the
+/// running bound on a tie.
+fn scalar_finite_range(data: &[f32]) -> Result<QuantRange, QuantError> {
+    let mut lo = f32::INFINITY;
+    let mut hi = f32::NEG_INFINITY;
+    let mut kept = 0usize;
+    for &x in data {
+        if x.is_finite() {
+            lo = if x < lo { x } else { lo };
+            hi = if x > hi { x } else { hi };
+            kept += 1;
+        }
+    }
+    if kept == 0 {
+        return Err(QuantError::EmptyObserver);
+    }
+    QuantRange::new(lo, hi)
+}
+
 /// A result as bits, so NaN payloads and signed zeros compare exactly.
 fn range_bits(r: Result<QuantRange, QuantError>) -> Result<(u32, u32), (String, u32, u32)> {
     match r {
@@ -286,5 +306,41 @@ proptest! {
             range_bits(ema.range()),
             range_bits(QuantRange::from_data(&batches[0]))
         );
+    }
+
+    /// Data mixing signed zeros, values, NaN and ±inf, one-signed at
+    /// times so a zero is the bound: a fresh min/max or EMA observer
+    /// must take the bits of the serial loop over the finite values,
+    /// and count every value it skipped.
+    #[test]
+    fn observers_skip_non_finite_values_like_the_serial_loop(
+        values in proptest::collection::vec((0u8..12, any::<u32>(), -8.0f32..8.0), 0..80),
+        sign in 0u8..3,
+        bad in proptest::collection::vec((any::<usize>(), any::<u8>(), any::<u32>()), 0..40),
+    ) {
+        let mut data: Vec<f32> = values
+            .into_iter()
+            .map(|(kind, bits, x)| match scan_value(kind, bits, x) {
+                v if sign == 1 && v < 0.0 => -v,
+                v if sign == 2 && v > 0.0 => -v,
+                v => v,
+            })
+            .collect();
+        for &(at, kind, bits) in &bad {
+            data.insert(at % (data.len() + 1), non_finite(kind, bits));
+        }
+        let want = range_bits(scalar_finite_range(&data));
+        let counter =
+            adq_telemetry::metrics::global().counter("quant.observer.nonfinite_dropped");
+        let before = counter.get();
+        let mut minmax = MinMaxObserver::new();
+        minmax.observe(&data);
+        // other tests feed non-finite data concurrently, so the counter
+        // moved by at least this observation's count
+        prop_assert!(counter.get() >= before + bad.len() as u64);
+        prop_assert_eq!(range_bits(minmax.range()), want.clone());
+        let mut ema = MovingAverageObserver::default();
+        ema.observe(&data);
+        prop_assert_eq!(range_bits(ema.range()), want);
     }
 }

@@ -140,17 +140,25 @@ impl KernelPlan {
 /// Shape-tuned blocking for products that qualify for the packed kernel
 /// but sit badly in the default tiles.
 ///
-/// Currently one tuning rule: products with `m ≤ TUNED_MAX_M` have a
-/// single row tile, so the whole cost of multi-pass blocking is the `C`
-/// reload per k-block — balance `k` into the fewest blocks whose packed
-/// strips still stream from L2 (`kc ≤ TUNED_KC_MAX`), with near-equal
-/// block lengths so the tail block is not degenerate.
+/// Currently one tuning rule, for products with `m ≤ TUNED_MAX_M` and
+/// `k > KC`. They have a single row tile, so:
+///
+/// * the whole cost of multi-pass blocking is the `C` reload per
+///   k-block — balance `k` into the fewest blocks whose packed strips
+///   still stream from L2 (`kc ≤ TUNED_KC_MAX`), with near-equal block
+///   lengths so the tail block is not degenerate;
+/// * every tile is one column tile, and the worker pool splits the tiles
+///   into contiguous bands — so each tile is one `NR` column strip
+///   (`nc = NR`). With `NC`-wide tiles, a weight gradient of `n = 144`
+///   has tiles of 8 strips and 1 strip, and one worker gets 8/9 of the
+///   work.
 fn tuned_blocking(m: usize, k: usize) -> Option<Blocking> {
     if m <= TUNED_MAX_M && k > KC {
         let blocks = k.div_ceil(TUNED_KC_MAX);
         Some(Blocking {
+            mc: MC,
+            nc: NR,
             kc: k.div_ceil(blocks),
-            ..Blocking::default_tiles()
         })
     } else {
         None
@@ -259,6 +267,8 @@ mod tests {
         };
         assert!(b.is_valid());
         assert!(b.kc > KC && b.kc <= TUNED_KC_MAX);
+        // one row tile, so one column strip per tile
+        assert_eq!((b.mc, b.nc), (MC, NR));
         // blocks differ in length by at most one kc
         let blocks = 4096usize.div_ceil(b.kc);
         assert!(blocks * b.kc >= 4096 && (blocks - 1) * b.kc < 4096);
