@@ -288,6 +288,274 @@ fn avx512dq_available() -> bool {
         .get_or_init(|| is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq"))
 }
 
+/// Bytes past a [`PaddedPlane`]'s last row, so a tap body may read 4
+/// bytes wherever a run of up to 4 taps starts.
+const PLANE_SLACK: usize = 3;
+
+/// One byte plane of one image's input codes, bordered by `padding`
+/// rows and columns of the plane's byte of the padding code: `[c, h +
+/// 2·padding, w + 2·padding]` bytes, then [`PLANE_SLACK`] zero bytes.
+/// Every tap of a convolution window is an in-bounds byte here, so the
+/// run of `p` taps at `(channel, kh)` of output pixel `(oy, ox)` is the
+/// `p` bytes at column `ox·stride` of padded row `oy·stride + kh` of that
+/// channel. The interior is rewritten per image; the border is written
+/// once.
+struct PaddedPlane {
+    bytes: Vec<u8>,
+    /// `w + 2·padding`.
+    width: usize,
+    /// `h + 2·padding`.
+    height: usize,
+    /// `8 ×` the byte plane.
+    shift: u32,
+    /// `Σ_ci plane[ci][r][x]` per padded row `r` and column `x`.
+    channel_sums: Vec<u32>,
+    /// Scratch for one output row's column sums.
+    col_sums: Vec<u32>,
+}
+
+impl PaddedPlane {
+    /// A plane for `[c, h, w]` images under `geom`, its border set to
+    /// `pad`.
+    fn new([c, h, w]: [usize; 3], geom: Conv2dGeom, shift: u32, pad: u8) -> Self {
+        let (width, height) = (w + 2 * geom.padding, h + 2 * geom.padding);
+        let mut bytes = vec![pad; c * height * width + PLANE_SLACK];
+        bytes[c * height * width..].fill(0);
+        Self {
+            bytes,
+            width,
+            height,
+            shift,
+            channel_sums: vec![0; height * width],
+            col_sums: vec![0; width],
+        }
+    }
+
+    /// Writes this plane's byte of each of `image`'s codes into the
+    /// interior and sums the channels.
+    fn fill(&mut self, image: &[u16], padding: usize) {
+        let (width, height, shift) = (self.width, self.height, self.shift);
+        let w = width - 2 * padding;
+        let h = height - 2 * padding;
+        let len = self.bytes.len() - PLANE_SLACK;
+        let channels = self.bytes[..len].chunks_exact_mut(height * width);
+        for (channel, src) in channels.zip(image.chunks_exact(h * w)) {
+            let rows = channel[padding * width..].chunks_exact_mut(width);
+            for (row, codes) in rows.zip(src.chunks_exact(w)) {
+                for (lane, &code) in row[padding..padding + w].iter_mut().zip(codes) {
+                    *lane = (code >> shift) as u8;
+                }
+            }
+        }
+        self.channel_sums.fill(0);
+        for channel in self.bytes[..len].chunks_exact(height * width) {
+            for (sum, &byte) in self.channel_sums.iter_mut().zip(channel) {
+                *sum += u32::from(byte);
+            }
+        }
+    }
+
+    /// Offset of the first byte of padded row `kh` of channel `ci`, for
+    /// each tap line `ci·p + kh` in order: adding `oy·stride·width + x`
+    /// gives the line's run for output pixel `(oy, ox)` at column `x`.
+    fn line_starts(&self, geom: Conv2dGeom) -> Vec<u32> {
+        let p = geom.kernel;
+        let starts = (0..geom.in_channels * p)
+            .map(|j| ((j / p * self.height + j % p) * self.width) as u32)
+            .collect();
+        assert!(
+            self.bytes.len() < i32::MAX as usize,
+            "plane offsets must fit i32"
+        );
+        starts
+    }
+
+    /// Adds this plane's share of the code sum of each im2col row of
+    /// output row `oy` to `sums`: the taps of pixel `ox` are columns
+    /// `ox·stride .. ox·stride + p` of padded rows `oy·stride ..
+    /// oy·stride + p` of every channel, so its row sum is the sum of
+    /// those `p × p` channel sums.
+    fn add_row_sums(&mut self, geom: Conv2dGeom, oy: usize, sums: &mut [u64]) {
+        let (p, stride, width) = (geom.kernel, geom.stride, self.width);
+        let window = &self.channel_sums[oy * stride * width..][..p * width];
+        self.col_sums.fill(0);
+        for row in window.chunks_exact(width) {
+            for (col, &sum) in self.col_sums.iter_mut().zip(row) {
+                *col += sum;
+            }
+        }
+        for (ox, sum) in sums.iter_mut().enumerate() {
+            let x = ox * stride;
+            let taps: u32 = self.col_sums[x..x + p].iter().sum();
+            *sum += u64::from(taps) << self.shift;
+        }
+    }
+
+    /// Writes the im2col rows of output row `oy` — `rows.len() / k4` rows
+    /// of `c·p·p` taps in `(channel, kh, kw)` order, each `k4` bytes
+    /// apart — into `rows` through `body`; `lines` is
+    /// [`PaddedPlane::line_starts`]. Bytes past the taps are left as
+    /// they are.
+    fn taps(
+        &self,
+        body: TapBody,
+        geom: Conv2dGeom,
+        lines: &[u32],
+        oy: usize,
+        rows: &mut [u8],
+        k4: usize,
+    ) {
+        let top = oy * geom.stride * self.width;
+        match body {
+            TapBody::Portable => self.taps_portable(geom, lines, top, rows, k4),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Vbmi` exists only where the features were
+            // detected, and it only takes kernels of up to 4 taps.
+            TapBody::Vbmi if geom.kernel <= 4 && lines.len() >= 16 => unsafe {
+                self.taps_vbmi(geom, lines, top, rows, k4)
+            },
+            #[cfg(target_arch = "x86_64")]
+            TapBody::Vbmi => self.taps_portable(geom, lines, top, rows, k4),
+        }
+    }
+
+    /// The portable tap body: one copy per run of `p` taps.
+    fn taps_portable(
+        &self,
+        geom: Conv2dGeom,
+        lines: &[u32],
+        top: usize,
+        rows: &mut [u8],
+        k4: usize,
+    ) {
+        let (p, stride) = (geom.kernel, geom.stride);
+        let fan_in = lines.len() * p;
+        for (ox, row) in rows.chunks_exact_mut(k4).enumerate() {
+            let x = top + ox * stride;
+            let runs = row[..fan_in].chunks_exact_mut(p).zip(lines);
+            if p == 3 {
+                // a fixed-size copy the compiler unrolls; a slice copy per
+                // 3-tap run costs more than the taps themselves
+                for (taps, &line) in runs {
+                    let at = line as usize + x;
+                    let taps: &mut [u8; 3] = taps.try_into().expect("3 taps");
+                    *taps = self.bytes[at..at + 3].try_into().expect("3 taps");
+                }
+            } else {
+                for (taps, &line) in runs {
+                    let at = line as usize + x;
+                    taps.copy_from_slice(&self.bytes[at..at + p]);
+                }
+            }
+        }
+    }
+
+    /// The AVX-512 VBMI tap body, for kernels of up to 4 taps: for 16
+    /// lines at a time, one gather reads the 4 bytes at each line's run,
+    /// one byte permute keeps the first `p` bytes of each, and one masked
+    /// store writes the `16·p` taps.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F, BW and VBMI, `geom.kernel` must be
+    /// at most 4, and `lines` must be [`PaddedPlane::line_starts`].
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+    unsafe fn taps_vbmi(
+        &self,
+        geom: Conv2dGeom,
+        lines: &[u32],
+        top: usize,
+        rows: &mut [u8],
+        k4: usize,
+    ) {
+        use std::arch::x86_64::{
+            _mm512_add_epi32, _mm512_loadu_si512, _mm512_mask_i32gather_epi32,
+            _mm512_mask_storeu_epi8, _mm512_maskz_loadu_epi32, _mm512_permutexvar_epi8,
+            _mm512_set1_epi32, _mm512_setzero_si512,
+        };
+        let (p, stride) = (geom.kernel, geom.stride);
+        let fan_in = lines.len() * p;
+        let ow = rows.len() / k4;
+        assert!(
+            p <= 4 && rows.len() == ow * k4 && fan_in <= k4,
+            "tap operands out of shape"
+        );
+        // every run lies in its padded row; a gathered word ends at most
+        // 3 bytes past the run, in the next row or the slack
+        assert!(
+            ow == 0 || (ow - 1) * stride + p <= self.width,
+            "runs must lie in their rows"
+        );
+        assert!(
+            lines
+                .iter()
+                .all(|&l| l as usize + top + self.width <= self.bytes.len() - PLANE_SLACK),
+            "lines must lie in the plane"
+        );
+        // output byte i is byte i % p of the word of line i / p
+        let keep: [u8; 64] = std::array::from_fn(|i| (i / p * 4 + i % p) as u8);
+        let keep = _mm512_loadu_si512(keep.as_ptr().cast());
+        let base = self.bytes.as_ptr();
+        for (ox, row) in rows.chunks_exact_mut(k4).enumerate() {
+            let x = _mm512_set1_epi32((top + ox * stride) as i32);
+            for j0 in (0..lines.len()).step_by(16) {
+                let count = (lines.len() - j0).min(16);
+                let lanes = ((1u32 << count) - 1) as u16;
+                // SAFETY: the masked load reads `lines[j0 .. j0 + count]`
+                let starts = _mm512_maskz_loadu_epi32(lanes, lines.as_ptr().add(j0).cast());
+                // SAFETY: lane j reads 4 bytes from its run's start,
+                // inside the plane and its slack (asserted above)
+                let words = _mm512_mask_i32gather_epi32::<1>(
+                    _mm512_setzero_si512(),
+                    lanes,
+                    _mm512_add_epi32(starts, x),
+                    base.cast(),
+                );
+                let taps = _mm512_permutexvar_epi8(keep, words);
+                let bytes = count * p;
+                let mask = if bytes == 64 {
+                    u64::MAX
+                } else {
+                    (1u64 << bytes) - 1
+                };
+                // SAFETY: the store writes row bytes `j0·p .. (j0 +
+                // count)·p`, inside the row's `fan_in` taps
+                _mm512_mask_storeu_epi8(row.as_mut_ptr().add(j0 * p).cast(), mask, taps);
+            }
+        }
+    }
+}
+
+/// Which tap body [`PaddedPlane::taps`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TapBody {
+    Portable,
+    /// Only constructed once `avx512f`, `avx512bw` and `avx512vbmi` were
+    /// detected.
+    #[cfg(target_arch = "x86_64")]
+    Vbmi,
+}
+
+impl TapBody {
+    /// The fastest body this CPU runs, resolved once per process.
+    fn detect() -> TapBody {
+        #[cfg(target_arch = "x86_64")]
+        {
+            static VBMI: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+            let vbmi = *VBMI.get_or_init(|| {
+                is_x86_feature_detected!("avx512f")
+                    && is_x86_feature_detected!("avx512bw")
+                    && is_x86_feature_detected!("avx512vbmi")
+            });
+            if vbmi {
+                return TapBody::Vbmi;
+            }
+        }
+        TapBody::Portable
+    }
+}
+
 /// Quantizes a `[rows, k]` weight matrix at `bits` and packs it in the
 /// container both it and the activations `act_q` emits fit in.
 fn pack_weights(
@@ -718,6 +986,11 @@ impl CompiledConv {
     /// its own pass, one row of output pixels at a time; rows are padded
     /// to whole groups of 4 taps with zero bytes.
     fn gather_cols(&self, codes: &[u16], dims: [usize; 4]) -> PackedMatrix {
+        self.gather_cols_with(TapBody::detect(), codes, dims)
+    }
+
+    /// [`CompiledConv::gather_cols`] with a chosen tap body.
+    fn gather_cols_with(&self, body: TapBody, codes: &[u16], dims: [usize; 4]) -> PackedMatrix {
         let [n, c, h, w] = dims;
         assert_eq!(
             c, self.geom.in_channels,
@@ -732,126 +1005,63 @@ impl CompiledConv {
             "codes overflow {:?}",
             self.container
         );
-        let ow = self.geom.output_size(w);
+        let (oh, ow) = (self.geom.output_size(h), self.geom.output_size(w));
         let fan_in = c * self.geom.kernel * self.geom.kernel;
         let k4 = fan_in.next_multiple_of(4);
-        let m = n * self.geom.output_size(h) * ow;
+        let m = n * oh * ow;
         let mut bytes = vec![0u8; self.container.planes() * m * k4];
         let mut row_sums = vec![0u64; m];
         for (p, plane) in bytes.chunks_exact_mut((m * k4).max(1)).enumerate() {
             let shift = 8 * p as u32;
-            let mut strip = self.strip(w, shift);
-            let blocks = plane
-                .chunks_exact_mut(ow * k4)
-                .zip(row_sums.chunks_exact_mut(ow));
-            for ((rows, sums), (image, oy)) in blocks.zip(self.pixel_rows(codes, dims)) {
-                self.gather_pixel_row(image, dims, oy, shift, &mut strip, rows, sums);
+            let pad = (self.pad_code() >> shift) as u8;
+            let mut padded = PaddedPlane::new([c, h, w], self.geom, shift, pad);
+            let lines = padded.line_starts(self.geom);
+            let images = plane
+                .chunks_exact_mut((oh * ow * k4).max(1))
+                .zip(row_sums.chunks_exact_mut((oh * ow).max(1)));
+            for ((image_rows, image_sums), image) in images.zip(codes.chunks_exact(c * h * w)) {
+                padded.fill(image, self.geom.padding);
+                let blocks = image_rows
+                    .chunks_exact_mut(ow * k4)
+                    .zip(image_sums.chunks_exact_mut(ow));
+                for (oy, (rows, sums)) in blocks.enumerate() {
+                    padded.taps(body, self.geom, &lines, oy, rows, k4);
+                    padded.add_row_sums(self.geom, oy, sums);
+                }
             }
         }
         PackedMatrix::from_row_planes(m, fan_in, self.container, bytes, row_sums)
     }
 
-    /// Every output row of every image, as `(image codes, row index)`.
-    fn pixel_rows<'a>(
-        &self,
-        codes: &'a [u16],
-        [_, c, h, w]: [usize; 4],
-    ) -> impl Iterator<Item = (&'a [u16], usize)> + 'a {
-        let oh = self.geom.output_size(h);
-        codes
-            .chunks_exact(c * h * w)
-            .flat_map(move |image| (0..oh).map(move |oy| (image, oy)))
+    /// Shared gather + GEMM + requantization core: the layer's output as
+    /// `[M, O]` pixel rows in `(image, oy, ox)` order, a bias-added float
+    /// per output channel, ReLU-clamped when the layer has a ReLU.
+    fn requantized_rows(&self, codes: &[u16], dims: [usize; 4]) -> Vec<f32> {
+        let acts = self.gather_cols(codes, dims);
+        let oc = self.geom.out_channels;
+        let sum_ca = acts.row_sums();
+        let mut values = vec![0f32; acts.rows() * oc];
+        // fused ReLU; without one, every value passes the floor
+        let floor = if self.relu { 0.0 } else { f32::NEG_INFINITY };
+        qgemm_rows(&acts, &self.weights, |mi, accs| {
+            let row = &mut values[mi * oc..][..oc];
+            self.requant.row_into(accs, sum_ca[mi], floor, row);
+        });
+        values
     }
 
-    /// Room for the `c·p` input rows one row of output pixels reads, as
-    /// the byte `shift` selects, each `padding` lanes wider on both sides;
-    /// those border lanes hold that byte of the padding code for good.
-    fn strip(&self, w: usize, shift: u32) -> Vec<u8> {
-        let Conv2dGeom {
-            in_channels,
-            kernel,
-            padding,
-            ..
-        } = self.geom;
-        vec![(self.pad_code() >> shift) as u8; in_channels * kernel * (w + 2 * padding)]
-    }
-
-    /// Writes byte plane `shift / 8` of the im2col rows of output row `oy`
-    /// of one image — `ow` rows of `c·p·p` taps in `(channel, kh, kw)`
-    /// order, each `k4` bytes apart — into `rows`, and adds the plane's
-    /// share of their code sums to `sums`. The input rows they read are
-    /// first copied into `strip` (see [`CompiledConv::strip`]), so every
-    /// run of `p` taps is one in-bounds copy.
-    #[allow(clippy::too_many_arguments)]
-    fn gather_pixel_row(
+    /// Moves `[M, O]` pixel rows of the output of an input of shape
+    /// `dims` into the NCHW `out`, merging each value into its cell with
+    /// `merge`. When `pooled`, `out` is the 2×2-pooled map, where the
+    /// four pixels of a pool window share a cell.
+    fn scatter_rows<T: Copy>(
         &self,
-        image: &[u16],
-        [_, c, h, w]: [usize; 4],
-        oy: usize,
-        shift: u32,
-        strip: &mut [u8],
-        rows: &mut [u8],
-        sums: &mut [u64],
-    ) {
-        let Conv2dGeom {
-            kernel: p,
-            stride,
-            padding,
-            ..
-        } = self.geom;
-        let width = w + 2 * padding;
-        let pad = (self.pad_code() >> shift) as u8;
-        for (j, line) in strip.chunks_exact_mut(width).enumerate() {
-            let (ci, kh) = (j / p, j % p);
-            // underflow wraps far past `h`, folding both padding sides
-            // into one bounds check
-            let ih = (oy * stride + kh).wrapping_sub(padding);
-            let line = &mut line[padding..padding + w];
-            if ih < h {
-                let src = &image[(ci * h + ih) * w..][..w];
-                for (lane, &code) in line.iter_mut().zip(src) {
-                    *lane = (code >> shift) as u8;
-                }
-            } else {
-                line.fill(pad);
-            }
-        }
-        let fan_in = c * p * p;
-        let k4 = fan_in.next_multiple_of(4);
-        for (ox, (row, sum)) in rows.chunks_exact_mut(k4).zip(sums).enumerate() {
-            let row = &mut row[..fan_in];
-            let x = ox * stride;
-            let runs = row.chunks_exact_mut(p).zip(strip.chunks_exact(width));
-            if p == 3 {
-                // a fixed-size copy the compiler unrolls; a slice copy per
-                // 3-tap run costs more than the taps themselves
-                for (taps, line) in runs {
-                    let taps: &mut [u8; 3] = taps.try_into().expect("3 taps");
-                    *taps = line[x..x + 3].try_into().expect("3 taps");
-                }
-            } else {
-                for (taps, line) in runs {
-                    taps.copy_from_slice(&line[x..x + p]);
-                }
-            }
-            *sum += row.iter().map(|&byte| u64::from(byte)).sum::<u64>() << shift;
-        }
-    }
-
-    /// Shared gather + GEMM + requantization core. Requantizes one output
-    /// row at a time — a bias-added float per output channel, ReLU-clamped
-    /// when the layer has a ReLU — and hands it to `sink` with the NCHW index of channel 0
-    /// and the stride between channels. When `pooled` the indices are
-    /// those of the 2×2-pooled map, where the four outputs of a pool
-    /// window share one index.
-    fn forward_into(
-        &self,
-        codes: &[u16],
+        rows: &[T],
         dims: [usize; 4],
         pooled: bool,
-        mut sink: impl FnMut(usize, usize, &[f32]),
+        out: &mut [T],
+        merge: impl Fn(T, T) -> T,
     ) {
-        let acts = self.gather_cols(codes, dims);
         let [_, oc, _, plane_w] = self.output_dims(dims, pooled);
         let (oh, ow) = (
             self.geom.output_size(dims[2]),
@@ -860,16 +1070,13 @@ impl CompiledConv {
         let spatial = oh * ow;
         let shift = usize::from(pooled);
         let plane = spatial >> (2 * shift);
-        let sum_ca = acts.row_sums();
-        let mut values = vec![0f32; oc];
-        // fused ReLU; without one, every value passes the floor
-        let floor = if self.relu { 0.0 } else { f32::NEG_INFINITY };
-        qgemm_rows(&acts, &self.weights, |mi, accs| {
+        for (mi, row) in rows.chunks_exact(oc).enumerate() {
             let (ni, s) = (mi / spatial, mi % spatial);
             let base = ni * oc * plane + ((s / ow) >> shift) * plane_w + ((s % ow) >> shift);
-            self.requant.row_into(accs, sum_ca[mi], floor, &mut values);
-            sink(base, plane, &values);
-        });
+            for (cell, &v) in out[base..].iter_mut().step_by(plane).zip(row) {
+                *cell = merge(*cell, v);
+            }
+        }
     }
 
     /// Serving path: consumes input codes, emits the *next* layer's input
@@ -881,21 +1088,16 @@ impl CompiledConv {
         dims: [usize; 4],
         next_enc: &Encoder,
     ) -> (Vec<u16>, [usize; 4]) {
+        let values = self.requantized_rows(codes, dims);
+        let mut rows = vec![0u16; values.len()];
+        next_enc.encode_into(&values, &mut rows);
         let out_dims = self.output_dims(dims, self.pool);
         let mut out = vec![0u16; out_dims.iter().product()];
-        let mut row = vec![0u16; self.geom.out_channels];
-        let enc = *next_enc;
         // Codes are never negative, so taking the max into a zeroed cell
         // is exactly the 2×2 max-pool (and encoding is monotone, so
         // pooling codes is pooling values); unpooled, each cell is written
-        // once. A row is encoded before it is scattered, which keeps the
-        // encode loop free of strided stores.
-        self.forward_into(codes, dims, self.pool, |base, plane, values| {
-            enc.encode_into(values, &mut row);
-            for (cell, &code) in out[base..].iter_mut().step_by(plane).zip(&row) {
-                *cell = (*cell).max(code);
-            }
-        });
+        // once.
+        self.scatter_rows(&rows, dims, self.pool, &mut out, u16::max);
         (out, out_dims)
     }
 
@@ -904,13 +1106,10 @@ impl CompiledConv {
     /// layer's quantizer can be fitted on them before its encoder exists,
     /// and for a ResNet junction, which adds them to the skip branch.
     fn run_values(&self, codes: &[u16], dims: [usize; 4]) -> Tensor {
+        let values = self.requantized_rows(codes, dims);
         let out_dims = self.output_dims(dims, false);
         let mut staged = vec![0f32; out_dims.iter().product()];
-        self.forward_into(codes, dims, false, |base, plane, values| {
-            for (cell, &v) in staged[base..].iter_mut().step_by(plane).zip(values) {
-                *cell = v;
-            }
-        });
+        self.scatter_rows(&values, dims, false, &mut staged, |_, v| v);
         let mut out = Tensor::from_vec(staged, &out_dims).expect("sized above");
         if self.pool {
             let mut pool = MaxPool2d::new(2);
@@ -1187,6 +1386,37 @@ mod tests {
     }
 
     #[test]
+    fn both_tap_bodies_match_a_per_tap_reference() {
+        for container in CONTAINERS {
+            // 6 and 17 channels give the vector body whole and partial
+            // groups of 16 tap lines
+            for channels in [2, 3, 6, 17] {
+                for kernel in [1, 3, 5] {
+                    for (stride, padding) in
+                        [1, 2].into_iter().flat_map(|s| [0, 1, 2].map(|p| (s, p)))
+                    {
+                        let geom = Conv2dGeom::new(channels, 4, kernel, stride, padding);
+                        let layer = conv_layer(geom, container, false);
+                        let dims = [2, channels, 7, 6];
+                        let codes = input_codes(dims, container, 43);
+                        let fan_in = channels * kernel * kernel;
+                        let cols = reference_cols(&codes, dims, geom, layer.pad_code());
+                        let want =
+                            PackedMatrix::from_codes(&cols, cols.len() / fan_in, fan_in, container);
+                        for body in [TapBody::Portable, TapBody::detect()] {
+                            assert_eq!(
+                                layer.gather_cols_with(body, &codes, dims),
+                                want,
+                                "{body:?} {container:?} {geom:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn fused_pool_equals_pooling_the_unpooled_codes() {
         let next = Quantizer::new(
             BitWidth::new(8).unwrap(),
@@ -1377,25 +1607,21 @@ mod tests {
         // the largest accumulator a U16 layer of fan-in `k` can produce,
         // with `k` past 2^21 so the i64 → f64 conversion rounds
         let bound = (1i64 << 22) * 65535 * 65535;
-        // (scale, act-sum scale, offset, term spread): ordinary layers, a
-        // scale so small that values underflow to ±0 in f32, and one so
-        // large they overflow to ±inf
+        // (scale, act-sum scale, offset, term spread, cancelling):
+        // ordinary layers; a scale so small that values underflow to ±0
+        // in f32; one so large they overflow to ±inf; and terms near 1e16
+        // whose bias cancels the rest down to a few units, so every f64
+        // rounding of the sum shows in the f32 result
         let shapes = [
-            (3.1e-5, -0.0123, 0.75, 2.0),
-            (1.7e-9, 4.2e-4, -3.5, 0.5),
-            (1e-50, 0.0, 0.0, 1e-47),
-            (1e300, 1e290, -1e300, 1e300),
+            (3.1e-5, -0.0123, 0.75, 2.0, false),
+            (1.7e-9, 4.2e-4, -3.5, 0.5, false),
+            (1e-50, 0.0, 0.0, 1e-47, false),
+            (1e300, 1e290, -1e300, 1e300, false),
+            (0.75, 3.3, -3.1e15, 2.9e15, true),
         ];
         let (mut negative_zeros, mut infinities) = (0, 0);
-        for (scale, act_sum_scale, offset, spread) in shapes {
+        for (scale, act_sum_scale, offset, spread, cancelling) in shapes {
             for len in 1..=70 {
-                let requant = Requant {
-                    scale,
-                    act_sum_scale,
-                    weight_terms: (0..len).map(|_| uniform(-spread, spread)).collect(),
-                    offset,
-                    bias: (0..len).map(|_| uniform(-spread, spread)).collect(),
-                };
                 let accs: Vec<i64> = (0..len)
                     .map(|o| match accs_rng() >> 61 {
                         0 => bound,
@@ -1405,6 +1631,26 @@ mod tests {
                         _ => (accs_rng() as i64 >> 1) % (bound + 1),
                     })
                     .collect();
+                let weight_terms: Vec<f64> = (0..len).map(|_| uniform(-spread, spread)).collect();
+                let bias = (0..len)
+                    .map(|o| match cancelling {
+                        true => {
+                            let rest = scale * accs[o] as f64
+                                + act_sum_scale * 12_345.0
+                                + weight_terms[o]
+                                + offset;
+                            uniform(-4.0, 4.0) - rest
+                        }
+                        false => uniform(-spread, spread),
+                    })
+                    .collect();
+                let requant = Requant {
+                    scale,
+                    act_sum_scale,
+                    weight_terms,
+                    offset,
+                    bias,
+                };
                 for act_sum in [0, 1, 12_345, u64::from(u32::MAX)] {
                     for floor in [0.0, f32::NEG_INFINITY] {
                         let want = reference_row(&requant, &accs, act_sum, floor);
