@@ -1062,19 +1062,21 @@ impl CompiledConv {
         out: &mut [T],
         merge: impl Fn(T, T) -> T,
     ) {
-        let [_, oc, _, plane_w] = self.output_dims(dims, pooled);
+        let [_, oc, plane_h, plane_w] = self.output_dims(dims, pooled);
         let (oh, ow) = (
             self.geom.output_size(dims[2]),
             self.geom.output_size(dims[3]),
         );
-        let spatial = oh * ow;
         let shift = usize::from(pooled);
-        let plane = spatial >> (2 * shift);
-        for (mi, row) in rows.chunks_exact(oc).enumerate() {
-            let (ni, s) = (mi / spatial, mi % spatial);
-            let base = ni * oc * plane + ((s / ow) >> shift) * plane_w + ((s % ow) >> shift);
-            for (cell, &v) in out[base..].iter_mut().step_by(plane).zip(row) {
-                *cell = merge(*cell, v);
+        let plane = plane_h * plane_w;
+        let pixels =
+            (0..oh).flat_map(|y| (0..ow).map(move |x| (y >> shift) * plane_w + (x >> shift)));
+        let images = rows.chunks_exact((oh * ow * oc).max(1));
+        for (image, maps) in images.zip(out.chunks_exact_mut((oc * plane).max(1))) {
+            for (row, cell) in image.chunks_exact(oc).zip(pixels.clone()) {
+                for (map, &v) in maps.chunks_exact_mut(plane).zip(row) {
+                    map[cell] = merge(map[cell], v);
+                }
             }
         }
     }
