@@ -29,6 +29,16 @@
 //! — a server cannot re-fit ranges per request batch without making
 //! results batch-composition-dependent.
 //!
+//! Around the GEMM, a conv layer gathers its input codes into the GEMM's
+//! byte planes, requantizes each output row (`Requant::row_into`),
+//! encodes the layer's rows into the next layer's codes
+//! ([`Encoder::encode_into`]) and scatters them into NCHW, max-pooling
+//! as it goes. The row kernels and the tap gather run in vector lanes
+//! where the CPU has them, under one contract: the vector body performs
+//! the scalar expression's operations in the same order — no FMA, no
+//! reassociation — so its results are the same bits as the portable
+//! body's, which the unit tests call directly.
+//!
 //! A ResNet adds one operation to the VGG chain, the residual junction
 //! (Fig 2). The skip branch — the block input, or its 1×1 projection — is
 //! fake-quantized at the junction bits with a range frozen at
