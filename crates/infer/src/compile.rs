@@ -201,7 +201,11 @@ impl Requant {
     #[cfg(test)]
     fn row<'a>(&'a self, accs: &'a [i64], act_sum: u64) -> impl Iterator<Item = f64> + 'a {
         let row_term = self.act_sum_scale * act_sum as f64;
-        (0..accs.len()).map(move |o| self.value(accs[o], row_term, o))
+        accs.iter().zip(&self.weight_terms).zip(&self.bias).map(
+            move |((&acc, &weight_term), &bias)| {
+                self.scale * acc as f64 + row_term + weight_term + self.offset + bias
+            },
+        )
     }
 
     /// Output channel `o`'s value for accumulator `acc` in a row whose
@@ -329,6 +333,10 @@ impl PaddedPlane {
     /// `pad`.
     fn new([c, h, w]: [usize; 3], geom: Conv2dGeom, shift: u32, pad: u8) -> Self {
         let (width, height) = (w + 2 * geom.padding, h + 2 * geom.padding);
+        assert!(
+            c * geom.kernel * geom.kernel * 255 <= u32::MAX as usize,
+            "a row's byte sum must fit u32"
+        );
         let mut bytes = vec![pad; c * height * width + PLANE_SLACK];
         bytes[c * height * width..].fill(0);
         Self {
@@ -418,6 +426,8 @@ impl PaddedPlane {
         let top = oy * geom.stride * self.width;
         match body {
             TapBody::Portable => self.taps_portable(geom, lines, top, rows, k4),
+            // Below 16 lines a row is one partly masked gather, which
+            // costs more than the copies it replaces.
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `Vbmi` exists only where the features were
             // detected, and it only takes kernels of up to 4 taps.

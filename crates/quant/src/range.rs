@@ -2,7 +2,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::QuantError;
 
-/// Independent running bounds [`QuantRange::of_finite`] keeps: one
+/// Independent running bounds [`scan_lanes`] keeps: one
 /// 512-bit vector of `f32`, so the scan vectorizes without a serial
 /// dependency between elements.
 const SCAN_LANES: usize = 16;
@@ -72,46 +72,22 @@ impl QuantRange {
     /// The range of the finite values of `data` (`None` when there are
     /// none) and the number of NaN and ±inf values it skipped.
     ///
-    /// One branch-free pass keeps 16 running minima and maxima, into
-    /// which a non-finite value enters as `+inf` and `-inf`, and 16
-    /// counts of non-finite values. The bounds equal folding over the
+    /// Data that is all finite, the common case, takes one plain pass of
+    /// [`scan_lanes`]; only data holding NaN or ±inf pays for a second,
+    /// skipping and counting pass. The bounds equal folding over the
     /// finite values in order, keeping the running bound on a tie: a
     /// zero bound is the first zero in `data`.
     pub(crate) fn of_finite(data: &[f32]) -> (Option<Self>, usize) {
-        let mut lo = [f32::INFINITY; SCAN_LANES];
-        let mut hi = [f32::NEG_INFINITY; SCAN_LANES];
-        let mut skipped = [0usize; SCAN_LANES];
-        let mut scan = |lane: usize, x: f32| {
-            let finite = x.abs().to_bits() < f32::INFINITY.to_bits();
-            let (low, high) = if finite {
-                (x, x)
-            } else {
-                (f32::INFINITY, f32::NEG_INFINITY)
-            };
-            lo[lane] = if low < lo[lane] { low } else { lo[lane] };
-            hi[lane] = if high > hi[lane] { high } else { hi[lane] };
-            skipped[lane] += usize::from(!finite);
-        };
-        let chunks = data.chunks_exact(SCAN_LANES);
-        let tail = chunks.remainder();
-        for chunk in chunks {
-            for (lane, &x) in chunk.iter().enumerate() {
-                scan(lane, x);
-            }
+        let (mut lo, mut hi, magnitudes) = scan_lanes::<false>(data);
+        let mut skipped = 0;
+        if magnitudes.into_iter().max() >= Some(f32::INFINITY.to_bits()) {
+            let counts;
+            (lo, hi, counts) = scan_lanes::<true>(data);
+            skipped = counts.into_iter().map(|count| count as usize).sum();
         }
-        for (lane, &x) in tail.iter().enumerate() {
-            scan(lane, x);
-        }
-        let skipped = skipped.into_iter().sum();
         if skipped == data.len() {
             return (None, skipped);
         }
-        let lo = lo
-            .into_iter()
-            .fold(f32::INFINITY, |a, b| if b < a { b } else { a });
-        let hi = hi
-            .into_iter()
-            .fold(f32::NEG_INFINITY, |a, b| if b > a { b } else { a });
         // the lanes compare ±0 equal; the serial fold keeps its bound on
         // a tie, so a zero bound is the first zero in data
         let first_zero = || *data.iter().find(|&&x| x == 0.0).expect("a zero bound");
@@ -166,6 +142,59 @@ impl QuantRange {
             },
         }
     }
+}
+
+/// One branch-free pass over `data` in 16 independent lanes, so it
+/// vectorizes without a serial dependency between elements: the minimum
+/// and maximum (`±0` compare equal, so a zero bound's sign is
+/// arbitrary), and a per-lane tally.
+///
+/// With `SKIP`, a NaN or ±inf value enters the bounds as `+inf` and
+/// `-inf`, so it moves neither, and the tally counts such values.
+/// Without, the bounds fold every value — NaN moves neither, ±inf moves
+/// one — and the tally keeps the largest magnitude bit pattern, which is
+/// at least `0x7f80_0000` exactly when some value is NaN or ±inf. A lane
+/// counts at most `len / 16` values, which fits `u32` for any slice that
+/// fits in memory.
+fn scan_lanes<const SKIP: bool>(data: &[f32]) -> (f32, f32, [u32; SCAN_LANES]) {
+    let mut lo = [f32::INFINITY; SCAN_LANES];
+    let mut hi = [f32::NEG_INFINITY; SCAN_LANES];
+    let mut tally = [0u32; SCAN_LANES];
+    let mut scan = |lane: usize, x: f32| {
+        let magnitude = x.abs().to_bits();
+        let finite = magnitude < f32::INFINITY.to_bits();
+        let low = if SKIP && !finite { f32::INFINITY } else { x };
+        let high = if SKIP && !finite {
+            f32::NEG_INFINITY
+        } else {
+            x
+        };
+        lo[lane] = if low < lo[lane] { low } else { lo[lane] };
+        hi[lane] = if high > hi[lane] { high } else { hi[lane] };
+        tally[lane] = if SKIP {
+            tally[lane] + u32::from(!finite)
+        } else {
+            tally[lane].max(magnitude)
+        };
+    };
+    let chunks = data.chunks_exact(SCAN_LANES);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        let chunk: &[f32; SCAN_LANES] = chunk.try_into().expect("a whole chunk");
+        for (lane, &x) in chunk.iter().enumerate() {
+            scan(lane, x);
+        }
+    }
+    for (lane, &x) in tail.iter().enumerate() {
+        scan(lane, x);
+    }
+    let lo = lo
+        .into_iter()
+        .fold(f32::INFINITY, |a, b| if b < a { b } else { a });
+    let hi = hi
+        .into_iter()
+        .fold(f32::NEG_INFINITY, |a, b| if b > a { b } else { a });
+    (lo, hi, tally)
 }
 
 impl Default for QuantRange {
