@@ -208,17 +208,11 @@ impl Requant {
         )
     }
 
-    /// Output channel `o`'s value for accumulator `acc` in a row whose
-    /// code-sum term is `row_term`.
-    #[inline]
-    fn value(&self, acc: i64, row_term: f64, o: usize) -> f64 {
-        self.scale * acc as f64 + row_term + self.weight_terms[o] + self.offset + self.bias[o]
-    }
-
     /// Requantizes one activation row into `out`, one `f32` per output
     /// channel: each value rounded to `f32` and raised to `floor` —
-    /// `x > floor ? x : floor`, so a NaN or `-0.0` value gives the floor
-    /// (`0.0` is a fused ReLU; `-inf` passes every finite value).
+    /// `x > floor ? x : floor`, so NaN gives the floor, and so does
+    /// `-0.0` under the floor `0.0`, a fused ReLU (`-inf` passes every
+    /// other value).
     ///
     /// Where the CPU has AVX-512F and DQ, 8 channels run per step in
     /// `f64` lanes that take the scalar expression's operations in the
@@ -253,7 +247,12 @@ impl Requant {
     /// Channels `from..` of [`Requant::row_into_portable`].
     fn floored_from(&self, from: usize, accs: &[i64], row_term: f64, floor: f32, out: &mut [f32]) {
         for (o, v) in out.iter_mut().enumerate().skip(from) {
-            let x = self.value(accs[o], row_term, o) as f32;
+            let value = self.scale * accs[o] as f64
+                + row_term
+                + self.weight_terms[o]
+                + self.offset
+                + self.bias[o];
+            let x = value as f32;
             *v = if x > floor { x } else { floor };
         }
     }
