@@ -47,10 +47,10 @@ impl QuantRange {
 
     /// Range covering the values of `data`.
     ///
-    /// One pass of [`QuantRange::of_finite`]; the result equals folding
-    /// `f32::min`/`f32::max` over `data` from ±inf, which keeps the
-    /// running bound on a tie: a zero bound takes the sign of the first
-    /// zero in `data`.
+    /// One 16-lane pass (two when the data holds NaN or ±inf); the
+    /// result equals folding `f32::min`/`f32::max` over `data` from ±inf,
+    /// which keeps the running bound on a tie: a zero bound takes the
+    /// sign of the first zero in `data`.
     ///
     /// # Errors
     ///
