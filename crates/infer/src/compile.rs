@@ -29,15 +29,26 @@
 //! — a server cannot re-fit ranges per request batch without making
 //! results batch-composition-dependent.
 //!
-//! Around the GEMM, a conv layer gathers its input codes into the GEMM's
-//! byte planes, requantizes each output row (`Requant::row_into`),
-//! encodes the layer's rows into the next layer's codes
-//! ([`Encoder::encode_into`]) and scatters them into NCHW, max-pooling
-//! as it goes. The row kernels and the tap gather run in vector lanes
-//! where the CPU has them, under one contract: the vector body performs
-//! the scalar expression's operations in the same order — no FMA, no
-//! reassociation — so its results are the same bits as the portable
-//! body's, which the unit tests call directly.
+//! Layers hand codes to each other **channel-last**. A layer's input is
+//! a batch of byte planes, each `[n, h + 2·pad, w + 2·pad, c]`, bordered
+//! by the layer's padding code (`Planes`). A conv orders its taps `(kh,
+//! kw, c)`, and its weights are re-packed in that order once, at compile
+//! time, so the `kw·c` taps of one kernel row are `p·c` adjacent bytes of
+//! the plane. The integer GEMM reads each 4-byte group where it lies,
+//! through a per-pixel start and a per-tap offset — an implicit GEMM,
+//! with no gathered copy — and each row's code sum comes from a table of
+//! per-pixel channel sums. The GEMM's rows are output pixels, so its
+//! output is already channel-last: requantize (`Requant::rows_into`),
+//! encode ([`Encoder::encode_into`]) and the 2×2 max-pool run over
+//! contiguous rows and write the next layer's interior directly. The
+//! classifier head runs as a 1×1 conv over the flattened features, its
+//! weight columns permuted at compile time to the `(y, x, c)` order the
+//! last conv emits, so the logits are those of the NCHW flatten.
+//!
+//! The row kernels run in vector lanes where the CPU has them, under one
+//! contract: the vector body performs the scalar expression's operations
+//! in the same order — no FMA, no reassociation — so its results are the
+//! same bits as the portable body's, which the unit tests call directly.
 //!
 //! A ResNet adds one operation to the VGG chain, the residual junction
 //! (Fig 2). The skip branch — the block input, or its 1×1 projection — is
@@ -46,14 +57,12 @@
 //! through ReLU and encoded into the next layer's codes. A global average
 //! pool over the last junction feeds the head.
 
-use adq_nn::{
-    ConvBlock, GlobalAvgPool, LinearHead, MaxPool2d, QuantModel, ResNet, ResNetBlockView, Vgg,
-};
+use adq_nn::{ConvBlock, LinearHead, QuantModel, ResNet, ResNetBlockView, Vgg};
 use adq_quant::{BitWidth, Encoder, HwPrecision, QuantError, Quantizer};
 use adq_telemetry::metrics;
 use adq_tensor::{Conv2dGeom, Tensor};
 
-use crate::qgemm::{qgemm_rows, Container, PackedMatrix};
+use crate::qgemm::{qgemm_tiles_with, Body, Container, PackedMatrix};
 
 /// Why a model could not be lowered.
 #[derive(Debug, Clone, PartialEq)]
@@ -223,28 +232,59 @@ impl Requant {
     /// # Panics
     ///
     /// Panics unless `accs` and `out` hold one entry per output channel.
+    #[cfg(test)]
     fn row_into(&self, accs: &[i64], act_sum: u64, floor: f32, out: &mut [f32]) {
+        assert_eq!(accs.len(), self.bias.len(), "one accumulator per channel");
+        self.rows_into(accs, accs.len(), &[act_sum], floor, out);
+    }
+
+    /// [`Requant::row_into`] over a tile of rows: row `i` reads its
+    /// accumulators at `accs[i·ld..]` and its code sum `act_sums[i]`, and
+    /// writes `out[i·o..(i + 1)·o]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every row has one accumulator and one output per
+    /// channel.
+    fn rows_into(&self, accs: &[i64], ld: usize, act_sums: &[u64], floor: f32, out: &mut [f32]) {
+        let (o, rows) = (self.bias.len(), act_sums.len());
         assert!(
-            accs.len() == self.bias.len() && out.len() == accs.len(),
+            out.len() == rows * o && ld >= o && accs.len() + ld >= rows * ld + o,
             "one accumulator and one output per channel"
         );
         #[cfg(target_arch = "x86_64")]
         if avx512dq_available() {
             // SAFETY: the features were detected at runtime, and the
             // slice lengths were checked above.
-            unsafe { self.row_into_avx512(accs, act_sum, floor, out) };
+            unsafe { self.rows_into_avx512(accs, ld, act_sums, floor, out) };
             return;
         }
-        self.row_into_portable(accs, act_sum, floor, out);
+        self.rows_into_portable(accs, ld, act_sums, floor, out);
     }
 
     /// The scalar body of [`Requant::row_into`].
+    #[cfg(test)]
     fn row_into_portable(&self, accs: &[i64], act_sum: u64, floor: f32, out: &mut [f32]) {
-        let row_term = self.act_sum_scale * act_sum as f64;
-        self.floored_from(0, accs, row_term, floor, out);
+        self.rows_into_portable(accs, accs.len(), &[act_sum], floor, out);
     }
 
-    /// Channels `from..` of [`Requant::row_into_portable`].
+    /// The scalar body of [`Requant::rows_into`].
+    fn rows_into_portable(
+        &self,
+        accs: &[i64],
+        ld: usize,
+        act_sums: &[u64],
+        floor: f32,
+        out: &mut [f32],
+    ) {
+        let o = self.bias.len();
+        for (i, (&act_sum, row)) in act_sums.iter().zip(out.chunks_exact_mut(o)).enumerate() {
+            let row_term = self.act_sum_scale * act_sum as f64;
+            self.floored_from(0, &accs[i * ld..][..o], row_term, floor, row);
+        }
+    }
+
+    /// Channels `from..` of one row of [`Requant::rows_into_portable`].
     fn floored_from(&self, from: usize, accs: &[i64], row_term: f64, floor: f32, out: &mut [f32]) {
         for (o, v) in out.iter_mut().enumerate().skip(from) {
             let value = self.scale * accs[o] as f64
@@ -257,39 +297,50 @@ impl Requant {
         }
     }
 
-    /// The AVX-512 body of [`Requant::row_into`]: 8 channels per step,
+    /// The AVX-512 body of [`Requant::rows_into`]: 8 channels per step,
     /// scalar tail.
     ///
     /// # Safety
     ///
-    /// The CPU must support AVX-512F and AVX-512DQ, and `accs` and `out`
-    /// must hold one entry per output channel.
+    /// The CPU must support AVX-512F and AVX-512DQ, and every row must
+    /// have one accumulator and one output per channel.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f,avx512dq")]
-    unsafe fn row_into_avx512(&self, accs: &[i64], act_sum: u64, floor: f32, out: &mut [f32]) {
+    unsafe fn rows_into_avx512(
+        &self,
+        accs: &[i64],
+        ld: usize,
+        act_sums: &[u64],
+        floor: f32,
+        out: &mut [f32],
+    ) {
         use std::arch::x86_64::{
             _mm256_max_ps, _mm256_set1_ps, _mm256_storeu_ps, _mm512_add_pd, _mm512_cvtepi64_pd,
             _mm512_cvtpd_ps, _mm512_loadu_pd, _mm512_loadu_si512, _mm512_mul_pd, _mm512_set1_pd,
         };
-        let row_term = self.act_sum_scale * act_sum as f64;
+        let o = self.bias.len();
         let scale = _mm512_set1_pd(self.scale);
-        let row = _mm512_set1_pd(row_term);
         let offset = _mm512_set1_pd(self.offset);
         let low = _mm256_set1_ps(floor);
-        let whole = out.len() / 8 * 8;
-        for o in (0..whole).step_by(8) {
-            let acc = _mm512_cvtepi64_pd(_mm512_loadu_si512(accs.as_ptr().add(o).cast()));
-            let x = _mm512_mul_pd(scale, acc);
-            let x = _mm512_add_pd(x, row);
-            let x = _mm512_add_pd(x, _mm512_loadu_pd(self.weight_terms.as_ptr().add(o)));
-            let x = _mm512_add_pd(x, offset);
-            let x = _mm512_add_pd(x, _mm512_loadu_pd(self.bias.as_ptr().add(o)));
-            // vmaxps returns its second operand unless the first is
-            // greater: `x > floor ? x : floor`
-            let v = _mm256_max_ps(_mm512_cvtpd_ps(x), low);
-            _mm256_storeu_ps(out.as_mut_ptr().add(o), v);
+        let whole = o / 8 * 8;
+        for (i, (&act_sum, row)) in act_sums.iter().zip(out.chunks_exact_mut(o)).enumerate() {
+            let accs = &accs[i * ld..][..o];
+            let row_term = self.act_sum_scale * act_sum as f64;
+            let terms = _mm512_set1_pd(row_term);
+            for c in (0..whole).step_by(8) {
+                let acc = _mm512_cvtepi64_pd(_mm512_loadu_si512(accs.as_ptr().add(c).cast()));
+                let x = _mm512_mul_pd(scale, acc);
+                let x = _mm512_add_pd(x, terms);
+                let x = _mm512_add_pd(x, _mm512_loadu_pd(self.weight_terms.as_ptr().add(c)));
+                let x = _mm512_add_pd(x, offset);
+                let x = _mm512_add_pd(x, _mm512_loadu_pd(self.bias.as_ptr().add(c)));
+                // vmaxps returns its second operand unless the first is
+                // greater: `x > floor ? x : floor`
+                let v = _mm256_max_ps(_mm512_cvtpd_ps(x), low);
+                _mm256_storeu_ps(row.as_mut_ptr().add(c), v);
+            }
+            self.floored_from(whole, accs, row_term, floor, row);
         }
-        self.floored_from(whole, accs, row_term, floor, out);
     }
 }
 
@@ -301,302 +352,162 @@ fn avx512dq_available() -> bool {
         .get_or_init(|| is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq"))
 }
 
-/// Bytes past a [`PaddedPlane`]'s last row, so a tap body may read 4
-/// bytes wherever a run of up to 4 taps starts.
+/// Bytes past each byte plane of a [`Planes`]: the group of 4 that ends
+/// a padded tap run may read up to 3 bytes past the plane's last code.
 const PLANE_SLACK: usize = 3;
 
-/// One byte plane of one image's input codes, bordered by `padding`
-/// rows and columns of the plane's byte of the padding code: `[c, h +
-/// 2·padding, w + 2·padding]` bytes, then [`PLANE_SLACK`] zero bytes.
-/// Every tap of a convolution window is an in-bounds byte here, so the
-/// run of `p` taps at `(channel, kh)` of output pixel `(oy, ox)` is the
-/// `p` bytes at column `ox·stride` of padded row `oy·stride + kh` of that
-/// channel. The interior is rewritten per image; the border is written
-/// once.
-struct PaddedPlane {
+/// A batch of one layer's input codes, channel-last. Each byte plane is
+/// `[n, h + 2·border, w + 2·border, c]` bytes, then [`PLANE_SLACK`] zero
+/// bytes; the border holds that plane's byte of the layer's padding code
+/// (its zero point). A pixel's `c` channels lie side by side, and so do
+/// the `kw·c` taps of one kernel row of a convolution window, which the
+/// integer GEMM reads where they lie. A layer writes its output codes
+/// straight into the next layer's interior; the border is written once,
+/// when the batch is made.
+#[derive(Debug, Clone)]
+struct Planes {
+    /// `[n, c, h, w]` of the interior.
+    dims: [usize; 4],
+    border: usize,
+    /// 1, or 2 when the codes need a high byte.
+    planes: usize,
     bytes: Vec<u8>,
-    /// `w + 2·padding`.
-    width: usize,
-    /// `h + 2·padding`.
-    height: usize,
-    /// `8 ×` the byte plane.
-    shift: u32,
-    /// `Σ_ci plane[ci][r][x]` per padded row `r` and column `x`.
-    channel_sums: Vec<u32>,
-    /// Scratch for one output row's column sums.
-    col_sums: Vec<u32>,
 }
 
-impl PaddedPlane {
-    /// A plane for `[c, h, w]` images under `geom`, its border set to
-    /// `pad`.
-    fn new([c, h, w]: [usize; 3], geom: Conv2dGeom, shift: u32, pad: u8) -> Self {
-        let (width, height) = (w + 2 * geom.padding, h + 2 * geom.padding);
-        assert!(
-            c * geom.kernel * geom.kernel * 255 <= u32::MAX as usize,
-            "a row's byte sum must fit u32"
-        );
-        let mut bytes = vec![pad; c * height * width + PLANE_SLACK];
-        bytes[c * height * width..].fill(0);
-        Self {
-            bytes,
-            width,
-            height,
-            shift,
-            channel_sums: vec![0; height * width],
-            col_sums: vec![0; width],
-        }
-    }
-
-    /// Writes this plane's byte of each of `image`'s codes into the
-    /// interior and sums the channels.
-    fn fill(&mut self, image: &[u16], padding: usize) {
-        let (width, height, shift) = (self.width, self.height, self.shift);
-        let w = width - 2 * padding;
-        let h = height - 2 * padding;
-        let len = self.bytes.len() - PLANE_SLACK;
-        let channels = self.bytes[..len].chunks_exact_mut(height * width);
-        for (channel, src) in channels.zip(image.chunks_exact(h * w)) {
-            let rows = channel[padding * width..].chunks_exact_mut(width);
-            for (row, codes) in rows.zip(src.chunks_exact(w)) {
-                for (lane, &code) in row[padding..padding + w].iter_mut().zip(codes) {
-                    *lane = (code >> shift) as u8;
-                }
-            }
-        }
-        self.channel_sums.fill(0);
-        for channel in self.bytes[..len].chunks_exact(height * width) {
-            for (sum, &byte) in self.channel_sums.iter_mut().zip(channel) {
-                *sum += u32::from(byte);
-            }
-        }
-    }
-
-    /// Offset of the first byte of padded row `kh` of channel `ci`, for
-    /// each tap line `ci·p + kh` in order: adding `oy·stride·width + x`
-    /// gives the line's run for output pixel `(oy, ox)` at column `x`.
-    fn line_starts(&self, geom: Conv2dGeom) -> Vec<u32> {
-        let p = geom.kernel;
-        let starts = (0..geom.in_channels * p)
-            .map(|j| ((j / p * self.height + j % p) * self.width) as u32)
-            .collect();
-        assert!(
-            self.bytes.len() < i32::MAX as usize,
-            "plane offsets must fit i32"
-        );
-        starts
-    }
-
-    /// Adds this plane's share of the code sum of each im2col row of
-    /// output row `oy` to `sums`: the taps of pixel `ox` are columns
-    /// `ox·stride .. ox·stride + p` of padded rows `oy·stride ..
-    /// oy·stride + p` of every channel, so its row sum is the sum of
-    /// those `p × p` channel sums.
-    fn add_row_sums(&mut self, geom: Conv2dGeom, oy: usize, sums: &mut [u64]) {
-        let (p, stride, width) = (geom.kernel, geom.stride, self.width);
-        let window = &self.channel_sums[oy * stride * width..][..p * width];
-        self.col_sums.fill(0);
-        for row in window.chunks_exact(width) {
-            for (col, &sum) in self.col_sums.iter_mut().zip(row) {
-                *col += sum;
-            }
-        }
-        for (ox, sum) in sums.iter_mut().enumerate() {
-            let x = ox * stride;
-            let taps: u32 = self.col_sums[x..x + p].iter().sum();
-            *sum += u64::from(taps) << self.shift;
-        }
-    }
-
-    /// Writes the im2col rows of output row `oy` — `rows.len() / k4` rows
-    /// of `c·p·p` taps in `(channel, kh, kw)` order, each `k4` bytes
-    /// apart — into `rows` through `body`; `lines` is
-    /// [`PaddedPlane::line_starts`]. Bytes past the taps are left as
-    /// they are.
-    fn taps(
-        &self,
-        body: TapBody,
-        geom: Conv2dGeom,
-        lines: &[u32],
-        oy: usize,
-        rows: &mut [u8],
-        k4: usize,
-    ) {
-        let top = oy * geom.stride * self.width;
-        match body {
-            TapBody::Portable => self.taps_portable(geom, lines, top, rows, k4),
-            // Below 16 lines a row is one partly masked gather, which
-            // costs more than the copies it replaces.
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Vbmi` exists only where the features were
-            // detected, and it only takes kernels of up to 4 taps.
-            TapBody::Vbmi if geom.kernel <= 4 && lines.len() >= 16 => unsafe {
-                self.taps_vbmi(geom, lines, top, rows, k4)
-            },
-            #[cfg(target_arch = "x86_64")]
-            TapBody::Vbmi => self.taps_portable(geom, lines, top, rows, k4),
-        }
-    }
-
-    /// The portable tap body: one copy per run of `p` taps.
-    fn taps_portable(
-        &self,
-        geom: Conv2dGeom,
-        lines: &[u32],
-        top: usize,
-        rows: &mut [u8],
-        k4: usize,
-    ) {
-        let (p, stride) = (geom.kernel, geom.stride);
-        let fan_in = lines.len() * p;
-        for (ox, row) in rows.chunks_exact_mut(k4).enumerate() {
-            let x = top + ox * stride;
-            let runs = row[..fan_in].chunks_exact_mut(p).zip(lines);
-            if p == 3 {
-                // a fixed-size copy the compiler unrolls; a slice copy per
-                // 3-tap run costs more than the taps themselves
-                for (taps, &line) in runs {
-                    let at = line as usize + x;
-                    let taps: &mut [u8; 3] = taps.try_into().expect("3 taps");
-                    *taps = self.bytes[at..at + 3].try_into().expect("3 taps");
-                }
-            } else {
-                for (taps, &line) in runs {
-                    let at = line as usize + x;
-                    taps.copy_from_slice(&self.bytes[at..at + p]);
-                }
-            }
-        }
-    }
-
-    /// The AVX-512 VBMI tap body, for kernels of up to 4 taps: for 16
-    /// lines at a time, one gather reads the 4 bytes at each line's run,
-    /// one byte permute keeps the first `p` bytes of each, and one masked
-    /// store writes the `16·p` taps.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX-512F, BW and VBMI, `geom.kernel` must be
-    /// at most 4, and `lines` must be [`PaddedPlane::line_starts`].
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
-    unsafe fn taps_vbmi(
-        &self,
-        geom: Conv2dGeom,
-        lines: &[u32],
-        top: usize,
-        rows: &mut [u8],
-        k4: usize,
-    ) {
-        use std::arch::x86_64::{
-            _mm512_add_epi32, _mm512_loadu_si512, _mm512_mask_i32gather_epi32,
-            _mm512_mask_storeu_epi8, _mm512_maskz_loadu_epi32, _mm512_permutexvar_epi8,
-            _mm512_set1_epi32, _mm512_setzero_si512,
+impl Planes {
+    /// A batch of `dims` codes in `planes` byte planes, every code still
+    /// the border's `pad`.
+    fn new(dims: [usize; 4], border: usize, planes: usize, pad: u16) -> Self {
+        let mut out = Self {
+            dims,
+            border,
+            planes,
+            bytes: Vec::new(),
         };
-        let (p, stride) = (geom.kernel, geom.stride);
-        let fan_in = lines.len() * p;
-        let ow = rows.len() / k4;
+        let len = out.plane_len();
+        assert!(len <= u32::MAX as usize, "plane offsets must fit u32");
+        out.bytes = vec![0; planes * len];
+        for (p, plane) in out.bytes.chunks_exact_mut(len).enumerate() {
+            plane[..len - PLANE_SLACK].fill((pad >> (8 * p)) as u8);
+        }
+        out
+    }
+
+    /// `(h + 2·border, w + 2·border)`.
+    fn padded_hw(&self) -> (usize, usize) {
+        let [_, _, h, w] = self.dims;
+        (h + 2 * self.border, w + 2 * self.border)
+    }
+
+    /// Bytes per plane, slack included.
+    fn plane_len(&self) -> usize {
+        let [n, c, _, _] = self.dims;
+        let (hp, wp) = self.padded_hw();
+        n * hp * wp * c + PLANE_SLACK
+    }
+
+    /// Writes `codes`, row `y` of image `ni` as `[w, c]`, into the
+    /// interior.
+    fn write_row(&mut self, ni: usize, y: usize, codes: &[u16]) {
+        let [n, c, h, w] = self.dims;
         assert!(
-            p <= 4 && rows.len() == ow * k4 && fan_in <= k4,
-            "tap operands out of shape"
+            ni < n && y < h && codes.len() == w * c,
+            "a row of pixels must lie in the interior"
         );
-        // every run lies in its padded row; a gathered word ends at most
-        // 3 bytes past the run, in the next row or the slack
-        assert!(
-            ow == 0 || (ow - 1) * stride + p <= self.width,
-            "runs must lie in their rows"
-        );
-        assert!(
-            lines
+        debug_assert!(
+            codes
                 .iter()
-                .all(|&l| l as usize + top + self.width <= self.bytes.len() - PLANE_SLACK),
-            "lines must lie in the plane"
+                .all(|&code| u32::from(code) >> (8 * self.planes) == 0),
+            "codes overflow {} planes",
+            self.planes
         );
-        // output byte i is byte i % p of the word of line i / p
-        let keep: [u8; 64] = std::array::from_fn(|i| (i / p * 4 + i % p) as u8);
-        let keep = _mm512_loadu_si512(keep.as_ptr().cast());
-        let base = self.bytes.as_ptr();
-        for (ox, row) in rows.chunks_exact_mut(k4).enumerate() {
-            let x = _mm512_set1_epi32((top + ox * stride) as i32);
-            for j0 in (0..lines.len()).step_by(16) {
-                let count = (lines.len() - j0).min(16);
-                let lanes = ((1u32 << count) - 1) as u16;
-                // SAFETY: the masked load reads `lines[j0 .. j0 + count]`
-                let starts = _mm512_maskz_loadu_epi32(lanes, lines.as_ptr().add(j0).cast());
-                // SAFETY: lane j reads 4 bytes from its run's start,
-                // inside the plane and its slack (asserted above)
-                let words = _mm512_mask_i32gather_epi32::<1>(
-                    _mm512_setzero_si512(),
-                    lanes,
-                    _mm512_add_epi32(starts, x),
-                    base.cast(),
-                );
-                let taps = _mm512_permutexvar_epi8(keep, words);
-                let bytes = count * p;
-                let mask = if bytes == 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << bytes) - 1
-                };
-                // SAFETY: the store writes row bytes `j0·p .. (j0 +
-                // count)·p`, inside the row's `fan_in` taps
-                _mm512_mask_storeu_epi8(row.as_mut_ptr().add(j0 * p).cast(), mask, taps);
+        let (hp, wp) = self.padded_hw();
+        let at = ((ni * hp + y + self.border) * wp + self.border) * c;
+        let len = self.plane_len();
+        for (p, plane) in self.bytes.chunks_exact_mut(len).enumerate() {
+            for (byte, &code) in plane[at..at + codes.len()].iter_mut().zip(codes) {
+                *byte = (code >> (8 * p)) as u8;
             }
+        }
+    }
+
+    /// Writes the whole batch from channel-last `[n, h, w, c]` codes.
+    fn write_nhwc(&mut self, codes: &[u16]) {
+        let [n, c, h, w] = self.dims;
+        assert_eq!(codes.len(), n * c * h * w, "codes must be {:?}", self.dims);
+        for (row, line) in codes.chunks_exact((w * c).max(1)).enumerate() {
+            self.write_row(row / h, row % h, line);
+        }
+    }
+
+    /// Writes the whole batch from NCHW codes — the network input's
+    /// layout — one row of pixels at a time.
+    fn write_nchw(&mut self, codes: &[u16]) {
+        let [n, c, h, w] = self.dims;
+        assert_eq!(codes.len(), n * c * h * w, "codes must be {:?}", self.dims);
+        let mut line = vec![0u16; w * c];
+        for ni in 0..n {
+            for y in 0..h {
+                for (ci, plane) in codes[ni * c * h * w..]
+                    .chunks_exact(h * w)
+                    .take(c)
+                    .enumerate()
+                {
+                    for (x, &code) in plane[y * w..(y + 1) * w].iter().enumerate() {
+                        line[x * c + ci] = code;
+                    }
+                }
+                self.write_row(ni, y, &line);
+            }
+        }
+    }
+
+    /// The code sum of each padded pixel's channels, `[n, h + 2·border,
+    /// w + 2·border]`.
+    fn pixel_sums(&self) -> Vec<u64> {
+        let c = self.dims[1];
+        let len = self.plane_len();
+        let mut sums = vec![0u64; (len - PLANE_SLACK) / c];
+        for (p, plane) in self.bytes.chunks_exact(len).enumerate() {
+            for (sum, pixel) in sums.iter_mut().zip(plane.chunks_exact(c)) {
+                let bytes: u32 = pixel.iter().map(|&b| u32::from(b)).sum();
+                *sum += u64::from(bytes) << (8 * p);
+            }
+        }
+        sums
+    }
+
+    /// The same bytes read as `[n, c·h·w, 1, 1]`: the flattened features,
+    /// in `(y, x, c)` order, a classifier head reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch has a border.
+    fn flattened(self) -> Self {
+        assert_eq!(self.border, 0, "only a borderless batch flattens in place");
+        let [n, c, h, w] = self.dims;
+        Self {
+            dims: [n, c * h * w, 1, 1],
+            ..self
         }
     }
 }
 
-/// Which tap body [`PaddedPlane::taps`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TapBody {
-    Portable,
-    /// Only constructed once `avx512f`, `avx512bw` and `avx512vbmi` were
-    /// detected.
-    #[cfg(target_arch = "x86_64")]
-    Vbmi,
+/// The shape `[n, c, h, w]` of a channel-last `[n, h, w, c]` tensor.
+fn channel_last_dims(t: &Tensor) -> [usize; 4] {
+    assert_eq!(t.rank(), 4, "values must be [n, h, w, c]");
+    let d = t.dims();
+    [d[0], d[3], d[1], d[2]]
 }
 
-impl TapBody {
-    /// The fastest body this CPU runs, resolved once per process.
-    fn detect() -> TapBody {
-        #[cfg(target_arch = "x86_64")]
-        {
-            static VBMI: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-            let vbmi = *VBMI.get_or_init(|| {
-                is_x86_feature_detected!("avx512f")
-                    && is_x86_feature_detected!("avx512bw")
-                    && is_x86_feature_detected!("avx512vbmi")
-            });
-            if vbmi {
-                return TapBody::Vbmi;
-            }
-        }
-        TapBody::Portable
-    }
-}
-
-/// Quantizes a `[rows, k]` weight matrix at `bits` and packs it in the
-/// container both it and the activations `act_q` emits fit in.
-fn pack_weights(
-    weight: &[f32],
-    rows: usize,
-    k: usize,
-    bits: BitWidth,
-    act_q: &Quantizer,
-) -> Result<(Quantizer, PackedMatrix, Container), CompileError> {
-    let weight_q = Quantizer::fit(bits, weight)?;
-    let container = Container::for_max_code(weight_q.bits().max_code())
-        .join(Container::for_max_code(act_q.bits().max_code()));
-    let weights = PackedMatrix::pack_rows(weight, rows, k, &weight_q, container);
-    Ok((weight_q, weights, container))
-}
-
-/// One lowered convolution layer: packed BN-folded weight codes plus the
-/// requantization constants of the affine expansion.
+/// One lowered convolution layer — or a classifier head, which runs as
+/// a 1×1 convolution over its features: packed BN-folded weight codes
+/// plus the requantization constants of the affine expansion.
 #[derive(Debug, Clone)]
 pub struct CompiledConv {
     geom: Conv2dGeom,
-    /// Packed weight codes, `[O, I·p·p]`.
+    /// Packed weight codes, `[O, p·p·I]` in `(kh, kw, c)` order, one run
+    /// per kernel row.
     weights: PackedMatrix,
     /// Frozen quantizer for this layer's *input* activations.
     act_q: Quantizer,
@@ -606,23 +517,51 @@ pub struct CompiledConv {
     /// Whether a 2×2 max-pool follows.
     pool: bool,
     /// Whether the output passes through ReLU; a ResNet block's second
-    /// conv and projection emit pre-activation values.
+    /// conv and projection, and the head, emit pre-activation values.
     relu: bool,
 }
 
-/// The lowered classifier head.
-#[derive(Debug, Clone)]
-pub struct CompiledLinear {
-    in_features: usize,
-    out_features: usize,
-    weights: PackedMatrix,
-    act_q: Quantizer,
-    requant: Requant,
-    precision: HwPrecision,
-    container: Container,
-}
-
 impl CompiledConv {
+    /// A layer over `geom` with the float model's `[O, I·p·p]` weights in
+    /// `(c, kh, kw)` order, quantized at `bits` and packed in `(kh, kw,
+    /// c)` order, in the container both they and the activations `act_q`
+    /// emits fit in.
+    fn from_weights(
+        geom: Conv2dGeom,
+        weight: &[f32],
+        bias: &[f32],
+        bits: BitWidth,
+        act_q: Quantizer,
+        [pool, relu]: [bool; 2],
+    ) -> Result<Self, CompileError> {
+        let Conv2dGeom {
+            in_channels: c,
+            kernel: p,
+            ..
+        } = geom;
+        let fan_in = c * p * p;
+        // tap t = (kh·p + kw)·c + ci is the model's (ci·p + kh)·p + kw
+        let taps: Vec<f32> = weight
+            .chunks_exact(fan_in)
+            .flat_map(|filter| (0..fan_in).map(move |t| filter[t % c * p * p + t / c]))
+            .collect();
+        let weight_q = Quantizer::fit(bits, weight)?;
+        let container = Container::for_max_code(weight_q.bits().max_code())
+            .join(Container::for_max_code(act_q.bits().max_code()));
+        let weights =
+            PackedMatrix::pack_runs(&taps, geom.out_channels, fan_in, p, &weight_q, container);
+        Ok(Self {
+            geom,
+            requant: Requant::new(&weight_q, &act_q, &weights, bias),
+            weights,
+            act_q,
+            precision: HwPrecision::legalize(bits),
+            container,
+            pool,
+            relu,
+        })
+    }
+
     /// Folds `block`'s batch-norm into its convolution and packs the
     /// result at the block's bit-width, reading its input through the
     /// frozen `act_q`. Also returns the bit-width, which the block's
@@ -635,50 +574,43 @@ impl CompiledConv {
     ) -> Result<(Self, BitWidth), CompileError> {
         let bits = layer_bits(block.name(), block.bits(), options)?;
         let (weight, bias) = block.folded_weight_bias();
-        let geom = block.geom();
-        let fan_in = geom.in_channels * geom.kernel * geom.kernel;
-        let (weight_q, weights, container) =
-            pack_weights(weight.data(), geom.out_channels, fan_in, bits, &act_q)?;
-        let layer = Self {
-            geom,
-            requant: Requant::new(&weight_q, &act_q, &weights, &bias),
-            weights,
+        let relu = block.has_relu();
+        let layer = Self::from_weights(
+            block.geom(),
+            weight.data(),
+            &bias,
+            bits,
             act_q,
-            precision: HwPrecision::legalize(bits),
-            container,
-            pool,
-            relu: block.has_relu(),
-        };
+            [pool, relu],
+        )?;
         Ok((layer, bits))
     }
-}
 
-impl CompiledLinear {
     /// Packs a classifier head at its bit-width, reading its input
-    /// features through the frozen `act_q`.
-    fn lower(
+    /// features through the frozen `act_q`. The model flattens a
+    /// `[channels, h, w]` map NCHW; the engine hands it over channel-last,
+    /// so feature `c·h·w + s` of a weight row moves to `s·channels + c`.
+    fn lower_head(
         head: &LinearHead,
         act_q: Quantizer,
+        channels: usize,
         options: CompileOptions,
     ) -> Result<Self, CompileError> {
         let bits = layer_bits(head.name(), head.bits(), options)?;
         let linear = head.linear();
-        let (weight_q, weights, container) = pack_weights(
-            linear.weight.value.data(),
-            head.out_features(),
-            head.in_features(),
-            bits,
-            &act_q,
-        )?;
-        Ok(Self {
-            in_features: head.in_features(),
-            out_features: head.out_features(),
-            requant: Requant::new(&weight_q, &act_q, &weights, linear.bias.value.data()),
-            weights,
-            act_q,
-            precision: HwPrecision::legalize(bits),
-            container,
-        })
+        let features = head.in_features();
+        assert_eq!(features % channels, 0, "features must be whole maps");
+        let area = features / channels;
+        let weight: Vec<f32> = linear
+            .weight
+            .value
+            .data()
+            .chunks_exact(features)
+            .flat_map(|row| (0..features).map(move |f| row[f % channels * area + f / channels]))
+            .collect();
+        let geom = Conv2dGeom::new(features, head.out_features(), 1, 1, 0);
+        let bias = linear.bias.value.data();
+        Self::from_weights(geom, &weight, bias, bits, act_q, [false, false])
     }
 }
 
@@ -689,7 +621,7 @@ impl CompiledLinear {
 #[derive(Debug, Clone)]
 pub struct CompiledVgg {
     convs: Vec<CompiledConv>,
-    head: CompiledLinear,
+    head: CompiledConv,
     classes: usize,
     in_channels: usize,
     input_hw: usize,
@@ -712,26 +644,35 @@ impl CompiledVgg {
         let input_hw = model.layer_stats()[0].input_hw;
         check_calibration(calibration, in_channels, input_hw)?;
 
-        let mut convs = Vec::new();
-        let mut x = calibration.clone();
+        let mut convs: Vec<CompiledConv> = Vec::new();
+        // each layer's channel-last output on the calibration batch
+        let mut x: Option<Tensor> = None;
         // network input is carried at the accelerator's full width
         let mut carry_bits = BitWidth::SIXTEEN;
         for (index, block) in model.conv_blocks().iter().enumerate() {
-            let act_q = frozen_act_quantizer(carry_bits, x.data());
+            let act_q = frozen_act_quantizer(carry_bits, x.as_ref().unwrap_or(calibration).data());
             let (layer, bits) =
                 CompiledConv::lower(block, act_q, model.pool_after(index), options)?;
             // calibrate the next layer on this layer's integer output;
             // encoding through the layer's own quantizer is exactly what
             // the serving chain feeds it
-            x = layer.run_values(&encode_all(x.data(), &layer.act_q), nchw(&x));
+            let input = match &x {
+                None => layer.input_nchw(calibration),
+                Some(x) => {
+                    layer.input_from(&encode_all(x.data(), &layer.act_q), channel_last_dims(x))
+                }
+            };
+            x = Some(layer.values(input));
             carry_bits = bits;
             convs.push(layer);
         }
 
+        let x = x.expect("a VGG has convolutions");
         let act_q = frozen_act_quantizer(carry_bits, x.data());
+        let channels = channel_last_dims(&x)[1];
         Ok(Self {
             convs,
-            head: CompiledLinear::lower(model.head(), act_q, options)?,
+            head: CompiledConv::lower_head(model.head(), act_q, channels, options)?,
             classes: model.classes(),
             in_channels,
             input_hw,
@@ -780,24 +721,21 @@ impl CompiledVgg {
     ///
     /// The whole network runs as a fused requantization chain — the input
     /// is encoded once, every conv consumes and emits integer codes in
-    /// the next layer's code space, and only the head's logits come back
-    /// as floats.
+    /// the next layer's code space, channel-last, and only the head's
+    /// logits come back as floats.
     ///
     /// # Panics
     ///
     /// Panics if `images` is not `[N, C, H, W]` matching the model.
     pub fn run(&self, images: &Tensor) -> Tensor {
-        let mut dims = nchw(images);
-        let mut codes = encode_all(images.data(), &self.convs[0].act_q);
+        let mut input = self.convs[0].input_nchw(images);
         for (i, conv) in self.convs.iter().enumerate() {
-            let next_q = match self.convs.get(i + 1) {
-                Some(next) => &next.act_q,
-                None => &self.head.act_q,
-            };
-            (codes, dims) = conv.run_codes(&codes, dims, &next_q.encoder());
+            let next = self.convs.get(i + 1).unwrap_or(&self.head);
+            let mut out = next.input(conv.output_dims(input.dims, conv.pool));
+            conv.codes_into(Body::detect(), input, &mut out, &next.act_q.encoder());
+            input = out;
         }
-        let [n, c, h, w] = dims;
-        self.head.run_codes(&codes, n, c * h * w)
+        self.head.logits(input.flattened())
     }
 }
 
@@ -814,10 +752,10 @@ struct CompiledBlock {
 }
 
 impl CompiledBlock {
-    /// Lowers one basic block whose float input `x` is carried at
-    /// `carry_bits`, calibrating every range it freezes on `x`. Returns
-    /// the block, its junction output on `x` and the junction bits, at
-    /// which that output is carried.
+    /// Lowers one basic block whose channel-last float input `x` is
+    /// carried at `carry_bits`, calibrating every range it freezes on
+    /// `x`. Returns the block, its junction output on `x` and the
+    /// junction bits, at which that output is carried.
     fn lower(
         view: ResNetBlockView<'_>,
         x: &Tensor,
@@ -827,8 +765,8 @@ impl CompiledBlock {
         let in_q = frozen_act_quantizer(carry_bits, x.data());
         let (conv1, conv1_bits) = CompiledConv::lower(view.conv1, in_q, false, options)?;
         let codes = encode_all(x.data(), &in_q);
-        let dims = nchw(x);
-        let mid = conv1.run_values(&codes, dims);
+        let dims = channel_last_dims(x);
+        let mid = conv1.values(conv1.input_from(&codes, dims));
         let mid_q = frozen_act_quantizer(conv1_bits, mid.data());
         let (conv2, _) = CompiledConv::lower(view.conv2, mid_q, false, options)?;
         let proj = match view.proj {
@@ -837,7 +775,8 @@ impl CompiledBlock {
         };
         let name = view.conv1.name().trim_end_matches(".conv1");
         let junction_bits = layer_bits(&format!("{name}.junction"), view.junction_bits, options)?;
-        let main = conv2.run_values(&encode_all(mid.data(), &mid_q), nchw(&mid));
+        let mid_codes = encode_all(mid.data(), &mid_q);
+        let main = conv2.values(conv2.input_from(&mid_codes, channel_last_dims(&mid)));
         let skip = skip_branch(proj.as_ref(), &in_q, &codes, dims);
         let block = Self {
             conv1,
@@ -849,13 +788,14 @@ impl CompiledBlock {
         Ok((block, y, junction_bits))
     }
 
-    /// The block on input codes in `conv1`'s code space: the junction
-    /// output, post-ReLU, as floats.
-    fn run_values(&self, codes: &[u16], dims: [usize; 4]) -> Tensor {
-        let (mid, mid_dims) = self
-            .conv1
-            .run_codes(codes, dims, &self.conv2.act_q.encoder());
-        let main = self.conv2.run_values(&mid, mid_dims);
+    /// The block on channel-last input codes in `conv1`'s code space: the
+    /// junction output, post-ReLU, as channel-last floats.
+    fn forward(&self, codes: &[u16], dims: [usize; 4]) -> Tensor {
+        let mut mid = self.conv2.input(self.conv1.output_dims(dims, false));
+        let input = self.conv1.input_from(codes, dims);
+        let enc = self.conv2.act_q.encoder();
+        self.conv1.codes_into(Body::detect(), input, &mut mid, &enc);
+        let main = self.conv2.values(mid);
         let skip = skip_branch(self.proj.as_ref(), &self.conv1.act_q, codes, dims);
         self.junction(main, &skip)
     }
@@ -871,9 +811,9 @@ impl CompiledBlock {
     }
 }
 
-/// The skip branch of a block on input codes read through `in_q`, before
-/// its junction quantization: the projection's pre-activation output, or
-/// the decoded block input.
+/// The skip branch of a block on channel-last input codes read through
+/// `in_q`, before its junction quantization: the projection's
+/// pre-activation output, or the decoded block input.
 fn skip_branch(
     proj: Option<&CompiledConv>,
     in_q: &Quantizer,
@@ -881,15 +821,32 @@ fn skip_branch(
     dims: [usize; 4],
 ) -> Tensor {
     match proj {
-        Some(proj) => proj.run_values(codes, dims),
+        Some(proj) => proj.values(proj.input_from(codes, dims)),
         None => {
             let values = codes
                 .iter()
                 .map(|&c| in_q.dequantize(u64::from(c)))
                 .collect();
-            Tensor::from_vec(values, &dims).expect("one value per code")
+            let [n, c, h, w] = dims;
+            Tensor::from_vec(values, &[n, h, w, c]).expect("one value per code")
         }
     }
+}
+
+/// Global average pool of a channel-last `[n, h, w, c]` tensor: `[n, c]`,
+/// each channel's values summed in raster order, the order
+/// `GlobalAvgPool` sums an NCHW plane in.
+fn channel_means(x: &Tensor) -> Tensor {
+    let [n, c, h, w] = channel_last_dims(x);
+    let area = h * w;
+    let mut out = Vec::with_capacity(n * c);
+    for image in x.data().chunks_exact((area * c).max(1)) {
+        for ci in 0..c {
+            let sum: f32 = image.iter().skip(ci).step_by(c).sum();
+            out.push(sum / area as f32);
+        }
+    }
+    Tensor::from_vec(out, &[n, c]).expect("one mean per channel")
 }
 
 /// A trained [`ResNet`] lowered to bit-packed integer inference: the stem
@@ -900,7 +857,7 @@ fn skip_branch(
 pub struct CompiledResNet {
     stem: CompiledConv,
     blocks: Vec<CompiledBlock>,
-    head: CompiledLinear,
+    head: CompiledConv,
 }
 
 impl CompiledResNet {
@@ -921,7 +878,7 @@ impl CompiledResNet {
 
         let act_q = frozen_act_quantizer(BitWidth::SIXTEEN, calibration.data());
         let (stem, mut carry_bits) = CompiledConv::lower(model.stem(), act_q, false, options)?;
-        let mut x = stem.run_values(&encode_all(calibration.data(), &act_q), nchw(calibration));
+        let mut x = stem.values(stem.input_nchw(calibration));
         let mut blocks = Vec::new();
         for index in 0..model.block_count() {
             let (block, y, bits) =
@@ -929,12 +886,13 @@ impl CompiledResNet {
             blocks.push(block);
             (x, carry_bits) = (y, bits);
         }
-        let pooled = GlobalAvgPool::new().forward(&x);
+        let pooled = channel_means(&x);
         let act_q = frozen_act_quantizer(carry_bits, pooled.data());
+        let channels = pooled.dims()[1];
         Ok(Self {
             stem,
             blocks,
-            head: CompiledLinear::lower(model.head(), act_q, options)?,
+            head: CompiledConv::lower_head(model.head(), act_q, channels, options)?,
         })
     }
 
@@ -957,15 +915,16 @@ impl CompiledResNet {
     ///
     /// Panics if `images` is not `[N, C, H, W]` matching the model.
     pub fn run(&self, images: &Tensor) -> Tensor {
-        let codes = encode_all(images.data(), &self.stem.act_q);
-        let mut x = self.stem.run_values(&codes, nchw(images));
+        let mut x = self.stem.values(self.stem.input_nchw(images));
         for block in &self.blocks {
-            x = block.run_values(&encode_all(x.data(), &block.conv1.act_q), nchw(&x));
+            let codes = encode_all(x.data(), &block.conv1.act_q);
+            x = block.forward(&codes, channel_last_dims(&x));
         }
-        let pooled = GlobalAvgPool::new().forward(&x);
+        let pooled = channel_means(&x);
         let [n, features] = [pooled.dims()[0], pooled.dims()[1]];
+        let codes = encode_all(pooled.data(), &self.head.act_q);
         self.head
-            .run_codes(&encode_all(pooled.data(), &self.head.act_q), n, features)
+            .logits(self.head.input_from(&codes, [n, features, 1, 1]))
     }
 }
 
@@ -999,172 +958,205 @@ impl CompiledConv {
         self.act_q.quantize(0.0) as u16
     }
 
-    /// Gathers the transposed `[M, fan_in]` code matrix straight from the
-    /// NCHW input codes into the GEMM's activation planes — integer
-    /// im2col — with each row's code sum. Each byte plane is written in
-    /// its own pass, one row of output pixels at a time; rows are padded
-    /// to whole groups of 4 taps with zero bytes.
-    fn gather_cols(&self, codes: &[u16], dims: [usize; 4]) -> PackedMatrix {
-        self.gather_cols_with(TapBody::detect(), codes, dims)
+    /// An input batch of shape `dims` for this layer, bordered by its
+    /// padding code, in as many byte planes as its input codes need.
+    fn input(&self, dims: [usize; 4]) -> Planes {
+        let planes = Container::for_max_code(self.act_q.bits().max_code()).planes();
+        Planes::new(dims, self.geom.padding, planes, self.pad_code())
     }
 
-    /// [`CompiledConv::gather_cols`] with a chosen tap body.
-    fn gather_cols_with(&self, body: TapBody, codes: &[u16], dims: [usize; 4]) -> PackedMatrix {
-        let [n, c, h, w] = dims;
-        assert_eq!(
-            c, self.geom.in_channels,
-            "channel mismatch: input {dims:?} vs geom {:?}",
+    /// This layer's input batch holding channel-last `codes` of shape
+    /// `dims`.
+    fn input_from(&self, codes: &[u16], dims: [usize; 4]) -> Planes {
+        let mut input = self.input(dims);
+        input.write_nhwc(codes);
+        input
+    }
+
+    /// This layer's input batch holding NCHW `images`, encoded through
+    /// its quantizer.
+    fn input_nchw(&self, images: &Tensor) -> Planes {
+        let mut input = self.input(nchw(images));
+        input.write_nchw(&encode_all(images.data(), &self.act_q));
+        input
+    }
+
+    /// The GEMM operand of this layer on `input`, read in place — an
+    /// implicit im2col. Row `m` is output pixel `(image, oy, ox)`; its
+    /// taps are `(kh, kw, c)`, one run of `p·c` codes per kernel row,
+    /// starting at padded pixel `(oy·stride + kh, ox·stride)`. A row's
+    /// code sum adds the channel sums of the `p × p` pixels under its
+    /// window.
+    fn operand(&self, input: Planes) -> PackedMatrix {
+        let [n, c, h, w] = input.dims;
+        assert!(
+            c == self.geom.in_channels && input.border == self.geom.padding,
+            "input {:?} with border {} does not fit {:?}",
+            input.dims,
+            input.border,
             self.geom
         );
-        assert_eq!(codes.len(), n * c * h * w, "codes must be {dims:?}");
-        debug_assert!(
-            codes
-                .iter()
-                .all(|&code| u64::from(code) <= self.container.max_code()),
-            "codes overflow {:?}",
-            self.container
-        );
+        let Conv2dGeom {
+            kernel: p, stride, ..
+        } = self.geom;
         let (oh, ow) = (self.geom.output_size(h), self.geom.output_size(w));
-        let fan_in = c * self.geom.kernel * self.geom.kernel;
-        let k4 = fan_in.next_multiple_of(4);
-        let m = n * oh * ow;
-        let mut bytes = vec![0u8; self.container.planes() * m * k4];
-        let mut row_sums = vec![0u64; m];
-        for (p, plane) in bytes.chunks_exact_mut((m * k4).max(1)).enumerate() {
-            let shift = 8 * p as u32;
-            let pad = (self.pad_code() >> shift) as u8;
-            let mut padded = PaddedPlane::new([c, h, w], self.geom, shift, pad);
-            let lines = padded.line_starts(self.geom);
-            let images = plane
-                .chunks_exact_mut((oh * ow * k4).max(1))
-                .zip(row_sums.chunks_exact_mut((oh * ow).max(1)));
-            for ((image_rows, image_sums), image) in images.zip(codes.chunks_exact(c * h * w)) {
-                padded.fill(image, self.geom.padding);
-                let blocks = image_rows
-                    .chunks_exact_mut(ow * k4)
-                    .zip(image_sums.chunks_exact_mut(ow));
-                for (oy, (rows, sums)) in blocks.enumerate() {
-                    padded.taps(body, self.geom, &lines, oy, rows, k4);
-                    padded.add_row_sums(self.geom, oy, sums);
+        let (hp, wp) = input.padded_hw();
+        let run4 = (p * c).next_multiple_of(4);
+        let groups = (0..p * run4 / 4)
+            .map(|g| (4 * g / run4 * wp * c + 4 * g % run4) as u32)
+            .collect();
+        let sums = input.pixel_sums();
+        let mut starts = Vec::with_capacity(n * oh * ow);
+        let mut row_sums = Vec::with_capacity(n * oh * ow);
+        // the channel sums of the window rows, per padded column
+        let mut cols = vec![0u64; wp];
+        for (ni, image) in sums.chunks_exact(hp * wp).enumerate() {
+            for oy in 0..oh {
+                let top = oy * stride * wp;
+                let (first, rest) = image[top..top + p * wp].split_at(wp);
+                cols.copy_from_slice(first);
+                for line in rest.chunks_exact(wp) {
+                    for (col, &sum) in cols.iter_mut().zip(line) {
+                        *col += sum;
+                    }
+                }
+                let base = ni * hp * wp + top;
+                for x in (0..ow).map(|ox| ox * stride) {
+                    starts.push(((base + x) * c) as u32);
+                    row_sums.push(cols[x..x + p].iter().sum::<u64>());
                 }
             }
         }
-        PackedMatrix::from_row_planes(m, fan_in, self.container, bytes, row_sums)
+        PackedMatrix::in_place(
+            [n * oh * ow, p * p * c, p],
+            self.container,
+            input.planes,
+            input.bytes,
+            starts,
+            groups,
+            row_sums,
+        )
     }
 
-    /// Shared gather + GEMM + requantization core: the layer's output as
-    /// `[M, O]` pixel rows in `(image, oy, ox)` order, a bias-added float
-    /// per output channel, ReLU-clamped when the layer has a ReLU.
-    fn requantized_rows(&self, codes: &[u16], dims: [usize; 4]) -> Vec<f32> {
-        let acts = self.gather_cols(codes, dims);
+    /// GEMM + requantization on `input`: the layer's output as `[M, O]`
+    /// rows, one per output pixel in `(image, oy, ox)` order — already
+    /// channel-last — a bias-added float per output channel,
+    /// ReLU-clamped when the layer has a ReLU.
+    fn requantized_rows(&self, body: Body, input: Planes) -> Vec<f32> {
+        let acts = self.operand(input);
         let oc = self.geom.out_channels;
-        let sum_ca = acts.row_sums();
+        let sums = acts.row_sums();
         let mut values = vec![0f32; acts.rows() * oc];
         // fused ReLU; without one, every value passes the floor
         let floor = if self.relu { 0.0 } else { f32::NEG_INFINITY };
-        qgemm_rows(&acts, &self.weights, |mi, accs| {
-            let row = &mut values[mi * oc..][..oc];
-            self.requant.row_into(accs, sum_ca[mi], floor, row);
+        qgemm_tiles_with(body, &acts, &self.weights, |m0, accs, ld| {
+            let rows = accs.len() / ld;
+            let out = &mut values[m0 * oc..(m0 + rows) * oc];
+            self.requant
+                .rows_into(accs, ld, &sums[m0..m0 + rows], floor, out);
         });
         values
     }
 
-    /// Moves `[M, O]` pixel rows of the output of an input of shape
-    /// `dims` into the NCHW `out`, merging each value into its cell with
-    /// `merge`. When `pooled`, `out` is the 2×2-pooled map, where the
-    /// four pixels of a pool window share a cell.
-    fn scatter_rows<T: Copy>(
+    /// Hands `sink(image, y, pixels)` this layer's output, one row of
+    /// pixels at a time: the `[M, O]` `rows` of an input of shape `dims`,
+    /// or when the layer pools, their 2×2 max-pool, each window taken as
+    /// `max(max(top-left, top-right), max(bottom-left, bottom-right))`.
+    /// For a `max` that keeps the first of equals, that is the first
+    /// greatest value in `MaxPool2d`'s order, the rows holding no NaN.
+    fn pooled_rows<T: Copy + Default>(
         &self,
         rows: &[T],
         dims: [usize; 4],
-        pooled: bool,
-        out: &mut [T],
-        merge: impl Fn(T, T) -> T,
+        max: impl Fn(T, T) -> T,
+        mut sink: impl FnMut(usize, usize, &[T]),
     ) {
-        let [_, oc, plane_h, plane_w] = self.output_dims(dims, pooled);
-        let (oh, ow) = (
-            self.geom.output_size(dims[2]),
-            self.geom.output_size(dims[3]),
-        );
-        let shift = usize::from(pooled);
-        let plane = plane_h * plane_w;
-        let pixels =
-            (0..oh).flat_map(|y| (0..ow).map(move |x| (y >> shift) * plane_w + (x >> shift)));
-        let images = rows.chunks_exact((oh * ow * oc).max(1));
-        for (image, maps) in images.zip(out.chunks_exact_mut((oc * plane).max(1))) {
-            for (row, cell) in image.chunks_exact(oc).zip(pixels.clone()) {
-                for (map, &v) in maps.chunks_exact_mut(plane).zip(row) {
-                    map[cell] = merge(map[cell], v);
+        let [_, o, oh, ow] = self.output_dims(dims, false);
+        let line = (ow * o).max(1);
+        if !self.pool {
+            for (i, pixels) in rows.chunks_exact(line).enumerate() {
+                sink(i / oh, i % oh, pixels);
+            }
+            return;
+        }
+        let [.., ph, pw] = self.output_dims(dims, true);
+        // each row's pixel pairs, side by side
+        let pairs = |row: &[T], out: &mut [T]| {
+            let cells = out.chunks_exact_mut(o.max(1));
+            for (cell, pair) in cells.zip(row.chunks_exact(2 * o)) {
+                let (left, right) = pair.split_at(o);
+                for ((v, &l), &r) in cell.iter_mut().zip(left).zip(right) {
+                    *v = max(l, r);
                 }
             }
+        };
+        let (mut top, mut bottom) = (vec![T::default(); pw * o], vec![T::default(); pw * o]);
+        for (i, pair) in rows.chunks_exact(2 * line).enumerate() {
+            pairs(&pair[..line], &mut top);
+            pairs(&pair[line..], &mut bottom);
+            for (t, &b) in top.iter_mut().zip(&bottom) {
+                *t = max(*t, b);
+            }
+            sink(i / ph, i % ph, &top);
         }
     }
 
-    /// Serving path: consumes input codes, emits the *next* layer's input
-    /// codes directly (fused requantization chain — no float tensor
-    /// materializes between layers), max-pooled in the same pass.
-    fn run_codes(
-        &self,
-        codes: &[u16],
-        dims: [usize; 4],
-        next_enc: &Encoder,
-    ) -> (Vec<u16>, [usize; 4]) {
-        let values = self.requantized_rows(codes, dims);
+    /// Serving path: runs the layer on `input` and writes the *next*
+    /// layer's input codes straight into `next`'s interior — a fused
+    /// requantization chain, no float tensor between layers — max-pooled
+    /// in the same pass.
+    fn codes_into(&self, body: Body, input: Planes, next: &mut Planes, next_enc: &Encoder) {
+        let dims = input.dims;
+        assert_eq!(
+            next.dims,
+            self.output_dims(dims, self.pool),
+            "next batch shape"
+        );
+        let values = self.requantized_rows(body, input);
         let mut rows = vec![0u16; values.len()];
         next_enc.encode_into(&values, &mut rows);
-        let out_dims = self.output_dims(dims, self.pool);
-        let mut out = vec![0u16; out_dims.iter().product()];
-        // Codes are never negative, so taking the max into a zeroed cell
-        // is exactly the 2×2 max-pool (and encoding is monotone, so
-        // pooling codes is pooling values); unpooled, each cell is written
-        // once.
-        self.scatter_rows(&rows, dims, self.pool, &mut out, u16::max);
-        (out, out_dims)
+        // Codes are never negative and encoding is monotone, so pooling
+        // codes is pooling values.
+        self.pooled_rows(&rows, dims, u16::max, |ni, y, pixels| {
+            next.write_row(ni, y, pixels)
+        });
     }
 
     /// Float-output path: same integer datapath, but the requantized
-    /// activations are kept as floats — for calibration, so the *next*
+    /// activations are kept as floats, channel-last `[n, h', w', o]` and
+    /// max-pooled when the layer pools — for calibration, so the *next*
     /// layer's quantizer can be fitted on them before its encoder exists,
     /// and for a ResNet junction, which adds them to the skip branch.
-    fn run_values(&self, codes: &[u16], dims: [usize; 4]) -> Tensor {
-        let values = self.requantized_rows(codes, dims);
-        let out_dims = self.output_dims(dims, false);
-        let mut staged = vec![0f32; out_dims.iter().product()];
-        self.scatter_rows(&values, dims, false, &mut staged, |_, v| v);
-        let mut out = Tensor::from_vec(staged, &out_dims).expect("sized above");
-        if self.pool {
-            let mut pool = MaxPool2d::new(2);
-            out = pool.forward(&out);
-        }
-        out
-    }
-}
-
-impl CompiledLinear {
-    /// Runs the head on flattened `[N, in]` input codes, producing float
-    /// logits — the only float tensor the serving chain materializes.
-    fn run_codes(&self, codes: &[u16], n: usize, features: usize) -> Tensor {
-        assert_eq!(features, self.in_features, "feature mismatch");
-        let acts = PackedMatrix::from_codes(codes, n, self.in_features, self.container);
-        let o = self.out_features;
-        let sum_ca = acts.row_sums();
-        let mut out = Tensor::zeros(&[n, o]);
-        let dst = out.data_mut();
-        qgemm_rows(&acts, &self.weights, |ni, accs| {
-            let logits = &mut dst[ni * o..(ni + 1) * o];
-            self.requant
-                .row_into(accs, sum_ca[ni], f32::NEG_INFINITY, logits);
+    fn values(&self, input: Planes) -> Tensor {
+        let dims = input.dims;
+        let rows = self.requantized_rows(Body::detect(), input);
+        let [n, o, h, w] = self.output_dims(dims, self.pool);
+        let mut out = Vec::with_capacity(n * o * h * w);
+        // `MaxPool2d`'s comparison: a later value wins only if greater;
+        // the requant floor leaves no NaN
+        let max = |best: f32, v: f32| if v > best { v } else { best };
+        self.pooled_rows(&rows, dims, max, |_, _, pixels| {
+            out.extend_from_slice(pixels)
         });
-        out
+        Tensor::from_vec(out, &[n, h, w, o]).expect("one value per output")
+    }
+
+    /// A classifier head's logits `[n, classes]` on its flattened input.
+    fn logits(&self, input: Planes) -> Tensor {
+        let n = input.dims[0];
+        let values = self.requantized_rows(Body::detect(), input);
+        Tensor::from_vec(values, &[n, self.geom.out_channels]).expect("one logit per class")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::qgemm::{qgemm_rows, qgemm_rows_with};
     use adq_nn::QuantModel;
     use adq_quant::QuantRange;
     use adq_tensor::init;
+    use proptest::prelude::*;
 
     fn quantized_tiny(bits: &[u32]) -> Vgg {
         let mut model = Vgg::tiny(3, 8, 4, 42);
@@ -1292,34 +1284,127 @@ mod tests {
     /// A conv layer over `geom` in `container`, with seeded weights and an
     /// activation range whose zero point — the padding code — is not 0.
     fn conv_layer(geom: Conv2dGeom, container: Container, pool: bool) -> CompiledConv {
-        let bits = BitWidth::new(match container {
+        let bits = match container {
             Container::Nib => 4,
             Container::U8 => 8,
             Container::U16 => 16,
-        })
-        .unwrap();
-        let fan_in = geom.in_channels * geom.kernel * geom.kernel;
-        let mut r = init::rng(9);
-        let weight = init::normal(&[geom.out_channels, fan_in], 0.0, 1.0, &mut r);
-        let weight_q = Quantizer::fit(bits, weight.data()).unwrap();
-        let act_q = Quantizer::new(bits, QuantRange::new(-1.0, 3.0).unwrap());
-        let weights = PackedMatrix::pack_rows(
-            weight.data(),
-            geom.out_channels,
-            fan_in,
-            &weight_q,
-            container,
-        );
-        let bias = vec![0.25; geom.out_channels];
-        CompiledConv {
-            geom,
-            requant: Requant::new(&weight_q, &act_q, &weights, &bias),
-            weights,
-            act_q,
-            precision: HwPrecision::legalize(bits),
-            container,
-            pool,
-            relu: true,
+        };
+        let (mut layer, _) = conv_at_bits(geom, bits, bits, 9);
+        layer.pool = pool;
+        assert_eq!(layer.container, container);
+        layer
+    }
+
+    /// NCHW adapters. The scalar references below index codes and values
+    /// NCHW; these move them into and out of the channel-last batches the
+    /// layers run on.
+    impl Planes {
+        /// The code of channel `ci` of padded pixel `(py, px)` of image
+        /// `ni`.
+        fn padded_code(&self, ni: usize, py: usize, px: usize, ci: usize) -> u16 {
+            let c = self.dims[1];
+            let (hp, wp) = self.padded_hw();
+            let at = ((ni * hp + py) * wp + px) * c + ci;
+            (0..self.planes)
+                .map(|p| u16::from(self.bytes[p * self.plane_len() + at]) << (8 * p))
+                .sum()
+        }
+
+        /// The interior as NCHW codes.
+        fn nchw_codes(&self) -> Vec<u16> {
+            let [n, c, h, w] = self.dims;
+            let b = self.border;
+            let mut out = Vec::with_capacity(n * c * h * w);
+            for ni in 0..n {
+                for ci in 0..c {
+                    for y in 0..h {
+                        out.extend((0..w).map(|x| self.padded_code(ni, y + b, x + b, ci)));
+                    }
+                }
+            }
+            out
+        }
+
+        /// Every code of the border.
+        fn border_codes(&self) -> Vec<u16> {
+            let [n, c, h, w] = self.dims;
+            let (hp, wp) = self.padded_hw();
+            let inside = |py: usize, px: usize| {
+                (self.border..self.border + h).contains(&py)
+                    && (self.border..self.border + w).contains(&px)
+            };
+            let mut out = Vec::new();
+            for ni in 0..n {
+                for py in 0..hp {
+                    for px in (0..wp).filter(|&px| !inside(py, px)) {
+                        out.extend((0..c).map(|ci| self.padded_code(ni, py, px, ci)));
+                    }
+                }
+            }
+            out
+        }
+    }
+
+    /// A channel-last `[n, h, w, c]` tensor as NCHW.
+    fn to_nchw(x: &Tensor) -> Tensor {
+        let [n, c, h, w] = channel_last_dims(x);
+        let mut out = vec![0f32; x.len()];
+        for (i, &v) in x.data().iter().enumerate() {
+            let (ni, y, xx, ci) = (i / (h * w * c), i / (w * c) % h, i / c % w, i % c);
+            out[((ni * c + ci) * h + y) * w + xx] = v;
+        }
+        Tensor::from_vec(out, &[n, c, h, w]).unwrap()
+    }
+
+    /// NCHW codes as channel-last.
+    fn to_nhwc(codes: &[u16], [_, c, h, w]: [usize; 4]) -> Vec<u16> {
+        let mut out = vec![0u16; codes.len()];
+        for (i, &code) in codes.iter().enumerate() {
+            let (ni, ci, y, x) = (i / (c * h * w), i / (h * w) % c, i / w % h, i % w);
+            out[((ni * h + y) * w + x) * c + ci] = code;
+        }
+        out
+    }
+
+    impl CompiledConv {
+        /// This layer's input batch holding NCHW `codes`.
+        fn input_nchw_codes(&self, codes: &[u16], dims: [usize; 4]) -> Planes {
+            let mut input = self.input(dims);
+            input.write_nchw(codes);
+            input
+        }
+
+        /// The layer's GEMM operand on NCHW input codes.
+        fn gather_cols(&self, codes: &[u16], dims: [usize; 4]) -> PackedMatrix {
+            self.operand(self.input_nchw_codes(codes, dims))
+        }
+
+        /// [`CompiledConv::codes_into`] on NCHW codes, returning NCHW
+        /// codes.
+        fn run_codes(
+            &self,
+            codes: &[u16],
+            dims: [usize; 4],
+            next_enc: &Encoder,
+        ) -> (Vec<u16>, [usize; 4]) {
+            let out_dims = self.output_dims(dims, self.pool);
+            let mut next = Planes::new(out_dims, 0, 2, 0);
+            let input = self.input_nchw_codes(codes, dims);
+            self.codes_into(Body::detect(), input, &mut next, next_enc);
+            (next.nchw_codes(), out_dims)
+        }
+
+        /// [`CompiledConv::values`] on NCHW codes, returning NCHW values.
+        fn run_values(&self, codes: &[u16], dims: [usize; 4]) -> Tensor {
+            to_nchw(&self.values(self.input_nchw_codes(codes, dims)))
+        }
+    }
+
+    impl CompiledBlock {
+        /// [`CompiledBlock::forward`] on NCHW codes, returning NCHW
+        /// values.
+        fn run_values(&self, codes: &[u16], dims: [usize; 4]) -> Tensor {
+            to_nchw(&self.forward(&to_nhwc(codes, dims), dims))
         }
     }
 
@@ -1376,11 +1461,11 @@ mod tests {
     }
 
     #[test]
-    fn fused_gather_matches_a_per_tap_reference() {
+    fn in_place_operand_reads_the_per_tap_reference() {
         for container in CONTAINERS {
-            // two and three input channels leave 2 and 3 taps of each
-            // row in its last group of 4, ahead of the zero padding
-            for channels in [2, 3] {
+            // 1, 2, 3 and 5 input channels leave runs that end inside a
+            // group of 4, whose padding lanes read the next pixel
+            for channels in [1, 2, 3, 5, 16] {
                 for kernel in [1, 3, 5] {
                     for (stride, padding) in
                         [1, 2].into_iter().flat_map(|s| [0, 1, 2].map(|p| (s, p)))
@@ -1393,43 +1478,20 @@ mod tests {
                         assert_ne!(pad, 0, "padding taps must differ from code 0");
                         let fan_in = channels * kernel * kernel;
                         let cols = reference_cols(&codes, dims, geom, pad);
-                        let want =
-                            PackedMatrix::from_codes(&cols, cols.len() / fan_in, fan_in, container);
-                        assert_eq!(
-                            layer.gather_cols(&codes, dims),
-                            want,
-                            "{container:?} {geom:?}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn both_tap_bodies_match_a_per_tap_reference() {
-        for container in CONTAINERS {
-            // 6 and 17 channels give the vector body whole and partial
-            // groups of 16 tap lines
-            for channels in [2, 3, 6, 17] {
-                for kernel in [1, 3, 5] {
-                    for (stride, padding) in
-                        [1, 2].into_iter().flat_map(|s| [0, 1, 2].map(|p| (s, p)))
-                    {
-                        let geom = Conv2dGeom::new(channels, 4, kernel, stride, padding);
-                        let layer = conv_layer(geom, container, false);
-                        let dims = [2, channels, 7, 6];
-                        let codes = input_codes(dims, container, 43);
-                        let fan_in = channels * kernel * kernel;
-                        let cols = reference_cols(&codes, dims, geom, layer.pad_code());
-                        let want =
-                            PackedMatrix::from_codes(&cols, cols.len() / fan_in, fan_in, container);
-                        for body in [TapBody::Portable, TapBody::detect()] {
-                            assert_eq!(
-                                layer.gather_cols_with(body, &codes, dims),
-                                want,
-                                "{body:?} {container:?} {geom:?}"
-                            );
+                        let acts = layer.gather_cols(&codes, dims);
+                        assert_eq!(acts.rows(), cols.len() / fan_in, "{container:?} {geom:?}");
+                        for (m, taps) in cols.chunks_exact(fan_in).enumerate() {
+                            let got: Vec<u16> = (0..fan_in)
+                                .map(|t| {
+                                    // reference tap (ci, kh, kw) is operand
+                                    // tap (kh, kw, ci)
+                                    let (ci, tap) = (t / (kernel * kernel), t % (kernel * kernel));
+                                    acts.code(m, tap * channels + ci)
+                                })
+                                .collect();
+                            assert_eq!(got, taps, "{container:?} {geom:?} row {m}");
+                            let sum: u64 = taps.iter().map(|&c| u64::from(c)).sum();
+                            assert_eq!(acts.row_sums()[m], sum, "{container:?} {geom:?} row {m}");
                         }
                     }
                 }
@@ -1507,24 +1569,16 @@ mod tests {
             BitWidth::new(act_bits).unwrap(),
             QuantRange::new(-1.0, 3.0).unwrap(),
         );
-        let (weight_q, weights, container) =
-            pack_weights(weight.data(), geom.out_channels, fan_in, bits, &act_q).unwrap();
+        let weight_q = Quantizer::fit(bits, weight.data()).unwrap();
         let codes = weight
             .data()
             .iter()
             .map(|&w| weight_q.quantize(w))
             .collect();
         let bias = vec![0.25; geom.out_channels];
-        let layer = CompiledConv {
-            geom,
-            requant: Requant::new(&weight_q, &act_q, &weights, &bias),
-            weights,
-            act_q,
-            precision: HwPrecision::legalize(bits),
-            container,
-            pool: false,
-            relu: true,
-        };
+        let layer =
+            CompiledConv::from_weights(geom, weight.data(), &bias, bits, act_q, [false, true])
+                .unwrap();
         (layer, codes)
     }
 
@@ -1761,6 +1815,116 @@ mod tests {
         for i in 0..3 {
             let one = images.index_axis0(i).reshaped(&[1, 3, 8, 8]).unwrap();
             assert_eq!(net.run(&one).data(), &batched.data()[i * 4..(i + 1) * 4]);
+        }
+    }
+
+    /// 2×2 max-pool of NCHW codes.
+    fn pool_codes(codes: &[u16], [n, c, h, w]: [usize; 4]) -> Vec<u16> {
+        let mut out = Vec::with_capacity(n * c * h * w / 4);
+        for plane in codes.chunks_exact(h * w) {
+            for y in (0..h).step_by(2) {
+                for x in (0..w).step_by(2) {
+                    let at = |dy: usize, dx: usize| plane[(y + dy) * w + x + dx];
+                    out.push(at(0, 0).max(at(0, 1)).max(at(1, 0)).max(at(1, 1)));
+                }
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        // One channel-last layer against a scalar NCHW reference: per-tap
+        // im2col, i64 dot products, `Requant::row`, `Encoder::encode` and a
+        // 2×2 max over codes. Most channel counts leave each kernel row's
+        // run ending inside a group of 4, whose padding lanes read the
+        // next pixel; every bit pair puts codes in each container.
+        #[test]
+        fn channel_last_layer_matches_a_scalar_nchw_reference(
+            (channels, out_channels) in (1usize..=70, 1usize..=20),
+            kernel in prop_oneof![Just(1usize), Just(3)],
+            (stride, padding) in (1usize..=2, 0usize..=1),
+            (pool, relu, batch) in (any::<bool>(), any::<bool>(), 1usize..=3),
+            (out_h, out_w) in (1usize..=3, 1usize..=3),
+            (weight_pick, act_pick) in (0usize..4, 0usize..4),
+            seed in 0u64..1_000_000,
+        ) {
+            let factor = if pool { 2 } else { 1 };
+            let side = |out: usize| {
+                ((out * factor - 1) * stride + kernel)
+                    .checked_sub(2 * padding)
+                    .filter(|&side| side > 0)
+            };
+            let (Some(h), Some(w)) = (side(out_h), side(out_w)) else {
+                return Ok(());
+            };
+            let geom = Conv2dGeom::new(channels, out_channels, kernel, stride, padding);
+            let (weight_bits, act_bits) = (BITS[weight_pick], BITS[act_pick]);
+            let (mut layer, weight_codes) = conv_at_bits(geom, weight_bits, act_bits, seed);
+            (layer.pool, layer.relu) = (pool, relu);
+            let dims = [batch, channels, h, w];
+            let codes = random_codes(dims, layer.act_q.bits().max_code(), seed);
+            let cols = reference_cols(&codes, dims, geom, layer.pad_code());
+            let (fan_in, oc) = (channels * kernel * kernel, out_channels);
+            let rows = cols.len() / fan_in;
+
+            let mut want_accs = vec![0i64; rows * oc];
+            for (row, taps) in cols.chunks_exact(fan_in).enumerate() {
+                for (o, filter) in weight_codes.chunks_exact(fan_in).enumerate() {
+                    want_accs[row * oc + o] = taps
+                        .iter()
+                        .zip(filter)
+                        .map(|(&a, &w)| i64::from(a) * w as i64)
+                        .sum();
+                }
+            }
+            let floor = if relu { 0.0 } else { f32::NEG_INFINITY };
+            let values: Vec<f32> = cols
+                .chunks_exact(fan_in)
+                .zip(want_accs.chunks_exact(oc))
+                .flat_map(|(taps, accs)| {
+                    let sum = taps.iter().map(|&c| u64::from(c)).sum();
+                    let row: Vec<f32> = layer
+                        .requant
+                        .row(accs, sum)
+                        .map(|v| {
+                            let x = v as f32;
+                            if x > floor { x } else { floor }
+                        })
+                        .collect();
+                    row
+                })
+                .collect();
+            let enc = frozen_act_quantizer(BitWidth::new(8).unwrap(), &values).encoder();
+            let full = layer.output_dims(dims, false);
+            let spatial = full[2] * full[3];
+            let mut want = vec![0u16; values.len()];
+            for (row, chans) in values.chunks_exact(oc).enumerate() {
+                let (ni, s) = (row / spatial, row % spatial);
+                for (o, &v) in chans.iter().enumerate() {
+                    want[(ni * oc + o) * spatial + s] = enc.encode(v) as u16;
+                }
+            }
+            if pool {
+                want = pool_codes(&want, full);
+            }
+
+            for body in Body::all() {
+                let mut got_accs = vec![0i64; rows * oc];
+                qgemm_rows_with(body, &layer.gather_cols(&codes, dims), &layer.weights, |mi, accs| {
+                    got_accs[mi * oc..(mi + 1) * oc].copy_from_slice(accs);
+                });
+                prop_assert_eq!(&got_accs, &want_accs, "{:?} accumulators", body);
+
+                // into a bordered batch, as the next layer would read it
+                let pad = 0xA5C3;
+                let mut next = Planes::new(layer.output_dims(dims, pool), 1, 2, pad);
+                let input = layer.input_nchw_codes(&codes, dims);
+                layer.codes_into(body, input, &mut next, &enc);
+                prop_assert_eq!(next.nchw_codes(), want.clone(), "{:?} codes", body);
+                prop_assert!(next.border_codes().iter().all(|&c| c == pad), "{:?} border", body);
+            }
         }
     }
 

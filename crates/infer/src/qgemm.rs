@@ -21,19 +21,27 @@
 //! planes** — one plane of bytes when the codes fit a byte, two (`lo`,
 //! then `hi`) otherwise — so one kernel serves all three containers:
 //!
-//! * **activations** ([`PackedMatrix::from_codes`], and the integer
-//!   im2col gather in [`crate::compile`]) are row-major, one plane for
-//!   [`Container::Nib`] and [`Container::U8`], two for
-//!   [`Container::U16`]; each row is zero-padded to `k4 = ⌈k/4⌉·4` bytes
-//!   and keeps its code sum `Σ_k A[m, k]`;
+//! * **activations** are read where they lie: group `g` of row `m` (4
+//!   codes) is the 4 bytes at `starts[m] + groups[g]` of each plane, one
+//!   plane for [`Container::Nib`] and [`Container::U8`], two for
+//!   [`Container::U16`]. [`PackedMatrix::from_codes`] writes a dense
+//!   matrix (`starts[m] = m·k4`, `groups[g] = 4g`). A conv layer in
+//!   [`crate::compile`] hands over its channel-last input as it is, with
+//!   one start per output pixel and one offset per group of its `(kh,
+//!   kw, c)`-ordered taps — an implicit GEMM, with no im2col copy. A row
+//!   is `runs` runs of codes (one for a dense matrix, one per kernel row
+//!   for a conv), each padded to whole groups of 4; a padding lane reads
+//!   whatever lies next in the plane. Each row keeps its code sum
+//!   `Σ_k A[m, k]`;
 //! * **weights** ([`PackedMatrix::pack_rows`]) are stored once, before
 //!   the first request, as 1 or 2 planes (from the weights' own max code)
 //!   of `byte − 128` as `i8`, in blocks of 16 outputs × 4 `k` — the
 //!   order `_mm512_dpbusd_epi32` reads. Padded `k` and output lanes hold
-//!   0.
+//!   0, so whatever an activation's padding lanes read adds nothing.
 //!
 //! The kernel is a register tile of 8 activation rows (one at a time at
-//! the matrix edge) × 16 outputs. For each pair of activation plane `p`
+//! the matrix edge) × 16 outputs; each step loads one group offset and
+//! broadcasts every row's 4 bytes at it. For each pair of activation plane `p`
 //! and weight plane `q` it accumulates `D_pq = Σ_k a_p·(w_q − 128)` in
 //! `i32` lanes (64 u8×i8 products per `dpbusd`), and the pairs combine in
 //! `i64` as
@@ -137,24 +145,46 @@ fn planes_for(max_code: u64) -> usize {
     }
 }
 
+/// The padded length of a row of `k` codes in `runs` runs: each run is
+/// padded to whole `dpbusd` groups of 4 codes.
+fn padded(k: usize, runs: usize) -> usize {
+    runs * (k / runs).next_multiple_of(4)
+}
+
+/// The lane of the padded row that holds logical code `kk`, in a row of
+/// runs of `run` codes.
+fn lane(kk: usize, run: usize) -> usize {
+    kk / run * run.next_multiple_of(4) + kk % run
+}
+
 /// How a [`PackedMatrix`]'s byte planes are laid out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum Layout {
-    /// The activation operand: row-major, rows zero-padded to `k4` bytes.
-    Rows,
+    /// The activation operand, read where it lies: group `g` of row `m`
+    /// (lanes `4g .. 4g + 4` of the padded row) is the 4 bytes at
+    /// `starts[m] + groups[g]` of each plane.
+    Rows { starts: Vec<u32>, groups: Vec<u32> },
     /// The weight operand: blocks of [`NR`] rows, each `k4/4` steps of
-    /// `NR × 4` bytes (row-minor), every byte stored as `byte − 128`.
+    /// `NR × 4` bytes (row-minor), every code byte stored as `byte − 128`
+    /// and every padding lane as 0.
     Tiles,
 }
 
 /// A matrix of integer codes in byte planes plus its per-row code sums —
 /// one operand of the integer GEMM. Weights are packed once at compile
 /// time ([`PackedMatrix::pack_rows`]); activations per batch
-/// ([`PackedMatrix::from_codes`] and the conv gather).
+/// ([`PackedMatrix::from_codes`], or a conv layer's channel-last input
+/// read in place).
+///
+/// A row's `k` codes are `runs` runs of `k / runs` codes, each padded to
+/// whole groups of 4. A dense matrix is one run. A convolution orders its
+/// taps `(kh, kw, c)` and takes one run per kernel row: the `kw·c` codes
+/// that lie side by side in a channel-last plane.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedMatrix {
     rows: usize,
     k: usize,
+    runs: usize,
     container: Container,
     layout: Layout,
     /// 1 or 2; plane `p` holds byte `p` of every code.
@@ -192,9 +222,9 @@ impl PackedMatrix {
         self.container.row_bytes(self.k) * self.rows
     }
 
-    /// Row length padded to whole `dpbusd` groups of 4 codes.
+    /// Row length padded to whole `dpbusd` groups of 4 codes per run.
     fn k4(&self) -> usize {
-        self.k.next_multiple_of(4)
+        padded(self.k, self.runs)
     }
 
     /// Byte plane `p`.
@@ -218,6 +248,24 @@ impl PackedMatrix {
         quantizer: &Quantizer,
         container: Container,
     ) -> PackedMatrix {
+        Self::pack_runs(values, rows, k, 1, quantizer, container)
+    }
+
+    /// [`PackedMatrix::pack_rows`] for rows of `runs` runs, each padded
+    /// on its own: a convolution's weights, one run per kernel row.
+    ///
+    /// # Panics
+    ///
+    /// As [`PackedMatrix::pack_rows`], and if `k` is not `runs` whole
+    /// runs.
+    pub(crate) fn pack_runs(
+        values: &[f32],
+        rows: usize,
+        k: usize,
+        runs: usize,
+        quantizer: &Quantizer,
+        container: Container,
+    ) -> PackedMatrix {
         assert_eq!(values.len(), rows * k, "values must be [rows, k]");
         let max_code = quantizer.bits().max_code();
         assert!(
@@ -228,13 +276,20 @@ impl PackedMatrix {
         let enc = quantizer.encoder();
         let code = |r: usize, kk: usize| enc.encode(values[r * k + kk]) as u16;
         let row_sums = sum_rows(rows, k, code);
-        Self::tiled(rows, k, container, planes_for(max_code), row_sums, code)
+        Self::tiled(
+            rows,
+            k,
+            runs,
+            container,
+            planes_for(max_code),
+            row_sums,
+            code,
+        )
     }
 
     /// Packs already-quantized codes (row-major `[rows, k]`, one code per
-    /// `u16`) as the GEMM's activation operand — the layout the conv
-    /// gather writes, for layers (the classifier head) that exchange
-    /// codes without a gather.
+    /// `u16`) as the GEMM's activation operand, for callers that hold
+    /// codes as a dense matrix.
     ///
     /// # Panics
     ///
@@ -256,31 +311,64 @@ impl PackedMatrix {
             }
         }
         let row_sums = sum_rows(rows, k, |r, kk| codes[r * k + kk]);
-        Self::from_row_planes(rows, k, container, bytes, row_sums)
+        let starts = (0..rows).map(|r| (r * k4) as u32).collect();
+        let groups = (0..k4 / 4).map(|g| 4 * g as u32).collect();
+        Self::in_place(
+            [rows, k, 1],
+            container,
+            planes,
+            bytes,
+            starts,
+            groups,
+            row_sums,
+        )
     }
 
-    /// Wraps activation planes a caller already wrote in the row layout —
-    /// `container.planes()` planes of `rows × k4` bytes, padding zero —
-    /// with their row sums; the conv gather emits these directly.
-    pub(crate) fn from_row_planes(
-        rows: usize,
-        k: usize,
+    /// Wraps activation planes a caller wrote in its own layout — `planes`
+    /// planes of equal length, one after another — to be read in place:
+    /// group `g` of row `m` is the 4 bytes at `starts[m] + groups[g]` of
+    /// each plane. `[rows, k, runs]` is the operand's shape and `row_sums`
+    /// its rows' code sums. `planes` may be 1 in a two-plane container
+    /// when the codes fit a byte.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes disagree or a group of a row reads past its
+    /// plane.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn in_place(
+        [rows, k, runs]: [usize; 3],
         container: Container,
+        planes: usize,
         bytes: Vec<u8>,
+        starts: Vec<u32>,
+        groups: Vec<u32>,
         row_sums: Vec<u64>,
     ) -> Self {
-        let planes = container.planes();
-        assert_eq!(
-            bytes.len(),
-            planes * rows * k.next_multiple_of(4),
-            "planes must be [rows, k4]"
+        assert!(
+            runs > 0 && k.is_multiple_of(runs),
+            "a row must split into whole runs"
         );
+        assert!(
+            (1..=container.planes()).contains(&planes) && bytes.len().is_multiple_of(planes),
+            "planes must be 1 or {:?}'s count, of equal length",
+            container
+        );
+        assert_eq!(groups.len() * 4, padded(k, runs), "one offset per group");
+        assert_eq!(starts.len(), rows, "one start per row");
         assert_eq!(row_sums.len(), rows, "one code sum per row");
+        let reach = Taps::new(&groups).reach;
+        let plane_len = bytes.len() / planes;
+        assert!(
+            starts.iter().all(|&s| s as usize + reach <= plane_len),
+            "every group must lie in its plane"
+        );
         PackedMatrix {
             rows,
             k,
+            runs,
             container,
-            layout: Layout::Rows,
+            layout: Layout::Rows { starts, groups },
             planes,
             bytes,
             row_sums,
@@ -291,18 +379,24 @@ impl PackedMatrix {
     fn tiled(
         rows: usize,
         k: usize,
+        runs: usize,
         container: Container,
         planes: usize,
         row_sums: Vec<u64>,
         code: impl Fn(usize, usize) -> u16,
     ) -> PackedMatrix {
-        let k4 = k.next_multiple_of(4);
+        assert!(
+            runs > 0 && k.is_multiple_of(runs),
+            "a row must split into whole runs"
+        );
+        let (k4, run) = (padded(k, runs), k / runs);
         let plane_len = rows.div_ceil(NR) * NR * k4;
         let mut bytes = vec![0u8; planes * plane_len];
         for r in 0..rows {
             for kk in 0..k {
                 let c = code(r, kk);
-                let at = r / NR * NR * k4 + kk / 4 * 4 * NR + r % NR * 4 + kk % 4;
+                let l = lane(kk, run);
+                let at = r / NR * NR * k4 + l / 4 * 4 * NR + r % NR * 4 + l % 4;
                 for p in 0..planes {
                     // `byte ^ 0x80` read as `i8` is `byte − 128`
                     bytes[p * plane_len + at] = (c >> (8 * p)) as u8 ^ 0x80;
@@ -312,6 +406,7 @@ impl PackedMatrix {
         PackedMatrix {
             rows,
             k,
+            runs,
             container,
             layout: Layout::Tiles,
             planes,
@@ -320,25 +415,36 @@ impl PackedMatrix {
         }
     }
 
+    /// Code `kk` of activation row `r`, read where it lies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix holds weights.
+    pub(crate) fn code(&self, r: usize, kk: usize) -> u16 {
+        let Layout::Rows { starts, groups } = &self.layout else {
+            panic!("weights are not read by row");
+        };
+        let l = lane(kk, self.k / self.runs);
+        let at = starts[r] as usize + groups[l / 4] as usize + l % 4;
+        (0..self.planes)
+            .map(|p| u16::from(self.plane(p)[at]) << (8 * p))
+            .sum()
+    }
+
     /// This matrix as a weight operand: itself if [`PackedMatrix::pack_rows`]
     /// tiled it, a tiled copy if it holds activation rows.
     fn as_weights(&self) -> Cow<'_, PackedMatrix> {
         if self.layout == Layout::Tiles {
             return Cow::Borrowed(self);
         }
-        let k4 = self.k4();
-        let code = |r: usize, kk: usize| {
-            (0..self.planes)
-                .map(|p| u16::from(self.plane(p)[r * k4 + kk]) << (8 * p))
-                .sum()
-        };
         Cow::Owned(Self::tiled(
             self.rows,
             self.k,
+            self.runs,
             self.container,
             self.planes,
             self.row_sums.clone(),
-            code,
+            |r, kk| self.code(r, kk),
         ))
     }
 }
@@ -390,22 +496,40 @@ pub(crate) fn qgemm_rows(
 }
 
 /// [`qgemm_rows`] on a chosen kernel body.
-fn qgemm_rows_with(
+pub(crate) fn qgemm_rows_with(
     body: Body,
     acts: &PackedMatrix,
     weights: &PackedMatrix,
     mut emit_row: impl FnMut(usize, &[i64]),
 ) {
+    let o = weights.rows;
+    qgemm_tiles_with(body, acts, weights, |m0, accs, ld| {
+        for (i, row) in accs.chunks_exact(ld).enumerate() {
+            emit_row(m0 + i, &row[..o]);
+        }
+    });
+}
+
+/// [`qgemm_rows`] a register tile of rows at a time, on a chosen kernel
+/// body: `emit_tile(m0, accs, ld)` gets rows `m0 .. m0 + accs.len() / ld`,
+/// row `i`'s accumulators at `accs[i·ld..i·ld + o]`, so a caller can
+/// requantize a whole tile with its invariant terms loaded once.
+pub(crate) fn qgemm_tiles_with(
+    body: Body,
+    acts: &PackedMatrix,
+    weights: &PackedMatrix,
+    mut emit_tile: impl FnMut(usize, &[i64], usize),
+) {
     assert_eq!(acts.k, weights.k, "operand k mismatch");
+    assert_eq!(acts.runs, weights.runs, "operand runs mismatch");
     assert_eq!(
         acts.container, weights.container,
         "operand container mismatch"
     );
-    assert_eq!(
-        acts.layout,
-        Layout::Rows,
-        "activations must be packed by from_codes, not pack_rows"
-    );
+    let Layout::Rows { starts, groups } = &acts.layout else {
+        panic!("activations must be packed by from_codes, not pack_rows");
+    };
+    let taps = Taps::new(groups);
     let weights = weights.as_weights();
     let (m, o) = (acts.rows, weights.rows);
     let ld = o.div_ceil(NR) * NR;
@@ -415,50 +539,55 @@ fn qgemm_rows_with(
     let mut accs = vec![0i64; MR * ld];
     for m0 in (0..m).step_by(MR) {
         let height = MR.min(m - m0);
-        accs.fill(0);
+        let tile = &mut accs[..height * ld];
+        tile.fill(0);
         if height == MR {
-            accumulate::<MR>(body, acts, &weights, m0, &mut accs, ld);
+            accumulate::<MR>(body, acts, &starts[m0..], taps, &weights, tile, ld);
         } else {
             // edge rows run one at a time rather than as padded tiles
-            for (i, row) in accs.chunks_exact_mut(ld).take(height).enumerate() {
-                accumulate::<1>(body, acts, &weights, m0 + i, row, ld);
+            for (i, row) in tile.chunks_exact_mut(ld).enumerate() {
+                accumulate::<1>(body, acts, &starts[m0 + i..], taps, &weights, row, ld);
             }
         }
-        for (i, row) in accs.chunks_exact_mut(ld).take(height).enumerate() {
-            let row = &mut row[..o];
-            let correction = 128 * plane_scale * acts.row_sums[m0 + i] as i64;
-            for acc in row.iter_mut() {
+        for (row, &sum) in tile.chunks_exact_mut(ld).zip(&acts.row_sums[m0..]) {
+            let correction = 128 * plane_scale * sum as i64;
+            for acc in &mut row[..o] {
                 *acc += correction;
             }
-            emit_row(m0 + i, row);
         }
+        emit_tile(m0, tile, ld);
     }
 }
 
-/// Adds `Σ_pq 256^(p+q)·D_pq` for activation rows `m0..m0 + R` against
-/// every weight row into `out`, one `ld`-wide row per activation row:
-/// every plane pair, block of [`NR`] outputs and [`I32_CHUNK`] of `k`.
+/// Adds `Σ_pq 256^(p+q)·D_pq` for the `R` activation rows that start at
+/// `starts[..R]` against every weight row into `out`, one `ld`-wide row
+/// per activation row: every plane pair, block of [`NR`] outputs and
+/// [`I32_CHUNK`] of `k`.
 fn accumulate<const R: usize>(
     body: Body,
     acts: &PackedMatrix,
+    starts: &[u32],
+    taps: Taps<'_>,
     weights: &PackedMatrix,
-    m0: usize,
     out: &mut [i64],
     ld: usize,
 ) {
     let k4 = acts.k4();
+    let rows: [u32; R] = std::array::from_fn(|i| starts[i]);
+    let chunk = I32_CHUNK / 4;
     for p in 0..acts.planes {
         let plane = acts.plane(p);
-        let rows: [&[u8]; R] = std::array::from_fn(|i| &plane[(m0 + i) * k4..][..k4]);
         for q in 0..weights.planes {
             let shift = 8 * (p + q) as u32;
             let blocks = weights.plane(q).chunks_exact(NR * k4.max(1));
             for (b, w_block) in blocks.enumerate() {
-                for k0 in (0..k4).step_by(I32_CHUNK) {
-                    let k1 = (k0 + I32_CHUNK).min(k4);
+                for g0 in (0..taps.groups.len()).step_by(chunk) {
+                    let g1 = (g0 + chunk).min(taps.groups.len());
                     body.tile(
-                        rows.map(|row| &row[k0..k1]),
-                        &w_block[k0 * NR..k1 * NR],
+                        plane,
+                        rows,
+                        taps.slice(g0, g1),
+                        &w_block[4 * NR * g0..4 * NR * g1],
                         shift,
                         &mut out[b * NR..],
                         ld,
@@ -469,12 +598,38 @@ fn accumulate<const R: usize>(
     }
 }
 
-/// A register-tile body. Both compute, for `R` rows of `4·s` activation
-/// bytes and one block of `s` steps of `NR × 4` weight bytes, the `i32`
-/// tile `D[i][j] = Σ a[i]·(w[j] − 128)` and add `D << shift` into the
-/// `i64` rows `out[i·ld..i·ld + NR]`.
+/// Group offsets of an activation operand, with the bytes past a row's
+/// start that the furthest of them reads: a tile checks each row against
+/// it once.
+#[derive(Debug, Clone, Copy)]
+struct Taps<'a> {
+    groups: &'a [u32],
+    /// `max(groups) + 4`, or 0 without groups.
+    reach: usize,
+}
+
+impl<'a> Taps<'a> {
+    fn new(groups: &'a [u32]) -> Self {
+        let reach = groups.iter().max().map_or(0, |&g| g as usize + 4);
+        Self { groups, reach }
+    }
+
+    /// Groups `g0..g1`, still bounded by the whole reach.
+    fn slice(self, g0: usize, g1: usize) -> Self {
+        Self {
+            groups: &self.groups[g0..g1],
+            reach: self.reach,
+        }
+    }
+}
+
+/// A register-tile body. Both compute, for `R` activation rows read in
+/// place — `s` groups of 4 bytes, group `g` of the row at `start` being
+/// the bytes at `start + groups[g]` of `plane` — and one block of `s`
+/// steps of `NR × 4` weight bytes, the `i32` tile `D[i][j] = Σ a[i]·(w[j]
+/// − 128)` and add `D << shift` into the `i64` rows `out[i·ld..i·ld + NR]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Body {
+pub(crate) enum Body {
     Portable,
     /// Only constructed once `avx512f` and `avx512vnni` were detected.
     #[cfg(target_arch = "x86_64")]
@@ -483,7 +638,7 @@ enum Body {
 
 impl Body {
     /// The fastest body this CPU runs, resolved once per process.
-    fn detect() -> Body {
+    pub(crate) fn detect() -> Body {
         #[cfg(target_arch = "x86_64")]
         if vnni_available() {
             return Body::Vnni;
@@ -491,28 +646,43 @@ impl Body {
         Body::Portable
     }
 
+    /// Every body this CPU can run, the portable one first.
+    #[cfg(test)]
+    pub(crate) fn all() -> Vec<Body> {
+        let mut out = vec![Body::Portable];
+        if Body::detect() != Body::Portable {
+            out.push(Body::detect());
+        } else {
+            eprintln!("VNNI body skipped: no avx512f + avx512vnni on this CPU");
+        }
+        out
+    }
+
     #[inline]
+    #[allow(clippy::too_many_arguments)]
     fn tile<const R: usize>(
         self,
-        rows: [&[u8]; R],
+        plane: &[u8],
+        rows: [u32; R],
+        taps: Taps<'_>,
         w: &[u8],
         shift: u32,
         out: &mut [i64],
         ld: usize,
     ) {
-        let steps = w.len() / (4 * NR);
         assert!(
-            w.len() == 4 * NR * steps
-                && rows.iter().all(|row| row.len() == 4 * steps)
+            w.len() == 4 * NR * taps.groups.len()
+                && rows.iter().all(|&r| r as usize + taps.reach <= plane.len())
                 && out.len() >= (R - 1) * ld + NR,
             "tile operands out of shape"
         );
         match self {
-            Body::Portable => tile_portable(rows, w, shift, out, ld),
+            Body::Portable => tile_portable(plane, rows, taps.groups, w, shift, out, ld),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Vnni` exists only where the features were detected,
-            // and the shapes were checked above.
-            Body::Vnni => unsafe { tile_vnni(rows, w, shift, out, ld) },
+            // SAFETY: `Vnni` exists only where the features were detected;
+            // the shapes were checked above, and every group of a row ends
+            // within `reach` of its start.
+            Body::Vnni => unsafe { tile_vnni(plane, rows, taps.groups, w, shift, out, ld) },
         }
     }
 }
@@ -526,18 +696,22 @@ fn vnni_available() -> bool {
     })
 }
 
-/// The portable tile: the layout and sums of [`tile_vnni`] in scalar
+/// The portable tile: the reads and sums of [`tile_vnni`] in scalar
 /// code.
 fn tile_portable<const R: usize>(
-    rows: [&[u8]; R],
+    plane: &[u8],
+    rows: [u32; R],
+    groups: &[u32],
     w: &[u8],
     shift: u32,
     out: &mut [i64],
     ld: usize,
 ) {
-    for (i, row) in rows.iter().enumerate() {
+    for (i, &start) in rows.iter().enumerate() {
+        let row = &plane[start as usize..];
         let mut lanes = [0i32; NR];
-        for (a4, step) in row.chunks_exact(4).zip(w.chunks_exact(4 * NR)) {
+        for (&g, step) in groups.iter().zip(w.chunks_exact(4 * NR)) {
+            let a4 = &row[g as usize..g as usize + 4];
             for (lane, w4) in lanes.iter_mut().zip(step.chunks_exact(4)) {
                 for (&a, &b) in a4.iter().zip(w4) {
                     *lane += i32::from(a) * i32::from(b as i8);
@@ -550,20 +724,22 @@ fn tile_portable<const R: usize>(
     }
 }
 
-/// The AVX-512 VNNI tile: per step of 4 `k`, one 64-byte weight load
-/// feeds `R` `vpdpbusd`s, each against one activation row's 4 bytes
-/// broadcast to all 16 lanes. The `i32` lanes widen into the `i64`
-/// accumulators once, at the end.
+/// The AVX-512 VNNI tile: per group of 4 `k`, one 64-byte weight load
+/// feeds `R` `vpdpbusd`s, each against one activation row's 4 bytes at
+/// the group's offset, broadcast to all 16 lanes. The `i32` lanes widen
+/// into the `i64` accumulators once, at the end.
 ///
 /// # Safety
 ///
-/// The CPU must support AVX-512F and AVX-512 VNNI. Each row must hold
-/// `4·s` bytes and `w` `4·NR·s`, and `out` at least `(R − 1)·ld + NR`
-/// accumulators.
+/// The CPU must support AVX-512F and AVX-512 VNNI. `w` must hold `4·NR`
+/// bytes per group, every `start + g + 4` must lie within `plane`, and
+/// `out` must hold at least `(R − 1)·ld + NR` accumulators.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vnni")]
 unsafe fn tile_vnni<const R: usize>(
-    rows: [&[u8]; R],
+    plane: &[u8],
+    rows: [u32; R],
+    groups: &[u32],
     w: &[u8],
     shift: u32,
     out: &mut [i64],
@@ -574,13 +750,12 @@ unsafe fn tile_vnni<const R: usize>(
         _mm512_extracti64x4_epi64, _mm512_loadu_si512, _mm512_set1_epi32, _mm512_setzero_si512,
         _mm512_sll_epi64, _mm512_storeu_si512, _mm_cvtsi32_si128,
     };
-    let steps = w.len() / (4 * NR);
-    let a = rows.map(<[u8]>::as_ptr);
+    let a = rows.map(|start| plane.as_ptr().add(start as usize));
     let mut acc = [_mm512_setzero_si512(); R];
-    for s in 0..steps {
+    for (s, &g) in groups.iter().enumerate() {
         let wv = _mm512_loadu_si512(w.as_ptr().add(s * 4 * NR).cast());
         for (slot, &row) in acc.iter_mut().zip(&a) {
-            let av = _mm512_set1_epi32(row.add(4 * s).cast::<i32>().read_unaligned());
+            let av = _mm512_set1_epi32(row.add(g as usize).cast::<i32>().read_unaligned());
             *slot = _mm512_dpbusd_epi32(*slot, av, wv);
         }
     }
@@ -665,18 +840,6 @@ mod tests {
         (0..m * o).map(|i| dot(i / o, i % o)).collect()
     }
 
-    /// Every body this CPU can run.
-    fn bodies() -> Vec<Body> {
-        let mut out = vec![Body::Portable];
-        #[cfg(target_arch = "x86_64")]
-        if vnni_available() {
-            out.push(Body::Vnni);
-        } else {
-            eprintln!("VNNI body skipped: no avx512f + avx512vnni on this CPU");
-        }
-        out
-    }
-
     fn run(body: Body, acts: &PackedMatrix, weights: &PackedMatrix) -> Vec<i64> {
         let o = weights.rows();
         let mut got = vec![i64::MIN; acts.rows() * o];
@@ -696,7 +859,7 @@ mod tests {
         planes: usize,
     ) -> PackedMatrix {
         let sums = sum_rows(o, k, |r, kk| codes[r * k + kk]);
-        PackedMatrix::tiled(o, k, container, planes, sums, |r, kk| codes[r * k + kk])
+        PackedMatrix::tiled(o, k, 1, container, planes, sums, |r, kk| codes[r * k + kk])
     }
 
     #[test]
@@ -712,7 +875,7 @@ mod tests {
             (Container::U16, 65_535, 255, 1),
             (Container::U16, 65_535, 65_535, 2),
         ];
-        for body in bodies() {
+        for body in Body::all() {
             for (container, a_max, w_max, planes) in cases {
                 for k in [1usize, 2, 3, 4, 5, 6, 7, 8, 27, 130] {
                     for o in [1usize, 10, 16, 17, 64] {
@@ -738,7 +901,7 @@ mod tests {
         // every sign of the biased weight byte, at full magnitude, over
         // a k that is not a multiple of 4 and straddles one chunk
         let (m, o, k) = (9, 17, I32_CHUNK + 5);
-        for body in bodies() {
+        for body in Body::all() {
             for (container, max) in [(Container::U8, 255u16), (Container::U16, 65_535)] {
                 let planes = container.planes();
                 for (a_code, w_code) in [(max, max), (max, 0), (0, max), (0, 0)] {
@@ -766,19 +929,23 @@ mod tests {
         }
         let ld = 3 * NR;
         for steps in [0usize, 1, 2, 7, 64] {
-            let a: Vec<Vec<u8>> = (0..MR)
-                .map(|i| {
-                    lcg_codes(4 * steps, 255, 5 + i as u64)
-                        .into_iter()
-                        .map(|c| c as u8)
-                        .collect()
-                })
+            // rows 4·steps + 5 bytes apart, groups read at scattered,
+            // overlapping and unaligned offsets
+            let stride = 4 * steps + 5;
+            let plane: Vec<u8> = lcg_codes(MR * stride, 255, 5)
+                .into_iter()
+                .map(|c| c as u8)
                 .collect();
+            let groups: Vec<u32> = lcg_codes(steps, (stride - 4) as u64, 7)
+                .into_iter()
+                .map(u32::from)
+                .collect();
+            let taps = Taps::new(&groups);
             let w: Vec<u8> = lcg_codes(4 * NR * steps, 255, 3)
                 .into_iter()
                 .map(|c| c as u8)
                 .collect();
-            let rows: [&[u8]; MR] = std::array::from_fn(|i| a[i].as_slice());
+            let rows: [u32; MR] = std::array::from_fn(|i| (i * stride) as u32);
             for shift in [0, 8, 16] {
                 let start: Vec<i64> = lcg_codes(MR * ld, 1 << 15, 9)
                     .into_iter()
@@ -786,14 +953,71 @@ mod tests {
                     .collect();
                 let mut want = start.clone();
                 let mut got = start.clone();
-                Body::Portable.tile(rows, &w, shift, &mut want, ld);
-                Body::Vnni.tile(rows, &w, shift, &mut got, ld);
+                Body::Portable.tile(&plane, rows, taps, &w, shift, &mut want, ld);
+                Body::Vnni.tile(&plane, rows, taps, &w, shift, &mut got, ld);
                 assert_eq!(got, want, "steps {steps} shift {shift}");
                 // the one-row tile the matrix edge runs
                 let (mut want, mut got) = (start.clone(), start);
-                Body::Portable.tile([rows[3]], &w, shift, &mut want, ld);
-                Body::Vnni.tile([rows[3]], &w, shift, &mut got, ld);
+                Body::Portable.tile(&plane, [rows[3]], taps, &w, shift, &mut want, ld);
+                Body::Vnni.tile(&plane, [rows[3]], taps, &w, shift, &mut got, ld);
                 assert_eq!(got, want, "one row, steps {steps} shift {shift}");
+            }
+        }
+    }
+
+    #[test]
+    fn runs_read_in_place_ignore_what_their_padding_lanes_hold() {
+        // rows of `runs` runs, each run somewhere in a plane of noise: the
+        // padding lanes of a run read the noise after it, which the zero
+        // weight lanes must cancel
+        for body in Body::all() {
+            for (container, max) in [(Container::Nib, 15), (Container::U16, 65_535)] {
+                for (runs, len) in [(1usize, 5usize), (3, 1), (3, 9), (2, 8), (4, 6)] {
+                    let (m, o, k) = (11, 18, runs * len);
+                    let a = lcg_codes(m * k, max, (runs * 7 + len) as u64);
+                    let w = lcg_codes(o * k, max, 3);
+                    let planes = container.planes();
+                    // run j of row r starts at byte (r·runs + j)·gap
+                    let gap = len + 7;
+                    let plane_len = m * runs * gap + 3;
+                    let mut bytes: Vec<u8> = lcg_codes(planes * plane_len, 255, 8)
+                        .into_iter()
+                        .map(|c| c as u8)
+                        .collect();
+                    for (r, row) in a.chunks_exact(k).enumerate() {
+                        for (kk, &c) in row.iter().enumerate() {
+                            let at = (r * runs + kk / len) * gap + kk % len;
+                            for p in 0..planes {
+                                bytes[p * plane_len + at] = (c >> (8 * p)) as u8;
+                            }
+                        }
+                    }
+                    let starts = (0..m).map(|r| (r * runs * gap) as u32).collect();
+                    let groups = (0..padded(k, runs) / 4)
+                        .map(|g| {
+                            let l = 4 * g;
+                            let run4 = len.next_multiple_of(4);
+                            (l / run4 * gap + l % run4) as u32
+                        })
+                        .collect();
+                    let acts = PackedMatrix::in_place(
+                        [m, k, runs],
+                        container,
+                        planes,
+                        bytes,
+                        starts,
+                        groups,
+                        sum_rows(m, k, |r, kk| a[r * k + kk]),
+                    );
+                    let code = |r: usize, kk: usize| w[r * k + kk];
+                    let sums = sum_rows(o, k, code);
+                    let wts = PackedMatrix::tiled(o, k, runs, container, planes, sums, code);
+                    assert_eq!(
+                        run(body, &acts, &wts),
+                        wide_gemm(&a, &w, m, o, k),
+                        "{body:?} {container:?} runs {runs} of {len}"
+                    );
+                }
             }
         }
     }
