@@ -199,7 +199,10 @@ fn naive_plan(op: &GemmOp, b: &[f32], scratch: &mut Scratch) -> Vec<f32> {
 pub(crate) fn dispatch_matmul(op: &GemmOp, scratch: &mut Scratch) -> Vec<f32> {
     let _timer = matmul_timer();
     count_gemm_resources(op.m, op.n, op.k);
-    let chosen = plan::static_plan(op.m, op.n, op.k);
+    let chosen = match op.b {
+        BOperand::Matrix(..) => plan::static_plan(op.m, op.n, op.k),
+        BOperand::Cols(..) => plan::gathered_plan(op.m, op.n, op.k),
+    };
     let _span = matmul_span(op, &chosen);
     count_plan(&chosen);
     execute_plan(&chosen, op, scratch)

@@ -31,8 +31,10 @@
 //! checkpoint resume, thread-count invariance) is preserved no matter
 //! which plan wins.
 //!
-//! The plan is a pure function of `(m, n, k)`: the transpose variant
-//! does not enter it, and there is no runtime override.
+//! The plan is a pure function of `(m, n, k)` and of whether `B` is a
+//! matrix or gathered from a convolution's input ([`gathered_plan`]):
+//! the transpose variant does not enter it, and there is no runtime
+//! override.
 
 use crate::gemm::{KC, MC, MR, NC, NR};
 
@@ -172,18 +174,7 @@ fn tuned_blocking(m: usize, k: usize) -> Option<Blocking> {
 /// *every* sufficiently large product — including the pathological
 /// wide-short ones — to one fixed tiling.
 pub fn static_plan(m: usize, n: usize, k: usize) -> KernelPlan {
-    let flops = m.saturating_mul(n).saturating_mul(k);
-    // Thinner than one register tile: the packed kernel would zero-pad
-    // most of every strip it touches.
-    if m < MR || n < NR {
-        return KernelPlan::Naive;
-    }
-    // Too little total work to amortise any packing at all.
-    if flops < MIN_BLOCKED_FLOPS {
-        return KernelPlan::Naive;
-    }
-    // Too short an inner loop to amortise either pack pass.
-    if k < MIN_K {
+    if !fits_blocked(m, n, k) {
         return KernelPlan::Naive;
     }
     // Reuse gates: a packed element of B is read once per row strip, a
@@ -191,6 +182,36 @@ pub fn static_plan(m: usize, n: usize, k: usize) -> KernelPlan {
     if m.div_ceil(MR) < MIN_ROW_STRIPS || n.div_ceil(NR) < MIN_COL_STRIPS {
         return KernelPlan::Naive;
     }
+    blocked(m, k)
+}
+
+/// The plan for a convolution product whose `B` the packed kernel
+/// gathers from the padded input instead of packing it. Such a `B` has
+/// no pack pass to amortise, while the naive plan would first have to
+/// build the whole column matrix, so the reuse gates do not apply:
+/// every product at least one register tile wide takes the blocked
+/// kernel. `ResNet::small`'s projection weight gradient (`m = 32`, `n =
+/// 16`, `k = 1536` at batch 24) is one.
+pub fn gathered_plan(m: usize, n: usize, k: usize) -> KernelPlan {
+    if !fits_blocked(m, n, k) {
+        return KernelPlan::Naive;
+    }
+    blocked(m, k)
+}
+
+/// Whether a product is big enough in every dimension for the packed
+/// kernel at all.
+fn fits_blocked(m: usize, n: usize, k: usize) -> bool {
+    let flops = m.saturating_mul(n).saturating_mul(k);
+    // Thinner than one register tile: the packed kernel would zero-pad
+    // most of every strip it touches. Too little total work to amortise
+    // any packing at all. Too short an inner loop to amortise either pack
+    // pass.
+    m >= MR && n >= NR && flops >= MIN_BLOCKED_FLOPS && k >= MIN_K
+}
+
+/// The blocked plan for a product of `m` rows and inner dimension `k`.
+fn blocked(m: usize, k: usize) -> KernelPlan {
     match tuned_blocking(m, k) {
         Some(b) => KernelPlan::BlockedTuned(b),
         None => KernelPlan::Blocked(Blocking::default_tiles()),
@@ -247,6 +268,33 @@ mod tests {
         // flops straddling MIN_BLOCKED_FLOPS (64·64·64 == 2^18)
         assert_eq!(static_plan(64, 64, 63), KernelPlan::Naive);
         assert!(matches!(static_plan(64, 64, 64), KernelPlan::Blocked(_)));
+    }
+
+    #[test]
+    fn gathered_products_one_tile_wide_take_the_blocked_kernel() {
+        // ResNet::small's projection weight gradient at batch 24: one
+        // column strip, so a packed B would fail the reuse gate, but a
+        // gathered one has no pack pass to amortise
+        assert_eq!(static_plan(32, 16, 1536), KernelPlan::Naive);
+        let plan = gathered_plan(32, 16, 1536);
+        assert!(
+            matches!(plan, KernelPlan::BlockedTuned(b) if b.is_valid()),
+            "{plan:?}"
+        );
+        // fewer row strips than the B-reuse gate asks for
+        assert!(matches!(
+            gathered_plan(8, 4096, 4096),
+            KernelPlan::BlockedTuned(_)
+        ));
+        // every shape the matrix plan blocks stays blocked, alike
+        for (m, n, k) in [(512, 512, 512), (128, 1152, 1024), (32, 144, 1536)] {
+            assert_eq!(gathered_plan(m, n, k), static_plan(m, n, k));
+        }
+        // thinner than a register tile, or too little work, stays naive
+        assert_eq!(gathered_plan(32, NR - 1, 1536), KernelPlan::Naive);
+        assert_eq!(gathered_plan(MR - 1, 4096, 4096), KernelPlan::Naive);
+        assert_eq!(gathered_plan(32, 16, MIN_K - 1), KernelPlan::Naive);
+        assert_eq!(gathered_plan(4, 16, 64), KernelPlan::Naive);
     }
 
     #[test]
