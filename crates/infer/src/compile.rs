@@ -206,7 +206,7 @@ impl Requant {
 
     /// The requantized values of one activation row, one per output
     /// channel, from the row's accumulators and code sum: the scalar
-    /// expression [`Requant::row_into`] is held to.
+    /// expression [`Requant::rows_into`] is held to.
     #[cfg(test)]
     fn row<'a>(&'a self, accs: &'a [i64], act_sum: u64) -> impl Iterator<Item = f64> + 'a {
         let row_term = self.act_sum_scale * act_sum as f64;
@@ -217,30 +217,25 @@ impl Requant {
         )
     }
 
-    /// Requantizes one activation row into `out`, one `f32` per output
-    /// channel: each value rounded to `f32` and raised to `floor` —
-    /// `x > floor ? x : floor`, so NaN gives the floor, and so does
-    /// `-0.0` under the floor `0.0`, a fused ReLU (`-inf` passes every
-    /// other value).
-    ///
-    /// Where the CPU has AVX-512F and DQ, 8 channels run per step in
-    /// `f64` lanes that take the scalar expression's operations in the
-    /// same order (convert, multiply, then four separate adds — no FMA —
-    /// then one rounding to `f32` and a `max`), so every value has the
-    /// bits of the portable body, [`Requant::row_into_portable`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `accs` and `out` hold one entry per output channel.
+    /// [`Requant::rows_into`] on one row of one accumulator per channel.
     #[cfg(test)]
     fn row_into(&self, accs: &[i64], act_sum: u64, floor: f32, out: &mut [f32]) {
         assert_eq!(accs.len(), self.bias.len(), "one accumulator per channel");
         self.rows_into(accs, accs.len(), &[act_sum], floor, out);
     }
 
-    /// [`Requant::row_into`] over a tile of rows: row `i` reads its
-    /// accumulators at `accs[i·ld..]` and its code sum `act_sums[i]`, and
-    /// writes `out[i·o..(i + 1)·o]`.
+    /// Requantizes a tile of activation rows into `out`, one `f32` per
+    /// output channel: row `i` reads its accumulators at `accs[i·ld..]`
+    /// and its code sum `act_sums[i]`, and writes `out[i·o..(i + 1)·o]`.
+    /// Each value is rounded to `f32` and raised to `floor` — `x > floor
+    /// ? x : floor`, so NaN gives the floor, and so does `-0.0` under the
+    /// floor `0.0`, a fused ReLU (`-inf` passes every other value).
+    ///
+    /// Where the CPU has AVX-512F and DQ, 8 channels run per step in
+    /// `f64` lanes that take the scalar expression's operations in the
+    /// same order (convert, multiply, then four separate adds — no FMA —
+    /// then one rounding to `f32` and a `max`), so every value has the
+    /// bits of the portable body, [`Requant::rows_into_portable`].
     ///
     /// # Panics
     ///
@@ -532,7 +527,8 @@ impl CompiledConv {
         bias: &[f32],
         bits: BitWidth,
         act_q: Quantizer,
-        [pool, relu]: [bool; 2],
+        pool: bool,
+        relu: bool,
     ) -> Result<Self, CompileError> {
         let Conv2dGeom {
             in_channels: c,
@@ -575,14 +571,8 @@ impl CompiledConv {
         let bits = layer_bits(block.name(), block.bits(), options)?;
         let (weight, bias) = block.folded_weight_bias();
         let relu = block.has_relu();
-        let layer = Self::from_weights(
-            block.geom(),
-            weight.data(),
-            &bias,
-            bits,
-            act_q,
-            [pool, relu],
-        )?;
+        let layer =
+            Self::from_weights(block.geom(), weight.data(), &bias, bits, act_q, pool, relu)?;
         Ok((layer, bits))
     }
 
@@ -610,7 +600,7 @@ impl CompiledConv {
             .collect();
         let geom = Conv2dGeom::new(features, head.out_features(), 1, 1, 0);
         let bias = linear.bias.value.data();
-        Self::from_weights(geom, &weight, bias, bits, act_q, [false, false])
+        Self::from_weights(geom, &weight, bias, bits, act_q, false, false)
     }
 }
 
@@ -1577,7 +1567,7 @@ mod tests {
             .collect();
         let bias = vec![0.25; geom.out_channels];
         let layer =
-            CompiledConv::from_weights(geom, weight.data(), &bias, bits, act_q, [false, true])
+            CompiledConv::from_weights(geom, weight.data(), &bias, bits, act_q, false, true)
                 .unwrap();
         (layer, codes)
     }
