@@ -1,11 +1,12 @@
 //! The `tensor.matmul` span's attributes: the transpose variant each
-//! entry point runs and the plan [`static_plan`] picks for its shape.
+//! entry point runs and the plan its shape gets — [`static_plan`] for a
+//! matrix `B`, [`gathered_plan`] for a convolution's gathered one.
 //!
 //! The tracer is process-global, so this is the only test in its binary:
 //! nothing else sets the level or drains the buffers while it reads them.
 
 use adq_telemetry::span::{self, AttrValue, SpanRecord};
-use adq_tensor::plan::static_plan;
+use adq_tensor::plan::{gathered_plan, static_plan, KernelPlan};
 use adq_tensor::{
     conv_gemm_scratch, matmul, matmul_a_bt, matmul_at_b, pad_input, Conv2dGeom, ConvGemm, Scratch,
     ShapeError, Tensor,
@@ -16,6 +17,7 @@ use adq_tensor::{
 fn assert_span(
     variant: &str,
     (m, n, k): (usize, usize, usize),
+    plan: fn(usize, usize, usize) -> KernelPlan,
     product: Result<Tensor, ShapeError>,
 ) {
     product.unwrap();
@@ -29,7 +31,7 @@ fn assert_span(
         ("m", m.into()),
         ("n", n.into()),
         ("k", k.into()),
-        ("tensor.dispatch.plan", static_plan(m, n, k).label().into()),
+        ("tensor.dispatch.plan", plan(m, n, k).label().into()),
     ];
     for (key, want) in expected {
         let got = spans[0].attrs.iter().find(|(k, _)| *k == key);
@@ -43,30 +45,40 @@ fn every_dispatched_product_reports_its_variant_and_plan() {
     // one shape per plan kind: blocked, blocked_tuned, naive
     for (m, k, n) in [(64, 64, 64), (16, 2048, 32), (4, 256, 256)] {
         let (a, b) = (Tensor::zeros(&[m, k]), Tensor::zeros(&[k, n]));
-        assert_span("nn", (m, n, k), matmul(&a, &b));
+        assert_span("nn", (m, n, k), static_plan, matmul(&a, &b));
         let at = Tensor::zeros(&[k, m]);
-        assert_span("tn", (m, n, k), matmul_at_b(&at, &b));
+        assert_span("tn", (m, n, k), static_plan, matmul_at_b(&at, &b));
         let bt = Tensor::zeros(&[n, k]);
-        assert_span("nt", (m, n, k), matmul_a_bt(&a, &bt));
+        assert_span("nt", (m, n, k), static_plan, matmul_a_bt(&a, &bt));
     }
-    // convolutions, 16→16 3×3 at 9×9, batch 3: blocked plans; 3→4 at
-    // 5×7, batch 2: naive plans
-    for (c, o, batch, h, w) in [(16, 16, 3, 9, 9), (3, 4, 2, 5, 7)] {
-        let geom = Conv2dGeom::new(c, o, 3, 1, 1);
+    // convolutions: 16→16 3×3 at 9×9, batch 3: blocked plans; 3→4 3×3 at
+    // 5×7, batch 2: naive plans; ResNet::small's 1×1 stride-2 projection,
+    // 16→32 at 16×16, batch 24, whose weight gradient (one column strip)
+    // a matrix B would send to the naive plan
+    let convs = [
+        (Conv2dGeom::new(16, 16, 3, 1, 1), [3, 16, 9, 9]),
+        (Conv2dGeom::new(3, 4, 3, 1, 1), [2, 3, 5, 7]),
+        (Conv2dGeom::new(16, 32, 1, 2, 0), [24, 16, 16, 16]),
+    ];
+    for (geom, [batch, c, h, w]) in convs {
         let mut scratch = Scratch::new();
         let padded = pad_input(&Tensor::zeros(&[batch, c, h, w]), &geom, &mut scratch).unwrap();
-        let (taps, pixels) = (c * 9, batch * h * w);
-        let weights = Tensor::zeros(&[o, taps]);
+        let taps = c * geom.kernel * geom.kernel;
+        let pixels = batch * geom.output_size(h) * geom.output_size(w);
+        let weights = Tensor::zeros(&[geom.out_channels, taps]);
         assert_span(
             "nn",
-            (o, pixels, taps),
+            (geom.out_channels, pixels, taps),
+            gathered_plan,
             conv_gemm_scratch(&weights, &padded, ConvGemm::Forward, &mut scratch),
         );
-        let dy = Tensor::zeros(&[o, pixels]);
+        let dy = Tensor::zeros(&[geom.out_channels, pixels]);
         assert_span(
             "nt",
-            (o, taps, pixels),
+            (geom.out_channels, taps, pixels),
+            gathered_plan,
             conv_gemm_scratch(&dy, &padded, ConvGemm::WeightGrad, &mut scratch),
         );
     }
+    assert_ne!(gathered_plan(32, 16, 1536), static_plan(32, 16, 1536));
 }
