@@ -312,11 +312,13 @@ echo "$contract_tests" | grep -q "access_log_does_not_change_response_bytes" || 
 rm -rf "$serve_dir"
 
 # Serving through the benchmark binary: it exits 0 only when every
-# served response equalled CompiledVgg::run on that image, bit for bit —
-# on U8 containers (serve-c1) and on U16 and nibble ones (serve-mixed-c1),
-# so a row-kernel fault that shows only through the server fails here.
-echo "==> tier-1: benchmark serving smoke (adq_benchmark serve-c1, serve-mixed-c1)"
-for workload in serve-c1 serve-mixed-c1; do
+# served response equalled CompiledVgg::run on that image alone, bit for
+# bit — on U8 containers (serve-c1), on U16 and nibble ones
+# (serve-mixed-c1), and in batches larger than 1 (serve-open, the one
+# workload whose arrivals the server coalesces), so a row-kernel or
+# batch-layout fault that shows only through the server fails here.
+echo "==> tier-1: benchmark serving smoke (adq_benchmark serve-c1, serve-mixed-c1, serve-open)"
+for workload in serve-c1 serve-mixed-c1 serve-open; do
     ./target/release/adq_benchmark --workload "$workload" --seed 1 --seconds 2 \
         --trace 0 >/dev/null || {
         echo "ci: adq_benchmark --workload $workload failed its correctness check" >&2
