@@ -283,12 +283,13 @@ impl Default for ServeConfig {
         // Concurrent closed-loop clients re-enqueue within microseconds of
         // each other (their previous responses complete together), so a
         // short gather window coalesces full batches without taxing the
-        // lightly-loaded case a long deadline would. A zero window halves
-        // a lone request's round trip (0.52 vs 1.08 ms median, one
-        // closed-loop client, 2-vCPU Xeon VM), but that round trip is then
-        // almost all integer compute, whose speed follows the load on the
-        // host: its answers per second moved by up to ±20% between
-        // identical 30 s runs, against ±5% with the window.
+        // lightly-loaded case a long deadline would. A zero window cuts a
+        // lone request's round trip about fivefold (serve-c1 p50 0.78 →
+        // 0.15–0.17 ms, one closed-loop client, 2-vCPU Xeon VM). What
+        // blocks it is the benchmark's load client, which keeps one
+        // latency per answer: the faster answers raised serve-c1's peak
+        // RSS from 7.1 to 11.8–12.3 MB, over its 15% bound. Bounding the
+        // client's memory comes first (ROADMAP item 2).
         Self {
             max_batch: 8,
             max_wait: Duration::from_micros(500),
