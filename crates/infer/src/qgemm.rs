@@ -335,7 +335,6 @@ impl PackedMatrix {
     ///
     /// Panics if the shapes disagree or a group of a row reads past its
     /// plane.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn in_place(
         [rows, k, runs]: [usize; 3],
         container: Container,
