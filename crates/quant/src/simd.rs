@@ -5,7 +5,7 @@
 //! and [`Encoder::encode_into`](crate::Encoder::encode_into) promise
 //! results bit-identical to the per-element scalar path, so the vector
 //! bodies reproduce the scalar arithmetic operation-for-operation in
-//! 4 × `f64` lanes (8 in the AVX-512 encode body). Both share one vector implementation of the steps
+//! 4 × `f64` lanes. Both share one vector implementation of the steps
 //! from a value to its code, [`CodeLanes::code`]:
 //!
 //! * **clamp** — `max` then `min` against the range bounds. `maxpd`
@@ -94,19 +94,11 @@ pub(crate) fn fake_quantize_scalar(chunk: &mut [f32], p: &FakeQuantParams) {
 pub(crate) fn encode_chunk(values: &[f32], out: &mut [u16], p: &CodeParams) {
     assert_eq!(values.len(), out.len(), "one code per value");
     #[cfg(target_arch = "x86_64")]
-    if p.max_code <= u64::from(u16::MAX) {
-        if avx512_available() {
-            // SAFETY: the AVX-512F feature was detected at runtime, and
-            // the lengths agree.
-            unsafe { encode_avx512(values, out, p) };
-            return;
-        }
-        if avx2_available() {
-            // SAFETY: the AVX2 feature was detected at runtime, and the
-            // lengths agree.
-            unsafe { encode_avx2(values, out, p) };
-            return;
-        }
+    if avx2_available() && p.max_code <= u64::from(u16::MAX) {
+        // SAFETY: the AVX2 feature was detected at runtime, and the
+        // lengths agree.
+        unsafe { encode_avx2(values, out, p) };
+        return;
     }
     encode_scalar(values, out, p);
 }
@@ -124,13 +116,6 @@ pub(crate) fn encode_scalar(values: &[f32], out: &mut [u16], p: &CodeParams) {
 fn avx2_available() -> bool {
     static AVX2: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *AVX2.get_or_init(|| is_x86_feature_detected!("avx2"))
-}
-
-/// Runtime AVX-512F detection, resolved once per process.
-#[cfg(target_arch = "x86_64")]
-fn avx512_available() -> bool {
-    static AVX512: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *AVX512.get_or_init(|| is_x86_feature_detected!("avx512f"))
 }
 
 /// [`CodeParams`] broadcast to 4 × `f64` lanes.
@@ -244,54 +229,6 @@ unsafe fn encode_avx2(values: &[f32], out: &mut [u16], p: &CodeParams) {
             _mm256_cvttpd_epi32(lanes.code(high)),
         );
         _mm_storeu_si128(codes.as_mut_ptr().cast(), packed);
-    }
-    encode_scalar(src.remainder(), dst.into_remainder(), p);
-}
-
-/// AVX-512 encode: 16 values per iteration, as two halves of 8 `f64`
-/// lanes that take [`CodeLanes::code`]'s operations in the same order
-/// (the bump of a tie is a masked add of 1.0 rather than an add of a
-/// masked 1.0, which only skips adding `+0.0` to a lane that is already
-/// `>= +0.0`), truncated to `i32` and narrowed to `u16` (codes are at
-/// most `u16::MAX`), scalar tail.
-///
-/// # Safety
-///
-/// The caller must ensure the CPU supports AVX-512F, that
-/// `values.len() == out.len()` and that `p.max_code <= u16::MAX`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn encode_avx512(values: &[f32], out: &mut [u16], p: &CodeParams) {
-    use std::arch::x86_64::{
-        __m512d, _mm256_loadu_ps, _mm256_storeu_si256, _mm512_castsi256_si512, _mm512_cmp_pd_mask,
-        _mm512_cvtepi32_epi16, _mm512_cvtps_pd, _mm512_cvttpd_epi32, _mm512_inserti64x4,
-        _mm512_mask_add_pd, _mm512_max_pd, _mm512_min_pd, _mm512_mul_pd, _mm512_roundscale_pd,
-        _mm512_set1_pd, _mm512_sub_pd, _CMP_GE_OQ, _MM_FROUND_NO_EXC, _MM_FROUND_TO_ZERO,
-    };
-    let lo = _mm512_set1_pd(f64::from(p.lo));
-    let hi = _mm512_set1_pd(f64::from(p.hi));
-    let min64 = _mm512_set1_pd(p.min64);
-    let inv_step = _mm512_set1_pd(p.inv_step);
-    let max_code = _mm512_set1_pd(p.max_code as f64);
-    let (half, one) = (_mm512_set1_pd(0.5), _mm512_set1_pd(1.0));
-    let code = |x: __m512d| {
-        // maxpd yields lo for a NaN lane, as in the AVX2 body
-        let x = _mm512_min_pd(_mm512_max_pd(x, lo), hi);
-        let scaled = _mm512_mul_pd(_mm512_sub_pd(x, min64), inv_step);
-        let trunc = _mm512_roundscale_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(scaled);
-        let tie = _mm512_cmp_pd_mask::<_CMP_GE_OQ>(_mm512_sub_pd(scaled, trunc), half);
-        _mm512_cvttpd_epi32(_mm512_min_pd(
-            _mm512_mask_add_pd(trunc, tie, trunc, one),
-            max_code,
-        ))
-    };
-    let mut src = values.chunks_exact(16);
-    let mut dst = out.chunks_exact_mut(16);
-    for (sixteen, codes) in (&mut src).zip(&mut dst) {
-        let low = code(_mm512_cvtps_pd(_mm256_loadu_ps(sixteen.as_ptr())));
-        let high = code(_mm512_cvtps_pd(_mm256_loadu_ps(sixteen.as_ptr().add(8))));
-        let both = _mm512_inserti64x4::<1>(_mm512_castsi256_si512(low), high);
-        _mm256_storeu_si256(codes.as_mut_ptr().cast(), _mm512_cvtepi32_epi16(both));
     }
     encode_scalar(src.remainder(), dst.into_remainder(), p);
 }
@@ -442,15 +379,6 @@ mod tests {
         encode_scalar(values, &mut slow, p);
         assert_eq!(slow, want, "portable body, {case} {p:?}");
         assert_eq!(fast, want, "dispatched body, {case} {p:?}");
-        // the AVX2 body also serves CPUs without AVX-512
-        #[cfg(target_arch = "x86_64")]
-        if avx2_available() {
-            let mut quads = vec![0xABCD; values.len()];
-            // SAFETY: AVX2 was detected; the lengths agree and the codes
-            // fit u16.
-            unsafe { encode_avx2(values, &mut quads, p) };
-            assert_eq!(quads, want, "AVX2 body, {case} {p:?}");
-        }
     }
 
     #[test]
