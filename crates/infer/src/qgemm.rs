@@ -356,10 +356,9 @@ impl PackedMatrix {
         assert_eq!(groups.len() * 4, padded(k, runs), "one offset per group");
         assert_eq!(starts.len(), rows, "one start per row");
         assert_eq!(row_sums.len(), rows, "one code sum per row");
-        let reach = Taps::new(&groups).reach;
-        let plane_len = bytes.len() / planes;
+        let taps = Taps::new(&bytes[..bytes.len() / planes], &groups);
         assert!(
-            starts.iter().all(|&s| s as usize + reach <= plane_len),
+            starts.iter().all(|&s| taps.holds(s)),
             "every group must lie in its plane"
         );
         PackedMatrix {
@@ -528,7 +527,7 @@ pub(crate) fn qgemm_tiles_with(
     let Layout::Rows { starts, groups } = &acts.layout else {
         panic!("activations must be packed by from_codes, not pack_rows");
     };
-    let taps = Taps::new(groups);
+    let taps = Taps::new(acts.plane(0), groups);
     let weights = weights.as_weights();
     let (m, o) = (acts.rows, weights.rows);
     let ld = o.div_ceil(NR) * NR;
@@ -575,7 +574,7 @@ fn accumulate<const R: usize>(
     let rows: [u32; R] = std::array::from_fn(|i| starts[i]);
     let chunk = I32_CHUNK / 4;
     for p in 0..acts.planes {
-        let plane = acts.plane(p);
+        let taps = taps.on(acts.plane(p));
         for q in 0..weights.planes {
             let shift = 8 * (p + q) as u32;
             let blocks = weights.plane(q).chunks_exact(NR * k4.max(1));
@@ -583,7 +582,6 @@ fn accumulate<const R: usize>(
                 for g0 in (0..taps.groups.len()).step_by(chunk) {
                     let g1 = (g0 + chunk).min(taps.groups.len());
                     body.tile(
-                        plane,
                         rows,
                         taps.slice(g0, g1),
                         &w_block[4 * NR * g0..4 * NR * g1],
@@ -597,34 +595,49 @@ fn accumulate<const R: usize>(
     }
 }
 
-/// Group offsets of an activation operand, with the bytes past a row's
-/// start that the furthest of them reads: a tile checks each row against
-/// it once.
+/// One byte plane of an activation operand with its group offsets, and
+/// the bytes past a row's start that the furthest of them reads: a tile
+/// checks each row against it once.
 #[derive(Debug, Clone, Copy)]
 struct Taps<'a> {
+    plane: &'a [u8],
     groups: &'a [u32],
     /// `max(groups) + 4`, or 0 without groups.
     reach: usize,
 }
 
 impl<'a> Taps<'a> {
-    fn new(groups: &'a [u32]) -> Self {
+    fn new(plane: &'a [u8], groups: &'a [u32]) -> Self {
         let reach = groups.iter().max().map_or(0, |&g| g as usize + 4);
-        Self { groups, reach }
+        Self {
+            plane,
+            groups,
+            reach,
+        }
+    }
+
+    /// Whether every group of the row at `start` lies in the plane.
+    fn holds(&self, start: u32) -> bool {
+        start as usize + self.reach <= self.plane.len()
+    }
+
+    /// The same groups over another plane of equal length.
+    fn on(self, plane: &'a [u8]) -> Self {
+        Self { plane, ..self }
     }
 
     /// Groups `g0..g1`, still bounded by the whole reach.
     fn slice(self, g0: usize, g1: usize) -> Self {
         Self {
             groups: &self.groups[g0..g1],
-            reach: self.reach,
+            ..self
         }
     }
 }
 
 /// A register-tile body. Both compute, for `R` activation rows read in
 /// place — `s` groups of 4 bytes, group `g` of the row at `start` being
-/// the bytes at `start + groups[g]` of `plane` — and one block of `s`
+/// the bytes at `start + groups[g]` of the [`Taps`]' plane — and one block of `s`
 /// steps of `NR × 4` weight bytes, the `i32` tile `D[i][j] = Σ a[i]·(w[j]
 /// − 128)` and add `D << shift` into the `i64` rows `out[i·ld..i·ld + NR]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -658,10 +671,8 @@ impl Body {
     }
 
     #[inline]
-    #[allow(clippy::too_many_arguments)]
     fn tile<const R: usize>(
         self,
-        plane: &[u8],
         rows: [u32; R],
         taps: Taps<'_>,
         w: &[u8],
@@ -671,17 +682,17 @@ impl Body {
     ) {
         assert!(
             w.len() == 4 * NR * taps.groups.len()
-                && rows.iter().all(|&r| r as usize + taps.reach <= plane.len())
+                && rows.iter().all(|&r| taps.holds(r))
                 && out.len() >= (R - 1) * ld + NR,
             "tile operands out of shape"
         );
         match self {
-            Body::Portable => tile_portable(plane, rows, taps.groups, w, shift, out, ld),
+            Body::Portable => tile_portable(rows, taps, w, shift, out, ld),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `Vnni` exists only where the features were detected;
             // the shapes were checked above, and every group of a row ends
             // within `reach` of its start.
-            Body::Vnni => unsafe { tile_vnni(plane, rows, taps.groups, w, shift, out, ld) },
+            Body::Vnni => unsafe { tile_vnni(rows, taps, w, shift, out, ld) },
         }
     }
 }
@@ -698,18 +709,17 @@ fn vnni_available() -> bool {
 /// The portable tile: the reads and sums of [`tile_vnni`] in scalar
 /// code.
 fn tile_portable<const R: usize>(
-    plane: &[u8],
     rows: [u32; R],
-    groups: &[u32],
+    taps: Taps<'_>,
     w: &[u8],
     shift: u32,
     out: &mut [i64],
     ld: usize,
 ) {
     for (i, &start) in rows.iter().enumerate() {
-        let row = &plane[start as usize..];
+        let row = &taps.plane[start as usize..];
         let mut lanes = [0i32; NR];
-        for (&g, step) in groups.iter().zip(w.chunks_exact(4 * NR)) {
+        for (&g, step) in taps.groups.iter().zip(w.chunks_exact(4 * NR)) {
             let a4 = &row[g as usize..g as usize + 4];
             for (lane, w4) in lanes.iter_mut().zip(step.chunks_exact(4)) {
                 for (&a, &b) in a4.iter().zip(w4) {
@@ -731,14 +741,13 @@ fn tile_portable<const R: usize>(
 /// # Safety
 ///
 /// The CPU must support AVX-512F and AVX-512 VNNI. `w` must hold `4·NR`
-/// bytes per group, every `start + g + 4` must lie within `plane`, and
+/// bytes per group, every `start + g + 4` must lie within the plane, and
 /// `out` must hold at least `(R − 1)·ld + NR` accumulators.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vnni")]
 unsafe fn tile_vnni<const R: usize>(
-    plane: &[u8],
     rows: [u32; R],
-    groups: &[u32],
+    taps: Taps<'_>,
     w: &[u8],
     shift: u32,
     out: &mut [i64],
@@ -749,9 +758,9 @@ unsafe fn tile_vnni<const R: usize>(
         _mm512_extracti64x4_epi64, _mm512_loadu_si512, _mm512_set1_epi32, _mm512_setzero_si512,
         _mm512_sll_epi64, _mm512_storeu_si512, _mm_cvtsi32_si128,
     };
-    let a = rows.map(|start| plane.as_ptr().add(start as usize));
+    let a = rows.map(|start| taps.plane.as_ptr().add(start as usize));
     let mut acc = [_mm512_setzero_si512(); R];
-    for (s, &g) in groups.iter().enumerate() {
+    for (s, &g) in taps.groups.iter().enumerate() {
         let wv = _mm512_loadu_si512(w.as_ptr().add(s * 4 * NR).cast());
         for (slot, &row) in acc.iter_mut().zip(&a) {
             let av = _mm512_set1_epi32(row.add(g as usize).cast::<i32>().read_unaligned());
@@ -939,7 +948,7 @@ mod tests {
                 .into_iter()
                 .map(u32::from)
                 .collect();
-            let taps = Taps::new(&groups);
+            let taps = Taps::new(&plane, &groups);
             let w: Vec<u8> = lcg_codes(4 * NR * steps, 255, 3)
                 .into_iter()
                 .map(|c| c as u8)
@@ -952,13 +961,13 @@ mod tests {
                     .collect();
                 let mut want = start.clone();
                 let mut got = start.clone();
-                Body::Portable.tile(&plane, rows, taps, &w, shift, &mut want, ld);
-                Body::Vnni.tile(&plane, rows, taps, &w, shift, &mut got, ld);
+                Body::Portable.tile(rows, taps, &w, shift, &mut want, ld);
+                Body::Vnni.tile(rows, taps, &w, shift, &mut got, ld);
                 assert_eq!(got, want, "steps {steps} shift {shift}");
                 // the one-row tile the matrix edge runs
                 let (mut want, mut got) = (start.clone(), start);
-                Body::Portable.tile(&plane, [rows[3]], taps, &w, shift, &mut want, ld);
-                Body::Vnni.tile(&plane, [rows[3]], taps, &w, shift, &mut got, ld);
+                Body::Portable.tile([rows[3]], taps, &w, shift, &mut want, ld);
+                Body::Vnni.tile([rows[3]], taps, &w, shift, &mut got, ld);
                 assert_eq!(got, want, "one row, steps {steps} shift {shift}");
             }
         }
