@@ -217,13 +217,6 @@ impl Requant {
         )
     }
 
-    /// [`Requant::rows_into`] on one row of one accumulator per channel.
-    #[cfg(test)]
-    fn row_into(&self, accs: &[i64], act_sum: u64, floor: f32, out: &mut [f32]) {
-        assert_eq!(accs.len(), self.bias.len(), "one accumulator per channel");
-        self.rows_into(accs, accs.len(), &[act_sum], floor, out);
-    }
-
     /// Requantizes a tile of activation rows into `out`, one `f32` per
     /// output channel: row `i` reads its accumulators at `accs[i·ld..]`
     /// and its code sum `act_sums[i]`, and writes `out[i·o..(i + 1)·o]`.
@@ -255,12 +248,6 @@ impl Requant {
             return;
         }
         self.rows_into_portable(accs, ld, act_sums, floor, out);
-    }
-
-    /// The scalar body of [`Requant::row_into`].
-    #[cfg(test)]
-    fn row_into_portable(&self, accs: &[i64], act_sum: u64, floor: f32, out: &mut [f32]) {
-        self.rows_into_portable(accs, accs.len(), &[act_sum], floor, out);
     }
 
     /// The scalar body of [`Requant::rows_into`].
@@ -1726,8 +1713,8 @@ mod tests {
                             .count();
                         let mut fast = vec![f32::NAN; len];
                         let mut slow = vec![f32::NAN; len];
-                        requant.row_into(&accs, act_sum, floor, &mut fast);
-                        requant.row_into_portable(&accs, act_sum, floor, &mut slow);
+                        requant.rows_into(&accs, len, &[act_sum], floor, &mut fast);
+                        requant.rows_into_portable(&accs, len, &[act_sum], floor, &mut slow);
                         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                         let case = format!("len {len} scale {scale} sum {act_sum} floor {floor}");
                         assert_eq!(bits(&slow), want, "portable body, {case}");
