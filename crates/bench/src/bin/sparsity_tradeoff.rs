@@ -1,7 +1,7 @@
 //! The sparsity/precision trade-off (extension; paper §II-B + §III).
 //!
 //! The paper's intro notes that pruning composes with *zero-skipping*
-//! accelerators (its ref [22], SCNN) that exploit activation sparsity — the
+//! accelerators (its ref \[22\], SCNN) that exploit activation sparsity — the
 //! very zeros Activation Density counts. But AD-based quantization drives
 //! AD toward 1, *consuming* that sparsity. This bench quantifies the
 //! trade on a real trained model: per-iteration energy on a dense datapath

@@ -118,7 +118,7 @@ impl LayerSpec {
     }
 
     /// Energy on a *zero-skipping* accelerator (the paper's §II-B point,
-    /// its ref [22] SCNN): MACs whose input activation is zero are skipped,
+    /// its ref \[22\] SCNN): MACs whose input activation is zero are skipped,
     /// so the MAC term scales with the layer's input Activation Density.
     /// Memory traffic for activations scales the same way; weights must
     /// still be fetched.

@@ -211,9 +211,9 @@ pub(crate) fn dispatch_matmul(op: &GemmOp, scratch: &mut Scratch) -> Vec<f32> {
 /// Dense matrix product `C = A · B` for rank-2 tensors.
 ///
 /// The shape picks the kernel (see [`crate::plan`]): large well-shaped
-/// products use the blocked packed kernel ([`crate::gemm`]); small or
+/// products use the blocked packed kernel (`gemm`); small or
 /// lopsided ones an `ikj` loop parallelised over rows. See the module
-/// docs of [`crate::gemm`] for the exact numerical guarantee relating
+/// docs of the `gemm` module for the exact numerical guarantee relating
 /// the kernels.
 ///
 /// # Errors

@@ -18,7 +18,7 @@
 //!   tall-thin: few column strips ⇒ ditto for `A`; tiny-k: the inner
 //!   loop is too short to amortise either pack).
 //! * **Blocked** — the packed kernel with the default
-//!   [`MC`](crate::gemm::MC)/[`NC`](crate::gemm::NC)/[`KC`](crate::gemm::KC)
+//!   [`MC`]/[`NC`]/[`KC`]
 //!   tiles, the right choice for the square-ish conv/linear shapes.
 //! * **BlockedTuned** — the packed kernel with shape-tuned `(MC, NC, KC)`
 //!   blocking: products with few row tiles re-load `C` once per k-block,
@@ -26,7 +26,7 @@
 //!
 //! Every candidate accumulates each output element in the same strictly
 //! ascending-k order, so **plan choice never changes results** (see the
-//! numerical contract in [`crate::gemm`]) — dispatch is a pure
+//! numerical contract in the `gemm` module) — dispatch is a pure
 //! performance decision, and whole-run determinism (bit-identical
 //! checkpoint resume, thread-count invariance) is preserved no matter
 //! which plan wins.
@@ -65,7 +65,7 @@ pub const MIN_K: usize = 16;
 /// Products with at most this many rows take the shape-tuned blocking:
 /// their entire `C` footprint is small enough that re-loading it per
 /// k-block is the dominant traffic, so `k` is balanced into fewer,
-/// larger blocks (see [`tuned_blocking`]).
+/// larger blocks (see `tuned_blocking`).
 pub const TUNED_MAX_M: usize = MC;
 
 /// Upper bound on a tuned k-block: `4 × KC` keeps the packed B strip
