@@ -1,8 +1,8 @@
-//! Lowering a trained [`Vgg`] or [`ResNet`] into a self-contained
-//! [`CompiledVgg`] / [`CompiledResNet`]: BN-folded weights quantized at
-//! each layer's trained bit-width, packed into the bit-width's storage
-//! container, plus the frozen requantization parameters the integer
-//! kernels need between layers.
+//! Lowering a trained [`Vgg`] or [`ResNet`] into one self-contained
+//! [`CompiledNet`]: BN-folded weights quantized at each layer's trained
+//! bit-width, packed into the bit-width's storage container, plus the
+//! frozen requantization parameters the integer kernels need between
+//! layers.
 //!
 //! Every layer executes real integer arithmetic through [`crate::qgemm`].
 //! For uniform affine quantizers `x = x_min + c·s`,
@@ -16,46 +16,39 @@
 //! cheap per-row code sums [`PackedMatrix`] precomputes. Convolution
 //! padding is quantized like any other activation (its code is
 //! `quantize(0.0)`, the zero point), so `n` is the full fan-in — the
-//! convention of real integer engines, which pad the code matrix with the
-//! zero point rather than skipping taps. The residual against exact-zero
+//! convention of real integer engines. The residual against exact-zero
 //! padding is below one activation quantization step per padded tap;
-//! `tests/golden_equivalence.rs` bounds the resulting logits against the
-//! float model.
+//! `tests/golden_equivalence.rs` bounds the resulting logits.
 //!
-//! Activation quantizers are **calibrated post-training**: compilation
-//! runs a calibration batch through the integer engine itself, fits each
-//! layer's input range at the carried precision, and freezes it. This
-//! replaces the per-batch range fitting the training-time simulation uses
-//! — a server cannot re-fit ranges per request batch without making
-//! results batch-composition-dependent.
+//! Both models lower the same way, to a list of stages — convs, and a
+//! ResNet's residual blocks — then the head. One loop calibrates the
+//! stages and one runs them. Calibration is **post-training**: it runs a
+//! calibration batch through the integer stages themselves, fits each
+//! layer's input range at the carried precision, and freezes it, so
+//! results never depend on batch composition.
 //!
 //! Layers hand codes to each other **channel-last**. A layer's input is
 //! a batch of byte planes, each `[n, h + 2·pad, w + 2·pad, c]`, bordered
 //! by the layer's padding code (`Planes`). A conv orders its taps `(kh,
-//! kw, c)`, and its weights are re-packed in that order once, at compile
-//! time, so the `kw·c` taps of one kernel row are `p·c` adjacent bytes of
-//! the plane. The integer GEMM reads each 4-byte group where it lies,
-//! through a per-pixel start and a per-tap offset — an implicit GEMM,
-//! with no gathered copy — and each row's code sum comes from a table of
-//! per-pixel channel sums. The GEMM's rows are output pixels, so its
-//! output is already channel-last: requantize (`Requant::rows_into`),
-//! encode ([`Encoder::encode_into`]) and the 2×2 max-pool run over
-//! contiguous rows and write the next layer's interior directly. The
-//! classifier head runs as a 1×1 conv over the flattened features, its
-//! weight columns permuted at compile time to the `(y, x, c)` order the
-//! last conv emits, so the logits are those of the NCHW flatten.
+//! kw, c)`, and its weights are re-packed in that order once, so the
+//! `kw·c` taps of one kernel row are `p·c` adjacent bytes of the plane.
+//! The integer GEMM reads each 4-byte group where it lies — an implicit
+//! GEMM, with no gathered copy — and each row's code sum comes from a
+//! table of per-pixel channel sums. The GEMM's rows are output pixels, so
+//! requantize (`Requant::rows_into`), encode ([`Encoder::encode_into`])
+//! and the 2×2 max-pool run over contiguous rows and write the next
+//! layer's interior directly. The head is a conv whose kernel covers the
+//! last map: its `(c, kh, kw)` taps are the model's NCHW flatten.
 //!
-//! The row kernels run in vector lanes where the CPU has them, under one
-//! contract: the vector body performs the scalar expression's operations
-//! in the same order — no FMA, no reassociation — so its results are the
-//! same bits as the portable body's, which the unit tests call directly.
+//! The residual junction (Fig 2) runs in the output pass of a block's
+//! second conv, on the same rows: `relu(rows + fq(skip))`, then encode.
+//! The skip is the block input's codes, decoded, or its 1×1 projection,
+//! which reads the same input batch; `fq` quantizes it at the junction
+//! bits with a range frozen at calibration. Only the last junction's
+//! output stays float, for the global average pool that feeds the head.
 //!
-//! A ResNet adds one operation to the VGG chain, the residual junction
-//! (Fig 2). The skip branch — the block input, or its 1×1 projection — is
-//! fake-quantized at the junction bits with a range frozen at
-//! calibration, added to the second conv's pre-activation output, passed
-//! through ReLU and encoded into the next layer's codes. A global average
-//! pool over the last junction feeds the head.
+//! The row kernels run in vector lanes where the CPU has them, and give
+//! the same bits as their portable bodies (`Requant::rows_into`).
 
 use adq_nn::{ConvBlock, LinearHead, QuantModel, ResNet, ResNetBlockView, Vgg};
 use adq_quant::{BitWidth, Encoder, HwPrecision, QuantError, Quantizer};
@@ -142,22 +135,16 @@ fn frozen_act_quantizer(bits: BitWidth, data: &[f32]) -> Quantizer {
     Quantizer::fit(bits, data).unwrap_or_else(|_| Quantizer::new(bits, Default::default()))
 }
 
-/// Checks that a calibration batch is `[N, channels, hw, hw]`.
+/// Checks that a calibration batch is `[N, channels, hw, hw]` with at
+/// least one image.
 fn check_calibration(calibration: &Tensor, channels: usize, hw: usize) -> Result<(), CompileError> {
     let d = calibration.dims();
-    if calibration.rank() == 4 && d[1] == channels && d[2] == hw && d[3] == hw {
+    if calibration.rank() == 4 && d[0] > 0 && d[1] == channels && d[2] == hw && d[3] == hw {
         return Ok(());
     }
     Err(CompileError::Shape(format!(
-        "calibration batch {d:?} does not match model input [N, {channels}, {hw}, {hw}]"
+        "calibration batch {d:?} does not match model input [N > 0, {channels}, {hw}, {hw}]"
     )))
-}
-
-/// The dimensions of an NCHW tensor.
-fn nchw(t: &Tensor) -> [usize; 4] {
-    assert_eq!(t.rank(), 4, "input must be NCHW");
-    let d = t.dims();
-    [d[0], d[1], d[2], d[3]]
 }
 
 /// The affine requantization of one layer's integer accumulators, with
@@ -413,15 +400,6 @@ impl Planes {
         }
     }
 
-    /// Writes the whole batch from channel-last `[n, h, w, c]` codes.
-    fn write_nhwc(&mut self, codes: &[u16]) {
-        let [n, c, h, w] = self.dims;
-        assert_eq!(codes.len(), n * c * h * w, "codes must be {:?}", self.dims);
-        for (row, line) in codes.chunks_exact((w * c).max(1)).enumerate() {
-            self.write_row(row / h, row % h, line);
-        }
-    }
-
     /// Writes the whole batch from NCHW codes — the network input's
     /// layout — one row of pixels at a time.
     fn write_nchw(&mut self, codes: &[u16]) {
@@ -459,19 +437,23 @@ impl Planes {
         sums
     }
 
-    /// The same bytes read as `[n, c·h·w, 1, 1]`: the flattened features,
-    /// in `(y, x, c)` order, a classifier head reads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch has a border.
-    fn flattened(self) -> Self {
-        assert_eq!(self.border, 0, "only a borderless batch flattens in place");
+    /// The interior's codes, channel-last `[n, h, w, c]`.
+    fn interior(&self) -> Vec<u16> {
         let [n, c, h, w] = self.dims;
-        Self {
-            dims: [n, c * h * w, 1, 1],
-            ..self
+        let (hp, wp) = self.padded_hw();
+        let len = self.plane_len();
+        let mut out = Vec::with_capacity(n * h * w * c);
+        for ni in 0..n {
+            for y in 0..h {
+                let at = ((ni * hp + y + self.border) * wp + self.border) * c;
+                out.extend((at..at + w * c).map(|i| {
+                    (0..self.planes)
+                        .map(|p| u16::from(self.bytes[p * len + i]) << (8 * p))
+                        .sum::<u16>()
+                }));
+            }
         }
+        out
     }
 }
 
@@ -483,7 +465,7 @@ fn channel_last_dims(t: &Tensor) -> [usize; 4] {
 }
 
 /// One lowered convolution layer — or a classifier head, which runs as
-/// a 1×1 convolution over its features: packed BN-folded weight codes
+/// a convolution over its whole input map: packed BN-folded weight codes
 /// plus the requantization constants of the affine expansion.
 #[derive(Debug, Clone)]
 pub struct CompiledConv {
@@ -565,355 +547,26 @@ impl CompiledConv {
 
     /// Packs a classifier head at its bit-width, reading its input
     /// features through the frozen `act_q`. The model flattens a
-    /// `[channels, h, w]` map NCHW; the engine hands it over channel-last,
-    /// so feature `c·h·w + s` of a weight row moves to `s·channels + c`.
+    /// `[channels, side, side]` map NCHW, which is the `(c, kh, kw)` tap
+    /// order of a conv whose kernel covers the map: the head runs as one.
     fn lower_head(
         head: &LinearHead,
         act_q: Quantizer,
-        channels: usize,
+        [channels, side]: [usize; 2],
         options: CompileOptions,
     ) -> Result<Self, CompileError> {
         let bits = layer_bits(head.name(), head.bits(), options)?;
+        assert_eq!(
+            channels * side * side,
+            head.in_features(),
+            "one feature per tap"
+        );
+        let geom = Conv2dGeom::new(channels, head.out_features(), side, 1, 0);
         let linear = head.linear();
-        let features = head.in_features();
-        assert_eq!(features % channels, 0, "features must be whole maps");
-        let area = features / channels;
-        let weight: Vec<f32> = linear
-            .weight
-            .value
-            .data()
-            .chunks_exact(features)
-            .flat_map(|row| (0..features).map(move |f| row[f % channels * area + f / channels]))
-            .collect();
-        let geom = Conv2dGeom::new(features, head.out_features(), 1, 1, 0);
-        let bias = linear.bias.value.data();
-        Self::from_weights(geom, &weight, bias, bits, act_q, false, false)
-    }
-}
-
-/// A trained [`Vgg`] lowered to bit-packed integer inference — weights
-/// folded, quantized, and packed; activation ranges calibrated and frozen.
-/// Self-contained: holds no reference to the training model and is `Send +
-/// Sync`, so a server can share it behind an `Arc`.
-#[derive(Debug, Clone)]
-pub struct CompiledVgg {
-    convs: Vec<CompiledConv>,
-    head: CompiledConv,
-    classes: usize,
-    in_channels: usize,
-    input_hw: usize,
-}
-
-impl CompiledVgg {
-    /// Lowers `model`, calibrating activation ranges on `calibration`
-    /// (shape `[N, C, H, W]` matching the model input).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError`] on unquantized layers (strict mode only),
-    /// non-finite weights, or a calibration shape mismatch.
-    pub fn compile(
-        model: &Vgg,
-        calibration: &Tensor,
-        options: CompileOptions,
-    ) -> Result<Self, CompileError> {
-        let in_channels = model.conv_blocks()[0].geom().in_channels;
-        let input_hw = model.layer_stats()[0].input_hw;
-        check_calibration(calibration, in_channels, input_hw)?;
-
-        let mut convs: Vec<CompiledConv> = Vec::new();
-        // each layer's channel-last output on the calibration batch
-        let mut x: Option<Tensor> = None;
-        // network input is carried at the accelerator's full width
-        let mut carry_bits = BitWidth::SIXTEEN;
-        for (index, block) in model.conv_blocks().iter().enumerate() {
-            let act_q = frozen_act_quantizer(carry_bits, x.as_ref().unwrap_or(calibration).data());
-            let (layer, bits) =
-                CompiledConv::lower(block, act_q, model.pool_after(index), options)?;
-            // calibrate the next layer on this layer's integer output;
-            // encoding through the layer's own quantizer is exactly what
-            // the serving chain feeds it
-            let input = match &x {
-                None => layer.input_nchw(calibration),
-                Some(x) => {
-                    layer.input_from(&encode_all(x.data(), &layer.act_q), channel_last_dims(x))
-                }
-            };
-            x = Some(layer.values(input));
-            carry_bits = bits;
-            convs.push(layer);
-        }
-
-        let x = x.expect("a VGG has convolutions");
-        let act_q = frozen_act_quantizer(carry_bits, x.data());
-        let channels = channel_last_dims(&x)[1];
-        Ok(Self {
-            convs,
-            head: CompiledConv::lower_head(model.head(), act_q, channels, options)?,
-            classes: model.classes(),
-            in_channels,
-            input_hw,
-        })
+        let (weight, bias) = (linear.weight.value.data(), linear.bias.value.data());
+        Self::from_weights(geom, weight, bias, bits, act_q, false, false)
     }
 
-    /// Number of output classes.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
-    /// Expected input shape as `(channels, height/width)`.
-    pub fn input_shape(&self) -> (usize, usize) {
-        (self.in_channels, self.input_hw)
-    }
-
-    /// Flattened input length of one image.
-    pub fn input_len(&self) -> usize {
-        self.in_channels * self.input_hw * self.input_hw
-    }
-
-    /// Hardware precisions the layers execute at, convs then classifier.
-    pub fn precisions(&self) -> Vec<HwPrecision> {
-        let mut out: Vec<HwPrecision> = self.convs.iter().map(|c| c.precision).collect();
-        out.push(self.head.precision);
-        out
-    }
-
-    /// Storage containers per layer (diagnostics / size accounting).
-    pub fn containers(&self) -> Vec<Container> {
-        let mut out: Vec<Container> = self.convs.iter().map(|c| c.container).collect();
-        out.push(self.head.container);
-        out
-    }
-
-    /// Total packed weight bytes across all layers.
-    pub fn packed_weight_bytes(&self) -> usize {
-        self.convs
-            .iter()
-            .map(|c| c.weights.packed_bytes())
-            .sum::<usize>()
-            + self.head.weights.packed_bytes()
-    }
-
-    /// Integer-only inference: logits `[N, classes]`.
-    ///
-    /// The whole network runs as a fused requantization chain — the input
-    /// is encoded once, every conv consumes and emits integer codes in
-    /// the next layer's code space, channel-last, and only the head's
-    /// logits come back as floats.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `images` is not `[N, C, H, W]` matching the model.
-    pub fn run(&self, images: &Tensor) -> Tensor {
-        let mut input = self.convs[0].input_nchw(images);
-        for (i, conv) in self.convs.iter().enumerate() {
-            let next = self.convs.get(i + 1).unwrap_or(&self.head);
-            let mut out = next.input(conv.output_dims(input.dims, conv.pool));
-            conv.codes_into(Body::detect(), input, &mut out, &next.act_q.encoder());
-            input = out;
-        }
-        self.head.logits(input.flattened())
-    }
-}
-
-/// One lowered residual basic block.
-#[derive(Debug, Clone)]
-struct CompiledBlock {
-    conv1: CompiledConv,
-    conv2: CompiledConv,
-    /// 1×1 projection shortcut; it reads the block input through
-    /// `conv1`'s quantizer.
-    proj: Option<CompiledConv>,
-    /// Frozen quantizer of the skip branch at the junction bits (Fig 2).
-    skip_q: Quantizer,
-}
-
-impl CompiledBlock {
-    /// Lowers one basic block whose channel-last float input `x` is
-    /// carried at `carry_bits`, calibrating every range it freezes on
-    /// `x`. Returns the block, its junction output on `x` and the
-    /// junction bits, at which that output is carried.
-    fn lower(
-        view: ResNetBlockView<'_>,
-        x: &Tensor,
-        carry_bits: BitWidth,
-        options: CompileOptions,
-    ) -> Result<(Self, Tensor, BitWidth), CompileError> {
-        let in_q = frozen_act_quantizer(carry_bits, x.data());
-        let (conv1, conv1_bits) = CompiledConv::lower(view.conv1, in_q, false, options)?;
-        let codes = encode_all(x.data(), &in_q);
-        let dims = channel_last_dims(x);
-        let mid = conv1.values(conv1.input_from(&codes, dims));
-        let mid_q = frozen_act_quantizer(conv1_bits, mid.data());
-        let (conv2, _) = CompiledConv::lower(view.conv2, mid_q, false, options)?;
-        let proj = match view.proj {
-            Some(p) => Some(CompiledConv::lower(p, in_q, false, options)?.0),
-            None => None,
-        };
-        let name = view.conv1.name().trim_end_matches(".conv1");
-        let junction_bits = layer_bits(&format!("{name}.junction"), view.junction_bits, options)?;
-        let mid_codes = encode_all(mid.data(), &mid_q);
-        let main = conv2.values(conv2.input_from(&mid_codes, channel_last_dims(&mid)));
-        let skip = skip_branch(proj.as_ref(), &in_q, &codes, dims);
-        let block = Self {
-            conv1,
-            conv2,
-            proj,
-            skip_q: frozen_act_quantizer(junction_bits, skip.data()),
-        };
-        let y = block.junction(main, &skip);
-        Ok((block, y, junction_bits))
-    }
-
-    /// The block on channel-last input codes in `conv1`'s code space: the
-    /// junction output, post-ReLU, as channel-last floats.
-    fn forward(&self, codes: &[u16], dims: [usize; 4]) -> Tensor {
-        let mut mid = self.conv2.input(self.conv1.output_dims(dims, false));
-        let input = self.conv1.input_from(codes, dims);
-        let enc = self.conv2.act_q.encoder();
-        self.conv1.codes_into(Body::detect(), input, &mut mid, &enc);
-        let main = self.conv2.values(mid);
-        let skip = skip_branch(self.proj.as_ref(), &self.conv1.act_q, codes, dims);
-        self.junction(main, &skip)
-    }
-
-    /// `relu(main + fq(skip))`, the skip fake-quantized at the junction
-    /// bits (Fig 2).
-    fn junction(&self, mut main: Tensor, skip: &Tensor) -> Tensor {
-        assert_eq!(main.dims(), skip.dims(), "main and skip shapes agree");
-        for (m, &s) in main.data_mut().iter_mut().zip(skip.data()) {
-            *m = (*m + self.skip_q.fake_quantize(s)).max(0.0);
-        }
-        main
-    }
-}
-
-/// The skip branch of a block on channel-last input codes read through
-/// `in_q`, before its junction quantization: the projection's
-/// pre-activation output, or the decoded block input.
-fn skip_branch(
-    proj: Option<&CompiledConv>,
-    in_q: &Quantizer,
-    codes: &[u16],
-    dims: [usize; 4],
-) -> Tensor {
-    match proj {
-        Some(proj) => proj.values(proj.input_from(codes, dims)),
-        None => {
-            let values = codes
-                .iter()
-                .map(|&c| in_q.dequantize(u64::from(c)))
-                .collect();
-            let [n, c, h, w] = dims;
-            Tensor::from_vec(values, &[n, h, w, c]).expect("one value per code")
-        }
-    }
-}
-
-/// Global average pool of a channel-last `[n, h, w, c]` tensor: `[n, c]`,
-/// each channel's values summed in raster order, the order
-/// `GlobalAvgPool` sums an NCHW plane in.
-fn channel_means(x: &Tensor) -> Tensor {
-    let [n, c, h, w] = channel_last_dims(x);
-    let area = h * w;
-    let mut out = Vec::with_capacity(n * c);
-    for image in x.data().chunks_exact((area * c).max(1)) {
-        for ci in 0..c {
-            let sum: f32 = image.iter().skip(ci).step_by(c).sum();
-            out.push(sum / area as f32);
-        }
-    }
-    Tensor::from_vec(out, &[n, c]).expect("one mean per channel")
-}
-
-/// A trained [`ResNet`] lowered to bit-packed integer inference: the stem
-/// and every block conv run on the same integer layers as
-/// [`CompiledVgg`], with the residual junctions of Fig 2 between them.
-/// Like [`CompiledVgg`] it is self-contained and `Send + Sync`.
-#[derive(Debug, Clone)]
-pub struct CompiledResNet {
-    stem: CompiledConv,
-    blocks: Vec<CompiledBlock>,
-    head: CompiledConv,
-}
-
-impl CompiledResNet {
-    /// Lowers `model`, calibrating activation ranges on `calibration`
-    /// (shape `[N, C, H, W]` matching the model input).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError`] on unquantized layers (strict mode only),
-    /// non-finite weights, or a calibration shape mismatch.
-    pub fn compile(
-        model: &ResNet,
-        calibration: &Tensor,
-        options: CompileOptions,
-    ) -> Result<Self, CompileError> {
-        let in_channels = model.stem().geom().in_channels;
-        check_calibration(calibration, in_channels, model.layer_stats()[0].input_hw)?;
-
-        let act_q = frozen_act_quantizer(BitWidth::SIXTEEN, calibration.data());
-        let (stem, mut carry_bits) = CompiledConv::lower(model.stem(), act_q, false, options)?;
-        let mut x = stem.values(stem.input_nchw(calibration));
-        let mut blocks = Vec::new();
-        for index in 0..model.block_count() {
-            let (block, y, bits) =
-                CompiledBlock::lower(model.block_view(index), &x, carry_bits, options)?;
-            blocks.push(block);
-            (x, carry_bits) = (y, bits);
-        }
-        let pooled = channel_means(&x);
-        let act_q = frozen_act_quantizer(carry_bits, pooled.data());
-        let channels = pooled.dims()[1];
-        Ok(Self {
-            stem,
-            blocks,
-            head: CompiledConv::lower_head(model.head(), act_q, channels, options)?,
-        })
-    }
-
-    /// Hardware precisions of the datapath layers: stem, then per block
-    /// conv1, conv2 and the projection if any, then the classifier.
-    pub fn precisions(&self) -> Vec<HwPrecision> {
-        let mut out = vec![self.stem.precision];
-        for block in &self.blocks {
-            out.push(block.conv1.precision);
-            out.push(block.conv2.precision);
-            out.extend(block.proj.as_ref().map(|p| p.precision));
-        }
-        out.push(self.head.precision);
-        out
-    }
-
-    /// Integer-only inference: logits `[N, classes]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `images` is not `[N, C, H, W]` matching the model.
-    pub fn run(&self, images: &Tensor) -> Tensor {
-        let mut x = self.stem.values(self.stem.input_nchw(images));
-        for block in &self.blocks {
-            let codes = encode_all(x.data(), &block.conv1.act_q);
-            x = block.forward(&codes, channel_last_dims(&x));
-        }
-        let pooled = channel_means(&x);
-        let [n, features] = [pooled.dims()[0], pooled.dims()[1]];
-        let codes = encode_all(pooled.data(), &self.head.act_q);
-        self.head
-            .logits(self.head.input_from(&codes, [n, features, 1, 1]))
-    }
-}
-
-/// Encodes a float slice into a `u16` code buffer — the entry into the
-/// fused code chain (network input, or calibration activations).
-fn encode_all(values: &[f32], quantizer: &Quantizer) -> Vec<u16> {
-    let mut codes = vec![0u16; values.len()];
-    quantizer.encoder().encode_into(values, &mut codes);
-    codes
-}
-
-impl CompiledConv {
     /// Output shape `[N, O, H', W']` for an input of shape `dims`, with
     /// the spatial sides halved when `pooled`.
     fn output_dims(&self, dims: [usize; 4], pooled: bool) -> [usize; 4] {
@@ -942,19 +595,13 @@ impl CompiledConv {
         Planes::new(dims, self.geom.padding, planes, self.pad_code())
     }
 
-    /// This layer's input batch holding channel-last `codes` of shape
-    /// `dims`.
-    fn input_from(&self, codes: &[u16], dims: [usize; 4]) -> Planes {
-        let mut input = self.input(dims);
-        input.write_nhwc(codes);
-        input
-    }
-
     /// This layer's input batch holding NCHW `images`, encoded through
     /// its quantizer.
     fn input_nchw(&self, images: &Tensor) -> Planes {
-        let mut input = self.input(nchw(images));
-        input.write_nchw(&encode_all(images.data(), &self.act_q));
+        let mut codes = vec![0u16; images.len()];
+        self.act_q.encoder().encode_into(images.data(), &mut codes);
+        let mut input = self.input(images.dims().try_into().expect("input must be NCHW"));
+        input.write_nchw(&codes);
         input
     }
 
@@ -963,11 +610,13 @@ impl CompiledConv {
     /// taps are `(kh, kw, c)`, one run of `p·c` codes per kernel row,
     /// starting at padded pixel `(oy·stride + kh, ox·stride)`. A row's
     /// code sum adds the channel sums of the `p × p` pixels under its
-    /// window.
+    /// window. A border wider than the layer's padding — a projection
+    /// reading its block's input — moves every window in by the
+    /// difference.
     fn operand(&self, input: Planes) -> PackedMatrix {
         let [n, c, h, w] = input.dims;
         assert!(
-            c == self.geom.in_channels && input.border == self.geom.padding,
+            c == self.geom.in_channels && input.border >= self.geom.padding,
             "input {:?} with border {} does not fit {:?}",
             input.dims,
             input.border,
@@ -976,6 +625,7 @@ impl CompiledConv {
         let Conv2dGeom {
             kernel: p, stride, ..
         } = self.geom;
+        let shift = input.border - self.geom.padding;
         let (oh, ow) = (self.geom.output_size(h), self.geom.output_size(w));
         let (hp, wp) = input.padded_hw();
         let run4 = (p * c).next_multiple_of(4);
@@ -989,7 +639,7 @@ impl CompiledConv {
         let mut cols = vec![0u64; wp];
         for (ni, image) in sums.chunks_exact(hp * wp).enumerate() {
             for oy in 0..oh {
-                let top = oy * stride * wp;
+                let top = (oy * stride + shift) * wp;
                 let (first, rest) = image[top..top + p * wp].split_at(wp);
                 cols.copy_from_slice(first);
                 for line in rest.chunks_exact(wp) {
@@ -998,7 +648,7 @@ impl CompiledConv {
                     }
                 }
                 let base = ni * hp * wp + top;
-                for x in (0..ow).map(|ox| ox * stride) {
+                for x in (0..ow).map(|ox| ox * stride + shift) {
                     starts.push(((base + x) * c) as u32);
                     row_sums.push(cols[x..x + p].iter().sum::<u64>());
                 }
@@ -1078,20 +728,26 @@ impl CompiledConv {
         }
     }
 
-    /// Serving path: runs the layer on `input` and writes the *next*
-    /// layer's input codes straight into `next`'s interior — a fused
-    /// requantization chain, no float tensor between layers — max-pooled
-    /// in the same pass.
-    fn codes_into(&self, body: Body, input: Planes, next: &mut Planes, next_enc: &Encoder) {
-        let dims = input.dims;
+    /// `next`'s input batch holding this layer's output `rows`, on an
+    /// input of shape `dims`, encoded through `next`'s quantizer — a
+    /// fused requantization chain, no float tensor between layers.
+    fn emit(&self, rows: &[f32], dims: [usize; 4], next: &CompiledConv) -> Planes {
+        let mut out = next.input(self.output_dims(dims, self.pool));
+        self.write_codes(rows, dims, &mut out, &next.act_q.encoder());
+        out
+    }
+
+    /// Encodes this layer's output `values`, the `[M, O]` rows of an
+    /// input of shape `dims`, into `next`'s interior, max-pooled when the
+    /// layer pools.
+    fn write_codes(&self, values: &[f32], dims: [usize; 4], next: &mut Planes, next_enc: &Encoder) {
         assert_eq!(
             next.dims,
             self.output_dims(dims, self.pool),
             "next batch shape"
         );
-        let values = self.requantized_rows(body, input);
         let mut rows = vec![0u16; values.len()];
-        next_enc.encode_into(&values, &mut rows);
+        next_enc.encode_into(values, &mut rows);
         // Codes are never negative and encoding is monotone, so pooling
         // codes is pooling values.
         self.pooled_rows(&rows, dims, u16::max, |ni, y, pixels| {
@@ -1099,31 +755,372 @@ impl CompiledConv {
         });
     }
 
-    /// Float-output path: same integer datapath, but the requantized
-    /// activations are kept as floats, channel-last `[n, h', w', o]` and
-    /// max-pooled when the layer pools — for calibration, so the *next*
-    /// layer's quantizer can be fitted on them before its encoder exists,
-    /// and for a ResNet junction, which adds them to the skip branch.
-    fn values(&self, input: Planes) -> Tensor {
-        let dims = input.dims;
-        let rows = self.requantized_rows(Body::detect(), input);
+    /// This layer's output `rows`, on an input of shape `dims`, as
+    /// channel-last floats `[n, h', w', o]`, max-pooled when the layer
+    /// pools: what calibration fits the next layer's range on, before
+    /// its encoder exists, and what a global average pool reads.
+    fn pooled_values(&self, rows: &[f32], dims: [usize; 4]) -> Tensor {
         let [n, o, h, w] = self.output_dims(dims, self.pool);
         let mut out = Vec::with_capacity(n * o * h * w);
         // `MaxPool2d`'s comparison: a later value wins only if greater;
         // the requant floor leaves no NaN
         let max = |best: f32, v: f32| if v > best { v } else { best };
-        self.pooled_rows(&rows, dims, max, |_, _, pixels| {
+        self.pooled_rows(rows, dims, max, |_, _, pixels| {
             out.extend_from_slice(pixels)
         });
         Tensor::from_vec(out, &[n, h, w, o]).expect("one value per output")
     }
 
-    /// A classifier head's logits `[n, classes]` on its flattened input.
+    /// A classifier head's logits `[n, classes]` on its input.
     fn logits(&self, input: Planes) -> Tensor {
         let n = input.dims[0];
         let values = self.requantized_rows(Body::detect(), input);
         Tensor::from_vec(values, &[n, self.geom.out_channels]).expect("one logit per class")
     }
+}
+
+/// One stage of a model as [`CompiledNet::compile`] walks it.
+#[derive(Debug, Clone, Copy)]
+enum Part<'a> {
+    /// A convolution block, and whether a 2×2 max-pool follows it.
+    Conv(&'a ConvBlock, bool),
+    /// A residual basic block.
+    Block(ResNetBlockView<'a>),
+}
+
+/// A [`Vgg`]'s or [`ResNet`]'s stages in the order they run, and its
+/// classifier: what [`CompiledNet::compile`] lowers.
+#[derive(Debug, Clone)]
+pub struct Graph<'a> {
+    parts: Vec<Part<'a>>,
+    head: &'a LinearHead,
+    /// Whether a global average pool, not a flatten, feeds the head.
+    mean: bool,
+    input_hw: usize,
+}
+
+impl<'a> From<&'a Vgg> for Graph<'a> {
+    fn from(model: &'a Vgg) -> Self {
+        let blocks = model.conv_blocks().iter().enumerate();
+        Self {
+            parts: blocks
+                .map(|(index, block)| Part::Conv(block, model.pool_after(index)))
+                .collect(),
+            head: model.head(),
+            mean: false,
+            input_hw: model.layer_stats()[0].input_hw,
+        }
+    }
+}
+
+impl<'a> From<&'a ResNet> for Graph<'a> {
+    fn from(model: &'a ResNet) -> Self {
+        let blocks = (0..model.block_count()).map(|index| Part::Block(model.block_view(index)));
+        Self {
+            parts: std::iter::once(Part::Conv(model.stem(), false))
+                .chain(blocks)
+                .collect(),
+            head: model.head(),
+            mean: true,
+            input_hw: model.layer_stats()[0].input_hw,
+        }
+    }
+}
+
+/// A stage's output as `[M, O]` rows, before pool and encode, and the
+/// shape of the input of the conv that emits them.
+type Rows = (Vec<f32>, [usize; 4]);
+
+/// One lowered stage: a conv, or a residual basic block.
+#[derive(Debug, Clone)]
+enum Stage {
+    Conv(Box<CompiledConv>),
+    Block(Box<CompiledBlock>),
+}
+
+impl Stage {
+    /// The conv that reads the stage's input batch.
+    fn first(&self) -> &CompiledConv {
+        match self {
+            Stage::Conv(conv) => conv,
+            Stage::Block(block) => &block.conv1,
+        }
+    }
+
+    /// The conv whose output pass emits the stage's output.
+    fn last(&self) -> &CompiledConv {
+        match self {
+            Stage::Conv(conv) => conv,
+            Stage::Block(block) => &block.conv2,
+        }
+    }
+
+    /// The stage's output on `input`; [`Stage::last`] emits the rows.
+    fn rows(&self, input: Planes) -> Rows {
+        let dims = input.dims;
+        match self {
+            Stage::Conv(conv) => (conv.requantized_rows(Body::detect(), input), dims),
+            Stage::Block(block) => {
+                let skip = skip_rows(block.proj.as_ref(), &block.conv1.act_q, &input);
+                block.junction(
+                    block.conv1.requantized_rows(Body::detect(), input),
+                    dims,
+                    &skip,
+                )
+            }
+        }
+    }
+}
+
+/// A trained [`Vgg`] or [`ResNet`] lowered to bit-packed integer
+/// inference — weights folded, quantized, and packed; activation ranges
+/// calibrated and frozen. Self-contained: holds no reference to the
+/// training model and is `Send + Sync`, so a server can share it behind
+/// an `Arc`.
+#[derive(Debug, Clone)]
+pub struct CompiledNet {
+    stages: Vec<Stage>,
+    head: CompiledConv,
+    /// Whether a global average pool, not a flatten, feeds the head.
+    mean: bool,
+    input_hw: usize,
+}
+
+/// The name [`CompiledNet`] had while it lowered only a [`Vgg`]. It
+/// exists only for the benchmark's sources, which name it; ROADMAP item 2
+/// deletes it.
+pub type CompiledVgg = CompiledNet;
+
+impl CompiledNet {
+    /// Lowers `model`, a `&Vgg` or a `&ResNet`, calibrating activation
+    /// ranges on `calibration` (shape `[N, C, H, W]`, `N > 0`, matching
+    /// the model input). Each layer's input range is fitted on what the
+    /// integer layers before it emit on the calibration batch.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CompileError`] on unquantized layers (strict mode only),
+    /// non-finite weights, or a calibration shape mismatch.
+    pub fn compile<'a>(
+        model: impl Into<Graph<'a>>,
+        calibration: &Tensor,
+        options: CompileOptions,
+    ) -> Result<Self, CompileError> {
+        let graph = model.into();
+        let (Part::Conv(first, _) | Part::Block(ResNetBlockView { conv1: first, .. })) =
+            graph.parts[0];
+        check_calibration(calibration, first.geom().in_channels, graph.input_hw)?;
+
+        let mut stages: Vec<Stage> = Vec::new();
+        // the last stage's output on the calibration batch, as rows and
+        // as channel-last values
+        let mut out: Rows = (Vec::new(), [0; 4]);
+        let mut x: Option<Tensor> = None;
+        // network input is carried at the accelerator's full width
+        let mut carry_bits = BitWidth::SIXTEEN;
+        for part in graph.parts {
+            let act_q = frozen_act_quantizer(carry_bits, x.as_ref().unwrap_or(calibration).data());
+            // the stage's input batch, as its first conv reads it
+            let input = |first: &CompiledConv| match stages.last() {
+                None => first.input_nchw(calibration),
+                Some(prev) => prev.last().emit(&out.0, out.1, first),
+            };
+            let (stage, bits);
+            (out, stage, bits) = match part {
+                Part::Conv(block, pool) => {
+                    let (conv, bits) = CompiledConv::lower(block, act_q, pool, options)?;
+                    let stage = Stage::Conv(Box::new(conv));
+                    (stage.rows(input(stage.first())), stage, bits)
+                }
+                Part::Block(view) => {
+                    let (block, out, bits) = CompiledBlock::lower(view, act_q, input, options)?;
+                    (out, Stage::Block(Box::new(block)), bits)
+                }
+            };
+            x = Some(stage.last().pooled_values(&out.0, out.1));
+            carry_bits = bits;
+            stages.push(stage);
+        }
+
+        let x = x.expect("a network has stages");
+        let [_, channels, side, _] = channel_last_dims(&x);
+        let (features, side) = if graph.mean {
+            (channel_means(&x), 1)
+        } else {
+            (x, side)
+        };
+        let act_q = frozen_act_quantizer(carry_bits, features.data());
+        Ok(Self {
+            stages,
+            head: CompiledConv::lower_head(graph.head, act_q, [channels, side], options)?,
+            mean: graph.mean,
+            input_hw: graph.input_hw,
+        })
+    }
+
+    /// Number of output classes.
+    pub fn classes(&self) -> usize {
+        self.head.geom.out_channels
+    }
+
+    /// Expected input shape as `(channels, height/width)`.
+    pub fn input_shape(&self) -> (usize, usize) {
+        (self.stages[0].first().geom.in_channels, self.input_hw)
+    }
+
+    /// Flattened input length of one image.
+    pub fn input_len(&self) -> usize {
+        let (channels, hw) = self.input_shape();
+        channels * hw * hw
+    }
+
+    /// Every layer in datapath order: the convs — a ResNet block's
+    /// conv1, conv2, then its projection if any — then the classifier.
+    fn layers(&self) -> impl Iterator<Item = &CompiledConv> {
+        let convs = self.stages.iter().flat_map(|stage| match stage {
+            Stage::Conv(conv) => vec![conv.as_ref()],
+            Stage::Block(b) => [&b.conv1, &b.conv2].into_iter().chain(&b.proj).collect(),
+        });
+        convs.chain(std::iter::once(&self.head))
+    }
+
+    /// Hardware precisions the layers execute at, in datapath order.
+    pub fn precisions(&self) -> Vec<HwPrecision> {
+        self.layers().map(|layer| layer.precision).collect()
+    }
+
+    /// Storage containers per layer, in datapath order (diagnostics /
+    /// size accounting).
+    pub fn containers(&self) -> Vec<Container> {
+        self.layers().map(|layer| layer.container).collect()
+    }
+
+    /// Total packed weight bytes across all layers.
+    pub fn packed_weight_bytes(&self) -> usize {
+        self.layers()
+            .map(|layer| layer.weights.packed_bytes())
+            .sum()
+    }
+
+    /// Integer-only inference: logits `[N, classes]`.
+    ///
+    /// The input is encoded once. Every stage then consumes and emits
+    /// integer codes in the next layer's code space, channel-last — a
+    /// ResNet junction too. Only the last junction's output, which the
+    /// global average pool reads, and the logits are floats.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `images` is not `[N, C, H, W]` matching the model.
+    pub fn run(&self, images: &Tensor) -> Tensor {
+        let (last, rest) = self.stages.split_last().expect("a network has stages");
+        let mut input = self.stages[0].first().input_nchw(images);
+        for (stage, next) in rest.iter().zip(&self.stages[1..]) {
+            let (rows, dims) = stage.rows(input);
+            input = stage.last().emit(&rows, dims, next.first());
+        }
+        let (rows, dims) = last.rows(input);
+        let features = if self.mean {
+            let x = last.last().pooled_values(&rows, dims);
+            self.head.input_nchw(&channel_means(&x))
+        } else {
+            last.last().emit(&rows, dims, &self.head)
+        };
+        self.head.logits(features)
+    }
+}
+
+/// One lowered residual basic block.
+#[derive(Debug, Clone)]
+struct CompiledBlock {
+    conv1: CompiledConv,
+    conv2: CompiledConv,
+    /// 1×1 projection shortcut; it reads the block input through
+    /// `conv1`'s quantizer.
+    proj: Option<CompiledConv>,
+    /// Frozen quantizer of the skip branch at the junction bits (Fig 2).
+    skip_q: Quantizer,
+}
+
+impl CompiledBlock {
+    /// Lowers one basic block whose input is carried through `in_q`,
+    /// calibrating every range it freezes on the batch `input(&conv1)`.
+    /// Also returns the block's output on that batch, as
+    /// [`Stage::rows`] does, and the junction bits it is carried at.
+    fn lower(
+        view: ResNetBlockView<'_>,
+        in_q: Quantizer,
+        input: impl FnOnce(&CompiledConv) -> Planes,
+        options: CompileOptions,
+    ) -> Result<(Self, Rows, BitWidth), CompileError> {
+        let (conv1, conv1_bits) = CompiledConv::lower(view.conv1, in_q, false, options)?;
+        let input = input(&conv1);
+        let dims = input.dims;
+        let proj = match view.proj {
+            Some(p) => Some(CompiledConv::lower(p, in_q, false, options)?.0),
+            None => None,
+        };
+        let skip = skip_rows(proj.as_ref(), &in_q, &input);
+        let mid = conv1.requantized_rows(Body::detect(), input);
+        let mid_q = frozen_act_quantizer(conv1_bits, &mid);
+        let (conv2, _) = CompiledConv::lower(view.conv2, mid_q, false, options)?;
+        let name = view.conv1.name().trim_end_matches(".conv1");
+        let junction_bits = layer_bits(&format!("{name}.junction"), view.junction_bits, options)?;
+        let block = Self {
+            conv1,
+            conv2,
+            proj,
+            skip_q: frozen_act_quantizer(junction_bits, &skip),
+        };
+        let out = block.junction(mid, dims, &skip);
+        Ok((block, out, junction_bits))
+    }
+
+    /// The block's second half: `conv1`'s output rows `mid`, on an input
+    /// of shape `dims`, are encoded into `conv2`'s input, and `conv2`'s
+    /// output pass adds the `skip` rows. Returns `relu(main + fq(skip))`,
+    /// the skip fake-quantized at the junction bits (Fig 2), and the
+    /// shape of `conv2`'s input.
+    fn junction(&self, mid: Vec<f32>, dims: [usize; 4], skip: &[f32]) -> Rows {
+        let input = self.conv1.emit(&mid, dims, &self.conv2);
+        let dims = input.dims;
+        let mut rows = self.conv2.requantized_rows(Body::detect(), input);
+        for (m, &s) in rows.iter_mut().zip(skip) {
+            *m = (*m + self.skip_q.fake_quantize(s)).max(0.0);
+        }
+        (rows, dims)
+    }
+}
+
+/// The skip branch of a block on its input batch, read through `in_q`,
+/// before its junction quantization: the projection's pre-activation
+/// rows, or the decoded block input — `[M, O]` rows either way, in the
+/// order of `conv2`'s.
+fn skip_rows(proj: Option<&CompiledConv>, in_q: &Quantizer, input: &Planes) -> Vec<f32> {
+    match proj {
+        Some(proj) => proj.requantized_rows(Body::detect(), input.clone()),
+        None => input
+            .interior()
+            .into_iter()
+            .map(|c| in_q.dequantize(u64::from(c)))
+            .collect(),
+    }
+}
+
+/// Global average pool of a channel-last `[n, h, w, c]` tensor: `[n, c,
+/// 1, 1]`, each channel's values summed in raster order, the order
+/// `GlobalAvgPool` sums an NCHW plane in.
+fn channel_means(x: &Tensor) -> Tensor {
+    let [n, c, h, w] = channel_last_dims(x);
+    let area = h * w;
+    let mut out = Vec::with_capacity(n * c);
+    for image in x.data().chunks_exact((area * c).max(1)) {
+        for ci in 0..c {
+            let sum: f32 = image.iter().skip(ci).step_by(c).sum();
+            out.push(sum / area as f32);
+        }
+    }
+    Tensor::from_vec(out, &[n, c, 1, 1]).expect("one mean per channel")
 }
 
 #[cfg(test)]
@@ -1148,7 +1145,7 @@ mod tests {
         let model = quantized_tiny(&[8, 4, 2, 8]);
         let mut r = init::rng(1);
         let images = init::normal(&[3, 3, 8, 8], 0.0, 1.0, &mut r);
-        let compiled = CompiledVgg::compile(&model, &images, CompileOptions::default()).unwrap();
+        let compiled = CompiledNet::compile(&model, &images, CompileOptions::default()).unwrap();
         let logits = compiled.run(&images);
         assert_eq!(logits.dims(), &[3, 4]);
         assert!(logits.data().iter().all(|v| v.is_finite()));
@@ -1162,7 +1159,7 @@ mod tests {
         let model = quantized_tiny(&[2, 4, 8, 16]);
         let mut r = init::rng(2);
         let images = init::normal(&[2, 3, 8, 8], 0.0, 1.0, &mut r);
-        let compiled = CompiledVgg::compile(&model, &images, CompileOptions::default()).unwrap();
+        let compiled = CompiledNet::compile(&model, &images, CompileOptions::default()).unwrap();
         // first conv reads SIXTEEN-bit network input, so its container is
         // U16 regardless of its 2-bit weights; conv2 reads 2-bit codes
         // with 4-bit weights (Nib); conv3 reads 4-bit with 8-bit (U8);
@@ -1195,7 +1192,7 @@ mod tests {
         let strict = CompileOptions {
             allow_unquantized: false,
         };
-        match CompiledVgg::compile(&model, &images, strict) {
+        match CompiledNet::compile(&model, &images, strict) {
             Err(CompileError::Unquantized { layer }) => assert_eq!(layer, "conv1"),
             other => panic!("expected Unquantized error, got {other:?}"),
         }
@@ -1208,7 +1205,7 @@ mod tests {
         let images = init::normal(&[2, 3, 8, 8], 0.0, 1.0, &mut r);
         let counter = metrics::global().counter("infer.compile.unquantized_fallback");
         let before = counter.get();
-        let compiled = CompiledVgg::compile(&model, &images, CompileOptions::default()).unwrap();
+        let compiled = CompiledNet::compile(&model, &images, CompileOptions::default()).unwrap();
         // 3 convs + head all fell back
         assert_eq!(counter.get() - before, 4);
         assert!(compiled.precisions().iter().all(|&p| p == HwPrecision::B16));
@@ -1217,11 +1214,15 @@ mod tests {
     #[test]
     fn calibration_shape_mismatch_is_a_typed_error() {
         let model = quantized_tiny(&[8, 8, 8, 8]);
-        let images = Tensor::zeros(&[1, 3, 16, 16]);
-        assert!(matches!(
-            CompiledVgg::compile(&model, &images, CompileOptions::default()),
-            Err(CompileError::Shape(_))
-        ));
+        // a wrong side, and an empty batch, which would freeze every
+        // range at a point and answer all-zero logits
+        for dims in [[1, 3, 16, 16], [0, 3, 8, 8]] {
+            let images = Tensor::zeros(&dims);
+            assert!(matches!(
+                CompiledNet::compile(&model, &images, CompileOptions::default()),
+                Err(CompileError::Shape(_))
+            ));
+        }
     }
 
     #[test]
@@ -1229,7 +1230,7 @@ mod tests {
         let model = quantized_tiny(&[8, 4, 8, 8]);
         let mut r = init::rng(4);
         let images = init::normal(&[2, 3, 8, 8], 0.0, 1.0, &mut r);
-        let compiled = CompiledVgg::compile(&model, &images, CompileOptions::default()).unwrap();
+        let compiled = CompiledNet::compile(&model, &images, CompileOptions::default()).unwrap();
         let a = compiled.run(&images);
         let b = compiled.run(&images);
         assert_eq!(a, b);
@@ -1243,7 +1244,7 @@ mod tests {
         let model = quantized_tiny(&[8, 4, 2, 8]);
         let mut r = init::rng(5);
         let images = init::normal(&[3, 3, 8, 8], 0.0, 1.0, &mut r);
-        let compiled = CompiledVgg::compile(&model, &images, CompileOptions::default()).unwrap();
+        let compiled = CompiledNet::compile(&model, &images, CompileOptions::default()).unwrap();
         let batched = compiled.run(&images);
         for i in 0..3 {
             let one = images.index_axis0(i);
@@ -1333,16 +1334,6 @@ mod tests {
         Tensor::from_vec(out, &[n, c, h, w]).unwrap()
     }
 
-    /// NCHW codes as channel-last.
-    fn to_nhwc(codes: &[u16], [_, c, h, w]: [usize; 4]) -> Vec<u16> {
-        let mut out = vec![0u16; codes.len()];
-        for (i, &code) in codes.iter().enumerate() {
-            let (ni, ci, y, x) = (i / (c * h * w), i / (h * w) % c, i / w % h, i % w);
-            out[((ni * h + y) * w + x) * c + ci] = code;
-        }
-        out
-    }
-
     impl CompiledConv {
         /// This layer's input batch holding NCHW `codes`.
         fn input_nchw_codes(&self, codes: &[u16], dims: [usize; 4]) -> Planes {
@@ -1371,17 +1362,45 @@ mod tests {
             (next.nchw_codes(), out_dims)
         }
 
-        /// [`CompiledConv::values`] on NCHW codes, returning NCHW values.
+        /// The layer's output values on NCHW codes, returning NCHW
+        /// values.
         fn run_values(&self, codes: &[u16], dims: [usize; 4]) -> Tensor {
-            to_nchw(&self.values(self.input_nchw_codes(codes, dims)))
+            let rows = self.requantized_rows(Body::detect(), self.input_nchw_codes(codes, dims));
+            to_nchw(&self.pooled_values(&rows, dims))
+        }
+
+        /// One layer of the code chain: runs the layer on `input` and
+        /// writes the next layer's input codes into `next`'s interior,
+        /// max-pooled in the same pass.
+        fn codes_into(&self, body: Body, input: Planes, next: &mut Planes, next_enc: &Encoder) {
+            let dims = input.dims;
+            let values = self.requantized_rows(body, input);
+            self.write_codes(&values, dims, next, next_enc);
         }
     }
 
     impl CompiledBlock {
-        /// [`CompiledBlock::forward`] on NCHW codes, returning NCHW
-        /// values.
-        fn run_values(&self, codes: &[u16], dims: [usize; 4]) -> Tensor {
-            to_nchw(&self.forward(&to_nhwc(codes, dims), dims))
+        /// The block's output on NCHW codes, encoded through `next_q` as
+        /// a stage encodes into the next one's input, returning NCHW
+        /// codes.
+        fn run_codes(&self, codes: &[u16], dims: [usize; 4], next_q: &Quantizer) -> Vec<u16> {
+            let input = self.conv1.input_nchw_codes(codes, dims);
+            let (rows, mid_dims) = Stage::Block(Box::new(self.clone())).rows(input);
+            let mut next = Planes::new(self.conv2.output_dims(mid_dims, false), 0, 2, 0);
+            self.conv2
+                .write_codes(&rows, mid_dims, &mut next, &next_q.encoder());
+            next.nchw_codes()
+        }
+    }
+
+    impl CompiledNet {
+        /// The residual blocks, in order.
+        fn blocks(&self) -> Vec<&CompiledBlock> {
+            let blocks = self.stages.iter().filter_map(|stage| match stage {
+                Stage::Block(block) => Some(block.as_ref()),
+                Stage::Conv(_) => None,
+            });
+            blocks.collect()
         }
     }
 
@@ -1522,7 +1541,7 @@ mod tests {
                 }
             });
             assert!(matches!(
-                CompiledVgg::compile(&bad, &images, CompileOptions::default()),
+                CompiledNet::compile(&bad, &images, CompileOptions::default()),
                 Err(CompileError::Quant(_))
             ));
         }
@@ -1731,23 +1750,23 @@ mod tests {
 
     /// A mixed-precision `ResNet::tiny`: block 0 has an identity skip,
     /// block 1 a projection.
-    fn compiled_tiny_resnet(seed: u64) -> (Tensor, CompiledResNet) {
+    fn compiled_tiny_resnet(seed: u64) -> (Tensor, CompiledNet) {
         let mut model = ResNet::tiny(3, 8, 4, seed);
         let bits = [16, 4, 8, 4, 8, 2, 8, 16];
         for (i, &b) in bits.iter().enumerate() {
             model.set_bits_of(i, Some(BitWidth::new(b).unwrap()));
         }
         let images = init::normal(&[3, 3, 8, 8], 0.0, 1.0, &mut init::rng(seed));
-        let compiled = CompiledResNet::compile(&model, &images, CompileOptions::default()).unwrap();
+        let compiled = CompiledNet::compile(&model, &images, CompileOptions::default()).unwrap();
         (images, compiled)
     }
 
     #[test]
     fn junction_matches_a_scalar_decode_quantize_add_relu_encode() {
         let (_, net) = compiled_tiny_resnet(12);
-        assert!(net.blocks[0].proj.is_none() && net.blocks[1].proj.is_some());
-        let next = [&net.blocks[1].conv1.act_q, &net.head.act_q];
-        for (block, next_q) in net.blocks.iter().zip(next) {
+        assert!(net.blocks()[0].proj.is_none() && net.blocks()[1].proj.is_some());
+        let next = [&net.blocks()[1].conv1.act_q, &net.head.act_q];
+        for (block, next_q) in net.blocks().into_iter().zip(next) {
             let dims = [2, block.conv1.geom.in_channels, 8, 8];
             let in_q = &block.conv1.act_q;
             let codes = random_codes(dims, in_q.bits().max_code(), 13);
@@ -1769,7 +1788,7 @@ mod tests {
                 .zip(&skip)
                 .map(|(&m, &s)| enc.encode((m + block.skip_q.fake_quantize(s)).max(0.0)))
                 .collect();
-            let got = encode_all(block.run_values(&codes, dims).data(), next_q);
+            let got = block.run_codes(&codes, dims, next_q);
             let got: Vec<u64> = got.into_iter().map(u64::from).collect();
             assert_eq!(got, want, "proj: {}", block.proj.is_some());
             assert!(want.iter().any(|&c| c > 0), "the junction must pass values");
@@ -1911,12 +1930,12 @@ mod tests {
         let strict = CompileOptions {
             allow_unquantized: false,
         };
-        match CompiledResNet::compile(&model, &Tensor::zeros(&[1, 3, 8, 8]), strict) {
+        match CompiledNet::compile(&model, &Tensor::zeros(&[1, 3, 8, 8]), strict) {
             Err(CompileError::Unquantized { layer }) => assert_eq!(layer, "stem"),
             other => panic!("expected Unquantized error, got {other:?}"),
         }
         assert!(matches!(
-            CompiledResNet::compile(&model, &Tensor::zeros(&[1, 3, 16, 16]), strict),
+            CompiledNet::compile(&model, &Tensor::zeros(&[1, 3, 16, 16]), strict),
             Err(CompileError::Shape(_))
         ));
     }

@@ -41,7 +41,7 @@
 //! on every connection right before closing it during shutdown — a client
 //! never sees an unexplained EOF mid-request.
 //!
-//! The high bit of the kind byte ([`FLAG_TRACED`]) is a version-tolerant
+//! The high bit of the kind byte (`FLAG_TRACED`) is a version-tolerant
 //! tracing opt-in: every reply to a request that sets it carries an
 //! 8-byte LE **trace id** trailer after the body, whatever the kind and
 //! status. An infer reply's trailer is the server-assigned trace id,
@@ -78,7 +78,7 @@
 //! histograms, so a `serve.latency_ns` tail can be attributed to queue
 //! wait vs. batch formation vs. execution vs. the socket write. With
 //! [`Server::bind_logged`] the same stamps become one
-//! [`RequestRecord`](adq_telemetry::lifecycle::RequestRecord) per request
+//! [`RequestRecord`] per request
 //! (trace id, conn id, replica, batch size, stage deltas, outcome:
 //! `ok`/`shed`/`error`/`goodbye-refused`) in a JSONL access log
 //! ([`adq_telemetry::lifecycle::AccessLog`]) for `adq-report --serving`
@@ -105,7 +105,7 @@ use adq_telemetry::metrics;
 use adq_telemetry::span;
 use adq_tensor::Tensor;
 
-use crate::compile::CompiledVgg;
+use crate::compile::CompiledNet;
 
 /// Request kind: run inference on one flattened image.
 const KIND_INFER: u8 = 1;
@@ -213,9 +213,9 @@ mod readiness {
 // ---- model abstraction --------------------------------------------------
 
 /// What the serving layer needs from a model: shape metadata and a
-/// batched forward pass. [`CompiledVgg`] is the production
-/// implementation; tests substitute slow or synthetic stubs to exercise
-/// overload behavior without real kernels.
+/// batched forward pass. [`CompiledNet`], a compiled VGG or ResNet, is
+/// the production implementation; tests substitute slow or synthetic
+/// stubs to exercise overload behavior without real kernels.
 pub trait ServeModel: Send + Sync {
     /// Expected input shape as `(channels, height/width)`.
     fn input_shape(&self) -> (usize, usize);
@@ -231,17 +231,17 @@ pub trait ServeModel: Send + Sync {
     }
 }
 
-impl ServeModel for CompiledVgg {
+impl ServeModel for CompiledNet {
     fn input_shape(&self) -> (usize, usize) {
-        CompiledVgg::input_shape(self)
+        CompiledNet::input_shape(self)
     }
 
     fn classes(&self) -> usize {
-        CompiledVgg::classes(self)
+        CompiledNet::classes(self)
     }
 
     fn run(&self, images: &Tensor) -> Tensor {
-        CompiledVgg::run(self, images)
+        CompiledNet::run(self, images)
     }
 }
 
@@ -1397,7 +1397,7 @@ impl Client {
         Ok(self.request(KIND_INFER, input, false)?.0)
     }
 
-    /// Runs inference with tracing: the request sets [`FLAG_TRACED`] and
+    /// Runs inference with tracing: the request sets `FLAG_TRACED` and
     /// the reply comes back with the server-assigned trace id (when the
     /// server echoed one), joinable against the server's access log.
     ///
@@ -1559,7 +1559,7 @@ pub fn load_generate(
     Ok(run_load(addr, concurrency, requests_per_client, input_len, false)?.stats)
 }
 
-/// [`load_generate`] with [`FLAG_TRACED`] set on every request,
+/// [`load_generate`] with `FLAG_TRACED` set on every request,
 /// additionally collecting the server-assigned trace ids so callers can
 /// join against the server's access log for per-stage attribution.
 ///
@@ -1643,20 +1643,31 @@ fn run_load(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::{CompileOptions, CompiledVgg};
-    use adq_nn::{QuantModel, Vgg};
+    use crate::compile::{CompileOptions, CompiledNet};
+    use adq_nn::{QuantModel, ResNet, Vgg};
     use adq_quant::BitWidth;
     use adq_tensor::init;
     use proptest::prelude::*;
 
-    fn compiled_tiny() -> Arc<CompiledVgg> {
+    fn compiled_tiny() -> Arc<CompiledNet> {
         let mut model = Vgg::tiny(3, 8, 4, 99);
         for (i, bits) in [8u32, 4, 8, 8].into_iter().enumerate() {
             model.set_bits_of(i, Some(BitWidth::new(bits).unwrap()));
         }
         let mut r = init::rng(100);
         let calibration = init::normal(&[4, 3, 8, 8], 0.0, 1.0, &mut r);
-        Arc::new(CompiledVgg::compile(&model, &calibration, CompileOptions::default()).unwrap())
+        Arc::new(CompiledNet::compile(&model, &calibration, CompileOptions::default()).unwrap())
+    }
+
+    /// A mixed-precision `ResNet::tiny` with a 2-bit junction; its first
+    /// block has an identity skip, its second a projection.
+    fn compiled_tiny_resnet() -> Arc<CompiledNet> {
+        let mut model = ResNet::tiny(3, 8, 4, 101);
+        for (i, bits) in [16u32, 4, 8, 2, 8, 4, 8, 16].into_iter().enumerate() {
+            model.set_bits_of(i, Some(BitWidth::new(bits).unwrap()));
+        }
+        let calibration = init::normal(&[4, 3, 8, 8], 0.0, 1.0, &mut init::rng(102));
+        Arc::new(CompiledNet::compile(&model, &calibration, CompileOptions::default()).unwrap())
     }
 
     /// Serializes the tests that start a server: each one resets the
@@ -1932,7 +1943,7 @@ mod tests {
         let classes = ServeModel::classes(model.as_ref());
         let mut server = Server::bind(
             "127.0.0.1:0",
-            Arc::<CompiledVgg>::clone(&model) as Arc<dyn ServeModel>,
+            Arc::<CompiledNet>::clone(&model) as Arc<dyn ServeModel>,
             ServeConfig {
                 max_batch: 4,
                 max_wait: Duration::from_millis(5),
@@ -1945,7 +1956,7 @@ mod tests {
         // responses must match a direct batched model run exactly
         let mut r = init::rng(7);
         let images = init::normal(&[3, 3, 8, 8], 0.0, 1.0, &mut r);
-        let direct = CompiledVgg::run(&model, &images);
+        let direct = CompiledNet::run(&model, &images);
         let mut client = Client::connect(addr).unwrap();
         client.ping().unwrap();
         for i in 0..3 {
@@ -1983,52 +1994,54 @@ mod tests {
     #[test]
     fn replicated_server_answers_correctly_under_concurrency() {
         let _serial = server_test_lock();
-        let model = compiled_tiny();
-        let input_len = model.input_len();
-        let classes = ServeModel::classes(model.as_ref());
-        let mut server = Server::bind(
-            "127.0.0.1:0",
-            Arc::<CompiledVgg>::clone(&model) as Arc<dyn ServeModel>,
-            ServeConfig {
-                replicas: 2,
-                conn_workers: 2,
-                max_batch: 2,
-                max_wait: Duration::from_micros(200),
-                ..ServeConfig::default()
-            },
-        )
-        .unwrap();
-        let addr = server.local_addr();
+        // a VGG, and a ResNet whose junctions run on the code chain
+        for model in [compiled_tiny(), compiled_tiny_resnet()] {
+            let input_len = model.input_len();
+            let classes = ServeModel::classes(model.as_ref());
+            let mut server = Server::bind(
+                "127.0.0.1:0",
+                Arc::<CompiledNet>::clone(&model) as Arc<dyn ServeModel>,
+                ServeConfig {
+                    replicas: 2,
+                    conn_workers: 2,
+                    max_batch: 2,
+                    max_wait: Duration::from_micros(200),
+                    ..ServeConfig::default()
+                },
+            )
+            .unwrap();
+            let addr = server.local_addr();
 
-        // every response must equal the model's own single-image run —
-        // replicas share frozen weights/ranges, so batch composition and
-        // replica assignment must not change results
-        let mut r = init::rng(11);
-        let images = init::normal(&[4, 3, 8, 8], 0.0, 1.0, &mut r);
-        let direct = CompiledVgg::run(&model, &images);
-        let mut workers = Vec::new();
-        for w in 0..4usize {
-            let row = images.data()[w * input_len..(w + 1) * input_len].to_vec();
-            let want = direct.data()[w * classes..(w + 1) * classes].to_vec();
-            workers.push(std::thread::spawn(move || {
-                let mut client = Client::connect(addr).unwrap();
-                for _ in 0..8 {
-                    let got = client.infer(&row).unwrap().into_result().unwrap();
-                    assert_eq!(got, want, "replica answered with wrong logits");
-                }
-            }));
-        }
-        for w in workers {
-            w.join().unwrap();
-        }
-        // both replica histograms exist; at least one ran batches
-        let r0 = metrics::global().histogram("serve.replica0.batch_run_ns");
-        let r1 = metrics::global().histogram("serve.replica1.batch_run_ns");
-        assert!(r0.count() + r1.count() > 0, "no replica recorded a batch");
-        assert_eq!(metrics::global().gauge("serve.replicas").get(), 2.0);
+            // every response must equal the model's own single-image run —
+            // replicas share frozen weights/ranges, so batch composition and
+            // replica assignment must not change results
+            let mut r = init::rng(11);
+            let images = init::normal(&[4, 3, 8, 8], 0.0, 1.0, &mut r);
+            let direct = CompiledNet::run(&model, &images);
+            let mut workers = Vec::new();
+            for w in 0..4usize {
+                let row = images.data()[w * input_len..(w + 1) * input_len].to_vec();
+                let want = direct.data()[w * classes..(w + 1) * classes].to_vec();
+                workers.push(std::thread::spawn(move || {
+                    let mut client = Client::connect(addr).unwrap();
+                    for _ in 0..8 {
+                        let got = client.infer(&row).unwrap().into_result().unwrap();
+                        assert_eq!(got, want, "replica answered with wrong logits");
+                    }
+                }));
+            }
+            for w in workers {
+                w.join().unwrap();
+            }
+            // both replica histograms exist; at least one ran batches
+            let r0 = metrics::global().histogram("serve.replica0.batch_run_ns");
+            let r1 = metrics::global().histogram("serve.replica1.batch_run_ns");
+            assert!(r0.count() + r1.count() > 0, "no replica recorded a batch");
+            assert_eq!(metrics::global().gauge("serve.replicas").get(), 2.0);
 
-        server.shutdown();
-        assert!(server.shutting_down());
+            server.shutdown();
+            assert!(server.shutting_down());
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Each case lowers the seeded `Vgg::small(3, 16, 10)` at one per-layer
 //! bit schedule and pins an FNV-1a digest of the `f32` bits of
-//! `CompiledVgg::run`'s logits, at batch 1 and at batch 8. The four
+//! `CompiledNet::run`'s logits, at batch 1 and at batch 8. The four
 //! schedules between them put every container (nibble, u8, u16) under
 //! both pooled and unpooled convolutions, so any change to the gather,
 //! the integer GEMM, the requantization arithmetic or the fused pool that
@@ -14,7 +14,7 @@
 //! schedules that include a 2-bit junction, so the residual junction and
 //! the global average pool are held bit for bit as well.
 
-use adq_infer::{CompileOptions, CompiledResNet, CompiledVgg};
+use adq_infer::{CompileOptions, CompiledNet};
 use adq_nn::{QuantModel, ResNet, Vgg};
 use adq_quant::BitWidth;
 use adq_tensor::{init, Tensor};
@@ -39,7 +39,7 @@ fn digests(bits: [u32; 7]) -> (u64, u64) {
     }
     let mut rng = init::rng(12);
     let calibration = init::normal(&[16, 3, 16, 16], 0.0, 1.0, &mut rng);
-    let compiled = CompiledVgg::compile(&model, &calibration, CompileOptions::default()).unwrap();
+    let compiled = CompiledNet::compile(&model, &calibration, CompileOptions::default()).unwrap();
     let images = init::normal(&[8, 3, 16, 16], 0.0, 1.0, &mut rng);
     let one = images.index_axis0(0).reshaped(&[1, 3, 16, 16]).unwrap();
     (digest(&compiled.run(&one)), digest(&compiled.run(&images)))
@@ -90,8 +90,7 @@ fn resnet_digests(bits: [u32; 8]) -> (u64, u64) {
     }
     let mut rng = init::rng(22);
     let calibration = init::normal(&[16, 3, 8, 8], 0.0, 1.0, &mut rng);
-    let compiled =
-        CompiledResNet::compile(&model, &calibration, CompileOptions::default()).unwrap();
+    let compiled = CompiledNet::compile(&model, &calibration, CompileOptions::default()).unwrap();
     let images = init::normal(&[8, 3, 8, 8], 0.0, 1.0, &mut rng);
     let one = images.index_axis0(0).reshaped(&[1, 3, 8, 8]).unwrap();
     (digest(&compiled.run(&one)), digest(&compiled.run(&images)))

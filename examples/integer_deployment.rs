@@ -8,7 +8,7 @@
 use adq::core::builders::{network_spec_from_stats, pim_mappings_from_spec};
 use adq::core::{AdQuantizer, AdqConfig};
 use adq::datasets::SyntheticSpec;
-use adq::infer::{CompileOptions, CompiledVgg};
+use adq::infer::{CompileOptions, CompiledNet};
 use adq::nn::{accuracy, QuantModel, Vgg};
 use adq::pim::{NetworkEnergyReport, PimEnergyModel};
 use adq::quant::BitWidth;
@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let float_acc = accuracy(&float_logits, &test.labels);
 
     // integer engine, activation ranges calibrated on the training images
-    let compiled = CompiledVgg::compile(&model, &train.images, CompileOptions::default())?;
+    let compiled = CompiledNet::compile(&model, &train.images, CompileOptions::default())?;
     let int_logits = compiled.run(&test.images);
     let int_acc = accuracy(&int_logits, &test.labels);
     let agreement = (0..test.len())

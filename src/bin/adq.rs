@@ -22,7 +22,7 @@ use adq::core::builders::{network_spec_from_stats, pim_mappings_from_spec};
 use adq::core::{paper, AdQuantizer, AdqConfig};
 use adq::datasets::SyntheticSpec;
 use adq::energy::{EnergyModel, NetworkSpec};
-use adq::infer::{CompileOptions, CompiledVgg};
+use adq::infer::{CompileOptions, CompiledNet};
 use adq::nn::train::{export_params, import_params};
 use adq::nn::{accuracy, QuantModel, ResNet, Vgg};
 use adq::pim::{NetworkEnergyReport, PimEnergyModel};
@@ -416,7 +416,7 @@ fn cmd_deploy(flags: &Flags) -> Result<(), String> {
     };
     AdQuantizer::new(config).run(&mut model, &train, &test);
     let float_logits = model.forward(&test.images, false);
-    let compiled = CompiledVgg::compile(&model, &train.images, CompileOptions::default())
+    let compiled = CompiledNet::compile(&model, &train.images, CompileOptions::default())
         .map_err(|e| e.to_string())?;
     let int_logits = compiled.run(&test.images);
     let agreement = (0..test.len())

@@ -74,7 +74,7 @@ use adq::infer::serve::{
     load_generate, load_generate_traced, stats_from_latencies, Client, LoadStats, OverloadPolicy,
     Reply, ServeConfig, Server, TracedLoad,
 };
-use adq::infer::{CompileOptions, CompiledVgg};
+use adq::infer::{CompileOptions, CompiledNet};
 use adq::nn::{QuantModel, Vgg};
 use adq::quant::BitWidth;
 use adq::telemetry::endpoint::MetricsEndpoint;
@@ -146,7 +146,7 @@ fn get<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> Result<T,
 /// `--checkpoint PATH` — a trained artifact restored through the PR-2
 /// checkpoint pipeline. Returns the float model too so `load-gen` can
 /// measure the float baseline on identical weights.
-fn build_model(flags: &Flags) -> Result<(Vgg, CompiledVgg), String> {
+fn build_model(flags: &Flags) -> Result<(Vgg, CompiledNet), String> {
     match flags.get("checkpoint") {
         Some(path) => checkpoint_model(flags, path),
         None => demo_model(flags),
@@ -156,7 +156,7 @@ fn build_model(flags: &Flags) -> Result<(Vgg, CompiledVgg), String> {
 /// The demo model: a seeded small VGG with every layer quantized at
 /// `--bits`, compiled against a seeded calibration batch. Deterministic,
 /// so `serve`, `probe` and `load-gen` agree on weights.
-fn demo_model(flags: &Flags) -> Result<(Vgg, CompiledVgg), String> {
+fn demo_model(flags: &Flags) -> Result<(Vgg, CompiledNet), String> {
     let seed: u64 = get(flags, "seed", 0)?;
     let resolution: usize = get(flags, "resolution", 16)?;
     let classes: usize = get(flags, "classes", 10)?;
@@ -175,7 +175,7 @@ fn demo_model(flags: &Flags) -> Result<(Vgg, CompiledVgg), String> {
 /// lowers it to the integer engine. Architecture flags must match the
 /// originating run; the construction seed is irrelevant because every
 /// parameter is overwritten by the restore.
-fn checkpoint_model(flags: &Flags, path: &str) -> Result<(Vgg, CompiledVgg), String> {
+fn checkpoint_model(flags: &Flags, path: &str) -> Result<(Vgg, CompiledNet), String> {
     let ckpt = load_checkpoint(path)?;
     let resolution: usize = get(flags, "resolution", 16)?;
     let classes: usize = get(flags, "classes", 10)?;
@@ -220,7 +220,7 @@ fn load_checkpoint(path: &str) -> Result<RunCheckpoint, String> {
 /// normal batch at the model's input shape (`--calib-seed`,
 /// `--calib-batch`). Deterministic, so every process lowering the same
 /// weights with the same flags produces bit-identical range tables.
-fn compile_with_seeded_calibration(model: &Vgg, flags: &Flags) -> Result<CompiledVgg, String> {
+fn compile_with_seeded_calibration(model: &Vgg, flags: &Flags) -> Result<CompiledNet, String> {
     let seed: u64 = get(flags, "calib-seed", get(flags, "seed", 0)?)?;
     let batch: usize = get(flags, "calib-batch", 16)?;
     let stats = model.layer_stats();
@@ -228,7 +228,7 @@ fn compile_with_seeded_calibration(model: &Vgg, flags: &Flags) -> Result<Compile
     let channels = stats[0].geom.as_ref().map_or(3, |g| g.in_channels);
     let mut rng = init::rng(seed ^ 0xCA11B8A7E);
     let calibration = init::normal(&[batch, channels, hw, hw], 0.0, 1.0, &mut rng);
-    CompiledVgg::compile(model, &calibration, CompileOptions::default()).map_err(|e| e.to_string())
+    CompiledNet::compile(model, &calibration, CompileOptions::default()).map_err(|e| e.to_string())
 }
 
 /// Batching, pool and admission settings: each flag left unset takes its

@@ -3,7 +3,7 @@
 //!
 //! PR-2's `CheckpointManager` persists a training run; `restore_model`
 //! rebuilds the trained network (structural edits, bit-widths, params,
-//! norm stats) onto a fresh instance; `CompiledVgg` lowers it to packed
+//! norm stats) onto a fresh instance; `CompiledNet` lowers it to packed
 //! integer kernels; and `serve::Server` answers requests over TCP. This
 //! test drives that entire pipeline and asserts the served logits pick
 //! the same class as the float model on every evaluation sample — the same
@@ -20,7 +20,7 @@ use adq::core::checkpoint::{restore_model, CheckpointManager};
 use adq::core::{AdQuantizer, AdqConfig};
 use adq::datasets::SyntheticSpec;
 use adq::infer::serve::{Client, ServeConfig, ServeModel, Server};
-use adq::infer::{CompileOptions, CompiledVgg};
+use adq::infer::{CompileOptions, CompiledNet};
 use adq::nn::train::Dataset;
 use adq::nn::{QuantModel, Vgg};
 use adq::telemetry::NullSink;
@@ -92,7 +92,7 @@ fn served_checkpoint_matches_deploy_golden_argmax() {
     restore_model(&mut restored, &ckpt).expect("checkpoint restores onto a fresh tiny VGG");
 
     let compiled = Arc::new(
-        CompiledVgg::compile(&restored, &train.images, CompileOptions::default())
+        CompiledNet::compile(&restored, &train.images, CompileOptions::default())
             .expect("restored model lowers"),
     );
     let want = argmax_rows(&trained.clone().forward(&test.images, false));
@@ -162,7 +162,7 @@ fn serve_binary_checkpoint_flag_serves_the_trained_artifact() {
     restore_model(&mut restored, &ckpt).expect("checkpoint restores");
     let mut rng = init::rng(0xCA11B8A7E); // --calib-seed 0 ^ the binary's mix constant
     let calibration = init::normal(&[16, 3, 8, 8], 0.0, 1.0, &mut rng);
-    let reference = CompiledVgg::compile(&restored, &calibration, CompileOptions::default())
+    let reference = CompiledNet::compile(&restored, &calibration, CompileOptions::default())
         .expect("restored model lowers");
 
     let port_file = dir.join("port");

@@ -3,7 +3,7 @@
 
 use adq::core::{AdQuantizer, AdqConfig};
 use adq::datasets::{SyntheticSpec, TextureSpec};
-use adq::infer::{CompileOptions, CompiledVgg};
+use adq::infer::{CompileOptions, CompiledNet};
 use adq::nn::{QuantModel, Vgg};
 
 fn config() -> AdqConfig {
@@ -70,7 +70,7 @@ fn texture_dataset_feeds_deployment_pipeline() {
         .generate();
     let mut model = Vgg::tiny(1, 8, 8, 7);
     AdQuantizer::new(config()).run(&mut model, &train, &test);
-    let compiled = CompiledVgg::compile(&model, &train.images, CompileOptions::default())
+    let compiled = CompiledNet::compile(&model, &train.images, CompileOptions::default())
         .expect("finite weights");
     let logits = compiled.run(&test.images);
     assert_eq!(logits.dims(), &[test.len(), 8]);

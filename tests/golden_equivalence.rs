@@ -1,5 +1,5 @@
 //! Golden equivalence between a trained model and its integer lowering:
-//! `adq-infer`'s bit-packed engine (`CompiledVgg`, `CompiledResNet`)
+//! `adq-infer`'s bit-packed engine (`CompiledNet`, for a VGG and a ResNet)
 //! against the float model's own fake-quantized forward pass.
 //!
 //! The two are deliberately not bit-identical — the integer engine
@@ -17,7 +17,7 @@ use std::sync::OnceLock;
 use adq::core::builders::{network_spec_from_stats, pim_mappings_from_spec};
 use adq::core::{AdQuantizer, AdqConfig};
 use adq::datasets::SyntheticSpec;
-use adq::infer::{CompileOptions, CompiledResNet, CompiledVgg};
+use adq::infer::{CompileOptions, CompiledNet};
 use adq::nn::train::Dataset;
 use adq::nn::{QuantModel, ResNet, Vgg};
 use adq::quant::BitWidth;
@@ -114,7 +114,7 @@ fn trained_resnet_task() -> &'static (ResNet, Dataset, Dataset) {
 #[test]
 fn compiled_model_matches_float_lowering_argmax_for_argmax() {
     let (model, train, test) = trained_task();
-    let compiled = CompiledVgg::compile(model, &train.images, CompileOptions::default())
+    let compiled = CompiledNet::compile(model, &train.images, CompileOptions::default())
         .expect("trained model lowers");
     let float_logits = model.clone().forward(&test.images, false);
     let int_logits = compiled.run(&test.images);
@@ -136,7 +136,7 @@ fn compiled_model_matches_float_lowering_argmax_for_argmax() {
 fn compiled_vgg_logits_match_the_float_model_at_16_bits() {
     let (model, train, test) = trained_task();
     let model = with_all_bits(model.clone(), 16);
-    let compiled = CompiledVgg::compile(&model, &train.images, CompileOptions::default())
+    let compiled = CompiledNet::compile(&model, &train.images, CompileOptions::default())
         .expect("trained model lowers");
     let worst = worst_logit_error(
         &compiled.run(&test.images),
@@ -154,7 +154,7 @@ fn compiled_vgg_logits_match_the_float_model_at_16_bits() {
 #[test]
 fn lowerings_agree_on_hardware_precisions() {
     let (model, train, _) = trained_task();
-    let compiled = CompiledVgg::compile(model, &train.images, CompileOptions::default())
+    let compiled = CompiledNet::compile(model, &train.images, CompileOptions::default())
         .expect("trained model lowers");
     let spec = network_spec_from_stats("golden", &model.layer_stats(), BitWidth::SIXTEEN);
     let costed: Vec<_> = pim_mappings_from_spec(&spec)
@@ -167,7 +167,7 @@ fn lowerings_agree_on_hardware_precisions() {
 #[test]
 fn compiled_resnet_agrees_with_the_float_model() {
     let (model, train, test) = trained_resnet_task();
-    let compiled = CompiledResNet::compile(model, &train.images, CompileOptions::default())
+    let compiled = CompiledNet::compile(model, &train.images, CompileOptions::default())
         .expect("trained model lowers");
     let int_logits = compiled.run(&test.images);
     assert!(int_logits.data().iter().all(|v| v.is_finite()));
@@ -180,7 +180,7 @@ fn compiled_resnet_agrees_with_the_float_model() {
 fn compiled_resnet_logits_match_the_float_model_at_16_bits() {
     let (model, train, test) = trained_resnet_task();
     let model = with_all_bits(model.clone(), 16);
-    let compiled = CompiledResNet::compile(&model, &train.images, CompileOptions::default())
+    let compiled = CompiledNet::compile(&model, &train.images, CompileOptions::default())
         .expect("trained model lowers");
     let worst = worst_logit_error(
         &compiled.run(&test.images),
