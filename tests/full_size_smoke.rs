@@ -3,11 +3,12 @@
 //! The paper's actual VGG19/ResNet18 are constructible and trainable here,
 //! just slow on CPU — these tests run one forward/backward on the real
 //! geometry to prove the full pipeline is not limited to the scaled-down
-//! variants. They are `#[ignore]`d by default; run with
+//! variants, and lower both to the integer engine at the 16-bit
+//! fallback. They are `#[ignore]`d by default; run with
 //! `cargo test --release -- --ignored full_size`.
 
 use adq::core::builders::network_spec_from_stats;
-use adq::infer::{CompileOptions, CompiledVgg};
+use adq::infer::{CompileOptions, CompiledNet};
 use adq::nn::{softmax_cross_entropy, QuantModel, ResNet, Vgg};
 use adq::quant::BitWidth;
 use adq::tensor::Tensor;
@@ -58,7 +59,7 @@ fn full_size_vgg19_integer_deployment() {
     let mut model = Vgg::vgg19(3, 32, 10, 3);
     let images =
         adq::tensor::init::normal(&[2, 3, 32, 32], 0.0, 1.0, &mut adq::tensor::init::rng(4));
-    let compiled = CompiledVgg::compile(&model, &images, CompileOptions::default())
+    let compiled = CompiledNet::compile(&model, &images, CompileOptions::default())
         .expect("finite fresh weights");
     let logits = compiled.run(&images);
     assert_eq!(logits.dims(), &[2, 10]);
@@ -78,4 +79,25 @@ fn full_size_vgg19_integer_deployment() {
         "{} MACs",
         spec.mac_count()
     );
+}
+
+#[test]
+#[ignore = "full-size geometry; run with --release -- --ignored"]
+fn full_size_resnet18_integer_deployment() {
+    let mut model = ResNet::resnet18(3, 32, 100, 5);
+    let images =
+        adq::tensor::init::normal(&[2, 3, 32, 32], 0.0, 1.0, &mut adq::tensor::init::rng(6));
+    let compiled = CompiledNet::compile(&model, &images, CompileOptions::default())
+        .expect("finite fresh weights");
+    let logits = compiled.run(&images);
+    assert_eq!(logits.dims(), &[2, 100]);
+    assert!(logits.data().iter().all(|v| v.is_finite()));
+    let float_logits = model.forward(&images, false);
+    for i in 0..2 {
+        assert_eq!(
+            logits.index_axis0(i).argmax(),
+            float_logits.index_axis0(i).argmax(),
+            "image {i}"
+        );
+    }
 }
