@@ -794,8 +794,6 @@ enum Part<'a> {
 pub struct Graph<'a> {
     parts: Vec<Part<'a>>,
     head: &'a LinearHead,
-    /// Whether a global average pool, not a flatten, feeds the head.
-    mean: bool,
     input_hw: usize,
 }
 
@@ -807,7 +805,6 @@ impl<'a> From<&'a Vgg> for Graph<'a> {
                 .map(|(index, block)| Part::Conv(block, model.pool_after(index)))
                 .collect(),
             head: model.head(),
-            mean: false,
             input_hw: model.layer_stats()[0].input_hw,
         }
     }
@@ -821,7 +818,6 @@ impl<'a> From<&'a ResNet> for Graph<'a> {
                 .chain(blocks)
                 .collect(),
             head: model.head(),
-            mean: true,
             input_hw: model.layer_stats()[0].input_hw,
         }
     }
@@ -831,44 +827,106 @@ impl<'a> From<&'a ResNet> for Graph<'a> {
 /// shape of the input of the conv that emits them.
 type Rows = (Vec<f32>, [usize; 4]);
 
-/// One lowered stage: a conv, or a residual basic block.
+/// One lowered stage: a conv, and when the stage is a residual basic
+/// block, the rest of the block.
 #[derive(Debug, Clone)]
-enum Stage {
-    Conv(Box<CompiledConv>),
-    Block(Box<CompiledBlock>),
+struct Stage {
+    /// The conv, or the block's first; it reads the stage's input batch.
+    conv: CompiledConv,
+    residual: Option<Residual>,
+}
+
+/// A residual basic block after its first conv.
+#[derive(Debug, Clone)]
+struct Residual {
+    conv2: CompiledConv,
+    /// 1×1 projection shortcut; it reads the block input through the
+    /// first conv's quantizer.
+    proj: Option<CompiledConv>,
+    /// Frozen quantizer of the skip branch at the junction bits (Fig 2).
+    skip_q: Quantizer,
 }
 
 impl Stage {
-    /// The conv that reads the stage's input batch.
-    fn first(&self) -> &CompiledConv {
-        match self {
-            Stage::Conv(conv) => conv,
-            Stage::Block(block) => &block.conv1,
-        }
-    }
-
     /// The conv whose output pass emits the stage's output.
     fn last(&self) -> &CompiledConv {
-        match self {
-            Stage::Conv(conv) => conv,
-            Stage::Block(block) => &block.conv2,
-        }
+        self.residual.as_ref().map_or(&self.conv, |r| &r.conv2)
+    }
+
+    /// The stage's layers: the conv, then a block's second conv and its
+    /// projection if any.
+    fn layers(&self) -> impl Iterator<Item = &CompiledConv> {
+        let rest = self
+            .residual
+            .iter()
+            .flat_map(|r| std::iter::once(&r.conv2).chain(&r.proj));
+        std::iter::once(&self.conv).chain(rest)
     }
 
     /// The stage's output on `input`; [`Stage::last`] emits the rows.
     fn rows(&self, input: Planes) -> Rows {
         let dims = input.dims;
-        match self {
-            Stage::Conv(conv) => (conv.requantized_rows(Body::detect(), input), dims),
-            Stage::Block(block) => {
-                let skip = skip_rows(block.proj.as_ref(), &block.conv1.act_q, &input);
-                block.junction(
-                    block.conv1.requantized_rows(Body::detect(), input),
-                    dims,
-                    &skip,
-                )
-            }
+        let Some(residual) = &self.residual else {
+            return (self.conv.requantized_rows(Body::detect(), input), dims);
+        };
+        let skip = skip_rows(residual.proj.as_ref(), &self.conv.act_q, &input);
+        let mid = self.conv.requantized_rows(Body::detect(), input);
+        residual.junction(&self.conv, mid, dims, &skip)
+    }
+}
+
+impl Residual {
+    /// Lowers the rest of a basic block after its first conv, lowered at
+    /// `conv1_bits`, calibrating every range it freezes on the block's
+    /// calibration `input`. Also returns the block's output on that
+    /// batch, as [`Stage::rows`] does, and the junction bits it is
+    /// carried at.
+    fn lower(
+        view: ResNetBlockView<'_>,
+        conv1: &CompiledConv,
+        conv1_bits: BitWidth,
+        input: Planes,
+        options: CompileOptions,
+    ) -> Result<(Self, Rows, BitWidth), CompileError> {
+        let dims = input.dims;
+        let proj = match view.proj {
+            Some(p) => Some(CompiledConv::lower(p, conv1.act_q, false, options)?.0),
+            None => None,
+        };
+        let skip = skip_rows(proj.as_ref(), &conv1.act_q, &input);
+        let mid = conv1.requantized_rows(Body::detect(), input);
+        let mid_q = frozen_act_quantizer(conv1_bits, &mid);
+        let (conv2, _) = CompiledConv::lower(view.conv2, mid_q, false, options)?;
+        let name = view.conv1.name().trim_end_matches(".conv1");
+        let junction_bits = layer_bits(&format!("{name}.junction"), view.junction_bits, options)?;
+        let residual = Self {
+            conv2,
+            proj,
+            skip_q: frozen_act_quantizer(junction_bits, &skip),
+        };
+        let out = residual.junction(conv1, mid, dims, &skip);
+        Ok((residual, out, junction_bits))
+    }
+
+    /// The block after its first conv `conv1`, whose output rows `mid`,
+    /// on an input of shape `dims`, are encoded into `conv2`'s input;
+    /// `conv2`'s output pass adds the `skip` rows. Returns `relu(main +
+    /// fq(skip))`, the skip fake-quantized at the junction bits (Fig 2),
+    /// and the shape of `conv2`'s input.
+    fn junction(
+        &self,
+        conv1: &CompiledConv,
+        mid: Vec<f32>,
+        dims: [usize; 4],
+        skip: &[f32],
+    ) -> Rows {
+        let input = conv1.emit(&mid, dims, &self.conv2);
+        let dims = input.dims;
+        let mut rows = self.conv2.requantized_rows(Body::detect(), input);
+        for (m, &s) in rows.iter_mut().zip(skip) {
+            *m = (*m + self.skip_q.fake_quantize(s)).max(0.0);
         }
+        (rows, dims)
     }
 }
 
@@ -880,9 +938,9 @@ impl Stage {
 #[derive(Debug, Clone)]
 pub struct CompiledNet {
     stages: Vec<Stage>,
+    /// A conv over the last stage's output map, whose kernel covers the
+    /// map; a wider map is global-average-pooled down to one pixel first.
     head: CompiledConv,
-    /// Whether a global average pool, not a flatten, feeds the head.
-    mean: bool,
     input_hw: usize,
 }
 
@@ -920,40 +978,46 @@ impl CompiledNet {
         let mut carry_bits = BitWidth::SIXTEEN;
         for part in graph.parts {
             let act_q = frozen_act_quantizer(carry_bits, x.as_ref().unwrap_or(calibration).data());
-            // the stage's input batch, as its first conv reads it
-            let input = |first: &CompiledConv| match stages.last() {
-                None => first.input_nchw(calibration),
-                Some(prev) => prev.last().emit(&out.0, out.1, first),
+            let (block, pool) = match part {
+                Part::Conv(block, pool) => (block, pool),
+                Part::Block(view) => (view.conv1, false),
             };
-            let (stage, bits);
-            (out, stage, bits) = match part {
-                Part::Conv(block, pool) => {
-                    let (conv, bits) = CompiledConv::lower(block, act_q, pool, options)?;
-                    let stage = Stage::Conv(Box::new(conv));
-                    (stage.rows(input(stage.first())), stage, bits)
-                }
+            let (conv, bits) = CompiledConv::lower(block, act_q, pool, options)?;
+            // the stage's input batch, as its first conv reads it
+            let input = match stages.last() {
+                None => conv.input_nchw(calibration),
+                Some(prev) => prev.last().emit(&out.0, out.1, &conv),
+            };
+            let mut stage = Stage {
+                conv,
+                residual: None,
+            };
+            (out, carry_bits) = match part {
+                Part::Conv(..) => (stage.rows(input), bits),
                 Part::Block(view) => {
-                    let (block, out, bits) = CompiledBlock::lower(view, act_q, input, options)?;
-                    (out, Stage::Block(Box::new(block)), bits)
+                    let (residual, out, bits) =
+                        Residual::lower(view, &stage.conv, bits, input, options)?;
+                    stage.residual = Some(residual);
+                    (out, bits)
                 }
             };
             x = Some(stage.last().pooled_values(&out.0, out.1));
-            carry_bits = bits;
             stages.push(stage);
         }
 
         let x = x.expect("a network has stages");
         let [_, channels, side, _] = channel_last_dims(&x);
-        let (features, side) = if graph.mean {
-            (channel_means(&x), 1)
-        } else {
+        // a VGG's head reads the flattened map; a ResNet's, one feature
+        // per channel, reads the map's global average pool
+        let (features, side) = if channels * side * side == graph.head.in_features() {
             (x, side)
+        } else {
+            (channel_means(&x), 1)
         };
         let act_q = frozen_act_quantizer(carry_bits, features.data());
         Ok(Self {
             stages,
             head: CompiledConv::lower_head(graph.head, act_q, [channels, side], options)?,
-            mean: graph.mean,
             input_hw: graph.input_hw,
         })
     }
@@ -965,7 +1029,7 @@ impl CompiledNet {
 
     /// Expected input shape as `(channels, height/width)`.
     pub fn input_shape(&self) -> (usize, usize) {
-        (self.stages[0].first().geom.in_channels, self.input_hw)
+        (self.stages[0].conv.geom.in_channels, self.input_hw)
     }
 
     /// Flattened input length of one image.
@@ -977,10 +1041,7 @@ impl CompiledNet {
     /// Every layer in datapath order: the convs — a ResNet block's
     /// conv1, conv2, then its projection if any — then the classifier.
     fn layers(&self) -> impl Iterator<Item = &CompiledConv> {
-        let convs = self.stages.iter().flat_map(|stage| match stage {
-            Stage::Conv(conv) => vec![conv.as_ref()],
-            Stage::Block(b) => [&b.conv1, &b.conv2].into_iter().chain(&b.proj).collect(),
-        });
+        let convs = self.stages.iter().flat_map(Stage::layers);
         convs.chain(std::iter::once(&self.head))
     }
 
@@ -1014,81 +1075,21 @@ impl CompiledNet {
     /// Panics if `images` is not `[N, C, H, W]` matching the model.
     pub fn run(&self, images: &Tensor) -> Tensor {
         let (last, rest) = self.stages.split_last().expect("a network has stages");
-        let mut input = self.stages[0].first().input_nchw(images);
+        let mut input = self.stages[0].conv.input_nchw(images);
         for (stage, next) in rest.iter().zip(&self.stages[1..]) {
             let (rows, dims) = stage.rows(input);
-            input = stage.last().emit(&rows, dims, next.first());
+            input = stage.last().emit(&rows, dims, &next.conv);
         }
         let (rows, dims) = last.rows(input);
-        let features = if self.mean {
-            let x = last.last().pooled_values(&rows, dims);
-            self.head.input_nchw(&channel_means(&x))
+        let conv = last.last();
+        let [.., side, _] = conv.output_dims(dims, conv.pool);
+        let features = if side == self.head.geom.kernel {
+            conv.emit(&rows, dims, &self.head)
         } else {
-            last.last().emit(&rows, dims, &self.head)
+            self.head
+                .input_nchw(&channel_means(&conv.pooled_values(&rows, dims)))
         };
         self.head.logits(features)
-    }
-}
-
-/// One lowered residual basic block.
-#[derive(Debug, Clone)]
-struct CompiledBlock {
-    conv1: CompiledConv,
-    conv2: CompiledConv,
-    /// 1×1 projection shortcut; it reads the block input through
-    /// `conv1`'s quantizer.
-    proj: Option<CompiledConv>,
-    /// Frozen quantizer of the skip branch at the junction bits (Fig 2).
-    skip_q: Quantizer,
-}
-
-impl CompiledBlock {
-    /// Lowers one basic block whose input is carried through `in_q`,
-    /// calibrating every range it freezes on the batch `input(&conv1)`.
-    /// Also returns the block's output on that batch, as
-    /// [`Stage::rows`] does, and the junction bits it is carried at.
-    fn lower(
-        view: ResNetBlockView<'_>,
-        in_q: Quantizer,
-        input: impl FnOnce(&CompiledConv) -> Planes,
-        options: CompileOptions,
-    ) -> Result<(Self, Rows, BitWidth), CompileError> {
-        let (conv1, conv1_bits) = CompiledConv::lower(view.conv1, in_q, false, options)?;
-        let input = input(&conv1);
-        let dims = input.dims;
-        let proj = match view.proj {
-            Some(p) => Some(CompiledConv::lower(p, in_q, false, options)?.0),
-            None => None,
-        };
-        let skip = skip_rows(proj.as_ref(), &in_q, &input);
-        let mid = conv1.requantized_rows(Body::detect(), input);
-        let mid_q = frozen_act_quantizer(conv1_bits, &mid);
-        let (conv2, _) = CompiledConv::lower(view.conv2, mid_q, false, options)?;
-        let name = view.conv1.name().trim_end_matches(".conv1");
-        let junction_bits = layer_bits(&format!("{name}.junction"), view.junction_bits, options)?;
-        let block = Self {
-            conv1,
-            conv2,
-            proj,
-            skip_q: frozen_act_quantizer(junction_bits, &skip),
-        };
-        let out = block.junction(mid, dims, &skip);
-        Ok((block, out, junction_bits))
-    }
-
-    /// The block's second half: `conv1`'s output rows `mid`, on an input
-    /// of shape `dims`, are encoded into `conv2`'s input, and `conv2`'s
-    /// output pass adds the `skip` rows. Returns `relu(main + fq(skip))`,
-    /// the skip fake-quantized at the junction bits (Fig 2), and the
-    /// shape of `conv2`'s input.
-    fn junction(&self, mid: Vec<f32>, dims: [usize; 4], skip: &[f32]) -> Rows {
-        let input = self.conv1.emit(&mid, dims, &self.conv2);
-        let dims = input.dims;
-        let mut rows = self.conv2.requantized_rows(Body::detect(), input);
-        for (m, &s) in rows.iter_mut().zip(skip) {
-            *m = (*m + self.skip_q.fake_quantize(s)).max(0.0);
-        }
-        (rows, dims)
     }
 }
 
@@ -1379,13 +1380,22 @@ mod tests {
         }
     }
 
-    impl CompiledBlock {
+    /// A residual stage's parts, named as the block's.
+    struct Block<'a> {
+        conv1: &'a CompiledConv,
+        conv2: &'a CompiledConv,
+        proj: &'a Option<CompiledConv>,
+        skip_q: &'a Quantizer,
+        stage: &'a Stage,
+    }
+
+    impl Block<'_> {
         /// The block's output on NCHW codes, encoded through `next_q` as
         /// a stage encodes into the next one's input, returning NCHW
         /// codes.
         fn run_codes(&self, codes: &[u16], dims: [usize; 4], next_q: &Quantizer) -> Vec<u16> {
             let input = self.conv1.input_nchw_codes(codes, dims);
-            let (rows, mid_dims) = Stage::Block(Box::new(self.clone())).rows(input);
+            let (rows, mid_dims) = self.stage.rows(input);
             let mut next = Planes::new(self.conv2.output_dims(mid_dims, false), 0, 2, 0);
             self.conv2
                 .write_codes(&rows, mid_dims, &mut next, &next_q.encoder());
@@ -1395,10 +1405,16 @@ mod tests {
 
     impl CompiledNet {
         /// The residual blocks, in order.
-        fn blocks(&self) -> Vec<&CompiledBlock> {
-            let blocks = self.stages.iter().filter_map(|stage| match stage {
-                Stage::Block(block) => Some(block.as_ref()),
-                Stage::Conv(_) => None,
+        fn blocks(&self) -> Vec<Block<'_>> {
+            let blocks = self.stages.iter().filter_map(|stage| {
+                let residual = stage.residual.as_ref()?;
+                Some(Block {
+                    conv1: &stage.conv,
+                    conv2: &residual.conv2,
+                    proj: &residual.proj,
+                    skip_q: &residual.skip_q,
+                    stage,
+                })
             });
             blocks.collect()
         }
