@@ -442,15 +442,13 @@ impl Planes {
         let [n, c, h, w] = self.dims;
         let (hp, wp) = self.padded_hw();
         let len = self.plane_len();
-        let mut out = Vec::with_capacity(n * h * w * c);
-        for ni in 0..n {
-            for y in 0..h {
-                let at = ((ni * hp + y + self.border) * wp + self.border) * c;
-                out.extend((at..at + w * c).map(|i| {
-                    (0..self.planes)
-                        .map(|p| u16::from(self.bytes[p * len + i]) << (8 * p))
-                        .sum::<u16>()
-                }));
+        let mut out = vec![0u16; n * h * w * c];
+        for (row, line) in out.chunks_exact_mut((w * c).max(1)).enumerate() {
+            let at = ((row / h * hp + row % h + self.border) * wp + self.border) * c;
+            for (p, plane) in self.bytes.chunks_exact(len).enumerate() {
+                for (code, &byte) in line.iter_mut().zip(&plane[at..]) {
+                    *code |= u16::from(byte) << (8 * p);
+                }
             }
         }
         out
