@@ -869,7 +869,7 @@ impl Stage {
         };
         let skip = skip_rows(residual.proj.as_ref(), &self.conv.act_q, &input);
         let mid = self.conv.requantized_rows(Body::detect(), input);
-        residual.junction(&self.conv, mid, dims, &skip)
+        residual.junction(&self.conv, mid, dims, skip)
     }
 }
 
@@ -902,27 +902,28 @@ impl Residual {
             proj,
             skip_q: frozen_act_quantizer(junction_bits, &skip),
         };
-        let out = residual.junction(conv1, mid, dims, &skip);
+        let out = residual.junction(conv1, mid, dims, skip);
         Ok((residual, out, junction_bits))
     }
 
     /// The block after its first conv `conv1`, whose output rows `mid`,
     /// on an input of shape `dims`, are encoded into `conv2`'s input;
     /// `conv2`'s output pass adds the `skip` rows. Returns `relu(main +
-    /// fq(skip))`, the skip fake-quantized at the junction bits (Fig 2),
-    /// and the shape of `conv2`'s input.
+    /// fq(skip))`, the skip fake-quantized at the junction bits (Fig 2)
+    /// with the range constants hoisted, and the shape of `conv2`'s input.
     fn junction(
         &self,
         conv1: &CompiledConv,
         mid: Vec<f32>,
         dims: [usize; 4],
-        skip: &[f32],
+        mut skip: Vec<f32>,
     ) -> Rows {
         let input = conv1.emit(&mid, dims, &self.conv2);
         let dims = input.dims;
         let mut rows = self.conv2.requantized_rows(Body::detect(), input);
-        for (m, &s) in rows.iter_mut().zip(skip) {
-            *m = (*m + self.skip_q.fake_quantize(s)).max(0.0);
+        self.skip_q.fake_quantize_slice(&mut skip);
+        for (m, &s) in rows.iter_mut().zip(&skip) {
+            *m = (*m + s).max(0.0);
         }
         (rows, dims)
     }
