@@ -321,7 +321,7 @@ echo "$contract_tests" | grep -q "access_log_does_not_change_response_bytes" || 
 rm -rf "$serve_dir"
 
 # Serving through the benchmark binary: it exits 0 only when every
-# served response equalled CompiledVgg::run on that image alone, bit for
+# served response equalled CompiledNet::run on that image alone, bit for
 # bit — on U8 containers (serve-c1), on U16 and nibble ones
 # (serve-mixed-c1), and in batches larger than 1 (serve-open, the one
 # workload whose arrivals the server coalesces), so a row-kernel or

@@ -10,9 +10,13 @@
 //! the engine before the gather, requantization and pool were fused into
 //! one layer pass.
 //!
-//! The ResNet cases pin a seeded `ResNet::tiny` the same way, at four
-//! schedules that include a 2-bit junction, so the residual junction and
-//! the global average pool are held bit for bit as well.
+//! Both models lower through the same `CompiledNet`. The ResNet cases pin
+//! a seeded `ResNet::tiny` the same way, at four schedules that include a
+//! 2-bit junction, so the residual junction — which runs in the second
+//! conv's output pass and encodes straight into the next stage's codes —
+//! and the global average pool are held bit for bit as well. Their
+//! digests were recorded from the engine before the junction moved onto
+//! the code chain, when it still ran on float tensors.
 
 use adq_infer::{CompileOptions, CompiledNet};
 use adq_nn::{QuantModel, ResNet, Vgg};
