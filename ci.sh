@@ -198,6 +198,21 @@ echo "$deploy_out" | grep -q "µJ" || {
 # against the scraped counters and render the per-stage attribution
 # report from it.
 echo "==> tier-1: serving smoke (adq-serve replicas / probe / shed / scrape / shutdown)"
+# Waits for the adq-serve process $2 to publish its bound address in the
+# port file $1, and prints the address; fails if the server exits first.
+await_port() {
+    for _ in $(seq 1 100); do
+        if [[ -s "$1" ]]; then
+            cat "$1"
+            return 0
+        fi
+        if ! kill -0 "$2" 2>/dev/null; then break; fi
+        sleep 0.1
+    done
+    echo "ci: adq-serve did not publish its port" >&2
+    kill "$2" 2>/dev/null || true
+    exit 1
+}
 serve_dir="$(mktemp -d)"
 ADQ_METRICS_ADDR=127.0.0.1:0 ADQ_METRICS_PORT_FILE="$serve_dir/metrics.port" \
 ./target/release/adq-serve serve --addr 127.0.0.1:0 \
@@ -205,15 +220,7 @@ ADQ_METRICS_ADDR=127.0.0.1:0 ADQ_METRICS_PORT_FILE="$serve_dir/metrics.port" \
     --access-log "$serve_dir/access.jsonl" \
     --port-file "$serve_dir/serve.port" >/dev/null &
 serve_pid=$!
-for _ in $(seq 1 100); do
-    [[ -s "$serve_dir/serve.port" ]] && break
-    if ! kill -0 "$serve_pid" 2>/dev/null; then
-        echo "ci: adq-serve exited before publishing its port" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
-serve_addr="$(cat "$serve_dir/serve.port")"
+serve_addr="$(await_port "$serve_dir/serve.port" "$serve_pid")"
 ./target/release/adq-serve probe --addr "$serve_addr" --requests 4 || {
     echo "ci: serving probe failed" >&2
     kill "$serve_pid" 2>/dev/null || true
@@ -319,6 +326,30 @@ echo "$contract_tests" | grep -q "access_log_does_not_change_response_bytes" || 
     exit 1
 }
 rm -rf "$serve_dir"
+
+# Serving a trained ResNet: the checkpoint a 1-iteration run writes when
+# it stops holds the model it trained; adq-serve restores that ResNet,
+# lowers it and answers probes over the wire.
+echo "==> tier-1: serving smoke for a trained ResNet checkpoint"
+resnet_dir="$(mktemp -d)"
+./target/release/adq quantize --model resnet --iters 1 --epochs 1 \
+    --resolution 8 --classes 4 --save "$resnet_dir" >/dev/null
+resnet_flags=(--checkpoint "$resnet_dir" --model resnet --resolution 8 --classes 4)
+./target/release/adq-serve serve --addr 127.0.0.1:0 "${resnet_flags[@]}" \
+    --port-file "$resnet_dir/serve.port" >/dev/null &
+resnet_pid=$!
+resnet_addr="$(await_port "$resnet_dir/serve.port" "$resnet_pid")"
+./target/release/adq-serve probe --addr "$resnet_addr" --requests 4 "${resnet_flags[@]}" || {
+    echo "ci: probing the served ResNet checkpoint failed" >&2
+    kill "$resnet_pid" 2>/dev/null || true
+    exit 1
+}
+./target/release/adq-serve shutdown --addr "$resnet_addr"
+wait "$resnet_pid" || {
+    echo "ci: adq-serve (ResNet checkpoint) did not shut down cleanly" >&2
+    exit 1
+}
+rm -rf "$resnet_dir"
 
 # Serving through the benchmark binary: it exits 0 only when every
 # served response equalled CompiledNet::run on that image alone, bit for

@@ -62,11 +62,6 @@ impl LineChart {
         self.series.push((name.into(), clean));
     }
 
-    /// Number of series added so far.
-    pub fn series_count(&self) -> usize {
-        self.series.len()
-    }
-
     fn bounds(&self) -> (f64, f64, f64, f64) {
         let mut min_x = f64::INFINITY;
         let mut max_x = f64::NEG_INFINITY;

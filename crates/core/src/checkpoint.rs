@@ -13,6 +13,10 @@
 //! * completed [`IterationRecord`]s and the iteration cursor,
 //! * the eqn-4 baseline energy the run normalises against.
 //!
+//! A run also writes a checkpoint when it stops, so the last file of every
+//! checkpointed run holds the trained model: it is the one saved-model
+//! format, which [`load_checkpoint`] reads and [`restore_model`] rebuilds.
+//!
 //! Files are written atomically (temp file + rename in the same directory)
 //! and carry a FNV-1a content checksum in a one-line header, so a process
 //! killed mid-write can never leave a checkpoint that silently loads: a
@@ -140,7 +144,9 @@ pub struct RunCheckpoint {
     /// The controller configuration of the originating run; resume refuses
     /// to continue under a different configuration.
     pub config: AdqConfig,
-    /// 1-based iteration the resumed run starts at.
+    /// 1-based iteration the resumed run starts at. The checkpoint a run
+    /// writes when it stops holds `config.max_iterations + 1`: resuming
+    /// from it trains nothing and returns the stored records.
     pub next_iteration: usize,
     /// Records of all completed iterations, in order.
     pub iterations: Vec<IterationRecord>,
@@ -282,7 +288,8 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Owns a checkpoint directory: one file per completed iteration
-/// (`iter-NNNN.ckpt`), written atomically, discovered by scanning.
+/// (`iter-NNNN.ckpt`, the highest-numbered holding the latest model),
+/// written atomically, discovered by scanning.
 ///
 /// # Example
 ///
@@ -323,14 +330,13 @@ impl CheckpointManager {
     }
 
     /// Atomically writes `checkpoint` as the file for its last completed
-    /// iteration, returning `(path, bytes)`.
+    /// iteration (`iterations.len()`), returning `(path, bytes)`.
     ///
     /// # Errors
     ///
     /// Returns [`CheckpointError::Io`] on filesystem failure.
     pub fn save(&self, checkpoint: &RunCheckpoint) -> Result<(PathBuf, u64), CheckpointError> {
-        let iteration = checkpoint.next_iteration.saturating_sub(1);
-        let path = self.path_for_iteration(iteration);
+        let path = self.path_for_iteration(checkpoint.iterations.len());
         let bytes = checkpoint.save_atomic(&path)?;
         Ok((path, bytes))
     }
@@ -367,6 +373,27 @@ impl CheckpointManager {
             None => Ok(None),
         }
     }
+}
+
+/// Loads a checkpoint file, or the latest checkpoint in a directory
+/// ([`CheckpointManager::load_latest`]) — the one loader behind every
+/// command that reads a saved model.
+///
+/// # Errors
+///
+/// Propagates every [`RunCheckpoint::load`] failure, and returns
+/// [`CheckpointError::Io`] with [`std::io::ErrorKind::NotFound`] for a
+/// directory that holds no checkpoint.
+pub fn load_checkpoint(path: &Path) -> Result<RunCheckpoint, CheckpointError> {
+    if !path.is_dir() {
+        return RunCheckpoint::load(path);
+    }
+    CheckpointManager::new(path)?.load_latest()?.ok_or_else(|| {
+        CheckpointError::Io(std::io::Error::new(
+            std::io::ErrorKind::NotFound,
+            format!("{} holds no checkpoint", path.display()),
+        ))
+    })
 }
 
 /// Rebuilds a checkpoint's *model* state onto `model`, which must be a
@@ -443,12 +470,30 @@ mod tests {
         dir
     }
 
-    fn sample_checkpoint(next_iteration: usize) -> RunCheckpoint {
+    fn sample_record(iteration: usize) -> IterationRecord {
+        IterationRecord {
+            iteration,
+            bits: vec![Some(BitWidth::SIXTEEN), None],
+            channels: vec![4, 2],
+            epochs_trained: 2,
+            densities: vec![0.5, 0.25],
+            total_ad: 0.375,
+            test_accuracy: 0.5,
+            train_accuracy: 0.75,
+            ad_history: vec![vec![0.5, 0.25]; 2],
+            accuracy_history: vec![0.5, 0.75],
+            mac_reduction: 1.0,
+        }
+    }
+
+    /// A checkpoint taken after `completed` iterations, resuming at
+    /// `next_iteration`.
+    fn checkpoint_after(completed: usize, next_iteration: usize) -> RunCheckpoint {
         RunCheckpoint {
             version: CHECKPOINT_VERSION,
             config: AdqConfig::fast(),
             next_iteration,
-            iterations: Vec::new(),
+            iterations: (1..=completed).map(sample_record).collect(),
             structural_ops: vec![StructuralOp::Prune { layer: 1, keep: 4 }],
             params: vec![Tensor::from_slice(&[1.0, -2.0, 0.5])],
             norm_stats: vec![(vec![0.1], vec![0.9])],
@@ -466,6 +511,10 @@ mod tests {
             baseline_energy_pj: 123.456,
             microbatch: Some(4),
         }
+    }
+
+    fn sample_checkpoint(next_iteration: usize) -> RunCheckpoint {
+        checkpoint_after(next_iteration - 1, next_iteration)
     }
 
     #[test]
@@ -574,6 +623,33 @@ mod tests {
             manager.latest().expect("scan").expect("present"),
             manager.path_for_iteration(3)
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn final_checkpoint_is_named_by_its_last_completed_iteration() {
+        let dir = scratch_dir("final");
+        let manager = CheckpointManager::new(&dir).expect("manager");
+        // a run of at most 3 iterations that stopped after its second
+        let (path, _) = manager.save(&checkpoint_after(2, 4)).expect("save");
+        assert_eq!(path, manager.path_for_iteration(2));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn load_checkpoint_takes_a_file_or_a_directory() {
+        let dir = scratch_dir("loader");
+        assert!(matches!(
+            load_checkpoint(&dir),
+            Err(CheckpointError::Io(err)) if err.kind() == std::io::ErrorKind::NotFound
+        ));
+        let manager = CheckpointManager::new(&dir).expect("manager");
+        manager.save(&sample_checkpoint(2)).expect("save 1");
+        let (second, _) = manager.save(&sample_checkpoint(3)).expect("save 2");
+        assert_eq!(load_checkpoint(&dir).expect("dir").next_iteration, 3);
+        let first = manager.path_for_iteration(1);
+        assert_eq!(load_checkpoint(&first).expect("file").next_iteration, 2);
+        assert_eq!(load_checkpoint(&second).expect("file").next_iteration, 3);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -268,9 +268,10 @@ impl AdQuantizer {
 
     /// [`AdQuantizer::run_with_sink`] that additionally writes a durable
     /// [`RunCheckpoint`] into `manager`'s directory after every iteration
-    /// that re-quantizes and continues. A process killed mid-run can then
-    /// be continued with [`AdQuantizer::resume_from`] instead of starting
-    /// over.
+    /// that re-quantizes and continues, and one more when the run stops.
+    /// A process killed mid-run can then be continued with
+    /// [`AdQuantizer::resume_from`] instead of starting over, and the last
+    /// file holds the trained model ([`crate::checkpoint::restore_model`]).
     ///
     /// # Errors
     ///
@@ -399,10 +400,10 @@ impl AdQuantizer {
 
         for iteration in start_iteration..=cfg.max_iterations {
             // The iteration body runs inside a labeled block yielding the
-            // loop-exit decision so the iteration's span guards close
-            // before the per-iteration span drain below.
+            // loop-exit decision; the iteration's span closes after the
+            // checkpoint write and before the per-iteration span drain below.
+            let iteration_span = phase_span("adq.iteration", iteration);
             let stop = 'iteration: {
-                let _iteration_span = phase_span("adq.iteration", iteration);
                 // layer removal can shrink the model between iterations
                 let count = model.layer_count();
                 let phase = self.train_phase(
@@ -525,41 +526,44 @@ impl AdQuantizer {
                         }
                     }
                 }
-                if !any_change {
-                    break 'iteration true; // fixed point: k_l stable for every layer
-                }
-                // the run continues into iteration + 1: durably capture the
-                // exact state it will continue from
-                if let Some(manager) = manager {
-                    let _checkpoint_span = phase_span("adq.phase.checkpoint", iteration);
-                    let (key, counter, index) = adq_tensor::init::rng_state(&rng);
-                    let checkpoint = RunCheckpoint {
-                        version: CHECKPOINT_VERSION,
-                        config: *cfg,
-                        next_iteration: iteration + 1,
-                        iterations: iterations.clone(),
-                        structural_ops: structural_ops.clone(),
-                        params: export_params(model),
-                        norm_stats: model.norm_stats(),
-                        bits: (0..model.layer_count()).map(|i| model.bits_of(i)).collect(),
-                        optimizer: optimizer.export_state(),
-                        rng: RngState {
-                            key,
-                            counter,
-                            index,
-                        },
-                        baseline_energy_pj: baseline_energy,
-                        microbatch: None,
-                    };
-                    let (path, bytes) = manager.save(&checkpoint)?;
-                    sink.record(&TelemetryEvent::CheckpointSaved {
-                        iteration,
-                        path: path.display().to_string(),
-                        bytes,
-                    });
-                }
-                false
+                // fixed point: k_l stable for every layer
+                !any_change
             };
+            // durably capture the state the run continues from or, once it
+            // stops, the trained model it ends with
+            if let Some(manager) = manager {
+                let _checkpoint_span = phase_span("adq.phase.checkpoint", iteration);
+                let (key, counter, index) = adq_tensor::init::rng_state(&rng);
+                let checkpoint = RunCheckpoint {
+                    version: CHECKPOINT_VERSION,
+                    config: *cfg,
+                    next_iteration: if stop {
+                        cfg.max_iterations + 1
+                    } else {
+                        iteration + 1
+                    },
+                    iterations: iterations.clone(),
+                    structural_ops: structural_ops.clone(),
+                    params: export_params(model),
+                    norm_stats: model.norm_stats(),
+                    bits: (0..model.layer_count()).map(|i| model.bits_of(i)).collect(),
+                    optimizer: optimizer.export_state(),
+                    rng: RngState {
+                        key,
+                        counter,
+                        index,
+                    },
+                    baseline_energy_pj: baseline_energy,
+                    microbatch: None,
+                };
+                let (path, bytes) = manager.save(&checkpoint)?;
+                sink.record(&TelemetryEvent::CheckpointSaved {
+                    iteration,
+                    path: path.display().to_string(),
+                    bytes,
+                });
+            }
+            drop(iteration_span);
             // Stream this iteration's spans out while they are fresh;
             // with tracing off the buffers are empty and this is a no-op.
             span::drain_into(sink);

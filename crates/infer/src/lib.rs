@@ -23,8 +23,8 @@
 //!   ([`serve::Server`] / [`serve::Client`]): a fixed connection-worker
 //!   pool multiplexes sockets, replica executors share the packed
 //!   weights and run batches concurrently, and a bounded queue with
-//!   admission control ([`serve::OverloadPolicy`]) sheds load with typed
-//!   wire frames instead of growing without bound.
+//!   admission control sheds load with typed wire frames instead of
+//!   growing without bound.
 
 pub mod compile;
 pub mod qgemm;
@@ -33,6 +33,6 @@ pub mod serve;
 pub use compile::{CompileError, CompileOptions, CompiledNet, CompiledVgg};
 pub use qgemm::{Container, PackedMatrix};
 pub use serve::{
-    load_generate, load_generate_traced, stats_from_latencies, Client, LoadStats, OverloadPolicy,
-    Reply, ServeConfig, ServeModel, Server, TracedLoad,
+    load_generate, load_generate_traced, stats_from_latencies, Client, LoadStats, Reply,
+    ServeConfig, ServeModel, Server, TracedLoad,
 };

@@ -20,11 +20,8 @@
 //!   replicas.
 //!
 //! The request queue is **bounded** ([`ServeConfig::queue_cap`]). When it
-//! is full, admission control applies [`ServeConfig::overload`]: either
-//! the newcomer is refused with a 503-style shed frame
-//! ([`OverloadPolicy::Reject`]) or the oldest queued request — the one
-//! closest to blowing its deadline — is shed to make room
-//! ([`OverloadPolicy::ShedOldest`]). Either way the server's memory is
+//! is full, admission control refuses the newcomer with a 503-style shed
+//! frame and leaves queued work untouched, so the server's memory is
 //! bounded and overload degrades into explicit, typed shed responses
 //! instead of unbounded queue growth.
 //!
@@ -247,16 +244,6 @@ impl ServeModel for CompiledNet {
 
 // ---- configuration ------------------------------------------------------
 
-/// What admission control does with a request that finds the queue full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OverloadPolicy {
-    /// Refuse the newcomer with a shed frame; queued work is untouched.
-    Reject,
-    /// Shed the *oldest* queued request — the one closest to its
-    /// deadline, hence least worth finishing — and admit the newcomer.
-    ShedOldest,
-}
-
 /// Batching, pooling and admission knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
@@ -272,10 +259,9 @@ pub struct ServeConfig {
     /// thread-keyed scratch, and `serve.replica{i}.batch_run_ns`
     /// histogram.
     pub replicas: usize,
-    /// Bound on queued (admitted, not yet executing) requests.
+    /// Bound on queued (admitted, not yet executing) requests; a request
+    /// that finds the queue full is refused with a shed frame.
     pub queue_cap: usize,
-    /// Admission policy once `queue_cap` is reached.
-    pub overload: OverloadPolicy,
 }
 
 impl Default for ServeConfig {
@@ -296,7 +282,6 @@ impl Default for ServeConfig {
             conn_workers: 2,
             replicas: 1,
             queue_cap: 256,
-            overload: OverloadPolicy::Reject,
         }
     }
 }
@@ -398,9 +383,7 @@ struct Queue {
 enum Refusal {
     /// Wrong length or a non-finite value; never offered to the queue.
     Invalid(&'static str),
-    /// Evicted from a full queue by a newer request (`ShedOldest`).
-    Superseded,
-    /// Bounced off a full queue ([`OverloadPolicy::Reject`]).
+    /// Bounced off a full queue.
     QueueFull,
     /// Offered after the queue closed for shutdown.
     Closed,
@@ -481,31 +464,23 @@ impl Shared {
     /// its inflight slot.
     fn refuse(&self, pending: Pending, refusal: Refusal) {
         let cap = self.queue_cap();
-        let (status, reason, outcome, queue_wait_ns, queue_depth) = match refusal {
-            Refusal::Invalid(reason) => (STATUS_ERR, reason, OUTCOME_ERROR, 0, 0),
-            Refusal::Closed => (STATUS_ERR, "shutting down", OUTCOME_GOODBYE_REFUSED, 0, 0),
-            Refusal::QueueFull => (STATUS_SHED, "queue full, try later", OUTCOME_SHED, 0, cap),
-            Refusal::Superseded => {
-                // the victim's queue wait ran until its eviction
-                let waited = ns(pending.enqueued.elapsed());
-                let reason = "shed under load (superseded by newer work)";
-                (STATUS_SHED, reason, OUTCOME_SHED, waited, cap)
-            }
+        let (status, reason, outcome, queue_depth) = match refusal {
+            Refusal::Invalid(reason) => (STATUS_ERR, reason, OUTCOME_ERROR, 0),
+            Refusal::Closed => (STATUS_ERR, "shutting down", OUTCOME_GOODBYE_REFUSED, 0),
+            Refusal::QueueFull => (STATUS_SHED, "queue full, try later", OUTCOME_SHED, cap),
         };
+        // the one shed is a full queue's rejection
         if status == STATUS_SHED {
             self.shed_total.inc();
+            self.queue_rejected.inc();
         } else {
             self.errors.inc();
-        }
-        if matches!(refusal, Refusal::QueueFull) {
-            self.queue_rejected.inc();
         }
         let trace = pending.traced.then_some(pending.trace_id);
         pending
             .writer
             .send(status, pending.id, Body::Text(reason), trace);
         let stages = Stages {
-            queue_wait_ns,
             queue_depth,
             ..Stages::default()
         };
@@ -521,26 +496,16 @@ impl Shared {
         self.wake.notify_all();
     }
 
-    /// Bounded-queue admission control (see [`OverloadPolicy`]): admits
-    /// `pending` unless the queue is closed or full under
-    /// [`OverloadPolicy::Reject`], and returns the request that must be
-    /// refused instead, if any — `pending` itself, or the oldest queued
-    /// request it displaced.
+    /// Bounded-queue admission control: admits `pending` unless the
+    /// queue is closed or full, and otherwise hands it back with the
+    /// refusal it gets.
     fn offer(&self, pending: Pending) -> Option<(Pending, Refusal)> {
-        let cap = self.config.queue_cap.max(1);
         let mut q = self.queue.lock().expect("serve queue lock");
         if q.closed {
             return Some((pending, Refusal::Closed));
         }
-        let mut shed = None;
-        if q.items.len() >= cap {
-            match self.config.overload {
-                OverloadPolicy::Reject => return Some((pending, Refusal::QueueFull)),
-                OverloadPolicy::ShedOldest => {
-                    // front = oldest enqueue time = nearest deadline
-                    shed = q.items.pop_front();
-                }
-            }
+        if q.items.len() >= self.config.queue_cap.max(1) {
+            return Some((pending, Refusal::QueueFull));
         }
         q.items.push_back(pending);
         metrics::global()
@@ -548,7 +513,7 @@ impl Shared {
             .set(q.items.len() as f64);
         drop(q);
         self.wake.notify_all();
-        shed.map(|victim| (victim, Refusal::Superseded))
+        None
     }
 }
 

@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use adq_infer::load_generate_traced;
-use adq_infer::serve::{Client, OverloadPolicy, Reply, ServeConfig, ServeModel, Server};
+use adq_infer::serve::{Client, Reply, ServeConfig, ServeModel, Server};
 use adq_telemetry::lifecycle::{self, AccessLog, RequestRecord};
 use adq_telemetry::metrics;
 use adq_tensor::Tensor;
@@ -268,7 +268,6 @@ fn shed_and_ok_outcomes_reconcile_with_counters() {
             replicas: 1,
             conn_workers: 2,
             queue_cap: 1,
-            overload: OverloadPolicy::Reject,
         },
         Some(AccessLog::create(&path, 4).unwrap()),
     )
@@ -394,7 +393,6 @@ fn shutdown_refusals_produce_goodbye_refused_records() {
             replicas: 1,
             conn_workers: 1,
             queue_cap: 4,
-            overload: OverloadPolicy::Reject,
         },
         Some(AccessLog::create(&path, 4).unwrap()),
     )

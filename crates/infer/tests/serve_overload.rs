@@ -9,8 +9,6 @@
 //! * **zero lost responses**: every request a client sends gets exactly
 //!   one typed answer (logits, shed, or error) — even requests admitted
 //!   right before a shutdown;
-//! * [`OverloadPolicy::ShedOldest`] sheds the *queued oldest* request,
-//!   not the newcomer;
 //! * a concurrent shutdown at c ≥ 4 drains admitted work and ends every
 //!   connection with a goodbye frame, never an unexplained EOF;
 //! * a model that panics costs its batch a typed error, not the replica:
@@ -21,7 +19,7 @@ use std::sync::{mpsc, Arc, Barrier, Mutex, MutexGuard};
 use std::time::Duration;
 
 use adq_infer::load_generate;
-use adq_infer::serve::{Client, LoadStats, OverloadPolicy, Reply, ServeConfig, ServeModel, Server};
+use adq_infer::serve::{Client, LoadStats, Reply, ServeConfig, ServeModel, Server};
 use adq_telemetry::lifecycle::{self, AccessLog};
 use adq_telemetry::metrics;
 use adq_tensor::Tensor;
@@ -136,7 +134,6 @@ fn reject_policy_bounds_queue_and_sheds_with_typed_frames() {
             replicas: 1,
             conn_workers: 2,
             queue_cap: 3,
-            overload: OverloadPolicy::Reject,
         },
     )
     .unwrap();
@@ -214,78 +211,6 @@ fn reject_policy_bounds_queue_and_sheds_with_typed_frames() {
     server.shutdown();
 }
 
-/// Under `ShedOldest` the *queued* oldest request is evicted and gets the
-/// shed frame, while the newcomer is admitted: with a single in-flight
-/// batch pinning the executor, a later request must displace an earlier
-/// one.
-#[test]
-fn shed_oldest_policy_evicts_the_oldest_queued_request() {
-    let _serial = serial();
-    let model = Arc::new(SlowModel::new(Duration::from_millis(120)));
-    let mut server = Server::bind(
-        "127.0.0.1:0",
-        Arc::clone(&model) as Arc<dyn ServeModel>,
-        ServeConfig {
-            max_batch: 1,
-            max_wait: Duration::from_millis(1),
-            replicas: 1,
-            conn_workers: 1,
-            queue_cap: 1,
-            overload: OverloadPolicy::ShedOldest,
-        },
-    )
-    .unwrap();
-    let addr = server.local_addr();
-    let input_len = model.input_len();
-    let shed_before = counter("serve.shed_total");
-    let rejected_before = counter("serve.queue_rejected");
-
-    // request A keeps the executor busy for 120ms; B parks in the queue;
-    // C arrives while the queue is full and displaces B
-    let replies: Arc<Mutex<Vec<(char, Reply)>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut handles = Vec::new();
-    for (tag, delay_ms) in [('a', 0u64), ('b', 30), ('c', 60)] {
-        let replies = Arc::clone(&replies);
-        handles.push(std::thread::spawn(move || {
-            let mut client = Client::connect(addr).unwrap();
-            std::thread::sleep(Duration::from_millis(delay_ms));
-            let reply = client.infer(&vec![tag as u32 as f32; input_len]).unwrap();
-            replies.lock().unwrap().push((tag, reply));
-        }));
-    }
-    for handle in handles {
-        handle.join().unwrap();
-    }
-    let replies = replies.lock().unwrap();
-    let reply_of = |tag: char| -> &Reply {
-        &replies
-            .iter()
-            .find(|(t, _)| *t == tag)
-            .expect("every client replied")
-            .1
-    };
-    assert!(
-        matches!(reply_of('a'), Reply::Logits(_)),
-        "the in-flight request must complete, got {:?}",
-        reply_of('a')
-    );
-    assert!(
-        matches!(reply_of('b'), Reply::Shed(_)),
-        "the oldest queued request must be the one shed, got {:?}",
-        reply_of('b')
-    );
-    assert!(
-        matches!(reply_of('c'), Reply::Logits(_)),
-        "the newcomer must be admitted in the vacated slot, got {:?}",
-        reply_of('c')
-    );
-    // ShedOldest sheds without rejecting newcomers
-    assert_eq!(counter("serve.shed_total") - shed_before, 1);
-    assert_eq!(counter("serve.queue_rejected") - rejected_before, 0);
-
-    server.shutdown();
-}
-
 /// Shutdown racing c ≥ 4 active clients: requests admitted before the
 /// queue closed are still answered, later ones get a typed "shutting
 /// down" refusal, and every connection ends with a goodbye frame — the
@@ -303,7 +228,6 @@ fn concurrent_shutdown_drains_and_says_goodbye() {
             replicas: 2,
             conn_workers: 2,
             queue_cap: 64,
-            overload: OverloadPolicy::Reject,
         },
     )
     .unwrap();
@@ -375,7 +299,6 @@ fn load_generate_counts_sheds_separately_from_errors() {
             replicas: 1,
             conn_workers: 2,
             queue_cap: 2,
-            overload: OverloadPolicy::Reject,
         },
     )
     .unwrap();

@@ -127,11 +127,6 @@ impl ConvBlock {
         &self.conv
     }
 
-    /// Whether the block batch-normalises.
-    pub fn has_batch_norm(&self) -> bool {
-        self.bn.is_some()
-    }
-
     /// Whether the block ends in a ReLU (see [`ConvBlockConfig::relu`]).
     pub fn has_relu(&self) -> bool {
         self.relu.is_some()

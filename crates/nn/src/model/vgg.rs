@@ -207,11 +207,6 @@ impl Vgg {
         &self.head
     }
 
-    /// Spatial side of the feature map entering the classifier.
-    pub fn head_spatial(&self) -> usize {
-        self.head_hw
-    }
-
     fn head_index(&self) -> usize {
         self.blocks.len()
     }

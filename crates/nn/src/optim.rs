@@ -57,12 +57,6 @@ impl Adam {
         self.lr
     }
 
-    /// Updates the learning rate.
-    pub fn set_lr(&mut self, lr: f32) {
-        assert!(lr > 0.0 && lr.is_finite(), "learning rate must be positive");
-        self.lr = lr;
-    }
-
     /// Advances the shared timestep; call once per optimization step,
     /// before visiting parameters.
     pub fn begin_step(&mut self) {

@@ -348,8 +348,8 @@ mod tests {
     #[test]
     fn queue_saturation_ignores_sheds_while_below_capacity() {
         let mut m = HealthMonitor::default();
-        // Sheds observed while depth is below the bound (e.g. shed-oldest
-        // already drained the queue) never raise.
+        // Sheds observed while depth is below the bound (the queue has
+        // drained since the burst that shed) never raise.
         assert!(m.observe_queue(10, 256, 3).is_none());
         assert!(m.observe_queue(12, 256, 7).is_none());
         // A zero capacity (no bound configured) is always quiet.

@@ -68,11 +68,6 @@ impl TraceSpan {
         }
     }
 
-    /// A numeric attribute from the span's args, widened to `f64`.
-    pub fn arg_f64(&self, key: &str) -> Option<f64> {
-        self.args.get(key).and_then(|v| v.as_f64())
-    }
-
     /// An unsigned attribute from the span's args.
     pub fn arg_u64(&self, key: &str) -> Option<u64> {
         self.args.get(key).and_then(|v| v.as_u64())

@@ -3,8 +3,9 @@
 //! ```text
 //! adq quantize [--model vgg|resnet] [--iters N] [--epochs N] [--prune]
 //!              [--seed S] [--classes K] [--resolution R] [--noise X]
-//!              [--save FILE.json]
-//! adq eval     --load FILE.json         # evaluate a saved model
+//!              [--save DIR]
+//! adq eval     --load PATH [--model vgg|resnet] [--classes K]
+//!              [--resolution R] [--noise X] [--seed S]
 //! adq baseline [--bits B] [--epochs N] [--seed S]
 //! adq energy   [--preset <name>]        # table2a-iter2, table2b-iter3, ...
 //! adq deploy   [--seed S]               # train, lower to integer, compare
@@ -12,21 +13,29 @@
 //! adq help
 //! ```
 //!
+//! `quantize --save DIR` checkpoints the run into `DIR`; its last file
+//! holds the trained model. `eval --load PATH` restores that model (a
+//! `.ckpt` file, or a directory's latest) onto a fresh `--model` built
+//! for the dataset flags, which must be the ones the run trained with.
+//! `adq-serve --checkpoint` serves the same files.
+//!
 //! Everything is seeded and deterministic; see README.md for the library
 //! API behind each command.
 
 use std::collections::HashMap;
+use std::path::Path;
 use std::process::ExitCode;
 
 use adq::core::builders::{network_spec_from_stats, pim_mappings_from_spec};
+use adq::core::checkpoint::{load_checkpoint, restore_model, CheckpointManager};
 use adq::core::{paper, AdQuantizer, AdqConfig};
 use adq::datasets::SyntheticSpec;
 use adq::energy::{EnergyModel, NetworkSpec};
 use adq::infer::{CompileOptions, CompiledNet};
-use adq::nn::train::{export_params, import_params};
 use adq::nn::{accuracy, QuantModel, ResNet, Vgg};
 use adq::pim::{NetworkEnergyReport, PimEnergyModel};
 use adq::quant::BitWidth;
+use adq::telemetry::NullSink;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -114,84 +123,41 @@ fn dataset(flags: &Flags) -> Result<(adq::nn::train::Dataset, adq::nn::train::Da
         .generate())
 }
 
-/// On-disk format of `adq quantize --save` / `adq eval --load`.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct SavedModel {
-    model: String,
+/// A freshly built `--model vgg|resnet` for the dataset's shape, the
+/// architecture `quantize` trains and `eval` restores onto.
+fn build_model(
+    flags: &Flags,
     resolution: usize,
     classes: usize,
     seed: u64,
-    bits: Vec<Option<BitWidth>>,
-    /// Output channels of each layer, so a pruned model can be rebuilt.
-    /// Files written before pruning was saved hold none.
-    #[serde(default)]
-    channels: Vec<usize>,
-    params: Vec<adq::tensor::Tensor>,
-    #[serde(default)]
-    norm_stats: Vec<(Vec<f32>, Vec<f32>)>,
-}
-
-fn save_model(path: &str, saved: &SavedModel) -> Result<(), String> {
-    let json = serde_json::to_string(saved).map_err(|e| e.to_string())?;
-    std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
-    println!("saved model to {path}");
-    Ok(())
+) -> Result<Box<dyn QuantModel>, String> {
+    match get(flags, "model", "vgg".to_string())?.as_str() {
+        "vgg" => Ok(Box::new(Vgg::small(3, resolution, classes, seed))),
+        "resnet" => Ok(Box::new(ResNet::small(3, resolution, classes, seed))),
+        other => Err(format!("unknown model `{other}` (vgg|resnet)")),
+    }
 }
 
 fn cmd_eval(flags: &Flags) -> Result<(), String> {
     let path: String = get(flags, "load", String::new())?;
     if path.is_empty() {
-        return Err("eval needs --load FILE.json".to_string());
+        return Err("eval needs --load PATH".to_string());
     }
-    let json = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let saved: SavedModel = serde_json::from_str(&json).map_err(|e| e.to_string())?;
-    let mut model: Box<dyn QuantModel> = match saved.model.as_str() {
-        "vgg" => Box::new(Vgg::small(3, saved.resolution, saved.classes, saved.seed)),
-        "resnet" => Box::new(ResNet::small(
-            3,
-            saved.resolution,
-            saved.classes,
-            saved.seed,
-        )),
-        other => return Err(format!("unknown saved model kind `{other}`")),
-    };
-    if !saved.channels.is_empty() && saved.channels.len() != model.layer_count() {
-        return Err(format!(
-            "saved model lists {} layer widths, a {} model has {} layers",
-            saved.channels.len(),
-            saved.model,
-            model.layer_count()
-        ));
-    }
-    // replay the pruning so the parameter shapes match the saved ones
-    for (idx, &width) in saved.channels.iter().enumerate() {
-        let current = model.out_channels_of(idx);
-        let rebuilt =
-            width == current || ((1..current).contains(&width) && model.prune_layer_to(idx, width));
-        if !rebuilt {
-            return Err(format!(
-                "cannot rebuild layer {idx} with {width} of its {current} channels"
-            ));
-        }
-    }
-    import_params(model.as_mut(), &saved.params)?;
-    model.set_norm_stats(&saved.norm_stats)?;
-    for (idx, bits) in saved.bits.iter().enumerate() {
-        model.set_bits_of(idx, *bits);
-    }
-    let (_, test) = dataset(flags)?;
-    if test.images.dims()[2] != saved.resolution {
-        return Err(format!(
-            "dataset resolution {} does not match saved model's {}",
-            test.images.dims()[2],
-            saved.resolution
-        ));
-    }
+    let ckpt = load_checkpoint(Path::new(&path)).map_err(|e| format!("cannot load {path}: {e}"))?;
+    let (train, test) = dataset(flags)?;
+    let classes = train.labels.iter().copied().max().unwrap_or(0) + 1;
+    let mut model = build_model(flags, train.images.dims()[2], classes, 0)?;
+    restore_model(model.as_mut(), &ckpt).map_err(|e| {
+        format!(
+            "cannot restore {path} (pass the --model, --resolution and --classes \
+             it was trained with): {e}"
+        )
+    })?;
     let logits = model.forward(&test.images, false);
     println!(
         "loaded {} ({} layers): test acc {:.1}% on {} samples",
-        saved.model,
-        saved.bits.len(),
+        model.name(),
+        ckpt.bits.len(),
         100.0 * accuracy(&logits, &test.labels),
         test.len()
     );
@@ -202,8 +168,7 @@ fn cmd_quantize(flags: &Flags) -> Result<(), String> {
     let seed: u64 = get(flags, "seed", 0)?;
     let iters: usize = get(flags, "iters", 3)?;
     let epochs: usize = get(flags, "epochs", 6)?;
-    let model_kind: String = get(flags, "model", "vgg".to_string())?;
-    let save_path: String = get(flags, "save", String::new())?;
+    let save_dir: String = get(flags, "save", String::new())?;
     let (train, test) = dataset(flags)?;
     let classes = train.labels.iter().copied().max().unwrap_or(0) + 1;
     let resolution = train.images.dims()[2];
@@ -221,50 +186,43 @@ fn cmd_quantize(flags: &Flags) -> Result<(), String> {
     }
     let controller = AdQuantizer::new(config);
 
-    let run = |model: &mut dyn QuantModel| {
-        let outcome = controller.run(model, &train, &test);
-        println!("iter | epochs | total AD | test acc | MAC reduction | bits");
-        for r in &outcome.iterations {
-            let bits: Vec<String> = r
-                .bits
-                .iter()
-                .map(|b| b.map_or("fp".into(), |b| b.get().to_string()))
-                .collect();
-            println!(
-                "  {}  |   {:2}   |  {:.3}   |  {:5.1}%  |    {:5.2}x     | [{}]",
-                r.iteration,
-                r.epochs_trained,
-                r.total_ad,
-                100.0 * r.test_accuracy,
-                r.mac_reduction,
-                bits.join(",")
-            );
+    let mut model = build_model(flags, resolution, classes, seed)?;
+    let outcome = if save_dir.is_empty() {
+        controller.run(model.as_mut(), &train, &test)
+    } else {
+        let manager = CheckpointManager::new(&save_dir)
+            .map_err(|e| format!("cannot use {save_dir} for checkpoints: {e}"))?;
+        // a stale run's later iterations would shadow this run's files
+        if manager.latest().map_err(|e| e.to_string())?.is_some() {
+            return Err(format!("{save_dir} already holds checkpoints"));
         }
+        controller
+            .run_checkpointed(model.as_mut(), &train, &test, &NullSink, &manager)
+            .map_err(|e| format!("cannot checkpoint into {save_dir}: {e}"))?
+    };
+    println!("iter | epochs | total AD | test acc | MAC reduction | bits");
+    for r in &outcome.iterations {
+        let bits: Vec<String> = r
+            .bits
+            .iter()
+            .map(|b| b.map_or("fp".into(), |b| b.get().to_string()))
+            .collect();
         println!(
-            "training complexity: {:.3}x (vs {}-epoch baseline)",
-            outcome.training_complexity, outcome.baseline_epochs
+            "  {}  |   {:2}   |  {:.3}   |  {:5.1}%  |    {:5.2}x     | [{}]",
+            r.iteration,
+            r.epochs_trained,
+            r.total_ad,
+            100.0 * r.test_accuracy,
+            r.mac_reduction,
+            bits.join(",")
         );
-    };
-    let mut model: Box<dyn QuantModel> = match model_kind.as_str() {
-        "vgg" => Box::new(Vgg::small(3, resolution, classes, seed)),
-        "resnet" => Box::new(ResNet::small(3, resolution, classes, seed)),
-        other => return Err(format!("unknown model `{other}` (vgg|resnet)")),
-    };
-    run(model.as_mut());
-    if !save_path.is_empty() {
-        let saved = SavedModel {
-            model: model_kind,
-            resolution,
-            classes,
-            seed,
-            bits: (0..model.layer_count()).map(|i| model.bits_of(i)).collect(),
-            channels: (0..model.layer_count())
-                .map(|i| model.out_channels_of(i))
-                .collect(),
-            params: export_params(model.as_mut()),
-            norm_stats: model.norm_stats(),
-        };
-        save_model(&save_path, &saved)?;
+    }
+    println!(
+        "training complexity: {:.3}x (vs {}-epoch baseline)",
+        outcome.training_complexity, outcome.baseline_epochs
+    );
+    if !save_dir.is_empty() {
+        println!("saved the trained model's checkpoint in {save_dir}");
     }
     Ok(())
 }
@@ -461,8 +419,9 @@ fn print_help() {
          \x20 quantize   run Algorithm 1 on a synthetic task\n\
          \x20            --model vgg|resnet  --iters N  --epochs N  --prune\n\
          \x20            --classes K  --resolution R  --noise X  --seed S\n\
-         \x20            --save FILE.json\n\
-         \x20 eval       evaluate a saved model: --load FILE.json\n\
+         \x20            --save DIR   (checkpoint the run; the last file is the model)\n\
+         \x20 eval       evaluate a saved model: --load FILE.ckpt|DIR  --model vgg|resnet\n\
+         \x20            with the --classes/--resolution/--noise/--seed it trained with\n\
          \x20 baseline   train a uniform-precision baseline and print AD trends\n\
          \x20            --bits B  --epochs N  --seed S\n\
          \x20 energy     analytical + PIM energy of a published operating point\n\

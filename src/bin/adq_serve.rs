@@ -4,9 +4,10 @@
 //! adq-serve serve    [--addr 127.0.0.1:0] [--port-file PATH]
 //!                    [--max-batch N] [--max-wait-ms MS]
 //!                    [--replicas N] [--conn-workers N]
-//!                    [--queue-cap N] [--overload reject|shed-oldest]
+//!                    [--queue-cap N]
 //!                    [--access-log PATH] [--exemplars K]
-//!                    [--checkpoint PATH --arch tiny|small]
+//!                    [--model vgg|resnet] [--arch tiny|small]
+//!                    [--checkpoint PATH] [--channels C]
 //!                    [--seed S] [--resolution R] [--classes K] [--bits B]
 //! adq-serve probe    --addr HOST:PORT [--requests N]
 //!                    [--burst N [--expect-shed 0|1]]
@@ -24,12 +25,14 @@
 //! over the length-prefixed TCP protocol in `adq_infer::serve`: a fixed
 //! connection-worker pool multiplexes sockets, `--replicas` executor
 //! threads share the packed weights and run batches concurrently, and
-//! the request queue is bounded at `--queue-cap` with `--overload`
-//! picking what happens beyond it (503-style reject frames, or shedding
-//! the oldest queued request). The model is either the seeded demo VGG
-//! (default) or, with `--checkpoint PATH`, a *trained* artifact restored
-//! through the `CheckpointManager` pipeline — pass the same `--arch` /
-//! `--resolution` / `--classes` / `--channels` the training run used.
+//! the request queue is bounded at `--queue-cap`: a request beyond it
+//! gets a 503-style shed frame. The model is `--model vgg|resnet`
+//! (default `vgg`) at `--arch tiny|small` (default `small`): a seeded
+//! demo model at `--bits`, or, with `--checkpoint PATH`, the trained
+//! model a run checkpoint holds (a `.ckpt` file, or a directory whose
+//! latest file is taken, such as `adq quantize --save DIR` writes) —
+//! pass the same `--model` / `--arch` / `--resolution` / `--classes` /
+//! `--channels` the training run used.
 //!
 //! Port 0 picks an OS-assigned port; `--port-file` writes the bound
 //! address there (same handshake as `ADQ_METRICS_PORT_FILE`), which is
@@ -65,23 +68,25 @@
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use adq::core::checkpoint::{restore_model, CheckpointManager, RunCheckpoint};
+use adq::core::checkpoint::{load_checkpoint, restore_model};
+use adq::infer::compile::Graph;
 use adq::infer::serve::{
-    load_generate, load_generate_traced, stats_from_latencies, Client, LoadStats, OverloadPolicy,
-    Reply, ServeConfig, Server, TracedLoad,
+    load_generate, load_generate_traced, stats_from_latencies, Client, LoadStats, Reply,
+    ServeConfig, Server, TracedLoad,
 };
 use adq::infer::{CompileOptions, CompiledNet};
-use adq::nn::{QuantModel, Vgg};
+use adq::nn::{QuantModel, ResNet, Vgg};
 use adq::quant::BitWidth;
 use adq::telemetry::endpoint::MetricsEndpoint;
 use adq::telemetry::lifecycle::{self, RequestRecord};
 use adq::telemetry::metrics;
 use adq::telemetry::AccessLog;
-use adq::tensor::init;
+use adq::tensor::{init, Tensor};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -142,93 +147,93 @@ fn get<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> Result<T,
     }
 }
 
-/// Builds the served model: either the seeded demo VGG, or — with
-/// `--checkpoint PATH` — a trained artifact restored through the PR-2
-/// checkpoint pipeline. Returns the float model too so `load-gen` can
-/// measure the float baseline on identical weights.
-fn build_model(flags: &Flags) -> Result<(Vgg, CompiledNet), String> {
-    match flags.get("checkpoint") {
-        Some(path) => checkpoint_model(flags, path),
-        None => demo_model(flags),
+/// `Vgg::{tiny, small}` and `ResNet::{tiny, small}`:
+/// `(in_channels, input_hw, classes, seed)`.
+type Ctor<M> = fn(usize, usize, usize, u64) -> M;
+
+/// Builds the served model, `--model vgg|resnet` at `--arch tiny|small`,
+/// and lowers it. Returns the float model too so `load-gen` can measure
+/// the float baseline on identical weights.
+fn build_model(flags: &Flags) -> Result<(Box<dyn QuantModel>, CompiledNet), String> {
+    match flags.get("model").map_or("vgg", String::as_str) {
+        "vgg" => lower(flags, Vgg::tiny, Vgg::small),
+        "resnet" => lower(flags, ResNet::tiny, ResNet::small),
+        other => Err(format!("flag --model: `{other}` is not vgg|resnet")),
     }
 }
 
-/// The demo model: a seeded small VGG with every layer quantized at
-/// `--bits`, compiled against a seeded calibration batch. Deterministic,
-/// so `serve`, `probe` and `load-gen` agree on weights.
-fn demo_model(flags: &Flags) -> Result<(Vgg, CompiledNet), String> {
+/// Without `--checkpoint`, the demo model: seeded, with every layer at
+/// `--bits`. Deterministic, so `serve`, `probe` and `load-gen` agree on
+/// weights. With `--checkpoint PATH` (a `.ckpt` file, or a directory
+/// whose latest file is taken), the trained model restored onto a fresh
+/// instance; the architecture flags must match the originating run, and
+/// the construction seed is irrelevant because the restore overwrites
+/// every parameter.
+fn lower<M>(
+    flags: &Flags,
+    tiny: Ctor<M>,
+    small: Ctor<M>,
+) -> Result<(Box<dyn QuantModel>, CompiledNet), String>
+where
+    M: QuantModel + 'static,
+    for<'a> &'a M: Into<Graph<'a>>,
+{
     let seed: u64 = get(flags, "seed", 0)?;
     let resolution: usize = get(flags, "resolution", 16)?;
     let classes: usize = get(flags, "classes", 10)?;
-    let bits: u32 = get(flags, "bits", 8)?;
-    let bits = BitWidth::new(bits).map_err(|e| e.to_string())?;
-    let mut model = Vgg::small(3, resolution, classes, seed);
-    for index in 0..model.layer_stats().len() {
-        model.set_bits_of(index, Some(bits));
-    }
-    let compiled = compile_with_seeded_calibration(&model, flags)?;
-    Ok((model, compiled))
-}
-
-/// Restores a trained checkpoint (a `.ckpt` file, or a checkpoint
-/// directory whose latest is taken) onto a freshly constructed model and
-/// lowers it to the integer engine. Architecture flags must match the
-/// originating run; the construction seed is irrelevant because every
-/// parameter is overwritten by the restore.
-fn checkpoint_model(flags: &Flags, path: &str) -> Result<(Vgg, CompiledNet), String> {
-    let ckpt = load_checkpoint(path)?;
-    let resolution: usize = get(flags, "resolution", 16)?;
-    let classes: usize = get(flags, "classes", 10)?;
     let channels: usize = get(flags, "channels", 3)?;
-    let arch = flags.get("arch").map(String::as_str).unwrap_or("small");
-    let mut model = match arch {
-        "tiny" => Vgg::tiny(channels, resolution, classes, 0),
-        "small" => Vgg::small(channels, resolution, classes, 0),
+    let arch = flags.get("arch").map_or("small", String::as_str);
+    let build = match arch {
+        "tiny" => tiny,
+        "small" => small,
         other => return Err(format!("flag --arch: unknown architecture `{other}`")),
     };
-    restore_model(&mut model, &ckpt).map_err(|e| {
-        format!(
-            "cannot restore {path} onto --arch {arch} --resolution {resolution} \
-             --classes {classes} --channels {channels}: {e}"
-        )
-    })?;
-    println!(
-        "restored checkpoint {path} ({} completed iterations, bits {:?})",
-        ckpt.iterations.len(),
-        ckpt.bits
-            .iter()
-            .map(|b| b.map(|b| b.get()))
-            .collect::<Vec<_>>()
-    );
-    let compiled = compile_with_seeded_calibration(&model, flags)?;
-    Ok((model, compiled))
-}
-
-fn load_checkpoint(path: &str) -> Result<RunCheckpoint, String> {
-    let p = std::path::Path::new(path);
-    if p.is_dir() {
-        CheckpointManager::new(p)
-            .and_then(|m| m.load_latest())
-            .map_err(|e| format!("cannot load checkpoint dir {path}: {e}"))?
-            .ok_or_else(|| format!("checkpoint dir {path} holds no checkpoints"))
-    } else {
-        RunCheckpoint::load(p).map_err(|e| format!("cannot load checkpoint {path}: {e}"))
+    let mut model = build(channels, resolution, classes, seed);
+    match flags.get("checkpoint") {
+        Some(path) => {
+            let ckpt = load_checkpoint(Path::new(path))
+                .map_err(|e| format!("cannot load checkpoint {path}: {e}"))?;
+            restore_model(&mut model, &ckpt).map_err(|e| {
+                format!(
+                    "cannot restore {path} onto --model {} --arch {arch} --resolution \
+                     {resolution} --classes {classes} --channels {channels}: {e}",
+                    model.name()
+                )
+            })?;
+            println!(
+                "restored checkpoint {path} ({} completed iterations, bits {:?})",
+                ckpt.iterations.len(),
+                ckpt.bits
+                    .iter()
+                    .map(|b| b.map(|b| b.get()))
+                    .collect::<Vec<_>>()
+            );
+        }
+        None => {
+            let bits = BitWidth::new(get(flags, "bits", 8)?).map_err(|e| e.to_string())?;
+            for index in 0..model.layer_count() {
+                model.set_bits_of(index, Some(bits));
+            }
+        }
     }
+    let calibration = seeded_calibration(&model, flags)?;
+    let compiled = CompiledNet::compile(&model, &calibration, CompileOptions::default())
+        .map_err(|e| e.to_string())?;
+    Ok((Box::new(model), compiled))
 }
 
 /// Post-training activation calibration for the serving binary: a seeded
 /// normal batch at the model's input shape (`--calib-seed`,
 /// `--calib-batch`). Deterministic, so every process lowering the same
 /// weights with the same flags produces bit-identical range tables.
-fn compile_with_seeded_calibration(model: &Vgg, flags: &Flags) -> Result<CompiledNet, String> {
+fn seeded_calibration(model: &dyn QuantModel, flags: &Flags) -> Result<Tensor, String> {
     let seed: u64 = get(flags, "calib-seed", get(flags, "seed", 0)?)?;
     let batch: usize = get(flags, "calib-batch", 16)?;
     let stats = model.layer_stats();
     let hw = stats[0].input_hw;
     let channels = stats[0].geom.as_ref().map_or(3, |g| g.in_channels);
     let mut rng = init::rng(seed ^ 0xCA11B8A7E);
-    let calibration = init::normal(&[batch, channels, hw, hw], 0.0, 1.0, &mut rng);
-    CompiledNet::compile(model, &calibration, CompileOptions::default()).map_err(|e| e.to_string())
+    Ok(init::normal(&[batch, channels, hw, hw], 0.0, 1.0, &mut rng))
 }
 
 /// Batching, pool and admission settings: each flag left unset takes its
@@ -241,23 +246,12 @@ fn serve_config(flags: &Flags) -> Result<ServeConfig, String> {
             "flag --max-wait-ms: `{max_wait_ms}` must be a finite number >= 0"
         ));
     }
-    let overload = match flags.get("overload").map(String::as_str) {
-        None => defaults.overload,
-        Some("reject") => OverloadPolicy::Reject,
-        Some("shed-oldest") => OverloadPolicy::ShedOldest,
-        Some(other) => {
-            return Err(format!(
-                "flag --overload: `{other}` is not reject|shed-oldest"
-            ))
-        }
-    };
     Ok(ServeConfig {
         max_batch: get(flags, "max-batch", defaults.max_batch)?,
         max_wait: Duration::from_secs_f64(max_wait_ms / 1000.0),
         conn_workers: get(flags, "conn-workers", defaults.conn_workers)?,
         replicas: get(flags, "replicas", defaults.replicas)?,
         queue_cap: get(flags, "queue-cap", defaults.queue_cap)?,
-        overload,
     })
 }
 
@@ -306,12 +300,11 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     .map_err(|e| format!("cannot bind {addr}: {e}"))?;
     let bound = server.local_addr();
     println!(
-        "serving on {bound} ({} replicas, {} conn workers, queue cap {}, {:?} on overload, \
+        "serving on {bound} ({} replicas, {} conn workers, queue cap {}, \
          max batch {}, max wait {:?})",
         config.replicas.max(1),
         config.conn_workers.max(1),
         config.queue_cap.max(1),
-        config.overload,
         config.max_batch,
         config.max_wait
     );
@@ -443,10 +436,13 @@ fn cmd_shutdown(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Measures the unbatched float model: one `Vgg::forward` call per
-/// request on a single-image tensor.
-fn float_unbatched_baseline(model: &Vgg, requests: usize, seed: u64) -> Result<LoadStats, String> {
-    let mut model = model.clone();
+/// Measures the unbatched float model: one `forward` call per request
+/// on a single-image tensor.
+fn float_unbatched_baseline(
+    model: &mut dyn QuantModel,
+    requests: usize,
+    seed: u64,
+) -> Result<LoadStats, String> {
     let stats = model.layer_stats();
     let hw = stats[0].input_hw;
     let channels = stats[0].geom.as_ref().map_or(3, |g| g.in_channels);
@@ -503,7 +499,7 @@ fn record_json_traced(
 }
 
 fn cmd_load_gen(flags: &Flags) -> Result<(), String> {
-    let (model, compiled) = build_model(flags)?;
+    let (mut model, compiled) = build_model(flags)?;
     // --replicas is a sweep list here (not a single count as in `serve`);
     // the per-level server overrides ServeConfig::replicas anyway
     let mut scalar_flags = flags.clone();
@@ -534,7 +530,7 @@ fn cmd_load_gen(flags: &Flags) -> Result<(), String> {
     // the slow scalar baseline gets a smaller (but still exact) sample
     let baseline_requests = (requests / 4).max(8);
     println!("measuring float unbatched baseline ({baseline_requests} requests)...");
-    let baseline = float_unbatched_baseline(&model, baseline_requests, seed)?;
+    let baseline = float_unbatched_baseline(model.as_mut(), baseline_requests, seed)?;
     println!(
         "  float_unbatched: {:.1} req/s, p50 {:.2} ms, p99 {:.2} ms",
         baseline.throughput_rps(),
@@ -655,10 +651,6 @@ fn cmd_load_gen(flags: &Flags) -> Result<(), String> {
 
 fn print_help() {
     let defaults = ServeConfig::default();
-    let overload = match defaults.overload {
-        OverloadPolicy::Reject => "reject",
-        OverloadPolicy::ShedOldest => "shed-oldest",
-    };
     println!(
         "adq-serve — scaled-out integer inference server\n\
          \n\
@@ -668,10 +660,11 @@ fn print_help() {
          \x20 serve      lower a model to the integer engine and serve it over TCP\n\
          \x20            --addr 127.0.0.1:0  --port-file PATH\n\
          \x20            --replicas N ({replicas})  --conn-workers N ({conn_workers})\n\
-         \x20            --queue-cap N ({queue_cap})  --overload reject|shed-oldest ({overload})\n\
+         \x20            --queue-cap N ({queue_cap})   (beyond it: shed frames)\n\
          \x20            --max-batch N ({max_batch})  --max-wait-ms MS ({max_wait_ms})\n\
          \x20            --access-log PATH  --exemplars K\n\
-         \x20            --checkpoint PATH  --arch tiny|small  --channels C\n\
+         \x20            --model vgg|resnet (vgg)  --arch tiny|small (small)\n\
+         \x20            --checkpoint FILE.ckpt|DIR  --channels C\n\
          \x20            --seed S  --resolution R  --classes K  --bits B\n\
          \x20 probe      send a few inference requests, check the responses\n\
          \x20            --addr HOST:PORT  --requests N\n\

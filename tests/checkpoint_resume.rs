@@ -235,5 +235,11 @@ fn checkpoint_and_resume_events_are_emitted() {
         !kinds.contains(&"RunStarted"),
         "resume must not re-emit RunStarted: {kinds:?}"
     );
+    // the latest checkpoint is the one the run wrote when it stopped:
+    // resuming from it trains nothing
+    assert!(
+        !kinds.contains(&"EpochCompleted"),
+        "resuming from the final checkpoint trained again: {kinds:?}"
+    );
     let _ = fs::remove_dir_all(&dir);
 }

@@ -1,16 +1,18 @@
 //! Serving a *trained* artifact: checkpoint → restore → integer engine →
-//! wire protocol, golden-tested against the float model.
+//! wire protocol, golden-tested against the trained model.
 //!
-//! PR-2's `CheckpointManager` persists a training run; `restore_model`
-//! rebuilds the trained network (structural edits, bit-widths, params,
-//! norm stats) onto a fresh instance; `CompiledNet` lowers it to packed
-//! integer kernels; and `serve::Server` answers requests over TCP. This
-//! test drives that entire pipeline and asserts the served logits pick
-//! the same class as the float model on every evaluation sample — the same
-//! golden bar `tests/golden_equivalence.rs` sets for the in-process
-//! engine. A second test runs the `adq-serve` binary itself with
-//! `--checkpoint`, proving the CLI restore path lowers bit-identically
-//! to a library-side compile of the same checkpoint.
+//! `CheckpointManager` persists a training run, and the last checkpoint a
+//! run writes holds the model it ends with; `restore_model` rebuilds that
+//! network (structural edits, bit-widths, params, norm stats) onto a
+//! fresh instance; `CompiledNet` lowers it to packed integer kernels; and
+//! `serve::Server` answers requests over TCP. The first test drives that
+//! pipeline in-process: the restored model must equal the trained one bit
+//! for bit, the served logits must equal a lowering of the trained model
+//! bit for bit, and they must pick the float model's class on every
+//! evaluation sample. The second runs the `adq-serve` binary itself with
+//! `--checkpoint`, proving the CLI restore path serves exactly what a
+//! library-side compile of the trained model computes. Both run on a tiny
+//! VGG and a tiny ResNet.
 
 use std::fs;
 use std::path::PathBuf;
@@ -19,10 +21,12 @@ use std::sync::Arc;
 use adq::core::checkpoint::{restore_model, CheckpointManager};
 use adq::core::{AdQuantizer, AdqConfig};
 use adq::datasets::SyntheticSpec;
+use adq::infer::compile::Graph;
 use adq::infer::serve::{Client, ServeConfig, ServeModel, Server};
 use adq::infer::{CompileOptions, CompiledNet};
-use adq::nn::train::Dataset;
-use adq::nn::{QuantModel, Vgg};
+use adq::nn::train::{export_params, Dataset};
+use adq::nn::{QuantModel, ResNet, Vgg};
+use adq::quant::BitWidth;
 use adq::telemetry::NullSink;
 use adq::tensor::{init, Tensor};
 
@@ -35,23 +39,52 @@ fn scratch_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn argmax_rows(logits: &Tensor) -> Vec<usize> {
-    let [n, classes] = [logits.dims()[0], logits.dims()[1]];
-    (0..n)
-        .map(|i| {
-            let row = &logits.data()[i * classes..(i + 1) * classes];
-            row.iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(j, _)| j)
-                .expect("non-empty row")
-        })
-        .collect()
+fn argmax(row: &[f32]) -> usize {
+    row.iter()
+        .enumerate()
+        .max_by(|a, b| a.1.total_cmp(b.1))
+        .map(|(j, _)| j)
+        .expect("non-empty row")
 }
 
-/// Trains a tiny run with checkpointing enabled and returns the trained
-/// model, the datasets, and the checkpoint directory.
-fn checkpointed_task(name: &str) -> (Vgg, Dataset, Dataset, PathBuf) {
+fn argmax_rows(logits: &Tensor) -> Vec<usize> {
+    let classes = logits.dims()[1];
+    logits.data().chunks(classes).map(argmax).collect()
+}
+
+fn to_bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Everything a checkpoint restores, as raw bits: parameter shapes and
+/// values, batch-norm running statistics, per-layer bit-widths.
+type ModelBits = (
+    Vec<(Vec<usize>, Vec<u32>)>,
+    Vec<(Vec<u32>, Vec<u32>)>,
+    Vec<Option<BitWidth>>,
+);
+
+fn model_bits(model: &mut dyn QuantModel) -> ModelBits {
+    let params = export_params(model)
+        .iter()
+        .map(|t| (t.dims().to_vec(), to_bits(t.data())))
+        .collect();
+    let norm_stats = model
+        .norm_stats()
+        .iter()
+        .map(|(mean, var)| (to_bits(mean), to_bits(var)))
+        .collect();
+    let bits = (0..model.layer_count()).map(|i| model.bits_of(i)).collect();
+    (params, norm_stats, bits)
+}
+
+/// Trains a tiny run of the model `build(seed)` builds, with
+/// checkpointing enabled, and returns the trained model, the datasets,
+/// and the checkpoint directory.
+fn checkpointed_task<M: QuantModel>(
+    name: &str,
+    build: fn(u64) -> M,
+) -> (M, Dataset, Dataset, PathBuf) {
     let (train, test) = SyntheticSpec::cifar10_like()
         .with_classes(4)
         .with_resolution(8)
@@ -68,19 +101,32 @@ fn checkpointed_task(name: &str) -> (Vgg, Dataset, Dataset, PathBuf) {
     };
     let dir = scratch_dir(name);
     let manager = CheckpointManager::new(&dir).expect("manager");
-    let mut model = Vgg::tiny(3, 8, 4, 21);
+    let mut model = build(21);
     AdQuantizer::new(config)
         .run_checkpointed(&mut model, &train, &test, &NullSink, &manager)
         .expect("checkpointed training run");
     (model, train, test, dir)
 }
 
-/// checkpoint → `restore_model` → compile → serve: the logits coming
-/// back over the wire must pick the same class as the float forward pass
-/// of the originally trained model, for every eval sample.
-#[test]
-fn served_checkpoint_matches_deploy_golden_argmax() {
-    let (trained, train, test, dir) = checkpointed_task("golden");
+fn tiny_vgg(seed: u64) -> Vgg {
+    Vgg::tiny(3, 8, 4, seed)
+}
+
+fn tiny_resnet(seed: u64) -> ResNet {
+    ResNet::tiny(3, 8, 4, seed)
+}
+
+/// checkpoint → `restore_model` → compile → serve: the restored model is
+/// the trained one bit for bit, the logits coming back over the wire
+/// equal a lowering of the trained model bit for bit, and they pick the
+/// same class as the trained model's float forward pass on every eval
+/// sample.
+fn assert_served_checkpoint_is_the_trained_model<M>(name: &str, build: fn(u64) -> M)
+where
+    M: QuantModel + Clone,
+    for<'a> &'a M: Into<Graph<'a>>,
+{
+    let (mut trained, train, test, dir) = checkpointed_task(name, build);
 
     // the serving side never sees `trained` — only the checkpoint
     let ckpt = CheckpointManager::new(&dir)
@@ -88,13 +134,20 @@ fn served_checkpoint_matches_deploy_golden_argmax() {
         .load_latest()
         .expect("readable checkpoint")
         .expect("training wrote at least one checkpoint");
-    let mut restored = Vgg::tiny(3, 8, 4, 0); // construction seed is irrelevant
-    restore_model(&mut restored, &ckpt).expect("checkpoint restores onto a fresh tiny VGG");
+    let mut restored = build(0); // construction seed is irrelevant
+    restore_model(&mut restored, &ckpt).expect("checkpoint restores onto a fresh model");
+    assert!(
+        model_bits(&mut restored) == model_bits(&mut trained),
+        "{name}: the restored model's params, norm stats or bits differ from the trained model's"
+    );
 
     let compiled = Arc::new(
         CompiledNet::compile(&restored, &train.images, CompileOptions::default())
             .expect("restored model lowers"),
     );
+    let direct = CompiledNet::compile(&trained, &train.images, CompileOptions::default())
+        .expect("trained model lowers")
+        .run(&test.images);
     let want = argmax_rows(&trained.clone().forward(&test.images, false));
 
     let mut server = Server::bind(
@@ -118,15 +171,12 @@ fn served_checkpoint_matches_deploy_golden_argmax() {
             .expect("request completes")
             .into_result()
             .expect("request is answered, not refused");
-        assert_eq!(logits.len(), classes);
-        got.push(
-            logits
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(j, _)| j)
-                .expect("non-empty logits"),
+        assert_eq!(
+            to_bits(&logits),
+            to_bits(&direct.data()[i * classes..(i + 1) * classes]),
+            "{name}: served logits differ from the trained model's lowering on sample {i}"
         );
+        got.push(argmax(&logits));
     }
     server.shutdown();
 
@@ -134,7 +184,7 @@ fn served_checkpoint_matches_deploy_golden_argmax() {
     assert_eq!(
         agree,
         test.len(),
-        "served checkpoint disagreed with the float model on {} of {} eval samples \
+        "{name}: served checkpoint disagreed with the float model on {} of {} eval samples \
          (float {want:?} vs served {got:?})",
         test.len() - agree,
         test.len()
@@ -143,27 +193,29 @@ fn served_checkpoint_matches_deploy_golden_argmax() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// The `adq-serve` binary's `--checkpoint` path must lower the artifact
-/// bit-identically to a library-side compile of the same checkpoint with
-/// the same seeded calibration — the CLI adds flag plumbing, not a
-/// different numeric path.
 #[test]
-fn serve_binary_checkpoint_flag_serves_the_trained_artifact() {
-    let (trained, _train, test, dir) = checkpointed_task("binary");
+fn served_checkpoint_matches_deploy_golden_argmax() {
+    assert_served_checkpoint_is_the_trained_model("golden-vgg", tiny_vgg);
+    assert_served_checkpoint_is_the_trained_model("golden-resnet", tiny_resnet);
+}
 
-    // reference lowering: restore + compile in-process with the exact
-    // calibration the binary derives from its flags (seed 0, batch 16)
-    let ckpt = CheckpointManager::new(&dir)
-        .expect("manager")
-        .load_latest()
-        .expect("readable checkpoint")
-        .expect("training wrote at least one checkpoint");
-    let mut restored = Vgg::tiny(3, 8, 4, 0);
-    restore_model(&mut restored, &ckpt).expect("checkpoint restores");
+/// The `adq-serve` binary's `--checkpoint --model <model> --arch tiny`
+/// path must serve exactly what a library-side compile of the trained
+/// model computes with the same seeded calibration — the CLI adds flag
+/// plumbing, not a different numeric path.
+fn assert_binary_serves_the_trained_model<M>(name: &str, model_flag: &str, build: fn(u64) -> M)
+where
+    M: QuantModel + Clone,
+    for<'a> &'a M: Into<Graph<'a>>,
+{
+    let (trained, _train, test, dir) = checkpointed_task(name, build);
+
+    // reference lowering with the exact calibration the binary derives
+    // from its flags (seed 0, batch 16)
     let mut rng = init::rng(0xCA11B8A7E); // --calib-seed 0 ^ the binary's mix constant
     let calibration = init::normal(&[16, 3, 8, 8], 0.0, 1.0, &mut rng);
-    let reference = CompiledNet::compile(&restored, &calibration, CompileOptions::default())
-        .expect("restored model lowers");
+    let reference = CompiledNet::compile(&trained, &calibration, CompileOptions::default())
+        .expect("trained model lowers");
 
     let port_file = dir.join("port");
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_adq-serve"))
@@ -171,6 +223,8 @@ fn serve_binary_checkpoint_flag_serves_the_trained_artifact() {
             "serve",
             "--checkpoint",
             dir.to_str().expect("utf-8 dir"),
+            "--model",
+            model_flag,
             "--arch",
             "tiny",
             "--resolution",
@@ -197,7 +251,11 @@ fn serve_binary_checkpoint_flag_serves_the_trained_artifact() {
         }
         std::thread::sleep(std::time::Duration::from_millis(50));
     }
-    let addr = addr.expect("server wrote its bound address");
+    let Some(addr) = addr else {
+        let _ = child.kill();
+        let _ = child.wait();
+        panic!("{name}: server never wrote its bound address");
+    };
 
     let run = || -> std::io::Result<()> {
         let mut client = Client::connect(addr)?;
@@ -205,42 +263,48 @@ fn serve_binary_checkpoint_flag_serves_the_trained_artifact() {
         let classes = reference.classes();
         let direct = reference.run(&test.images);
         let want = argmax_rows(&trained.clone().forward(&test.images, false));
-        for (i, &want_class) in want.iter().enumerate().take(test.len()) {
+        for (i, &want_class) in want.iter().enumerate() {
             let row = &test.images.data()[i * input_len..(i + 1) * input_len];
             let logits = client
                 .infer(row)?
                 .into_result()
                 .expect("request answered, not refused");
-            // bit-identical to the reference lowering of the same artifact
+            // bit-identical to the reference lowering of the trained model
             assert_eq!(
-                logits,
-                &direct.data()[i * classes..(i + 1) * classes],
-                "binary served different logits than the reference compile for sample {i}"
+                to_bits(&logits),
+                to_bits(&direct.data()[i * classes..(i + 1) * classes]),
+                "{name}: binary served different logits than the reference compile for sample {i}"
             );
-            let got = logits
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(j, _)| j)
-                .expect("non-empty logits");
             assert_eq!(
-                got, want_class,
-                "served argmax disagreed with the float model on eval sample {i}"
+                argmax(&logits),
+                want_class,
+                "{name}: served argmax disagreed with the float model on eval sample {i}"
             );
         }
         client.shutdown_server()?;
         Ok(())
     };
-    let result = run();
     // make sure the child cannot outlive the test whatever happened
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
     let status = match result {
-        Ok(()) => child.wait().expect("server exits after shutdown"),
-        Err(e) => {
+        Ok(Ok(())) => child.wait().expect("server exits after shutdown"),
+        Ok(Err(e)) => {
             let _ = child.kill();
             let _ = child.wait();
-            panic!("wire session failed: {e}");
+            panic!("{name}: wire session failed: {e}");
+        }
+        Err(panic) => {
+            let _ = child.kill();
+            let _ = child.wait();
+            std::panic::resume_unwind(panic);
         }
     };
-    assert!(status.success(), "adq-serve exited with {status}");
+    assert!(status.success(), "{name}: adq-serve exited with {status}");
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn serve_binary_checkpoint_flag_serves_the_trained_artifact() {
+    assert_binary_serves_the_trained_model("binary-vgg", "vgg", tiny_vgg);
+    assert_binary_serves_the_trained_model("binary-resnet", "resnet", tiny_resnet);
 }

@@ -1,6 +1,7 @@
 //! Serde round-trips: experiment records and architecture specs are data
 //! (C-SERDE) — users persist outcomes and reload them for analysis.
 
+use adq::core::checkpoint::{load_checkpoint, StructuralOp};
 use adq::core::{paper, AdQuantizer, AdqConfig, AdqOutcome, IterationRecord};
 use adq::datasets::SyntheticSpec;
 use adq::energy::NetworkSpec;
@@ -109,8 +110,8 @@ fn pruned_model_saved_by_the_cli_loads_again() {
         .join("target/cli-save-tests")
         .join(std::process::id().to_string());
     std::fs::create_dir_all(&dir).expect("create scratch dir");
-    let path = dir.join("pruned.json");
-    let path = path.to_str().expect("utf-8 path");
+    let save = dir.join("pruned");
+    let path = save.to_str().expect("utf-8 path");
     let adq = |args: &[&str]| {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_adq"))
             .args(args)
@@ -131,19 +132,25 @@ fn pruned_model_saved_by_the_cli_loads_again() {
         &task[..],
     ]
     .concat());
-    #[derive(serde::Deserialize)]
-    struct Widths {
-        channels: Vec<usize>,
-    }
-    let saved: Widths =
-        serde_json::from_str(&std::fs::read_to_string(path).expect("saved file")).expect("json");
-    // Vgg::small before pruning: 16, 16, 32, 32, 64, 64 channels, 4 classes
-    assert_ne!(
-        saved.channels,
-        [16, 16, 32, 32, 64, 64, 4],
-        "nothing was pruned"
+    let saved = load_checkpoint(&save).expect("the run's checkpoint loads");
+    assert!(
+        saved
+            .structural_ops
+            .iter()
+            .any(|op| matches!(op, StructuralOp::Prune { .. })),
+        "nothing was pruned: {:?}",
+        saved.structural_ops
     );
     let eval = adq(&[&["eval", "--load", path], &task[..]].concat());
     assert!(eval.contains("test acc"), "{eval}");
+    // the first run's later files would shadow a second run's in `path`
+    let again = std::process::Command::new(env!("CARGO_BIN_EXE_adq"))
+        .args([&["quantize", "--iters", "1", "--save", path], &task[..]].concat())
+        .output()
+        .expect("run adq");
+    assert!(
+        !again.status.success(),
+        "quantize --save reused a directory that holds checkpoints"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
