@@ -61,6 +61,27 @@ impl DensityMeter {
         self.total += activations.len() as u64;
     }
 
+    /// Accumulates an NCHW activation tensor plane by plane, reading each
+    /// element once: `per_plane(i, nonzero)` receives plane `i`'s
+    /// non-zero count (plane `i` is image `i / C`, channel `i % C`), and
+    /// the meter adds their sum — the per-channel counts of a layer and
+    /// its meter come from one pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `activations` is not rank 4.
+    pub fn observe_planes(&mut self, activations: &Tensor, mut per_plane: impl FnMut(usize, u64)) {
+        let _timer = meter_timer();
+        assert_eq!(activations.rank(), 4, "observe_planes expects NCHW");
+        let spatial = activations.dims()[2] * activations.dims()[3];
+        for (i, plane) in activations.data().chunks_exact(spatial.max(1)).enumerate() {
+            let nonzero = adq_tensor::dispatch::count_nonzero_slice(plane) as u64;
+            per_plane(i, nonzero);
+            self.nonzero += nonzero;
+        }
+        self.total += activations.len() as u64;
+    }
+
     /// Activation Density: non-zero / total, or 0 if nothing observed.
     pub fn density(&self) -> f64 {
         if self.total == 0 {

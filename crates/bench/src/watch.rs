@@ -564,7 +564,6 @@ pub fn serving_summary(text: &str) -> Option<String> {
     let mut replicas = None;
     let mut queue_cap = None;
     let mut shed = None;
-    let mut rejected = None;
     for line in text.lines() {
         let Some((name, value)) = plain_sample(line) else {
             continue;
@@ -578,7 +577,6 @@ pub fn serving_summary(text: &str) -> Option<String> {
             "adq_serve_replicas" => replicas = Some(value),
             "adq_serve_queue_cap" => queue_cap = Some(value),
             "adq_serve_shed_total" => shed = Some(value),
-            "adq_serve_queue_rejected" => rejected = Some(value),
             _ => {}
         }
     }
@@ -608,10 +606,7 @@ pub fn serving_summary(text: &str) -> Option<String> {
     // surface overload even when zero: sheds are the signal that the
     // admission queue is saturating
     if let Some(s) = shed {
-        match rejected {
-            Some(r) => parts.push(format!("{s} shed ({r} rejected)")),
-            None => parts.push(format!("{s} shed")),
-        }
+        parts.push(format!("{s} shed"));
     }
     // per-stage tails, when the server exports the stage histograms:
     // queue-wait p99 against exec p99 splits "slow server" into
@@ -1005,8 +1000,6 @@ adq_serve_replicas 2\n\
 adq_serve_inflight 8\n\
 # TYPE adq_serve_shed_total counter\n\
 adq_serve_shed_total 5\n\
-# TYPE adq_serve_queue_rejected counter\n\
-adq_serve_queue_rejected 4\n\
 # TYPE adq_serve_batch_size histogram\n\
 adq_serve_batch_size_bucket{le=\"8\"} 30\n\
 adq_serve_batch_size_bucket{le=\"+Inf\"} 30\n\
@@ -1016,7 +1009,7 @@ adq_serve_batch_size_count 30\n";
         assert_eq!(
             summary,
             "serving: 2 replicas, queue depth 3/256, inflight 8, 120 requests, \
-             30 batches (avg 4.0/batch), 5 shed (4 rejected)"
+             30 batches (avg 4.0/batch), 5 shed"
         );
         // pre-replica exposition (no fan-out/shed samples) still condenses
         let old_page = "\
@@ -1074,7 +1067,6 @@ adq_serve_queue_cap 256\n\
 adq_serve_replicas 2\n\
 adq_serve_inflight 8\n\
 adq_serve_shed_total 5\n\
-adq_serve_queue_rejected 4\n\
 adq_serve_batch_size_bucket{le=\"8\"} 30\n\
 adq_serve_batch_size_bucket{le=\"+Inf\"} 30\n\
 adq_serve_batch_size_sum 120\n\
@@ -1087,7 +1079,7 @@ adq_serve_stage_exec_ns_bucket{le=\"+Inf\"} 30\n";
         assert_eq!(
             summary,
             "serving: 2 replicas, queue depth 3/256, inflight 8, 120 requests, \
-             30 batches (avg 4.0/batch), 5 shed (4 rejected), \
+             30 batches (avg 4.0/batch), 5 shed, \
              queue-wait p99 990ns, exec p99 2.0ms"
         );
     }

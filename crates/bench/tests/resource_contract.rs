@@ -4,7 +4,7 @@
 //! allocation, so the contract is exercised under the exact conditions
 //! of the regenerator binaries.
 //!
-//! Two properties:
+//! Three properties:
 //!
 //! 1. Tracking on vs. off yields **byte-identical** Algorithm-1
 //!    outcomes — counters never feed back into the computation.
@@ -12,6 +12,9 @@
 //!    carries the resource attribution (`flops`, `bytes_moved`, and —
 //!    because the shim is live here — allocator deltas) that
 //!    `adq-report` renders next to wall time.
+//! 3. A warm training step of the models `train` benchmarks allocates
+//!    at most a tenth of what it did while its non-GEMM passes still
+//!    allocated their outputs (global totals: pool workers count too).
 
 use std::sync::{Mutex, PoisonError};
 
@@ -21,9 +24,10 @@ use adq_bench as _;
 use adq_core::{AdQuantizer, AdqConfig, AdqOutcome};
 use adq_datasets::SyntheticSpec;
 use adq_nn::train::Dataset;
-use adq_nn::Vgg;
+use adq_nn::{softmax_cross_entropy, QuantModel, ResNet, Vgg, VggItem};
 use adq_telemetry::trace::{self, TraceSpan};
 use adq_telemetry::{alloc, span, MemorySink, NullSink};
+use adq_tensor::init;
 
 /// Tracking and the tracer level are process-global; tests in this file
 /// must not interleave.
@@ -159,4 +163,64 @@ fn untracked_spans_stay_attribution_free() {
             s.name
         );
     }
+}
+
+/// The Table-II dynamic VGG of the `train` benchmark workload, copied
+/// here so this test pins the shapes Algorithm 1 trains.
+const TABLE2_VGG: [VggItem; 8] = [
+    VggItem::Conv(16),
+    VggItem::Conv(16),
+    VggItem::Pool,
+    VggItem::Conv(32),
+    VggItem::Conv(32),
+    VggItem::Pool,
+    VggItem::Conv(64),
+    VggItem::Pool,
+];
+
+/// Heap bytes (all threads: pool workers allocate too) that one
+/// training-mode forward and backward of `model` allocates at batch 24
+/// on 16×16 images, after two warm steps.
+fn warm_step_alloc_bytes(model: &mut dyn QuantModel) -> u64 {
+    let mut r = init::rng(5);
+    let images = init::uniform(&[24, 3, 16, 16], -1.0, 1.0, &mut r);
+    let labels: Vec<usize> = (0..24).map(|i| i % 10).collect();
+    let mut step = || {
+        let logits = model.forward(&images, true);
+        let out = softmax_cross_entropy(&logits, &labels);
+        model.zero_grad();
+        model.backward(&out.grad);
+    };
+    step();
+    step();
+    alloc::set_tracking(true);
+    let before = alloc::global_totals().alloc_bytes;
+    step();
+    let bytes = alloc::global_totals().alloc_bytes - before;
+    alloc::set_tracking(false);
+    bytes
+}
+
+/// Bytes one warm step allocated when every batch-norm, ReLU, junction
+/// and layout pass still allocated its output: `ResNet::small(3, 16, 10)`
+/// and the Table-II VGG, measured as below.
+const ALLOCATING_STEP_BYTES: (u64, u64) = (25_058_612, 6_487_140);
+
+#[test]
+fn a_warm_training_step_allocates_almost_nothing() {
+    let _guard = GLOBALS.lock().unwrap_or_else(PoisonError::into_inner);
+    let resnet = warm_step_alloc_bytes(&mut ResNet::small(3, 16, 10, 1));
+    let vgg = warm_step_alloc_bytes(&mut Vgg::from_config(3, 16, 10, &TABLE2_VGG, false, 2));
+    // activations and gradients come from the thread's arena and go back
+    // to it; what is left are per-channel statistics, the head and the
+    // loss, far below one activation per layer
+    let (resnet_before, vgg_before) = ALLOCATING_STEP_BYTES;
+    assert!(
+        resnet * 10 <= resnet_before,
+        "ResNet step allocated {resnet} B (allocating passes: {resnet_before} B)"
+    );
+    assert!(
+        vgg * 10 <= vgg_before,
+        "VGG step allocated {vgg} B (allocating passes: {vgg_before} B)"
+    );
 }

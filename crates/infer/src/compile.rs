@@ -1099,11 +1099,12 @@ impl CompiledNet {
 fn skip_rows(proj: Option<&CompiledConv>, in_q: &Quantizer, input: &Planes) -> Vec<f32> {
     match proj {
         Some(proj) => proj.requantized_rows(Body::detect(), input.clone()),
-        None => input
-            .interior()
-            .into_iter()
-            .map(|c| in_q.dequantize(u64::from(c)))
-            .collect(),
+        None => {
+            let codes = input.interior();
+            let mut values = vec![0.0; codes.len()];
+            in_q.dequantize_slice(&codes, &mut values);
+            values
+        }
     }
 }
 

@@ -64,8 +64,7 @@
 //! `serve.latency_ns` (enqueue → response written) and
 //! `serve.batch_run_ns` histograms plus a per-replica
 //! `serve.replica{i}.batch_run_ns`; `serve.requests` / `serve.errors` /
-//! `serve.shed_total` / `serve.queue_rejected` / `serve.replica_panics`
-//! counters — all through the
+//! `serve.shed_total` / `serve.replica_panics` counters — all through the
 //! global [`adq_telemetry::metrics`] registry, so a `MetricsEndpoint` in
 //! the same process exposes them to Prometheus and `adq-watch --scrape`.
 //!
@@ -424,7 +423,6 @@ struct Shared {
     requests: Arc<metrics::Counter>,
     errors: Arc<metrics::Counter>,
     shed_total: Arc<metrics::Counter>,
-    queue_rejected: Arc<metrics::Counter>,
 }
 
 impl Shared {
@@ -472,7 +470,6 @@ impl Shared {
         // the one shed is a full queue's rejection
         if status == STATUS_SHED {
             self.shed_total.inc();
-            self.queue_rejected.inc();
         } else {
             self.errors.inc();
         }
@@ -585,7 +582,6 @@ impl Server {
             requests: m.counter("serve.requests"),
             errors: m.counter("serve.errors"),
             shed_total: m.counter("serve.shed_total"),
-            queue_rejected: m.counter("serve.queue_rejected"),
         });
         m.counter("serve.replica_panics");
         m.counter("serve.access_log.records");

@@ -1,6 +1,6 @@
 use adq_ad::DensityMeter;
 use adq_quant::{BitWidth, MovingAverageObserver, QuantRange, Quantizer, RangeObserver};
-use adq_tensor::{Conv2dGeom, Tensor};
+use adq_tensor::{recycle, take_tensor, Conv2dGeom, Tensor};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -198,21 +198,24 @@ impl ConvBlock {
 
     /// Forward pass. In training mode, density statistics accumulate and
     /// batch-norm uses batch statistics.
+    ///
+    /// The output comes from the calling thread's arena
+    /// ([`adq_tensor::take_tensor`]), and batch-norm, ReLU and activation
+    /// quantization transform it in place.
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         // weight fake-quantization (straight-through: master stays fp32)
-        let weight = match self.bits {
-            Some(bits) => match Quantizer::fit(bits, self.conv.weight.value.data()) {
-                Ok(q) => q.fake_quantize_tensor(&self.conv.weight.value),
-                Err(_) => self.conv.weight.value.clone(),
-            },
-            None => self.conv.weight.value.clone(),
-        };
+        let mut weight = self.conv.weight_copy();
+        if let Some(bits) = self.bits {
+            if let Ok(q) = Quantizer::fit(bits, self.conv.weight.value.data()) {
+                q.fake_quantize_tensor_inplace(&mut weight);
+            }
+        }
         let mut y = self.conv.forward_with_weight(input, weight);
         if let Some(bn) = self.bn.as_mut() {
-            y = bn.forward(&y, train);
+            bn.forward_in_place(&mut y, train);
         }
         if let Some(relu) = self.relu.as_mut() {
-            y = relu.forward(&y);
+            relu.forward_in_place(&mut y);
         }
         if train {
             self.observe(&y);
@@ -241,7 +244,11 @@ impl ConvBlock {
     /// Backward pass (activation quantization is straight-through).
     pub fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let g = self.backward_to_conv(grad_output);
-        self.conv.backward(g.as_ref().unwrap_or(grad_output))
+        let dx = self.conv.backward(g.as_ref().unwrap_or(grad_output));
+        if let Some(g) = g {
+            recycle(g);
+        }
+        dx
     }
 
     /// Backward pass for a network's first block, whose input needs no
@@ -250,34 +257,40 @@ impl ConvBlock {
     pub fn backward_params(&mut self, grad_output: &Tensor) {
         let g = self.backward_to_conv(grad_output);
         self.conv.backward_params(g.as_ref().unwrap_or(grad_output));
+        if let Some(g) = g {
+            recycle(g);
+        }
     }
 
-    /// The ReLU and batch-norm backward passes: the gradient at the
-    /// convolution's output, or `None` when the block has neither layer
-    /// and `grad_output` already is it.
+    /// The ReLU and batch-norm backward passes, in a buffer from the
+    /// calling thread's arena: the gradient at the convolution's output, or
+    /// `None` when the block has neither layer and `grad_output` already
+    /// is it.
     fn backward_to_conv(&mut self, grad_output: &Tensor) -> Option<Tensor> {
-        let g = self.relu.as_mut().map(|relu| relu.backward(grad_output));
-        match self.bn.as_mut() {
-            Some(bn) => Some(bn.backward(g.as_ref().unwrap_or(grad_output))),
-            None => g,
+        if self.relu.is_none() && self.bn.is_none() {
+            return None;
         }
+        let mut g = take_tensor(grad_output.dims());
+        g.data_mut().copy_from_slice(grad_output.data());
+        if let Some(relu) = self.relu.as_mut() {
+            relu.backward_in_place(&mut g);
+        }
+        if let Some(bn) = self.bn.as_mut() {
+            bn.backward_in_place(&mut g);
+        }
+        Some(g)
     }
 
+    /// Counts each output plane's nonzeros once, into its channel's
+    /// counts and the block's meter.
     fn observe(&mut self, y: &Tensor) {
-        self.meter.observe(y);
-        let (n, c) = (y.dims()[0], y.dims()[1]);
-        let spatial = y.dims()[2] * y.dims()[3];
-        for ni in 0..n {
-            for ci in 0..c {
-                let base = (ni * c + ci) * spatial;
-                let nz = y.data()[base..base + spatial]
-                    .iter()
-                    .filter(|&&v| v != 0.0)
-                    .count() as u64;
-                self.channel_nonzero[ci] += nz;
-                self.channel_total[ci] += spatial as u64;
-            }
-        }
+        let c = y.dims()[1];
+        let spatial = (y.dims()[2] * y.dims()[3]) as u64;
+        let (nonzero, total) = (&mut self.channel_nonzero, &mut self.channel_total);
+        self.meter.observe_planes(y, |i, nz| {
+            nonzero[i % c] += nz;
+            total[i % c] += spatial;
+        });
     }
 
     /// Prunes to the `keep` highest-density output channels, returning the

@@ -1,11 +1,20 @@
-use adq_tensor::Tensor;
+use adq_tensor::{with_thread_scratch, Tensor};
 
+use super::channels::channel_sums;
 use crate::param::Param;
 
 /// Batch normalisation over the channel axis of NCHW tensors.
 ///
 /// Training mode normalises with batch statistics and updates running
 /// estimates; evaluation mode uses the running estimates.
+///
+/// The passes run in place (the models call them on tensors they own)
+/// and allocate nothing on a warm thread: the normalised input `x̂` that
+/// backward needs lives in a buffer from the calling thread's arena
+/// ([`adq_tensor::with_thread_scratch`]), which backward gives back. Per-channel
+/// statistics sum several channels side by side, each in its serial
+/// order (image-major, then pixel), so they are the bits of a
+/// one-channel-at-a-time loop.
 ///
 /// # Example
 ///
@@ -34,7 +43,7 @@ pub struct BatchNorm2d {
 
 #[derive(Debug, Clone)]
 struct Cache {
-    x_hat: Tensor,
+    x_hat: Vec<f32>,
     inv_std: Vec<f32>,
 }
 
@@ -58,110 +67,144 @@ impl BatchNorm2d {
         self.channels
     }
 
-    /// Forward pass.
+    /// Forward pass into a new tensor.
     ///
     /// # Panics
     ///
     /// Panics if the input is not `[N, C, H, W]` with `C == channels`.
-    // indexed loops: `ci` addresses inv_stds, running stats and the
-    // gamma/beta parameters simultaneously
-    #[allow(clippy::needless_range_loop)]
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        assert_eq!(input.rank(), 4, "BatchNorm2d expects NCHW input");
-        assert_eq!(input.dims()[1], self.channels, "channel mismatch");
-        let (n, c, h, w) = (
-            input.dims()[0],
-            input.dims()[1],
-            input.dims()[2],
-            input.dims()[3],
-        );
-        let per_channel = (n * h * w) as f32;
-        let mut out = Tensor::zeros(input.dims());
-        let mut x_hat = Tensor::zeros(input.dims());
-        let mut inv_stds = vec![0.0f32; c];
-        for ci in 0..c {
-            let (mean, var) = if train {
-                let mut sum = 0.0f32;
-                let mut sq = 0.0f32;
-                for ni in 0..n {
-                    let plane = (ni * c + ci) * h * w;
-                    for &v in &input.data()[plane..plane + h * w] {
-                        sum += v;
-                        sq += v * v;
-                    }
-                }
-                let mean = sum / per_channel;
-                let var = (sq / per_channel - mean * mean).max(0.0);
-                self.running_mean[ci] += self.momentum * (mean - self.running_mean[ci]);
-                self.running_var[ci] += self.momentum * (var - self.running_var[ci]);
-                (mean, var)
-            } else {
-                (self.running_mean[ci], self.running_var[ci])
-            };
-            let inv_std = 1.0 / (var + self.eps).sqrt();
-            inv_stds[ci] = inv_std;
-            let g = self.gamma.value.data()[ci];
-            let b = self.beta.value.data()[ci];
-            for ni in 0..n {
-                let plane = (ni * c + ci) * h * w;
-                for i in plane..plane + h * w {
-                    let xh = (input.data()[i] - mean) * inv_std;
-                    x_hat.data_mut()[i] = xh;
-                    out.data_mut()[i] = g * xh + b;
-                }
-            }
-        }
-        if train {
-            self.cache = Some(Cache {
-                x_hat,
-                inv_std: inv_stds,
-            });
-        }
+        let mut out = input.clone();
+        self.forward_in_place(&mut out, train);
         out
     }
 
-    /// Backward pass (training statistics).
+    /// Forward pass, overwriting `x` with the normalised output. Training
+    /// mode also caches `x̂` for backward.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not `[N, C, H, W]` with `C == channels`.
+    // indexed loops: `ci` addresses the sums and the running stats at once
+    #[allow(clippy::needless_range_loop)]
+    pub(crate) fn forward_in_place(&mut self, x: &mut Tensor, train: bool) {
+        assert_eq!(x.rank(), 4, "BatchNorm2d expects NCHW input");
+        assert_eq!(x.dims()[1], self.channels, "channel mismatch");
+        let [n, c, h, w] = [0, 1, 2, 3].map(|d| x.dims()[d]);
+        // `hw` only sizes the plane chunks, which an empty input has none of
+        let hw = (h * w).max(1);
+        if let Some(stale) = self.cache.take() {
+            with_thread_scratch(|s| s.give(stale.x_hat));
+        }
+        let (mean, var) = if train {
+            let per_channel = (n * h * w) as f32;
+            let (mut sum, mut sq) = (vec![0.0f32; c], vec![0.0f32; c]);
+            channel_sums(
+                x.data(),
+                Some((x.data(), &mut sq)),
+                [n, c, h * w],
+                0.0,
+                &mut sum,
+            );
+            for ci in 0..c {
+                let mean = sum[ci] / per_channel;
+                let var = (sq[ci] / per_channel - mean * mean).max(0.0);
+                self.running_mean[ci] += self.momentum * (mean - self.running_mean[ci]);
+                self.running_var[ci] += self.momentum * (var - self.running_var[ci]);
+                (sum[ci], sq[ci]) = (mean, var);
+            }
+            (sum, sq)
+        } else {
+            (self.running_mean.clone(), self.running_var.clone())
+        };
+        let inv_std: Vec<f32> = var.iter().map(|v| 1.0 / (v + self.eps).sqrt()).collect();
+        let (gamma, beta) = (self.gamma.value.data(), self.beta.value.data());
+        let data = x.data_mut();
+        if train {
+            // one read of each element writes both x̂ and the output
+            let mut x_hat = with_thread_scratch(|s| s.take(data.len()));
+            for (i, (plane, hat)) in data
+                .chunks_exact_mut(hw)
+                .zip(x_hat.chunks_exact_mut(hw))
+                .enumerate()
+            {
+                let ci = i % c;
+                let (m, s, g, b) = (mean[ci], inv_std[ci], gamma[ci], beta[ci]);
+                for (v, xh) in plane.iter_mut().zip(hat) {
+                    *xh = (*v - m) * s;
+                    *v = g * *xh + b;
+                }
+            }
+            self.cache = Some(Cache { x_hat, inv_std });
+        } else {
+            for (i, plane) in data.chunks_exact_mut(hw).enumerate() {
+                let ci = i % c;
+                let (m, s, g, b) = (mean[ci], inv_std[ci], gamma[ci], beta[ci]);
+                for v in plane {
+                    *v = g * ((*v - m) * s) + b;
+                }
+            }
+        }
+    }
+
+    /// Backward pass into a new tensor (training statistics).
     ///
     /// # Panics
     ///
     /// Panics if called before a training-mode `forward`.
     pub fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+        let mut dx = grad_output.clone();
+        self.backward_in_place(&mut dx);
+        dx
+    }
+
+    /// Backward pass (training statistics): accumulates the γ/β
+    /// gradients and overwrites `grad` (the output gradient) with the
+    /// input gradient.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before a training-mode forward, or with a
+    /// gradient whose shape differs from that forward's input.
+    pub(crate) fn backward_in_place(&mut self, grad: &mut Tensor) {
         let cache = self
             .cache
             .take()
             .expect("BatchNorm2d::backward requires a training-mode forward");
-        let dims = grad_output.dims();
-        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        let per_channel = (n * h * w) as f32;
-        let mut dx = Tensor::zeros(dims);
+        let dims = grad.dims();
+        assert_eq!(dims.len(), 4, "BatchNorm2d expects an NCHW gradient");
+        let (n, c, area) = (dims[0], dims[1], dims[2] * dims[3]);
+        let hw = area.max(1);
+        assert_eq!(grad.len(), cache.x_hat.len(), "gradient shape mismatch");
+        let per_channel = (n * area) as f32;
+        // dβ, dγ and the two means dx needs
+        let (mut sum_dy, mut sum_dy_xhat) = (vec![0.0f32; c], vec![0.0f32; c]);
+        channel_sums(
+            grad.data(),
+            Some((&cache.x_hat, &mut sum_dy_xhat)),
+            [n, c, area],
+            0.0,
+            &mut sum_dy,
+        );
         for ci in 0..c {
-            // accumulate dβ, dγ, and the two means needed for dx
-            let mut sum_dy = 0.0f32;
-            let mut sum_dy_xhat = 0.0f32;
-            for ni in 0..n {
-                let plane = (ni * c + ci) * h * w;
-                for i in plane..plane + h * w {
-                    let dy = grad_output.data()[i];
-                    sum_dy += dy;
-                    sum_dy_xhat += dy * cache.x_hat.data()[i];
-                }
-            }
-            self.beta.grad.data_mut()[ci] += sum_dy;
-            self.gamma.grad.data_mut()[ci] += sum_dy_xhat;
-            let g = self.gamma.value.data()[ci];
-            let inv_std = cache.inv_std[ci];
-            let mean_dy = sum_dy / per_channel;
-            let mean_dy_xhat = sum_dy_xhat / per_channel;
-            for ni in 0..n {
-                let plane = (ni * c + ci) * h * w;
-                for i in plane..plane + h * w {
-                    let dy = grad_output.data()[i];
-                    let xh = cache.x_hat.data()[i];
-                    dx.data_mut()[i] = g * inv_std * (dy - mean_dy - xh * mean_dy_xhat);
-                }
+            self.beta.grad.data_mut()[ci] += sum_dy[ci];
+            self.gamma.grad.data_mut()[ci] += sum_dy_xhat[ci];
+        }
+        let gamma = self.gamma.value.data();
+        for (i, (plane, hat)) in grad
+            .data_mut()
+            .chunks_exact_mut(hw)
+            .zip(cache.x_hat.chunks_exact(hw))
+            .enumerate()
+        {
+            let ci = i % c;
+            let scale = gamma[ci] * cache.inv_std[ci];
+            let mean_dy = sum_dy[ci] / per_channel;
+            let mean_dy_xhat = sum_dy_xhat[ci] / per_channel;
+            for (dy, &xh) in plane.iter_mut().zip(hat) {
+                *dy = scale * (*dy - mean_dy - xh * mean_dy_xhat);
             }
         }
-        dx
+        with_thread_scratch(|s| s.give(cache.x_hat));
     }
 
     /// Snapshot of the running `(mean, variance)` statistics.

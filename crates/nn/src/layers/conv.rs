@@ -1,9 +1,10 @@
 use adq_tensor::{
-    conv_gemm_scratch, conv_input_grad_scratch, init, pad_input, Conv2dGeom, ConvGemm, PaddedInput,
-    Scratch, Tensor,
+    conv_gemm_scratch, conv_input_grad_scratch, init, pad_input, take_tensor, Conv2dGeom, ConvGemm,
+    PaddedInput, Scratch, Tensor,
 };
 use rand::Rng;
 
+use super::channels::channel_sums;
 use crate::param::Param;
 
 /// A 2-D convolution with square kernel, implemented as an implicit GEMM.
@@ -18,11 +19,13 @@ use crate::param::Param;
 /// ([`adq_tensor::conv_input_grad_scratch`]), so the column matrix is
 /// never stored; a first layer skips it ([`Conv2d::backward_params`]).
 ///
-/// The layer owns a [`Scratch`] arena: the padded input, GEMM pack panels
-/// and intermediate gradient matrices are recycled through it across
-/// batches instead of re-allocated per call (watch the
-/// `tensor.scratch.reuse_hits` counter). Cloning the layer clones weights
-/// but starts the clone's arena cold.
+/// The layer owns a [`Scratch`] arena: the padded input, the weight copy,
+/// GEMM pack panels and intermediate gradient matrices are recycled
+/// through it across batches instead of re-allocated per call (watch the
+/// `tensor.scratch.reuse_hits` counter). The output and the input
+/// gradient, which leave the layer, come from the calling thread's arena
+/// ([`adq_tensor::take_tensor`]). Cloning the layer clones weights but
+/// starts the clone's arena cold.
 ///
 /// # Example
 ///
@@ -79,13 +82,14 @@ impl Conv2d {
     ///
     /// Panics if `input` is not `[N, I, H, W]`.
     pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        let weight = self.weight.value.clone();
+        let weight = self.weight_copy();
         self.forward_with_weight(input, weight)
     }
 
     /// Forward pass with externally transformed weights (fake-quantized by
     /// [`crate::ConvBlock`]); gradients will be taken w.r.t. these weights
     /// and applied to the master copy (straight-through estimation).
+    /// Backward gives `weight`'s buffer to the layer's arena.
     ///
     /// # Panics
     ///
@@ -102,25 +106,31 @@ impl Conv2d {
         // back to the arena before they are re-taken below
         if let Some(stale) = self.cache.take() {
             stale.input.recycle(&mut self.scratch);
+            self.scratch.give(stale.used_weight.into_vec());
         }
         let padded =
             pad_input(input, &self.geom, &mut self.scratch).expect("input shape checked by caller");
         let out_mat = conv_gemm_scratch(&weight, &padded, ConvGemm::Forward, &mut self.scratch)
             .expect("weight/cols shapes agree by construction");
-        let out = rows_to_nchw(
-            &out_mat,
-            n,
-            self.geom.out_channels,
-            oh,
-            ow,
-            self.bias.value.data(),
-        );
+        let mut out = take_tensor(&[n, self.geom.out_channels, oh, ow]);
+        rows_to_nchw(&out_mat, self.bias.value.data(), &mut out);
         self.scratch.give(out_mat.into_vec());
         self.cache = Some(Cache {
             input: padded,
             used_weight: weight,
         });
         out
+    }
+
+    /// A copy of the master weights in a buffer from the layer's arena.
+    pub(crate) fn weight_copy(&mut self) -> Tensor {
+        let mut weight = Tensor::from_vec(
+            self.scratch.take(self.weight.value.len()),
+            self.weight.value.dims(),
+        )
+        .expect("sized to fit");
+        weight.data_mut().copy_from_slice(self.weight.value.data());
+        weight
     }
 
     /// Restructures the convolution to keep only the given output channels
@@ -208,7 +218,7 @@ impl Conv2d {
         let (n, o) = (grad_output.dims()[0], grad_output.dims()[1]);
         let (oh, ow) = (grad_output.dims()[2], grad_output.dims()[3]);
         assert_eq!(o, self.geom.out_channels, "grad channel mismatch");
-        let dy = nchw_to_rows(grad_output, n, o, oh, ow, &mut self.scratch);
+        let dy = nchw_to_rows(grad_output, &mut self.scratch);
         // dW = dY · colsᵀ
         let dw = conv_gemm_scratch(&dy, &cache.input, ConvGemm::WeightGrad, &mut self.scratch)
             .expect("dy/cols shapes agree");
@@ -217,11 +227,12 @@ impl Conv2d {
             .add_scaled(&dw, 1.0)
             .expect("gradient shape matches weight");
         self.scratch.give(dw.into_vec());
-        // db = row sums of dY
-        let cols_per_row = dy.dims()[1];
-        for oi in 0..o {
-            let row = &dy.data()[oi * cols_per_row..(oi + 1) * cols_per_row];
-            self.bias.grad.data_mut()[oi] += row.iter().sum::<f32>();
+        // db = per-channel sums of dY, each in `Iterator::sum`'s order and
+        // start value over the channel's `[N·OH·OW]` row
+        let mut db = vec![0.0f32; o];
+        channel_sums(grad_output.data(), None, [n, o, oh * ow], -0.0, &mut db);
+        for (grad, sum) in self.bias.grad.data_mut().iter_mut().zip(db) {
+            *grad += sum;
         }
         // dX = col2im(Wᵀ · dY), with W the weights actually used forward
         let dx = input_grad.then(|| {
@@ -230,29 +241,26 @@ impl Conv2d {
                 .expect("cache dims are consistent")
         });
         self.scratch.give(dy.into_vec());
+        self.scratch.give(cache.used_weight.into_vec());
         cache.input.recycle(&mut self.scratch);
         dx
     }
 }
 
-/// Rearranges `[O, N·OH·OW]` matmul output into NCHW, adding bias.
-fn rows_to_nchw(mat: &Tensor, n: usize, o: usize, oh: usize, ow: usize, bias: &[f32]) -> Tensor {
-    let mut out = Tensor::zeros(&[n, o, oh, ow]);
+/// Rearranges `[O, N·OH·OW]` matmul output into the NCHW `out`, adding
+/// bias; every element of `out` is written.
+fn rows_to_nchw(mat: &Tensor, bias: &[f32], out: &mut Tensor) {
+    let [n, o, oh, ow] = [0, 1, 2, 3].map(|d| out.dims()[d]);
     let spatial = oh * ow;
     let src = mat.data();
-    let dst = out.data_mut();
-    for oi in 0..o {
+    for (i, dst) in out.data_mut().chunks_exact_mut(spatial.max(1)).enumerate() {
+        let (ni, oi) = (i / o, i % o);
         let b = bias[oi];
-        let row = &src[oi * n * spatial..(oi + 1) * n * spatial];
-        for ni in 0..n {
-            let dst_base = (ni * o + oi) * spatial;
-            let src_base = ni * spatial;
-            for s in 0..spatial {
-                dst[dst_base + s] = row[src_base + s] + b;
-            }
+        let row = &src[(oi * n + ni) * spatial..][..spatial];
+        for (d, &v) in dst.iter_mut().zip(row) {
+            *d = v + b;
         }
     }
-    out
 }
 
 /// Inverse of [`rows_to_nchw`] (without bias): NCHW → `[O, N·OH·OW]`,
@@ -260,24 +268,13 @@ fn rows_to_nchw(mat: &Tensor, n: usize, o: usize, oh: usize, ow: usize, bias: &[
 /// gives this buffer back to the arena, so taking it from there too keeps
 /// the pool at a fixed size across batches instead of growing by one
 /// buffer per call.
-fn nchw_to_rows(
-    t: &Tensor,
-    n: usize,
-    o: usize,
-    oh: usize,
-    ow: usize,
-    scratch: &mut Scratch,
-) -> Tensor {
+fn nchw_to_rows(t: &Tensor, scratch: &mut Scratch) -> Tensor {
+    let [n, o, oh, ow] = [0, 1, 2, 3].map(|d| t.dims()[d]);
     let spatial = oh * ow;
-    let mut dst = scratch.take(o * n * spatial);
-    let src = t.data();
-    for oi in 0..o {
-        let row = &mut dst[oi * n * spatial..(oi + 1) * n * spatial];
-        for ni in 0..n {
-            let src_base = (ni * o + oi) * spatial;
-            let dst_base = ni * spatial;
-            row[dst_base..dst_base + spatial].copy_from_slice(&src[src_base..src_base + spatial]);
-        }
+    let mut dst = scratch.take(t.len());
+    for (i, plane) in t.data().chunks_exact(spatial.max(1)).enumerate() {
+        let (ni, oi) = (i / o, i % o);
+        dst[(oi * n + ni) * spatial..][..spatial].copy_from_slice(plane);
     }
     Tensor::from_vec(dst, &[o, n * spatial]).expect("sized to fit")
 }

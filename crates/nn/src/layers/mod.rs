@@ -5,6 +5,7 @@
 //! `forward` — the training loop in `adq-nn::train` always pairs them.
 
 mod batchnorm;
+mod channels;
 mod conv;
 mod linear;
 mod pool;

@@ -1,7 +1,10 @@
-use adq_tensor::Tensor;
+use adq_tensor::{take_tensor, take_tensor_zeroed, Tensor};
 
 /// Max pooling with square window and stride equal to the window size
 /// (the configuration used by VGG).
+///
+/// Outputs and input gradients come from the calling thread's arena
+/// ([`adq_tensor::take_tensor`]) and the argmax cache reuses one buffer.
 ///
 /// # Example
 ///
@@ -20,12 +23,8 @@ use adq_tensor::Tensor;
 #[derive(Debug, Clone)]
 pub struct MaxPool2d {
     window: usize,
-    cache: Option<Cache>,
-}
-
-#[derive(Debug, Clone)]
-struct Cache {
-    input_dims: Vec<usize>,
+    /// Input dims of a forward pass backward has not consumed.
+    input_dims: Option<[usize; 4]>,
     argmax: Vec<usize>,
 }
 
@@ -39,7 +38,8 @@ impl MaxPool2d {
         assert!(window > 0, "pool window must be positive");
         Self {
             window,
-            cache: None,
+            input_dims: None,
+            argmax: Vec::new(),
         }
     }
 
@@ -55,21 +55,18 @@ impl MaxPool2d {
     /// Panics on rank ≠ 4 or indivisible spatial dims.
     pub fn forward(&mut self, input: &Tensor) -> Tensor {
         assert_eq!(input.rank(), 4, "MaxPool2d expects NCHW input");
-        let (n, c, h, w) = (
-            input.dims()[0],
-            input.dims()[1],
-            input.dims()[2],
-            input.dims()[3],
-        );
+        let [n, c, h, w] = [0, 1, 2, 3].map(|d| input.dims()[d]);
         assert!(
             h % self.window == 0 && w % self.window == 0,
             "spatial dims {h}x{w} not divisible by window {}",
             self.window
         );
         let (oh, ow) = (h / self.window, w / self.window);
-        let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        let mut argmax = vec![0usize; n * c * oh * ow];
+        let len = n * c * oh * ow;
+        let mut out = take_tensor(&[n, c, oh, ow]);
+        self.argmax.resize(len, 0);
         let src = input.data();
+        let dst = out.data_mut();
         for ni in 0..n {
             for ci in 0..c {
                 let plane = (ni * c + ci) * h * w;
@@ -88,16 +85,13 @@ impl MaxPool2d {
                             }
                         }
                         let out_idx = ((ni * c + ci) * oh + oy) * ow + ox;
-                        out.data_mut()[out_idx] = best;
-                        argmax[out_idx] = best_idx;
+                        dst[out_idx] = best;
+                        self.argmax[out_idx] = best_idx;
                     }
                 }
             }
         }
-        self.cache = Some(Cache {
-            input_dims: input.dims().to_vec(),
-            argmax,
-        });
+        self.input_dims = Some([n, c, h, w]);
         out
     }
 
@@ -107,24 +101,28 @@ impl MaxPool2d {
     ///
     /// Panics if called before `forward`.
     pub fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let cache = self
-            .cache
+        let dims = self
+            .input_dims
             .take()
             .expect("MaxPool2d::backward called without forward");
         assert_eq!(
-            cache.argmax.len(),
+            self.argmax.len(),
             grad_output.len(),
             "gradient shape mismatch"
         );
-        let mut dx = Tensor::zeros(&cache.input_dims);
-        for (out_idx, &in_idx) in cache.argmax.iter().enumerate() {
-            dx.data_mut()[in_idx] += grad_output.data()[out_idx];
+        let mut dx = take_tensor_zeroed(&dims);
+        let data = dx.data_mut();
+        for (&in_idx, &g) in self.argmax.iter().zip(grad_output.data()) {
+            data[in_idx] += g;
         }
         dx
     }
 }
 
 /// Global average pooling: `[N, C, H, W] → [N, C]` (ResNet's head).
+///
+/// The input gradient comes from the calling thread's arena
+/// ([`adq_tensor::take_tensor`]).
 ///
 /// # Example
 ///
@@ -139,7 +137,7 @@ impl MaxPool2d {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct GlobalAvgPool {
-    input_dims: Option<Vec<usize>>,
+    input_dims: Option<[usize; 4]>,
 }
 
 impl GlobalAvgPool {
@@ -155,12 +153,7 @@ impl GlobalAvgPool {
     /// Panics on rank ≠ 4.
     pub fn forward(&mut self, input: &Tensor) -> Tensor {
         assert_eq!(input.rank(), 4, "GlobalAvgPool expects NCHW input");
-        let (n, c, h, w) = (
-            input.dims()[0],
-            input.dims()[1],
-            input.dims()[2],
-            input.dims()[3],
-        );
+        let [n, c, h, w] = [0, 1, 2, 3].map(|d| input.dims()[d]);
         let area = (h * w) as f32;
         let mut out = Tensor::zeros(&[n, c]);
         for ni in 0..n {
@@ -170,7 +163,7 @@ impl GlobalAvgPool {
                 *out.at2_mut(ni, ci) = sum / area;
             }
         }
-        self.input_dims = Some(input.dims().to_vec());
+        self.input_dims = Some([n, c, h, w]);
         out
     }
 
@@ -184,17 +177,14 @@ impl GlobalAvgPool {
             .input_dims
             .take()
             .expect("GlobalAvgPool::backward called without forward");
-        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        let area = (h * w) as f32;
-        let mut dx = Tensor::zeros(&dims);
-        for ni in 0..n {
-            for ci in 0..c {
-                let g = grad_output.at2(ni, ci) / area;
-                let plane = (ni * c + ci) * h * w;
-                for v in &mut dx.data_mut()[plane..plane + h * w] {
-                    *v = g;
-                }
-            }
+        let area = (dims[2] * dims[3]) as f32;
+        let mut dx = take_tensor(&dims);
+        for (plane, &g) in dx
+            .data_mut()
+            .chunks_exact_mut((dims[2] * dims[3]).max(1))
+            .zip(grad_output.data())
+        {
+            plane.fill(g / area);
         }
         dx
     }

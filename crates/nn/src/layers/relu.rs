@@ -5,6 +5,10 @@ use adq_tensor::Tensor;
 /// ReLU is the source of the exact zeros that Activation Density (eqn 2)
 /// counts; the AD meter in [`crate::ConvBlock`] taps this layer's output.
 ///
+/// The passes run in place (the models call them on tensors they own)
+/// and allocate nothing on a warm layer: the activation mask reuses one
+/// buffer across batches.
+///
 /// # Example
 ///
 /// ```
@@ -17,7 +21,9 @@ use adq_tensor::Tensor;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Relu {
-    mask: Option<Vec<bool>>,
+    mask: Vec<bool>,
+    /// Whether `mask` holds a forward pass backward has not consumed.
+    armed: bool,
 }
 
 impl Relu {
@@ -26,12 +32,23 @@ impl Relu {
         Self::default()
     }
 
-    /// Forward pass; caches the activation mask for backward.
+    /// Forward pass into a new tensor; caches the activation mask for
+    /// backward.
     pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        let mask: Vec<bool> = input.data().iter().map(|&x| x > 0.0).collect();
-        let out = input.map(|x| x.max(0.0));
-        self.mask = Some(mask);
+        let mut out = input.clone();
+        self.forward_in_place(&mut out);
         out
+    }
+
+    /// Forward pass in place; caches the activation mask for backward.
+    pub(crate) fn forward_in_place(&mut self, x: &mut Tensor) {
+        let data = x.data_mut();
+        self.mask.resize(data.len(), false);
+        for (m, v) in self.mask.iter_mut().zip(data) {
+            *m = *v > 0.0;
+            *v = v.max(0.0);
+        }
+        self.armed = true;
     }
 
     /// Backward pass: zeroes gradient where the input was non-positive.
@@ -40,18 +57,25 @@ impl Relu {
     ///
     /// Panics if called before `forward` or with a mismatched shape.
     pub fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mask = self
-            .mask
-            .take()
-            .expect("Relu::backward called without forward");
-        assert_eq!(mask.len(), grad_output.len(), "gradient shape mismatch");
-        let data = grad_output
-            .data()
-            .iter()
-            .zip(&mask)
-            .map(|(&g, &m)| if m { g } else { 0.0 })
-            .collect();
-        Tensor::from_vec(data, grad_output.dims()).expect("same element count")
+        let mut dx = grad_output.clone();
+        self.backward_in_place(&mut dx);
+        dx
+    }
+
+    /// Backward pass in place on the output gradient.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before `forward` or with a mismatched shape.
+    pub(crate) fn backward_in_place(&mut self, grad: &mut Tensor) {
+        assert!(self.armed, "Relu::backward called without forward");
+        assert_eq!(self.mask.len(), grad.len(), "gradient shape mismatch");
+        self.armed = false;
+        for (g, &m) in grad.data_mut().iter_mut().zip(&self.mask) {
+            if !m {
+                *g = 0.0;
+            }
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 use adq_ad::DensityMeter;
 use adq_quant::BitWidth;
-use adq_tensor::{Conv2dGeom, Tensor};
+use adq_tensor::{recycle, Conv2dGeom, Tensor};
 use rand::Rng;
 
 use crate::block::{ConvBlock, ConvBlockConfig, LinearHead};
@@ -80,43 +80,57 @@ impl BasicBlock {
         }
     }
 
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let main = self.conv1.forward(input, train);
-        let main = self.conv2.forward(&main, train);
-        let mut skip = match self.proj.as_mut() {
-            Some(p) => p.forward(input, train),
-            None => input.clone(),
-        };
+    /// Forward pass on an input the block owns: the skip is quantized in
+    /// place in it (or in the projection's output) and added into the
+    /// main branch's output, which the junction ReLU and quantizer then
+    /// transform in place. Every buffer the block is done with goes back
+    /// to the thread's arena.
+    fn forward(&mut self, mut input: Tensor, train: bool) -> Tensor {
+        let hidden = self.conv1.forward(&input, train);
+        let mut main = self.conv2.forward(&hidden, train);
+        recycle(hidden);
+        let mut projected = self.proj.as_mut().map(|p| p.forward(&input, train));
+        let skip = projected.as_mut().unwrap_or(&mut input);
         // Fig 2: quantize the skip branch at the destination bit-width
         if let Some(bits) = self.junction_bits {
             if let Ok(q) = adq_quant::Quantizer::fit(bits, skip.data()) {
-                q.fake_quantize_tensor_inplace(&mut skip);
+                q.fake_quantize_tensor_inplace(skip);
             }
         }
-        let sum = main.add(&skip).expect("main and skip shapes agree");
-        let mut y = self.junction_relu.forward(&sum);
+        main.add_scaled(skip, 1.0).expect("branch shapes agree");
+        if let Some(s) = projected {
+            recycle(s);
+        }
+        recycle(input);
+        self.junction_relu.forward_in_place(&mut main);
         if train {
-            self.junction_meter.observe(&y);
+            self.junction_meter.observe(&main);
         }
         if let Some(bits) = self.junction_bits {
-            if let Ok(q) = adq_quant::Quantizer::fit(bits, y.data()) {
-                q.fake_quantize_tensor_inplace(&mut y);
+            if let Ok(q) = adq_quant::Quantizer::fit(bits, main.data()) {
+                q.fake_quantize_tensor_inplace(&mut main);
             }
         }
-        y
+        main
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let g = self.junction_relu.backward(grad_output);
-        let g_main = self.conv2.backward(&g);
-        let gx_main = self.conv1.backward(&g_main);
-        let gx_skip = match self.proj.as_mut() {
-            Some(p) => p.backward(&g),
-            None => g,
-        };
-        gx_main
-            .add(&gx_skip)
-            .expect("skip and main input shapes agree")
+    /// Backward pass on an output gradient the block owns; returns the
+    /// input gradient.
+    fn backward(&mut self, mut grad: Tensor) -> Tensor {
+        self.junction_relu.backward_in_place(&mut grad);
+        let gx_skip = self.proj.as_mut().map(|p| p.backward(&grad));
+        let g_main = self.conv2.backward(&grad);
+        let mut gx = self.conv1.backward(&g_main);
+        recycle(g_main);
+        match gx_skip {
+            Some(s) => {
+                gx.add_scaled(&s, 1.0).expect("branch shapes agree");
+                recycle(s);
+            }
+            None => gx.add_scaled(&grad, 1.0).expect("branch shapes agree"),
+        }
+        recycle(grad);
+        gx
     }
 }
 
@@ -328,9 +342,10 @@ impl QuantModel for ResNet {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         let mut x = self.stem.forward(input, train);
         for block in &mut self.blocks {
-            x = block.forward(&x, train);
+            x = block.forward(x, train);
         }
         let pooled = self.gap.forward(&x);
+        recycle(x);
         self.head.forward(&pooled, train)
     }
 
@@ -338,10 +353,11 @@ impl QuantModel for ResNet {
         let g = self.head.backward(grad_logits);
         let mut g = self.gap.backward(&g);
         for block in self.blocks.iter_mut().rev() {
-            g = block.backward(&g);
+            g = block.backward(g);
         }
         // the input image needs no gradient
         self.stem.backward_params(&g);
+        recycle(g);
     }
 
     fn visit_layers(&mut self, visitor: &mut dyn FnMut(LayerMut<'_>)) {
@@ -573,7 +589,7 @@ mod tests {
         let g = chained.head.backward(&grad);
         let mut g = chained.gap.backward(&g);
         for block in chained.blocks.iter_mut().rev() {
-            g = block.backward(&g);
+            g = block.backward(g);
         }
         let dx = chained.stem.backward(&g);
         assert_eq!(dx.dims(), x.dims());

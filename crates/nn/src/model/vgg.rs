@@ -1,5 +1,5 @@
 use adq_quant::BitWidth;
-use adq_tensor::{Conv2dGeom, Tensor};
+use adq_tensor::{recycle, Conv2dGeom, Tensor};
 
 use crate::block::{ConvBlock, ConvBlockConfig, LinearHead};
 use crate::layers::MaxPool2d;
@@ -218,17 +218,27 @@ impl QuantModel for Vgg {
     }
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut x = input.clone();
+        // each tensor a layer received goes back to the thread's arena
+        // once the layer is done with it; the image is only borrowed
+        let mut x: Option<Tensor> = None;
         for (block, pool) in self.blocks.iter_mut().zip(self.pools.iter_mut()) {
-            x = block.forward(&x, train);
-            if let Some(p) = pool {
-                x = p.forward(&x);
+            let mut y = block.forward(x.as_ref().unwrap_or(input), train);
+            if let Some(x) = x.take() {
+                recycle(x);
             }
+            if let Some(p) = pool {
+                let pooled = p.forward(&y);
+                recycle(std::mem::replace(&mut y, pooled));
+            }
+            x = Some(y);
         }
+        let mut x = x.expect("non-empty");
         let n = x.dims()[0];
         let features = x.len() / n.max(1);
-        let flat = x.reshaped(&[n, features]).expect("flatten preserves count");
-        self.head.forward(&flat, train)
+        x.reshape(&[n, features]).expect("flatten preserves count");
+        // not recycled: the head's input gradient, which backward hands to
+        // the last pool's arena slot, takes this buffer's place
+        self.head.forward(&x, train)
     }
 
     fn backward(&mut self, grad_logits: &Tensor) {
@@ -237,7 +247,7 @@ impl QuantModel for Vgg {
         let n = g.dims()[0];
         let c = self.blocks.last().expect("non-empty").geom().out_channels;
         let hw = self.head_hw;
-        g = g.reshaped(&[n, c, hw, hw]).expect("feature count matches");
+        g.reshape(&[n, c, hw, hw]).expect("feature count matches");
         for (i, (block, pool)) in self
             .blocks
             .iter_mut()
@@ -246,14 +256,17 @@ impl QuantModel for Vgg {
             .rev()
         {
             if let Some(p) = pool {
-                g = p.backward(&g);
+                let dx = p.backward(&g);
+                recycle(std::mem::replace(&mut g, dx));
             }
             // the input image needs no gradient
             if i == 0 {
                 block.backward_params(&g);
-            } else {
-                g = block.backward(&g);
+                recycle(g);
+                break;
             }
+            let dx = block.backward(&g);
+            recycle(std::mem::replace(&mut g, dx));
         }
     }
 

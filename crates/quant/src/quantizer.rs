@@ -129,6 +129,31 @@ impl Quantizer {
         (f64::from(self.range.min()) + code as f64 * self.step_f64()) as f32
     }
 
+    /// Decodes a slice of codes, `out[i] = dequantize(codes[i])`, with the
+    /// range minimum and step computed once instead of per code: the same
+    /// expression in the same order, so the values are the same bits as
+    /// [`Quantizer::dequantize`]'s, saturation of codes above `2^k − 1`
+    /// included.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `codes` and `out` differ in length.
+    pub fn dequantize_slice(&self, codes: &[u16], out: &mut [f32]) {
+        assert_eq!(codes.len(), out.len(), "one value per code");
+        if self.range.is_degenerate() {
+            out.fill(self.range.min());
+            return;
+        }
+        let (min, step, max_code) = (
+            f64::from(self.range.min()),
+            self.step_f64(),
+            self.bits.max_code(),
+        );
+        for (value, &code) in out.iter_mut().zip(codes) {
+            *value = (min + u64::from(code).min(max_code) as f64 * step) as f32;
+        }
+    }
+
     /// Quantize-dequantize: the value the hardware would actually compute
     /// with. This is the "fake quantization" applied to weights and
     /// activations during the paper's in-training quantization.
@@ -317,6 +342,26 @@ mod tests {
             enc.encode_into(&values, &mut codes);
             let want: Vec<u16> = values.iter().map(|&v| enc.encode(v) as u16).collect();
             assert_eq!(codes, want, "{quant:?}");
+        }
+    }
+
+    #[test]
+    fn dequantize_slice_is_bit_identical_to_dequantize() {
+        for bits in [2u32, 4, 8, 16] {
+            let codes: Vec<u16> = (0..=u16::MAX).collect();
+            // every code of the width, and the saturated ones above it
+            for (min, max) in [(-1.7f32, 2.3f32), (0.0, 6.5), (-3.0, -3.0)] {
+                let quantizer = q(bits, min, max);
+                let mut out = vec![0.0f32; codes.len()];
+                quantizer.dequantize_slice(&codes, &mut out);
+                for (&code, value) in codes.iter().zip(&out) {
+                    assert_eq!(
+                        value.to_bits(),
+                        quantizer.dequantize(u64::from(code)).to_bits(),
+                        "code {code} at {bits} bits over [{min}, {max}]"
+                    );
+                }
+            }
         }
     }
 

@@ -34,11 +34,11 @@ use rayon::prelude::*;
 
 use crate::gemm::{self, AStore, BOperand, Gather, MR, NR};
 use crate::im2col::{
-    count_lowering_resources, im2col_scratch, im2col_timer, lowering_histogram, scatter_plane_wide,
-    Conv2dGeom,
+    count_lowering_resources, im2col_scratch, im2col_timer, lowering_histogram, scatter_overwrites,
+    scatter_plane_wide, Conv2dGeom,
 };
 use crate::matmul::{dispatch_matmul, matmul_timer, GemmOp};
-use crate::scratch::{with_thread_scratch, Scratch};
+use crate::scratch::{take_tensor, take_tensor_zeroed, with_thread_scratch, Scratch};
 use crate::shape::ShapeError;
 use crate::tensor::Tensor;
 
@@ -163,16 +163,21 @@ pub fn pad_input(
         alloc::add_bytes_moved(4 * (input.len() + len) as u64);
     }
     let mut out = scratch.take(len);
-    let src = input.data();
-    for (plane, dst) in out.chunks_exact_mut(ph * pw).enumerate() {
-        let (border, rest) = dst.split_at_mut(pad * pw);
-        border.fill(0.0);
-        let (body, bottom) = rest.split_at_mut(h * pw);
-        bottom.fill(0.0);
-        for (row, dst_row) in body.chunks_exact_mut(pw).enumerate() {
-            dst_row[..pad].fill(0.0);
-            dst_row[pad..pad + w].copy_from_slice(&src[(plane * h + row) * w..][..w]);
-            dst_row[pad + w..].fill(0.0);
+    // a plane at a time: one clear of the whole padded plane, then one
+    // copy per image row (not three calls per row)
+    if input.is_empty() {
+        out.fill(0.0);
+    }
+    for (dst, src) in out
+        .chunks_exact_mut((ph * pw).max(1))
+        .zip(input.data().chunks_exact((h * w).max(1)))
+    {
+        dst.fill(0.0);
+        for (dst_row, src_row) in dst[pad * pw..]
+            .chunks_exact_mut(pw)
+            .zip(src.chunks_exact(w))
+        {
+            dst_row[pad..pad + w].copy_from_slice(src_row);
         }
     }
     let plane = ph * pw;
@@ -271,7 +276,8 @@ const INPUT_GRAD_BLOCK: usize = 32 * 1024;
 /// `4·(m·k + k·n)` bytes of operands plus the 4-byte input gradient —
 /// the column matrix is no operand in memory — and, as `col2im` does,
 /// 8 bytes per column-matrix element for the scatter. The packed weights
-/// come from `scratch`; per-task buffers from each worker's thread arena.
+/// come from `scratch`; the output from the calling thread's arena
+/// ([`crate::take_tensor`]), and per-task buffers from each worker's.
 ///
 /// # Errors
 ///
@@ -306,7 +312,13 @@ pub fn conv_input_grad_scratch(
             &[o, cols],
         ));
     }
-    let mut out = Tensor::zeros(input_dims);
+    // the scatter's gathered body stores every element; the other adds
+    // into them, so its output starts cleared
+    let mut out = if scatter_overwrites(geom) {
+        take_tensor(input_dims)
+    } else {
+        take_tensor_zeroed(input_dims)
+    };
     if out.is_empty() {
         return Ok(out);
     }
@@ -457,6 +469,9 @@ mod tests {
             let w = lcg_tensor(&[geom.out_channels, taps], 10 + i as u64);
             let dy = lcg_tensor(&[geom.out_channels, pixels], 20 + i as u64);
             let mut scratch = Scratch::new();
+            // the output comes from this thread's arena: stale contents
+            // there must not leak into it
+            crate::recycle(Tensor::full(&dims, f32::NAN));
             let got = conv_input_grad_scratch(&w, &dy, &dims, &geom, &mut scratch).unwrap();
             let want = col2im(&matmul_at_b(&w, &dy).unwrap(), &dims, &geom).unwrap();
             let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();

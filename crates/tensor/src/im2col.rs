@@ -320,7 +320,8 @@ const MAX_WIDE_KERNEL: usize = 16;
 /// [`scatter_plane`] onto a zeroed `dst` through the widest available
 /// path: at stride 1 on AVX-512, [`scatter_plane_avx512`]; otherwise
 /// `scatter_plane` itself. Both add the same values in the same order,
-/// so they agree bit for bit.
+/// so they agree bit for bit. `dst` may hold anything where
+/// [`scatter_overwrites`] holds; elsewhere it must start zeroed.
 pub(crate) fn scatter_plane_wide(
     cols: &[f32],
     ld: usize,
@@ -329,13 +330,25 @@ pub(crate) fn scatter_plane_wide(
     geom: &Conv2dGeom,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if geom.stride == 1 && geom.kernel <= MAX_WIDE_KERNEL && crate::gemm::avx512_available() {
+    if scatter_overwrites(geom) {
         // SAFETY: AVX-512F was detected at runtime; the stride is 1 and
         // the kernel fits the mask table.
         unsafe { scatter_plane_avx512(cols, ld, dst, hw, geom) };
         return;
     }
     scatter_plane(cols, ld, dst, hw, geom);
+}
+
+/// Whether [`scatter_plane_wide`] takes the gathered body for `geom`,
+/// which stores every element of the plane once instead of adding into
+/// it — so its `dst` need not start zeroed.
+pub(crate) fn scatter_overwrites(geom: &Conv2dGeom) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if geom.stride == 1 && geom.kernel <= MAX_WIDE_KERNEL && crate::gemm::avx512_available() {
+        return true;
+    }
+    let _ = geom;
+    false
 }
 
 /// [`scatter_plane`] onto a zeroed `dst` at stride 1, gathered instead

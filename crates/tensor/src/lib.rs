@@ -57,6 +57,6 @@ pub use matmul::{
     matmul, matmul_a_bt, matmul_a_bt_naive, matmul_a_bt_scratch, matmul_at_b, matmul_at_b_naive,
     matmul_at_b_scratch, matmul_naive, matmul_scratch,
 };
-pub use scratch::{with_thread_scratch, Scratch};
+pub use scratch::{recycle, take_tensor, take_tensor_zeroed, with_thread_scratch, Scratch};
 pub use shape::ShapeError;
 pub use tensor::Tensor;

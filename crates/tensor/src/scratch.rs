@@ -33,6 +33,8 @@ use std::sync::{Arc, OnceLock};
 
 use adq_telemetry::Counter;
 
+use crate::Tensor;
+
 fn reuse_hits() -> &'static Arc<Counter> {
     static HITS: OnceLock<Arc<Counter>> = OnceLock::new();
     HITS.get_or_init(|| adq_telemetry::metrics::global().counter("tensor.scratch.reuse_hits"))
@@ -298,6 +300,32 @@ thread_local! {
 /// borrowed).
 pub fn with_thread_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
     THREAD_SCRATCH.with(|cell| f(&mut cell.borrow_mut().scratch))
+}
+
+/// A tensor of `dims` in a buffer from the calling thread's arena, with
+/// **unspecified contents** (see [`Scratch::take`]).
+///
+/// Tensors that pass between layers — a layer's output, its input
+/// gradient — come from here, and the model gives each back
+/// ([`recycle`]) once the layer that received it is done. One arena per
+/// thread serves every layer, so a buffer freed by one layer is reused by
+/// the next one's output, as a heap allocator would reuse it, and a warm
+/// training step allocates nothing.
+pub fn take_tensor(dims: &[usize]) -> Tensor {
+    let len = crate::shape::element_count(dims);
+    Tensor::from_vec(with_thread_scratch(|s| s.take(len)), dims).expect("sized to fit")
+}
+
+/// [`take_tensor`] with every element zero (see [`Scratch::take_zeroed`]).
+pub fn take_tensor_zeroed(dims: &[usize]) -> Tensor {
+    let len = crate::shape::element_count(dims);
+    Tensor::from_vec(with_thread_scratch(|s| s.take_zeroed(len)), dims).expect("sized to fit")
+}
+
+/// Gives `t`'s buffer to the calling thread's arena, for a later
+/// [`take_tensor`] to reuse.
+pub fn recycle(t: Tensor) {
+    with_thread_scratch(|s| s.give(t.into_vec()));
 }
 
 #[cfg(test)]
