@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, then the tier-1 build + test suite.
-# Run from the repository root; fails fast on the first broken stage.
+# Run from the repository root; fails fast on the first broken stage,
+# except that every --bench gate runs before the script fails.
 #
 # Usage:
 #   ./ci.sh          tier-1 gate (fmt, clippy, build, test) — run on every PR
@@ -14,8 +15,10 @@
 #                    peak/alloc bytes to BENCH_memory.json, and the serving
 #                    load-generator's throughput + latency records to
 #                    BENCH_serving.json, at the repo root (the cross-PR perf
-#                    + memory trajectory) and fails if anything tracked in a
-#                    committed baseline regresses by more than 25%.
+#                    + memory trajectory). Every bench gate runs and prints
+#                    its pass or fail; the script fails at the end if any
+#                    gate failed (anything tracked in a committed baseline
+#                    regressing by more than its cap).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -371,6 +374,20 @@ if [[ "$FULL" -eq 1 ]]; then
     cargo test --release --test full_size_smoke -- --ignored
 fi
 
+# Bench gates run to the end even when one fails, so a failing kernels
+# gate does not hide the epoch, memory and serving verdicts after it.
+FAILED_GATES=()
+gate() {
+    local name="$1"
+    shift
+    if "$@"; then
+        echo "==> gate $name: pass"
+    else
+        echo "==> gate $name: FAIL"
+        FAILED_GATES+=("$name")
+    fi
+}
+
 if [[ "$BENCH" -eq 1 ]]; then
     echo "==> bench: criterion kernels (quick mode) -> BENCH_kernels.json"
     # Compare against the committed snapshot before overwriting it: the
@@ -385,13 +402,11 @@ if [[ "$BENCH" -eq 1 ]]; then
         cargo bench -p adq-bench --bench kernels
     if [[ -n "$baseline" ]]; then
         echo "==> bench: regression check vs committed baseline"
-        cargo run --release -p adq-bench --bin bench_check -- \
-            "$baseline" BENCH_kernels.json --max-regress 0.25 --scratch-within 0.25
+        gate kernels cargo run --release -p adq-bench --bin bench_check -- \
+            "$baseline" BENCH_kernels.json --max-regress 0.25
         rm -f "$baseline"
     else
-        echo "==> bench: no committed baseline yet (self-check only)"
-        cargo run --release -p adq-bench --bin bench_check -- \
-            BENCH_kernels.json --scratch-within 0.25
+        echo "==> bench: no committed kernels baseline yet (first snapshot)"
     fi
 
     echo "==> bench: criterion epoch (quick mode) -> BENCH_epoch.json"
@@ -404,7 +419,7 @@ if [[ "$BENCH" -eq 1 ]]; then
         cargo bench -p adq-bench --bench epoch
     if [[ -n "$epoch_baseline" ]]; then
         echo "==> bench: epoch regression check vs committed baseline"
-        cargo run --release -p adq-bench --bin bench_check -- \
+        gate epoch cargo run --release -p adq-bench --bin bench_check -- \
             "$epoch_baseline" BENCH_epoch.json --max-regress 0.25
         rm -f "$epoch_baseline"
     else
@@ -423,7 +438,7 @@ if [[ "$BENCH" -eq 1 ]]; then
     cp "$TRACE_SMOKE_DIR/memory.json" BENCH_memory.json
     if [[ -n "$mem_baseline" ]]; then
         echo "==> bench: memory regression check vs committed baseline"
-        cargo run --release -p adq-bench --bin bench_check -- \
+        gate memory cargo run --release -p adq-bench --bin bench_check -- \
             "$mem_baseline" BENCH_memory.json --key bytes --max-regress 0.25
         rm -f "$mem_baseline"
     else
@@ -444,15 +459,15 @@ if [[ "$BENCH" -eq 1 ]]; then
         # throughput gate, tight); the second pass gates the p99 tail.
         # Tail quantiles swing ~50% run-to-run on a single-core box, so
         # the p99 cap only catches a tail that at least doubles.
-        cargo run --release -p adq-bench --bin bench_check -- \
+        gate serving-throughput cargo run --release -p adq-bench --bin bench_check -- \
             "$serving_baseline" BENCH_serving.json \
             --key ns_per_request --max-regress 0.25
-        cargo run --release -p adq-bench --bin bench_check -- \
+        gate serving-p99 cargo run --release -p adq-bench --bin bench_check -- \
             "$serving_baseline" BENCH_serving.json --key p99_ns --max-regress 1.0
         # server-side queueing tail from the access log (records lacking
         # the key — e.g. the float baseline — are skipped): same loose
         # cap as p99_ns, queue waits swing with scheduling noise
-        cargo run --release -p adq-bench --bin bench_check -- \
+        gate serving-queue-wait cargo run --release -p adq-bench --bin bench_check -- \
             "$serving_baseline" BENCH_serving.json \
             --key queue_wait_p99_ns --max-regress 1.0
         rm -f "$serving_baseline"
@@ -463,10 +478,14 @@ if [[ "$BENCH" -eq 1 ]]; then
     # Self-check against the fresh snapshot: on multi-core boxes two
     # replicas should *beat* one; on the 1-core reference container the
     # extra executor must cost at most the allowed overhead.
-    cargo run --release -p adq-bench --bin bench_check -- \
+    gate replica-scaling cargo run --release -p adq-bench --bin bench_check -- \
         BENCH_serving.json --key ns_per_request \
         --within serving/int8_batched_c8_r2:serving/int8_batched_c8:0.25
 fi
 
 rm -rf "$TRACE_SMOKE_DIR"
+if [[ "${#FAILED_GATES[@]}" -gt 0 ]]; then
+    echo "ci: bench gates failed: ${FAILED_GATES[*]}" >&2
+    exit 1
+fi
 echo "ci: all green"

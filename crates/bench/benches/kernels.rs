@@ -14,14 +14,12 @@ use adq_infer::qgemm::{qgemm, Container, PackedMatrix};
 use adq_nn::{QuantModel, Vgg};
 use adq_quant::{BitWidth, QuantRange, Quantizer};
 use adq_tensor::{
-    conv_gemm_scratch, im2col, im2col_scratch, init, matmul, matmul_a_bt, matmul_a_bt_naive,
-    matmul_a_bt_scratch, matmul_at_b, matmul_at_b_naive, matmul_naive, matmul_scratch, pad_input,
-    Conv2dGeom, ConvGemm, Scratch, Tensor,
+    conv_gemm, im2col, init, matmul, matmul_a_bt, matmul_a_bt_naive, matmul_at_b,
+    matmul_at_b_naive, matmul_naive, pad_input, recycle, Conv2dGeom, ConvGemm, Tensor,
 };
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 
-/// `C = A·B` pairs: the blocked kernel vs the pre-PR naive kernel, plus a
-/// scratch-warm variant showing the arena amortising pack allocations.
+/// `C = A·B` pairs: the blocked kernel vs the pre-PR naive kernel.
 fn bench_gemm_nn(c: &mut Criterion) {
     // (group, m, k, n): paper-relevant GEMM shapes.
     // vgg19_conv:   O=512 filters over C·p² = 512·9 = 4608 taps, 1024 output
@@ -54,15 +52,6 @@ fn bench_gemm_nn(c: &mut Criterion) {
         });
         group.bench_function("blocked", |bch| {
             bch.iter(|| black_box(matmul(black_box(&a), black_box(&b)).expect("shapes agree")))
-        });
-        let mut scratch = Scratch::new();
-        group.bench_function("blocked_scratch", |bch| {
-            bch.iter(|| {
-                black_box(
-                    matmul_scratch(black_box(&a), black_box(&b), &mut scratch)
-                        .expect("shapes agree"),
-                )
-            })
         });
         group.finish();
     }
@@ -118,8 +107,7 @@ fn bench_gemm_transposed(c: &mut Criterion) {
     group.finish();
 }
 
-/// im2col lowering of a mid-network VGG-style activation, cold vs
-/// scratch-warm.
+/// im2col lowering of a mid-network VGG-style activation.
 fn bench_im2col(c: &mut Criterion) {
     let mut rng = init::rng(13);
     let input = init::normal(&[8, 64, 32, 32], 0.0, 1.0, &mut rng);
@@ -129,13 +117,6 @@ fn bench_im2col(c: &mut Criterion) {
     let mut group = c.benchmark_group("im2col");
     group.bench_function("vgg_3x3_pad1", |bch| {
         bch.iter(|| black_box(im2col(black_box(&input), &geom).unwrap()))
-    });
-    let mut scratch = Scratch::new();
-    group.bench_function("vgg_3x3_pad1_scratch", |bch| {
-        bch.iter(|| {
-            let cols = im2col_scratch(black_box(&input), &geom, &mut scratch).unwrap();
-            scratch.give(black_box(cols).into_vec());
-        })
     });
     group.bench_function("vgg_3x3_stride2", |bch| {
         bch.iter(|| black_box(im2col(black_box(&input), &strided).unwrap()))
@@ -147,8 +128,8 @@ fn bench_im2col(c: &mut Criterion) {
 /// 1, padding 1, batch 24) at the Table-II VGG's dominant shapes, plus
 /// full-size VGG-19's 512→512 layer at 4×4, whose `O = 512` spans eight
 /// `MC` row tiles: the implicit GEMM (pad once, gather `B` strips in the
-/// kernel) against the explicit im2col + matmul it replaced, both
-/// scratch-warm.
+/// kernel) against the explicit im2col + matmul it replaced, both warm in
+/// the thread's arena.
 fn bench_conv_lowering(c: &mut Criterion) {
     let mut group = c.benchmark_group("conv_lowering");
     for (channels, hw) in [(16usize, 16usize), (32, 8), (512, 4)] {
@@ -158,41 +139,36 @@ fn bench_conv_lowering(c: &mut Criterion) {
         let w = init::normal(&[channels, channels * 9], 0.0, 1.0, &mut rng);
         let dy = init::normal(&[channels, 24 * hw * hw], 0.0, 1.0, &mut rng);
         let shape = format!("c{channels}_hw{hw}");
-        let mut scratch = Scratch::new();
         group.bench_function(format!("fwd_{shape}_im2col_matmul"), |bch| {
             bch.iter(|| {
-                let cols = im2col_scratch(black_box(&x), &geom, &mut scratch).unwrap();
-                let out = matmul_scratch(black_box(&w), &cols, &mut scratch).unwrap();
-                scratch.give(black_box(out).into_vec());
-                scratch.give(cols.into_vec());
+                let cols = im2col(black_box(&x), &geom).unwrap();
+                recycle(black_box(matmul(black_box(&w), &cols).unwrap()));
+                recycle(cols);
             })
         });
         group.bench_function(format!("fwd_{shape}_implicit"), |bch| {
             bch.iter(|| {
-                let padded = pad_input(black_box(&x), &geom, &mut scratch).unwrap();
-                let out =
-                    conv_gemm_scratch(black_box(&w), &padded, ConvGemm::Forward, &mut scratch)
-                        .unwrap();
-                scratch.give(black_box(out).into_vec());
-                padded.recycle(&mut scratch);
+                let padded = pad_input(black_box(&x), &geom).unwrap();
+                recycle(black_box(
+                    conv_gemm(black_box(&w), &padded, ConvGemm::Forward).unwrap(),
+                ));
+                padded.recycle();
             })
         });
         group.bench_function(format!("wgrad_{shape}_im2col_matmul"), |bch| {
             bch.iter(|| {
-                let cols = im2col_scratch(black_box(&x), &geom, &mut scratch).unwrap();
-                let out = matmul_a_bt_scratch(black_box(&dy), &cols, &mut scratch).unwrap();
-                scratch.give(black_box(out).into_vec());
-                scratch.give(cols.into_vec());
+                let cols = im2col(black_box(&x), &geom).unwrap();
+                recycle(black_box(matmul_a_bt(black_box(&dy), &cols).unwrap()));
+                recycle(cols);
             })
         });
         group.bench_function(format!("wgrad_{shape}_implicit"), |bch| {
             bch.iter(|| {
-                let padded = pad_input(black_box(&x), &geom, &mut scratch).unwrap();
-                let out =
-                    conv_gemm_scratch(black_box(&dy), &padded, ConvGemm::WeightGrad, &mut scratch)
-                        .unwrap();
-                scratch.give(black_box(out).into_vec());
-                padded.recycle(&mut scratch);
+                let padded = pad_input(black_box(&x), &geom).unwrap();
+                recycle(black_box(
+                    conv_gemm(black_box(&dy), &padded, ConvGemm::WeightGrad).unwrap(),
+                ));
+                padded.recycle();
             })
         });
     }

@@ -3,7 +3,7 @@
 //! in both regresses beyond the allowed fraction.
 //!
 //! Usage: `bench_check [<baseline.json>] <current.json>
-//! [--max-regress 0.25] [--key median_ns] [--scratch-within 0.25]`
+//! [--max-regress 0.25] [--key median_ns] [--within subject:reference:frac]`
 //!
 //! `--key` names the numeric field compared per record: `median_ns` for
 //! kernel timings — the gate deliberately reads **medians**, because a
@@ -15,20 +15,12 @@
 //! silently shaping the gate. `bytes` selects the per-phase memory
 //! snapshots `adq-report --memory-json` emits.
 //!
-//! `--scratch-within FRAC` additionally checks the *current* snapshot
-//! against itself: every `<name>_scratch` record must be within
-//! `(1 + FRAC)` of its `<name>` counterpart — the arena exists to make
-//! kernels faster, so a scratch variant slower than its plain twin
-//! beyond noise is a regression wherever the baseline sits. With this
-//! flag the baseline file may be omitted entirely (self-check mode,
-//! used by CI before the first baseline is committed).
-//!
-//! `--within SUBJECT:REFERENCE:FRAC` (repeatable) is the general form of
-//! the same idea: record `SUBJECT` of the current snapshot must stay
-//! within `(1 + FRAC)` of record `REFERENCE` on the gated key. CI uses
-//! it as a replica-scaling floor — `int8_batched_c8_r2` must hold
-//! ns/request within 25% of single-replica `int8_batched_c8`, whatever
-//! the hardware. Like `--scratch-within`, it needs no baseline file.
+//! `--within SUBJECT:REFERENCE:FRAC` (repeatable) checks the *current*
+//! snapshot against itself: record `SUBJECT` must stay within
+//! `(1 + FRAC)` of record `REFERENCE` on the gated key. CI uses it as a
+//! replica-scaling floor — `int8_batched_c8_r2` must hold ns/request
+//! within 25% of single-replica `int8_batched_c8`, whatever the
+//! hardware. With this flag the baseline file may be omitted.
 //!
 //! Records present in only one file, and records missing the gated key
 //! (older snapshot formats), are reported but never fail the check —
@@ -178,34 +170,10 @@ impl WithinCheck {
     }
 }
 
-/// Self-check of a snapshot's scratch pairs: every `<name>_scratch`
-/// record must be within `(1 + frac)` of its `<name>` counterpart.
-/// Returns the violating `(scratch, counterpart, ratio)` triples.
-fn scratch_violations(current: &[Record], frac: f64) -> Vec<(String, String, f64)> {
-    let mut violations = Vec::new();
-    for record in current {
-        let Some(base_name) = record.name.strip_suffix("_scratch") else {
-            continue;
-        };
-        let Some(plain) = current.iter().find(|c| c.name == base_name) else {
-            continue;
-        };
-        if plain.metric <= 0.0 {
-            continue;
-        }
-        let ratio = record.metric / plain.metric;
-        if ratio > 1.0 + frac {
-            violations.push((record.name.clone(), plain.name.clone(), ratio));
-        }
-    }
-    violations
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut max_regress = 0.25f64;
     let mut key = "median_ns".to_string();
-    let mut scratch_within: Option<f64> = None;
     let mut within_checks: Vec<WithinCheck> = Vec::new();
     let mut files: Vec<&str> = Vec::new();
     let mut it = args.iter();
@@ -227,14 +195,6 @@ fn main() -> ExitCode {
                 .next()
                 .expect("bench_check: --key needs a field name")
                 .clone();
-        } else if arg == "--scratch-within" {
-            let v = it
-                .next()
-                .expect("bench_check: --scratch-within needs a fraction");
-            scratch_within = Some(
-                v.parse()
-                    .unwrap_or_else(|e| panic!("bench_check: bad --scratch-within {v}: {e}")),
-            );
         } else {
             files.push(arg);
         }
@@ -242,11 +202,11 @@ fn main() -> ExitCode {
     let (baseline_path, current_path) = match files[..] {
         [baseline, current] => (Some(baseline), current),
         // self-check mode: the intra-snapshot gates need no baseline
-        [current] if scratch_within.is_some() || !within_checks.is_empty() => (None, current),
+        [current] if !within_checks.is_empty() => (None, current),
         _ => {
             eprintln!(
                 "usage: bench_check [<baseline.json>] <current.json> [--max-regress 0.25] \
-                 [--key median_ns] [--scratch-within 0.25] [--within subject:reference:frac]"
+                 [--key median_ns] [--within subject:reference:frac]"
             );
             return ExitCode::FAILURE;
         }
@@ -271,18 +231,6 @@ fn main() -> ExitCode {
         let (c, f) = compare(&baseline, &current, &key, max_regress);
         compared = c;
         failures += f;
-    }
-
-    if let Some(frac) = scratch_within {
-        let violations = scratch_violations(&current, frac);
-        for (scratch, plain, ratio) in &violations {
-            println!(
-                "  {scratch}: {:.1}% slower than {plain} (allowed {:.0}%) SCRATCH-REGRESSED",
-                (ratio - 1.0) * 100.0,
-                frac * 100.0
-            );
-        }
-        failures += violations.len();
     }
 
     for check in &within_checks {
@@ -370,22 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_pairs_must_stay_within_the_window() {
-        let current = vec![
-            rec("conv/blocked", 100.0),
-            rec("conv/blocked_scratch", 110.0), // within 25%
-            rec("gemm/blocked", 100.0),
-            rec("gemm/blocked_scratch", 150.0), // 50% slower: violation
-            rec("orphan_scratch", 42.0),        // no counterpart: skipped
-        ];
-        let violations = scratch_violations(&current, 0.25);
-        assert_eq!(violations.len(), 1);
-        assert_eq!(violations[0].0, "gemm/blocked_scratch");
-        assert_eq!(violations[0].1, "gemm/blocked");
-        assert!((violations[0].2 - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn within_checks_gate_replica_scaling_floors() {
         let current = vec![
             rec("serving/int8_batched_c8", 100.0),
@@ -406,14 +338,5 @@ mod tests {
         // malformed specs are rejected
         assert!(WithinCheck::parse("only_two:parts").is_err());
         assert!(WithinCheck::parse("a:b:not_a_number").is_err());
-    }
-
-    #[test]
-    fn faster_scratch_variants_never_violate() {
-        let current = vec![
-            rec("conv/blocked", 100.0),
-            rec("conv/blocked_scratch", 80.0),
-        ];
-        assert!(scratch_violations(&current, 0.0).is_empty());
     }
 }

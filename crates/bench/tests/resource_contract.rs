@@ -15,8 +15,13 @@
 //! 3. A warm training step of the models `train` benchmarks allocates
 //!    at most a tenth of what it did while its non-GEMM passes still
 //!    allocated their outputs (global totals: pool workers count too).
+//!
+//! Plus one property of the hot-path timers: `tensor.matmul` and
+//! `tensor.im2col` never time the same interval, so over a step their
+//! sums add up to no more than the step.
 
 use std::sync::{Mutex, PoisonError};
+use std::time::Instant;
 
 // Pull in `adq_bench` even though no item is needed: linking the lib is
 // what installs its `#[global_allocator]` shim in this test binary.
@@ -222,5 +227,33 @@ fn a_warm_training_step_allocates_almost_nothing() {
     assert!(
         vgg * 10 <= vgg_before,
         "VGG step allocated {vgg} B (allocating passes: {vgg_before} B)"
+    );
+}
+
+#[test]
+fn product_and_lowering_timers_never_time_one_interval_twice() {
+    let _guard = GLOBALS.lock().unwrap_or_else(PoisonError::into_inner);
+    let registry = adq_telemetry::metrics::global();
+    let timed =
+        || registry.histogram("tensor.matmul").sum() + registry.histogram("tensor.im2col").sum();
+    let mut model = ResNet::small(3, 16, 10, 1);
+    let mut r = init::rng(5);
+    let images = init::uniform(&[24, 3, 16, 16], -1.0, 1.0, &mut r);
+    let labels: Vec<usize> = (0..24).map(|i| i % 10).collect();
+    let mut step = || {
+        let logits = model.forward(&images, true);
+        let out = softmax_cross_entropy(&logits, &labels);
+        model.zero_grad();
+        model.backward(&out.grad);
+    };
+    step();
+    let before = timed();
+    let started = Instant::now();
+    step();
+    let wall = u64::try_from(started.elapsed().as_nanos()).expect("a step fits in u64 ns");
+    let recorded = timed() - before;
+    assert!(
+        recorded <= wall,
+        "tensor.matmul + tensor.im2col grew by {recorded} ns over a {wall} ns step"
     );
 }

@@ -1,4 +1,4 @@
-use adq_tensor::{with_thread_scratch, Tensor};
+use adq_tensor::{recycle_vec, take_vec, Tensor};
 
 use super::channels::channel_sums;
 use crate::param::Param;
@@ -11,7 +11,7 @@ use crate::param::Param;
 /// The passes run in place (the models call them on tensors they own)
 /// and allocate nothing on a warm thread: the normalised input `x̂` that
 /// backward needs lives in a buffer from the calling thread's arena
-/// ([`adq_tensor::with_thread_scratch`]), which backward gives back. Per-channel
+/// ([`adq_tensor::take_vec`]), which backward gives back. Per-channel
 /// statistics sum several channels side by side, each in its serial
 /// order (image-major, then pixel), so they are the bits of a
 /// one-channel-at-a-time loop.
@@ -93,7 +93,7 @@ impl BatchNorm2d {
         // `hw` only sizes the plane chunks, which an empty input has none of
         let hw = (h * w).max(1);
         if let Some(stale) = self.cache.take() {
-            with_thread_scratch(|s| s.give(stale.x_hat));
+            recycle_vec(stale.x_hat);
         }
         let (mean, var) = if train {
             let per_channel = (n * h * w) as f32;
@@ -121,7 +121,7 @@ impl BatchNorm2d {
         let data = x.data_mut();
         if train {
             // one read of each element writes both x̂ and the output
-            let mut x_hat = with_thread_scratch(|s| s.take(data.len()));
+            let mut x_hat = take_vec(data.len());
             for (i, (plane, hat)) in data
                 .chunks_exact_mut(hw)
                 .zip(x_hat.chunks_exact_mut(hw))
@@ -204,7 +204,7 @@ impl BatchNorm2d {
                 *dy = scale * (*dy - mean_dy - xh * mean_dy_xhat);
             }
         }
-        with_thread_scratch(|s| s.give(cache.x_hat));
+        recycle_vec(cache.x_hat);
     }
 
     /// Snapshot of the running `(mean, variance)` statistics.

@@ -1,6 +1,6 @@
 use adq_tensor::{
-    conv_gemm_scratch, conv_input_grad_scratch, init, pad_input, take_tensor, Conv2dGeom, ConvGemm,
-    PaddedInput, Scratch, Tensor,
+    conv_gemm, conv_input_grad, init, pad_input, recycle, take_tensor, Conv2dGeom, ConvGemm,
+    PaddedInput, Tensor,
 };
 use rand::Rng;
 
@@ -13,19 +13,17 @@ use crate::param::Param;
 /// use [`Conv2d::geom`] for the logical `[O, I, p, p]` view. The forward
 /// product `W·cols` and the weight gradient `dY·colsᵀ` gather the im2col
 /// column matrix strip by strip from a zero-padded copy of the input
-/// ([`adq_tensor::conv_gemm_scratch`]), which is all the layer caches for
+/// ([`adq_tensor::conv_gemm`]), which is all the layer caches for
 /// backward. The input gradient `col2im(Wᵀ·dY)` scatters each tile of
 /// `Wᵀ·dY` onto the input planes as it is computed
-/// ([`adq_tensor::conv_input_grad_scratch`]), so the column matrix is
-/// never stored; a first layer skips it ([`Conv2d::backward_params`]).
+/// ([`adq_tensor::conv_input_grad`]), so the column matrix is never
+/// stored; a first layer skips it ([`Conv2d::backward_params`]).
 ///
-/// The layer owns a [`Scratch`] arena: the padded input, the weight copy,
-/// GEMM pack panels and intermediate gradient matrices are recycled
-/// through it across batches instead of re-allocated per call (watch the
-/// `tensor.scratch.reuse_hits` counter). The output and the input
-/// gradient, which leave the layer, come from the calling thread's arena
-/// ([`adq_tensor::take_tensor`]). Cloning the layer clones weights but
-/// starts the clone's arena cold.
+/// Every buffer the layer uses — the padded input, the weight copy, the
+/// product matrices, the `dY` rows, the output and the input gradient —
+/// comes from the calling thread's arena ([`adq_tensor::take_tensor`])
+/// and goes back to it, so a warm layer allocates nothing (watch the
+/// `tensor.scratch.reuse_hits` counter).
 ///
 /// # Example
 ///
@@ -46,7 +44,6 @@ pub struct Conv2d {
     /// Per-output-channel bias, `[O]`.
     pub bias: Param,
     cache: Option<Cache>,
-    scratch: Scratch,
 }
 
 #[derive(Debug, Clone)]
@@ -67,7 +64,6 @@ impl Conv2d {
             weight: Param::new("conv.weight", weight),
             bias: Param::new("conv.bias", Tensor::zeros(&[geom.out_channels])),
             cache: None,
-            scratch: Scratch::new(),
         }
     }
 
@@ -89,7 +85,7 @@ impl Conv2d {
     /// Forward pass with externally transformed weights (fake-quantized by
     /// [`crate::ConvBlock`]); gradients will be taken w.r.t. these weights
     /// and applied to the master copy (straight-through estimation).
-    /// Backward gives `weight`'s buffer to the layer's arena.
+    /// Backward gives `weight`'s buffer to the calling thread's arena.
     ///
     /// # Panics
     ///
@@ -105,16 +101,15 @@ impl Conv2d {
         // an unconsumed cache (forward without backward) feeds its buffers
         // back to the arena before they are re-taken below
         if let Some(stale) = self.cache.take() {
-            stale.input.recycle(&mut self.scratch);
-            self.scratch.give(stale.used_weight.into_vec());
+            stale.input.recycle();
+            recycle(stale.used_weight);
         }
-        let padded =
-            pad_input(input, &self.geom, &mut self.scratch).expect("input shape checked by caller");
-        let out_mat = conv_gemm_scratch(&weight, &padded, ConvGemm::Forward, &mut self.scratch)
+        let padded = pad_input(input, &self.geom).expect("input shape checked by caller");
+        let out_mat = conv_gemm(&weight, &padded, ConvGemm::Forward)
             .expect("weight/cols shapes agree by construction");
         let mut out = take_tensor(&[n, self.geom.out_channels, oh, ow]);
         rows_to_nchw(&out_mat, self.bias.value.data(), &mut out);
-        self.scratch.give(out_mat.into_vec());
+        recycle(out_mat);
         self.cache = Some(Cache {
             input: padded,
             used_weight: weight,
@@ -122,13 +117,10 @@ impl Conv2d {
         out
     }
 
-    /// A copy of the master weights in a buffer from the layer's arena.
-    pub(crate) fn weight_copy(&mut self) -> Tensor {
-        let mut weight = Tensor::from_vec(
-            self.scratch.take(self.weight.value.len()),
-            self.weight.value.dims(),
-        )
-        .expect("sized to fit");
+    /// A copy of the master weights in a buffer from the calling thread's
+    /// arena.
+    pub(crate) fn weight_copy(&self) -> Tensor {
+        let mut weight = take_tensor(self.weight.value.dims());
         weight.data_mut().copy_from_slice(self.weight.value.data());
         weight
     }
@@ -218,15 +210,14 @@ impl Conv2d {
         let (n, o) = (grad_output.dims()[0], grad_output.dims()[1]);
         let (oh, ow) = (grad_output.dims()[2], grad_output.dims()[3]);
         assert_eq!(o, self.geom.out_channels, "grad channel mismatch");
-        let dy = nchw_to_rows(grad_output, &mut self.scratch);
+        let dy = nchw_to_rows(grad_output);
         // dW = dY · colsᵀ
-        let dw = conv_gemm_scratch(&dy, &cache.input, ConvGemm::WeightGrad, &mut self.scratch)
-            .expect("dy/cols shapes agree");
+        let dw = conv_gemm(&dy, &cache.input, ConvGemm::WeightGrad).expect("dy/cols shapes agree");
         self.weight
             .grad
             .add_scaled(&dw, 1.0)
             .expect("gradient shape matches weight");
-        self.scratch.give(dw.into_vec());
+        recycle(dw);
         // db = per-channel sums of dY, each in `Iterator::sum`'s order and
         // start value over the channel's `[N·OH·OW]` row
         let mut db = vec![0.0f32; o];
@@ -237,12 +228,12 @@ impl Conv2d {
         // dX = col2im(Wᵀ · dY), with W the weights actually used forward
         let dx = input_grad.then(|| {
             let dims = cache.input.input_dims();
-            conv_input_grad_scratch(&cache.used_weight, &dy, dims, &self.geom, &mut self.scratch)
+            conv_input_grad(&cache.used_weight, &dy, dims, &self.geom)
                 .expect("cache dims are consistent")
         });
-        self.scratch.give(dy.into_vec());
-        self.scratch.give(cache.used_weight.into_vec());
-        cache.input.recycle(&mut self.scratch);
+        recycle(dy);
+        recycle(cache.used_weight);
+        cache.input.recycle();
         dx
     }
 }
@@ -264,19 +255,18 @@ fn rows_to_nchw(mat: &Tensor, bias: &[f32], out: &mut Tensor) {
 }
 
 /// Inverse of [`rows_to_nchw`] (without bias): NCHW → `[O, N·OH·OW]`,
-/// in a buffer from `scratch` (every element is overwritten). Backward
-/// gives this buffer back to the arena, so taking it from there too keeps
-/// the pool at a fixed size across batches instead of growing by one
-/// buffer per call.
-fn nchw_to_rows(t: &Tensor, scratch: &mut Scratch) -> Tensor {
+/// in a buffer from the calling thread's arena (every element is
+/// overwritten), which backward gives back.
+fn nchw_to_rows(t: &Tensor) -> Tensor {
     let [n, o, oh, ow] = [0, 1, 2, 3].map(|d| t.dims()[d]);
     let spatial = oh * ow;
-    let mut dst = scratch.take(t.len());
+    let mut dst = take_tensor(&[o, n * spatial]);
+    let rows = dst.data_mut();
     for (i, plane) in t.data().chunks_exact(spatial.max(1)).enumerate() {
         let (ni, oi) = (i / o, i % o);
-        dst[(oi * n + ni) * spatial..][..spatial].copy_from_slice(plane);
+        rows[(oi * n + ni) * spatial..][..spatial].copy_from_slice(plane);
     }
-    Tensor::from_vec(dst, &[o, n * spatial]).expect("sized to fit")
+    dst
 }
 
 #[cfg(test)]
@@ -492,31 +482,13 @@ mod tests {
         let y1 = conv.forward(&x);
         let dy = Tensor::ones(y1.dims());
         let dx1 = conv.backward(&dy);
-        assert!(conv.scratch.pooled() > 0, "backward returned no buffers");
+        for len in [16, 72, 144, 400] {
+            recycle(Tensor::full(&[len], f32::NAN));
+        }
         let y2 = conv.forward(&x);
         let dx2 = conv.backward(&dy);
         assert_eq!(y1, y2);
         assert_eq!(dx1, dx2);
-    }
-
-    #[test]
-    fn the_arena_stops_growing_once_warm() {
-        // every buffer a forward/backward round gives back it also took,
-        // so the pool (and best-fit's scan over it) stays the same size
-        let mut r = rng(13);
-        let mut conv = Conv2d::new(Conv2dGeom::new(3, 8, 3, 1, 1), &mut r);
-        let x = init::uniform(&[4, 3, 8, 8], -1.0, 1.0, &mut r);
-        let dy = Tensor::ones(&[4, 8, 8, 8]);
-        let mut pooled = Vec::new();
-        for _ in 0..6 {
-            conv.forward(&x);
-            conv.backward(&dy);
-            pooled.push(conv.scratch.pooled());
-        }
-        assert!(
-            pooled[2..].iter().all(|&p| p == pooled[2]),
-            "pool sizes {pooled:?}"
-        );
     }
 
     #[test]

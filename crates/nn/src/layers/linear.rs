@@ -1,13 +1,13 @@
-use adq_tensor::{init, matmul_a_bt_scratch, matmul_at_b_scratch, matmul_scratch, Scratch, Tensor};
+use adq_tensor::{init, matmul, matmul_a_bt, matmul_at_b, recycle, take_tensor, Tensor};
 use rand::Rng;
 
 use crate::param::Param;
 
 /// A fully connected layer: `y = x · Wᵀ + b` with `x: [N, in]`, `W: [out, in]`.
 ///
-/// Like [`crate::Conv2d`], the layer owns a [`Scratch`] arena that recycles
-/// the cached input copy and GEMM workspace across batches; clones start
-/// with a cold arena.
+/// Like [`crate::Conv2d`], the layer takes the cached input copy and its
+/// GEMM workspace from the calling thread's arena
+/// ([`adq_tensor::take_tensor`]) and gives them back after backward.
 ///
 /// # Example
 ///
@@ -29,7 +29,6 @@ pub struct Linear {
     /// Bias, `[out]`.
     pub bias: Param,
     cache: Option<Cache>,
-    scratch: Scratch,
 }
 
 #[derive(Debug, Clone)]
@@ -48,7 +47,6 @@ impl Linear {
             weight: Param::new("linear.weight", weight),
             bias: Param::new("linear.bias", Tensor::zeros(&[out_features])),
             cache: None,
-            scratch: Scratch::new(),
         }
     }
 
@@ -78,10 +76,9 @@ impl Linear {
         assert_eq!(input.rank(), 2, "Linear expects [N, in] input");
         assert_eq!(input.dims()[1], self.in_features, "feature mismatch");
         if let Some(stale) = self.cache.take() {
-            self.scratch.give(stale.input.into_vec());
+            recycle(stale.input);
         }
-        let mut out =
-            matmul_a_bt_scratch(input, &weight, &mut self.scratch).expect("shapes checked above");
+        let mut out = matmul_a_bt(input, &weight).expect("shapes checked above");
         let n = out.dims()[0];
         let o = self.out_features;
         let bias = self.bias.value.data().to_vec();
@@ -92,12 +89,10 @@ impl Linear {
             }
         }
         // cache the input in a recycled buffer rather than a fresh clone
-        let mut input_copy = self.scratch.take(input.len());
-        input_copy.copy_from_slice(input.data());
-        let input_cached =
-            Tensor::from_vec(input_copy, input.dims()).expect("copy keeps the input shape");
+        let mut input_copy = take_tensor(input.dims());
+        input_copy.data_mut().copy_from_slice(input.data());
         self.cache = Some(Cache {
-            input: input_cached,
+            input: input_copy,
             used_weight: weight,
         });
         out
@@ -135,14 +130,13 @@ impl Linear {
             .take()
             .expect("Linear::backward called without forward");
         // dW = dyᵀ · x
-        let dw = matmul_at_b_scratch(grad_output, &cache.input, &mut self.scratch)
-            .expect("shapes agree from forward");
+        let dw = matmul_at_b(grad_output, &cache.input).expect("shapes agree from forward");
         self.weight
             .grad
             .add_scaled(&dw, 1.0)
             .expect("weight grad shape");
-        self.scratch.give(dw.into_vec());
-        self.scratch.give(cache.input.into_vec());
+        recycle(dw);
+        recycle(cache.input);
         // db = column sums of dy
         let (n, o) = (grad_output.dims()[0], grad_output.dims()[1]);
         for ni in 0..n {
@@ -151,8 +145,7 @@ impl Linear {
             }
         }
         // dx = dy · W
-        matmul_scratch(grad_output, &cache.used_weight, &mut self.scratch)
-            .expect("shapes agree from forward")
+        matmul(grad_output, &cache.used_weight).expect("shapes agree from forward")
     }
 }
 
@@ -249,7 +242,9 @@ mod tests {
         let y1 = fc.forward(&x);
         let dy = Tensor::ones(y1.dims());
         let dx1 = fc.backward(&dy);
-        assert!(fc.scratch.pooled() > 0, "backward returned no buffers");
+        for len in [12, 15, 20] {
+            recycle(Tensor::full(&[len], f32::NAN));
+        }
         let y2 = fc.forward(&x);
         let dx2 = fc.backward(&dy);
         assert_eq!(y1, y2);

@@ -21,12 +21,13 @@
 //! `im2col` + `matmul*` (the `conv_equality` proptest in `adq-nn`).
 //!
 //! The third product, the input gradient `Wᵀ·dY`, writes the column
-//! matrix instead of reading it; [`conv_input_grad_scratch`] scatters it
-//! onto the input planes block by block, so it is never stored either.
+//! matrix instead of reading it; [`conv_input_grad`] scatters it onto the
+//! input planes block by block, so it is never stored either.
+//!
+//! Every buffer — the padded input, pack panels, gathered strips, the
+//! outputs — comes from the running thread's arena ([`crate::scratch`]).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
-use std::time::Instant;
 
 use adq_telemetry::alloc;
 use adq_telemetry::span::{self, SpanGuard};
@@ -34,11 +35,11 @@ use rayon::prelude::*;
 
 use crate::gemm::{self, AStore, BOperand, Gather, MR, NR};
 use crate::im2col::{
-    count_lowering_resources, im2col_scratch, im2col_timer, lowering_histogram, scatter_overwrites,
-    scatter_plane_wide, Conv2dGeom,
+    count_lowering_resources, im2col_timer, lower, scatter_overwrites, scatter_plane_wide,
+    Conv2dGeom,
 };
 use crate::matmul::{dispatch_matmul, matmul_timer, GemmOp};
-use crate::scratch::{take_tensor, take_tensor_zeroed, with_thread_scratch, Scratch};
+use crate::scratch::{self, take_tensor, take_tensor_zeroed};
 use crate::shape::ShapeError;
 use crate::tensor::Tensor;
 
@@ -73,11 +74,11 @@ impl PaddedInput {
     }
 
     /// Gives the padded buffer (and the column matrix, if one was
-    /// lowered) back to `scratch`.
-    pub fn recycle(self, scratch: &mut Scratch) {
-        scratch.give(self.padded.into_vec());
+    /// lowered) back to the calling thread's arena.
+    pub fn recycle(self) {
+        crate::recycle(self.padded);
         if let Some(cols) = self.cols.into_inner() {
-            scratch.give(cols.into_vec());
+            crate::recycle(cols);
         }
     }
 
@@ -93,14 +94,15 @@ impl PaddedInput {
     /// The explicit `[C·p², N·OH·OW]` column matrix, for the naive plan,
     /// lowered on first use and kept: `im2col` of the padded input
     /// without further padding, which equals `im2col` of the input with
-    /// it.
-    pub(crate) fn cols(&self, scratch: &mut Scratch) -> &Tensor {
+    /// it. Part of the product, so timed with it under `tensor.matmul`
+    /// rather than under `tensor.im2col`.
+    pub(crate) fn cols(&self) -> &Tensor {
         self.cols.get_or_init(|| {
             let geom = Conv2dGeom {
                 padding: 0,
                 ..self.geom
             };
-            im2col_scratch(&self.padded, &geom, scratch).expect("padded dims match the geometry")
+            lower(&self.padded, &geom)
         })
     }
 }
@@ -115,10 +117,10 @@ pub enum ConvGemm {
     WeightGrad,
 }
 
-/// Copies `input` once into a zero-bordered buffer drawn from `scratch`,
-/// ready for [`conv_gemm_scratch`]. Timed under the `tensor.im2col`
-/// histogram; reports the bytes it reads and writes to the lowering
-/// counter.
+/// Copies `input` once into a zero-bordered buffer from the calling
+/// thread's arena, ready for [`conv_gemm`]. Timed under the
+/// `tensor.im2col` histogram; reports the bytes it reads and writes to
+/// the lowering counter.
 ///
 /// # Errors
 ///
@@ -129,11 +131,7 @@ pub enum ConvGemm {
 /// # Panics
 ///
 /// Panics if the kernel does not fit in the padded input.
-pub fn pad_input(
-    input: &Tensor,
-    geom: &Conv2dGeom,
-    scratch: &mut Scratch,
-) -> Result<PaddedInput, ShapeError> {
+pub fn pad_input(input: &Tensor, geom: &Conv2dGeom) -> Result<PaddedInput, ShapeError> {
     if input.rank() != 4 || input.dims()[1] != geom.in_channels {
         return Err(ShapeError::new(format!(
             "pad_input: expected [N, {}, H, W] input, got {:?}",
@@ -162,7 +160,7 @@ pub fn pad_input(
     if alloc::tracking() {
         alloc::add_bytes_moved(4 * (input.len() + len) as u64);
     }
-    let mut out = scratch.take(len);
+    let mut out = scratch::take(len);
     // a plane at a time: one clear of the whole padded plane, then one
     // copy per image row (not three calls per row)
     if input.is_empty() {
@@ -209,23 +207,17 @@ pub fn pad_input(
 
 /// One im2col-shaped product of a convolution, `A · cols` or
 /// `A · colsᵀ`, with `cols` the `[C·p², N·OH·OW]` column matrix of
-/// `input` — bit-identical to [`crate::matmul_scratch`] or
-/// [`crate::matmul_a_bt_scratch`] against [`crate::im2col`]'s output, and
-/// dispatched the same way, but the packed kernel gathers `cols` from the
-/// padded input instead of reading a materialised copy. Output and pack
-/// buffers come from `scratch`.
+/// `input` — bit-identical to [`crate::matmul`] or [`crate::matmul_a_bt`]
+/// against [`crate::im2col`]'s output, and dispatched the same way, but
+/// the packed kernel gathers `cols` from the padded input instead of
+/// reading a materialised copy.
 ///
 /// # Errors
 ///
 /// Returns [`ShapeError`] if `a` is not rank-2 or its column count is not
 /// the column matrix's row count (forward) or column count (weight
 /// gradient).
-pub fn conv_gemm_scratch(
-    a: &Tensor,
-    input: &PaddedInput,
-    which: ConvGemm,
-    scratch: &mut Scratch,
-) -> Result<Tensor, ShapeError> {
+pub fn conv_gemm(a: &Tensor, input: &PaddedInput, which: ConvGemm) -> Result<Tensor, ShapeError> {
     let (taps, pixels) = (input.taps.len(), input.pixels.len());
     let (n, k) = match which {
         ConvGemm::Forward => (pixels, taps),
@@ -235,17 +227,14 @@ pub fn conv_gemm_scratch(
         return Err(ShapeError::mismatch("conv_gemm", a.dims(), &[taps, pixels]));
     }
     let m = a.dims()[0];
-    let out = dispatch_matmul(
-        &GemmOp {
-            m,
-            n,
-            k,
-            a: a.data(),
-            a_store: AStore::Normal,
-            b: BOperand::Cols(input, which),
-        },
-        scratch,
-    );
+    let out = dispatch_matmul(&GemmOp {
+        m,
+        n,
+        k,
+        a: a.data(),
+        a_store: AStore::Normal,
+        b: BOperand::Cols(input, which),
+    });
     Tensor::from_vec(out, &[m, n])
 }
 
@@ -271,24 +260,23 @@ const INPUT_GRAD_BLOCK: usize = 32 * 1024;
 /// order, exactly as `col2im` adds them. No two tasks write one element,
 /// so the split and the worker count never change a bit.
 ///
-/// The call is timed under `tensor.matmul`, its scatter under
-/// `tensor.im2col`. It counts the product's `2·m·n·k` flops and
-/// `4·(m·k + k·n)` bytes of operands plus the 4-byte input gradient —
-/// the column matrix is no operand in memory — and, as `col2im` does,
-/// 8 bytes per column-matrix element for the scatter. The packed weights
-/// come from `scratch`; the output from the calling thread's arena
-/// ([`crate::take_tensor`]), and per-task buffers from each worker's.
+/// The call, scatter included, is timed under `tensor.matmul`. It counts
+/// the product's `2·m·n·k` flops and `4·(m·k + k·n)` bytes of operands
+/// plus the 4-byte input gradient — the column matrix is no operand in
+/// memory — and, as `col2im` does, 8 bytes per column-matrix element for
+/// the scatter. The packed weights and the output come from the calling
+/// thread's arena, and per-task buffers from the arena of the thread
+/// that runs the task.
 ///
 /// # Errors
 ///
 /// Returns [`ShapeError`] if `input_dims` is not rank-4 with `geom`'s
 /// channel count, or `weight`/`dy` do not have the shapes above.
-pub fn conv_input_grad_scratch(
+pub fn conv_input_grad(
     weight: &Tensor,
     dy: &Tensor,
     input_dims: &[usize],
     geom: &Conv2dGeom,
-    scratch: &mut Scratch,
 ) -> Result<Tensor, ShapeError> {
     let &[n, c, h, w] = input_dims else {
         return Err(ShapeError::new(format!(
@@ -346,7 +334,7 @@ pub fn conv_input_grad_scratch(
     let group = c.div_ceil(groups);
     // Wᵀ rows of each channel group, packed once for every image
     let strips = (group * taps).div_ceil(MR) * MR;
-    let mut packed_a = scratch.take(groups * o * strips);
+    let mut packed_a = scratch::take(groups * o * strips);
     for g in 0..groups {
         let rows = (c.min((g + 1) * group) - g * group) * taps;
         let src = &weight.data()[g * group * taps..];
@@ -361,43 +349,36 @@ pub fn conv_input_grad_scratch(
             tasks.push((ni, g, planes));
         }
     }
-    let scatter_ns = AtomicU64::new(0);
     let run = |(ni, g, planes): (usize, usize, &mut [f32])| {
         let rows = planes.len() / plane * taps;
-        with_thread_scratch(|arena| {
-            let mut packed_b = arena.take(o * spatial.div_ceil(NR) * NR);
-            let mut block = arena.take(rows * spatial);
-            gemm::gemm_block(
-                (rows, spatial, o),
-                &packed_a[g * o * strips..],
-                (&dy.data()[ni * spatial..], cols),
-                &mut packed_b,
-                &mut block,
-            );
-            let started = Instant::now();
-            for (ci, dst) in planes.chunks_exact_mut(plane).enumerate() {
-                scatter_plane_wide(&block[ci * per_channel..], spatial, dst, [h, w], geom);
-            }
-            let elapsed = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            scatter_ns.fetch_add(elapsed, Ordering::Relaxed);
-            arena.give(block);
-            arena.give(packed_b);
-        });
+        let mut packed_b = scratch::take(o * spatial.div_ceil(NR) * NR);
+        let mut block = scratch::take(rows * spatial);
+        gemm::gemm_block(
+            (rows, spatial, o),
+            &packed_a[g * o * strips..],
+            (&dy.data()[ni * spatial..], cols),
+            &mut packed_b,
+            &mut block,
+        );
+        for (ci, dst) in planes.chunks_exact_mut(plane).enumerate() {
+            scatter_plane_wide(&block[ci * per_channel..], spatial, dst, [h, w], geom);
+        }
+        scratch::give(block);
+        scratch::give(packed_b);
     };
     if tasks.len() >= 2 && flops >= gemm::PAR_TILE_MIN_FLOPS {
         tasks.into_par_iter().for_each(run);
     } else {
         tasks.into_iter().for_each(run);
     }
-    lowering_histogram().record(scatter_ns.into_inner());
-    scratch.give(packed_a);
+    scratch::give(packed_a);
     Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{col2im, im2col, matmul_a_bt, matmul_at_b, matmul_scratch};
+    use crate::{col2im, im2col, matmul, matmul_a_bt, matmul_at_b};
 
     fn lcg_tensor(dims: &[usize], seed: u64) -> Tensor {
         let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -419,7 +400,7 @@ mod tests {
         for (stride, pad) in [(1, 0), (1, 1), (2, 1), (2, 2)] {
             let geom = Conv2dGeom::new(3, 4, 3, stride, pad);
             let cols = im2col(&x, &geom).unwrap();
-            let padded = pad_input(&x, &geom, &mut Scratch::new()).unwrap();
+            let padded = pad_input(&x, &geom).unwrap();
             let (rows, ncols) = (cols.dims()[0], cols.dims()[1]);
             assert_eq!((padded.taps.len(), padded.pixels.len()), (rows, ncols));
             for (r, &tap) in padded.taps.iter().enumerate() {
@@ -428,7 +409,7 @@ mod tests {
                     assert_eq!(got.to_bits(), cols.at2(r, j).to_bits());
                 }
             }
-            assert_eq!(padded.cols(&mut Scratch::new()), &cols);
+            assert_eq!(padded.cols(), &cols);
         }
     }
 
@@ -439,12 +420,11 @@ mod tests {
         let x = lcg_tensor(&[3, 16, 9, 9], 2);
         let w = lcg_tensor(&[16, 16 * 9], 3);
         let dy = lcg_tensor(&[16, 3 * 81], 4);
-        let mut scratch = Scratch::new();
         let cols = im2col(&x, &geom).unwrap();
-        let padded = pad_input(&x, &geom, &mut scratch).unwrap();
-        let fwd = conv_gemm_scratch(&w, &padded, ConvGemm::Forward, &mut scratch).unwrap();
-        assert_eq!(fwd, matmul_scratch(&w, &cols, &mut scratch).unwrap());
-        let dw = conv_gemm_scratch(&dy, &padded, ConvGemm::WeightGrad, &mut scratch).unwrap();
+        let padded = pad_input(&x, &geom).unwrap();
+        let fwd = conv_gemm(&w, &padded, ConvGemm::Forward).unwrap();
+        assert_eq!(fwd, matmul(&w, &cols).unwrap());
+        let dw = conv_gemm(&dy, &padded, ConvGemm::WeightGrad).unwrap();
         assert_eq!(dw, matmul_a_bt(&dy, &cols).unwrap());
     }
 
@@ -468,11 +448,10 @@ mod tests {
             let taps = geom.in_channels * geom.kernel * geom.kernel;
             let w = lcg_tensor(&[geom.out_channels, taps], 10 + i as u64);
             let dy = lcg_tensor(&[geom.out_channels, pixels], 20 + i as u64);
-            let mut scratch = Scratch::new();
             // the output comes from this thread's arena: stale contents
             // there must not leak into it
             crate::recycle(Tensor::full(&dims, f32::NAN));
-            let got = conv_input_grad_scratch(&w, &dy, &dims, &geom, &mut scratch).unwrap();
+            let got = conv_input_grad(&w, &dy, &dims, &geom).unwrap();
             let want = col2im(&matmul_at_b(&w, &dy).unwrap(), &dims, &geom).unwrap();
             let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&got), bits(&want), "{geom:?} {dims:?}");
@@ -482,22 +461,18 @@ mod tests {
     #[test]
     fn shape_errors_are_reported() {
         let geom = Conv2dGeom::new(2, 4, 3, 1, 1);
-        let mut scratch = Scratch::new();
-        assert!(pad_input(&Tensor::zeros(&[1, 3, 4, 4]), &geom, &mut scratch).is_err());
-        assert!(pad_input(&Tensor::zeros(&[3, 4, 4]), &geom, &mut scratch).is_err());
-        let padded = pad_input(&Tensor::zeros(&[1, 2, 4, 4]), &geom, &mut scratch).unwrap();
+        assert!(pad_input(&Tensor::zeros(&[1, 3, 4, 4]), &geom).is_err());
+        assert!(pad_input(&Tensor::zeros(&[3, 4, 4]), &geom).is_err());
+        let padded = pad_input(&Tensor::zeros(&[1, 2, 4, 4]), &geom).unwrap();
         let wrong = Tensor::zeros(&[4, 17]);
-        assert!(conv_gemm_scratch(&wrong, &padded, ConvGemm::Forward, &mut scratch).is_err());
-        assert!(conv_gemm_scratch(&wrong, &padded, ConvGemm::WeightGrad, &mut scratch).is_err());
+        assert!(conv_gemm(&wrong, &padded, ConvGemm::Forward).is_err());
+        assert!(conv_gemm(&wrong, &padded, ConvGemm::WeightGrad).is_err());
         let dy = Tensor::zeros(&[4, 16]);
-        let grad = |w: &Tensor, dy: &Tensor, dims: &[usize]| {
-            conv_input_grad_scratch(w, dy, dims, &geom, &mut Scratch::new())
-        };
         let w = Tensor::zeros(&[4, 18]);
-        assert!(grad(&w, &dy, &[1, 2, 4, 4]).is_ok());
-        assert!(grad(&wrong, &dy, &[1, 2, 4, 4]).is_err());
-        assert!(grad(&w, &wrong, &[1, 2, 4, 4]).is_err());
-        assert!(grad(&w, &dy, &[1, 3, 4, 4]).is_err());
-        assert!(grad(&w, &dy, &[2, 4, 4]).is_err());
+        assert!(conv_input_grad(&w, &dy, &[1, 2, 4, 4], &geom).is_ok());
+        assert!(conv_input_grad(&wrong, &dy, &[1, 2, 4, 4], &geom).is_err());
+        assert!(conv_input_grad(&w, &wrong, &[1, 2, 4, 4], &geom).is_err());
+        assert!(conv_input_grad(&w, &dy, &[1, 3, 4, 4], &geom).is_err());
+        assert!(conv_input_grad(&w, &dy, &[2, 4, 4], &geom).is_err());
     }
 }

@@ -33,15 +33,12 @@
 //! thread count, so whole-run determinism — and with it PR 2's bit-identical
 //! checkpoint resume — is preserved.
 
-use std::cell::RefCell;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 use crate::conv::{ConvGemm, PaddedInput};
 use crate::plan::Blocking;
-use crate::scratch::Scratch;
+use crate::scratch;
 use crate::shape::ShapeError;
 use crate::tensor::Tensor;
 use adq_telemetry::span::{self, SpanGuard};
@@ -130,8 +127,9 @@ pub(crate) enum BOperand<'a> {
 /// written: with `src` the zero-padded input, a tap's offset plus a
 /// pixel's offset addresses one element of `im2col`'s output
 /// ([`crate::conv`] builds both offset tables). The kernel gathers each
-/// `kc × NR` strip into a per-thread, L1-sized buffer right before the
-/// row strips consume it, so the matrix is never materialised or re-packed.
+/// `kc × NR` strip into an L1-sized buffer from the running thread's
+/// arena right before the row strips consume it, so the matrix is never
+/// materialised or re-packed.
 #[derive(Clone, Copy)]
 pub(crate) struct Gather<'a> {
     src: &'a [f32],
@@ -273,34 +271,27 @@ pub(crate) fn avx512_available() -> bool {
     false
 }
 
-thread_local! {
-    /// Per-thread buffer the gathered `B` strips land in: at most
-    /// `TUNED_KC_MAX · NR` floats (64 KiB), reused by every strip the
-    /// thread gathers, so it stays in L1/L2 and is never reallocated.
-    static GATHER_STRIP: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-}
-
 /// Blocked GEMM over raw row-major buffers, returning the output drawn
-/// from `scratch`.
+/// from the calling thread's arena.
 ///
 /// Every element of the returned `m·n` buffer is written (no pre-zeroing
-/// happens or is needed). Pack panels are drawn from `scratch` and
-/// returned to it, so repeated calls through one arena stop allocating.
+/// happens or is needed). Pack panels are drawn from the arena and
+/// returned to it, so repeated calls stop allocating.
 ///
 /// **Take order matters**: the pack panels are taken *before* the output
 /// buffer. The output escapes into a `Tensor` and never comes back, so
 /// if it were taken first it would steal a pooled pack panel (best-fit
 /// hands the smallest covering buffer to whoever asks first), cascading
-/// into a fresh zeroed allocation of the *largest* panel on every call —
-/// the PR-3 `blocked_scratch` conv regression. Panels first means both
+/// into a fresh zeroed allocation of the *largest* panel on every call.
+/// Panels first means both
 /// panels exact-hit their own buffers from the previous call and the one
 /// unavoidable fresh allocation per call is the `m·n` output.
 ///
 /// A [`BOperand::Cols`] operand is never packed: each task gathers the
-/// strips of its own column tile, once per k-block, and runs the same
-/// `MC × NC` tile grid as a packed operand. The time spent gathering is
-/// recorded in the `tensor.im2col` histogram, one sample per call.
-#[allow(clippy::too_many_arguments)]
+/// strips of its own column tile, once per k-block, into a strip buffer
+/// from its own thread's arena, and runs the same `MC × NC` tile grid as
+/// a packed operand. The gather is part of the product, timed with it
+/// under `tensor.matmul`.
 pub(crate) fn gemm_alloc(
     m: usize,
     n: usize,
@@ -309,24 +300,23 @@ pub(crate) fn gemm_alloc(
     a_store: AStore,
     b: BOperand,
     blocking: Blocking,
-    scratch: &mut Scratch,
 ) -> Vec<f32> {
     debug_assert!(blocking.is_valid(), "invalid blocking {blocking:?}");
     if m == 0 || n == 0 {
-        return scratch.take(m * n);
+        return scratch::take(m * n);
     }
     if k == 0 {
-        return scratch.take_zeroed(m * n);
+        return scratch::take_zeroed(m * n);
     }
     let kc = blocking.kc;
     let m_strips = m.div_ceil(MR);
     let n_strips = n.div_ceil(NR);
-    let mut packed_a = scratch.take(k * m_strips * MR);
+    let mut packed_a = scratch::take(k * m_strips * MR);
     let mut packed_b = match b {
-        BOperand::Matrix(..) => scratch.take(k * n_strips * NR),
+        BOperand::Matrix(..) => scratch::take(k * n_strips * NR),
         BOperand::Cols(..) => Vec::new(),
     };
-    let mut c = scratch.take(m * n);
+    let mut c = scratch::take(m * n);
     pack_a(a, m, k, kc, a_store, a_ld(m, k, a_store), &mut packed_a);
     let tile_b = match b {
         BOperand::Matrix(src, store) => {
@@ -351,7 +341,6 @@ pub(crate) fn gemm_alloc(
         0
     };
     let wide = avx512_available();
-    let gather_ns = AtomicU64::new(0);
     let run_tile = |tile: usize| {
         let (ti, tj) = (tile / col_tiles, tile % col_tiles);
         let _span = if trace_tiles {
@@ -365,18 +354,14 @@ pub(crate) fn gemm_alloc(
         };
         let rows = ti * blocking.mc..m.min((ti + 1) * blocking.mc);
         let cols = tj * blocking.nc..n.min((tj + 1) * blocking.nc);
-        let ns = match tile_b {
+        match tile_b {
             TileB::Packed(_) => macro_tile(rows, cols, m, n, k, kc, pa, tile_b, &mut [], cp, wide),
-            TileB::Gather(_) => GATHER_STRIP.with(|cell| {
-                let mut buf = cell.borrow_mut();
-                let need = kc.min(k) * NR;
-                if buf.len() < need {
-                    buf.resize(need, 0.0);
-                }
-                macro_tile(rows, cols, m, n, k, kc, pa, tile_b, &mut buf, cp, wide)
-            }),
-        };
-        gather_ns.fetch_add(ns, Ordering::Relaxed);
+            TileB::Gather(_) => {
+                let mut strip = scratch::take(kc.min(k) * NR);
+                macro_tile(rows, cols, m, n, k, kc, pa, tile_b, &mut strip, cp, wide);
+                scratch::give(strip);
+            }
+        }
     };
     if tiles >= 2 && flops >= PAR_TILE_MIN_FLOPS {
         count_par_grid();
@@ -385,12 +370,11 @@ pub(crate) fn gemm_alloc(
         (0..tiles).for_each(run_tile);
     }
     if matches!(tile_b, TileB::Gather(_)) {
-        crate::im2col::lowering_histogram().record(gather_ns.into_inner());
         // every row tile gathers all of `B`
         crate::im2col::count_lowering_resources(k, n * row_tiles);
     }
-    scratch.give(packed_a);
-    scratch.give(packed_b);
+    scratch::give(packed_a);
+    scratch::give(packed_b);
     c
 }
 
@@ -443,8 +427,7 @@ enum TileB<'a> {
 /// Computes rows `rows` × columns `cols` of `C` (bounds on `MR`/`NR` strip
 /// boundaries): for each k-block, each `NR` column strip of `B` meets
 /// every `MR` row strip of `rows`. A gathered strip lands in `strip_buf`
-/// (at least `min(kc, k)·NR` floats); returns the nanoseconds spent
-/// gathering. `wide` selects the AVX-512 register tile, which the caller
+/// (at least `min(kc, k)·NR` floats). `wide` selects the AVX-512 register tile, which the caller
 /// must have detected; otherwise the portable 4×16 kernel runs.
 #[allow(clippy::too_many_arguments)]
 fn macro_tile(
@@ -459,8 +442,7 @@ fn macro_tile(
     strip_buf: &mut [f32],
     cp: CPtr,
     wide: bool,
-) -> u64 {
-    let mut gather_ns = 0u64;
+) {
     let m_strips = m.div_ceil(MR);
     // tile bounds land on strip bounds (mc/nc are multiples of MR/NR)
     let (s_lo, s_hi) = (rows.start / MR, rows.end.div_ceil(MR));
@@ -481,9 +463,7 @@ fn macro_tile(
                 }
                 TileB::Gather(g) => {
                     let strip = &mut strip_buf[..kc_len * NR];
-                    let started = Instant::now();
                     g.strip(k0, kc_len, t * NR, width, strip);
-                    gather_ns += u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
                     strip
                 }
             };
@@ -558,7 +538,6 @@ fn macro_tile(
             }
         }
     }
-    gather_ns
 }
 
 /// The portable register-tiled inner kernel: `init + a_strip · b_strip`
@@ -859,7 +838,7 @@ fn pack_b(src: &[f32], k: usize, n: usize, kc: usize, store: BStore, ld: usize, 
 ///
 /// Returns [`ShapeError`] if either input is not rank-2 or the inner
 /// dimensions disagree.
-pub fn gemm_nn(a: &Tensor, b: &Tensor, scratch: &mut Scratch) -> Result<Tensor, ShapeError> {
+pub fn gemm_nn(a: &Tensor, b: &Tensor) -> Result<Tensor, ShapeError> {
     rank2(a, b, "gemm_nn")?;
     let (m, k) = (a.dims()[0], a.dims()[1]);
     let (kb, n) = (b.dims()[0], b.dims()[1]);
@@ -874,7 +853,6 @@ pub fn gemm_nn(a: &Tensor, b: &Tensor, scratch: &mut Scratch) -> Result<Tensor, 
         AStore::Normal,
         BOperand::Matrix(b.data(), BStore::Normal),
         Blocking::default_tiles(),
-        scratch,
     );
     Tensor::from_vec(out, &[m, n])
 }
@@ -885,7 +863,7 @@ pub fn gemm_nn(a: &Tensor, b: &Tensor, scratch: &mut Scratch) -> Result<Tensor, 
 ///
 /// Returns [`ShapeError`] if either input is not rank-2 or the shared
 /// dimension disagrees.
-pub fn gemm_tn(a: &Tensor, b: &Tensor, scratch: &mut Scratch) -> Result<Tensor, ShapeError> {
+pub fn gemm_tn(a: &Tensor, b: &Tensor) -> Result<Tensor, ShapeError> {
     rank2(a, b, "gemm_tn")?;
     let (k, m) = (a.dims()[0], a.dims()[1]);
     let (kb, n) = (b.dims()[0], b.dims()[1]);
@@ -900,7 +878,6 @@ pub fn gemm_tn(a: &Tensor, b: &Tensor, scratch: &mut Scratch) -> Result<Tensor, 
         AStore::Transposed,
         BOperand::Matrix(b.data(), BStore::Normal),
         Blocking::default_tiles(),
-        scratch,
     );
     Tensor::from_vec(out, &[m, n])
 }
@@ -911,7 +888,7 @@ pub fn gemm_tn(a: &Tensor, b: &Tensor, scratch: &mut Scratch) -> Result<Tensor, 
 ///
 /// Returns [`ShapeError`] if either input is not rank-2 or the shared
 /// dimension disagrees.
-pub fn gemm_nt(a: &Tensor, b: &Tensor, scratch: &mut Scratch) -> Result<Tensor, ShapeError> {
+pub fn gemm_nt(a: &Tensor, b: &Tensor) -> Result<Tensor, ShapeError> {
     rank2(a, b, "gemm_nt")?;
     let (m, k) = (a.dims()[0], a.dims()[1]);
     let (n, kb) = (b.dims()[0], b.dims()[1]);
@@ -926,7 +903,6 @@ pub fn gemm_nt(a: &Tensor, b: &Tensor, scratch: &mut Scratch) -> Result<Tensor, 
         AStore::Normal,
         BOperand::Matrix(b.data(), BStore::Transposed),
         Blocking::default_tiles(),
-        scratch,
     );
     Tensor::from_vec(out, &[m, n])
 }
@@ -983,7 +959,6 @@ mod tests {
     #[test]
     fn blocked_matches_reference_bitwise_across_edges() {
         // dimensions straddling MR/NR/KC strip edges, including primes
-        let mut scratch = Scratch::new();
         for (m, k, n) in [
             (1, 1, 1),
             (3, 5, 7),
@@ -994,15 +969,15 @@ mod tests {
         ] {
             let a = random_tensor(&[m, k], (m * 1000 + k) as u64);
             let b = random_tensor(&[k, n], (k * 1000 + n) as u64);
-            let got = gemm_nn(&a, &b, &mut scratch).unwrap();
+            let got = gemm_nn(&a, &b).unwrap();
             assert_eq!(got, reference(&a, &b, false, false), "nn {m}x{k}x{n}");
 
             let at = random_tensor(&[k, m], (m + k) as u64);
-            let got = gemm_tn(&at, &b, &mut scratch).unwrap();
+            let got = gemm_tn(&at, &b).unwrap();
             assert_eq!(got, reference(&at, &b, true, false), "tn {m}x{k}x{n}");
 
             let bt = random_tensor(&[n, k], (n + k) as u64);
-            let got = gemm_nt(&a, &bt, &mut scratch).unwrap();
+            let got = gemm_nt(&a, &bt).unwrap();
             assert_eq!(got, reference(&a, &bt, false, true), "nt {m}x{k}x{n}");
         }
     }
@@ -1013,8 +988,7 @@ mod tests {
         let (m, k, n) = (150, 200, 150);
         let a = random_tensor(&[m, k], 21);
         let b = random_tensor(&[k, n], 22);
-        let mut scratch = Scratch::new();
-        let got = gemm_nn(&a, &b, &mut scratch).unwrap();
+        let got = gemm_nn(&a, &b).unwrap();
         assert_eq!(got, reference(&a, &b, false, false));
     }
 
@@ -1022,61 +996,29 @@ mod tests {
     fn scratch_reuse_with_dirty_buffers_is_equal() {
         let a = random_tensor(&[37, 53], 31);
         let b = random_tensor(&[53, 29], 32);
-        let mut scratch = Scratch::new();
-        let first = gemm_nn(&a, &b, &mut scratch).unwrap();
-        // pollute the pool: buffers full of garbage must not leak through
-        let mut junk = scratch.take(37 * 53 * 4);
-        junk.fill(f32::NAN);
-        scratch.give(junk);
-        let second = gemm_nn(&a, &b, &mut scratch).unwrap();
+        let first = gemm_nn(&a, &b).unwrap();
+        // pollute the arena: buffers full of garbage must not leak through
+        crate::recycle(Tensor::full(&[37 * 53 * 4], f32::NAN));
+        let second = gemm_nn(&a, &b).unwrap();
         assert_eq!(first, second);
     }
 
     #[test]
     fn zero_dimensions_are_handled() {
-        let mut scratch = Scratch::new();
-        let c = gemm_nn(
-            &Tensor::zeros(&[0, 3]),
-            &Tensor::zeros(&[3, 2]),
-            &mut scratch,
-        )
-        .unwrap();
+        let c = gemm_nn(&Tensor::zeros(&[0, 3]), &Tensor::zeros(&[3, 2])).unwrap();
         assert_eq!(c.dims(), &[0, 2]);
-        // k == 0: the product is all zeros, even with a dirty pool
-        let mut junk = scratch.take(8);
-        junk.fill(9.0);
-        scratch.give(junk);
-        let c = gemm_nn(
-            &Tensor::zeros(&[2, 0]),
-            &Tensor::zeros(&[0, 4]),
-            &mut scratch,
-        )
-        .unwrap();
+        // k == 0: the product is all zeros, even with a dirty arena
+        crate::recycle(Tensor::full(&[8], 9.0));
+        let c = gemm_nn(&Tensor::zeros(&[2, 0]), &Tensor::zeros(&[0, 4])).unwrap();
         assert!(c.data().iter().all(|&v| v == 0.0));
     }
 
     #[test]
     fn shape_errors_propagate() {
-        let mut scratch = Scratch::new();
-        assert!(gemm_nn(
-            &Tensor::zeros(&[2, 3]),
-            &Tensor::zeros(&[4, 2]),
-            &mut scratch
-        )
-        .is_err());
-        assert!(gemm_tn(
-            &Tensor::zeros(&[3, 2]),
-            &Tensor::zeros(&[4, 2]),
-            &mut scratch
-        )
-        .is_err());
-        assert!(gemm_nt(
-            &Tensor::zeros(&[3, 2]),
-            &Tensor::zeros(&[4, 3]),
-            &mut scratch
-        )
-        .is_err());
-        assert!(gemm_nn(&Tensor::zeros(&[6]), &Tensor::zeros(&[6, 2]), &mut scratch).is_err());
+        assert!(gemm_nn(&Tensor::zeros(&[2, 3]), &Tensor::zeros(&[4, 2])).is_err());
+        assert!(gemm_tn(&Tensor::zeros(&[3, 2]), &Tensor::zeros(&[4, 2])).is_err());
+        assert!(gemm_nt(&Tensor::zeros(&[3, 2]), &Tensor::zeros(&[4, 3])).is_err());
+        assert!(gemm_nn(&Tensor::zeros(&[6]), &Tensor::zeros(&[6, 2])).is_err());
     }
 
     /// LCG floats salted with the values rounding is most fragile on:
@@ -1308,8 +1250,7 @@ mod tests {
         let cols = crate::im2col(&x, &geom).unwrap();
         let (k, n) = (cols.dims()[0], cols.dims()[1]);
         let m = 70;
-        let mut scratch = Scratch::new();
-        let padded = crate::pad_input(&x, &geom, &mut scratch).unwrap();
+        let padded = crate::pad_input(&x, &geom).unwrap();
         let blocking = Blocking::default_tiles();
         let w = random_tensor(&[m, k], 62);
         let dy = random_tensor(&[m, n], 63);
@@ -1320,8 +1261,8 @@ mod tests {
             let (a, store) = (a.data(), AStore::Normal);
             let implicit = BOperand::Cols(&padded, which);
             let explicit = BOperand::Matrix(cols.data(), b_store);
-            let gathered = gemm_alloc(m, n, k, a, store, implicit, blocking, &mut scratch);
-            let packed = gemm_alloc(m, n, k, a, store, explicit, blocking, &mut scratch);
+            let gathered = gemm_alloc(m, n, k, a, store, implicit, blocking);
+            let packed = gemm_alloc(m, n, k, a, store, explicit, blocking);
             assert_eq!(bits(&gathered), bits(&packed), "{which:?}");
         }
     }

@@ -5,21 +5,21 @@ use adq_telemetry::span::{self, SpanGuard};
 use adq_telemetry::{Histogram, ScopedTimer};
 use serde::{Deserialize, Serialize};
 
-use crate::scratch::Scratch;
+use crate::scratch;
 use crate::shape::ShapeError;
 use crate::tensor::Tensor;
 
-/// The process-wide `tensor.im2col` histogram: wall-time of every
-/// lowering step — im2col/col2im, and the implicit GEMM's input padding
-/// and strip gathers.
-pub(crate) fn lowering_histogram() -> &'static Arc<Histogram> {
-    static HIST: OnceLock<Arc<Histogram>> = OnceLock::new();
-    HIST.get_or_init(|| adq_telemetry::metrics::global().histogram("tensor.im2col"))
-}
-
-/// Times one lowering call into [`lowering_histogram`].
+/// Times one lowering call into the process-wide `tensor.im2col`
+/// histogram. Only lowering that runs outside a product is timed here —
+/// [`crate::pad_input`], [`im2col`] and [`col2im`] — so no interval is
+/// recorded both here and under `tensor.matmul`: the implicit GEMM's
+/// strip gathers, the fused input gradient's scatter and the naive
+/// plan's column matrix are part of their product's time.
 pub(crate) fn im2col_timer() -> ScopedTimer {
-    ScopedTimer::new(lowering_histogram())
+    static HIST: OnceLock<Arc<Histogram>> = OnceLock::new();
+    ScopedTimer::new(
+        HIST.get_or_init(|| adq_telemetry::metrics::global().histogram("tensor.im2col")),
+    )
 }
 
 /// Verbose-only (level 2) tracing span for one lowering call — the per-batch
@@ -150,29 +150,16 @@ fn in_bounds_run(
 /// Column `((n·OH + oh)·OW + ow)` holds the receptive field of output pixel
 /// `(oh, ow)` of sample `n`; out-of-bounds taps (padding) are zero.
 ///
-/// The column buffer is zeroed once up front; per output row only the
-/// in-bounds run of input pixels is copied (a single `copy_from_slice` at
-/// stride 1), instead of testing every tap individually.
+/// The column buffer comes zeroed from the calling thread's arena (give
+/// it back with [`crate::recycle`]); per output row only the in-bounds
+/// run of input pixels is copied (a single `copy_from_slice` at stride
+/// 1), instead of testing every tap individually.
 ///
 /// # Errors
 ///
 /// Returns [`ShapeError`] if `input` is not rank-4 or its channel count does
 /// not match `geom`.
 pub fn im2col(input: &Tensor, geom: &Conv2dGeom) -> Result<Tensor, ShapeError> {
-    im2col_scratch(input, geom, &mut Scratch::new())
-}
-
-/// [`im2col`] drawing the column buffer from `scratch`, so the dominant
-/// allocation of a conv forward pass is recycled across batches.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] under the same conditions as [`im2col`].
-pub fn im2col_scratch(
-    input: &Tensor,
-    geom: &Conv2dGeom,
-    scratch: &mut Scratch,
-) -> Result<Tensor, ShapeError> {
     if input.rank() != 4 || input.dims()[1] != geom.in_channels {
         return Err(ShapeError::new(format!(
             "im2col: expected [N, {}, H, W] input, got {:?}",
@@ -181,6 +168,12 @@ pub fn im2col_scratch(
         )));
     }
     let _timer = im2col_timer();
+    Ok(lower(input, geom))
+}
+
+/// [`im2col`]'s lowering, untimed, of an `input` already checked against
+/// `geom`.
+pub(crate) fn lower(input: &Tensor, geom: &Conv2dGeom) -> Tensor {
     let (n, c, h, w) = (
         input.dims()[0],
         input.dims()[1],
@@ -196,7 +189,7 @@ pub fn im2col_scratch(
     let cols = n * oh * ow;
     let _span = im2col_span("tensor.im2col", rows, cols);
     count_lowering_resources(rows, cols);
-    let mut out = scratch.take_zeroed(rows * cols);
+    let mut out = scratch::take_zeroed(rows * cols);
     let data = input.data();
     for ci in 0..c {
         for kh in 0..p {
@@ -229,7 +222,7 @@ pub fn im2col_scratch(
             }
         }
     }
-    Tensor::from_vec(out, &[rows, cols])
+    Tensor::from_vec(out, &[rows, cols]).expect("sized to fit")
 }
 
 /// Scatters a `[C·p·p, N·OH·OW]` column-gradient matrix back onto an NCHW
@@ -239,7 +232,7 @@ pub fn im2col_scratch(
 /// Every input element sums its contributions onto `0.0` in ascending
 /// `(kh, kw)` order, one `(image, channel)` plane at a time
 /// (`scatter_plane`); the fused input gradient
-/// ([`crate::conv_input_grad_scratch`]) adds the same values in the same
+/// ([`crate::conv_input_grad`]) adds the same values in the same
 /// order per plane, which is what makes the two bit-identical.
 ///
 /// # Errors
@@ -522,12 +515,9 @@ mod tests {
         let input =
             Tensor::from_vec((0..64).map(|v| v as f32 * 0.5).collect(), &[1, 1, 8, 8]).unwrap();
         let g = Conv2dGeom::new(1, 1, 3, 1, 1);
-        let mut scratch = Scratch::new();
-        let first = im2col_scratch(&input, &g, &mut scratch).unwrap();
-        let mut junk = scratch.take(first.len() * 2);
-        junk.fill(f32::NAN);
-        scratch.give(junk);
-        let second = im2col_scratch(&input, &g, &mut scratch).unwrap();
+        let first = im2col(&input, &g).unwrap();
+        crate::recycle(Tensor::full(&[first.len() * 2], f32::NAN));
+        let second = im2col(&input, &g).unwrap();
         assert_eq!(first, second);
     }
 

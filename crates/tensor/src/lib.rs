@@ -10,13 +10,15 @@
 //! * [`matmul`] — a matrix multiply that routes large products through a
 //!   cache-blocked, panel-packed GEMM kernel (an 8×16 AVX-512 register
 //!   tile where the CPU has it),
-//! * [`pad_input`]/[`conv_gemm_scratch`] — a convolution's forward product
-//!   and weight gradient as implicit GEMMs that gather the column matrix
-//!   from a zero-padded input instead of materialising it (the training
-//!   hot loop), and [`conv_input_grad_scratch`], its input gradient with
-//!   the `col2im` scatter fused into the product,
-//! * [`Scratch`] — a workspace arena recycling hot-path buffers (padded
-//!   inputs, GEMM panels, outputs) across batches,
+//! * [`pad_input`]/[`conv_gemm`] — a convolution's forward product and
+//!   weight gradient as implicit GEMMs that gather the column matrix from
+//!   a zero-padded input instead of materialising it (the training hot
+//!   loop), and [`conv_input_grad`], its input gradient with the `col2im`
+//!   scatter fused into the product,
+//! * [`take_tensor`]/[`recycle`] — the calling thread's buffer arena, the
+//!   one home of every pooled buffer (padded inputs, GEMM panels,
+//!   outputs, the tensors that pass between layers), reused across
+//!   batches,
 //! * [`im2col`]/[`col2im`] — explicit lowering of 2-D convolutions to
 //!   matrix multiplies and its adjoint scatter (the references the
 //!   implicit products and the fused input gradient are tested against),
@@ -50,13 +52,14 @@ pub mod dispatch;
 pub mod init;
 pub mod plan;
 
-pub use conv::{conv_gemm_scratch, conv_input_grad_scratch, pad_input, ConvGemm, PaddedInput};
+pub use conv::{conv_gemm, conv_input_grad, pad_input, ConvGemm, PaddedInput};
 pub use gemm::{gemm_nn, gemm_nt, gemm_tn, KC, MC, MR, NC, NR};
-pub use im2col::{col2im, im2col, im2col_scratch, Conv2dGeom};
+pub use im2col::{col2im, im2col, Conv2dGeom};
 pub use matmul::{
-    matmul, matmul_a_bt, matmul_a_bt_naive, matmul_a_bt_scratch, matmul_at_b, matmul_at_b_naive,
-    matmul_at_b_scratch, matmul_naive, matmul_scratch,
+    matmul, matmul_a_bt, matmul_a_bt_naive, matmul_at_b, matmul_at_b_naive, matmul_naive,
 };
-pub use scratch::{recycle, take_tensor, take_tensor_zeroed, with_thread_scratch, Scratch};
+pub use scratch::{
+    give as recycle_vec, recycle, take as take_vec, take_tensor, take_tensor_zeroed,
+};
 pub use shape::ShapeError;
 pub use tensor::Tensor;

@@ -13,12 +13,9 @@
 //! contract in [`crate::gemm`]), so dispatch is purely a performance
 //! decision.
 //!
-//! The `*_scratch` variants draw their output and pack buffers from a
-//! caller-owned [`Scratch`] arena so per-batch allocations disappear
-//! from the training loop; the plain variants draw from the calling
-//! thread's arena in the process-wide thread-keyed pool
-//! ([`crate::scratch::with_thread_scratch`]), so their pack panels are
-//! recycled across calls too.
+//! Outputs and pack panels come from the calling thread's arena
+//! ([`crate::scratch`]): the panels go back after every call, and an
+//! output the caller gives back ([`crate::recycle`]) is reused too.
 //!
 //! The pre-blocking kernels remain available as `matmul_naive` /
 //! `matmul_at_b_naive` / `matmul_a_bt_naive` — they are the comparison
@@ -35,7 +32,7 @@ use rayon::prelude::*;
 use crate::conv::ConvGemm;
 use crate::gemm::{self, AStore, BOperand, BStore};
 use crate::plan::{self, KernelPlan};
-use crate::scratch::Scratch;
+use crate::scratch;
 use crate::shape::ShapeError;
 use crate::tensor::Tensor;
 
@@ -149,42 +146,42 @@ fn matmul_span(op: &GemmOp, chosen: &KernelPlan) -> SpanGuard {
     }
 }
 
-/// Runs one plan on the operands, drawing every buffer from `scratch`.
-/// The returned buffer is the `m·n` output, row-major.
+/// Runs one plan on the operands, drawing every buffer from the calling
+/// thread's arena. The returned buffer is the `m·n` output, row-major.
 ///
 /// A convolution's column matrix is gathered straight from the padded
-/// input by the packed kernel; the naive plan lowers it with [`im2col`]
-/// and streams the explicit matrix, as it always has.
+/// input by the packed kernel; the naive plan lowers it with [`im2col`]'s
+/// loop and streams the explicit matrix, as it always has.
 ///
 /// [`im2col`]: crate::im2col
-pub(crate) fn execute_plan(chosen: &KernelPlan, op: &GemmOp, scratch: &mut Scratch) -> Vec<f32> {
+pub(crate) fn execute_plan(chosen: &KernelPlan, op: &GemmOp) -> Vec<f32> {
     if let Some(blocking) = chosen.blocking() {
         let GemmOp { m, n, k, a, .. } = *op;
-        return gemm::gemm_alloc(m, n, k, a, op.a_store, op.b, blocking, scratch);
+        return gemm::gemm_alloc(m, n, k, a, op.a_store, op.b, blocking);
     }
     let b = match op.b {
         BOperand::Matrix(b, _) => b,
-        BOperand::Cols(input, _) => input.cols(scratch).data(),
+        BOperand::Cols(input, _) => input.cols().data(),
     };
-    naive_plan(op, b, scratch)
+    naive_plan(op, b)
 }
 
 /// The streaming fallback loops on an explicit `B`.
-fn naive_plan(op: &GemmOp, b: &[f32], scratch: &mut Scratch) -> Vec<f32> {
+fn naive_plan(op: &GemmOp, b: &[f32]) -> Vec<f32> {
     let GemmOp { m, n, k, a, .. } = *op;
     match (op.a_store, op.b_store()) {
         (AStore::Normal, BStore::Normal) => {
-            let mut out = scratch.take_zeroed(m * n);
+            let mut out = scratch::take_zeroed(m * n);
             nn_fallback(m, n, k, a, b, &mut out);
             out
         }
         (AStore::Transposed, BStore::Normal) => {
-            let mut out = scratch.take_zeroed(m * n);
+            let mut out = scratch::take_zeroed(m * n);
             tn_fallback(m, n, k, a, b, &mut out);
             out
         }
         (AStore::Normal, BStore::Transposed) => {
-            let mut out = scratch.take(m * n);
+            let mut out = scratch::take(m * n);
             nt_fallback(m, n, k, a, b, &mut out);
             out
         }
@@ -196,7 +193,7 @@ fn naive_plan(op: &GemmOp, b: &[f32], scratch: &mut Scratch) -> Vec<f32> {
 
 /// The shared driver behind all three dispatched variants and the
 /// implicit convolution products: time, count, plan, trace, execute.
-pub(crate) fn dispatch_matmul(op: &GemmOp, scratch: &mut Scratch) -> Vec<f32> {
+pub(crate) fn dispatch_matmul(op: &GemmOp) -> Vec<f32> {
     let _timer = matmul_timer();
     count_gemm_resources(op.m, op.n, op.k);
     let chosen = match op.b {
@@ -205,7 +202,7 @@ pub(crate) fn dispatch_matmul(op: &GemmOp, scratch: &mut Scratch) -> Vec<f32> {
     };
     let _span = matmul_span(op, &chosen);
     count_plan(&chosen);
-    execute_plan(&chosen, op, scratch)
+    execute_plan(&chosen, op)
 }
 
 /// Dense matrix product `C = A · B` for rank-2 tensors.
@@ -235,32 +232,20 @@ pub(crate) fn dispatch_matmul(op: &GemmOp, scratch: &mut Scratch) -> Vec<f32> {
 /// # }
 /// ```
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, ShapeError> {
-    crate::scratch::with_thread_scratch(|scratch| matmul_scratch(a, b, scratch))
-}
-
-/// [`matmul`] drawing its output and pack buffers from `scratch`.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] under the same conditions as [`matmul`].
-pub fn matmul_scratch(a: &Tensor, b: &Tensor, scratch: &mut Scratch) -> Result<Tensor, ShapeError> {
     check_rank2("matmul", a, b)?;
     let (m, k) = (a.dims()[0], a.dims()[1]);
     let (kb, n) = (b.dims()[0], b.dims()[1]);
     if k != kb {
         return Err(ShapeError::mismatch("matmul", a.dims(), b.dims()));
     }
-    let out = dispatch_matmul(
-        &GemmOp {
-            m,
-            n,
-            k,
-            a: a.data(),
-            a_store: AStore::Normal,
-            b: BOperand::Matrix(b.data(), BStore::Normal),
-        },
-        scratch,
-    );
+    let out = dispatch_matmul(&GemmOp {
+        m,
+        n,
+        k,
+        a: a.data(),
+        a_store: AStore::Normal,
+        b: BOperand::Matrix(b.data(), BStore::Normal),
+    });
     Tensor::from_vec(out, &[m, n])
 }
 
@@ -273,36 +258,20 @@ pub fn matmul_scratch(a: &Tensor, b: &Tensor, scratch: &mut Scratch) -> Result<T
 /// Returns [`ShapeError`] if either input is not rank-2 or the shared
 /// dimension disagrees.
 pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Result<Tensor, ShapeError> {
-    crate::scratch::with_thread_scratch(|scratch| matmul_at_b_scratch(a, b, scratch))
-}
-
-/// [`matmul_at_b`] drawing its output and pack buffers from `scratch`.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] under the same conditions as [`matmul_at_b`].
-pub fn matmul_at_b_scratch(
-    a: &Tensor,
-    b: &Tensor,
-    scratch: &mut Scratch,
-) -> Result<Tensor, ShapeError> {
     check_rank2("matmul_at_b", a, b)?;
     let (k, m) = (a.dims()[0], a.dims()[1]);
     let (kb, n) = (b.dims()[0], b.dims()[1]);
     if k != kb {
         return Err(ShapeError::mismatch("matmul_at_b", a.dims(), b.dims()));
     }
-    let out = dispatch_matmul(
-        &GemmOp {
-            m,
-            n,
-            k,
-            a: a.data(),
-            a_store: AStore::Transposed,
-            b: BOperand::Matrix(b.data(), BStore::Normal),
-        },
-        scratch,
-    );
+    let out = dispatch_matmul(&GemmOp {
+        m,
+        n,
+        k,
+        a: a.data(),
+        a_store: AStore::Transposed,
+        b: BOperand::Matrix(b.data(), BStore::Normal),
+    });
     Tensor::from_vec(out, &[m, n])
 }
 
@@ -315,36 +284,20 @@ pub fn matmul_at_b_scratch(
 /// Returns [`ShapeError`] if either input is not rank-2 or the shared
 /// dimension disagrees.
 pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor, ShapeError> {
-    crate::scratch::with_thread_scratch(|scratch| matmul_a_bt_scratch(a, b, scratch))
-}
-
-/// [`matmul_a_bt`] drawing its output and pack buffers from `scratch`.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] under the same conditions as [`matmul_a_bt`].
-pub fn matmul_a_bt_scratch(
-    a: &Tensor,
-    b: &Tensor,
-    scratch: &mut Scratch,
-) -> Result<Tensor, ShapeError> {
     check_rank2("matmul_a_bt", a, b)?;
     let (m, k) = (a.dims()[0], a.dims()[1]);
     let (n, kb) = (b.dims()[0], b.dims()[1]);
     if k != kb {
         return Err(ShapeError::mismatch("matmul_a_bt", a.dims(), b.dims()));
     }
-    let out = dispatch_matmul(
-        &GemmOp {
-            m,
-            n,
-            k,
-            a: a.data(),
-            a_store: AStore::Normal,
-            b: BOperand::Matrix(b.data(), BStore::Transposed),
-        },
-        scratch,
-    );
+    let out = dispatch_matmul(&GemmOp {
+        m,
+        n,
+        k,
+        a: a.data(),
+        a_store: AStore::Normal,
+        b: BOperand::Matrix(b.data(), BStore::Transposed),
+    });
     Tensor::from_vec(out, &[m, n])
 }
 
@@ -670,7 +623,6 @@ mod tests {
         assert_eq!(static_plan(m, n, k).label(), "naive");
         let a = random_tensor(&[m, k], 301);
         let b = random_tensor(&[k, n], 302);
-        let mut scratch = Scratch::new();
         for chosen in [
             KernelPlan::Blocked(crate::plan::Blocking::default_tiles()),
             KernelPlan::BlockedTuned(crate::plan::Blocking {
@@ -688,68 +640,92 @@ mod tests {
                     a_store: AStore::Normal,
                     b: BOperand::Matrix(b.data(), BStore::Normal),
                 },
-                &mut scratch,
             );
             let expected = matmul_naive(&a, &b).unwrap();
             for (x, y) in out.iter().zip(expected.data()) {
                 assert!((x - y).abs() <= 1e-4, "{chosen:?}: {x} vs {y}");
             }
-            scratch.give(out);
+            scratch::give(out);
         }
     }
 
     #[test]
-    fn warm_scratch_blocked_matmul_allocates_only_the_escaping_output() {
-        // the conv blocked_scratch regression: the output buffer was
-        // taken from the arena *before* the pack panels, so best-fit
-        // handed the output a pooled pack panel and every warm call
-        // cascaded into a fresh allocation of the largest panel. With
-        // panels taken first, a warm call's only fresh allocation is the
-        // m·n output that escapes to the caller as a Tensor.
-        let (m, k, n) = (64usize, 512usize, 64usize); // conv-like: panels > output
-        assert!(
-            static_plan(m, n, k).blocking().is_some(),
-            "the test shape must route to a packed-kernel plan"
-        );
+    fn every_entry_point_fans_out_and_allocates_only_the_escaping_output() {
+        // The arena is a RefCell and the caller runs bands too: a borrow
+        // held across the tile loop panics here. Take order matters as
+        // well: had the output been taken before the pack panels,
+        // best-fit would hand it a pooled panel and every warm call would
+        // cascade into a fresh allocation of the largest panel. With
+        // panels first, a warm call's only fresh allocation in the
+        // calling thread's arena is the output that escapes as a Tensor.
+        use crate::gemm::PAR_TILE_MIN_FLOPS;
+        use crate::plan::gathered_plan;
+        use crate::{conv_gemm, conv_input_grad, gemm_nn, gemm_nt, gemm_tn, pad_input};
+        use crate::{Conv2dGeom, ConvGemm};
+
+        let fans_out = |(m, n, k): (usize, usize, usize), chosen: KernelPlan| {
+            let blocking = chosen.blocking().expect("a packed-kernel plan");
+            let tiles = m.div_ceil(blocking.mc) * n.div_ceil(blocking.nc);
+            assert!(
+                tiles >= 2 && m * n * k >= PAR_TILE_MIN_FLOPS,
+                "({m},{n},{k})"
+            );
+        };
+        let (m, k, n) = (128usize, 256usize, 256usize);
+        fans_out((m, n, k), static_plan(m, n, k));
         let a = random_tensor(&[m, k], 401);
         let b = random_tensor(&[k, n], 402);
-        let mut scratch = Scratch::new();
-        let _ = matmul_scratch(&a, &b, &mut scratch).unwrap(); // cold call warms the pool
-        let warm = scratch.fresh_allocs();
-        for _ in 0..3 {
-            let _ = matmul_scratch(&a, &b, &mut scratch).unwrap();
-        }
-        assert_eq!(
-            scratch.fresh_allocs() - warm,
-            3,
-            "a warm blocked matmul_scratch call must allocate exactly once (the escaping output)"
-        );
-    }
+        let at = random_tensor(&[k, m], 403);
+        let bt = random_tensor(&[n, k], 404);
+        // Table-II VGG's 16→64 conv at batch 8: 64 filters, 144 taps,
+        // 2048 pixels
+        let geom = Conv2dGeom::new(16, 64, 3, 1, 1);
+        let dims = [8, 16, 16, 16];
+        let (taps, pixels) = (16 * 9, 8 * 16 * 16);
+        fans_out((64, pixels, taps), gathered_plan(64, pixels, taps));
+        fans_out((64, taps, pixels), gathered_plan(64, taps, pixels));
+        assert!(taps * pixels * 64 >= PAR_TILE_MIN_FLOPS);
+        let x = random_tensor(&dims, 405);
+        let padded = pad_input(&x, &geom).unwrap();
+        let w = random_tensor(&[64, taps], 406);
+        let dy = random_tensor(&[64, pixels], 407);
 
-    #[test]
-    fn scratch_variants_match_plain_variants() {
-        let mut scratch = Scratch::new();
-        let a = random_tensor(&[12, 9], 55);
-        let b = random_tensor(&[9, 14], 56);
-        assert_eq!(
-            matmul_scratch(&a, &b, &mut scratch).unwrap(),
-            matmul(&a, &b).unwrap()
-        );
-        let at = random_tensor(&[9, 12], 57);
-        assert_eq!(
-            matmul_at_b_scratch(&at, &b, &mut scratch).unwrap(),
-            matmul_at_b(&at, &b).unwrap()
-        );
-        let bt = random_tensor(&[14, 9], 58);
-        assert_eq!(
-            matmul_a_bt_scratch(&a, &bt, &mut scratch).unwrap(),
-            matmul_a_bt(&a, &bt).unwrap()
-        );
-        // a second pass through the (now warm) arena must be identical
-        assert_eq!(
-            matmul_scratch(&a, &b, &mut scratch).unwrap(),
-            matmul(&a, &b).unwrap()
-        );
+        type Product<'a> = Box<dyn Fn() -> Tensor + 'a>;
+        let products: [(&str, Product); 9] = [
+            ("matmul", Box::new(|| matmul(&a, &b).unwrap())),
+            ("matmul_at_b", Box::new(|| matmul_at_b(&at, &b).unwrap())),
+            ("matmul_a_bt", Box::new(|| matmul_a_bt(&a, &bt).unwrap())),
+            (
+                "conv_gemm forward",
+                Box::new(|| conv_gemm(&w, &padded, ConvGemm::Forward).unwrap()),
+            ),
+            (
+                "conv_gemm weight grad",
+                Box::new(|| conv_gemm(&dy, &padded, ConvGemm::WeightGrad).unwrap()),
+            ),
+            (
+                "conv_input_grad",
+                Box::new(|| conv_input_grad(&w, &dy, &dims, &geom).unwrap()),
+            ),
+            ("gemm_nn", Box::new(|| gemm_nn(&a, &b).unwrap())),
+            ("gemm_tn", Box::new(|| gemm_tn(&at, &b).unwrap())),
+            ("gemm_nt", Box::new(|| gemm_nt(&a, &bt).unwrap())),
+        ];
+        rayon::set_thread_override(Some(2));
+        for (name, product) in &products {
+            // the cold call and a repeat warm the caller's and the
+            // worker's arenas
+            product();
+            product();
+            let warm = scratch::fresh_allocs();
+            product();
+            assert_eq!(
+                scratch::fresh_allocs() - warm,
+                1,
+                "a warm {name} must allocate exactly once (the escaping output)"
+            );
+        }
+        rayon::set_thread_override(None);
     }
 
     #[test]

@@ -1,31 +1,35 @@
-//! A reusable workspace arena for hot-path buffers.
+//! The calling thread's buffer arena: the one home of every pooled `f32`
+//! buffer in the training hot path.
 //!
-//! The conv/quant training loop allocates the same large buffers on every
-//! batch — padded conv inputs, GEMM pack panels, matmul outputs, and the
-//! column matrices of naive-plan convs and of the input gradient. A
-//! [`Scratch`] lets a layer keep those allocations alive across batches:
-//! [`Scratch::take`] hands out a buffer (recycled when one is pooled,
-//! freshly allocated otherwise) and [`Scratch::give`] returns it to the
-//! pool once the caller is done.
+//! Algorithm 1 reshapes the network as it trains (bit-widths, pruned
+//! channels, removed layers), so the buffers a step needs change size
+//! between iterations. Each OS thread owns one arena, created on first
+//! use and freed when the thread exits. Every layer, product and pool
+//! worker on that thread takes its buffers from it and gives them back:
+//! the tensors that pass between layers ([`take_tensor`], [`recycle`]),
+//! padded conv inputs, weight copies, pack panels, gathered strips,
+//! product outputs and column matrices. A buffer freed by one layer is
+//! reused by the next, as a heap allocator would reuse it, so a warm
+//! training step allocates almost nothing. Buffers never migrate between
+//! threads and no lock is taken.
 //!
-//! Retained memory is bounded: each arena caps the bytes it keeps pooled
-//! ([`Scratch::DEFAULT_RETAINED_LIMIT`] unless configured via
-//! [`Scratch::with_retained_limit`]) and evicts the largest unused buffers
-//! first when a give-back would exceed it — a long run's pool converges to
-//! the working set instead of accumulating every transient high-water
-//! buffer it ever saw.
+//! The arena is a `RefCell`, and the worker pool runs bands on the
+//! calling thread too, so no borrow of it may be held across parallel
+//! work or across another call that takes from it. The only way in is a
+//! short borrow inside [`take`], [`take_zeroed`] and [`give`] (exported
+//! as `take_vec` and `recycle_vec`).
 //!
-//! For call sites without a natural owner for an arena (the plain
-//! [`crate::matmul`] entry points, pool workers), a process-wide
-//! **thread-keyed pool** hands each OS thread its own arena via
-//! [`with_thread_scratch`] — no locking on the hot path, and buffers never
-//! migrate between threads.
+//! Retained memory is bounded: an arena keeps at most
+//! [`Scratch::RETAINED_LIMIT`] bytes pooled and evicts the largest unused
+//! buffers first when a give-back would exceed it, so a long run's pool
+//! converges to the working set instead of accumulating every transient
+//! high-water buffer it ever saw.
 //!
 //! Reuse is observable through the process-wide telemetry counters
 //! `tensor.scratch.reuse_hits` (a pooled buffer satisfied a request),
 //! `tensor.scratch.allocs` (a fresh allocation was needed) and
 //! `tensor.scratch.evictions` (the retained-byte cap dropped a buffer),
-//! plus the gauge `tensor.scratch.pool.live` (thread-keyed arenas alive).
+//! plus the gauge `tensor.scratch.pool.live` (thread arenas alive).
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -54,65 +58,44 @@ fn evictions() -> &'static Arc<Counter> {
 ///
 /// Buffers are matched by capacity: [`Scratch::take`] prefers the smallest
 /// pooled buffer whose capacity already covers the request, falling back to
-/// growing the largest one. Total pooled capacity is capped at the arena's
-/// retained limit; [`Scratch::give`] evicts the largest unused buffers
-/// first until a give-back fits.
-///
-/// Cloning a `Scratch` yields an *empty* pool — pooled memory is an
-/// optimization, not state, so clones of a layer start cold rather than
-/// duplicating multi-megabyte buffers. The clone keeps the donor's
-/// retained limit.
-///
-/// # Example
-///
-/// ```
-/// use adq_tensor::Scratch;
-///
-/// let mut scratch = Scratch::new();
-/// let buf = scratch.take(1024); // fresh allocation, contents unspecified
-/// scratch.give(buf);
-/// let again = scratch.take(512); // recycled from the pool
-/// assert_eq!(again.len(), 512);
-/// ```
+/// growing the largest one. A covering buffer more than
+/// [`Scratch::MAX_OVERSIZE`] times the request is left in the pool and a
+/// fresh buffer is allocated instead: a small output that escapes (a
+/// model's logits, which the caller drops) would otherwise carry off a
+/// large buffer every step, and the large buffer's own user would
+/// allocate a fresh one. Total pooled capacity is capped;
+/// [`Scratch::give`] evicts the largest unused buffers first until a
+/// give-back fits.
 #[derive(Debug)]
-pub struct Scratch {
+pub(crate) struct Scratch {
     pool: Vec<Vec<f32>>,
     /// Sum of pooled capacities, in bytes (kept in sync by take/give).
     retained: usize,
     /// Cap on `retained`.
     limit: usize,
     /// Lifetime count of takes the pool could not serve (fresh
-    /// allocations), per arena — the deterministic signal the
-    /// take-ordering regression tests assert on.
+    /// allocations) — the deterministic signal the take-ordering
+    /// regression tests assert on.
     fresh_allocs: u64,
 }
 
-impl Default for Scratch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Clone for Scratch {
-    fn clone(&self) -> Self {
-        Scratch::with_retained_limit(self.limit)
-    }
-}
-
 impl Scratch {
-    /// Default cap on pooled bytes per arena: 256 MiB, comfortably above
-    /// the largest single pack or lowering buffer the full-size VGG-19
-    /// smoke shapes need, so eviction only fires on genuinely accumulating
+    /// Cap on pooled bytes per arena: 256 MiB, comfortably above the
+    /// largest single pack or lowering buffer the full-size VGG-19 smoke
+    /// shapes need, so eviction only fires on genuinely accumulating
     /// pools.
-    pub const DEFAULT_RETAINED_LIMIT: usize = 256 << 20;
+    const RETAINED_LIMIT: usize = 256 << 20;
+
+    /// How many times larger than a request a pooled buffer may be and
+    /// still serve it.
+    const MAX_OVERSIZE: usize = 8;
 
     /// An empty pool with the default retained-byte limit.
-    pub fn new() -> Self {
-        Self::with_retained_limit(Self::DEFAULT_RETAINED_LIMIT)
+    fn new() -> Self {
+        Self::with_limit(Self::RETAINED_LIMIT)
     }
 
-    /// An empty pool that retains at most `limit` bytes across give-backs.
-    pub fn with_retained_limit(limit: usize) -> Self {
+    fn with_limit(limit: usize) -> Self {
         Self {
             pool: Vec::new(),
             retained: 0,
@@ -121,36 +104,9 @@ impl Scratch {
         }
     }
 
-    /// Number of buffers currently pooled.
-    pub fn pooled(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// Bytes of capacity currently held by pooled (unused) buffers.
-    pub fn retained_bytes(&self) -> usize {
-        self.retained
-    }
-
-    /// The cap on [`Scratch::retained_bytes`].
-    pub fn retained_limit(&self) -> usize {
-        self.limit
-    }
-
-    /// Lifetime number of [`Scratch::take`] calls this arena served with
-    /// a fresh allocation instead of a pooled buffer. On a warm arena a
-    /// well-ordered kernel performs exactly one fresh allocation per
-    /// call — the output that escapes to the caller — so this counter is
-    /// the deterministic regression signal for take-ordering bugs that
-    /// timing-based checks can only see as noise.
-    pub fn fresh_allocs(&self) -> u64 {
-        self.fresh_allocs
-    }
-
     /// Takes a buffer of exactly `len` elements with **unspecified
-    /// contents** — stale data from a previous use may be present. Use
-    /// [`Scratch::take_zeroed`] when the caller relies on zero
-    /// initialisation.
-    pub fn take(&mut self, len: usize) -> Vec<f32> {
+    /// contents** — stale data from a previous use may be present.
+    fn take(&mut self, len: usize) -> Vec<f32> {
         match self.best_fit(len) {
             Some(idx) => {
                 reuse_hits().inc();
@@ -171,22 +127,13 @@ impl Scratch {
     /// pooled buffer is actually scrubbed — a fresh allocation is
     /// already zeroed by the allocator, and re-clearing it would cost a
     /// second pass over the output of every cold call.
-    pub fn take_zeroed(&mut self, len: usize) -> Vec<f32> {
-        match self.best_fit(len) {
-            Some(idx) => {
-                reuse_hits().inc();
-                let mut buf = self.pool.swap_remove(idx);
-                self.retained -= capacity_bytes(buf.capacity());
-                buf.resize(len, 0.0);
-                buf.fill(0.0);
-                buf
-            }
-            None => {
-                allocs().inc();
-                self.fresh_allocs += 1;
-                vec![0.0; len]
-            }
+    fn take_zeroed(&mut self, len: usize) -> Vec<f32> {
+        let fresh_before = self.fresh_allocs;
+        let mut buf = self.take(len);
+        if self.fresh_allocs == fresh_before {
+            buf.fill(0.0);
         }
+        buf
     }
 
     /// Returns a buffer to the pool for reuse. Zero-capacity buffers are
@@ -195,7 +142,7 @@ impl Scratch {
     /// largest unused buffers are evicted first (each eviction counted in
     /// `tensor.scratch.evictions`); a buffer larger than the whole limit
     /// is dropped outright.
-    pub fn give(&mut self, buf: Vec<f32>) {
+    fn give(&mut self, buf: Vec<f32>) {
         if buf.capacity() == 0 {
             return;
         }
@@ -222,7 +169,9 @@ impl Scratch {
 
     /// Index of the smallest pooled buffer with capacity ≥ `len`, or the
     /// largest pooled buffer when none is big enough (growing the largest
-    /// wastes the least already-committed memory), or `None` when empty.
+    /// wastes the least already-committed memory), or `None` when the
+    /// pool is empty or its smallest covering buffer is more than
+    /// [`Scratch::MAX_OVERSIZE`] times `len`.
     fn best_fit(&self, len: usize) -> Option<usize> {
         if self.pool.is_empty() {
             return None;
@@ -238,7 +187,11 @@ impl Scratch {
                 largest = (cap, idx);
             }
         }
-        Some(covering.map_or(largest.1, |(_, idx)| idx))
+        match covering {
+            Some((cap, _)) if cap > len.saturating_mul(Self::MAX_OVERSIZE) => None,
+            Some((_, idx)) => Some(idx),
+            None => Some(largest.1),
+        }
     }
 }
 
@@ -248,8 +201,8 @@ fn capacity_bytes(capacity: usize) -> usize {
     capacity * std::mem::size_of::<f32>()
 }
 
-/// Thread-keyed arenas currently alive (mirrors the
-/// `tensor.scratch.pool.live` gauge).
+/// Thread arenas currently alive (mirrors the `tensor.scratch.pool.live`
+/// gauge).
 static LIVE_ARENAS: AtomicUsize = AtomicUsize::new(0);
 
 fn publish_live_arenas(count: usize) {
@@ -258,9 +211,9 @@ fn publish_live_arenas(count: usize) {
         .set(count as f64);
 }
 
-/// A thread's slot in the process-wide pool: tracks the live-arena gauge
-/// as threads first touch scratch and exit. Rayon's pool workers persist,
-/// so their arenas (and buffers) are reused across parallel calls.
+/// A thread's arena: tracks the live-arena gauge as threads first touch
+/// it and exit. The pool's workers persist, so their arenas (and
+/// buffers) are reused across parallel calls.
 struct ThreadArena {
     scratch: Scratch,
 }
@@ -286,46 +239,60 @@ thread_local! {
     static THREAD_SCRATCH: RefCell<ThreadArena> = RefCell::new(ThreadArena::new());
 }
 
-/// Runs `f` with the calling thread's arena from the process-wide
-/// thread-keyed pool.
-///
-/// Each OS thread owns exactly one arena, created lazily on first use and
-/// freed when the thread exits — buffers never cross threads and no lock
-/// is taken. The number of live arenas is published to the
-/// `tensor.scratch.pool.live` gauge.
-///
-/// # Panics
-///
-/// Panics if called reentrantly from within `f` (the arena is singly
-/// borrowed).
-pub fn with_thread_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+/// Runs `f` on the calling thread's arena. Private: every borrow ends
+/// inside one of the free functions below, before control returns to
+/// code that might take again or fan out.
+fn with_arena<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
     THREAD_SCRATCH.with(|cell| f(&mut cell.borrow_mut().scratch))
 }
 
-/// A tensor of `dims` in a buffer from the calling thread's arena, with
-/// **unspecified contents** (see [`Scratch::take`]).
-///
-/// Tensors that pass between layers — a layer's output, its input
-/// gradient — come from here, and the model gives each back
-/// ([`recycle`]) once the layer that received it is done. One arena per
-/// thread serves every layer, so a buffer freed by one layer is reused by
-/// the next one's output, as a heap allocator would reuse it, and a warm
-/// training step allocates nothing.
-pub fn take_tensor(dims: &[usize]) -> Tensor {
-    let len = crate::shape::element_count(dims);
-    Tensor::from_vec(with_thread_scratch(|s| s.take(len)), dims).expect("sized to fit")
+/// A buffer of `len` elements from the calling thread's arena, with
+/// **unspecified contents**, for a caller that keeps no shape with it
+/// (batch-norm's cached `x̂`); `recycle_vec` gives it back. Tensors come
+/// from [`take_tensor`].
+pub fn take(len: usize) -> Vec<f32> {
+    with_arena(|s| s.take(len))
 }
 
-/// [`take_tensor`] with every element zero (see [`Scratch::take_zeroed`]).
+/// A buffer of `len` zeros from the calling thread's arena.
+pub(crate) fn take_zeroed(len: usize) -> Vec<f32> {
+    with_arena(|s| s.take_zeroed(len))
+}
+
+/// Gives `buf` to the calling thread's arena for a later take to reuse.
+pub fn give(buf: Vec<f32>) {
+    with_arena(|s| s.give(buf));
+}
+
+/// The calling thread's lifetime count of takes its arena served with a
+/// fresh allocation. On a warm arena a well-ordered product makes exactly
+/// one per call: the output that escapes to the caller.
+#[cfg(test)]
+pub(crate) fn fresh_allocs() -> u64 {
+    with_arena(|s| s.fresh_allocs)
+}
+
+/// A tensor of `dims` in a buffer from the calling thread's arena, with
+/// **unspecified contents**.
+///
+/// Tensors that pass between layers — a layer's output, its input
+/// gradient, a cached activation — come from here, and their owner gives
+/// each back ([`recycle`]) once it is done with it.
+pub fn take_tensor(dims: &[usize]) -> Tensor {
+    let len = crate::shape::element_count(dims);
+    Tensor::from_vec(take(len), dims).expect("sized to fit")
+}
+
+/// [`take_tensor`] with every element zero.
 pub fn take_tensor_zeroed(dims: &[usize]) -> Tensor {
     let len = crate::shape::element_count(dims);
-    Tensor::from_vec(with_thread_scratch(|s| s.take_zeroed(len)), dims).expect("sized to fit")
+    Tensor::from_vec(take_zeroed(len), dims).expect("sized to fit")
 }
 
 /// Gives `t`'s buffer to the calling thread's arena, for a later
 /// [`take_tensor`] to reuse.
 pub fn recycle(t: Tensor) {
-    with_thread_scratch(|s| s.give(t.into_vec()));
+    give(t.into_vec());
 }
 
 #[cfg(test)]
@@ -341,8 +308,8 @@ mod tests {
         let again = scratch.take(80);
         assert_eq!(again.len(), 80);
         assert_eq!(again.as_ptr(), ptr, "expected the pooled buffer back");
-        assert_eq!(scratch.pooled(), 0);
-        assert_eq!(scratch.retained_bytes(), 0);
+        assert!(scratch.pool.is_empty());
+        assert_eq!(scratch.retained, 0);
     }
 
     #[test]
@@ -362,7 +329,19 @@ mod tests {
         scratch.give(Vec::with_capacity(10));
         let buf = scratch.take(8);
         assert!(buf.capacity() < 1000, "small request took the big buffer");
-        assert_eq!(scratch.pooled(), 1);
+        assert_eq!(scratch.pool.len(), 1);
+    }
+
+    #[test]
+    fn a_much_larger_buffer_stays_pooled_for_its_own_size() {
+        let mut scratch = Scratch::new();
+        scratch.give(vec![0.0; 800]);
+        // 800 > 8 × 99: a fresh buffer
+        let tiny = scratch.take(99);
+        assert_eq!((tiny.capacity(), scratch.fresh_allocs), (99, 1));
+        // 800 = 8 × 100: the pooled one
+        let small = scratch.take(100);
+        assert_eq!((small.capacity(), scratch.fresh_allocs), (800, 1));
     }
 
     #[test]
@@ -373,24 +352,15 @@ mod tests {
         let buf = scratch.take(64);
         assert_eq!(buf.len(), 64);
         // the 16-capacity buffer was grown; the 4-capacity one remains
-        assert_eq!(scratch.pooled(), 1);
+        assert_eq!(scratch.pool.len(), 1);
         assert!(scratch.pool[0].capacity() < 16);
-    }
-
-    #[test]
-    fn clone_starts_cold() {
-        let mut scratch = Scratch::with_retained_limit(12345);
-        scratch.give(vec![0.0; 32]);
-        let clone = scratch.clone();
-        assert_eq!(clone.pooled(), 0);
-        assert_eq!(clone.retained_limit(), 12345);
     }
 
     #[test]
     fn empty_buffers_are_not_pooled() {
         let mut scratch = Scratch::new();
         scratch.give(Vec::new());
-        assert_eq!(scratch.pooled(), 0);
+        assert!(scratch.pool.is_empty());
     }
 
     #[test]
@@ -398,13 +368,13 @@ mod tests {
         // regression: the pool used to grow without bound across a long
         // run — every distinct high-water buffer stayed pooled forever
         let limit = 1024 * std::mem::size_of::<f32>();
-        let mut scratch = Scratch::with_retained_limit(limit);
+        let mut scratch = Scratch::with_limit(limit);
         let before = evictions().get();
         let mut peak = 0usize;
         for round in 0..100 {
             // distinct sizes so best-fit keeps missing and give keeps adding
             scratch.give(vec![0.0; 64 + round]);
-            peak = peak.max(scratch.retained_bytes());
+            peak = peak.max(scratch.retained);
         }
         assert!(
             peak <= limit,
@@ -422,62 +392,50 @@ mod tests {
     #[test]
     fn evicts_largest_unused_first() {
         let elem = std::mem::size_of::<f32>();
-        let mut scratch = Scratch::with_retained_limit(300 * elem);
+        let mut scratch = Scratch::with_limit(300 * elem);
         scratch.give(vec![0.0; 200]);
         scratch.give(vec![0.0; 50]);
         // 250 elements retained; adding 80 exceeds 300 -> the 200-element
         // buffer (largest) goes first, leaving 50 + 80
         scratch.give(vec![0.0; 80]);
-        assert_eq!(scratch.pooled(), 2);
-        assert!(scratch.retained_bytes() <= 300 * elem);
+        assert_eq!(scratch.pool.len(), 2);
+        assert!(scratch.retained <= 300 * elem);
         assert!(scratch.pool.iter().all(|b| b.capacity() < 200));
     }
 
     #[test]
     fn oversized_give_back_is_dropped() {
-        let mut scratch = Scratch::with_retained_limit(16);
+        let mut scratch = Scratch::with_limit(16);
         let before = evictions().get();
         scratch.give(vec![0.0; 1000]);
-        assert_eq!(scratch.pooled(), 0);
-        assert_eq!(scratch.retained_bytes(), 0);
+        assert!(scratch.pool.is_empty());
+        assert_eq!(scratch.retained, 0);
         assert!(evictions().get() > before);
     }
 
     #[test]
-    fn thread_scratch_reuses_within_a_thread() {
-        let ptr = with_thread_scratch(|s| {
-            let buf = s.take(333);
-            let ptr = buf.as_ptr();
-            s.give(buf);
-            ptr
-        });
-        let again = with_thread_scratch(|s| {
-            let buf = s.take(333);
-            let p = buf.as_ptr();
-            s.give(buf);
-            p
-        });
-        assert_eq!(ptr, again, "same thread must get its pooled buffer back");
+    fn thread_arena_reuses_within_a_thread() {
+        let buf = take(333);
+        let ptr = buf.as_ptr();
+        give(buf);
+        let again = take(333);
+        assert_eq!(ptr, again.as_ptr(), "same thread must get its buffer back");
+        give(again);
     }
 
     #[test]
-    fn thread_scratch_is_per_thread() {
-        let main_ptr = with_thread_scratch(|s| {
-            let buf = s.take(512);
-            let p = buf.as_ptr();
-            s.give(buf);
-            p
-        });
+    fn thread_arenas_are_per_thread() {
+        let buf = take(512);
+        let main_ptr = buf.as_ptr() as usize;
+        give(buf);
         let other_ptr = std::thread::spawn(move || {
-            with_thread_scratch(|s| {
-                let buf = s.take(512);
-                let p = buf.as_ptr() as usize;
-                s.give(buf);
-                p
-            })
+            let buf = take(512);
+            let p = buf.as_ptr() as usize;
+            give(buf);
+            p
         })
         .join()
-        .expect("worker thread") as *const f32;
+        .expect("worker thread");
         assert_ne!(main_ptr, other_ptr, "arenas must not cross threads");
     }
 }

@@ -2,7 +2,7 @@
 
 use adq_tensor::{
     col2im, gemm_nn, gemm_nt, gemm_tn, im2col, matmul, matmul_a_bt, matmul_a_bt_naive, matmul_at_b,
-    matmul_at_b_naive, matmul_naive, Conv2dGeom, Scratch, Tensor,
+    matmul_at_b_naive, matmul_naive, recycle, Conv2dGeom, Tensor,
 };
 use proptest::prelude::*;
 
@@ -120,21 +120,20 @@ proptest! {
         n in 1usize..=67,
         seed in 0u64..1000,
     ) {
-        let mut scratch = Scratch::new();
         let a = lcg_tensor(&[m, k], seed);
         let b = lcg_tensor(&[k, n], seed ^ 0xabcdef);
         prop_assert_eq!(
-            gemm_nn(&a, &b, &mut scratch).unwrap(),
+            gemm_nn(&a, &b).unwrap(),
             matmul_naive(&a, &b).unwrap()
         );
         let at = lcg_tensor(&[k, m], seed.wrapping_add(7));
         prop_assert_eq!(
-            gemm_tn(&at, &b, &mut scratch).unwrap(),
+            gemm_tn(&at, &b).unwrap(),
             matmul_at_b_naive(&at, &b).unwrap()
         );
         let bt = lcg_tensor(&[n, k], seed.wrapping_add(13));
         prop_assert_eq!(
-            gemm_nt(&a, &bt, &mut scratch).unwrap(),
+            gemm_nt(&a, &bt).unwrap(),
             matmul_a_bt_naive(&a, &bt).unwrap()
         );
     }
@@ -147,14 +146,11 @@ proptest! {
         seed in 0u64..1000,
     ) {
         // a warm arena full of garbage must not change any result
-        let mut scratch = Scratch::new();
         let a = lcg_tensor(&[m, k], seed);
         let b = lcg_tensor(&[k, n], seed ^ 0x5eed);
-        let cold = gemm_nn(&a, &b, &mut scratch).unwrap();
-        let mut junk = scratch.take((m * k + k * n + m * n) * 2);
-        junk.fill(f32::NAN);
-        scratch.give(junk);
-        let warm = gemm_nn(&a, &b, &mut scratch).unwrap();
+        let cold = gemm_nn(&a, &b).unwrap();
+        recycle(Tensor::full(&[(m * k + k * n + m * n) * 2], f32::NAN));
+        let warm = gemm_nn(&a, &b).unwrap();
         prop_assert_eq!(cold, warm);
     }
 }

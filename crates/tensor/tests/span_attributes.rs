@@ -8,8 +8,8 @@
 use adq_telemetry::span::{self, AttrValue, SpanRecord};
 use adq_tensor::plan::{gathered_plan, static_plan, KernelPlan};
 use adq_tensor::{
-    conv_gemm_scratch, matmul, matmul_a_bt, matmul_at_b, pad_input, Conv2dGeom, ConvGemm, Scratch,
-    ShapeError, Tensor,
+    conv_gemm, matmul, matmul_a_bt, matmul_at_b, pad_input, Conv2dGeom, ConvGemm, ShapeError,
+    Tensor,
 };
 
 /// Drains the one `tensor.matmul` span the call that returned
@@ -61,8 +61,7 @@ fn every_dispatched_product_reports_its_variant_and_plan() {
         (Conv2dGeom::new(16, 32, 1, 2, 0), [24, 16, 16, 16]),
     ];
     for (geom, [batch, c, h, w]) in convs {
-        let mut scratch = Scratch::new();
-        let padded = pad_input(&Tensor::zeros(&[batch, c, h, w]), &geom, &mut scratch).unwrap();
+        let padded = pad_input(&Tensor::zeros(&[batch, c, h, w]), &geom).unwrap();
         let taps = c * geom.kernel * geom.kernel;
         let pixels = batch * geom.output_size(h) * geom.output_size(w);
         let weights = Tensor::zeros(&[geom.out_channels, taps]);
@@ -70,14 +69,14 @@ fn every_dispatched_product_reports_its_variant_and_plan() {
             "nn",
             (geom.out_channels, pixels, taps),
             gathered_plan,
-            conv_gemm_scratch(&weights, &padded, ConvGemm::Forward, &mut scratch),
+            conv_gemm(&weights, &padded, ConvGemm::Forward),
         );
         let dy = Tensor::zeros(&[geom.out_channels, pixels]);
         assert_span(
             "nt",
             (geom.out_channels, taps, pixels),
             gathered_plan,
-            conv_gemm_scratch(&dy, &padded, ConvGemm::WeightGrad, &mut scratch),
+            conv_gemm(&dy, &padded, ConvGemm::WeightGrad),
         );
     }
     assert_ne!(gathered_plan(32, 16, 1536), static_plan(32, 16, 1536));
